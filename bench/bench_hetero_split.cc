@@ -131,10 +131,10 @@ std::vector<double> AutoWeights(DeviceManager* manager, int query) {
   options.model = ExecutionModelKind::kDeviceParallel;
   options.chunk_elems = kChunkElems;
   options.device_set = {0, 1};
-  auto estimates = exec::EstimateDeviceCosts(*bundle.graph, manager,
-                                             options.device_set, options);
-  ADAMANT_CHECK(estimates.ok()) << estimates.status().ToString();
-  return exec::ThroughputWeights(*estimates);
+  auto prices = exec::PriceDevices(*bundle.graph, options, manager,
+                                   options.device_set);
+  ADAMANT_CHECK(prices.ok()) << prices.status().ToString();
+  return exec::ThroughputWeights(*prices);
 }
 
 void WriteJson(const std::vector<Sample>& samples, const char* path) {

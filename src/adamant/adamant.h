@@ -38,9 +38,9 @@
 #include "plan/logical_plan.h"
 #include "plan/lowering.h"
 #include "plan/placement_optimizer.h"
-#include "plan/tpch_logical.h"
 #include "plan/tpch_plans.h"
 #include "runtime/chunk_tuner.h"
+#include "runtime/exec/graph_price.h"
 #include "runtime/exec/hetero_split.h"
 #include "runtime/executor.h"
 #include "runtime/primitive_graph.h"

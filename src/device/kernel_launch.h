@@ -36,6 +36,13 @@ inline const char* KernelVariantName(KernelVariant v) {
   return v == KernelVariant::kParallel ? "parallel" : "scalar";
 }
 
+/// The variant a launch runs and its thread budget (1 for kScalar), as a
+/// device resolves it from a KernelVariantRequest.
+struct KernelVariantChoice {
+  KernelVariant variant = KernelVariant::kScalar;
+  int threads = 1;
+};
+
 /// One argument of a kernel launch: a device buffer (tagged by access mode
 /// so the simulator can derive data dependencies) or an immediate scalar.
 struct KernelArg {

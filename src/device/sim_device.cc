@@ -233,13 +233,13 @@ bool SimulatedDevice::HasKernel(const std::string& name) const {
 
 void SimulatedDevice::RegisterParallelKernel(const std::string& name,
                                              HostKernelFn fn) {
-  std::lock_guard<std::mutex> lock(call_mu_);
+  std::lock_guard<std::mutex> lock(parallel_mu_);
   parallel_kernels_[name] = std::move(fn);
 }
 
-bool SimulatedDevice::HasParallelKernel(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(call_mu_);
-  return parallel_kernels_.count(name) > 0;
+bool SimulatedDevice::HasParallelKernel(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(parallel_mu_);
+  return parallel_kernels_.find(name) != parallel_kernels_.end();
 }
 
 void SimulatedDevice::SetKernelVariantPolicy(KernelVariant native,
@@ -247,6 +247,51 @@ void SimulatedDevice::SetKernelVariantPolicy(KernelVariant native,
   std::lock_guard<std::mutex> lock(call_mu_);
   default_variant_ = native;
   kernel_threads_ = threads > 0 ? threads : 1;
+}
+
+KernelVariantChoice SimulatedDevice::ResolveVariant(
+    KernelVariantRequest request, int threads) const {
+  const KernelVariant variant =
+      request == KernelVariantRequest::kScalar     ? KernelVariant::kScalar
+      : request == KernelVariantRequest::kParallel ? KernelVariant::kParallel
+                                                   : default_variant_;
+  if (variant == KernelVariant::kScalar) return {variant, 1};
+  return {variant, threads > 0 ? threads : kernel_threads_};
+}
+
+KernelVariantChoice SimulatedDevice::ResolveKernelVariant(
+    std::string_view kernel, KernelVariantRequest request, int threads) const {
+  const KernelVariantChoice choice = ResolveVariant(request, threads);
+  if (choice.variant == KernelVariant::kParallel &&
+      !HasParallelKernel(kernel)) {
+    return {KernelVariant::kScalar, 1};
+  }
+  return choice;
+}
+
+SimTime SimulatedDevice::KernelBody(std::string_view kernel, double tuples,
+                                    double cost_param,
+                                    KernelVariantChoice choice) const {
+  SimTime body = model_.KernelDuration(kernel, tuples, cost_param);
+  // The calibrated rate corresponds to the driver's *native* variant; when
+  // that is the parallel one (CPU drivers), running another variant scales
+  // the body by S(native)/S(used). Scalar-native (GPU) drivers charge the
+  // calibrated rate regardless — their model already is massively parallel.
+  if (default_variant_ == KernelVariant::kParallel) {
+    body *= sim::ParallelKernelSpeedup(kernel_threads_, tuples) /
+            sim::ParallelKernelSpeedup(choice.threads, tuples);
+  }
+  return body;
+}
+
+SimulatedDevice::LaunchPrice SimulatedDevice::PriceLaunch(
+    std::string_view kernel, double tuples, KernelVariantRequest request,
+    int threads) const {
+  LaunchPrice price;
+  price.choice = ResolveKernelVariant(kernel, request, threads);
+  price.body_us = KernelBody(kernel, tuples, /*cost_param=*/1.0, price.choice);
+  price.total_us = model_.kernel_launch_us + price.body_us;
+  return price;
 }
 
 Result<BufferId> SimulatedDevice::CreateChunk(BufferId parent, size_t bytes,
@@ -310,28 +355,16 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
                                   " (runtime compilation required)");
   }
 
-  // Resolve the Task-layer variant: an explicit launch request wins, kAuto
-  // takes the device policy; kernels without a registered parallel variant
-  // silently fall back to the scalar binding. Inline fns bypass variants.
-  KernelVariant used_variant =
-      launch.variant == KernelVariantRequest::kScalar ? KernelVariant::kScalar
-      : launch.variant == KernelVariantRequest::kParallel
-          ? KernelVariant::kParallel
-          : default_variant_;
-  int used_threads = 1;
-  if (!launch.fn && used_variant == KernelVariant::kParallel) {
-    if (auto vit = parallel_kernels_.find(launch.kernel_name);
-        vit != parallel_kernels_.end()) {
-      fn = vit->second;
-      used_threads =
-          launch.num_threads > 0 ? launch.num_threads : kernel_threads_;
-      ++parallel_launches_;
-    } else {
-      used_variant = KernelVariant::kScalar;
-    }
-  } else if (launch.fn) {
-    used_variant = default_variant_;  // inline fns charge the native rate
-    used_threads = kernel_threads_;
+  // Resolve the Task-layer variant (ResolveKernelVariant). Inline fns
+  // bypass variants and charge the native rate.
+  const KernelVariantChoice choice =
+      launch.fn ? ResolveVariant(KernelVariantRequest::kAuto, 0)
+                : ResolveKernelVariant(launch.kernel_name, launch.variant,
+                                       launch.num_threads);
+  if (!launch.fn && choice.variant == KernelVariant::kParallel) {
+    std::lock_guard<std::mutex> parallel_lock(parallel_mu_);
+    fn = parallel_kernels_.find(launch.kernel_name)->second;
+    ++parallel_launches_;
   }
 
   if (launch.kernel_name == "fused") ++fused_launches_;
@@ -363,16 +396,8 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
   double tuples = Scale(static_cast<double>(launch.work_items));
   double cost_param = launch.scale_cost_param ? Scale(launch.cost_param)
                                               : launch.cost_param;
-  SimTime body = model_.KernelDuration(launch.kernel_name, tuples, cost_param);
-  // The calibrated rate corresponds to the driver's *native* variant; when
-  // that is the parallel one (CPU drivers), running another variant scales
-  // the body by S(native)/S(used). Scalar-native (GPU) drivers charge the
-  // calibrated rate regardless — their model already is massively parallel.
-  if (default_variant_ == KernelVariant::kParallel) {
-    const int used = used_variant == KernelVariant::kParallel ? used_threads : 1;
-    body *= sim::ParallelKernelSpeedup(kernel_threads_, tuples) /
-            sim::ParallelKernelSpeedup(used, tuples);
-  }
+  const SimTime body =
+      KernelBody(launch.kernel_name, tuples, cost_param, choice);
   kernel_body_time_ += body;
   kernel_body_by_name_[launch.kernel_name] += body;
   if (launch.kernel_name == "fused") fused_body_time_ += body;
@@ -390,9 +415,7 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
   // Run the actual computation now, in issue order.
   KernelExecContext ctx(std::move(pointers), std::move(sizes), launch.args,
                         launch.work_items);
-  ctx.set_parallel_threads(used_variant == KernelVariant::kParallel
-                               ? used_threads
-                               : 1);
+  ctx.set_parallel_threads(choice.threads);
   ctx.set_cancel(launch.cancel);
   return fn(&ctx).WithContext("kernel '" + launch.kernel_name + "' on " +
                               name_);

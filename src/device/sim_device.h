@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -97,7 +98,7 @@ class SimulatedDevice : public Device {
   /// needs the scalar binding, and the variant resolved at Execute time
   /// (launch.variant, else the device policy) picks between the two.
   void RegisterParallelKernel(const std::string& name, HostKernelFn fn);
-  bool HasParallelKernel(const std::string& name) const;
+  bool HasParallelKernel(std::string_view name) const;
 
   /// Sets the device's native variant and thread count. The driver's
   /// calibrated kernel rates correspond to its *native* variant, so Execute
@@ -108,6 +109,35 @@ class SimulatedDevice : public Device {
   void SetKernelVariantPolicy(KernelVariant native, int threads);
   KernelVariant default_kernel_variant() const { return default_variant_; }
   int kernel_threads() const { return kernel_threads_; }
+
+  // --- Kernel pricing: the one cost model of a launch. Execute charges
+  //     exactly this; admission, the split, EXPLAIN and the fusion gate
+  //     predict with it (exec::PriceGraph). None of these wait for a
+  //     running Execute; the variant policy is set-up state, like the
+  //     accessors above. ---
+
+  /// The variant a run asking for `request` gets on this device: a forced
+  /// request wins, kAuto takes the native policy; the parallel variant's
+  /// budget is `threads`, or the policy count when 0. Device-wide — one
+  /// kernel may still fall back (ResolveKernelVariant).
+  KernelVariantChoice ResolveVariant(KernelVariantRequest request,
+                                     int threads) const;
+  /// What Execute runs for a launch of `kernel`: ResolveVariant, falling
+  /// back to scalar when the kernel has no parallel binding.
+  KernelVariantChoice ResolveKernelVariant(std::string_view kernel,
+                                           KernelVariantRequest request,
+                                           int threads) const;
+  /// Static price of one launch of `kernel` over `tuples` (already
+  /// data-scaled) tuples with cost_param pinned at 1, run as
+  /// ResolveKernelVariant picks: the body Execute books into
+  /// kernel_body_time(), plus the SDK's per-launch overhead.
+  struct LaunchPrice {
+    KernelVariantChoice choice;
+    sim::SimTime body_us = 0;
+    sim::SimTime total_us = 0;
+  };
+  LaunchPrice PriceLaunch(std::string_view kernel, double tuples,
+                          KernelVariantRequest request, int threads) const;
   /// Number of Execute calls that dispatched a parallel variant fn.
   size_t parallel_launches() const { return parallel_launches_; }
   /// Number of Execute calls that ran the fused composite kernel.
@@ -208,6 +238,9 @@ class SimulatedDevice : public Device {
 
   /// Completion time without taking call_mu_ (callers hold the lock).
   sim::SimTime MaxCompletionLocked() const;
+  /// Kernel-body time of one launch run as `choice`.
+  sim::SimTime KernelBody(std::string_view kernel, double tuples,
+                          double cost_param, KernelVariantChoice choice) const;
 
   std::string name_;
   sim::DevicePerfModel model_;
@@ -223,6 +256,11 @@ class SimulatedDevice : public Device {
 
   std::map<std::string, HostKernelFn, std::less<>> prepared_kernels_;
   std::map<std::string, HostKernelFn, std::less<>> precompiled_kernels_;
+  /// Guards parallel_kernels_ on its own: Execute holds call_mu_ across
+  /// the kernel's computation, and pricing (PriceLaunch from admission on
+  /// another thread) must not wait for a running kernel. Lock order:
+  /// call_mu_, then parallel_mu_.
+  mutable std::mutex parallel_mu_;
   std::map<std::string, HostKernelFn, std::less<>> parallel_kernels_;
   KernelVariant default_variant_ = KernelVariant::kScalar;
   /// Thread budget handed to parallel variants (deterministic policy

@@ -81,8 +81,9 @@ struct OperatorStats {
   double predicted_selectivity = 1.0;
   double predicted_rows_in = 0;
   double predicted_rows_out = 0;
-  /// Arithmetic per-node simulated cost (us), same model as
-  /// EstimateSimCostUs: one launch per chunk at full chunk cardinality.
+  /// Static per-node simulated cost (us): the node's share of the graph
+  /// price (exec::PriceGraph) — one launch per chunk at full chunk
+  /// cardinality, priced by the device that charges it.
   double predicted_cost_us = 0;
 
   // --- Measured ---

@@ -257,25 +257,25 @@ bool BuildRecipe(const PrimitiveGraph& g, GroupPlan* group) {
   return true;
 }
 
-/// Auto-mode cost check: one fused traversal (launch + body) vs the sum of
-/// the member kernels' launches + bodies, at a representative chunk size.
+/// Auto-mode cost check: one fused launch vs the member kernels' launches,
+/// each priced by the device at a representative chunk size under the
+/// run's kernel-variant request.
 bool FusionPaysOff(const PrimitiveGraph& g, const GroupPlan& group,
-                   DeviceManager* manager) {
+                   const ExecutionOptions& options, DeviceManager* manager) {
   if (manager == nullptr) return true;
   auto dev = manager->GetDevice(g.node(group.terminal).device);
   if (!dev.ok()) return true;
-  const sim::DevicePerfModel& m = (*dev)->perf_model();
-  const double tuples = static_cast<double>(size_t{1} << 20);
+  auto price = [&](const char* kernel) {
+    return (*dev)
+        ->PriceLaunch(kernel, static_cast<double>(size_t{1} << 20),
+                      options.kernel_variant, options.kernel_threads)
+        .total_us;
+  };
   double unfused_us = 0.0;
   for (int id : group.members) {
-    const GraphNode& node = g.node(id);
-    unfused_us += m.kernel_launch_us +
-                  m.KernelDuration(GetSignature(node.kind).kernel_name,
-                                   tuples, /*cost_param=*/0.0);
+    unfused_us += price(GetSignature(g.node(id).kind).kernel_name);
   }
-  const double fused_us =
-      m.kernel_launch_us + m.KernelDuration("fused", tuples, 0.0);
-  return fused_us < unfused_us;
+  return price("fused") < unfused_us;
 }
 
 }  // namespace
@@ -399,7 +399,7 @@ Result<FusionReport> ApplyFusion(PlanBundle* bundle,
     if (terminals != 1) continue;
     if (!BuildRecipe(g, &group)) continue;
     if (options.fusion == FusionMode::kAuto &&
-        !FusionPaysOff(g, group, manager)) {
+        !FusionPaysOff(g, group, options, manager)) {
       continue;
     }
     for (int id : group.members) {

@@ -31,9 +31,10 @@ struct FusionReport {
 /// Gated by ExecutionOptions::fusion:
 ///   * kOff  — no-op.
 ///   * kOn   — every eligible group is fused.
-///   * kAuto — a group is fused only when the device's perf model says one
-///     fused traversal beats the member kernels' launches + bodies
-///     (`manager` supplies the models; with a null manager kAuto fuses
+///   * kAuto — a group is fused only when the device's per-launch price
+///     (SimulatedDevice::PriceLaunch under the options' kernel variant)
+///     says one fused launch beats the member kernels' launches
+///     (`manager` supplies the devices; with a null manager kAuto fuses
 ///     everything, like kOn).
 ///
 /// The rewrite preserves results bit-identically: the fused interpreter

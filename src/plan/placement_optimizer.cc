@@ -160,21 +160,20 @@ Result<PlacementSearchResult> SearchPlacements(
     ADAMANT_ASSIGN_OR_RETURN(PlanBundle bundle,
                              LowerPlan(root, catalog, policy));
     ADAMANT_RETURN_NOT_OK(ApplyFusion(&bundle, options, manager).status());
-    std::vector<exec::DeviceCostEstimate> estimates;
     if (ratio_split) {
       ExecutionOptions estimate_options = options;
       estimate_options.model = ExecutionModelKind::kDeviceParallel;
       ADAMANT_ASSIGN_OR_RETURN(
-          estimates, exec::EstimateDeviceCosts(*bundle.graph, manager, set,
-                                               estimate_options));
-      split = exec::ThroughputWeights(estimates);
+          std::vector<exec::GraphPrice> prices,
+          exec::PriceDevices(*bundle.graph, estimate_options, manager, set));
+      split = exec::ThroughputWeights(prices);
       if (calibration != nullptr) {
         std::vector<std::string> names;
         for (DeviceId id : set) names.push_back(manager->device(id)->name());
         split = calibration->CalibrateWeights(names, std::move(split));
       }
       for (size_t i = 0; i < set.size(); ++i) {
-        partition_cost.push_back(estimates[i].total_cost_us * split[i]);
+        partition_cost.push_back(prices[i].cost_us * split[i]);
       }
     }
     for (size_t i = 0; i < set.size(); ++i) {

@@ -363,7 +363,7 @@ Status MergeBreaker(RunContext& parent, std::vector<SubRun>& subs,
 Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
                       const std::vector<DeviceId>& devices,
                       const std::vector<double>& weights,
-                      const std::vector<DeviceCostEstimate>& estimates,
+                      const std::vector<GraphPrice>& prices,
                       double* merge_host_ms) {
   const std::vector<Pipeline>& pipelines = ctx.pipelines();
   const bool rebalance = ctx.options().split_rebalance && subs.size() > 1;
@@ -403,13 +403,9 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
     // Per-chunk cost seeds for the virtual clocks, from the planning
     // estimate (same units — simulated us — as the observed corrections).
     std::vector<double> seeds(subs.size(), 1.0);
-    if (estimates.size() == subs.size()) {
-      for (size_t i = 0; i < subs.size(); ++i) {
-        if (pi < estimates[i].pipeline_cost_us.size()) {
-          seeds[i] = estimates[i].pipeline_cost_us[pi] /
-                     static_cast<double>(chunks.total());
-        }
-      }
+    for (size_t i = 0; i < subs.size(); ++i) {
+      seeds[i] = prices[i].pipeline_cost_us[pi] /
+                 static_cast<double>(chunks.total());
     }
     const auto pipeline_t0 = std::chrono::steady_clock::now();
     const std::vector<Busy> busy_before = profile ? sample_busy()
@@ -563,15 +559,19 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
     }
   }
 
-  // Cost-ratio partitioning: price the graph on every partition device and
-  // split the chunk range proportionally to effective throughput. Explicit
-  // shares (options.device_split, parallel to the pre-sort device_set)
-  // override the model; the estimate is still kept for the virtual-clock
-  // seeds of the rebalancer.
-  std::vector<DeviceCostEstimate> estimates;
-  auto estimated =
-      EstimateDeviceCosts(*ctx.graph(), ctx.manager(), devices, ctx.options());
-  if (estimated.ok()) estimates = std::move(*estimated);
+  // Cost-ratio partitioning: price the run's pipelines on every partition
+  // device and split the chunk range proportionally to effective
+  // throughput. Explicit shares (options.device_split, parallel to the
+  // pre-sort device_set) override the model; the prices still seed the
+  // rebalancer's virtual clocks.
+  ADAMANT_RETURN_NOT_OK(ctx.Plan());
+  std::vector<GraphPrice> prices;
+  for (DeviceId id : devices) {
+    ADAMANT_ASSIGN_OR_RETURN(GraphPrice price,
+                             PriceGraph(*ctx.graph(), ctx.pipelines(),
+                                        ctx.options(), ctx.manager(), id));
+    prices.push_back(std::move(price));
+  }
   std::vector<double> weights;
   if (!ctx.options().device_split.empty()) {
     std::map<DeviceId, double> by_device;
@@ -585,21 +585,18 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
       weights.push_back(it != by_device.end() ? it->second : 0.0);
     }
     weights = NormalizeSplit(std::move(weights), devices.size());
-  } else if (!estimates.empty()) {
-    weights = ThroughputWeights(estimates);
   } else {
-    weights = NormalizeSplit({}, devices.size());
+    weights = ThroughputWeights(prices);
   }
 
   // An oversized device set collapses up front: a partition beyond the
   // largest pipeline's chunk count would run zero chunks in *every*
   // pipeline yet still pay BeginPipeline / persist setup and force breaker
   // round-trips. Keep the highest-share devices (ties to lower ids).
-  ADAMANT_ASSIGN_OR_RETURN(
-      size_t max_chunks,
-      MaxPipelineChunks(*ctx.graph(), ctx.options(),
-                        ctx.manager()->data_scale()));
-  max_chunks = std::max<size_t>(max_chunks, 1);
+  size_t max_chunks = 1;
+  for (size_t chunks : prices.front().pipeline_chunks) {
+    max_chunks = std::max(max_chunks, chunks);
+  }
   if (devices.size() > max_chunks) {
     std::vector<size_t> order(devices.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -610,17 +607,15 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
     std::sort(order.begin(), order.end());
     std::vector<DeviceId> kept_devices;
     std::vector<double> kept_weights;
-    std::vector<DeviceCostEstimate> kept_estimates;
+    std::vector<GraphPrice> kept_prices;
     for (size_t i : order) {
       kept_devices.push_back(devices[i]);
       kept_weights.push_back(weights[i]);
-      if (estimates.size() == devices.size()) {
-        kept_estimates.push_back(estimates[i]);
-      }
+      kept_prices.push_back(std::move(prices[i]));
     }
     devices = std::move(kept_devices);
     weights = NormalizeSplit(std::move(kept_weights), devices.size());
-    estimates = std::move(kept_estimates);
+    prices = std::move(kept_prices);
   }
 
   ADAMANT_RETURN_NOT_OK(ctx.Prepare(devices));
@@ -656,7 +651,7 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
 
   double merge_host_ms = 0;
   if (st.ok()) {
-    st = RunPartitioned(ctx, subs, devices, weights, estimates,
+    st = RunPartitioned(ctx, subs, devices, weights, prices,
                         &merge_host_ms);
   }
 
@@ -682,9 +677,9 @@ Status DeviceParallelDriver::Execute(RunContext& ctx) {
       stats.split_ratio_by_device[id] = weights[i];
       stats.chunks_stolen_by_device[id] = sub.chunks_stolen;
       stolen_total += sub.chunks_stolen;
-      if (estimates.size() == subs.size() && total_chunks > 0) {
+      if (total_chunks > 0) {
         stats.split_predicted_chunk_us[id] =
-            estimates[i].total_cost_us / static_cast<double>(total_chunks);
+            prices[i].cost_us / static_cast<double>(total_chunks);
       }
       if (sub.chunks_run > 0) {
         stats.split_observed_chunk_us[id] =

@@ -2,116 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "runtime/exec/plan_shapes.h"
-#include "runtime/exec/run_context.h"
-#include "task/primitive.h"
 
 namespace adamant::exec {
 
-namespace {
-
-/// Device-independent work profiles, one per pipeline: what
-/// sim::EstimatePipelineCostUs needs to price the graph on any device.
-Result<std::vector<sim::PipelineWork>> BuildPipelineWork(
-    const PrimitiveGraph& graph, const ExecutionOptions& options,
-    double scale) {
-  ADAMANT_ASSIGN_OR_RETURN(std::vector<Pipeline> pipelines,
-                           graph.SplitPipelines());
-  const bool oaat = options.model == ExecutionModelKind::kOperatorAtATime;
-  std::vector<sim::PipelineWork> works;
-  works.reserve(pipelines.size());
-  for (const Pipeline& pipeline : pipelines) {
-    const size_t cap = PipelineChunkCapacity(pipeline, options, oaat, scale);
-    const ChunkSource chunks(pipeline.input_rows, cap);
-    const double rows = static_cast<double>(pipeline.input_rows);
-    sim::PipelineWork work;
-    work.rows = rows * scale;
-    work.chunks = static_cast<double>(chunks.total());
-    for (int edge_id : pipeline.scan_edges) {
-      const GraphEdge& edge = graph.edges()[static_cast<size_t>(edge_id)];
-      work.scan_bytes +=
-          rows * static_cast<double>(ElementSize(edge.elem_type)) * scale;
-    }
-    work.transfer_calls =
-        static_cast<double>(pipeline.scan_edges.size()) * work.chunks;
-    const double rows_per_chunk = work.rows / work.chunks;
-    for (int node_id : pipeline.nodes) {
-      const GraphNode& node = graph.node(node_id);
-      work.launches.push_back(
-          {GetSignature(node.kind).kernel_name, rows_per_chunk});
-    }
-    works.push_back(std::move(work));
-  }
-  return works;
-}
-
-/// The (native, used) parallel thread counts SimulatedDevice::Execute would
-/// charge the variant term with, resolved from the device's policy and the
-/// run's kernel-variant request.
-std::pair<int, int> VariantThreads(const SimulatedDevice& dev,
-                                   const ExecutionOptions& options) {
-  const int native = dev.default_kernel_variant() == KernelVariant::kParallel
-                         ? dev.kernel_threads()
-                         : 1;
-  int used = native;
-  switch (options.kernel_variant) {
-    case KernelVariantRequest::kAuto:
-      break;
-    case KernelVariantRequest::kScalar:
-      used = 1;
-      break;
-    case KernelVariantRequest::kParallel:
-      used = options.kernel_threads > 0 ? options.kernel_threads
-                                        : dev.kernel_threads();
-      break;
-  }
-  return {native, used};
-}
-
-}  // namespace
-
-Result<std::vector<DeviceCostEstimate>> EstimateDeviceCosts(
-    const PrimitiveGraph& graph, DeviceManager* manager,
-    const std::vector<DeviceId>& devices, const ExecutionOptions& options) {
-  if (manager == nullptr) return Status::InvalidArgument("null manager");
-  if (devices.empty()) return Status::InvalidArgument("empty device set");
-  ADAMANT_ASSIGN_OR_RETURN(
-      std::vector<sim::PipelineWork> works,
-      BuildPipelineWork(graph, options, manager->data_scale()));
-  double total_rows = 0;
-  for (const sim::PipelineWork& work : works) total_rows += work.rows;
-
-  std::vector<DeviceCostEstimate> estimates;
-  estimates.reserve(devices.size());
-  for (DeviceId id : devices) {
-    ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager->GetDevice(id));
-    const auto [native, used] = VariantThreads(*dev, options);
-    DeviceCostEstimate estimate;
-    estimate.device = id;
-    for (const sim::PipelineWork& work : works) {
-      const double cost = static_cast<double>(sim::EstimatePipelineCostUs(
-          dev->perf_model(), work, native, used));
-      estimate.pipeline_cost_us.push_back(cost);
-      estimate.total_cost_us += cost;
-    }
-    estimate.throughput = estimate.total_cost_us > 0
-                              ? total_rows / estimate.total_cost_us
-                              : 0.0;
-    estimates.push_back(std::move(estimate));
-  }
-  return estimates;
-}
-
-std::vector<double> ThroughputWeights(
-    const std::vector<DeviceCostEstimate>& estimates) {
+std::vector<double> ThroughputWeights(const std::vector<GraphPrice>& prices) {
   std::vector<double> weights;
-  weights.reserve(estimates.size());
-  for (const DeviceCostEstimate& estimate : estimates) {
-    weights.push_back(estimate.throughput);
-  }
-  return NormalizeSplit(std::move(weights), estimates.size());
+  weights.reserve(prices.size());
+  for (const GraphPrice& price : prices) weights.push_back(price.throughput());
+  return NormalizeSplit(std::move(weights), prices.size());
 }
 
 std::vector<double> NormalizeSplit(std::vector<double> weights, size_t n) {
@@ -159,22 +57,6 @@ std::vector<std::pair<size_t, size_t>> SplitChunksWeighted(
     begin += counts[i];
   }
   return ranges;
-}
-
-Result<size_t> MaxPipelineChunks(const PrimitiveGraph& graph,
-                                 const ExecutionOptions& options,
-                                 double data_scale) {
-  ADAMANT_ASSIGN_OR_RETURN(std::vector<Pipeline> pipelines,
-                           graph.SplitPipelines());
-  const bool oaat = options.model == ExecutionModelKind::kOperatorAtATime;
-  size_t max_chunks = 0;
-  for (const Pipeline& pipeline : pipelines) {
-    const size_t cap = PipelineChunkCapacity(pipeline, options, oaat,
-                                             data_scale);
-    max_chunks = std::max(max_chunks,
-                          ChunkSource(pipeline.input_rows, cap).total());
-  }
-  return max_chunks;
 }
 
 }  // namespace adamant::exec

@@ -5,37 +5,13 @@
 #include <utility>
 #include <vector>
 
-#include "common/result.h"
-#include "device/device_manager.h"
-#include "runtime/executor.h"
-#include "runtime/primitive_graph.h"
-#include "sim/perf_model.h"
+#include "runtime/exec/graph_price.h"
 
 namespace adamant::exec {
 
-/// Per-device cost prediction for running one graph's chunk stream,
-/// produced by EstimateDeviceCosts. All times are simulated microseconds on
-/// the device's own perf model; `throughput` is scaled rows per us over the
-/// whole graph — the quantity the asymmetric split is proportional to.
-struct DeviceCostEstimate {
-  DeviceId device = 0;
-  std::vector<double> pipeline_cost_us;  // parallel to graph.SplitPipelines()
-  double total_cost_us = 0;
-  double throughput = 0;
-};
-
-/// Predicts each device's effective cost/throughput for `graph` under
-/// `options` (chunk capacity, kernel-variant request): per pipeline, the
-/// kernel-body cost of every node x chunk, the variant speedup of the
-/// device's policy, and the transfer share of streaming the scan columns.
-/// This is the planning input for throughput-proportional chunk splits.
-Result<std::vector<DeviceCostEstimate>> EstimateDeviceCosts(
-    const PrimitiveGraph& graph, DeviceManager* manager,
-    const std::vector<DeviceId>& devices, const ExecutionOptions& options);
-
-/// Normalized split shares (sum 1) proportional to estimated throughput.
-std::vector<double> ThroughputWeights(
-    const std::vector<DeviceCostEstimate>& estimates);
+/// Normalized split shares (sum 1) proportional to each device's priced
+/// throughput (GraphPrice::throughput, prices parallel to the device set).
+std::vector<double> ThroughputWeights(const std::vector<GraphPrice>& prices);
 
 /// Normalizes `weights` to `n` positive shares summing to 1. Empty, wrongly
 /// sized, non-finite or non-positive input collapses to the even split —
@@ -49,14 +25,6 @@ std::vector<double> NormalizeSplit(std::vector<double> weights, size_t n);
 /// partitions take the remainder).
 std::vector<std::pair<size_t, size_t>> SplitChunksWeighted(
     size_t total, const std::vector<double>& weights);
-
-/// The largest chunk count any pipeline of `graph` produces under
-/// `options` — an upper bound on how many split partitions can ever
-/// receive work. Used to collapse an oversized device set up front instead
-/// of spawning partitions that would run zero chunks in every pipeline.
-Result<size_t> MaxPipelineChunks(const PrimitiveGraph& graph,
-                                 const ExecutionOptions& options,
-                                 double data_scale);
 
 }  // namespace adamant::exec
 

@@ -1,11 +1,11 @@
 #include "runtime/exec/run_context.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "runtime/exec/graph_price.h"
 #include "runtime/exec/plan_shapes.h"
 #include "task/kernels.h"
 #include "task/kernels_fused.h"
@@ -31,11 +31,18 @@ RunContext::RunContext(DeviceManager* manager, PrimitiveGraph* graph,
   run_start_ = std::chrono::steady_clock::now();
 }
 
-Status RunContext::Prepare(const std::vector<DeviceId>& device_override) {
-  ADAMANT_RETURN_NOT_OK(CheckCancel());
+Status RunContext::Plan() {
+  if (planned_) return Status::OK();
   ADAMANT_RETURN_NOT_OK(graph_->Validate());
   ADAMANT_ASSIGN_OR_RETURN(pipelines_, graph_->SplitPipelines());
   graph_->ResetProgress();
+  planned_ = true;
+  return Status::OK();
+}
+
+Status RunContext::Prepare(const std::vector<DeviceId>& device_override) {
+  ADAMANT_RETURN_NOT_OK(CheckCancel());
+  ADAMANT_RETURN_NOT_OK(Plan());
 
   if (device_override.empty()) {
     for (const GraphNode& node : graph_->nodes()) {
@@ -1151,20 +1158,10 @@ void RunContext::RecordOperatorSample(const GraphNode& node,
       node.kind == PrimitiveKind::kFusedAgg) {
     op.fused_ms += wall_ms;
   } else {
-    // Resolve the variant the launch actually ran: forced option wins,
-    // kAuto takes the device policy, and kernels without a parallel
-    // binding fall back to scalar (mirrors SimulatedDevice::Execute).
-    KernelVariant variant =
-        options_.kernel_variant == KernelVariantRequest::kScalar
-            ? KernelVariant::kScalar
-        : options_.kernel_variant == KernelVariantRequest::kParallel
-            ? KernelVariant::kParallel
-            : dev->default_kernel_variant();
-    if (variant == KernelVariant::kParallel &&
-        !dev->HasParallelKernel(GetSignature(node.kind).kernel_name)) {
-      variant = KernelVariant::kScalar;
-    }
-    if (variant == KernelVariant::kParallel) {
+    const KernelVariantChoice choice = dev->ResolveKernelVariant(
+        GetSignature(node.kind).kernel_name, options_.kernel_variant,
+        options_.kernel_threads);
+    if (choice.variant == KernelVariant::kParallel) {
       op.parallel_ms += wall_ms;
     } else {
       op.scalar_ms += wall_ms;
@@ -1227,18 +1224,17 @@ void RunContext::MergeOperatorStats(
 }
 
 void RunContext::FinalizeOperatorStats() {
-  const double data_scale = manager_->data_scale();
+  // Predicted cost: each node's share of the static graph price of the
+  // pipelines this run split, on the node's own device (0 when that device
+  // is not plugged).
+  const Result<GraphPrice> price =
+      PriceGraph(*graph_, pipelines_, options_, manager_);
   // Predicted output cardinality per node, filled in pipeline order so a
   // consumer in a later pipeline sees its producer's estimate.
   std::map<int, double> pred_rows_out;
   for (size_t pi = 0; pi < pipelines_.size(); ++pi) {
     const Pipeline& pipeline = pipelines_[pi];
-    const size_t cap = ChunkCapacity(pipeline);
     const double rows = static_cast<double>(pipeline.input_rows);
-    const double chunks =
-        cap == 0 ? 1.0
-                 : std::max(1.0, std::ceil(rows / static_cast<double>(cap)));
-    const double rows_per_chunk = rows * data_scale / chunks;
     for (int node_id : pipeline.nodes) {
       const GraphNode& node = graph_->node(node_id);
       obs::OperatorStats& op = op_stats_[node_id];
@@ -1283,16 +1279,9 @@ void RunContext::FinalizeOperatorStats() {
       }
       op.predicted_rows_out = pred_out;
       pred_rows_out[node_id] = pred_out;
-      // Per-node share of EstimateSimCostUs's kernel arithmetic: one launch
-      // per chunk at full chunk cardinality, cost_param pinned at 1.
-      auto dev = manager_->GetDevice(node.device);
-      if (dev.ok()) {
-        const sim::DevicePerfModel& model = (*dev)->perf_model();
+      if (price.ok()) {
         op.predicted_cost_us =
-            chunks * (model.kernel_launch_us +
-                      static_cast<double>(model.KernelDuration(
-                          GetSignature(node.kind).kernel_name, rows_per_chunk,
-                          /*cost_param=*/1.0)));
+            price->nodes[static_cast<size_t>(node_id)].cost_us;
       }
       // Feedback key: ties the operator back to the logical construct whose
       // selectivity the planner estimated (see plan/feedback.h). MATERIALIZE
@@ -1408,20 +1397,10 @@ void RunContext::FinalizeStats() {
     ds.prepare_calls = dev->stats().prepare_memory;
     ds.device_mem_high_water = dev->device_arena().high_water();
     ds.pinned_mem_high_water = dev->pinned_arena().high_water();
-    // Report the variant the run actually resolved: a forced option wins,
-    // kAuto means the device's native policy.
-    const KernelVariant effective =
-        options_.kernel_variant == KernelVariantRequest::kScalar
-            ? KernelVariant::kScalar
-        : options_.kernel_variant == KernelVariantRequest::kParallel
-            ? KernelVariant::kParallel
-            : dev->default_kernel_variant();
-    ds.kernel_variant = KernelVariantName(effective);
-    ds.kernel_threads = effective == KernelVariant::kParallel
-                            ? (options_.kernel_threads > 0
-                                   ? options_.kernel_threads
-                                   : dev->kernel_threads())
-                            : 1;
+    const KernelVariantChoice choice =
+        dev->ResolveVariant(options_.kernel_variant, options_.kernel_threads);
+    ds.kernel_variant = KernelVariantName(choice.variant);
+    ds.kernel_threads = choice.threads;
     ds.parallel_launches = dev->parallel_launches();
     ds.fused_launches = dev->fused_launches();
     ds.fused_body_us = dev->fused_body_time();

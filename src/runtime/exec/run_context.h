@@ -79,12 +79,16 @@ class RunContext {
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
-  /// Validates the graph, splits pipelines, resets chunk progress, and
-  /// readies the run's devices (state reset when the options ask for it,
-  /// async mode per the model). `device_override` names the devices the run
-  /// will touch when they cannot be derived from the graph's node
-  /// annotations — the device-parallel driver passes its device set so all
-  /// partition devices are reset and snapshotted.
+  /// Validates the graph, splits its pipelines and resets chunk progress,
+  /// once per context. Prepare calls it; the device-parallel driver calls
+  /// it first to price its split over the pipelines it will run.
+  Status Plan();
+
+  /// Plan(), then readies the run's devices (state reset when the options
+  /// ask for it, async mode per the model). `device_override` names the
+  /// devices the run will touch when they cannot be derived from the
+  /// graph's node annotations — the device-parallel driver passes its
+  /// device set so all partition devices are reset and snapshotted.
   Status Prepare(const std::vector<DeviceId>& device_override = {});
 
   // --- Driver-facing phase operations ---
@@ -209,9 +213,10 @@ class RunContext {
   void RecordOperatorSample(const GraphNode& node, SimulatedDevice* dev,
                             uint64_t rows_in, uint64_t rows_out,
                             bool counts_rows_out, double wall_ms);
-  /// Stamps labels/kinds/pipeline indexes, predicted rows/selectivity/cost
-  /// (EstimateSimCostUs's per-node arithmetic) and breaker output counts
-  /// onto op_stats_, walking the lowered plan node-for-node.
+  /// Stamps labels/kinds/pipeline indexes, predicted rows/selectivity,
+  /// predicted cost (each node's share of PriceGraph over pipelines_) and
+  /// breaker output counts onto op_stats_, walking the lowered plan
+  /// node-for-node.
   void FinalizeOperatorStats();
 
   /// The track a pipeline's events record on: its first node's device.
@@ -231,6 +236,7 @@ class RunContext {
   DataTransferHub hub_;
 
   std::vector<Pipeline> pipelines_;
+  bool planned_ = false;
   std::map<int, Binding> edge_bindings_;
   std::map<int, Persist> persists_;
   std::map<std::pair<int, DeviceId>, BufferId> moved_persists_;

@@ -82,10 +82,10 @@ struct ExecutionOptions {
   std::vector<DeviceId> device_set;
   /// Device-parallel model only: explicit per-device split shares, parallel
   /// to `device_set` (same order; need not sum to 1 — they are normalized).
-  /// Empty = the driver derives throughput-proportional shares from each
-  /// device's perf model (exec::EstimateDeviceCosts). The planner/service
-  /// set this when their ratio search (possibly feedback-calibrated) has a
-  /// better answer than the raw model.
+  /// Empty = the driver derives throughput-proportional shares from the
+  /// run's pipelines priced on each device (exec::PriceGraph). The
+  /// planner/service set this when their ratio search (possibly
+  /// feedback-calibrated) has a better answer than the raw model.
   std::vector<double> device_split;
   /// Device-parallel model only: bounded runtime rebalancing. When a
   /// partition exhausts its chunk range ahead of the others on the

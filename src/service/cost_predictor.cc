@@ -1,55 +1,8 @@
 #include "service/cost_predictor.h"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
-
-#include "runtime/exec/plan_shapes.h"
-#include "task/primitive.h"
 
 namespace adamant {
-
-Result<double> EstimateSimCostUs(const PrimitiveGraph& graph,
-                                 const ExecutionOptions& options,
-                                 const sim::DevicePerfModel& model,
-                                 double data_scale) {
-  ADAMANT_RETURN_NOT_OK(graph.Validate());
-  ADAMANT_ASSIGN_OR_RETURN(std::vector<Pipeline> pipelines,
-                           graph.SplitPipelines());
-  const bool oaat = options.model == ExecutionModelKind::kOperatorAtATime;
-  double total_us = 0;
-  for (const Pipeline& pipeline : pipelines) {
-    const size_t cap =
-        exec::PipelineChunkCapacity(pipeline, options, oaat, data_scale);
-    const double rows = static_cast<double>(pipeline.input_rows);
-    const double chunks =
-        cap == 0 ? 1.0
-                 : std::max(1.0, std::ceil(rows / static_cast<double>(cap)));
-    const double rows_per_chunk = rows * data_scale / chunks;
-
-    // Scan columns cross the bus once: wire time for the full (scaled)
-    // column, plus the per-call DMA setup latency once per chunk.
-    for (int edge_id : pipeline.scan_edges) {
-      const GraphEdge& edge = graph.edges()[static_cast<size_t>(edge_id)];
-      const double bytes =
-          rows * static_cast<double>(ElementSize(edge.elem_type)) * data_scale;
-      total_us += static_cast<double>(model.TransferDuration(
-          bytes, sim::TransferDirection::kHostToDevice, /*pinned=*/false));
-      total_us += chunks * model.transfer.latency_us;
-    }
-
-    // One launch of every node's kernel per chunk at full chunk cardinality
-    // (no selectivity model), cost_param pinned at 1.
-    for (int node_id : pipeline.nodes) {
-      const GraphNode& node = graph.node(node_id);
-      const char* kernel = GetSignature(node.kind).kernel_name;
-      total_us += chunks * (model.kernel_launch_us +
-                            static_cast<double>(model.KernelDuration(
-                                kernel, rows_per_chunk, /*cost_param=*/1.0)));
-    }
-  }
-  return total_us;
-}
 
 void CostCalibration::Observe(const std::string& query_name, double sim_us,
                               double wall_ms) {

@@ -1,32 +1,16 @@
 #ifndef ADAMANT_SERVICE_COST_PREDICTOR_H_
 #define ADAMANT_SERVICE_COST_PREDICTOR_H_
 
+#include <cstddef>
 #include <map>
 #include <string>
 
-#include "common/result.h"
-#include "runtime/executor.h"
-#include "runtime/primitive_graph.h"
-#include "sim/perf_model.h"
-
 namespace adamant {
 
-/// Arithmetic (no simulation) estimate of a query's run cost on one device,
-/// in *simulated* microseconds: a graph walk charging, per pipeline, the
-/// scan-column H2D wire time plus per-chunk transfer latency, and per node
-/// one kernel launch per chunk costed through the device's DevicePerfModel.
-/// Deliberately coarse — no selectivity, no overlap, cost_param pinned at 1 —
-/// because its consumers only need a stable, cheap quantity: admission
-/// compares it across queued queries and CostCalibration rescales it into
-/// wall time from observed completions. The same perf model that places
-/// queries (SearchPlacements) thus bounds their runtime contract (ISSUE 7).
-Result<double> EstimateSimCostUs(const PrimitiveGraph& graph,
-                                 const ExecutionOptions& options,
-                                 const sim::DevicePerfModel& model,
-                                 double data_scale);
-
-/// Turns predicted simulated cost into predicted wall time, calibrating
-/// itself from completed runs. Two estimators, best first:
+/// Turns predicted simulated cost — the query's static graph price on its
+/// probe device (exec::PriceGraph), the same model the simulated clock
+/// charges — into predicted wall time, calibrating itself from completed
+/// runs. Two estimators, best first:
 ///   1. per-query-name EWMA of observed wall ms (a repeated query predicts
 ///      itself);
 ///   2. global EWMA of the observed wall_ms / sim_us ratio × the query's

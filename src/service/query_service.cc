@@ -177,15 +177,14 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
   ADAMANT_ASSIGN_OR_RETURN(
       size_t estimate,
       EstimateDeviceMemoryBytes(*probe, spec.options, manager_->data_scale()));
-  // Sim-cost estimate on the same probe device, for deadline admission and
-  // the watchdog budget. Best-effort: a failed estimate (0) just means the
+  // Static graph price on the same probe device, for deadline admission
+  // and the watchdog budget. Best-effort: a failed price (0) just means the
   // calibration falls back to per-name history / the policy floor.
   double predicted_sim_us = 0;
-  if (Result<double> cost = EstimateSimCostUs(
-          *probe, spec.options, manager_->device(probe_device)->perf_model(),
-          manager_->data_scale());
-      cost.ok()) {
-    predicted_sim_us = *cost;
+  if (Result<std::vector<exec::GraphPrice>> price =
+          exec::PriceDevices(*probe, spec.options, manager_, {probe_device});
+      price.ok()) {
+    predicted_sim_us = price->front().cost_us;
   }
 
   // A query whose estimate exceeds every eligible budget would wait
@@ -782,10 +781,9 @@ Result<QueryExecution> QueryService::RunOne(
       // slot stays leased (the scheduler already charged it), but running a
       // sliver partition would cost more in merge round-trips than the
       // sliver saves.
-      auto estimates =
-          exec::EstimateDeviceCosts(*graph, manager_, devices, options);
-      if (estimates.ok()) {
-        std::vector<double> weights = exec::ThroughputWeights(*estimates);
+      auto prices = exec::PriceDevices(*graph, options, manager_, devices);
+      if (prices.ok()) {
+        std::vector<double> weights = exec::ThroughputWeights(*prices);
         std::vector<std::string> names;
         names.reserve(devices.size());
         for (DeviceId d : devices) names.push_back(manager_->device(d)->name());

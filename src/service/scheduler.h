@@ -120,8 +120,8 @@ struct QueuedQuery {
   /// Absolute deadline (valid iff has_deadline), from spec.deadline_ms.
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  /// Predicted simulated run cost (us) on the probe device, from
-  /// EstimateSimCostUs; 0 when the estimate failed. Feeds admission
+  /// Predicted simulated run cost (us): the graph price on the probe
+  /// device (exec::PriceGraph); 0 when pricing failed. Feeds admission
   /// shedding and the watchdog budget via CostCalibration.
   double predicted_sim_us = 0;
 };

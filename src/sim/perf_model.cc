@@ -39,43 +39,4 @@ SimTime DevicePerfModel::KernelDuration(std::string_view kernel_name,
   return Profile(kernel_name).Duration(tuples, cost_param);
 }
 
-SimTime EstimatePipelineCostUs(const DevicePerfModel& model,
-                               const PipelineWork& work, int native_threads,
-                               int used_threads) {
-  // Transfer share: every scan column crosses the bus once (pageable — the
-  // planner does not know whether a run pins), plus the per-chunk DMA setup
-  // latency. This is what keeps a PCIe-attached GPU from being credited its
-  // raw kernel rate on scan-bound pipelines.
-  double total = static_cast<double>(model.TransferDuration(
-      work.scan_bytes, TransferDirection::kHostToDevice, /*pinned=*/false));
-  total += work.transfer_calls * model.transfer.latency_us;
-  for (const PipelineWork::Launch& launch : work.launches) {
-    double body = static_cast<double>(
-        model.KernelDuration(launch.kernel, launch.tuples, /*cost_param=*/1.0));
-    // Variant term, mirroring SimulatedDevice::Execute: a parallel-native
-    // device's calibrated rate describes its native thread count; running
-    // another variant rescales the body by S(native)/S(used).
-    if (native_threads > 1) {
-      const int used = used_threads > 1 ? used_threads : 1;
-      body *= ParallelKernelSpeedup(native_threads, launch.tuples) /
-              ParallelKernelSpeedup(used, launch.tuples);
-    }
-    total += work.chunks * (model.kernel_launch_us + body);
-  }
-  return total;
-}
-
-double EffectiveThroughput(const DevicePerfModel& model,
-                           const std::vector<PipelineWork>& pipelines,
-                           int native_threads, int used_threads) {
-  double rows = 0;
-  double cost = 0;
-  for (const PipelineWork& work : pipelines) {
-    rows += work.rows;
-    cost += static_cast<double>(
-        EstimatePipelineCostUs(model, work, native_threads, used_threads));
-  }
-  return cost > 0 ? rows / cost : 0.0;
-}
-
 }  // namespace adamant::sim

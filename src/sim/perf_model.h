@@ -6,7 +6,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "sim/sim_time.h"
 
@@ -106,48 +105,6 @@ struct DevicePerfModel {
   SimTime KernelDuration(std::string_view kernel_name, double tuples,
                          double cost_param) const;
 };
-
-/// Device-independent description of one lowered pipeline's chunked work,
-/// used to predict a device's *effective* throughput for heterogeneous
-/// split planning: the kernel-body cost of every launch, the variant
-/// speedup the device's policy would apply, and the transfer share of
-/// streaming the scan columns across the bus. Built by the exec layer from
-/// a PrimitiveGraph (sim knows nothing about graphs).
-struct PipelineWork {
-  /// Scaled input rows of the pipeline (= tuples entering per full pass).
-  double rows = 0;
-  /// Chunk count at the configured chunk capacity.
-  double chunks = 1;
-  /// Scaled bytes of all scan columns, crossing the bus exactly once.
-  double scan_bytes = 0;
-  /// Per-chunk DMA setups (scan edges x chunks), each paying
-  /// transfer.latency_us.
-  double transfer_calls = 0;
-  /// One entry per pipeline node; each kernel launches `chunks` times at
-  /// `tuples` per launch.
-  struct Launch {
-    std::string kernel;
-    double tuples = 0;
-  };
-  std::vector<Launch> launches;
-};
-
-/// Predicted simulated cost (us) of running `work` on a device with
-/// `model`: scan wire time + per-call transfer latency + per node one
-/// kernel launch per chunk. `native_threads` / `used_threads` encode the
-/// kernel-variant policy exactly as SimulatedDevice charges it: when the
-/// device is parallel-native (native_threads > 1), each body is scaled by
-/// S(native)/S(used); 0 or 1 means the scalar variant.
-SimTime EstimatePipelineCostUs(const DevicePerfModel& model,
-                               const PipelineWork& work, int native_threads,
-                               int used_threads);
-
-/// Effective throughput (scaled rows per simulated us) of a device over a
-/// whole query: total rows / total predicted cost across `pipelines`.
-/// Returns 0 when the predicted cost is not positive.
-double EffectiveThroughput(const DevicePerfModel& model,
-                           const std::vector<PipelineWork>& pipelines,
-                           int native_threads, int used_threads);
 
 }  // namespace adamant::sim
 

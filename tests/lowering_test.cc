@@ -1,7 +1,6 @@
 // Tests for the logical plan layer and the lowering pass: structural
-// properties of lowered graphs, error handling, and full equivalence of the
-// lowered TPC-H plans with the scalar references (and with the hand-built
-// primitive graphs).
+// properties of lowered graphs, error handling, placement search, and the
+// SQL planner's lowered TPC-H trees against the hand-built primitive graphs.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +9,18 @@
 #include "adamant/adamant.h"
 #include "plan/lowering.h"
 #include "plan/placement_optimizer.h"
-#include "plan/tpch_logical.h"
 
 namespace adamant::plan {
 namespace {
+
+/// The logical tree the SQL planner emits for a TPC-H built-in.
+LogicalNodePtr PlannedBuiltin(const char* name, const Catalog& catalog) {
+  const sql::BuiltinQuery* builtin = sql::FindBuiltinQuery(name);
+  ADAMANT_CHECK(builtin != nullptr) << name;
+  auto compiled = sql::Compile(builtin->sql, catalog);
+  ADAMANT_CHECK(compiled.ok()) << compiled.status().ToString();
+  return compiled->plan;
+}
 
 std::shared_ptr<Catalog> SmallCatalog() {
   auto catalog = std::make_shared<Catalog>();
@@ -299,11 +306,10 @@ TEST(PlacementSearch, FindsFastestCandidateAndAllAgree) {
   ASSERT_TRUE(BindStandardKernels(manager.device(*cpu)).ok());
   manager.SetDataScale(30.0 / 0.002);  // make placement matter
 
-  auto logical = Q6Logical(**catalog, {});
-  ASSERT_TRUE(logical.ok());
+  const LogicalNodePtr logical = PlannedBuiltin("q6", **catalog);
   ExecutionOptions options;
   options.model = ExecutionModelKind::kChunked;
-  auto search = SearchPlacements(**logical, **catalog, &manager, options);
+  auto search = SearchPlacements(*logical, **catalog, &manager, options);
   ASSERT_TRUE(search.ok()) << search.status().ToString();
   // Two devices, three classes: 8 grid candidates, plus the heterogeneous
   // cost-ratio split across the unlike pair.
@@ -320,7 +326,7 @@ TEST(PlacementSearch, FindsFastestCandidateAndAllAgree) {
 
   // The winning policy produces the reference answer (placement never
   // changes results).
-  auto bundle = LowerPlan(**logical, **catalog, search->best);
+  auto bundle = LowerPlan(*logical, **catalog, search->best);
   ASSERT_TRUE(bundle.ok());
   QueryExecutor executor(&manager);
   auto exec = executor.Run(bundle->graph.get(), options);
@@ -350,95 +356,45 @@ TEST(PlacementSearch, NoDevicesRejected) {
                   .IsInvalidArgument());
 }
 
-// --- TPC-H equivalence: lowered logical plans match the references ---
+// --- TPC-H: the SQL planner's lowered trees match the hand-built plans ---
+// (Each lowered built-in against its scalar reference, on every model, is
+// sql_test's SqlParity suite.)
 
-class LoweredTpchTest : public ::testing::Test {
- protected:
-  static const Catalog& SharedCatalog() {
-    static const Catalog* const kCatalog = [] {
-      tpch::TpchConfig config;
-      config.scale_factor = 0.002;
-      config.include_dimension_tables = false;
-      auto catalog = tpch::Generate(config);
-      ADAMANT_CHECK(catalog.ok());
-      return new Catalog(**catalog);
-    }();
-    return *kCatalog;
-  }
-};
-
-TEST_F(LoweredTpchTest, Q6Equivalent) {
-  Rig rig;
-  auto logical = Q6Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto bundle = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = rig.Run(&*bundle, ExecutionModelKind::kChunked, 512);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  EXPECT_EQ(*exec->AggValue(bundle->nodes.at("revenue")),
-            *tpch::Q6Reference(SharedCatalog(), {}));
-}
-
-TEST_F(LoweredTpchTest, Q4Equivalent) {
-  Rig rig;
-  auto logical = Q4Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto bundle = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = rig.Run(&*bundle, ExecutionModelKind::kFourPhasePipelined, 512);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = ExtractQ4(*bundle, *exec);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *tpch::Q4Reference(SharedCatalog(), {}));
-}
-
-TEST_F(LoweredTpchTest, Q3Equivalent) {
-  Rig rig;
-  auto logical = Q3Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto bundle = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = rig.Run(&*bundle, ExecutionModelKind::kChunked, 512);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = ExtractQ3(*bundle, *exec, SharedCatalog(), {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *tpch::Q3Reference(SharedCatalog(), {}));
-}
-
-TEST_F(LoweredTpchTest, Q1Equivalent) {
-  Rig rig;
-  auto logical = Q1Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto bundle = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = rig.Run(&*bundle, ExecutionModelKind::kChunked, 512);
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto got = ExtractQ1(*bundle, *exec);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *tpch::Q1Reference(SharedCatalog(), {}));
-}
-
-TEST_F(LoweredTpchTest, LoweredMatchesHandBuiltAcrossModels) {
-  // The lowered and hand-built Q3 plans must agree on every execution model
-  // (they differ structurally, e.g. in estimate margins, but not in
-  // results).
+TEST(LoweredTpch, PlannedQ3MatchesHandBuiltAcrossModels) {
+  // The planned and hand-built Q3 plans must agree on every execution model
+  // (they differ structurally, e.g. in join order and estimate margins,
+  // but not in results).
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  config.include_dimension_tables = false;
+  auto catalog = tpch::Generate(config);
+  ASSERT_TRUE(catalog.ok());
+  const sql::BuiltinQuery* builtin = sql::FindBuiltinQuery("q3");
+  ASSERT_NE(builtin, nullptr);
+  auto compiled = sql::Compile(builtin->sql, **catalog);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   Rig rig;
   for (auto model :
        {ExecutionModelKind::kOperatorAtATime, ExecutionModelKind::kChunked,
         ExecutionModelKind::kFourPhasePipelined}) {
-    auto logical = Q3Logical(SharedCatalog(), {});
-    ASSERT_TRUE(logical.ok());
-    auto lowered = LowerPlan(**logical, SharedCatalog(), rig.gpu);
-    ASSERT_TRUE(lowered.ok());
-    auto hand = BuildQ3(SharedCatalog(), {}, rig.gpu);
+    auto lowered = LowerPlan(*compiled->plan, **catalog, rig.gpu);
+    ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+    auto hand = BuildQ3(**catalog, {}, rig.gpu);
     ASSERT_TRUE(hand.ok());
     auto exec_lowered = rig.Run(&*lowered, model, 512);
     auto exec_hand = rig.Run(&*hand, model, 512);
     ASSERT_TRUE(exec_lowered.ok() && exec_hand.ok());
-    auto a = ExtractQ3(*lowered, *exec_lowered, SharedCatalog(), {});
-    auto b = ExtractQ3(*hand, *exec_hand, SharedCatalog(), {});
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << ExecutionModelName(model);
+    auto planned = sql::ExtractResults(*compiled, *lowered, *exec_lowered);
+    auto hand_rows = ExtractQ3(*hand, *exec_hand, **catalog, {});
+    ASSERT_TRUE(planned.ok() && hand_rows.ok());
+    ASSERT_EQ(planned->rows.size(), hand_rows->size())
+        << ExecutionModelName(model);
+    for (size_t i = 0; i < hand_rows->size(); ++i) {
+      EXPECT_EQ(planned->rows[i][0].i, (*hand_rows)[i].orderkey)
+          << ExecutionModelName(model) << " row " << i;
+      EXPECT_EQ(planned->rows[i][1].i, (*hand_rows)[i].revenue)
+          << ExecutionModelName(model) << " row " << i;
+    }
   }
 }
 

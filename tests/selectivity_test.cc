@@ -8,7 +8,6 @@
 #include "adamant/adamant.h"
 #include "plan/interpreter.h"
 #include "plan/selectivity.h"
-#include "plan/tpch_logical.h"
 
 namespace adamant::plan {
 namespace {
@@ -116,17 +115,18 @@ TEST(Selectivity, JoinFractionAndGroupCountFilled) {
 }
 
 TEST(Selectivity, AnnotatedTpchPlansRunCorrectly) {
-  // End to end: strip Q6's hand estimates, re-derive them by sampling, and
-  // the lowered plan must still produce the exact answer (the margins keep
+  // End to end: re-derive the planned Q6's estimates by sampling, and the
+  // lowered plan must still produce the exact answer (the margins keep
   // sampling error from causing overflows).
   DeviceManager manager;
   auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(gpu.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
 
-  auto logical = Q6Logical(SharedCatalog(), {});
-  ASSERT_TRUE(logical.ok());
-  auto annotated = AnnotateSelectivities(**logical, SharedCatalog(), 11);
+  auto compiled =
+      sql::Compile(sql::FindBuiltinQuery("q6")->sql, SharedCatalog());
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto annotated = AnnotateSelectivities(*compiled->plan, SharedCatalog(), 11);
   ASSERT_TRUE(annotated.ok());
   auto bundle = LowerPlan(**annotated, SharedCatalog(), *gpu);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();

@@ -1,146 +1,17 @@
 // run_tpch — command-line front end for the whole stack: generate or load
 // TPC-H data, pick a driver/setup/execution model, run queries, verify
 // against the scalar references, and optionally dump a chrome trace.
-//
-//   run_tpch --query=6 --sf=0.02 --nominal-sf=30 --driver=cuda_gpu
-//            --model=4phase --chunk=auto --verify --trace=/tmp/q6.json
-//
-// Flags:
-//   --query=N         1, 3, 4, 5, 6, 10, 12, 14 or "all" (default: all)
-//   --sf=F            generated scale factor (default 0.01)
-//   --nominal-sf=F    emulated scale factor for the cost model (default: sf)
-//   --tbl-dir=PATH    load dbgen .tbl files instead of generating
-//   --driver=NAME     cuda_gpu | opencl_gpu | opencl_cpu | openmp_cpu
-//   --setup=1|2       hardware setup (Table II)
-//   --model=NAME      oaat | chunked | pipelined | 4phase | 4phase-pipelined
-//                     | device-parallel
-//   --chunk=N|auto    chunk size in nominal elements (default 2^25)
-//   --kernel-variant=auto|scalar|parallel
-//                     Task-layer kernel variant: auto = per-device policy
-//                     (CPU drivers run the worker-pool parallel variants
-//                     natively, GPU drivers scalar); scalar/parallel force
-//                     one variant. The chosen variant + thread count per
-//                     device is reported as a JSON line.
-//   --kernel-threads=N
-//                     thread budget for parallel variants (default: the
-//                     device policy count, 4 on CPU drivers)
-//   --fusion=off|on|auto
-//                     plan-level kernel fusion (src/plan/fusion.h): rewrite
-//                     fusable MAP/FILTER/MATERIALIZE/AGG chains into single
-//                     FUSED composites before execution. off = never, on =
-//                     every eligible group, auto (default) = only when the
-//                     device cost model predicts a win. Fused group count
-//                     and per-device fused launches appear on the JSON
-//                     report line; --explain shows the fused plan.
-//   --verify          compare results against the scalar reference
-//   --trace=PATH      write a chrome://tracing JSON of the real run: the
-//                     query is routed through a one-off QueryService so the
-//                     trace carries service admission/placement events plus
-//                     per-device pipeline/chunk/kernel/transfer spans
-//                     (docs/observability.md; validate with check_trace)
-//   --sim-trace=PATH  write the simulated-hardware timeline trace instead
-//                     (device clock, not wall clock)
-//   --profile         print the per-query phase profile as a JSON line
-//                     (time in transfer/compute/merge per device/pipeline)
-//   --metrics=PATH    after the run, dump the metrics registries to PATH as
-//                     Prometheus text (or JSON when PATH ends in .json)
-//   --explain         print the logical plan (where available) and exit
-//   --explain-analyze run the query with per-operator stats collection and
-//                     print the measured OperatorStats tree next to the
-//                     planner's predictions: rows / selectivity / cost share
-//                     per primitive with q-error columns (Leis et al.), plus
-//                     kernel wall ms split by variant. Results stay
-//                     bit-identical to a plain run (--verify still checks).
-//                     Observed q-errors are recorded into the
-//                     adamant_plan_qerror_{selectivity,cost} histograms
-//                     (visible via --metrics). docs/observability.md.
-//
-// SQL frontend (src/sql/, docs/sql.md):
-//
-//   run_tpch --sql=q6 --verify          # run a built-in by name
-//   run_tpch --sql="SELECT ..." --explain
-//   run_tpch --sql-file=query.sql
-//
-//   --sql=TEXT        run a SQL query: TEXT is a built-in name from
-//                     --list-queries, or literal SQL. With --explain,
-//                     prints the bound/annotated plan, pushed-down
-//                     predicates, costed join orders and the chosen device
-//                     placement instead of running. With --verify, the
-//                     result is cross-checked against the host interpreter.
-//   --sql-file=PATH   like --sql, reading the query text from PATH
-//   --list-queries    print every built-in query name + SQL text and exit
-//   --devices=LIST    (single-query mode) comma-separated device ids, e.g.
-//                     --devices=0,1: plugs that many instances of --driver
-//                     and runs the query device-parallel across them,
-//                     reporting the per-device chunk split and host merge
-//                     time as a JSON line. A bare count N means 0..N-1.
-//                     Driver names build a mixed-class set instead:
-//                     --devices=cuda_gpu,openmp_cpu plugs one device per
-//                     named class and splits the chunk range across the
-//                     heterogeneous pair by cost ratio.
-//   --split=LIST      (single-query mode, device-parallel) explicit split
-//                     shares, one per --devices entry (any positive scale,
-//                     e.g. --split=3,1); overrides the cost-model ratios.
-//   --no-rebalance    disable runtime chunk stealing between partitions
-//                     (the static split ratio is final)
-//
-// Serve mode (the service layer of src/service/): replays a seeded mixed
-// Q3/Q4/Q6 workload through the QueryService scheduler, verifies every
-// result against a serial run, and prints aggregate ServiceStats as JSON:
-//
-//   run_tpch --serve --clients=4 --queries=50 --seed=7 --devices=2
-//
-//   --serve           enable serve mode
-//   --serve-sql       serve mode, but every query is submitted as SQL text
-//                     (QuerySpec::sql) — the q3/q4/q6 built-ins — and each
-//                     result is checked against a serial SQL run
-//   --clients=N       concurrent worker threads (default 4)
-//   --queries=N       workload size (default 50)
-//   --seed=N          workload RNG seed (default 7)
-//   --devices=N       instances of --driver to plug (default 2)
-//   --no-cache        disable the cross-query device column cache
-//   --history=PATH    after the workload drains, dump the service's bounded
-//                     query-history ring (slow queries keep their full
-//                     EXPLAIN ANALYZE operator tree) plus the selectivity
-//                     feedback cache as JSON to PATH (docs/serving.md)
-//
-// Fault injection (serve mode; see docs/serving.md "Fault handling"):
-//
-//   run_tpch --serve --queries=200 --fault-rate=0.007 --fault-seed=13
-//
-//   --fault-rate=P    per-call transient fault probability on each serving
-//                     device's data-path interface calls (default 0 = off)
-//   --fault-seed=N    fault RNG seed; device i uses N + i (default 13)
-//   --sticky-device=I device I dies on its first Execute and stays dead
-//   --stall-ms=F      with --sticky-device: the device stalls every Execute
-//                     for F wall-clock ms instead of failing (a chronic
-//                     straggler — pair with --watchdog-factor)
-//
-// Deadlines and load shedding (serve mode; see docs/serving.md):
-//
-//   run_tpch --serve --queries=100 --deadline-ms=200 --watchdog-factor=3
-//
-//   --deadline-ms=F       per-query deadline; unmeetable queries are shed at
-//                         admission, lapsed ones evicted or cancelled
-//   --priority=normal|high  admission priority class of the workload
-//   --watchdog-factor=F   cancel runs exceeding F x predicted cost and
-//                         quarantine the device (0 = off)
-//
-// Exit codes: 0 success; 1 hard failure; 2 bad arguments; 3 = some served
-// queries were shed / cancelled / failed — details on the machine-readable
-// "serve_errors:" JSON line.
-//                     until quarantined (default -1 = none)
-//   --sequential      submit one query at a time (wait for each before the
-//                     next): fixes the device call order so two same-seed
-//                     runs report identical failure counters
+// `run_tpch --help` prints the flag reference (kUsage below).
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -153,7 +24,148 @@
 namespace adamant {
 namespace {
 
+constexpr char kUsage[] = R"(usage: run_tpch [flags]
+
+  run_tpch --query=6 --sf=0.02 --nominal-sf=30 --driver=cuda_gpu
+           --model=4phase --chunk=auto --verify --trace=/tmp/q6.json
+
+Flags:
+  --help            print this reference and exit
+  --query=N         1, 3, 4, 5, 6, 10, 12, 14 or "all" (default: all)
+  --sf=F            generated scale factor (default 0.01)
+  --nominal-sf=F    emulated scale factor for the cost model (default: sf)
+  --tbl-dir=PATH    load dbgen .tbl files instead of generating
+  --driver=NAME     cuda_gpu | opencl_gpu | opencl_cpu | openmp_cpu
+  --setup=1|2       hardware setup (Table II)
+  --model=NAME      oaat | chunked | pipelined | 4phase | 4phase-pipelined
+                    | device-parallel
+  --chunk=N|auto    chunk size in nominal elements (default 2^25); auto is
+                    single-query only
+  --kernel-variant=auto|scalar|parallel
+                    Task-layer kernel variant: auto = per-device policy
+                    (CPU drivers run the worker-pool parallel variants
+                    natively, GPU drivers scalar); scalar/parallel force
+                    one variant. The chosen variant + thread count per
+                    device is reported as a JSON line.
+  --kernel-threads=N
+                    thread budget for parallel variants (default: the
+                    device policy count, 4 on CPU drivers)
+  --fusion=off|on|auto
+                    plan-level kernel fusion (src/plan/fusion.h): rewrite
+                    fusable MAP/FILTER/MATERIALIZE/AGG chains into single
+                    FUSED composites before execution. off = never, on =
+                    every eligible group, auto (default) = only when the
+                    device cost model predicts a win. Fused group count
+                    and per-device fused launches appear on the JSON
+                    report line; --explain shows the fused plan.
+  --verify          compare results against the scalar reference
+  --trace=PATH      write a chrome://tracing JSON of the real run: the
+                    query is routed through a one-off QueryService so the
+                    trace carries service admission/placement events plus
+                    per-device pipeline/chunk/kernel/transfer spans
+                    (docs/observability.md; validate with check_trace)
+  --sim-trace=PATH  write the simulated-hardware timeline trace instead
+                    (device clock, not wall clock)
+  --profile         print the per-query phase profile as a JSON line
+                    (time in transfer/compute/merge per device/pipeline)
+  --metrics=PATH    after the run, dump the metrics registries to PATH as
+                    Prometheus text (or JSON when PATH ends in .json)
+  --explain         print the primitive graph with each primitive's kernel
+                    variant and thread budget (plus, for SQL, the logical
+                    plan and placement) and exit
+  --explain-analyze run the query with per-operator stats collection and
+                    print the measured OperatorStats tree next to the
+                    planner's predictions: rows / selectivity / cost share
+                    per primitive with q-error columns (Leis et al.), plus
+                    kernel wall ms split by variant. Results stay
+                    bit-identical to a plain run (--verify still checks).
+                    Observed q-errors are recorded into the
+                    adamant_plan_qerror_{selectivity,cost} histograms
+                    (visible via --metrics). docs/observability.md.
+
+SQL frontend (src/sql/, docs/sql.md):
+
+  run_tpch --sql=q6 --verify          # run a built-in by name
+  run_tpch --sql="SELECT ..." --explain
+  run_tpch --sql-file=query.sql
+
+  --sql=TEXT        run a SQL query: TEXT is a built-in name from
+                    --list-queries, or literal SQL. With --explain,
+                    prints the bound/annotated plan, pushed-down
+                    predicates, costed join orders and the chosen device
+                    placement instead of running. With --verify, the
+                    result is cross-checked against the host interpreter.
+  --sql-file=PATH   like --sql, reading the query text from PATH
+  --list-queries    print every built-in query name + SQL text and exit
+  --devices=LIST    (single-query mode) comma-separated device ids, e.g.
+                    --devices=0,1: plugs that many instances of --driver
+                    and runs the query device-parallel across them,
+                    reporting the per-device chunk split and host merge
+                    time as a JSON line. A bare count N means 0..N-1.
+                    Driver names build a mixed-class set instead:
+                    --devices=cuda_gpu,openmp_cpu plugs one device per
+                    named class and splits the chunk range across the
+                    heterogeneous pair by cost ratio.
+  --split=LIST      (single-query mode, device-parallel) explicit split
+                    shares, one per --devices entry (any positive scale,
+                    e.g. --split=3,1); overrides the cost-model ratios.
+  --no-rebalance    disable runtime chunk stealing between partitions
+                    (the static split ratio is final)
+
+Serve mode (the service layer of src/service/): replays a seeded mixed
+Q3/Q4/Q6 workload through the QueryService scheduler, verifies every
+result against a serial run, and prints aggregate ServiceStats as JSON:
+
+  run_tpch --serve --clients=4 --queries=50 --seed=7 --devices=2
+
+  --serve           enable serve mode
+  --serve-sql       serve mode, but every query is submitted as SQL text
+                    (QuerySpec::sql) — the q3/q4/q6 built-ins — and each
+                    result is checked against a serial SQL run
+  --clients=N       concurrent worker threads (default 4)
+  --queries=N       workload size (default 50)
+  --seed=N          workload RNG seed (default 7)
+  --devices=N       instances of --driver to plug (default 2)
+  --no-cache        disable the cross-query device column cache
+  --history=PATH    after the workload drains, dump the service's bounded
+                    query-history ring (slow queries keep their full
+                    EXPLAIN ANALYZE operator tree) plus the selectivity
+                    feedback cache as JSON to PATH (docs/serving.md)
+
+Fault injection (serve mode; see docs/serving.md "Fault handling"):
+
+  run_tpch --serve --queries=200 --fault-rate=0.007 --fault-seed=13
+
+  --fault-rate=P    per-call transient fault probability on each serving
+                    device's data-path interface calls (default 0 = off)
+  --fault-seed=N    fault RNG seed; device i uses N + i (default 13)
+  --sticky-device=I device I dies on its first Execute and stays dead
+                    until quarantined (default -1 = none)
+  --stall-ms=F      with --sticky-device: the device stalls every Execute
+                    for F wall-clock ms instead of failing (a chronic
+                    straggler — pair with --watchdog-factor)
+  --sequential      submit one query at a time (wait for each before the
+                    next): fixes the device call order so two same-seed
+                    runs report identical failure counters
+
+Deadlines and load shedding (serve mode; see docs/serving.md):
+
+  run_tpch --serve --queries=100 --deadline-ms=200 --watchdog-factor=3
+
+  --deadline-ms=F       per-query deadline; unmeetable queries are shed at
+                        admission, lapsed ones evicted or cancelled
+  --priority=normal|high  admission priority class of the workload
+  --watchdog-factor=F   cancel runs exceeding F x predicted cost and
+                        quarantine the device (0 = off)
+
+Exit codes: 0 success; 1 hard failure; 2 bad arguments; 3 = some served
+queries were shed / cancelled / failed — details on the machine-readable
+"serve_errors:" JSON line.
+)";
+
 struct Options {
+  /// --help: print kUsage and exit 0.
+  bool help = false;
   std::string query = "all";
   double sf = 0.01;
   double nominal_sf = -1;
@@ -161,7 +173,9 @@ struct Options {
   std::string driver = "cuda_gpu";
   int setup = 1;
   std::string model = "chunked";
-  std::string chunk = "33554432";  // 2^25
+  /// Chunk size in nominal elements; chunk_auto = --chunk=auto.
+  size_t chunk = size_t{1} << 25;
+  bool chunk_auto = false;
   /// Task-layer kernel variant: auto (per-device policy) | scalar | parallel.
   std::string kernel_variant = "auto";
   /// Thread budget for parallel variants; 0 = per-device policy count.
@@ -224,6 +238,38 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
   return true;
 }
 
+// Checked numeric flag value: the whole text must parse as a finite T (so
+// signs on unsigned flags, trailing junk, overflow, nan and inf are all
+// rejected) no smaller than `min`; a bad value names its flag and exits 2.
+template <typename T>
+Result<T> ParseNumber(const char* flag, const std::string& value,
+                      T min = std::numeric_limits<T>::lowest()) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc() || ptr != end ||
+      !(out >= min && out <= std::numeric_limits<T>::max())) {
+    return Status::InvalidArgument(std::string("--") + flag + ": '" + value +
+                                   "' is not a valid value");
+  }
+  return out;
+}
+
+// Comma-separated list flag values, empty tokens skipped.
+std::vector<std::string> SplitList(const std::string& value) {
+  std::vector<std::string> tokens;
+  size_t pos = 0;
+  while (pos <= value.size()) {
+    const size_t comma = value.find(',', pos);
+    const std::string tok = value.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    if (!tok.empty()) tokens.push_back(tok);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return tokens;
+}
+
 Result<Options> ParseArgs(int argc, char** argv) {
   Options options;
   std::string value;
@@ -232,15 +278,17 @@ Result<Options> ParseArgs(int argc, char** argv) {
     if (ParseFlag(arg, "query", &value)) {
       options.query = value;
     } else if (ParseFlag(arg, "sf", &value)) {
-      options.sf = std::stod(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.sf,
+                               ParseNumber<double>("sf", value, 1e-9));
     } else if (ParseFlag(arg, "nominal-sf", &value)) {
-      options.nominal_sf = std::stod(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.nominal_sf,
+                               ParseNumber<double>("nominal-sf", value));
     } else if (ParseFlag(arg, "tbl-dir", &value)) {
       options.tbl_dir = value;
     } else if (ParseFlag(arg, "driver", &value)) {
       options.driver = value;
     } else if (ParseFlag(arg, "setup", &value)) {
-      options.setup = std::stoi(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.setup, ParseNumber<int>("setup", value));
     } else if (ParseFlag(arg, "model", &value)) {
       // Knob strings are validated here, through the same parsers the
       // runtime's ValidateExecutionOptions uses, so a typo exits 2 with the
@@ -248,12 +296,17 @@ Result<Options> ParseArgs(int argc, char** argv) {
       ADAMANT_RETURN_NOT_OK(ParseExecutionModel(value).status());
       options.model = value;
     } else if (ParseFlag(arg, "chunk", &value)) {
-      options.chunk = value;
+      options.chunk_auto = value == "auto";
+      if (!options.chunk_auto) {
+        ADAMANT_ASSIGN_OR_RETURN(options.chunk,
+                                 ParseNumber<size_t>("chunk", value, 1));
+      }
     } else if (ParseFlag(arg, "kernel-variant", &value)) {
       ADAMANT_RETURN_NOT_OK(ParseKernelVariant(value).status());
       options.kernel_variant = value;
     } else if (ParseFlag(arg, "kernel-threads", &value)) {
-      options.kernel_threads = std::stoi(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.kernel_threads,
+                               ParseNumber<int>("kernel-threads", value, 0));
     } else if (ParseFlag(arg, "fusion", &value)) {
       ADAMANT_RETURN_NOT_OK(ParseFusionMode(value).status());
       options.fusion = value;
@@ -266,11 +319,14 @@ Result<Options> ParseArgs(int argc, char** argv) {
     } else if (arg == "--profile") {
       options.profile = true;
     } else if (ParseFlag(arg, "clients", &value)) {
-      options.clients = std::stoul(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.clients,
+                               ParseNumber<size_t>("clients", value, 1));
     } else if (ParseFlag(arg, "queries", &value)) {
-      options.serve_queries = std::stoul(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.serve_queries,
+                               ParseNumber<size_t>("queries", value));
     } else if (ParseFlag(arg, "seed", &value)) {
-      options.seed = static_cast<unsigned>(std::stoul(value));
+      ADAMANT_ASSIGN_OR_RETURN(options.seed,
+                               ParseNumber<unsigned>("seed", value));
     } else if (ParseFlag(arg, "devices", &value)) {
       // Comma-separated ids select a device-parallel partition set; a bare
       // count keeps the serve-mode meaning (N instances) and, in
@@ -279,17 +335,7 @@ Result<Options> ParseArgs(int argc, char** argv) {
       if (value.find(',') != std::string::npos ||
           (!value.empty() && !std::isdigit(static_cast<unsigned char>(
                                  value.front())))) {
-        std::vector<std::string> tokens;
-        size_t pos = 0;
-        while (pos <= value.size()) {
-          const size_t comma = value.find(',', pos);
-          const std::string tok =
-              value.substr(pos, comma == std::string::npos ? std::string::npos
-                                                           : comma - pos);
-          if (!tok.empty()) tokens.push_back(tok);
-          if (comma == std::string::npos) break;
-          pos = comma + 1;
-        }
+        const std::vector<std::string> tokens = SplitList(value);
         const bool named =
             !tokens.empty() &&
             !std::isdigit(static_cast<unsigned char>(tokens.front().front()));
@@ -298,38 +344,39 @@ Result<Options> ParseArgs(int argc, char** argv) {
             options.device_classes.push_back(tokens[t]);
             options.device_set.push_back(static_cast<DeviceId>(t));
           } else {
-            options.device_set.push_back(
-                static_cast<DeviceId>(std::stoi(tokens[t])));
+            ADAMANT_ASSIGN_OR_RETURN(
+                DeviceId id, ParseNumber<DeviceId>("devices", tokens[t], 0));
+            options.device_set.push_back(id);
           }
         }
         options.devices = options.device_set.size();
       } else {
-        options.devices = std::stoul(value);
+        ADAMANT_ASSIGN_OR_RETURN(options.devices,
+                                 ParseNumber<size_t>("devices", value));
         for (size_t d = 0; d < options.devices; ++d) {
           options.device_set.push_back(static_cast<DeviceId>(d));
         }
       }
     } else if (ParseFlag(arg, "split", &value)) {
-      size_t pos = 0;
-      while (pos <= value.size()) {
-        const size_t comma = value.find(',', pos);
-        const std::string tok =
-            value.substr(pos, comma == std::string::npos ? std::string::npos
-                                                         : comma - pos);
-        if (!tok.empty()) options.device_split.push_back(std::stod(tok));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
+      for (const std::string& tok : SplitList(value)) {
+        ADAMANT_ASSIGN_OR_RETURN(double share,
+                                 ParseNumber<double>("split", tok));
+        options.device_split.push_back(share);
       }
     } else if (arg == "--no-rebalance") {
       options.no_rebalance = true;
     } else if (ParseFlag(arg, "fault-rate", &value)) {
-      options.fault_rate = std::stod(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.fault_rate,
+                               ParseNumber<double>("fault-rate", value, 0.0));
     } else if (ParseFlag(arg, "fault-seed", &value)) {
-      options.fault_seed = std::stoull(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.fault_seed,
+                               ParseNumber<uint64_t>("fault-seed", value));
     } else if (ParseFlag(arg, "sticky-device", &value)) {
-      options.sticky_device = std::stoi(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.sticky_device,
+                               ParseNumber<int>("sticky-device", value));
     } else if (ParseFlag(arg, "deadline-ms", &value)) {
-      options.deadline_ms = std::stod(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.deadline_ms,
+                               ParseNumber<double>("deadline-ms", value, 0.0));
     } else if (ParseFlag(arg, "priority", &value)) {
       if (value == "high") {
         options.priority = QueryPriority::kHigh;
@@ -339,9 +386,12 @@ Result<Options> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("--priority must be normal|high");
       }
     } else if (ParseFlag(arg, "watchdog-factor", &value)) {
-      options.watchdog_factor = std::stod(value);
+      ADAMANT_ASSIGN_OR_RETURN(
+          options.watchdog_factor,
+          ParseNumber<double>("watchdog-factor", value, 0.0));
     } else if (ParseFlag(arg, "stall-ms", &value)) {
-      options.stall_ms = std::stod(value);
+      ADAMANT_ASSIGN_OR_RETURN(options.stall_ms,
+                               ParseNumber<double>("stall-ms", value, 0.0));
     } else if (arg == "--sequential") {
       options.sequential = true;
     } else if (ParseFlag(arg, "sql", &value)) {
@@ -366,10 +416,13 @@ Result<Options> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "history", &value)) {
       options.history_path = value;
     } else if (arg == "--help") {
-      return Status::InvalidArgument("help requested");
+      options.help = true;
     } else {
       return Status::InvalidArgument("unknown flag '" + arg + "'");
     }
+  }
+  if (options.serve && options.chunk_auto) {
+    return Status::InvalidArgument("--chunk=auto is single-query only");
   }
   if (options.nominal_sf <= 0) options.nominal_sf = options.sf;
   return options;
@@ -410,39 +463,36 @@ ExecutionOptions MakeExecOptions(const Options& options,
   return exec_options;
 }
 
-// --explain: one line per primitive with the Task-layer kernel variant the
-// run would resolve (a forced --kernel-variant wins, kAuto means the owning
-// device's native policy — mirrors RunContext::FinalizeStats) and its thread
+// --explain: one line per primitive with the Task-layer kernel variant its
+// launches resolve to on the owning device (exec::PriceGraph asks the
+// device, so kernels without a parallel binding show scalar) and its thread
 // budget. Fused composites carry their recipe in the label.
-void PrintExplain(const std::string& title, const plan::PlanBundle& bundle,
-                  DeviceManager* manager, const ExecutionOptions& exec_options,
-                  const plan::FusionReport& fusion) {
+Status PrintExplain(const std::string& title, const plan::PlanBundle& bundle,
+                    DeviceManager* manager,
+                    const ExecutionOptions& exec_options,
+                    const plan::FusionReport& fusion) {
+  ADAMANT_ASSIGN_OR_RETURN(std::vector<Pipeline> pipelines,
+                           bundle.graph->SplitPipelines());
+  ADAMANT_ASSIGN_OR_RETURN(
+      exec::GraphPrice price,
+      exec::PriceGraph(*bundle.graph, pipelines, exec_options, manager));
   std::printf("%s primitive graph (fusion %s: %d group(s), %d primitive(s) "
               "fused):\n",
               title.c_str(), FusionModeName(exec_options.fusion),
               fusion.groups, fusion.nodes_fused);
   for (const GraphNode& node : bundle.graph->nodes()) {
-    const SimulatedDevice* dev = manager->device(node.device);
-    const KernelVariant effective =
-        exec_options.kernel_variant == KernelVariantRequest::kScalar
-            ? KernelVariant::kScalar
-        : exec_options.kernel_variant == KernelVariantRequest::kParallel
-            ? KernelVariant::kParallel
-            : dev->default_kernel_variant();
-    const int threads = effective == KernelVariant::kParallel
-                            ? (exec_options.kernel_threads > 0
-                                   ? exec_options.kernel_threads
-                                   : dev->kernel_threads())
-                            : 1;
+    const KernelVariantChoice choice =
+        price.nodes[static_cast<size_t>(node.id)].choice;
     const bool fused_node = node.kind == PrimitiveKind::kFused ||
                             node.kind == PrimitiveKind::kFusedAgg;
     const std::string variant =
-        fused_node ? std::string("fused/") + KernelVariantName(effective)
-                   : std::string(KernelVariantName(effective));
+        std::string(fused_node ? "fused/" : "") +
+        KernelVariantName(choice.variant);
     std::printf("  [%2d] %-22s %-36s variant=%s threads=%d\n", node.id,
                 PrimitiveKindName(node.kind), node.label.c_str(),
-                variant.c_str(), threads);
+                variant.c_str(), choice.threads);
   }
+  return Status::OK();
 }
 
 // --explain-analyze: the measured OperatorStats tree next to the planner's
@@ -524,12 +574,12 @@ void PrintSplitExplain(DeviceManager* manager, const PrimitiveGraph& graph,
       exec_options.device_set.size() < 2) {
     return;
   }
-  auto estimates = exec::EstimateDeviceCosts(
-      graph, manager, exec_options.device_set, exec_options);
-  if (!estimates.ok()) return;
+  auto prices = exec::PriceDevices(graph, exec_options, manager,
+                                   exec_options.device_set);
+  if (!prices.ok()) return;
   const std::vector<double> weights =
       exec_options.device_split.empty()
-          ? exec::ThroughputWeights(*estimates)
+          ? exec::ThroughputWeights(*prices)
           : exec::NormalizeSplit(exec_options.device_split,
                                  exec_options.device_set.size());
   std::printf("split:");
@@ -537,7 +587,7 @@ void PrintSplitExplain(DeviceManager* manager, const PrimitiveGraph& graph,
     std::printf(" %s=%.3f (predicted %.3f ms/partition)",
                 manager->device(exec_options.device_set[i])->name().c_str(),
                 weights[i],
-                sim::MsFromUs((*estimates)[i].total_cost_us * weights[i]));
+                sim::MsFromUs((*prices)[i].cost_us * weights[i]));
   }
   std::printf(" rebalance=%s\n", exec_options.split_rebalance ? "on" : "off");
 }
@@ -615,16 +665,16 @@ Status RunQuery(const std::string& query, const Catalog& catalog,
   ADAMANT_ASSIGN_OR_RETURN(plan::FusionReport fusion,
                            plan::ApplyFusion(&bundle, exec_options, manager));
 
-  if (options.chunk == "auto") {
+  exec_options.chunk_elems = options.chunk;
+  if (options.chunk_auto) {
     ADAMANT_ASSIGN_OR_RETURN(
         exec_options.chunk_elems,
         SuggestChunkElems(*manager->device(device), *bundle.graph));
-  } else {
-    exec_options.chunk_elems = std::stoull(options.chunk);
   }
 
   if (options.explain) {
-    PrintExplain("Q" + query, bundle, manager, exec_options, fusion);
+    ADAMANT_RETURN_NOT_OK(
+        PrintExplain("Q" + query, bundle, manager, exec_options, fusion));
     PrintSplitExplain(manager, *bundle.graph, exec_options);
     return Status::OK();
   }
@@ -870,18 +920,18 @@ Status RunSql(const Catalog& catalog, DeviceManager* manager, DeviceId device,
         fusion, plan::ApplyFusion(&bundle, exec_options, manager));
   }
 
-  if (options.chunk == "auto") {
+  exec_options.chunk_elems = options.chunk;
+  if (options.chunk_auto) {
     ADAMANT_ASSIGN_OR_RETURN(
         exec_options.chunk_elems,
         SuggestChunkElems(*manager->device(device), *bundle.graph));
-  } else {
-    exec_options.chunk_elems = std::stoull(options.chunk);
   }
 
   if (options.explain) {
     std::printf("%s: %s\n%s", label.c_str(), sql_text.c_str(),
                 sql::ExplainCompiled(compiled).c_str());
-    PrintExplain(label, bundle, manager, exec_options, fusion);
+    ADAMANT_RETURN_NOT_OK(
+        PrintExplain(label, bundle, manager, exec_options, fusion));
     ADAMANT_ASSIGN_OR_RETURN(
         plan::PlacementSearchResult placement,
         plan::SearchPlacements(*compiled.plan, catalog, manager,
@@ -1070,7 +1120,7 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
 
   ExecutionOptions exec_options;
   exec_options.model = model;
-  exec_options.chunk_elems = std::stoull(options.chunk);
+  exec_options.chunk_elems = options.chunk;
 
   std::printf("serve: %zu devices (%s), %zu clients, %zu queries, seed %u, "
               "cache %s\n",
@@ -1476,10 +1526,13 @@ Status Run(const Options& options, int* exit_code) {
 int main(int argc, char** argv) {
   auto options = adamant::ParseArgs(argc, argv);
   if (!options.ok()) {
-    std::fprintf(stderr, "%s\n\nSee the header of tools/run_tpch.cc for "
-                         "usage.\n",
+    std::fprintf(stderr, "%s\n\nRun run_tpch --help for usage.\n",
                  options.status().ToString().c_str());
     return 2;
+  }
+  if (options->help) {
+    std::fputs(adamant::kUsage, stdout);
+    return 0;
   }
   // Exit codes: 0 success, 1 hard failure, 2 bad arguments, 3 served
   // queries were shed/cancelled/failed (see the serve_errors: JSON line).
