@@ -1,5 +1,6 @@
 #include "common/aligned_buffer.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -27,24 +28,32 @@ AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
 }
 
 void AlignedBuffer::Resize(size_t new_size) {
-  if (new_size <= capacity_) {
-    if (new_size > size_) {
-      std::memset(data_ + size_, 0, new_size - size_);
-    }
-    size_ = new_size;
-    return;
+  if (new_size > capacity_) {
+    Reallocate(new_size);
+  } else if (new_size > size_) {
+    std::memset(data_ + size_, 0, new_size - size_);
   }
-  size_t new_capacity = bit_util::RoundUp(new_size, kAlignment);
+  size_ = new_size;
+}
+
+void AlignedBuffer::Append(const void* bytes, size_t n) {
+  if (size_ + n > capacity_) Reallocate(std::max(size_ + n, 2 * capacity_));
+  std::memcpy(data_ + size_, bytes, n);
+  size_ += n;
+}
+
+void AlignedBuffer::Reallocate(size_t min_capacity) {
+  const size_t new_capacity = bit_util::RoundUp(min_capacity, kAlignment);
   void* fresh = std::aligned_alloc(kAlignment, new_capacity);
   ADAMANT_CHECK(fresh != nullptr) << "aligned_alloc of " << new_capacity
                                   << " bytes failed";
-  std::memset(fresh, 0, new_capacity);
+  auto* bytes = static_cast<uint8_t*>(fresh);
   if (data_ != nullptr) {
-    std::memcpy(fresh, data_, size_);
+    std::memcpy(bytes, data_, size_);
     std::free(data_);
   }
-  data_ = static_cast<uint8_t*>(fresh);
-  size_ = new_size;
+  std::memset(bytes + size_, 0, new_capacity - size_);
+  data_ = bytes;
   capacity_ = new_capacity;
 }
 

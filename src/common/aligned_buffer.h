@@ -24,8 +24,14 @@ class AlignedBuffer {
   AlignedBuffer& operator=(AlignedBuffer&& other) noexcept;
 
   /// Grows or shrinks to `new_size` bytes. Existing content up to
-  /// min(old, new) size is preserved; newly exposed bytes are zeroed.
+  /// min(old, new) size is preserved; newly exposed bytes are zeroed. A
+  /// resize past the capacity allocates exactly `new_size` bytes (rounded
+  /// up to the alignment), so one-shot builds stay exact.
   void Resize(size_t new_size);
+
+  /// Appends `n` bytes. Capacity at least doubles whenever it runs out, so
+  /// building a buffer by repeated appends costs amortized O(1) per byte.
+  void Append(const void* bytes, size_t n);
 
   /// Releases the allocation.
   void Reset();
@@ -45,6 +51,10 @@ class AlignedBuffer {
   }
 
  private:
+  /// Moves the content to a fresh allocation of at least `min_capacity`
+  /// bytes; everything past size() is zeroed.
+  void Reallocate(size_t min_capacity);
+
   uint8_t* data_ = nullptr;
   size_t size_ = 0;
   size_t capacity_ = 0;

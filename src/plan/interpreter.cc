@@ -1,13 +1,16 @@
 #include "plan/interpreter.h"
 
 #include <algorithm>
+#include <numeric>
+#include <unordered_map>
 
 namespace adamant::plan {
 
-int64_t InterpretExpr(const ScalarExpr& expr, const InterpreterStream& s,
-                      size_t row) {
-  const int64_t a = s.cols.at(expr.a)[row];
-  const int64_t b = expr.is_column_column() ? s.cols.at(expr.b)[row] : 0;
+namespace {
+
+/// One row of `expr`; `prev` is the previous row's `a`, null on row 0.
+int64_t ApplyExpr(const ScalarExpr& expr, int64_t a, int64_t b,
+                  const int64_t* prev) {
   switch (expr.op) {
     case MapOp::kAddScalar:
       return a + expr.imm;
@@ -30,9 +33,38 @@ int64_t InterpretExpr(const ScalarExpr& expr, const InterpreterStream& s,
     case MapOp::kIdentity:
       return a;
     case MapOp::kNeqPrev:
-      return row > 0 && a != s.cols.at(expr.a)[row - 1] ? 1 : 0;
+      return prev != nullptr && a != *prev ? 1 : 0;
   }
   return 0;
+}
+
+/// The rows of `s` at `rows` (ascending, repeats allowed), each column
+/// gathered once.
+InterpreterStream Gather(const InterpreterStream& s,
+                         const std::vector<size_t>& rows) {
+  InterpreterStream out;
+  out.rows = rows.size();
+  for (const auto& [name, values] : s.cols) {
+    std::vector<int64_t>& column = out.cols[name];
+    column.reserve(rows.size());
+    for (size_t row : rows) column.push_back(values[row]);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<int64_t> InterpretExpr(const ScalarExpr& expr,
+                                   const InterpreterStream& s) {
+  const std::vector<int64_t>& a = s.cols.at(expr.a);
+  // Scalar ops never read `b`.
+  const std::vector<int64_t>& b =
+      expr.is_column_column() ? s.cols.at(expr.b) : a;
+  std::vector<int64_t> out(s.rows);
+  for (size_t i = 0; i < s.rows; ++i) {
+    out[i] = ApplyExpr(expr, a[i], b[i], i > 0 ? &a[i - 1] : nullptr);
+  }
+  return out;
 }
 
 bool InterpretPredicate(const Predicate& pred, int64_t v) {
@@ -57,26 +89,61 @@ bool InterpretPredicate(const Predicate& pred, int64_t v) {
   return false;
 }
 
-namespace {
-
-Result<InterpreterStream> InterpretScan(const LogicalNode& node,
-                                        const Catalog& catalog) {
-  ADAMANT_ASSIGN_OR_RETURN(TablePtr table, catalog.GetTable(node.table));
+Result<InterpreterStream> InterpretScan(const LogicalNode& scan,
+                                        const Catalog& catalog, size_t every,
+                                        const std::set<std::string>* only) {
+  ADAMANT_DCHECK(every > 0);
+  ADAMANT_ASSIGN_OR_RETURN(TablePtr table, catalog.GetTable(scan.table));
   InterpreterStream s;
-  s.rows = table->num_rows();
+  const size_t n = table->num_rows();
+  s.rows = n == 0 ? 0 : (n - 1) / every + 1;
   for (const ColumnPtr& column : table->columns()) {
+    if (only != nullptr && !only->contains(column->name())) continue;
     std::vector<int64_t>& out = s.cols[column->name()];
     out.resize(s.rows);
-    for (size_t i = 0; i < s.rows; ++i) {
-      out[i] = column->type() == ElementType::kInt32
-                   ? column->Value<int32_t>(i)
-                   : column->Value<int64_t>(i);
+    for (size_t r = 0; r < s.rows; ++r) {
+      out[r] = column->type() == ElementType::kInt32
+                   ? column->Value<int32_t>(r * every)
+                   : column->Value<int64_t>(r * every);
     }
   }
   return s;
 }
 
-}  // namespace
+InterpreterStream InterpretFilter(const LogicalNode& filter,
+                                  const InterpreterStream& in,
+                                  std::vector<size_t>* term_rows) {
+  std::vector<size_t> rows(in.rows);
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  for (const Predicate& pred : filter.predicates) {
+    const std::vector<int64_t>& values = in.cols.at(pred.column);
+    std::erase_if(rows, [&](size_t row) {
+      return !InterpretPredicate(pred, values[row]);
+    });
+    if (term_rows != nullptr) term_rows->push_back(rows.size());
+  }
+  return Gather(in, rows);
+}
+
+InterpreterStream InterpretJoin(const LogicalNode& join,
+                                const InterpreterStream& build,
+                                const InterpreterStream& probe,
+                                size_t* distinct_build_keys) {
+  std::unordered_map<int64_t, size_t> build_count;
+  for (int64_t key : build.cols.at(join.build_key)) ++build_count[key];
+  std::vector<size_t> rows;
+  const std::vector<int64_t>& keys = probe.cols.at(join.probe_key);
+  for (size_t row = 0; row < keys.size(); ++row) {
+    auto it = build_count.find(keys[row]);
+    if (it == build_count.end()) continue;
+    rows.insert(rows.end(),
+                join.join_mode == ProbeMode::kSemi ? 1 : it->second, row);
+  }
+  if (distinct_build_keys != nullptr) {
+    *distinct_build_keys = build_count.size();
+  }
+  return Gather(probe, rows);
+}
 
 Result<InterpreterStream> InterpretStream(const LogicalNode& node,
                                           const Catalog& catalog) {
@@ -86,31 +153,13 @@ Result<InterpreterStream> InterpretStream(const LogicalNode& node,
     case LogicalNode::Kind::kFilter: {
       ADAMANT_ASSIGN_OR_RETURN(InterpreterStream in,
                                InterpretStream(*node.child, catalog));
-      InterpreterStream out;
-      for (const auto& [name, values] : in.cols) out.cols[name] = {};
-      for (size_t row = 0; row < in.rows; ++row) {
-        bool keep = true;
-        for (const Predicate& pred : node.predicates) {
-          keep = keep &&
-                 InterpretPredicate(pred, in.cols.at(pred.column)[row]);
-        }
-        if (!keep) continue;
-        for (auto& [name, values] : out.cols) {
-          values.push_back(in.cols.at(name)[row]);
-        }
-        ++out.rows;
-      }
-      return out;
+      return InterpretFilter(node, in);
     }
     case LogicalNode::Kind::kProject: {
       ADAMANT_ASSIGN_OR_RETURN(InterpreterStream s,
                                InterpretStream(*node.child, catalog));
       for (const auto& [name, expr] : node.projections) {
-        std::vector<int64_t> values(s.rows);
-        for (size_t row = 0; row < s.rows; ++row) {
-          values[row] = InterpretExpr(expr, s, row);
-        }
-        s.cols[name] = std::move(values);
+        s.cols[name] = InterpretExpr(expr, s);
       }
       return s;
     }
@@ -119,25 +168,7 @@ Result<InterpreterStream> InterpretStream(const LogicalNode& node,
                                InterpretStream(*node.build, catalog));
       ADAMANT_ASSIGN_OR_RETURN(InterpreterStream probe,
                                InterpretStream(*node.child, catalog));
-      std::map<int64_t, size_t> build_count;
-      for (size_t row = 0; row < build.rows; ++row) {
-        build_count[build.cols.at(node.build_key)[row]]++;
-      }
-      InterpreterStream out;
-      for (const auto& [name, values] : probe.cols) out.cols[name] = {};
-      for (size_t row = 0; row < probe.rows; ++row) {
-        auto it = build_count.find(probe.cols.at(node.probe_key)[row]);
-        if (it == build_count.end()) continue;
-        const size_t copies =
-            node.join_mode == ProbeMode::kSemi ? 1 : it->second;
-        for (size_t c = 0; c < copies; ++c) {
-          for (auto& [name, values] : out.cols) {
-            values.push_back(probe.cols.at(name)[row]);
-          }
-          ++out.rows;
-        }
-      }
-      return out;
+      return InterpretJoin(node, build, probe);
     }
     case LogicalNode::Kind::kGroupBy:
     case LogicalNode::Kind::kReduce:

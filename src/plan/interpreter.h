@@ -2,6 +2,7 @@
 #define ADAMANT_PLAN_INTERPRETER_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,12 +12,13 @@
 
 namespace adamant::plan {
 
-/// A row-wise reference interpreter for the logical algebra. It shares no
-/// code with the device kernels or the executor — only the operator
-/// semantics — so it serves as an independent oracle: the plan fuzzer
-/// compares every lowered/executed plan against it, and users can verify
-/// their own plans the same way. It is also the sampling engine behind the
-/// selectivity annotator (selectivity.h). All values are widened to int64.
+/// A column-at-a-time reference interpreter for the logical algebra. It
+/// shares no code with the device kernels or the executor — only the
+/// operator semantics — so it serves as an independent oracle: the plan
+/// fuzzer compares every lowered/executed plan against it, and users can
+/// verify their own plans the same way. Its operator steps below are also
+/// the sampling engine behind the selectivity annotator (selectivity.h).
+/// All values are widened to int64.
 struct InterpreterStream {
   std::map<std::string, std::vector<int64_t>> cols;
   size_t rows = 0;
@@ -34,9 +36,31 @@ using InterpreterResults = std::map<std::string, std::map<int32_t, int64_t>>;
 Result<InterpreterResults> InterpretPlan(const LogicalNode& root,
                                          const Catalog& catalog);
 
-/// Scalar-expression and predicate evaluation, shared with the annotator.
-int64_t InterpretExpr(const ScalarExpr& expr, const InterpreterStream& s,
-                      size_t row);
+// --- One operator over evaluated inputs (the annotator samples with these)
+
+/// Rows 0, every, 2*every, ... of the table `scan` names, read in place.
+/// When `only` is set, widens just the table's columns named there.
+Result<InterpreterStream> InterpretScan(
+    const LogicalNode& scan, const Catalog& catalog, size_t every = 1,
+    const std::set<std::string>* only = nullptr);
+
+/// The rows of `in` that pass every term of `filter`. When set,
+/// `term_rows` receives the row count left after each term.
+InterpreterStream InterpretFilter(const LogicalNode& filter,
+                                  const InterpreterStream& in,
+                                  std::vector<size_t>* term_rows = nullptr);
+
+/// The probe rows of `join`, in probe order: each once per build row with
+/// its key (once for a semi join). Sets `*distinct_build_keys` when given.
+InterpreterStream InterpretJoin(const LogicalNode& join,
+                                const InterpreterStream& build,
+                                const InterpreterStream& probe,
+                                size_t* distinct_build_keys = nullptr);
+
+/// Evaluates `expr` over every row of `s`.
+std::vector<int64_t> InterpretExpr(const ScalarExpr& expr,
+                                   const InterpreterStream& s);
+
 bool InterpretPredicate(const Predicate& pred, int64_t value);
 
 }  // namespace adamant::plan

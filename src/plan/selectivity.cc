@@ -13,31 +13,17 @@ namespace {
 /// sample may still match a few rows at full scale.
 constexpr double kMinSelectivity = 0.02;
 
-/// Systematic sample of every table (every k-th row). Dictionaries are not
-/// copied — the interpreter only reads raw codes.
-Result<std::shared_ptr<Catalog>> SampleCatalog(const Catalog& catalog,
-                                               size_t sample_every) {
-  auto sampled = std::make_shared<Catalog>();
-  for (const std::string& name : catalog.TableNames()) {
-    ADAMANT_ASSIGN_OR_RETURN(TablePtr table, catalog.GetTable(name));
-    auto copy = std::make_shared<Table>(name);
-    for (const ColumnPtr& column : table->columns()) {
-      auto sampled_col = std::make_shared<Column>(column->name(),
-                                                  column->type());
-      for (size_t i = 0; i < column->length(); i += sample_every) {
-        if (column->type() == ElementType::kInt32) {
-          sampled_col->Append(column->Value<int32_t>(i));
-        } else if (column->type() == ElementType::kInt64) {
-          sampled_col->Append(column->Value<int64_t>(i));
-        } else {
-          sampled_col->Append(column->Value<double>(i));
-        }
-      }
-      ADAMANT_RETURN_NOT_OK(copy->AddColumn(sampled_col));
-    }
-    ADAMANT_RETURN_NOT_OK(sampled->AddTable(copy));
+/// Every column the annotator reads above a scan: predicate columns,
+/// projection inputs, join and group keys. Scans widen only these.
+void CollectReads(const LogicalNode& node, std::set<std::string>* names) {
+  for (const Predicate& pred : node.predicates) names->insert(pred.column);
+  for (const auto& [name, expr] : node.projections) {
+    names->insert(expr.a);
+    if (expr.is_column_column()) names->insert(expr.b);
   }
-  return sampled;
+  names->insert({node.build_key, node.probe_key, node.group_key});
+  if (node.build != nullptr) CollectReads(*node.build, names);
+  if (node.child != nullptr) CollectReads(*node.child, names);
 }
 
 double Fraction(size_t num, size_t den) {
@@ -48,8 +34,11 @@ double Fraction(size_t num, size_t den) {
 
 class Annotator {
  public:
-  Annotator(const Catalog& sample, size_t sample_every)
-      : sample_(sample), sample_every_(sample_every) {}
+  Annotator(const LogicalNode& root, const Catalog& catalog,
+            size_t sample_every)
+      : catalog_(catalog), sample_every_(sample_every) {
+    CollectReads(root, &reads_);
+  }
 
   /// Returns (annotated node, the node's sampled output stream).
   /// `deflation` tracks how much smaller the sampled stream is than a
@@ -67,72 +56,40 @@ class Annotator {
     auto copy = std::make_shared<LogicalNode>(node);
     switch (node.kind) {
       case LogicalNode::Kind::kScan: {
-        ADAMANT_ASSIGN_OR_RETURN(InterpreterStream s,
-                                 InterpretStream(node, sample_));
+        ADAMANT_ASSIGN_OR_RETURN(
+            InterpreterStream s,
+            InterpretScan(node, catalog_, sample_every_, &reads_));
         return Annotated{copy, std::move(s)};
       }
       case LogicalNode::Kind::kFilter: {
         ADAMANT_ASSIGN_OR_RETURN(Annotated child, Visit(*node.child));
         copy->child = child.node;
-        InterpreterStream stream = std::move(child.stream);
-        for (Predicate& pred : copy->predicates) {
-          InterpreterStream next;
-          for (const auto& [name, values] : stream.cols) next.cols[name] = {};
-          for (size_t row = 0; row < stream.rows; ++row) {
-            if (!InterpretPredicate(pred,
-                                    stream.cols.at(pred.column)[row])) {
-              continue;
-            }
-            for (auto& [name, values] : next.cols) {
-              values.push_back(stream.cols.at(name)[row]);
-            }
-            ++next.rows;
-          }
+        std::vector<size_t> term_rows;
+        InterpreterStream out = InterpretFilter(node, child.stream, &term_rows);
+        size_t before = child.stream.rows;
+        for (size_t i = 0; i < term_rows.size(); ++i) {
           // Conditional selectivity of this term given the earlier terms.
-          pred.selectivity = Fraction(next.rows, stream.rows);
-          stream = std::move(next);
+          copy->predicates[i].selectivity = Fraction(term_rows[i], before);
+          before = term_rows[i];
         }
-        return Annotated{copy, std::move(stream), child.deflation};
+        return Annotated{copy, std::move(out), child.deflation};
       }
       case LogicalNode::Kind::kProject: {
         ADAMANT_ASSIGN_OR_RETURN(Annotated child, Visit(*node.child));
         copy->child = child.node;
-        InterpreterStream stream = std::move(child.stream);
         for (const auto& [name, expr] : node.projections) {
-          std::vector<int64_t> values(stream.rows);
-          for (size_t row = 0; row < stream.rows; ++row) {
-            values[row] = InterpretExpr(expr, stream, row);
-          }
-          stream.cols[name] = std::move(values);
+          child.stream.cols[name] = InterpretExpr(expr, child.stream);
         }
-        return Annotated{copy, std::move(stream), child.deflation};
+        return Annotated{copy, std::move(child.stream), child.deflation};
       }
       case LogicalNode::Kind::kHashJoin: {
         ADAMANT_ASSIGN_OR_RETURN(Annotated build, Visit(*node.build));
         ADAMANT_ASSIGN_OR_RETURN(Annotated probe, Visit(*node.child));
         copy->build = build.node;
         copy->child = probe.node;
-        std::map<int64_t, size_t> build_count;
-        for (size_t row = 0; row < build.stream.rows; ++row) {
-          build_count[build.stream.cols.at(node.build_key)[row]]++;
-        }
-        InterpreterStream out;
-        for (const auto& [name, values] : probe.stream.cols) {
-          out.cols[name] = {};
-        }
-        for (size_t row = 0; row < probe.stream.rows; ++row) {
-          auto it =
-              build_count.find(probe.stream.cols.at(node.probe_key)[row]);
-          if (it == build_count.end()) continue;
-          const size_t copies =
-              node.join_mode == ProbeMode::kSemi ? 1 : it->second;
-          for (size_t c = 0; c < copies; ++c) {
-            for (auto& [name, values] : out.cols) {
-              values.push_back(probe.stream.cols.at(name)[row]);
-            }
-            ++out.rows;
-          }
-        }
+        size_t build_keys = 0;
+        InterpreterStream out =
+            InterpretJoin(node, build.stream, probe.stream, &build_keys);
         // A systematic 1/k sample keeps only ~1/k of a unique-key (FK→PK)
         // build side, so most probe rows' partners are missing from the
         // sample and the measured match fraction deflates by ~k. A
@@ -141,9 +98,9 @@ class Annotator {
         // the group-count scaling below, this is the safe (larger-buffer)
         // choice.
         double correction = 1.0;
-        if (!build_count.empty()) {
+        if (build_keys > 0) {
           const double dup = static_cast<double>(build.stream.rows) /
-                             static_cast<double>(build_count.size());
+                             static_cast<double>(build_keys);
           correction = std::min(static_cast<double>(sample_every_),
                                 std::max(1.0, sample_every_ / dup));
         }
@@ -182,8 +139,9 @@ class Annotator {
   }
 
  private:
-  const Catalog& sample_;
+  const Catalog& catalog_;
   size_t sample_every_;
+  std::set<std::string> reads_;
 };
 
 }  // namespace
@@ -194,9 +152,7 @@ Result<LogicalNodePtr> AnnotateSelectivities(const LogicalNode& root,
   if (sample_every == 0) {
     return Status::InvalidArgument("sample_every must be >= 1");
   }
-  ADAMANT_ASSIGN_OR_RETURN(std::shared_ptr<Catalog> sample,
-                           SampleCatalog(catalog, sample_every));
-  Annotator annotator(*sample, sample_every);
+  Annotator annotator(root, catalog, sample_every);
   ADAMANT_ASSIGN_OR_RETURN(Annotator::Annotated result,
                            annotator.Visit(root));
   return LogicalNodePtr(result.node);

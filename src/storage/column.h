@@ -61,11 +61,14 @@ class Column {
     return data<T>()[i];
   }
 
+  /// Appends one element in amortized O(1) (the capacity grows
+  /// geometrically; Resize and FromVector allocate exactly).
   template <typename T>
   void Append(T value) {
-    size_t i = length_;
-    Resize(length_ + 1);
-    mutable_data<T>()[i] = value;
+    ADAMANT_DCHECK(ElementTypeOf<T>::value == type_)
+        << "column " << name_ << " is " << ElementTypeName(type_);
+    data_.Append(&value, sizeof(T));
+    ++length_;
   }
 
   /// Builds a column from a vector in one shot.

@@ -243,14 +243,15 @@ Status PrefixSumKernel(KernelExecContext* ctx) {
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base + 1, f.n * 4, "prefix_sum out"));
 
-  int32_t acc = 0;
+  // int32 sums wrap mod 2^32; the unsigned accumulator makes that defined.
+  uint32_t acc = 0;
   for (size_t i = 0; i < f.n; ++i) {
     if (exclusive) {
-      out[i] = acc;
-      acc += in[i];
+      out[i] = static_cast<int32_t>(acc);
+      acc += static_cast<uint32_t>(in[i]);
     } else {
-      acc += in[i];
-      out[i] = acc;
+      acc += static_cast<uint32_t>(in[i]);
+      out[i] = static_cast<int32_t>(acc);
     }
   }
   return Status::OK();

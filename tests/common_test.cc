@@ -198,6 +198,40 @@ TEST(AlignedBuffer, ShrinkThenGrowRezeroes) {
   EXPECT_EQ(buffer.data()[32], 0) << "bytes exposed by regrowth are zeroed";
 }
 
+TEST(AlignedBuffer, AppendsReallocateLogarithmically) {
+  AlignedBuffer buffer;
+  constexpr uint32_t kAppends = 1 << 16;
+  size_t capacity = buffer.capacity();
+  size_t capacity_changes = 0;
+  for (uint32_t i = 0; i < kAppends; ++i) {
+    buffer.Append(&i, sizeof(i));
+    if (buffer.capacity() != capacity) {
+      capacity = buffer.capacity();
+      ++capacity_changes;
+    }
+  }
+  ASSERT_EQ(buffer.size(), kAppends * sizeof(uint32_t));
+  // Doubling from one 64-byte line to 256 KiB: 13 allocations, where
+  // growing one line at a time would take 4096.
+  EXPECT_EQ(capacity_changes, 13u);
+  EXPECT_EQ(capacity, kAppends * sizeof(uint32_t));
+  uint32_t mismatches = 0;
+  for (uint32_t i = 0; i < kAppends; ++i) {
+    mismatches += buffer.data_as<uint32_t>()[i] != i;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(AlignedBuffer, ResizeAllocatesExactly) {
+  AlignedBuffer buffer;
+  buffer.Resize(100);
+  EXPECT_EQ(buffer.capacity(), 128u);
+  buffer.Resize(1000);
+  EXPECT_EQ(buffer.capacity(), 1024u) << "a growing Resize does not double";
+  buffer.Resize(10);
+  EXPECT_EQ(buffer.capacity(), 1024u);
+}
+
 TEST(AlignedBuffer, MoveTransfersOwnership) {
   AlignedBuffer a(32);
   a.data()[0] = 1;

@@ -1,6 +1,6 @@
 // Randomized plan fuzzing: generate random logical plans over random
 // tables, lower and execute them on the simulated device, and compare
-// against an independent row-wise host interpreter of the same logical
+// against an independent host interpreter of the same logical
 // algebra. Every seed is deterministic; a failing seed reproduces exactly.
 
 #include <gtest/gtest.h>

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "adamant/adamant.h"
 #include "plan/interpreter.h"
@@ -183,6 +187,102 @@ TEST(Selectivity, TighterEstimatesShrinkBuffers) {
   // Same answer either way.
   EXPECT_EQ(*exec_a->AggValue(annotated->nodes.at("revenue")),
             *exec_p->AggValue(pessimistic->nodes.at("revenue")));
+}
+
+// --- Sampling edge cases ---
+
+std::shared_ptr<Catalog> OneColumnCatalog(std::vector<int32_t> values) {
+  auto catalog = std::make_shared<Catalog>();
+  auto table = std::make_shared<Table>("t");
+  ADAMANT_CHECK(table->AddColumn(Column::FromVector("k", values)).ok());
+  ADAMANT_CHECK(catalog->AddTable(table).ok());
+  return catalog;
+}
+
+TEST(Selectivity, TableShorterThanStrideSamplesRowZeroOnly) {
+  auto catalog = OneColumnCatalog({0, 9, 9, 9, 9});
+  auto scan = InterpretScan(*Scan("t"), *catalog, 7);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->rows, 1u);
+  EXPECT_EQ(scan->cols.at("k"), std::vector<int64_t>{0});
+  // Only row 0 (k = 0) is sampled, so k < 5 matches the whole sample.
+  auto root = Reduce(Filter(Scan("t"), {Predicate::Lt("k", 5, 0.5)}),
+                     {{AggOp::kCount, "", "n"}});
+  auto annotated = AnnotateSelectivities(*root, *catalog, 7);
+  ASSERT_TRUE(annotated.ok());
+  EXPECT_EQ((*annotated)->child->predicates[0].selectivity, 1.0);
+}
+
+TEST(Selectivity, StrideNotDividingRowCountKeepsTheLastPartialStep) {
+  // 10 rows at stride 3 sample rows 0, 3, 6 and 9.
+  std::vector<int32_t> k(10);
+  std::iota(k.begin(), k.end(), 0);
+  auto catalog = OneColumnCatalog(k);
+  auto scan = InterpretScan(*Scan("t"), *catalog, 3);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->rows, 4u);
+  EXPECT_EQ(scan->cols.at("k"), (std::vector<int64_t>{0, 3, 6, 9}));
+  auto root = Reduce(Filter(Scan("t"), {Predicate::Ge("k", 9, 0.5)}),
+                     {{AggOp::kCount, "", "n"}});
+  auto annotated = AnnotateSelectivities(*root, *catalog, 3);
+  ASSERT_TRUE(annotated.ok());
+  EXPECT_EQ((*annotated)->child->predicates[0].selectivity, 0.25);
+}
+
+// --- Golden estimates ---
+
+/// Every estimate the annotator writes, in pre-order (node, build side,
+/// probe side): each filter term's selectivity, each join's selectivity and
+/// each GroupBy's group count, at %.17g so equal text means equal bits.
+void RenderEstimates(const LogicalNode& node, std::string* out) {
+  auto add = [out](const std::string& label, double value) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.17g", value);
+    *out += " " + label + "=" + text;
+  };
+  for (const Predicate& pred : node.predicates) {
+    add("sel:" + pred.column, pred.selectivity);
+  }
+  if (node.kind == LogicalNode::Kind::kHashJoin) {
+    add("join:" + node.probe_key, node.join_selectivity);
+  }
+  if (node.kind == LogicalNode::Kind::kGroupBy) {
+    add("groups:" + node.group_key, node.expected_groups);
+  }
+  if (node.build != nullptr) RenderEstimates(*node.build, out);
+  if (node.child != nullptr) RenderEstimates(*node.child, out);
+}
+
+TEST(GoldenEstimates, BuiltinsReproduceTheRecordedEstimates) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.01;
+  auto catalog = tpch::Generate(config);
+  ASSERT_TRUE(catalog.ok());
+  std::ifstream in(ADAMANT_GOLDEN_DIR "/selectivity.txt");
+  ASSERT_TRUE(in.good());
+  std::string line;
+  size_t checked = 0;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string query;
+    size_t sample_every = 0;
+    fields >> query >> sample_every;
+    std::string expected;
+    std::getline(fields, expected);
+
+    const sql::BuiltinQuery* builtin = sql::FindBuiltinQuery(query);
+    ASSERT_NE(builtin, nullptr) << query;
+    sql::PlannerOptions options;
+    options.sample_every = sample_every;
+    auto compiled = sql::Compile(builtin->sql, **catalog, options);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    std::string actual;
+    RenderEstimates(*compiled->plan, &actual);
+    EXPECT_EQ(actual, expected) << query << " sample_every=" << sample_every;
+    ++checked;
+  }
+  EXPECT_EQ(checked, sql::BuiltinQueries().size() * 3);
 }
 
 TEST(Selectivity, InvalidSampleRateRejected) {

@@ -42,6 +42,25 @@ TEST(Column, AppendGrows) {
   EXPECT_EQ(col.Value<int32_t>(99), 99 * 99);
 }
 
+TEST(Column, AppendsMoveTheDataLogarithmicallyOften) {
+  // Building a column by appends (the .tbl import path) must not copy it
+  // once per 64-byte line: count how often the storage moves.
+  Column col("a", ElementType::kInt32);
+  constexpr int32_t kAppends = 1 << 16;
+  const uint8_t* data = col.raw_data();
+  int moves = 0;
+  for (int32_t i = 0; i < kAppends; ++i) {
+    col.Append(i);
+    if (col.raw_data() != data) {
+      data = col.raw_data();
+      ++moves;
+    }
+  }
+  EXPECT_LE(moves, 13);
+  EXPECT_EQ(col.length(), static_cast<size_t>(kAppends));
+  EXPECT_EQ(col.Value<int32_t>(kAppends - 1), kAppends - 1);
+}
+
 TEST(Column, ResizeZeroFills) {
   Column col("a", ElementType::kInt64);
   col.Resize(10);
