@@ -34,6 +34,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "obs/trace_check.h"
+#include "plan/calibration.h"
 #include "plan/fusion.h"
 #include "plan/logical_plan.h"
 #include "plan/lowering.h"
@@ -53,6 +54,7 @@
 #include "service/scheduler.h"
 #include "sim/presets.h"
 #include "sql/builtin_queries.h"
+#include "sql/compile.h"
 #include "sql/engine.h"
 #include "sim/trace_export.h"
 #include "storage/table.h"

@@ -70,7 +70,7 @@ struct OperatorStats {
   /// Links this operator back to the logical construct it lowered from
   /// (e.g. "step:lower.filter(l_shipdate)"); empty when the operator
   /// carries no selectivity estimate. Consumed by the selectivity feedback
-  /// cache (plan/feedback.h).
+  /// cache (plan/calibration.h).
   std::string feedback_key;
   /// True for kinds whose NodeConfig::selectivity sizes output buffers
   /// (FILTER_POSITION / MATERIALIZE / HASH_PROBE / FUSED) — the operators

@@ -5,9 +5,9 @@
 #include <map>
 #include <set>
 
-#include "plan/fusion.h"
 #include "runtime/exec/hetero_split.h"
 #include "runtime/exec/plan_shapes.h"
+#include "sql/compile.h"
 
 namespace adamant::plan {
 
@@ -100,13 +100,57 @@ Result<MergeCostEstimate> EstimateDeviceParallelMerge(
 
 Result<PlacementSearchResult> SearchPlacements(
     const LogicalNode& root, const Catalog& catalog, DeviceManager* manager,
-    const ExecutionOptions& options, const SplitCalibration* calibration) {
+    const ExecutionOptions& options, const Calibration* calibration) {
   if (manager == nullptr || manager->num_devices() == 0) {
     return Status::InvalidArgument("no devices plugged");
   }
 
   PlacementSearchResult result;
   bool have_best = false;
+  // Every candidate compiles the way it would run: lowered under its
+  // policy, fused, and (device-parallel) split under `calibration`.
+  auto compile = [&](const PlacementPolicy& policy,
+                     const ExecutionOptions& run_options) {
+    CompileContext context;
+    context.catalog = &catalog;
+    context.manager = manager;
+    context.placement = policy;
+    context.options = run_options;
+    context.calibration = calibration;
+    QuerySource source;
+    source.logical = &root;
+    return CompileQuery(std::move(source), context);
+  };
+  // Simulates one compiled candidate and keeps the fastest; a
+  // device-parallel winner reports its split. A candidate can legitimately
+  // fail (a hash table exceeds one device's memory, a global breaker
+  // rejects the device-parallel model); it is recorded.
+  auto simulate = [&](const std::string& name, const PlacementPolicy& policy,
+                      CompiledPlan* plan) {
+    QueryExecutor executor(manager);
+    auto exec = executor.Run(plan->bundle.graph.get(), plan->options);
+    if (!exec.ok()) {
+      result.evaluated.emplace_back(
+          name + " (" + exec.status().ToString() + ")", -1.0);
+      return;
+    }
+    result.evaluated.emplace_back(name, exec->stats.elapsed_us);
+    if (have_best && exec->stats.elapsed_us >= result.best_elapsed_us) return;
+    have_best = true;
+    result.best = policy;
+    result.best_name = name;
+    result.best_elapsed_us = exec->stats.elapsed_us;
+    const bool split = plan->prices.size() > 1;
+    const ExecutionOptions& run = plan->options;
+    result.best_device_set = split ? run.device_set : std::vector<DeviceId>{};
+    result.best_split = split ? run.device_split : std::vector<double>{};
+    result.best_partition_cost_us.clear();
+    for (size_t i = 0; split && i < plan->prices.size(); ++i) {
+      result.best_partition_cost_us.push_back(plan->prices[i].cost_us *
+                                              run.device_split[i]);
+    }
+  };
+
   const auto devices = static_cast<DeviceId>(manager->num_devices());
   for (DeviceId streaming = 0; streaming < devices; ++streaming) {
     for (DeviceId hash = 0; hash < devices; ++hash) {
@@ -115,71 +159,33 @@ Result<PlacementSearchResult> SearchPlacements(
             "streaming=" + manager->device(streaming)->name() +
             ",hash=" + manager->device(hash)->name() +
             ",sink=" + manager->device(sink)->name();
-        PlacementPolicy policy = MakeCandidate(streaming, hash, sink);
-        ADAMANT_ASSIGN_OR_RETURN(PlanBundle bundle,
-                                 LowerPlan(root, catalog, policy));
-        // Candidates are simulated the way they would run: with the
-        // fusion pass applied under the same options.
-        ADAMANT_RETURN_NOT_OK(
-            ApplyFusion(&bundle, options, manager).status());
-        QueryExecutor executor(manager);
-        auto exec = executor.Run(bundle.graph.get(), options);
-        if (!exec.ok()) {
-          // A candidate can legitimately fail (e.g. the hash table exceeds
-          // one device's memory); record and move on.
-          result.evaluated.emplace_back(name + " (" +
-                                            exec.status().ToString() + ")",
-                                        -1.0);
-          continue;
-        }
-        result.evaluated.emplace_back(name, exec->stats.elapsed_us);
-        if (!have_best || exec->stats.elapsed_us < result.best_elapsed_us) {
-          have_best = true;
-          result.best = policy;
-          result.best_name = name;
-          result.best_elapsed_us = exec->stats.elapsed_us;
-        }
+        const PlacementPolicy policy = MakeCandidate(streaming, hash, sink);
+        ADAMANT_ASSIGN_OR_RETURN(CompiledPlan plan, compile(policy, options));
+        simulate(name, policy, &plan);
       }
     }
   }
   // Device-parallel candidates beyond the D^3 single-device grid. The
   // driver retargets every node itself, so the policy only decides what a
   // partition looks like; use the all-on-first-set-member placement. Two
-  // shapes: the homogeneous even split across the largest identical-device
-  // group (PR 5's candidate), and — when the manager mixes device classes —
-  // a heterogeneous cost-ratio split across every plugged device, with
-  // ratios from the per-device graph price (optionally rescaled by the
-  // calibration feedback of earlier runs).
+  // shapes: the largest identical-device group, and — when the manager
+  // mixes device classes — every plugged device. Both split by the
+  // compile's (calibrated) throughput ratio.
   auto try_device_parallel = [&](const std::vector<DeviceId>& set,
-                                 bool ratio_split) -> Status {
-    std::string name = ratio_split ? "device-parallel-hetero{"
-                                   : "device-parallel{";
-    std::vector<double> split;
-    std::vector<double> partition_cost;
-    PlacementPolicy policy = MakeCandidate(set[0], set[0], set[0]);
-    ADAMANT_ASSIGN_OR_RETURN(PlanBundle bundle,
-                             LowerPlan(root, catalog, policy));
-    ADAMANT_RETURN_NOT_OK(ApplyFusion(&bundle, options, manager).status());
-    if (ratio_split) {
-      ExecutionOptions estimate_options = options;
-      estimate_options.model = ExecutionModelKind::kDeviceParallel;
-      ADAMANT_ASSIGN_OR_RETURN(
-          std::vector<exec::GraphPrice> prices,
-          exec::PriceDevices(*bundle.graph, estimate_options, manager, set));
-      split = exec::ThroughputWeights(prices);
-      if (calibration != nullptr) {
-        std::vector<std::string> names;
-        for (DeviceId id : set) names.push_back(manager->device(id)->name());
-        split = calibration->CalibrateWeights(names, std::move(split));
-      }
-      for (size_t i = 0; i < set.size(); ++i) {
-        partition_cost.push_back(prices[i].cost_us * split[i]);
-      }
-    }
-    for (size_t i = 0; i < set.size(); ++i) {
+                                 bool hetero) -> Status {
+    const PlacementPolicy policy = MakeCandidate(set[0], set[0], set[0]);
+    ExecutionOptions parallel = options;
+    parallel.model = ExecutionModelKind::kDeviceParallel;
+    parallel.device_set = set;
+    parallel.device_split.clear();
+    ADAMANT_ASSIGN_OR_RETURN(CompiledPlan plan, compile(policy, parallel));
+    const std::vector<DeviceId>& split_set = plan.options.device_set;
+    const std::vector<double>& split = plan.options.device_split;
+    std::string name = hetero ? "device-parallel-hetero{" : "device-parallel{";
+    for (size_t i = 0; i < split_set.size(); ++i) {
       if (i > 0) name += ",";
-      name += manager->device(set[i])->name();
-      if (ratio_split) {
+      name += manager->device(split_set[i])->name();
+      if (hetero) {
         char buf[16];
         std::snprintf(buf, sizeof(buf), ":%.2f", split[i]);
         name += buf;
@@ -192,7 +198,7 @@ Result<PlacementSearchResult> SearchPlacements(
     // union dominating a 2-device split).
     ADAMANT_ASSIGN_OR_RETURN(
         MergeCostEstimate merge,
-        EstimateDeviceParallelMerge(*bundle.graph, manager, set,
+        EstimateDeviceParallelMerge(*plan.bundle.graph, manager, split_set,
                                     have_best ? result.best_elapsed_us : 0,
                                     split));
     if (have_best && merge.merge_dominated) {
@@ -204,40 +210,17 @@ Result<PlacementSearchResult> SearchPlacements(
           -1.0);
       return Status::OK();
     }
-    ExecutionOptions parallel = options;
-    parallel.model = ExecutionModelKind::kDeviceParallel;
-    parallel.device_set = set;
-    parallel.device_split = split;
-    QueryExecutor executor(manager);
-    auto exec = executor.Run(bundle.graph.get(), parallel);
-    if (!exec.ok()) {
-      // Graphs with global breakers (PREFIX_SUM, SORT_AGG) reject the
-      // model; record and fall back to the grid winner.
-      result.evaluated.emplace_back(
-          name + " (" + exec.status().ToString() + ")", -1.0);
-      return Status::OK();
-    }
-    result.evaluated.emplace_back(name, exec->stats.elapsed_us);
-    if (!have_best || exec->stats.elapsed_us < result.best_elapsed_us) {
-      have_best = true;
-      result.best = policy;
-      result.best_name = name;
-      result.best_elapsed_us = exec->stats.elapsed_us;
-      result.best_device_set = set;
-      result.best_split =
-          split.empty() ? exec::NormalizeSplit({}, set.size()) : split;
-      result.best_partition_cost_us = partition_cost;
-    }
+    simulate(name, policy, &plan);
     return Status::OK();
   };
   ADAMANT_ASSIGN_OR_RETURN(std::vector<DeviceId> set,
                            ChooseDeviceSet(manager, 0));
   if (set.size() >= 2) {
-    ADAMANT_RETURN_NOT_OK(try_device_parallel(set, /*ratio_split=*/false));
+    ADAMANT_RETURN_NOT_OK(try_device_parallel(set, /*hetero=*/false));
   }
   auto hetero = ChooseHeterogeneousDeviceSet(manager, 0);
   if (hetero.ok() && hetero->size() >= 2) {
-    ADAMANT_RETURN_NOT_OK(try_device_parallel(*hetero, /*ratio_split=*/true));
+    ADAMANT_RETURN_NOT_OK(try_device_parallel(*hetero, /*hetero=*/true));
   }
 
   if (!have_best) {

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "plan/feedback.h"
+#include "plan/calibration.h"
 #include "plan/lowering.h"
 #include "runtime/executor.h"
 
@@ -38,13 +38,13 @@ struct PlacementSearchResult {
   std::vector<std::pair<std::string, sim::SimTime>> evaluated;
 };
 
-/// `calibration`, when given, rescales the heterogeneous candidate's
-/// model-predicted split ratios with observed per-device cost ratios from
-/// earlier runs (the split feedback loop).
+/// Every candidate compiles through CompileQuery (sql/compile.h) with its
+/// policy. `calibration`, when given, rescales the device-parallel
+/// candidates' model-predicted split ratios with observed per-device cost
+/// ratios from earlier runs (the split feedback loop).
 Result<PlacementSearchResult> SearchPlacements(
     const LogicalNode& root, const Catalog& catalog, DeviceManager* manager,
-    const ExecutionOptions& options,
-    const SplitCalibration* calibration = nullptr);
+    const ExecutionOptions& options, const Calibration* calibration = nullptr);
 
 /// Prediction of the device-parallel model's host-merge overhead for a
 /// lowered graph. Interior (non-terminal) pipeline breakers force a full

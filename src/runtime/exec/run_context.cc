@@ -1284,7 +1284,7 @@ void RunContext::FinalizeOperatorStats() {
             price->nodes[static_cast<size_t>(node_id)].cost_us;
       }
       // Feedback key: ties the operator back to the logical construct whose
-      // selectivity the planner estimated (see plan/feedback.h). MATERIALIZE
+      // selectivity the planner estimated (see plan/calibration.h). MATERIALIZE
       // carries the *cumulative* step selectivity, so its key is the filter
       // chain it compacts — the slot-1 bitmap producer.
       switch (node.kind) {

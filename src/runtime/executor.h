@@ -83,9 +83,8 @@ struct ExecutionOptions {
   /// Device-parallel model only: explicit per-device split shares, parallel
   /// to `device_set` (same order; need not sum to 1 — they are normalized).
   /// Empty = the driver derives throughput-proportional shares from the
-  /// run's pipelines priced on each device (exec::PriceGraph). The
-  /// planner/service set this when their ratio search (possibly
-  /// feedback-calibrated) has a better answer than the raw model.
+  /// run's pipelines priced on each device (exec::PriceGraph).
+  /// CompileQuery always sets it, calibrated by observed throughput.
   std::vector<double> device_split;
   /// Device-parallel model only: bounded runtime rebalancing. When a
   /// partition exhausts its chunk range ahead of the others on the
@@ -104,8 +103,7 @@ struct ExecutionOptions {
   int kernel_threads = 0;
   /// Kernel-fusion mode consumed by plan::ApplyFusion (the executor itself
   /// runs whatever graph it is handed — fusion is a plan-level rewrite
-  /// applied before placement/execution by the CLI, the placement search
-  /// and tests).
+  /// that CompileQuery applies before execution).
   FusionMode fusion = FusionMode::kAuto;
 
   // --- Service-layer hooks (see src/service/). All default to off; a bare
@@ -199,8 +197,8 @@ struct QueryStats {
   /// before any runtime rebalancing), chunks each device took from another
   /// partition's tail, and the predicted vs observed per-chunk simulated
   /// cost per device. The observed/predicted pair is what the service feeds
-  /// into plan::SplitCalibration so the next compile's ratio search
-  /// converges toward measured speed. Empty for single-device models.
+  /// into plan::Calibration so the next compile's split converges toward
+  /// measured speed. Empty for single-device models.
   std::map<int, double> split_ratio_by_device;
   std::map<int, size_t> chunks_stolen_by_device;
   std::map<int, double> split_predicted_chunk_us;

@@ -1,15 +1,11 @@
 #include "service/query_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <sstream>
 
 #include "obs/chrome_trace.h"
-#include "plan/lowering.h"
-#include "sql/engine.h"
 #include "obs/trace.h"
-#include "runtime/exec/hetero_split.h"
 #include "runtime/executor.h"
 
 namespace adamant {
@@ -115,27 +111,7 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
           "QuerySpec.sql requires QuerySpec.sql_catalog");
     }
     if (spec.name.empty()) spec.name = "sql";
-    sql::PlannerOptions planner_options;
-    planner_options.manager = manager_;
-    if (config_.collect_operator_stats) {
-      // Recompiles of a served query name consult the selectivities its
-      // earlier analyzed runs measured.
-      planner_options.feedback = &feedback_;
-      planner_options.feedback_name = spec.name;
-    }
-    ADAMANT_ASSIGN_OR_RETURN(
-        sql::CompiledQuery compiled,
-        sql::Compile(spec.sql, *spec.sql_catalog, planner_options));
-    auto plan = compiled.plan;
-    const Catalog* catalog = spec.sql_catalog;
-    spec.make_graph = [plan, catalog](DeviceId device)
-        -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::LowerPlan(*plan, *catalog, device));
-      return std::move(bundle.graph);
-    };
-  }
-  if (!spec.make_graph) {
+  } else if (!spec.make_graph) {
     return Status::InvalidArgument("QuerySpec.make_graph is not set");
   }
   for (DeviceId device : spec.eligible_devices) {
@@ -164,42 +140,31 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
     }
   }
 
-  // Footprint estimate for admission control: the plan's shape (and hence
-  // its memory footprint) is device-independent, so estimate on the first
-  // eligible device.
+  // Admission reads the plan compiled for the first eligible device: its
+  // footprint estimate bounds every device (and, under a split, every
+  // partition), and its price feeds deadline admission and the watchdog.
+  // The lease decides the device-parallel split at dispatch.
   const DeviceId probe_device =
       spec.eligible_devices.empty() ? 0 : spec.eligible_devices.front();
-  ADAMANT_ASSIGN_OR_RETURN(std::unique_ptr<PrimitiveGraph> probe,
-                           spec.make_graph(probe_device));
-  if (probe == nullptr) {
-    return Status::InvalidArgument(spec.name + ": make_graph returned null");
-  }
+  ExecutionOptions probe_options = spec.options;
+  probe_options.device_set.clear();
+  probe_options.device_split.clear();
   ADAMANT_ASSIGN_OR_RETURN(
-      size_t estimate,
-      EstimateDeviceMemoryBytes(*probe, spec.options, manager_->data_scale()));
-  // Static graph price on the same probe device, for deadline admission
-  // and the watchdog budget. Best-effort: a failed price (0) just means the
-  // calibration falls back to per-name history / the policy floor.
-  double predicted_sim_us = 0;
-  if (Result<std::vector<exec::GraphPrice>> price =
-          exec::PriceDevices(*probe, spec.options, manager_, {probe_device});
-      price.ok()) {
-    predicted_sim_us = price->front().cost_us;
-  }
+      CompiledPlan probe,
+      Compile(spec, nullptr, probe_device, std::move(probe_options)));
+  const size_t estimate = probe.memory_bytes;
 
   // A query whose estimate exceeds every eligible budget would wait
   // forever — reject it up front. One that merely exceeds what is free
   // *right now* queues below.
   size_t max_budget = 0;
-  auto consider = [&](DeviceId device) {
-    max_budget = std::max(max_budget, ledger_->budget(device).capacity());
-  };
-  if (spec.eligible_devices.empty()) {
-    for (size_t i = 0; i < manager_->num_devices(); ++i) {
-      consider(static_cast<DeviceId>(i));
+  for (size_t i = 0; i < manager_->num_devices(); ++i) {
+    const auto device = static_cast<DeviceId>(i);
+    const auto& eligible = spec.eligible_devices;
+    if (eligible.empty() || std::find(eligible.begin(), eligible.end(),
+                                      device) != eligible.end()) {
+      max_budget = std::max(max_budget, ledger_->budget(device).capacity());
     }
-  } else {
-    for (DeviceId device : spec.eligible_devices) consider(device);
   }
 
   auto query = std::make_shared<QueuedQuery>();
@@ -208,7 +173,8 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
   query->ticket->name_ = query->spec.name;
   query->estimate_bytes = estimate;
   query->submit_time = std::chrono::steady_clock::now();
-  query->predicted_sim_us = predicted_sim_us;
+  query->predicted_sim_us = probe.prices.front().cost_us;
+  query->sql = std::move(probe.query);
   if (query->spec.deadline_ms > 0) {
     query->has_deadline = true;
     query->deadline =
@@ -464,7 +430,9 @@ void QueryService::WorkerLoop() {
     const DeviceId primary = placed.front();
     const auto start = std::chrono::steady_clock::now();
     QueryStats run_stats;  // filled on every exit path, cancels included
-    Result<QueryExecution> result = RunOne(*query, placed, token, &run_stats);
+    std::shared_ptr<const CompiledPlan> plan;
+    Result<QueryExecution> result =
+        RunOne(*query, placed, token, &run_stats, &plan);
     const auto end = std::chrono::steady_clock::now();
     const bool ok = result.ok();
     const bool device_fault = !ok && result.status().device_id() >= 0;
@@ -502,12 +470,6 @@ void QueryService::WorkerLoop() {
                   "\",\"cause\":\"" + CancelCauseToString(token->cause()) +
                   "\",\"attempt\":" + std::to_string(query->attempt) + "}");
         }
-      }
-      if (ok) {
-        // Only clean completions calibrate: a cancelled run's wall time
-        // says nothing about how long the query *would* have taken.
-        calibration_.Observe(query->spec.name, query->predicted_sim_us,
-                             attempt_ms);
       }
       if (ok) {
         for (DeviceId d : placed) {
@@ -574,6 +536,7 @@ void QueryService::WorkerLoop() {
         query->ticket->queue_wait_ms_ = ElapsedMs(query->submit_time, start);
         query->ticket->run_ms_ = attempt_ms;
         query->ticket->attempts_ = query->attempt;
+        query->ticket->plan_ = std::move(plan);
         queue_wait_hist_->Observe(query->ticket->queue_wait_ms_);
         run_hist_->Observe(query->ticket->run_ms_);
         if (query->has_deadline) {
@@ -587,25 +550,26 @@ void QueryService::WorkerLoop() {
           // only knowable here, at the service layer.
           (*result).stats.profile.queue_wait_ms =
               query->ticket->queue_wait_ms_;
-        }
-        if (ok && config_.collect_operator_stats) {
-          // Close the loop: observed selectivities feed the next compile of
-          // this query name, and every operator's predicted-vs-actual gap
-          // lands in the adamant_plan_qerror_* histograms.
-          feedback_.Observe(query->spec.name, run_stats.profile.operators);
-          obs::RecordPlanQErrors(&metrics_, query->spec.name,
-                                 run_stats.profile.operators);
-        }
-        if (ok) {
-          // Split feedback: per-device predicted vs observed chunk cost
-          // from a device-parallel run refines the next lease's split
-          // ratios (device name, not id — the ratio transfers across
-          // lease compositions).
+          // Close the loop. Clean completions only: a cancelled run's wall
+          // time says nothing about how long the query *would* have taken.
+          // The run time, the observed selectivities and the per-device
+          // split cost ratios (by device name, which transfers across lease
+          // compositions) refine the next compile and prediction; every
+          // operator's predicted-vs-actual gap lands in the
+          // adamant_plan_qerror_* histograms.
+          calibration_.ObserveRun(query->spec.name, query->predicted_sim_us,
+                                  attempt_ms);
+          if (config_.collect_operator_stats) {
+            calibration_.ObserveOperators(query->spec.name,
+                                          run_stats.profile.operators);
+            obs::RecordPlanQErrors(&metrics_, query->spec.name,
+                                   run_stats.profile.operators);
+          }
           for (const auto& [dev, predicted] :
                run_stats.split_predicted_chunk_us) {
             auto it = run_stats.split_observed_chunk_us.find(dev);
             if (it == run_stats.split_observed_chunk_us.end()) continue;
-            split_calibration_.Observe(
+            calibration_.ObserveSplit(
                 manager_->device(static_cast<DeviceId>(dev))->name(),
                 predicted, it->second);
           }
@@ -739,84 +703,88 @@ void QueryService::WatchdogLoop() {
   }
 }
 
+namespace {
+
+// The graph's only terminal node, or -1: the result node of a make_graph
+// graph, whose builder's node names the service never sees.
+int SoleTerminal(const PrimitiveGraph& graph) {
+  int found = -1;
+  for (const GraphNode& node : graph.nodes()) {
+    if (!graph.IsTerminal(node.id)) continue;
+    if (found >= 0) return -1;
+    found = node.id;
+  }
+  return found;
+}
+
+}  // namespace
+
+Result<CompiledPlan> QueryService::Compile(
+    const QuerySpec& spec, std::shared_ptr<const sql::CompiledQuery> sql,
+    DeviceId device, ExecutionOptions options) const {
+  QuerySource source;
+  if (!spec.sql.empty()) {
+    if (sql != nullptr) {
+      source.query = std::move(sql);
+    } else {
+      source.sql = spec.sql;
+    }
+  } else {
+    ADAMANT_ASSIGN_OR_RETURN(source.bundle.graph, spec.make_graph(device));
+    if (source.bundle.graph == nullptr) {
+      return Status::InvalidArgument(spec.name + ": make_graph returned null");
+    }
+    source.bundle.result_node = SoleTerminal(*source.bundle.graph);
+    options.fusion = FusionMode::kOff;  // run as built (see QuerySpec)
+  }
+  CompileContext context;
+  context.catalog = spec.sql_catalog;
+  context.manager = manager_;
+  context.placement = plan::PlacementPolicy::AllOn(device);
+  context.options = std::move(options);
+  context.calibration = &calibration_;
+  context.name = spec.name;
+  return CompileQuery(std::move(source), context);
+}
+
 Result<QueryExecution> QueryService::RunOne(
     const QueuedQuery& query, const std::vector<DeviceId>& devices,
-    CancelToken* token, QueryStats* stats_sink) {
-  ADAMANT_ASSIGN_OR_RETURN(std::unique_ptr<PrimitiveGraph> graph,
-                           query.spec.make_graph(devices.front()));
-  if (graph == nullptr) {
-    return Status::InvalidArgument(query.spec.name +
-                                   ": make_graph returned null");
-  }
-  if (config_.collect_operator_stats) {
-    // Feedback also lands on the physical plan: buffer-sizing selectivities
-    // are replaced with peaks observed by earlier runs of this query name
-    // (covers hand-built make_graph plans, which never pass the planner).
-    feedback_.ApplyToGraph(query.spec.name, graph.get());
-  }
+    CancelToken* token, QueryStats* stats_sink,
+    std::shared_ptr<const CompiledPlan>* plan_sink) {
   ExecutionOptions options = query.spec.options;
-  options.cancel_token = token;
-  options.scan_cache = cache_.get();
-  options.memory_listener = ledger_.get();
   if (options.model == ExecutionModelKind::kDeviceParallel) {
     // The scheduler, not the submitter, decides which devices the chunk
-    // range splits across — whatever device_set the spec carried is
-    // replaced by the leased set.
+    // range splits across. An explicit submitter split (run_tpch --split,
+    // forced-imbalance experiments) survives only when it lines up with
+    // the leased set one-to-one; otherwise the compile prices the lease.
     options.device_set = devices;
-    std::vector<double> explicit_split = std::move(options.device_split);
-    options.device_split.clear();
-    if (devices.size() > 1 && explicit_split.size() == devices.size()) {
-      // An explicit submitter split (run_tpch --split, forced-imbalance
-      // experiments) overrides the cost model, but only when it lines up
-      // with the leased set one-to-one — a split sized for a different
-      // device_set than the scheduler granted is meaningless.
-      options.device_split =
-          exec::NormalizeSplit(std::move(explicit_split), devices.size());
-    } else if (devices.size() > 1) {
-      // Cost-ratio split over the leased set — heterogeneous leases (mixed
-      // device classes) get throughput-proportional shares instead of the
-      // driver's raw model estimate, rescaled by what earlier runs actually
-      // observed per device (split_calibration_). A device whose calibrated
-      // share is negligible is dropped from the partition set entirely: its
-      // slot stays leased (the scheduler already charged it), but running a
-      // sliver partition would cost more in merge round-trips than the
-      // sliver saves.
-      auto prices = exec::PriceDevices(*graph, options, manager_, devices);
-      if (prices.ok()) {
-        std::vector<double> weights = exec::ThroughputWeights(*prices);
-        std::vector<std::string> names;
-        names.reserve(devices.size());
-        for (DeviceId d : devices) names.push_back(manager_->device(d)->name());
-        weights = split_calibration_.CalibrateWeights(names, std::move(weights));
-        constexpr double kMinShare = 0.04;
-        std::vector<DeviceId> kept;
-        std::vector<double> kept_weights;
-        for (size_t i = 0; i < devices.size(); ++i) {
-          if (weights[i] >= kMinShare) {
-            kept.push_back(devices[i]);
-            kept_weights.push_back(weights[i]);
-          }
-        }
-        if (!kept.empty() && kept.size() < devices.size()) {
-          options.device_set = kept;
-          weights = exec::NormalizeSplit(std::move(kept_weights), kept.size());
-        }
-        options.device_split = std::move(weights);
-      }
+    if (options.device_split.size() != devices.size()) {
+      options.device_split.clear();
     }
   }
+  // Compiled now, not at Submit, so feedback observed while the query
+  // queued sizes its buffers and splits its lease.
+  ADAMANT_ASSIGN_OR_RETURN(
+      CompiledPlan compiled,
+      Compile(query.spec, query.sql, devices.front(), std::move(options)));
+  auto plan = std::make_shared<const CompiledPlan>(std::move(compiled));
+  *plan_sink = plan;
+  ExecutionOptions run = plan->options;
+  run.cancel_token = token;
+  run.scan_cache = cache_.get();
+  run.memory_listener = ledger_.get();
   // With exclusive device leases each run may reset its device's clocks and
   // counters; with shared devices that would clobber a neighbour mid-run.
-  options.reset_device_state = config_.slots_per_device <= 1;
+  run.reset_device_state = config_.slots_per_device <= 1;
   // Every served query carries its phase profile on the ticket; collection
   // is a handful of clock reads per pipeline, so it is always on here.
-  options.collect_profile = true;
+  run.collect_profile = true;
   // EXPLAIN ANALYZE: the operator tree rides the stats sink so it survives
   // error and cancel exits (Result<> carries no stats on failure).
-  options.collect_operator_stats = config_.collect_operator_stats;
-  options.stats_sink = stats_sink;
+  run.collect_operator_stats = config_.collect_operator_stats;
+  run.stats_sink = stats_sink;
   QueryExecutor executor(manager_);
-  return executor.Run(graph.get(), options);
+  return executor.Run(plan->bundle.graph.get(), run);
 }
 
 void QueryService::Drain() {
@@ -925,7 +893,7 @@ std::string QueryService::HistoryJson() const {
     first = false;
     out << it->ToJson();
   }
-  out << "],\"feedback\":" << feedback_.ToJson() << "}";
+  out << "],\"feedback\":" << calibration_.ToJson() << "}";
   return out.str();
 }
 

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -13,16 +14,13 @@
 #include <thread>
 #include <vector>
 
-#include <map>
-
 #include "common/cancel.h"
 #include "common/result.h"
 #include "device/device_manager.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "plan/feedback.h"
+#include "plan/calibration.h"
 #include "service/column_cache.h"
-#include "service/cost_predictor.h"
 #include "service/device_health.h"
 #include "service/memory_budget.h"
 #include "service/scheduler.h"
@@ -52,8 +50,8 @@ struct RetryPolicy {
 };
 
 /// Deadline / SLO policy (docs/serving.md "Deadlines, cancellation, and
-/// load shedding"). Predictions come from the service's CostCalibration:
-/// the perf-model sim-cost estimate rescaled by observed completions, with
+/// load shedding"). Predictions come from the service's plan::Calibration:
+/// the plan's static price rescaled by observed completions, with
 /// `min_predicted_ms` as the floor so a cold (uncalibrated) service is
 /// permissive rather than trigger-happy.
 struct SloPolicy {
@@ -235,22 +233,17 @@ class QueryService {
   /// exposable as Prometheus text (metrics().ToPrometheusText()) or JSON.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Selectivity feedback cache fed by completed analyzed runs. The SQL
-  /// compile path (Submit) and graph lowering (RunOne) consult it, so
-  /// resubmitting a query name tightens its estimates run over run.
-  const plan::SelectivityFeedback& feedback() const { return feedback_; }
-
-  /// Per-device split calibration fed by completed device-parallel runs:
-  /// the observed/predicted per-chunk cost ratio per device name. RunOne
-  /// rescales the cost-model split of the next multi-device lease with it,
-  /// so heterogeneous splits converge on observed throughput.
-  const plan::SplitCalibration& split_calibration() const {
-    return split_calibration_;
-  }
+  /// What completed runs taught the service: observed selectivities (from
+  /// analyzed runs), per-device split cost ratios (from device-parallel
+  /// runs) and run wall times. Every compile (Submit and each dispatch)
+  /// consults it, so resubmitting a query name tightens its estimates and
+  /// splits run over run; deadline admission and the watchdog predict
+  /// from it.
+  const plan::Calibration& calibration() const { return calibration_; }
 
   /// JSON dump of the query-history ring (most recent first; slow entries
-  /// carry their full EXPLAIN ANALYZE profile) plus the feedback cache.
-  /// Served by run_tpch --serve --history=PATH.
+  /// carry their full EXPLAIN ANALYZE profile) plus the calibration
+  /// snapshot under "feedback". Served by run_tpch --serve --history=PATH.
   std::string HistoryJson() const;
 
   DeviceColumnCache* cache() { return cache_.get(); }
@@ -278,16 +271,24 @@ class QueryService {
   /// Wait() never hold mu_, so there is no inversion).
   void EvictLapsedLocked(std::chrono::steady_clock::time_point now);
   /// Predicted wall time (ms) of one run of `query`, floored by the
-  /// policy. Caller holds mu_ (reads the calibration).
+  /// policy.
   double PredictRunMs(const QueuedQuery& query) const;
-  /// Runs one attempt on the leased device set (a single element for
-  /// classic leases; the device-parallel split set otherwise), with
-  /// `token` armed as the attempt's cancellation carrier.
+  /// Compiles `spec` through CompileQuery with every primitive on
+  /// `device`. SQL specs lower `sql` (compiled at Submit) or, when null,
+  /// compile spec.sql; make_graph graphs run as built, unfused.
+  Result<CompiledPlan> Compile(const QuerySpec& spec,
+                               std::shared_ptr<const sql::CompiledQuery> sql,
+                               DeviceId device, ExecutionOptions options) const;
+  /// Compiles and runs one attempt on the leased device set (a single
+  /// element for classic leases; the device-parallel split set otherwise),
+  /// with `token` armed as the attempt's cancellation carrier.
   /// `stats_sink` receives the attempt's QueryStats (profile + operator
-  /// tree) on every exit path, including cancels and errors.
+  /// tree) on every exit path, including cancels and errors; `plan_sink`
+  /// the plan the attempt ran, once it compiled.
   Result<QueryExecution> RunOne(const QueuedQuery& query,
                                 const std::vector<DeviceId>& devices,
-                                CancelToken* token, QueryStats* stats_sink);
+                                CancelToken* token, QueryStats* stats_sink,
+                                std::shared_ptr<const CompiledPlan>* plan_sink);
   /// Backoff delay before retry attempt `attempt` (1-based count of
   /// failures so far), with seeded jitter. Caller holds mu_.
   double BackoffMs(size_t attempt);
@@ -307,14 +308,9 @@ class QueryService {
   std::mt19937_64 jitter_rng_;
   bool stopping_ = false;
   size_t active_ = 0;
-  /// Sim-cost → wall-time rescaling, fed by completed runs (guarded by mu_).
-  CostCalibration calibration_;
-  /// Observed-selectivity cache (internally synchronized; locked after mu_
-  /// when both are held).
-  plan::SelectivityFeedback feedback_;
-  /// Observed/predicted chunk-cost ratios per device name (internally
-  /// synchronized; locked after mu_ when both are held).
-  plan::SplitCalibration split_calibration_;
+  /// Selectivities, split ratios and run times observed by completed runs
+  /// (internally synchronized; locked after mu_ when both are held).
+  plan::Calibration calibration_;
   /// Bounded completed-query ring, newest at the back (guarded by mu_).
   std::deque<QueryHistoryEntry> history_;
   uint64_t history_seq_ = 0;

@@ -17,24 +17,23 @@
 #include "common/result.h"
 #include "device/device_manager.h"
 #include "runtime/executor.h"
+#include "sql/compile.h"
 
 namespace adamant {
-
-class Catalog;
 
 /// Two-level admission priority: high-priority queries dispatch before any
 /// normal-priority query; FIFO within a level.
 enum class QueryPriority { kNormal = 0, kHigh = 1 };
 
-/// A query submitted to the service. The graph is built lazily by
-/// `make_graph` once the scheduler has picked a device, so one spec can run
-/// anywhere in `eligible_devices` (empty = any plugged device).
-///
-/// Instead of providing `make_graph`, a spec may carry SQL text: set `sql`
-/// (and `sql_catalog`) and Submit compiles the query once through the SQL
-/// frontend (sql/engine.h) and synthesizes `make_graph` from the compiled
-/// logical plan. Compile errors surface as the Submit error, with the usual
-/// line:col diagnostics.
+/// A query submitted to the service, as SQL text or as a graph factory.
+/// Each attempt compiles through CompileQuery (sql/compile.h) for the
+/// devices the scheduler leased, from `eligible_devices` (empty = any).
+/// SQL specs (`sql` + `sql_catalog`) compile once at Submit, where errors
+/// surface with line:col diagnostics, and each attempt lowers, sizes and
+/// fuses that plan exactly as `run_tpch --sql` does; extract results from
+/// the ticket's plan(). `make_graph` graphs run as their caller built them
+/// (feedback-sized, never fused): fusion renumbers nodes, and the service
+/// cannot see which terminal node ids the caller extracts results by.
 struct QuerySpec {
   std::string name;
   std::function<Result<std::unique_ptr<PrimitiveGraph>>(DeviceId)> make_graph;
@@ -84,6 +83,12 @@ class QueryTicket {
   double run_ms() const { return run_ms_; }
   /// Dispatch attempts this query took (1 = no retry). Valid after Wait().
   size_t attempts() const { return attempts_; }
+  /// The plan the final attempt ran; null when no attempt compiled. Extract
+  /// results from its bundle (SQL specs: with sql::ExtractResults over its
+  /// query). A make_graph plan names no nodes; its result_node is the
+  /// graph's only terminal node, when it has exactly one. Valid after
+  /// Wait().
+  const std::shared_ptr<const CompiledPlan>& plan() const { return plan_; }
 
  private:
   friend class QueryService;
@@ -98,6 +103,7 @@ class QueryTicket {
   double queue_wait_ms_ = 0;
   double run_ms_ = 0;
   size_t attempts_ = 0;
+  std::shared_ptr<const CompiledPlan> plan_;
 };
 
 /// A queued query: spec + ticket + the admission-control footprint estimate.
@@ -120,10 +126,12 @@ struct QueuedQuery {
   /// Absolute deadline (valid iff has_deadline), from spec.deadline_ms.
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  /// Predicted simulated run cost (us): the graph price on the probe
-  /// device (exec::PriceGraph); 0 when pricing failed. Feeds admission
-  /// shedding and the watchdog budget via CostCalibration.
+  /// Predicted simulated run cost (us): the price of the plan compiled on
+  /// the probe device at Submit. Feeds admission shedding and the watchdog
+  /// budget via the service's plan::Calibration.
   double predicted_sim_us = 0;
+  /// SQL specs: the query Submit compiled, lowered again for each lease.
+  std::shared_ptr<const sql::CompiledQuery> sql;
 };
 
 /// Bounded two-level FIFO of pending queries. Not internally synchronized —

@@ -13,9 +13,9 @@ namespace adamant::sql {
 
 /// SQL text -> annotated logical plan: lex, parse, bind against `catalog`,
 /// plan (predicate pushdown, cost-based join order, selectivity
-/// annotation). The result lowers and executes through the unchanged
-/// LowerPlan -> QueryExecutor pipeline. All failures are error Statuses
-/// with "line:col:" positions where a source location exists.
+/// annotation). CompileQuery (sql/compile.h) takes it from there to a
+/// runnable plan. All failures are error Statuses with "line:col:"
+/// positions where a source location exists.
 Result<CompiledQuery> Compile(const std::string& sql, const Catalog& catalog,
                               const PlannerOptions& options = {});
 

@@ -7,7 +7,7 @@
 
 #include "common/result.h"
 #include "device/device_manager.h"
-#include "plan/feedback.h"
+#include "plan/calibration.h"
 #include "plan/logical_plan.h"
 #include "sql/binder.h"
 
@@ -23,8 +23,8 @@ struct PlannerOptions {
   size_t sample_every = 7;
   /// When set (with a non-empty feedback_name), observed selectivities from
   /// prior EXPLAIN ANALYZE runs of the same query override the sampled
-  /// estimates (plan::SelectivityFeedback::ApplyToLogicalPlan). Not owned.
-  const plan::SelectivityFeedback* feedback = nullptr;
+  /// estimates (plan::Calibration::ApplyToLogicalPlan). Not owned.
+  const plan::Calibration* feedback = nullptr;
   std::string feedback_name;
 };
 

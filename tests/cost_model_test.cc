@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "adamant/adamant.h"
-#include "plan/feedback.h"
-#include "service/cost_predictor.h"
+#include "plan/calibration.h"
 
 namespace adamant {
 namespace {
@@ -296,56 +295,56 @@ TEST(GoldenPredictions, MatchTheReplacedWalksWhereTheyAgreedWithTheDevice) {
 // --- The price's consumers: wall-time and split calibration ---
 
 TEST(CostCalibration, FirstSampleSeedsThenEwma) {
-  CostCalibration calibration;
-  EXPECT_FALSE(calibration.calibrated());
+  plan::Calibration calibration;
+  EXPECT_EQ(calibration.RunObservations(), 0u);
   EXPECT_EQ(calibration.PredictWallMs("q6", 1000, 5), 5);
-  calibration.Observe("q6", 1000, 10);
+  calibration.ObserveRun("q6", 1000, 10);
   EXPECT_EQ(calibration.avg_run_ms(), 10);
   EXPECT_EQ(calibration.PredictWallMs("q6", 1000, 0), 10);
   EXPECT_EQ(calibration.PredictWallMs("new", 3000, 0), 30);
-  calibration.Observe("q6", 2000, 20);  // alpha = 0.2
+  calibration.ObserveRun("q6", 2000, 20);  // alpha = 0.2
   EXPECT_DOUBLE_EQ(calibration.avg_run_ms(), 0.2 * 20 + 0.8 * 10);
   EXPECT_DOUBLE_EQ(calibration.PredictWallMs("q6", 1000, 0),
                    0.2 * 20 + 0.8 * 10);
   // The fleet ratio is an EWMA of wall/sim too: 0.01 both times.
   EXPECT_DOUBLE_EQ(calibration.PredictWallMs("new", 3000, 0), 30);
-  EXPECT_EQ(calibration.observations(), 2u);
+  EXPECT_EQ(calibration.RunObservations(), 2u);
   // Non-positive wall time is no observation.
-  calibration.Observe("q6", 1000, 0);
-  EXPECT_EQ(calibration.observations(), 2u);
+  calibration.ObserveRun("q6", 1000, 0);
+  EXPECT_EQ(calibration.RunObservations(), 2u);
 }
 
 TEST(CostCalibration, NameBeatsFleetRatioBeatsFloor) {
-  CostCalibration calibration;
-  calibration.Observe("q1", 1000, 10);  // 0.01 wall ms per sim us
+  plan::Calibration calibration;
+  calibration.ObserveRun("q1", 1000, 10);  // 0.01 wall ms per sim us
   EXPECT_EQ(calibration.PredictWallMs("q1", 5000, 1), 10);   // per-name
   EXPECT_EQ(calibration.PredictWallMs("q3", 5000, 1), 50);   // fleet ratio
   EXPECT_EQ(calibration.PredictWallMs("q3", 5000, 80), 80);  // floor
   EXPECT_EQ(calibration.PredictWallMs("q3", 0, 3), 3);  // no price: floor
   // A run without a price seeds its name but not the fleet ratio.
-  CostCalibration unpriced;
-  unpriced.Observe("q4", 0, 7);
+  plan::Calibration unpriced;
+  unpriced.ObserveRun("q4", 0, 7);
   EXPECT_EQ(unpriced.PredictWallMs("q4", 100, 1), 7);
   EXPECT_EQ(unpriced.PredictWallMs("q6", 100, 1), 1);
 }
 
 TEST(SplitCalibration, ClampsSamplesAndDefaultsToOne) {
-  plan::SplitCalibration calibration;
-  EXPECT_EQ(calibration.Ratio("cuda_gpu.0"), 1.0);
-  calibration.Observe("cuda_gpu.0", 1, 100);
-  EXPECT_EQ(calibration.Ratio("cuda_gpu.0"), 16.0);
-  calibration.Observe("openmp_cpu.1", 100, 1);
-  EXPECT_EQ(calibration.Ratio("openmp_cpu.1"), 1.0 / 16);
-  calibration.Observe("cuda_gpu.0", 0, 5);  // no prediction: ignored
-  calibration.Observe("cuda_gpu.0", 5, 0);  // no chunks ran: ignored
-  EXPECT_EQ(calibration.Observations(), 2u);
-  calibration.Observe("cuda_gpu.0", 1, 2);  // alpha = 0.3
-  EXPECT_DOUBLE_EQ(calibration.Ratio("cuda_gpu.0"), 0.3 * 2 + 0.7 * 16);
+  plan::Calibration calibration;
+  EXPECT_EQ(calibration.SplitRatio("cuda_gpu.0"), 1.0);
+  calibration.ObserveSplit("cuda_gpu.0", 1, 100);
+  EXPECT_EQ(calibration.SplitRatio("cuda_gpu.0"), 16.0);
+  calibration.ObserveSplit("openmp_cpu.1", 100, 1);
+  EXPECT_EQ(calibration.SplitRatio("openmp_cpu.1"), 1.0 / 16);
+  calibration.ObserveSplit("cuda_gpu.0", 0, 5);  // no prediction: ignored
+  calibration.ObserveSplit("cuda_gpu.0", 5, 0);  // no chunks ran: ignored
+  EXPECT_EQ(calibration.SplitObservations(), 2u);
+  calibration.ObserveSplit("cuda_gpu.0", 1, 2);  // alpha = 0.3
+  EXPECT_DOUBLE_EQ(calibration.SplitRatio("cuda_gpu.0"), 0.3 * 2 + 0.7 * 16);
 }
 
 TEST(SplitCalibration, CalibrateWeightsRenormalizes) {
-  plan::SplitCalibration calibration;
-  calibration.Observe("slow", 1, 2);  // runs 2x its prediction
+  plan::Calibration calibration;
+  calibration.ObserveSplit("slow", 1, 2);  // runs 2x its prediction
   const std::vector<double> weights =
       calibration.CalibrateWeights({"slow", "unseen"}, {0.5, 0.5});
   ASSERT_EQ(weights.size(), 2u);

@@ -20,9 +20,9 @@
 namespace adamant {
 namespace {
 
-// CI's sanitizer job reruns this whole binary with ADAMANT_FUSION=on: every
-// matrix test then executes fused plans under ASan/UBSan, re-checking the
-// same bit-identity invariants. Bundle node ids are remapped in place, so
+// ctest reruns this whole binary with ADAMANT_FUSION=on
+// (parity_matrix_fused_test): every matrix test then executes fused plans,
+// re-checking the same bit-identity invariants in every build. Bundle node ids are remapped in place, so
 // result extraction keeps working on the fused graph.
 Status ApplyEnvFusion(plan::PlanBundle* bundle) {
   const char* env = std::getenv("ADAMANT_FUSION");

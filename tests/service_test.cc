@@ -278,7 +278,7 @@ TEST(QueryServiceTest, RepeatedServedRunsTightenPredictions) {
   service.Drain();
 
   // Feedback observed every clean completion...
-  EXPECT_EQ(service.feedback().RunsObserved("Q3"), 4u);
+  EXPECT_EQ(service.calibration().RunsObserved("Q3"), 4u);
   // ...and the later runs' predictions are measurably tighter than the
   // first (cold) run's. Q3's cold probe estimate is off by >10x, so the
   // tightening is far beyond noise.
@@ -294,11 +294,11 @@ TEST(QueryServiceTest, RepeatedServedRunsTightenPredictions) {
   // lowered graph moves the stamped selectivities.
   auto fresh = plan::BuildQ3(*fixture.catalog, {}, 0);
   ASSERT_TRUE(fresh.ok());
-  EXPECT_GT(service.feedback().ApplyToGraph("Q3", fresh->graph.get()), 0);
+  EXPECT_GT(service.calibration().ApplyToGraph("Q3", fresh->graph.get()), 0);
   // An unknown query name leaves graphs untouched.
   auto other = plan::BuildQ3(*fixture.catalog, {}, 0);
   ASSERT_TRUE(other.ok());
-  EXPECT_EQ(service.feedback().ApplyToGraph("nope", other->graph.get()), 0);
+  EXPECT_EQ(service.calibration().ApplyToGraph("nope", other->graph.get()), 0);
 }
 
 // --- Query history ring + slow-query retention ----------------------------

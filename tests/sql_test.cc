@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "adamant/adamant.h"
-#include "plan/feedback.h"
+#include "plan/calibration.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 
@@ -639,8 +639,8 @@ TEST(SqlFeedback, ObservedSelectivitiesOverridePlannerEstimates) {
   const double fed_filter = 0.007;
   const double fed_join = 333.0 / 1024.0;  // odd ratio, can't collide with
                                            // a sampled estimate
-  plan::SelectivityFeedback feedback;
-  feedback.Observe(
+  plan::Calibration feedback;
+  feedback.ObserveOperators(
       "q3", {SyntheticObservation("step:lower.filter(" + filter_column + ")",
                                   1000000, 7000),
              SyntheticObservation("step:lower.probe(" + probe_key + ")", 1024,
@@ -679,19 +679,66 @@ TEST(SqlFeedback, ObservedSelectivitiesOverridePlannerEstimates) {
   EXPECT_DOUBLE_EQ(PredicateProduct(*filters.front()), base_product);
 }
 
+// --- CompileQuery's device-parallel split ---
+
+// The one split policy: identical devices split evenly; a device observed
+// at 16x its predicted chunk cost is rescaled below the 4% floor and leaves
+// the set; explicit shares are only normalized; a split that does not name
+// one share per device is rejected.
+TEST(CompileQuery, SplitIsCalibratedAndDropsSliverShares) {
+  const auto& fixture = SqlFixture::Get();
+  DeviceManager manager;
+  for (int i = 0; i < 3; ++i) {
+    auto device = manager.AddDriver(sim::DriverKind::kCudaGpu,
+                                    "cuda_gpu." + std::to_string(i));
+    ASSERT_TRUE(device.ok());
+    ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
+  }
+  CompileContext context;
+  context.catalog = fixture.catalog.get();
+  context.manager = &manager;
+  context.options = OptionsFor(ExecutionModelKind::kDeviceParallel);
+  context.options.device_set = {0, 1, 2};
+  auto compile = [&] {
+    QuerySource source;
+    source.sql = BuiltinSql("q6");
+    return CompileQuery(std::move(source), context);
+  };
+
+  auto even = compile();
+  ASSERT_TRUE(even.ok()) << even.status().ToString();
+  EXPECT_EQ(even->options.device_set, (std::vector<DeviceId>{0, 1, 2}));
+  ASSERT_EQ(even->options.device_split.size(), 3u);
+  ASSERT_EQ(even->prices.size(), 3u);
+  for (double share : even->options.device_split) {
+    EXPECT_NEAR(share, 1.0 / 3, 1e-12);
+  }
+
+  plan::Calibration calibration;
+  calibration.ObserveSplit("cuda_gpu.2", 1, 16);  // share 1/3 -> 1/33
+  context.calibration = &calibration;
+  auto calibrated = compile();
+  ASSERT_TRUE(calibrated.ok()) << calibrated.status().ToString();
+  EXPECT_EQ(calibrated->options.device_set, (std::vector<DeviceId>{0, 1}));
+  ASSERT_EQ(calibrated->options.device_split.size(), 2u);
+  EXPECT_NEAR(calibrated->options.device_split[0], 0.5, 1e-12);
+  EXPECT_EQ(calibrated->prices.size(), 2u);
+
+  context.options.device_split = {1, 1, 0.02};
+  auto explicit_split = compile();
+  ASSERT_TRUE(explicit_split.ok()) << explicit_split.status().ToString();
+  EXPECT_EQ(explicit_split->options.device_set.size(), 3u);
+  EXPECT_NEAR(explicit_split->options.device_split[2], 0.02 / 2.02, 1e-12);
+
+  context.options.device_split = {1, 1};
+  EXPECT_TRUE(compile().status().IsInvalidArgument());
+}
+
 // --- Service submission via QuerySpec::sql ---
 
 TEST(SqlService, SubmitsSqlText) {
   const auto& fixture = SqlFixture::Get();
   auto manager = TwoGpuManager();
-
-  sql::PlannerOptions planner_options;
-  planner_options.manager = manager.get();
-  auto compiled =
-      sql::Compile(BuiltinSql("q6"), *fixture.catalog, planner_options);
-  ASSERT_TRUE(compiled.ok());
-  auto bundle = plan::LowerPlan(*compiled->plan, *fixture.catalog, 0);
-  ASSERT_TRUE(bundle.ok());
   auto want = tpch::Q6Reference(*fixture.catalog, {});
   ASSERT_TRUE(want.ok());
 
@@ -708,10 +755,84 @@ TEST(SqlService, SubmitsSqlText) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ((*ticket)->name(), "sql");
 
-  auto results = sql::ExtractResults(*compiled, *bundle, *result);
+  // Results come out of the (fused) plan the ticket ran.
+  const std::shared_ptr<const CompiledPlan>& plan = (*ticket)->plan();
+  ASSERT_NE(plan, nullptr);
+  auto results = sql::ExtractResults(*plan->query, plan->bundle, *result);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   ASSERT_EQ(results->rows.size(), 1u);
   EXPECT_EQ(results->rows[0][0].i, *want);
+  service.Stop();
+}
+
+// Served SQL runs the plan `run_tpch --sql` runs: the service compiles it
+// through CompileQuery, so fusion=auto fuses it the same way, and the run
+// costs the same simulated time as CompileQuery + QueryExecutor::Run on the
+// same device.
+TEST(SqlService, ServedSqlFusesLikeTheCli) {
+  const auto& fixture = SqlFixture::Get();
+  auto manager = TwoGpuManager();
+  ServiceConfig config;
+  config.workers = 1;
+  // The direct run below reads no operator counts (charged as simulated
+  // D2H) and has no column cache; neither does the service here.
+  config.collect_operator_stats = false;
+  config.enable_cache = false;
+  QueryService service(manager.get(), config);
+  ExecutionOptions options;  // fusion = auto
+  options.chunk_elems = 1024;
+  for (const char* name : {"q6", "q4"}) {
+    QuerySpec spec;
+    spec.name = name;
+    spec.sql = BuiltinSql(name);
+    spec.sql_catalog = fixture.catalog.get();
+    spec.options = options;
+    spec.eligible_devices = {0};
+    auto ticket = service.Submit(std::move(spec));
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    const Result<QueryExecution>& served = (*ticket)->Wait();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    const std::shared_ptr<const CompiledPlan>& plan = (*ticket)->plan();
+    ASSERT_NE(plan, nullptr);
+
+    CompileContext context;
+    context.catalog = fixture.catalog.get();
+    context.manager = manager.get();
+    context.options = options;
+    QuerySource source;
+    source.sql = BuiltinSql(name);
+    auto direct = CompileQuery(std::move(source), context);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    QueryExecutor executor(manager.get());
+    auto exec = executor.Run(direct->bundle.graph.get(), direct->options);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+
+    EXPECT_GT(plan->fusion.groups, 0) << name;
+    EXPECT_EQ(plan->fusion.groups, direct->fusion.groups) << name;
+    EXPECT_EQ(plan->fusion.recipes, direct->fusion.recipes) << name;
+    EXPECT_EQ(served->stats.devices[0].fused_launches,
+              exec->stats.devices[0].fused_launches)
+        << name;
+    EXPECT_GT(served->stats.devices[0].fused_launches, 0u) << name;
+    EXPECT_EQ(served->stats.elapsed_us, exec->stats.elapsed_us) << name;
+
+    auto rows = sql::ExtractResults(*plan->query, plan->bundle, *served);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    if (std::string(name) == "q6") {
+      auto want = tpch::Q6Reference(*fixture.catalog, {});
+      ASSERT_TRUE(want.ok());
+      ASSERT_EQ(rows->rows.size(), 1u);
+      EXPECT_EQ(rows->rows[0][0].i, *want);
+    } else {
+      auto want = tpch::Q4Reference(*fixture.catalog, {});
+      ASSERT_TRUE(want.ok());
+      ASSERT_EQ(rows->rows.size(), want->size());
+      for (size_t i = 0; i < want->size(); ++i) {
+        EXPECT_EQ(rows->rows[i][0].i, (*want)[i].priority);
+        EXPECT_EQ(rows->rows[i][1].i, (*want)[i].order_count);
+      }
+    }
+  }
   service.Stop();
 }
 

@@ -8,7 +8,6 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -16,6 +15,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "adamant/adamant.h"
@@ -28,6 +28,9 @@ constexpr char kUsage[] = R"(usage: run_tpch [flags]
 
   run_tpch --query=6 --sf=0.02 --nominal-sf=30 --driver=cuda_gpu
            --model=4phase --chunk=auto --verify --trace=/tmp/q6.json
+
+Every query compiles through CompileQuery (src/sql/compile.h): traced,
+explained and served runs execute the plan an untraced run executes.
 
 Flags:
   --help            print this reference and exit
@@ -42,46 +45,31 @@ Flags:
   --chunk=N|auto    chunk size in nominal elements (default 2^25); auto is
                     single-query only
   --kernel-variant=auto|scalar|parallel
-                    Task-layer kernel variant: auto = per-device policy
-                    (CPU drivers run the worker-pool parallel variants
-                    natively, GPU drivers scalar); scalar/parallel force
-                    one variant. The chosen variant + thread count per
-                    device is reported as a JSON line.
+                    Task-layer kernel variant: auto = per-device policy (CPU
+                    drivers parallel, GPU drivers scalar); the choice per
+                    device is reported on a JSON line
   --kernel-threads=N
                     thread budget for parallel variants (default: the
                     device policy count, 4 on CPU drivers)
   --fusion=off|on|auto
-                    plan-level kernel fusion (src/plan/fusion.h): rewrite
-                    fusable MAP/FILTER/MATERIALIZE/AGG chains into single
-                    FUSED composites before execution. off = never, on =
-                    every eligible group, auto (default) = only when the
-                    device cost model predicts a win. Fused group count
-                    and per-device fused launches appear on the JSON
-                    report line; --explain shows the fused plan.
+                    plan-level kernel fusion (src/plan/fusion.h) of
+                    MAP/FILTER/MATERIALIZE/AGG chains: never, every eligible
+                    group, or (default) where the cost model predicts a win
   --verify          compare results against the scalar reference
-  --trace=PATH      write a chrome://tracing JSON of the real run: the
-                    query is routed through a one-off QueryService so the
-                    trace carries service admission/placement events plus
-                    per-device pipeline/chunk/kernel/transfer spans
-                    (docs/observability.md; validate with check_trace)
+  --trace=PATH      write a chrome://tracing JSON of the run: per-device
+                    pipeline/chunk/kernel/transfer spans; with --serve also
+                    admission/placement events (validate with check_trace)
   --sim-trace=PATH  write the simulated-hardware timeline trace instead
                     (device clock, not wall clock)
   --profile         print the per-query phase profile as a JSON line
-                    (time in transfer/compute/merge per device/pipeline)
   --metrics=PATH    after the run, dump the metrics registries to PATH as
                     Prometheus text (or JSON when PATH ends in .json)
-  --explain         print the primitive graph with each primitive's kernel
-                    variant and thread budget (plus, for SQL, the logical
-                    plan and placement) and exit
-  --explain-analyze run the query with per-operator stats collection and
-                    print the measured OperatorStats tree next to the
-                    planner's predictions: rows / selectivity / cost share
-                    per primitive with q-error columns (Leis et al.), plus
-                    kernel wall ms split by variant. Results stay
-                    bit-identical to a plain run (--verify still checks).
-                    Observed q-errors are recorded into the
-                    adamant_plan_qerror_{selectivity,cost} histograms
-                    (visible via --metrics). docs/observability.md.
+  --explain         print the compiled plan — each primitive's kernel
+                    variant and threads, the device-parallel split, and for
+                    SQL the logical plan and placement search — and exit
+  --explain-analyze run with per-operator stats and print the measured tree
+                    next to the planner's predictions (rows, selectivity,
+                    cost share, q-errors); docs/observability.md
 
 SQL frontend (src/sql/, docs/sql.md):
 
@@ -89,48 +77,34 @@ SQL frontend (src/sql/, docs/sql.md):
   run_tpch --sql="SELECT ..." --explain
   run_tpch --sql-file=query.sql
 
-  --sql=TEXT        run a SQL query: TEXT is a built-in name from
-                    --list-queries, or literal SQL. With --explain,
-                    prints the bound/annotated plan, pushed-down
-                    predicates, costed join orders and the chosen device
-                    placement instead of running. With --verify, the
-                    result is cross-checked against the host interpreter.
+  --sql=TEXT        a built-in name from --list-queries, or literal SQL;
+                    --verify cross-checks against the host interpreter
   --sql-file=PATH   like --sql, reading the query text from PATH
   --list-queries    print every built-in query name + SQL text and exit
-  --devices=LIST    (single-query mode) comma-separated device ids, e.g.
-                    --devices=0,1: plugs that many instances of --driver
-                    and runs the query device-parallel across them,
-                    reporting the per-device chunk split and host merge
-                    time as a JSON line. A bare count N means 0..N-1.
-                    Driver names build a mixed-class set instead:
-                    --devices=cuda_gpu,openmp_cpu plugs one device per
-                    named class and splits the chunk range across the
-                    heterogeneous pair by cost ratio.
-  --split=LIST      (single-query mode, device-parallel) explicit split
-                    shares, one per --devices entry (any positive scale,
-                    e.g. --split=3,1); overrides the cost-model ratios.
+  --devices=LIST    (single-query mode) run device-parallel across distinct
+                    device ids, e.g. --devices=0,1 (a bare count N means
+                    0..N-1), or across one device per named driver class,
+                    e.g. --devices=cuda_gpu,openmp_cpu
+  --split=LIST      explicit split shares, one positive value per --devices
+                    entry (e.g. --split=3,1); overrides the cost ratios
   --no-rebalance    disable runtime chunk stealing between partitions
-                    (the static split ratio is final)
 
 Serve mode (the service layer of src/service/): replays a seeded mixed
-Q3/Q4/Q6 workload through the QueryService scheduler, verifies every
-result against a serial run, and prints aggregate ServiceStats as JSON:
+Q3/Q4/Q6 workload through the QueryService scheduler, checks every result
+against the scalar reference, and prints ServiceStats as JSON:
 
   run_tpch --serve --clients=4 --queries=50 --seed=7 --devices=2
 
   --serve           enable serve mode
-  --serve-sql       serve mode, but every query is submitted as SQL text
-                    (QuerySpec::sql) — the q3/q4/q6 built-ins — and each
-                    result is checked against a serial SQL run
+  --serve-sql       serve the q3/q4/q6 built-ins as SQL text instead,
+                    checked against the host interpreter
   --clients=N       concurrent worker threads (default 4)
   --queries=N       workload size (default 50)
   --seed=N          workload RNG seed (default 7)
   --devices=N       instances of --driver to plug (default 2)
   --no-cache        disable the cross-query device column cache
-  --history=PATH    after the workload drains, dump the service's bounded
-                    query-history ring (slow queries keep their full
-                    EXPLAIN ANALYZE operator tree) plus the selectivity
-                    feedback cache as JSON to PATH (docs/serving.md)
+  --history=PATH    dump the query-history ring and the calibration store
+                    as JSON after the workload drains (docs/serving.md)
 
 Fault injection (serve mode; see docs/serving.md "Fault handling"):
 
@@ -141,12 +115,10 @@ Fault injection (serve mode; see docs/serving.md "Fault handling"):
   --fault-seed=N    fault RNG seed; device i uses N + i (default 13)
   --sticky-device=I device I dies on its first Execute and stays dead
                     until quarantined (default -1 = none)
-  --stall-ms=F      with --sticky-device: the device stalls every Execute
-                    for F wall-clock ms instead of failing (a chronic
-                    straggler — pair with --watchdog-factor)
-  --sequential      submit one query at a time (wait for each before the
-                    next): fixes the device call order so two same-seed
-                    runs report identical failure counters
+  --stall-ms=F      with --sticky-device: stall every Execute for F ms
+                    instead of failing (a straggler for the watchdog)
+  --sequential      submit one query at a time, so same-seed runs report
+                    identical failure counters
 
 Deadlines and load shedding (serve mode; see docs/serving.md):
 
@@ -163,24 +135,20 @@ queries were shed / cancelled / failed — details on the machine-readable
 "serve_errors:" JSON line.
 )";
 
+// Parsed flags; kUsage documents each.
 struct Options {
-  /// --help: print kUsage and exit 0.
   bool help = false;
   std::string query = "all";
   double sf = 0.01;
-  double nominal_sf = -1;
+  double nominal_sf = -1;  // <= 0: sf
   std::string tbl_dir;
   std::string driver = "cuda_gpu";
   int setup = 1;
   std::string model = "chunked";
-  /// Chunk size in nominal elements; chunk_auto = --chunk=auto.
   size_t chunk = size_t{1} << 25;
   bool chunk_auto = false;
-  /// Task-layer kernel variant: auto (per-device policy) | scalar | parallel.
   std::string kernel_variant = "auto";
-  /// Thread budget for parallel variants; 0 = per-device policy count.
   int kernel_threads = 0;
-  /// Plan-level kernel fusion: off | on | auto (cost-gated).
   std::string fusion = "auto";
   bool verify = false;
   std::string trace_path;
@@ -188,71 +156,49 @@ struct Options {
   bool profile = false;
   std::string metrics_path;
   bool explain = false;
-  /// EXPLAIN ANALYZE: collect per-operator stats and print the predicted
-  /// vs measured tree with q-error columns after the run.
   bool explain_analyze = false;
-  /// Serve mode: dump the service query-history ring + feedback cache here.
   std::string history_path;
-  /// SQL frontend: --sql (builtin name or literal text), --sql-file.
   std::string sql;
   std::string sql_file;
   bool list_queries = false;
   bool serve = false;
-  /// Serve mode submits QuerySpec::sql text instead of make_graph.
   bool serve_sql = false;
   size_t clients = 4;
   size_t serve_queries = 50;
   unsigned seed = 7;
   size_t devices = 2;
-  /// Single-query mode: parsed --devices list (kDeviceParallel partition
-  /// set). Empty = the flag was absent or serve mode owns it.
+  /// The --devices list as device ids (the device-parallel set) and, for
+  /// driver-class names, the class of each id.
   std::vector<DeviceId> device_set;
-  /// Single-query mode: driver-class names from a non-numeric --devices
-  /// list (mixed heterogeneous set); parallel to device_set when non-empty.
   std::vector<std::string> device_classes;
-  /// --split: explicit per-device shares, parallel to device_set.
-  std::vector<double> device_split;
-  /// --no-rebalance: freeze the static split (no chunk stealing).
+  std::vector<double> device_split;  // --split, parallel to device_set
   bool no_rebalance = false;
   bool no_cache = false;
   double fault_rate = 0;
   uint64_t fault_seed = 13;
   int sticky_device = -1;
   bool sequential = false;
-  /// Serve-mode SLO knobs (docs/serving.md "Deadlines, cancellation, and
-  /// load shedding"): per-query deadline (0 = none), priority class, and
-  /// watchdog factor (0 = watchdog off).
   double deadline_ms = 0;
   QueryPriority priority = QueryPriority::kNormal;
   double watchdog_factor = 0;
-  /// With --sticky-device: the device *stalls* each Execute for this many
-  /// wall-clock ms instead of failing — a chronic straggler for the
-  /// watchdog, rather than a crasher for the retry path.
   double stall_ms = 0;
 };
-
-bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
 
 // Checked numeric flag value: the whole text must parse as a finite T (so
 // signs on unsigned flags, trailing junk, overflow, nan and inf are all
 // rejected) no smaller than `min`; a bad value names its flag and exits 2.
 template <typename T>
-Result<T> ParseNumber(const char* flag, const std::string& value,
-                      T min = std::numeric_limits<T>::lowest()) {
-  T out{};
+Status ParseNumber(const std::string& flag, const std::string& value, T* out,
+                   std::type_identity_t<T> min =
+                       std::numeric_limits<T>::lowest()) {
   const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
   if (value.empty() || ec != std::errc() || ptr != end ||
-      !(out >= min && out <= std::numeric_limits<T>::max())) {
-    return Status::InvalidArgument(std::string("--") + flag + ": '" + value +
+      !(*out >= min && *out <= std::numeric_limits<T>::max())) {
+    return Status::InvalidArgument("--" + flag + ": '" + value +
                                    "' is not a valid value");
   }
-  return out;
+  return Status::OK();
 }
 
 // Comma-separated list flag values, empty tokens skipped.
@@ -270,163 +216,7 @@ std::vector<std::string> SplitList(const std::string& value) {
   return tokens;
 }
 
-Result<Options> ParseArgs(int argc, char** argv) {
-  Options options;
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (ParseFlag(arg, "query", &value)) {
-      options.query = value;
-    } else if (ParseFlag(arg, "sf", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.sf,
-                               ParseNumber<double>("sf", value, 1e-9));
-    } else if (ParseFlag(arg, "nominal-sf", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.nominal_sf,
-                               ParseNumber<double>("nominal-sf", value));
-    } else if (ParseFlag(arg, "tbl-dir", &value)) {
-      options.tbl_dir = value;
-    } else if (ParseFlag(arg, "driver", &value)) {
-      options.driver = value;
-    } else if (ParseFlag(arg, "setup", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.setup, ParseNumber<int>("setup", value));
-    } else if (ParseFlag(arg, "model", &value)) {
-      // Knob strings are validated here, through the same parsers the
-      // runtime's ValidateExecutionOptions uses, so a typo exits 2 with the
-      // parser's message instead of failing mid-run.
-      ADAMANT_RETURN_NOT_OK(ParseExecutionModel(value).status());
-      options.model = value;
-    } else if (ParseFlag(arg, "chunk", &value)) {
-      options.chunk_auto = value == "auto";
-      if (!options.chunk_auto) {
-        ADAMANT_ASSIGN_OR_RETURN(options.chunk,
-                                 ParseNumber<size_t>("chunk", value, 1));
-      }
-    } else if (ParseFlag(arg, "kernel-variant", &value)) {
-      ADAMANT_RETURN_NOT_OK(ParseKernelVariant(value).status());
-      options.kernel_variant = value;
-    } else if (ParseFlag(arg, "kernel-threads", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.kernel_threads,
-                               ParseNumber<int>("kernel-threads", value, 0));
-    } else if (ParseFlag(arg, "fusion", &value)) {
-      ADAMANT_RETURN_NOT_OK(ParseFusionMode(value).status());
-      options.fusion = value;
-    } else if (ParseFlag(arg, "trace", &value)) {
-      options.trace_path = value;
-    } else if (ParseFlag(arg, "sim-trace", &value)) {
-      options.sim_trace_path = value;
-    } else if (ParseFlag(arg, "metrics", &value)) {
-      options.metrics_path = value;
-    } else if (arg == "--profile") {
-      options.profile = true;
-    } else if (ParseFlag(arg, "clients", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.clients,
-                               ParseNumber<size_t>("clients", value, 1));
-    } else if (ParseFlag(arg, "queries", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.serve_queries,
-                               ParseNumber<size_t>("queries", value));
-    } else if (ParseFlag(arg, "seed", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.seed,
-                               ParseNumber<unsigned>("seed", value));
-    } else if (ParseFlag(arg, "devices", &value)) {
-      // Comma-separated ids select a device-parallel partition set; a bare
-      // count keeps the serve-mode meaning (N instances) and, in
-      // single-query mode, expands to ids 0..N-1. Driver-class names
-      // (--devices=cuda_gpu,openmp_cpu) plug a mixed heterogeneous set.
-      if (value.find(',') != std::string::npos ||
-          (!value.empty() && !std::isdigit(static_cast<unsigned char>(
-                                 value.front())))) {
-        const std::vector<std::string> tokens = SplitList(value);
-        const bool named =
-            !tokens.empty() &&
-            !std::isdigit(static_cast<unsigned char>(tokens.front().front()));
-        for (size_t t = 0; t < tokens.size(); ++t) {
-          if (named) {
-            options.device_classes.push_back(tokens[t]);
-            options.device_set.push_back(static_cast<DeviceId>(t));
-          } else {
-            ADAMANT_ASSIGN_OR_RETURN(
-                DeviceId id, ParseNumber<DeviceId>("devices", tokens[t], 0));
-            options.device_set.push_back(id);
-          }
-        }
-        options.devices = options.device_set.size();
-      } else {
-        ADAMANT_ASSIGN_OR_RETURN(options.devices,
-                                 ParseNumber<size_t>("devices", value));
-        for (size_t d = 0; d < options.devices; ++d) {
-          options.device_set.push_back(static_cast<DeviceId>(d));
-        }
-      }
-    } else if (ParseFlag(arg, "split", &value)) {
-      for (const std::string& tok : SplitList(value)) {
-        ADAMANT_ASSIGN_OR_RETURN(double share,
-                                 ParseNumber<double>("split", tok));
-        options.device_split.push_back(share);
-      }
-    } else if (arg == "--no-rebalance") {
-      options.no_rebalance = true;
-    } else if (ParseFlag(arg, "fault-rate", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.fault_rate,
-                               ParseNumber<double>("fault-rate", value, 0.0));
-    } else if (ParseFlag(arg, "fault-seed", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.fault_seed,
-                               ParseNumber<uint64_t>("fault-seed", value));
-    } else if (ParseFlag(arg, "sticky-device", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.sticky_device,
-                               ParseNumber<int>("sticky-device", value));
-    } else if (ParseFlag(arg, "deadline-ms", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.deadline_ms,
-                               ParseNumber<double>("deadline-ms", value, 0.0));
-    } else if (ParseFlag(arg, "priority", &value)) {
-      if (value == "high") {
-        options.priority = QueryPriority::kHigh;
-      } else if (value == "normal") {
-        options.priority = QueryPriority::kNormal;
-      } else {
-        return Status::InvalidArgument("--priority must be normal|high");
-      }
-    } else if (ParseFlag(arg, "watchdog-factor", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(
-          options.watchdog_factor,
-          ParseNumber<double>("watchdog-factor", value, 0.0));
-    } else if (ParseFlag(arg, "stall-ms", &value)) {
-      ADAMANT_ASSIGN_OR_RETURN(options.stall_ms,
-                               ParseNumber<double>("stall-ms", value, 0.0));
-    } else if (arg == "--sequential") {
-      options.sequential = true;
-    } else if (ParseFlag(arg, "sql", &value)) {
-      options.sql = value;
-    } else if (ParseFlag(arg, "sql-file", &value)) {
-      options.sql_file = value;
-    } else if (arg == "--list-queries") {
-      options.list_queries = true;
-    } else if (arg == "--serve") {
-      options.serve = true;
-    } else if (arg == "--serve-sql") {
-      options.serve = true;
-      options.serve_sql = true;
-    } else if (arg == "--no-cache") {
-      options.no_cache = true;
-    } else if (arg == "--verify") {
-      options.verify = true;
-    } else if (arg == "--explain") {
-      options.explain = true;
-    } else if (arg == "--explain-analyze") {
-      options.explain_analyze = true;
-    } else if (ParseFlag(arg, "history", &value)) {
-      options.history_path = value;
-    } else if (arg == "--help") {
-      options.help = true;
-    } else {
-      return Status::InvalidArgument("unknown flag '" + arg + "'");
-    }
-  }
-  if (options.serve && options.chunk_auto) {
-    return Status::InvalidArgument("--chunk=auto is single-query only");
-  }
-  if (options.nominal_sf <= 0) options.nominal_sf = options.sf;
-  return options;
-}
+const char* const kQueries[] = {"1", "3", "4", "5", "6", "10", "12", "14"};
 
 Result<sim::DriverKind> DriverFromName(const std::string& name) {
   const std::map<std::string, sim::DriverKind> kDrivers = {
@@ -442,13 +232,193 @@ Result<sim::DriverKind> DriverFromName(const std::string& name) {
   return it->second;
 }
 
+// --devices: comma-separated ids select a device-parallel partition set; a
+// bare count keeps the serve-mode meaning (N instances) and, in
+// single-query mode, expands to ids 0..N-1. Driver-class names
+// (--devices=cuda_gpu,openmp_cpu) plug a mixed heterogeneous set.
+Status ParseDevices(const std::string& value, Options* options) {
+  options->device_set.clear();
+  options->device_classes.clear();
+  const std::vector<std::string> tokens = SplitList(value);
+  if (value.find(',') == std::string::npos &&
+      (value.empty() || std::isdigit(static_cast<unsigned char>(value[0])))) {
+    ADAMANT_RETURN_NOT_OK(ParseNumber("devices", value, &options->devices));
+    for (size_t d = 0; d < options->devices; ++d) {
+      options->device_set.push_back(static_cast<DeviceId>(d));
+    }
+    return Status::OK();
+  }
+  const bool named =
+      !tokens.empty() &&
+      !std::isdigit(static_cast<unsigned char>(tokens.front().front()));
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    auto id = static_cast<DeviceId>(t);
+    if (named) {
+      if (!DriverFromName(tokens[t]).ok()) {
+        return Status::InvalidArgument("--devices: unknown driver '" +
+                                       tokens[t] + "'");
+      }
+      options->device_classes.push_back(tokens[t]);
+    } else {
+      ADAMANT_RETURN_NOT_OK(ParseNumber("devices", tokens[t], &id, 0));
+    }
+    if (std::find(options->device_set.begin(), options->device_set.end(),
+                  id) != options->device_set.end()) {
+      return Status::InvalidArgument("--devices: device " + tokens[t] +
+                                     " is listed twice");
+    }
+    options->device_set.push_back(id);
+  }
+  options->devices = options->device_set.size();
+  return Status::OK();
+}
+
+Result<Options> ParseArgs(int argc, char** argv) {
+  Options o;
+  const std::map<std::string, bool*> switches = {
+      {"--help", &o.help},
+      {"--verify", &o.verify},
+      {"--profile", &o.profile},
+      {"--explain", &o.explain},
+      {"--explain-analyze", &o.explain_analyze},
+      {"--list-queries", &o.list_queries},
+      {"--serve", &o.serve},
+      {"--no-rebalance", &o.no_rebalance},
+      {"--no-cache", &o.no_cache},
+      {"--sequential", &o.sequential},
+  };
+  const std::map<std::string, std::string*> paths = {
+      {"tbl-dir", &o.tbl_dir},         {"trace", &o.trace_path},
+      {"sim-trace", &o.sim_trace_path}, {"metrics", &o.metrics_path},
+      {"sql-file", &o.sql_file},       {"history", &o.history_path},
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (auto it = switches.find(arg); it != switches.end()) {
+      *it->second = true;
+      continue;
+    }
+    if (arg == "--serve-sql") {
+      o.serve = o.serve_sql = true;
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
+      return Status::InvalidArgument("unknown flag '" + arg + "'");
+    }
+    const std::string flag = arg.substr(2, eq - 2);
+    const std::string value = arg.substr(eq + 1);
+    // A bad value names its flag; main() exits 2 with the message.
+    auto bad = [&flag](const std::string& why) {
+      return Status::InvalidArgument("--" + flag + ": " + why);
+    };
+    // Knob strings are validated through the same parsers the runtime's
+    // ValidateExecutionOptions uses, so a typo exits 2 instead of failing
+    // mid-run.
+    if (auto it = paths.find(flag); it != paths.end()) {
+      *it->second = value;
+    } else if (flag == "query") {
+      if (value != "all" && std::find(std::begin(kQueries), std::end(kQueries),
+                                      value) == std::end(kQueries)) {
+        return bad("'" + value + "' is not one of 1, 3, 4, 5, 6, 10, 12, 14, "
+                   "all");
+      }
+      o.query = value;
+    } else if (flag == "sf") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.sf, 1e-9));
+    } else if (flag == "nominal-sf") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.nominal_sf));
+    } else if (flag == "driver") {
+      if (!DriverFromName(value).ok()) {
+        return bad("unknown driver '" + value + "'");
+      }
+      o.driver = value;
+    } else if (flag == "setup") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.setup));
+      if (o.setup != 1 && o.setup != 2) {
+        return bad("'" + value + "' is not 1 or 2");
+      }
+    } else if (flag == "model") {
+      ADAMANT_RETURN_NOT_OK(ParseExecutionModel(value).status());
+      o.model = value;
+    } else if (flag == "chunk") {
+      o.chunk_auto = value == "auto";
+      if (!o.chunk_auto) {
+        ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.chunk, 1));
+      }
+    } else if (flag == "kernel-variant") {
+      ADAMANT_RETURN_NOT_OK(ParseKernelVariant(value).status());
+      o.kernel_variant = value;
+    } else if (flag == "kernel-threads") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.kernel_threads, 0));
+    } else if (flag == "fusion") {
+      ADAMANT_RETURN_NOT_OK(ParseFusionMode(value).status());
+      o.fusion = value;
+    } else if (flag == "clients") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.clients, 1));
+    } else if (flag == "queries") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.serve_queries));
+    } else if (flag == "seed") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.seed));
+    } else if (flag == "devices") {
+      ADAMANT_RETURN_NOT_OK(ParseDevices(value, &o));
+    } else if (flag == "split") {
+      o.device_split.clear();
+      for (const std::string& tok : SplitList(value)) {
+        double share = 0;
+        ADAMANT_RETURN_NOT_OK(ParseNumber(flag, tok, &share));
+        if (!(share > 0)) return bad("share '" + tok + "' is not positive");
+        o.device_split.push_back(share);
+      }
+    } else if (flag == "fault-rate") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.fault_rate, 0.0));
+    } else if (flag == "fault-seed") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.fault_seed));
+    } else if (flag == "sticky-device") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.sticky_device));
+    } else if (flag == "deadline-ms") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.deadline_ms, 0.0));
+    } else if (flag == "priority") {
+      if (value != "normal" && value != "high") {
+        return bad("must be normal|high");
+      }
+      o.priority =
+          value == "high" ? QueryPriority::kHigh : QueryPriority::kNormal;
+    } else if (flag == "watchdog-factor") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.watchdog_factor, 0.0));
+    } else if (flag == "stall-ms") {
+      ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.stall_ms, 0.0));
+    } else if (flag == "sql") {
+      if (value.empty()) return bad("the query text is empty");
+      o.sql = value;
+    } else {
+      return Status::InvalidArgument("unknown flag '" + arg + "'");
+    }
+  }
+  if (o.serve && o.chunk_auto) {
+    return Status::InvalidArgument("--chunk=auto is single-query only");
+  }
+  if (o.serve && o.explain) {
+    return Status::InvalidArgument("--explain: single-query only, not --serve");
+  }
+  if (!o.device_split.empty() &&
+      o.device_split.size() != o.device_set.size()) {
+    return Status::InvalidArgument(
+        "--split: " + std::to_string(o.device_split.size()) +
+        " share(s) for " + std::to_string(o.device_set.size()) +
+        " --devices entries");
+  }
+  if (o.nominal_sf <= 0) o.nominal_sf = o.sf;
+  return o;
+}
+
 // Options → ExecutionOptions for the execution knobs that run_tpch forwards
 // verbatim. The strings were validated at ParseArgs time (exit 2 on typos),
 // so the Parse* calls here cannot fail.
-ExecutionOptions MakeExecOptions(const Options& options,
-                                 ExecutionModelKind model) {
+ExecutionOptions MakeExecOptions(const Options& options) {
   ExecutionOptions exec_options;
-  exec_options.model = model;
+  exec_options.model = *ParseExecutionModel(options.model);
+  exec_options.chunk_elems = options.chunk;
   if (!options.device_set.empty()) {
     exec_options.model = ExecutionModelKind::kDeviceParallel;
     exec_options.device_set = options.device_set;
@@ -464,25 +434,17 @@ ExecutionOptions MakeExecOptions(const Options& options,
 }
 
 // --explain: one line per primitive with the Task-layer kernel variant its
-// launches resolve to on the owning device (exec::PriceGraph asks the
-// device, so kernels without a parallel binding show scalar) and its thread
-// budget. Fused composites carry their recipe in the label.
-Status PrintExplain(const std::string& title, const plan::PlanBundle& bundle,
-                    DeviceManager* manager,
-                    const ExecutionOptions& exec_options,
-                    const plan::FusionReport& fusion) {
-  ADAMANT_ASSIGN_OR_RETURN(std::vector<Pipeline> pipelines,
-                           bundle.graph->SplitPipelines());
-  ADAMANT_ASSIGN_OR_RETURN(
-      exec::GraphPrice price,
-      exec::PriceGraph(*bundle.graph, pipelines, exec_options, manager));
+// launches resolve to (the compiled plan's price asks the device, so
+// kernels without a parallel binding show scalar) and its thread budget.
+// Fused composites carry their recipe in the label.
+void PrintExplain(const std::string& title, const CompiledPlan& plan) {
   std::printf("%s primitive graph (fusion %s: %d group(s), %d primitive(s) "
               "fused):\n",
-              title.c_str(), FusionModeName(exec_options.fusion),
-              fusion.groups, fusion.nodes_fused);
-  for (const GraphNode& node : bundle.graph->nodes()) {
+              title.c_str(), FusionModeName(plan.options.fusion),
+              plan.fusion.groups, plan.fusion.nodes_fused);
+  for (const GraphNode& node : plan.bundle.graph->nodes()) {
     const KernelVariantChoice choice =
-        price.nodes[static_cast<size_t>(node.id)].choice;
+        plan.prices.front().nodes[static_cast<size_t>(node.id)].choice;
     const bool fused_node = node.kind == PrimitiveKind::kFused ||
                             node.kind == PrimitiveKind::kFusedAgg;
     const std::string variant =
@@ -492,7 +454,6 @@ Status PrintExplain(const std::string& title, const plan::PlanBundle& bundle,
                 PrimitiveKindName(node.kind), node.label.c_str(),
                 variant.c_str(), choice.threads);
   }
-  return Status::OK();
 }
 
 // --explain-analyze: the measured OperatorStats tree next to the planner's
@@ -520,28 +481,26 @@ void PrintExplainAnalyze(const std::string& title,
   std::printf("  %4s %3s %-20s %-30s %22s %15s %7s %13s %7s %6s %9s\n",
               "pipe", "id", "kind", "label", "rows p->a", "sel p->a",
               "q_sel", "cost% p->a", "q_cost", "launch", "kernel_ms");
-  double sel_q_sum = 0, sel_q_max = 0;
-  size_t sel_n = 0;
-  double cost_q_sum = 0, cost_q_max = 0;
-  size_t cost_n = 0;
+  // Per column family: sum, max and count of q-errors.
+  struct QSummary {
+    double sum = 0, max = 0;
+    size_t n = 0;
+    void Add(double q) { sum += q, max = std::max(max, q), ++n; }
+    double mean() const { return n > 0 ? sum / static_cast<double>(n) : 1.0; }
+  } sel_q, cost_q;
   for (const obs::OperatorStats& op : operators) {
-    char rows[64];
+    char rows[64], sel[48] = "-", q_sel[32] = "-", cost[48] = "-",
+                   q_cost[32] = "-";
     std::snprintf(rows, sizeof(rows), "%.0f->%llu", op.predicted_rows_out,
                   static_cast<unsigned long long>(op.rows_out));
-    char sel[48] = "-";
-    char q_sel[32] = "-";
     if (op.selective && op.rows_in > 0) {
       const double q = obs::QError(op.predicted_selectivity,
                                    op.ActualSelectivity());
       std::snprintf(sel, sizeof(sel), "%.4f->%.4f", op.predicted_selectivity,
                     op.ActualSelectivity());
       std::snprintf(q_sel, sizeof(q_sel), "%.2f", q);
-      sel_q_sum += q;
-      sel_q_max = std::max(sel_q_max, q);
-      ++sel_n;
+      sel_q.Add(q);
     }
-    char cost[48] = "-";
-    char q_cost[32] = "-";
     if (pred_total > 0 && actual_total > 0 && op.launches > 0) {
       const double pred_share = op.predicted_cost_us / pred_total;
       const double actual_share = op.kernel_ms / actual_total;
@@ -549,9 +508,7 @@ void PrintExplainAnalyze(const std::string& title,
       std::snprintf(cost, sizeof(cost), "%4.1f->%4.1f", pred_share * 100,
                     actual_share * 100);
       std::snprintf(q_cost, sizeof(q_cost), "%.2f", q);
-      cost_q_sum += q;
-      cost_q_max = std::max(cost_q_max, q);
-      ++cost_n;
+      cost_q.Add(q);
     }
     std::printf("  %4d %3d %-20s %-30s %22s %15s %7s %13s %7s %6zu %9.3f\n",
                 op.pipeline, op.node_id, op.kind.c_str(), op.label.c_str(),
@@ -559,37 +516,21 @@ void PrintExplainAnalyze(const std::string& title,
   }
   std::printf("  qerror: selectivity mean %.2f max %.2f (%zu ops), "
               "cost-share mean %.2f max %.2f (%zu ops)\n",
-              sel_n > 0 ? sel_q_sum / static_cast<double>(sel_n) : 1.0,
-              sel_q_max, sel_n,
-              cost_n > 0 ? cost_q_sum / static_cast<double>(cost_n) : 1.0,
-              cost_q_max, cost_n);
+              sel_q.mean(), sel_q.max, sel_q.n, cost_q.mean(), cost_q.max,
+              cost_q.n);
 }
 
-// --explain (device-parallel): the chosen device set with per-device split
-// ratios and the predicted per-partition cost (share x the graph priced on
-// that device), next to the primitive-graph / placement output.
-void PrintSplitExplain(DeviceManager* manager, const PrimitiveGraph& graph,
-                       const ExecutionOptions& exec_options) {
-  if (exec_options.model != ExecutionModelKind::kDeviceParallel ||
-      exec_options.device_set.size() < 2) {
-    return;
-  }
-  auto prices = exec::PriceDevices(graph, exec_options, manager,
-                                   exec_options.device_set);
-  if (!prices.ok()) return;
-  const std::vector<double> weights =
-      exec_options.device_split.empty()
-          ? exec::ThroughputWeights(*prices)
-          : exec::NormalizeSplit(exec_options.device_split,
-                                 exec_options.device_set.size());
+// --explain: a device-parallel split's devices with their shares and
+// predicted per-partition cost (share x the graph priced on that device).
+void PrintSplit(DeviceManager* manager, const std::vector<DeviceId>& set,
+                const std::vector<double>& shares,
+                const std::vector<double>& partition_cost_us) {
   std::printf("split:");
-  for (size_t i = 0; i < exec_options.device_set.size(); ++i) {
+  for (size_t i = 0; i < set.size(); ++i) {
     std::printf(" %s=%.3f (predicted %.3f ms/partition)",
-                manager->device(exec_options.device_set[i])->name().c_str(),
-                weights[i],
-                sim::MsFromUs((*prices)[i].cost_us * weights[i]));
+                manager->device(set[i])->name().c_str(), shares[i],
+                sim::MsFromUs(partition_cost_us[i]));
   }
-  std::printf(" rebalance=%s\n", exec_options.split_rebalance ? "on" : "off");
 }
 
 void PrintStats(const QueryExecution& exec, DeviceId device) {
@@ -606,6 +547,18 @@ void PrintStats(const QueryExecution& exec, DeviceId device) {
     std::printf(" %s=%.2fms", name.c_str(), sim::MsFromUs(us));
   }
   std::printf("\n");
+}
+
+// Writes `text` to `path` and reports "<what> written to <path><note>".
+Status WriteOutput(const std::string& path, const std::string& text,
+                   const std::string& what, const char* note = "") {
+  std::ofstream out(path);
+  out << text;
+  if (!out.good()) {
+    return Status::IOError("cannot write " + what + " to " + path);
+  }
+  std::printf("%s written to %s%s\n", what.c_str(), path.c_str(), note);
+  return Status::OK();
 }
 
 // Dumps the process-wide registry (transfer/cache/kernel/fault counters)
@@ -625,14 +578,8 @@ Status DumpMetrics(const std::string& path, const QueryService* service) {
     text = obs::GlobalMetrics().ToPrometheusText();
     if (service != nullptr) text += service->metrics().ToPrometheusText();
   }
-  std::ofstream out(path);
-  out << text;
-  if (!out.good()) {
-    return Status::IOError("cannot write metrics to " + path);
-  }
-  std::printf("metrics written to %s (%s)\n", path.c_str(),
-              json ? "JSON" : "Prometheus text");
-  return Status::OK();
+  return WriteOutput(path, text, "metrics",
+                     json ? " (JSON)" : " (Prometheus text)");
 }
 
 Result<plan::PlanBundle> BuildBundle(const std::string& query,
@@ -648,235 +595,241 @@ Result<plan::PlanBundle> BuildBundle(const std::string& query,
   return Status::InvalidArgument("unknown query '" + query + "'");
 }
 
-Status RunQuery(const std::string& query, const Catalog& catalog,
-                DeviceManager* manager, DeviceId device,
-                const Options& options, QueryService* service) {
-  ADAMANT_ASSIGN_OR_RETURN(ExecutionModelKind model,
-                           ParseExecutionModel(options.model));
+// With --verify, compares `got` against the scalar reference `want()`.
+template <typename T, typename Reference>
+Status Verdict(const std::string& query, bool verify, const T& got,
+               Reference want) {
+  if (!verify) return Status::OK();
+  ADAMANT_ASSIGN_OR_RETURN(T reference, want());
+  const bool match = got == reference;
+  std::printf("    verification: %s\n", match ? "MATCH" : "MISMATCH");
+  return match ? Status::OK()
+               : Status::ExecutionError("Q" + query + " mismatch");
+}
 
-  ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                           BuildBundle(query, catalog, device));
-
-  ExecutionOptions exec_options = MakeExecOptions(options, model);
-
-  // Fusion is a plan-level rewrite: it runs here, between lowering and
-  // execution, so --explain, the chunk tuner, and the run itself all see
-  // the same (fused) graph.
-  ADAMANT_ASSIGN_OR_RETURN(plan::FusionReport fusion,
-                           plan::ApplyFusion(&bundle, exec_options, manager));
-
-  exec_options.chunk_elems = options.chunk;
-  if (options.chunk_auto) {
-    ADAMANT_ASSIGN_OR_RETURN(
-        exec_options.chunk_elems,
-        SuggestChunkElems(*manager->device(device), *bundle.graph));
-  }
-
-  if (options.explain) {
-    ADAMANT_RETURN_NOT_OK(
-        PrintExplain("Q" + query, bundle, manager, exec_options, fusion));
-    PrintSplitExplain(manager, *bundle.graph, exec_options);
-    return Status::OK();
-  }
-
-  // With a service attached (--trace), the query goes through Submit so the
-  // trace carries the admission/placement instants alongside the runtime
-  // spans; node ids are deterministic per builder — make_graph applies the
-  // same fusion pass — so the local bundle still extracts the serviced
-  // execution's results.
-  Result<QueryExecution> direct = Status::Internal("query did not run");
-  std::shared_ptr<QueryTicket> ticket;
-  if (service != nullptr) {
-    QuerySpec spec;
-    spec.name = "Q" + query;
-    spec.options = exec_options;
-    if (exec_options.model == ExecutionModelKind::kDeviceParallel) {
-      spec.parallel_devices = exec_options.device_set.size();
-    }
-    const Catalog* cat = &catalog;
-    const std::string q = query;
-    const ExecutionOptions opts = exec_options;
-    spec.make_graph = [cat, q, opts, manager](
-                          DeviceId dev) -> Result<std::unique_ptr<PrimitiveGraph>> {
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle b, BuildBundle(q, *cat, dev));
-      ADAMANT_RETURN_NOT_OK(plan::ApplyFusion(&b, opts, manager).status());
-      return std::move(b.graph);
-    };
-    ADAMANT_ASSIGN_OR_RETURN(ticket, service->Submit(std::move(spec)));
-    ADAMANT_RETURN_NOT_OK(ticket->Wait().status());
-  } else {
-    QueryExecutor executor(manager);
-    direct = executor.Run(bundle.graph.get(), exec_options);
-    ADAMANT_RETURN_NOT_OK(direct.status());
-  }
-  const QueryExecution& exec = service != nullptr ? *ticket->Wait() : *direct;
-  const DeviceId report_device =
-      service != nullptr ? ticket->placed_device() : device;
-
-  std::printf("Q%-3s on %s (%s, chunk %zu):\n", query.c_str(),
-              manager->device(report_device)->name().c_str(),
-              ExecutionModelName(exec_options.model), exec_options.chunk_elems);
-  PrintStats(exec, report_device);
-  {
-    // Self-describing benchmark output: which Task-layer kernel variant each
-    // used device resolved, its thread budget, and how many launches
-    // actually dispatched a parallel or fused fn. Empty when the run went
-    // through a shared-device service lease (per-device snapshots are
-    // skipped there).
-    std::string variants_json;
-    for (const DeviceRunStats& ds : exec.stats.devices) {
-      if (ds.execute_calls == 0 || ds.kernel_variant.empty()) continue;
-      if (!variants_json.empty()) variants_json += ",";
-      variants_json += "\"" + ds.name + "\":{\"variant\":\"" +
-                       ds.kernel_variant +
-                       "\",\"threads\":" + std::to_string(ds.kernel_threads) +
-                       ",\"parallel_launches\":" +
-                       std::to_string(ds.parallel_launches) +
-                       ",\"fused_launches\":" +
-                       std::to_string(ds.fused_launches) + "}";
-    }
-    if (!variants_json.empty()) {
-      std::printf("    {\"query\":\"%s\",\"fused_groups\":%d,"
-                  "\"kernel_variants\":{%s}}\n",
-                  query.c_str(), fusion.groups, variants_json.c_str());
-    }
-  }
-  if (options.profile) {
-    std::printf("    profile: %s\n", exec.stats.profile.ToJson().c_str());
-  }
-  if (options.explain_analyze) {
-    PrintExplainAnalyze("Q" + query, exec.stats.profile.operators);
-    obs::RecordPlanQErrors(&obs::GlobalMetrics(), "Q" + query,
-                           exec.stats.profile.operators);
-  }
-  if (exec_options.model == ExecutionModelKind::kDeviceParallel) {
-    // Machine-readable split report: which device ran how many chunks, the
-    // planned split ratio per device, how many chunks each partition stole
-    // at runtime, and the host time spent merging breaker containers.
-    std::string chunks_json;
-    for (const auto& [dev_id, count] : exec.stats.chunks_by_device) {
-      if (!chunks_json.empty()) chunks_json += ",";
-      chunks_json += "\"" + std::to_string(dev_id) +
-                     "\":" + std::to_string(count);
-    }
-    std::string split_json;
-    for (const auto& [dev_id, ratio] : exec.stats.split_ratio_by_device) {
-      if (!split_json.empty()) split_json += ",";
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "\"%d\":%.4f", dev_id, ratio);
-      split_json += buf;
-    }
-    std::string stolen_json;
-    for (const auto& [dev_id, count] : exec.stats.chunks_stolen_by_device) {
-      if (!stolen_json.empty()) stolen_json += ",";
-      stolen_json += "\"" + std::to_string(dev_id) +
-                     "\":" + std::to_string(count);
-    }
-    std::printf("    {\"query\":\"%s\",\"model\":\"device-parallel\","
-                "\"devices\":%zu,\"chunks_by_device\":{%s},"
-                "\"split_ratio\":{%s},\"chunks_stolen\":{%s},"
-                "\"rebalance\":%s,"
-                "\"merge_host_ms\":%.4f,\"elapsed_ms\":%.3f}\n",
-                query.c_str(), options.device_set.size(),
-                chunks_json.c_str(), split_json.c_str(), stolen_json.c_str(),
-                exec_options.split_rebalance ? "true" : "false",
-                exec.stats.merge_host_ms,
-                sim::MsFromUs(exec.stats.elapsed_us));
-  }
-
-  // Results + optional verification.
-  auto verdict = [&](bool match) {
-    std::printf("    verification: %s\n", match ? "MATCH" : "MISMATCH");
-    return match ? Status::OK()
-                 : Status::ExecutionError("Q" + query + " mismatch");
-  };
+// Prints a hand-built query's results, checked against its reference.
+Status ReportTpch(const std::string& query, const plan::PlanBundle& bundle,
+                  const QueryExecution& exec, const Catalog& catalog,
+                  bool verify) {
   if (query == "6") {
     ADAMANT_ASSIGN_OR_RETURN(int64_t revenue, plan::ExtractQ6(bundle, exec));
     std::printf("    revenue = %.2f\n", MoneyToDouble(revenue));
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(int64_t want, tpch::Q6Reference(catalog, {}));
-      return verdict(revenue == want);
-    }
-  } else if (query == "3") {
+    return Verdict(query, verify, revenue,
+                   [&] { return tpch::Q6Reference(catalog, {}); });
+  }
+  if (query == "3") {
     ADAMANT_ASSIGN_OR_RETURN(auto rows,
                              plan::ExtractQ3(bundle, exec, catalog, {}));
     for (size_t i = 0; i < rows.size() && i < 3; ++i) {
       std::printf("    order %d: revenue %.2f\n", rows[i].orderkey,
                   MoneyToDouble(rows[i].revenue));
     }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q3Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "4") {
+    return Verdict(query, verify, rows,
+                   [&] { return tpch::Q3Reference(catalog, {}); });
+  }
+  if (query == "4") {
     ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ4(bundle, exec));
     for (const auto& row : rows) {
       std::printf("    priority %d: %lld orders\n", row.priority,
                   static_cast<long long>(row.order_count));
     }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q4Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "5") {
+    return Verdict(query, verify, rows,
+                   [&] { return tpch::Q4Reference(catalog, {}); });
+  }
+  if (query == "5") {
     ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ5(bundle, exec, catalog));
     for (const auto& row : rows) {
       std::printf("    %-16s revenue %.2f\n", row.nation.c_str(),
                   MoneyToDouble(row.revenue));
     }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q5Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "1") {
+    return Verdict(query, verify, rows,
+                   [&] { return tpch::Q5Reference(catalog, {}); });
+  }
+  if (query == "1") {
     ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ1(bundle, exec));
     std::printf("    %zu (returnflag, linestatus) groups\n", rows.size());
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q1Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "10") {
+    return Verdict(query, verify, rows,
+                   [&] { return tpch::Q1Reference(catalog, {}); });
+  }
+  if (query == "10") {
     ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ10(bundle, exec, {}));
     for (size_t i = 0; i < rows.size() && i < 3; ++i) {
       std::printf("    customer %d: lost revenue %.2f\n", rows[i].custkey,
                   MoneyToDouble(rows[i].revenue));
     }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q10Reference(catalog, {}));
-      return verdict(rows == want);
-    }
-  } else if (query == "12") {
+    return Verdict(query, verify, rows,
+                   [&] { return tpch::Q10Reference(catalog, {}); });
+  }
+  if (query == "12") {
     ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ12(bundle, exec));
     for (const auto& row : rows) {
       std::printf("    shipmode %d: high %lld, low %lld\n", row.shipmode,
                   static_cast<long long>(row.high_line_count),
                   static_cast<long long>(row.low_line_count));
     }
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q12Reference(catalog, {}));
-      return verdict(rows == want);
+    return Verdict(query, verify, rows,
+                   [&] { return tpch::Q12Reference(catalog, {}); });
+  }
+  ADAMANT_ASSIGN_OR_RETURN(auto result, plan::ExtractQ14(bundle, exec));
+  std::printf("    promo revenue = %.2f%%\n", result.promo_pct());
+  return Verdict(query, verify, result,
+                 [&] { return tpch::Q14Reference(catalog, {}); });
+}
+
+// One single-query run: a hand-built TPC-H plan (`query`, e.g. "6") or SQL
+// text, reported under `label`.
+struct SingleQuery {
+  std::string label;
+  std::string query;  // hand-built id; empty for SQL
+  std::string sql;
+};
+
+// Compiles `q` through CompileQuery — the same plan whether or not the run
+// is traced — then explains or runs it.
+Status RunSingleQuery(const SingleQuery& q, const Catalog& catalog,
+                      DeviceManager* manager, DeviceId device,
+                      const Options& options) {
+  CompileContext context;
+  context.catalog = &catalog;
+  context.manager = manager;
+  context.placement = plan::PlacementPolicy::AllOn(device);
+  context.options = MakeExecOptions(options);
+  auto compile = [&]() -> Result<CompiledPlan> {
+    QuerySource source;
+    source.sql = q.sql;
+    if (q.sql.empty()) {
+      ADAMANT_ASSIGN_OR_RETURN(source.bundle,
+                               BuildBundle(q.query, catalog, device));
     }
-  } else if (query == "14") {
-    ADAMANT_ASSIGN_OR_RETURN(auto result, plan::ExtractQ14(bundle, exec));
-    std::printf("    promo revenue = %.2f%%\n", result.promo_pct());
-    if (options.verify) {
-      ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q14Reference(catalog, {}));
-      return verdict(result == want);
+    return CompileQuery(std::move(source), context);
+  };
+  ADAMANT_ASSIGN_OR_RETURN(CompiledPlan plan, compile());
+  if (options.chunk_auto) {
+    // The suggestion reads the compiled (fused) graph; recompile so the
+    // split, prices and memory estimate use the chunk size the run uses.
+    ADAMANT_ASSIGN_OR_RETURN(
+        context.options.chunk_elems,
+        SuggestChunkElems(*manager->device(device), *plan.bundle.graph));
+    ADAMANT_ASSIGN_OR_RETURN(plan, compile());
+  }
+
+  if (options.explain) {
+    if (plan.query != nullptr) {
+      std::printf("%s: %s\n%s", q.label.c_str(), q.sql.c_str(),
+                  sql::ExplainCompiled(*plan.query).c_str());
     }
+    PrintExplain(q.label, plan);
+    if (plan.query != nullptr) {
+      ADAMANT_ASSIGN_OR_RETURN(
+          plan::PlacementSearchResult placement,
+          plan::SearchPlacements(*plan.query->plan, catalog, manager,
+                                 context.options));
+      std::printf("placement: %s (simulated %.3f ms, %zu candidates)\n",
+                  placement.best_name.c_str(),
+                  sim::MsFromUs(placement.best_elapsed_us),
+                  placement.evaluated.size());
+      if (!placement.best_device_set.empty()) {  // a device-parallel winner
+        PrintSplit(manager, placement.best_device_set, placement.best_split,
+                   placement.best_partition_cost_us);
+        std::printf("\n");
+      }
+    }
+    if (plan.prices.size() > 1) {  // the plan's own device-parallel split
+      const ExecutionOptions& run = plan.options;
+      std::vector<double> cost_us;
+      for (size_t i = 0; i < plan.prices.size(); ++i) {
+        cost_us.push_back(plan.prices[i].cost_us * run.device_split[i]);
+      }
+      PrintSplit(manager, run.device_set, run.device_split, cost_us);
+      std::printf(" rebalance=%s\n", run.split_rebalance ? "on" : "off");
+    }
+    return Status::OK();
+  }
+
+  QueryExecutor executor(manager);
+  ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
+                           executor.Run(plan.bundle.graph.get(), plan.options));
+  // Hand-built titles pad to "Q14 " so the report columns line up.
+  std::printf("%-*s on %s (%s, chunk %zu):\n", q.sql.empty() ? 4 : 0,
+              q.label.c_str(), manager->device(device)->name().c_str(),
+              ExecutionModelName(plan.options.model), plan.options.chunk_elems);
+  PrintStats(exec, device);
+  // Self-describing benchmark output: which Task-layer kernel variant each
+  // used device resolved, its thread budget, and how many launches actually
+  // dispatched a parallel or fused fn.
+  const std::string& id = q.sql.empty() ? q.query : q.label;
+  std::string variants_json;
+  for (const DeviceRunStats& ds : exec.stats.devices) {
+    if (ds.execute_calls == 0 || ds.kernel_variant.empty()) continue;
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%s\"%s\":{\"variant\":\"%s\",\"threads\":%d,"
+                  "\"parallel_launches\":%zu,\"fused_launches\":%zu}",
+                  variants_json.empty() ? "" : ",", ds.name.c_str(),
+                  ds.kernel_variant.c_str(), ds.kernel_threads,
+                  ds.parallel_launches, ds.fused_launches);
+    variants_json += buf;
+  }
+  if (!variants_json.empty()) {
+    std::printf("    {\"query\":\"%s\",\"fused_groups\":%d,"
+                "\"kernel_variants\":{%s}}\n",
+                id.c_str(), plan.fusion.groups, variants_json.c_str());
+  }
+  if (options.profile) {
+    std::printf("    profile: %s\n", exec.stats.profile.ToJson().c_str());
+  }
+  if (options.explain_analyze) {
+    PrintExplainAnalyze(q.label, exec.stats.profile.operators);
+    obs::RecordPlanQErrors(&obs::GlobalMetrics(), q.label,
+                           exec.stats.profile.operators);
+  }
+  if (plan.options.model == ExecutionModelKind::kDeviceParallel) {
+    // Machine-readable split report: which device ran how many chunks, the
+    // planned split ratio per device, how many chunks each partition stole
+    // at runtime, and the host time spent merging breaker containers.
+    auto to_json = [](const auto& by_device, const char* format) {
+      std::string json;
+      for (const auto& [dev_id, value] : by_device) {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), format, dev_id, value);
+        if (!json.empty()) json += ",";
+        json += buf;
+      }
+      return json;
+    };
+    std::printf("    {\"query\":\"%s\",\"model\":\"device-parallel\","
+                "\"devices\":%zu,\"chunks_by_device\":{%s},"
+                "\"split_ratio\":{%s},\"chunks_stolen\":{%s},"
+                "\"rebalance\":%s,"
+                "\"merge_host_ms\":%.4f,\"elapsed_ms\":%.3f}\n",
+                id.c_str(), plan.options.device_set.size(),
+                to_json(exec.stats.chunks_by_device, "\"%d\":%zu").c_str(),
+                to_json(exec.stats.split_ratio_by_device, "\"%d\":%.4f")
+                    .c_str(),
+                to_json(exec.stats.chunks_stolen_by_device, "\"%d\":%zu")
+                    .c_str(),
+                plan.options.split_rebalance ? "true" : "false",
+                exec.stats.merge_host_ms, sim::MsFromUs(exec.stats.elapsed_us));
+  }
+
+  if (q.sql.empty()) {
+    return ReportTpch(q.query, plan.bundle, exec, catalog, options.verify);
+  }
+  ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet results,
+                           sql::ExtractResults(*plan.query, plan.bundle, exec));
+  std::printf("%s",
+              sql::FormatResultSet(results, *plan.query, catalog).c_str());
+  if (options.verify) {
+    ADAMANT_RETURN_NOT_OK(sql::VerifyAgainstInterpreter(
+        *plan.query, plan.bundle, exec, catalog));
+    std::printf("    verification: MATCH (host interpreter)\n");
   }
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// SQL mode: compile --sql / --sql-file text through the SQL frontend and run
-// the resulting logical plan through the same lowering/executor path the
-// hand-built plans use.
-// ---------------------------------------------------------------------------
-
 // Resolves --sql / --sql-file into query text + a display label. A --sql
 // value naming a built-in (see --list-queries) expands to its SQL.
-Result<std::pair<std::string, std::string>> ResolveSqlText(
-    const Options& options) {
+Result<SingleQuery> ResolveSql(const Options& options) {
   if (!options.sql_file.empty()) {
     std::ifstream in(options.sql_file);
     if (!in.good()) {
@@ -884,178 +837,33 @@ Result<std::pair<std::string, std::string>> ResolveSqlText(
     }
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    return std::make_pair(std::move(text), options.sql_file);
+    return SingleQuery{options.sql_file, "", std::move(text)};
   }
   if (const sql::BuiltinQuery* builtin = sql::FindBuiltinQuery(options.sql)) {
-    return std::make_pair(builtin->sql, builtin->name);
+    return SingleQuery{builtin->name, "", builtin->sql};
   }
-  return std::make_pair(options.sql, std::string("sql"));
+  return SingleQuery{"sql", "", options.sql};
 }
 
-Status RunSql(const Catalog& catalog, DeviceManager* manager, DeviceId device,
-              const Options& options, QueryService* service) {
-  ADAMANT_ASSIGN_OR_RETURN(ExecutionModelKind model,
-                           ParseExecutionModel(options.model));
-  ADAMANT_ASSIGN_OR_RETURN(auto resolved, ResolveSqlText(options));
-  const std::string& sql_text = resolved.first;
-  const std::string& label = resolved.second;
+Status WriteTrace(const std::string& path) {
+  return WriteOutput(path, obs::TraceRecorder::Global().ExportChromeJson(),
+                     "trace", " (open in chrome://tracing or Perfetto)");
+}
 
-  sql::PlannerOptions planner_options;
-  planner_options.manager = manager;
-  planner_options.cost_device = device;
-  ADAMANT_ASSIGN_OR_RETURN(sql::CompiledQuery compiled,
-                           sql::Compile(sql_text, catalog, planner_options));
-  ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                           plan::LowerPlan(*compiled.plan, catalog, device));
-
-  ExecutionOptions exec_options = MakeExecOptions(options, model);
-
-  // A service run (--trace) lowers the SQL text itself, without the fusion
-  // pass — fusing the local bundle would desync its node ids from the
-  // serviced execution it extracts results from. Direct runs (and
-  // --explain, which never executes the local bundle) fuse here.
-  plan::FusionReport fusion;
-  if (service == nullptr || options.explain) {
-    ADAMANT_ASSIGN_OR_RETURN(
-        fusion, plan::ApplyFusion(&bundle, exec_options, manager));
+// Turns the wall-clock recorder on, one named track per plugged device.
+void EnableTracing(DeviceManager* manager) {
+  obs::TraceRecorder::Global().Enable();
+  for (size_t i = 0; i < manager->num_devices(); ++i) {
+    obs::TraceRecorder::Global().SetTrackName(
+        static_cast<int>(i), manager->device(static_cast<DeviceId>(i))->name());
   }
-
-  exec_options.chunk_elems = options.chunk;
-  if (options.chunk_auto) {
-    ADAMANT_ASSIGN_OR_RETURN(
-        exec_options.chunk_elems,
-        SuggestChunkElems(*manager->device(device), *bundle.graph));
-  }
-
-  if (options.explain) {
-    std::printf("%s: %s\n%s", label.c_str(), sql_text.c_str(),
-                sql::ExplainCompiled(compiled).c_str());
-    ADAMANT_RETURN_NOT_OK(
-        PrintExplain(label, bundle, manager, exec_options, fusion));
-    ADAMANT_ASSIGN_OR_RETURN(
-        plan::PlacementSearchResult placement,
-        plan::SearchPlacements(*compiled.plan, catalog, manager,
-                               exec_options));
-    std::printf("placement: %s (simulated %.3f ms, %zu candidates)\n",
-                placement.best_name.c_str(),
-                sim::MsFromUs(placement.best_elapsed_us),
-                placement.evaluated.size());
-    if (!placement.best_device_set.empty()) {
-      // The winner is a device-parallel split: the chosen set with each
-      // device's split ratio and predicted per-partition cost.
-      std::printf("split:");
-      for (size_t i = 0; i < placement.best_device_set.size(); ++i) {
-        std::printf(" %s=%.3f",
-                    manager->device(placement.best_device_set[i])
-                        ->name()
-                        .c_str(),
-                    placement.best_split[i]);
-        if (i < placement.best_partition_cost_us.size()) {
-          std::printf(" (predicted %.3f ms/partition)",
-                      sim::MsFromUs(placement.best_partition_cost_us[i]));
-        }
-      }
-      std::printf("\n");
-    }
-    PrintSplitExplain(manager, *bundle.graph, exec_options);
-    return Status::OK();
-  }
-
-  // With a service attached (--trace), the query goes through Submit as SQL
-  // text; lowering is deterministic, so the local bundle's named sinks still
-  // extract the serviced execution's results.
-  Result<QueryExecution> direct = Status::Internal("query did not run");
-  std::shared_ptr<QueryTicket> ticket;
-  if (service != nullptr) {
-    QuerySpec spec;
-    spec.name = label;
-    spec.options = exec_options;
-    spec.sql = sql_text;
-    spec.sql_catalog = &catalog;
-    ADAMANT_ASSIGN_OR_RETURN(ticket, service->Submit(std::move(spec)));
-    ADAMANT_RETURN_NOT_OK(ticket->Wait().status());
-  } else {
-    QueryExecutor executor(manager);
-    direct = executor.Run(bundle.graph.get(), exec_options);
-    ADAMANT_RETURN_NOT_OK(direct.status());
-  }
-  const QueryExecution& exec = service != nullptr ? *ticket->Wait() : *direct;
-  const DeviceId report_device =
-      service != nullptr ? ticket->placed_device() : device;
-
-  std::printf("%s on %s (%s, chunk %zu):\n", label.c_str(),
-              manager->device(report_device)->name().c_str(),
-              ExecutionModelName(exec_options.model),
-              exec_options.chunk_elems);
-  PrintStats(exec, report_device);
-  if (options.profile) {
-    std::printf("    profile: %s\n", exec.stats.profile.ToJson().c_str());
-  }
-  if (options.explain_analyze) {
-    PrintExplainAnalyze(label, exec.stats.profile.operators);
-    obs::RecordPlanQErrors(&obs::GlobalMetrics(), label,
-                           exec.stats.profile.operators);
-  }
-
-  ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet results,
-                           sql::ExtractResults(compiled, bundle, exec));
-  std::printf("%s", sql::FormatResultSet(results, compiled, catalog).c_str());
-  if (options.verify) {
-    ADAMANT_RETURN_NOT_OK(
-        sql::VerifyAgainstInterpreter(compiled, bundle, exec, catalog));
-    std::printf("    verification: MATCH (host interpreter)\n");
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Serve mode: a seeded Q3/Q4/Q6 mix through the QueryService, each result
-// checked bit-for-bit against a serial single-query run.
+// extracted from the plan its ticket ran and checked against an independent
+// oracle: the scalar reference, or the host interpreter for SQL.
 // ---------------------------------------------------------------------------
-
-struct ServeReference {
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  int64_t q6 = 0;
-  // Template bundles: node ids are deterministic per builder, so one bundle
-  // per query kind serves result extraction for every served execution.
-  plan::PlanBundle q3_bundle;
-  plan::PlanBundle q4_bundle;
-  plan::PlanBundle q6_bundle;
-};
-
-Result<ServeReference> BuildServeReference(const Catalog& catalog,
-                                           DeviceManager* manager,
-                                           const ExecutionOptions& exec_options) {
-  ServeReference ref;
-  QueryExecutor executor(manager);
-  ADAMANT_ASSIGN_OR_RETURN(ref.q3_bundle, plan::BuildQ3(catalog, {}, 0));
-  ADAMANT_ASSIGN_OR_RETURN(ref.q4_bundle, plan::BuildQ4(catalog, {}, 0));
-  ADAMANT_ASSIGN_OR_RETURN(ref.q6_bundle, plan::BuildQ6(catalog, {}, 0));
-  {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ3(catalog, {}, 0));
-    ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
-                             executor.Run(bundle.graph.get(), exec_options));
-    ADAMANT_ASSIGN_OR_RETURN(ref.q3,
-                             plan::ExtractQ3(bundle, exec, catalog, {}));
-  }
-  {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ4(catalog, {}, 0));
-    ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
-                             executor.Run(bundle.graph.get(), exec_options));
-    ADAMANT_ASSIGN_OR_RETURN(ref.q4, plan::ExtractQ4(bundle, exec));
-  }
-  {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ6(catalog, {}, 0));
-    ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
-                             executor.Run(bundle.graph.get(), exec_options));
-    ADAMANT_ASSIGN_OR_RETURN(ref.q6, plan::ExtractQ6(bundle, exec));
-  }
-  return ref;
-}
 
 /// One served query that did not produce a usable result, for the
 /// machine-readable `serve_errors:` record (exit code 3).
@@ -1079,25 +887,51 @@ std::string ServeErrorsJson(const std::vector<ServeErrorRecord>& errors) {
   return json + "]}";
 }
 
+// The scalar references of the hand-built serve mix.
+struct ServeReferences {
+  std::vector<tpch::Q3Row> q3;
+  std::vector<tpch::Q4Row> q4;
+  int64_t q6 = 0;
+};
+
+// Whether one served result, extracted from the plan its ticket ran,
+// matches its oracle.
+Result<bool> CheckServed(const Options& options, const std::string& query,
+                         const CompiledPlan& plan, const QueryExecution& exec,
+                         const Catalog& catalog, const ServeReferences& refs) {
+  if (options.serve_sql) {
+    const Status st =
+        sql::VerifyAgainstInterpreter(*plan.query, plan.bundle, exec, catalog);
+    if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return st.ok();
+  }
+  if (query == "3") {
+    ADAMANT_ASSIGN_OR_RETURN(auto rows,
+                             plan::ExtractQ3(plan.bundle, exec, catalog, {}));
+    return rows == refs.q3;
+  }
+  if (query == "4") {
+    ADAMANT_ASSIGN_OR_RETURN(auto rows, plan::ExtractQ4(plan.bundle, exec));
+    return rows == refs.q4;
+  }
+  ADAMANT_ASSIGN_OR_RETURN(int64_t revenue, plan::ExtractQ6(plan.bundle, exec));
+  return revenue == refs.q6;
+}
+
 Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
              int* exit_code) {
-  ADAMANT_ASSIGN_OR_RETURN(sim::DriverKind kind,
-                           DriverFromName(options.driver));
-  ADAMANT_ASSIGN_OR_RETURN(ExecutionModelKind model,
-                           ParseExecutionModel(options.model));
-  const sim::HardwareSetup setup = options.setup == 2
-                                       ? sim::HardwareSetup::kSetup2
-                                       : sim::HardwareSetup::kSetup1;
+  const sim::DriverKind kind = *DriverFromName(options.driver);
   const bool faults = options.fault_rate > 0 || options.sticky_device >= 0;
-  DeviceManager manager(setup);
+  DeviceManager manager(options.setup == 2 ? sim::HardwareSetup::kSetup2
+                                           : sim::HardwareSetup::kSetup1);
   manager.SetDataScale(options.nominal_sf / options.sf);
   const size_t num_devices = std::max<size_t>(options.devices, 1);
   for (size_t i = 0; i < num_devices; ++i) {
     const std::string name = options.driver + "." + std::to_string(i);
-    DeviceId device;
+    FaultPlan plan;
     if (faults) {
-      FaultPlan plan = FaultPlan::TransientRate(
-          options.fault_rate, options.fault_seed + i);
+      plan = FaultPlan::TransientRate(options.fault_rate,
+                                      options.fault_seed + i);
       if (static_cast<int>(i) == options.sticky_device) {
         // --stall-ms turns the sticky device into a chronic straggler
         // (every Execute sleeps but succeeds) instead of a crasher; only a
@@ -1110,16 +944,15 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
         plan.specs.insert(plan.specs.end(), sticky.specs.begin(),
                           sticky.specs.end());
       }
-      ADAMANT_ASSIGN_OR_RETURN(device,
-                               manager.AddDriver(kind, name, std::move(plan)));
-    } else {
-      ADAMANT_ASSIGN_OR_RETURN(device, manager.AddDriver(kind, name));
     }
+    ADAMANT_ASSIGN_OR_RETURN(
+        DeviceId device, faults ? manager.AddDriver(kind, name, std::move(plan))
+                                : manager.AddDriver(kind, name));
     ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(device)));
   }
 
   ExecutionOptions exec_options;
-  exec_options.model = model;
+  exec_options.model = *ParseExecutionModel(options.model);
   exec_options.chunk_elems = options.chunk;
 
   std::printf("serve: %zu devices (%s), %zu clients, %zu queries, seed %u, "
@@ -1136,49 +969,11 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
                 options.sequential ? "sequential" : "concurrent");
   }
 
-  // Serial references first: the service's results must match these
-  // bit-for-bit. With faults enabled the references come from a separate
-  // clean manager — the baseline must be what a fault-free run produces.
-  std::unique_ptr<DeviceManager> clean;
-  DeviceManager* ref_manager = &manager;
-  if (faults) {
-    clean = std::make_unique<DeviceManager>(setup);
-    clean->SetDataScale(options.nominal_sf / options.sf);
-    ADAMANT_ASSIGN_OR_RETURN(DeviceId device, clean->AddDriver(kind));
-    ADAMANT_RETURN_NOT_OK(BindStandardKernels(clean->device(device)));
-    ref_manager = clean.get();
-  }
-  ServeReference ref;
-  // SQL serve mode references: the q3/q4/q6 built-ins compiled through the
-  // SQL frontend and run serially. The service compiles the same text, so
-  // the (deterministic) lowering's named sinks line up with these bundles.
-  const char* kSqlServeNames[3] = {"q3", "q4", "q6"};
-  std::vector<sql::CompiledQuery> sql_compiled;
-  std::vector<plan::PlanBundle> sql_bundles;
-  std::vector<sql::SqlResultSet> sql_refs;
-  if (options.serve_sql) {
-    QueryExecutor ref_executor(ref_manager);
-    for (const char* name : kSqlServeNames) {
-      const sql::BuiltinQuery* builtin = sql::FindBuiltinQuery(name);
-      sql::PlannerOptions planner_options;
-      planner_options.manager = ref_manager;
-      ADAMANT_ASSIGN_OR_RETURN(
-          sql::CompiledQuery compiled,
-          sql::Compile(builtin->sql, *catalog, planner_options));
-      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                               plan::LowerPlan(*compiled.plan, *catalog, 0));
-      ADAMANT_ASSIGN_OR_RETURN(
-          QueryExecution exec,
-          ref_executor.Run(bundle.graph.get(), exec_options));
-      ADAMANT_ASSIGN_OR_RETURN(sql::SqlResultSet rows,
-                               sql::ExtractResults(compiled, bundle, exec));
-      sql_compiled.push_back(std::move(compiled));
-      sql_bundles.push_back(std::move(bundle));
-      sql_refs.push_back(std::move(rows));
-    }
-  } else {
-    ADAMANT_ASSIGN_OR_RETURN(ref, BuildServeReference(*catalog, ref_manager,
-                                                      exec_options));
+  ServeReferences refs;
+  if (!options.serve_sql) {
+    ADAMANT_ASSIGN_OR_RETURN(refs.q3, tpch::Q3Reference(*catalog, {}));
+    ADAMANT_ASSIGN_OR_RETURN(refs.q4, tpch::Q4Reference(*catalog, {}));
+    ADAMANT_ASSIGN_OR_RETURN(refs.q6, tpch::Q6Reference(*catalog, {}));
   }
 
   ServiceConfig config;
@@ -1196,63 +991,42 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
     // attempts before a ticket is allowed to fail.
     config.retry.max_attempts = 8;
   }
-  if (!options.trace_path.empty()) {
-    // Enabled before the service exists so worker threads never observe a
-    // half-initialized recorder; the reference runs above stay untraced.
-    obs::TraceRecorder::Global().Enable();
-    for (size_t i = 0; i < manager.num_devices(); ++i) {
-      obs::TraceRecorder::Global().SetTrackName(
-          static_cast<int>(i),
-          manager.device(static_cast<DeviceId>(i))->name());
-    }
-  }
+  // Enabled before the service exists so worker threads never observe a
+  // half-initialized recorder.
+  if (!options.trace_path.empty()) EnableTracing(&manager);
   QueryService service(&manager, config);
 
   // Seeded workload: an even Q3/Q4/Q6 mix.
+  const char* const kServeQueries[3] = {"3", "4", "6"};
   std::mt19937 rng(options.seed);
   std::uniform_int_distribution<int> pick(0, 2);
   const Catalog* cat = catalog.get();
-  std::vector<int> kinds;
+  std::vector<std::string> queries;
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   std::vector<ServeErrorRecord> errors;
-  kinds.reserve(options.serve_queries);
+  queries.reserve(options.serve_queries);
   tickets.reserve(options.serve_queries);
   for (size_t i = 0; i < options.serve_queries; ++i) {
-    const int kind_ix = pick(rng);
+    const std::string query = kServeQueries[pick(rng)];
     QuerySpec spec;
     spec.options = exec_options;
     spec.deadline_ms = options.deadline_ms;
     spec.priority = options.priority;
     if (options.serve_sql) {
-      spec.name = std::string("sql-") + kSqlServeNames[kind_ix];
-      spec.sql = sql::FindBuiltinQuery(kSqlServeNames[kind_ix])->sql;
+      spec.name = "sql-q" + query;
+      spec.sql = sql::FindBuiltinQuery("q" + query)->sql;
       spec.sql_catalog = cat;
-    } else if (kind_ix == 0) {
-      spec.name = "Q3";
-      spec.make_graph = [cat](DeviceId device)
-          -> Result<std::unique_ptr<PrimitiveGraph>> {
-        ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                                 plan::BuildQ3(*cat, {}, device));
-        return std::move(bundle.graph);
-      };
-    } else if (kind_ix == 1) {
-      spec.name = "Q4";
-      spec.make_graph = [cat](DeviceId device)
-          -> Result<std::unique_ptr<PrimitiveGraph>> {
-        ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                                 plan::BuildQ4(*cat, {}, device));
-        return std::move(bundle.graph);
-      };
     } else {
-      spec.name = "Q6";
-      spec.make_graph = [cat](DeviceId device)
+      spec.name = "Q" + query;
+      spec.make_graph = [cat, query](DeviceId device)
           -> Result<std::unique_ptr<PrimitiveGraph>> {
         ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                                 plan::BuildQ6(*cat, {}, device));
+                                 BuildBundle(query, *cat, device));
         return std::move(bundle.graph);
       };
     }
     const std::string query_name = spec.name;
+    queries.push_back(query);
     Result<std::shared_ptr<QueryTicket>> submit =
         service.Submit(std::move(spec));
     if (!submit.ok()) {
@@ -1267,7 +1041,6 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
       } else {
         return st.WithContext("submitting query " + std::to_string(i));
       }
-      kinds.push_back(kind_ix);
       tickets.push_back(nullptr);
       continue;
     }
@@ -1277,7 +1050,6 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
     // injectors' seeded decisions — and hence the failure counters —
     // reproducible across runs.
     if (options.sequential) ticket->Wait();
-    kinds.push_back(kind_ix);
     tickets.push_back(std::move(ticket));
   }
 
@@ -1292,8 +1064,7 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
         // SLO outcomes (deadline lapse, user cancel, unretried watchdog
         // trip) are recorded even under fault injection — they are what a
         // deadline experiment measures.
-        errors.push_back(
-            {i, tickets[i]->name(), "cancelled", st});
+        errors.push_back({i, tickets[i]->name(), "cancelled", st});
         continue;
       }
       // With fault injection on, a ticket that exhausted its retries is an
@@ -1305,32 +1076,16 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
       errors.push_back({i, tickets[i]->name(), "failed", st});
       continue;
     }
-    bool match = false;
-    if (options.serve_sql) {
-      const size_t k = static_cast<size_t>(kinds[i]);
-      ADAMANT_ASSIGN_OR_RETURN(
-          sql::SqlResultSet rows,
-          sql::ExtractResults(sql_compiled[k], sql_bundles[k], *result));
-      match = rows.rows == sql_refs[k].rows;
-    } else if (kinds[i] == 0) {
-      ADAMANT_ASSIGN_OR_RETURN(
-          auto rows, plan::ExtractQ3(ref.q3_bundle, *result, *catalog, {}));
-      match = rows == ref.q3;
-    } else if (kinds[i] == 1) {
-      ADAMANT_ASSIGN_OR_RETURN(auto rows,
-                               plan::ExtractQ4(ref.q4_bundle, *result));
-      match = rows == ref.q4;
-    } else {
-      ADAMANT_ASSIGN_OR_RETURN(int64_t revenue,
-                               plan::ExtractQ6(ref.q6_bundle, *result));
-      match = revenue == ref.q6;
-    }
+    ADAMANT_ASSIGN_OR_RETURN(bool match,
+                             CheckServed(options, queries[i],
+                                         *tickets[i]->plan(), *result,
+                                         *catalog, refs));
     if (!match) ++mismatches;
   }
   service.Drain();
 
   ServiceStats stats = service.GetStats();
-  std::printf("serve: %zu/%zu results match serial runs\n",
+  std::printf("serve: %zu/%zu results match the reference\n",
               tickets.size() - mismatches - fault_failures - errors.size(),
               tickets.size());
   if (!errors.empty()) {
@@ -1348,31 +1103,20 @@ Status Serve(const Options& options, const std::shared_ptr<Catalog>& catalog,
   }
   std::printf("%s\n", stats.ToJson().c_str());
   if (!options.trace_path.empty()) {
-    std::ofstream out(options.trace_path);
-    out << obs::TraceRecorder::Global().ExportChromeJson();
-    if (!out.good()) {
-      return Status::IOError("cannot write trace to " + options.trace_path);
-    }
-    std::printf("trace written to %s (open in chrome://tracing or Perfetto)\n",
-                options.trace_path.c_str());
+    ADAMANT_RETURN_NOT_OK(WriteTrace(options.trace_path));
   }
   if (!options.metrics_path.empty()) {
     ADAMANT_RETURN_NOT_OK(DumpMetrics(options.metrics_path, &service));
   }
   if (!options.history_path.empty()) {
-    std::ofstream out(options.history_path);
-    out << service.HistoryJson();
-    if (!out.good()) {
-      return Status::IOError("cannot write history to " +
-                             options.history_path);
-    }
-    std::printf("query history written to %s\n", options.history_path.c_str());
+    ADAMANT_RETURN_NOT_OK(WriteOutput(options.history_path,
+                                      service.HistoryJson(), "query history"));
   }
   service.Stop();
   if (!options.trace_path.empty()) obs::TraceRecorder::Global().Disable();
   if (mismatches > 0) {
     return Status::ExecutionError(std::to_string(mismatches) +
-                                  " served queries diverged from the serial "
+                                  " served queries diverged from the "
                                   "reference");
   }
   return Status::OK();
@@ -1402,120 +1146,75 @@ Status Run(const Options& options, int* exit_code) {
 
   if (options.serve) return Serve(options, catalog, exit_code);
 
-  // Device.
-  ADAMANT_ASSIGN_OR_RETURN(sim::DriverKind kind,
-                           DriverFromName(options.driver));
+  // Devices: one per named driver class of a heterogeneous --devices list,
+  // else enough instances of --driver to cover every --devices id.
   DeviceManager manager(options.setup == 2 ? sim::HardwareSetup::kSetup2
                                            : sim::HardwareSetup::kSetup1);
   manager.SetDataScale(options.nominal_sf / options.sf);
-  DeviceId device = 0;
-  if (!options.device_classes.empty()) {
-    // Heterogeneous device-parallel run: one device per named driver class,
-    // in --devices order; the chunk range splits across the mixed set by
-    // cost ratio.
-    for (size_t i = 0; i < options.device_classes.size(); ++i) {
-      ADAMANT_ASSIGN_OR_RETURN(sim::DriverKind class_kind,
-                               DriverFromName(options.device_classes[i]));
-      ADAMANT_ASSIGN_OR_RETURN(
-          DeviceId added,
-          manager.AddDriver(class_kind, options.device_classes[i] + "." +
-                                            std::to_string(i)));
-      ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(added)));
-    }
-  } else {
-    ADAMANT_ASSIGN_OR_RETURN(device, manager.AddDriver(kind));
-    ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(device)));
-    if (!options.device_set.empty()) {
-      // Device-parallel run: plug enough instances of the chosen driver to
-      // cover every id in --devices (device 0 is already plugged above).
-      const DeviceId max_id = *std::max_element(options.device_set.begin(),
-                                                options.device_set.end());
-      for (DeviceId id = 1; id <= max_id; ++id) {
-        ADAMANT_ASSIGN_OR_RETURN(
-            DeviceId added, manager.AddDriver(kind, options.driver + "." +
-                                                        std::to_string(id)));
-        ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(added)));
-      }
-    }
+  const DeviceId device = 0;
+  std::vector<std::string> drivers = options.device_classes;
+  if (drivers.empty()) {
+    const DeviceId max_id =
+        options.device_set.empty()
+            ? 0
+            : *std::max_element(options.device_set.begin(),
+                                options.device_set.end());
+    drivers.assign(static_cast<size_t>(max_id) + 1, options.driver);
+  }
+  for (size_t i = 0; i < drivers.size(); ++i) {
+    const sim::DriverKind kind = *DriverFromName(drivers[i]);
+    // The first --driver instance keeps the driver's own name.
+    ADAMANT_ASSIGN_OR_RETURN(
+        DeviceId added,
+        i == 0 && options.device_classes.empty()
+            ? manager.AddDriver(kind)
+            : manager.AddDriver(kind, drivers[i] + "." + std::to_string(i)));
+    ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(added)));
   }
   if (!options.sim_trace_path.empty()) {
     manager.device(device)->transfer_timeline().set_tracing(true);
     manager.device(device)->d2h_timeline().set_tracing(true);
     manager.device(device)->compute_timeline().set_tracing(true);
   }
-
-  // Wall-clock tracing routes the queries through a one-off single-worker
-  // QueryService: the exported trace then carries the service admission and
-  // placement instants in addition to the runtime's spans, which is what a
-  // trace of a served query would show.
-  std::unique_ptr<QueryService> service;
-  if (!options.trace_path.empty()) {
-    obs::TraceRecorder::Global().Enable();
-    for (size_t i = 0; i < manager.num_devices(); ++i) {
-      obs::TraceRecorder::Global().SetTrackName(
-          static_cast<int>(i),
-          manager.device(static_cast<DeviceId>(i))->name());
-    }
-    ServiceConfig config;
-    config.workers = 1;
-    service = std::make_unique<QueryService>(&manager, config);
-  }
+  // Tracing only records: the traced run executes the same plan.
+  if (!options.trace_path.empty()) EnableTracing(&manager);
 
   // Queries.
-  std::vector<std::string> queries;
+  std::vector<SingleQuery> queries;
   if (!options.sql.empty() || !options.sql_file.empty()) {
-    queries.clear();  // SQL mode replaces the built-in plan list.
-    ADAMANT_RETURN_NOT_OK(
-        RunSql(*catalog, &manager, device, options, service.get()));
-  } else if (options.query == "all") {
-    queries = {"1", "3", "4", "5", "6", "10", "12", "14"};
+    ADAMANT_ASSIGN_OR_RETURN(SingleQuery q, ResolveSql(options));
+    queries.push_back(std::move(q));
   } else {
-    queries = {options.query};
+    for (const char* query : kQueries) {
+      if (options.query != "all" && options.query != query) continue;
+      const std::string id = query;
+      const char* table = id == "14" ? "part" : id == "5" ? "region" : "";
+      if (*table != '\0' && !catalog->GetTable(table).ok()) {
+        std::printf("Q%s skipped (no %s table)\n", query, table);
+        continue;
+      }
+      queries.push_back({"Q" + id, id, ""});
+    }
   }
-  for (const std::string& query : queries) {
-    if (query == "14" && !catalog->GetTable("part").ok()) {
-      std::printf("Q14 skipped (no part table)\n");
-      continue;
-    }
-    if (query == "5" && !catalog->GetTable("region").ok()) {
-      std::printf("Q5 skipped (no region table)\n");
-      continue;
-    }
-    ADAMANT_RETURN_NOT_OK(RunQuery(query, *catalog, &manager, device, options,
-                                   service.get()));
+  for (const SingleQuery& q : queries) {
+    ADAMANT_RETURN_NOT_OK(
+        RunSingleQuery(q, *catalog, &manager, device, options));
   }
 
-  if (service != nullptr) {
-    service->Drain();
-    std::ofstream out(options.trace_path);
-    out << obs::TraceRecorder::Global().ExportChromeJson();
-    if (!out.good()) {
-      return Status::IOError("cannot write trace to " + options.trace_path);
-    }
-    std::printf("trace written to %s (open in chrome://tracing or Perfetto)\n",
-                options.trace_path.c_str());
+  if (!options.trace_path.empty()) {
+    obs::TraceRecorder::Global().Disable();
+    ADAMANT_RETURN_NOT_OK(WriteTrace(options.trace_path));
   }
   if (!options.metrics_path.empty()) {
-    ADAMANT_RETURN_NOT_OK(DumpMetrics(options.metrics_path, service.get()));
+    ADAMANT_RETURN_NOT_OK(DumpMetrics(options.metrics_path, nullptr));
   }
-  if (service != nullptr) {
-    service->Stop();
-    obs::TraceRecorder::Global().Disable();
-  }
-
   if (!options.sim_trace_path.empty()) {
     SimulatedDevice* dev = manager.device(device);
-    std::string json = sim::ToChromeTrace({&dev->transfer_timeline(),
-                                           &dev->d2h_timeline(),
-                                           &dev->compute_timeline()});
-    std::ofstream out(options.sim_trace_path);
-    out << json;
-    if (!out.good()) {
-      return Status::IOError("cannot write trace to " +
-                             options.sim_trace_path);
-    }
-    std::printf("simulated-timeline trace written to %s\n",
-                options.sim_trace_path.c_str());
+    ADAMANT_RETURN_NOT_OK(WriteOutput(
+        options.sim_trace_path,
+        sim::ToChromeTrace({&dev->transfer_timeline(), &dev->d2h_timeline(),
+                            &dev->compute_timeline()}),
+        "simulated-timeline trace"));
   }
   return Status::OK();
 }
