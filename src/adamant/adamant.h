@@ -56,7 +56,6 @@
 #include "sql/builtin_queries.h"
 #include "sql/compile.h"
 #include "sql/engine.h"
-#include "sim/trace_export.h"
 #include "storage/table.h"
 #include "task/containers.h"
 #include "task/kernel_registry.h"

@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "common/logging.h"
+#include "obs/trace.h"
 
 namespace adamant {
 
@@ -21,10 +22,7 @@ SimulatedDevice::SimulatedDevice(std::string name, sim::DevicePerfModel model,
       requires_compilation_(requires_compilation),
       ctx_(std::move(ctx)),
       device_arena_(name_ + ".device_mem", model_.device_memory_bytes),
-      pinned_arena_(name_ + ".pinned_mem", model_.pinned_memory_bytes),
-      transfer_tl_(name_ + ".h2d"),
-      d2h_tl_(name_ + ".d2h"),
-      compute_tl_(name_ + ".compute") {
+      pinned_arena_(name_ + ".pinned_mem", model_.pinned_memory_bytes) {
   ADAMANT_CHECK(ctx_ != nullptr);
 }
 
@@ -457,6 +455,45 @@ void SimulatedDevice::ResetTimelines() {
   for (auto& [id, rec] : records_) {
     rec.ready_at = 0;
     rec.last_read_end = 0;
+  }
+}
+
+SimulatedDevice::EngineBusy SimulatedDevice::busy() const {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  return {transfer_tl_.busy_time(), d2h_tl_.busy_time(),
+          compute_tl_.busy_time()};
+}
+
+void SimulatedDevice::Barrier(SimTime at) {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  for (sim::ResourceTimeline* engine :
+       {&transfer_tl_, &d2h_tl_, &compute_tl_}) {
+    engine->Schedule(at, 0, "dp-barrier");
+  }
+}
+
+void SimulatedDevice::SetTimelineTracing(bool enabled) {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  for (sim::ResourceTimeline* engine :
+       {&transfer_tl_, &d2h_tl_, &compute_tl_}) {
+    engine->set_tracing(enabled);
+  }
+}
+
+void SimulatedDevice::RecordTimelineTrace(int first_track,
+                                          SimTime offset_us) const {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  const char* const kEngines[] = {"h2d", "d2h", "compute"};
+  const sim::ResourceTimeline* const engines[] = {&transfer_tl_, &d2h_tl_,
+                                                  &compute_tl_};
+  for (int e = 0; e < 3; ++e) {
+    recorder.SetTrackName(first_track + e,
+                          name_ + " " + kEngines[e] + " (simulated)");
+    for (const sim::TimelineEntry& entry : engines[e]->trace()) {
+      recorder.RecordComplete(first_track + e, offset_us + entry.start,
+                              entry.end - entry.start, entry.label);
+    }
   }
 }
 

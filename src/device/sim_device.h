@@ -165,11 +165,34 @@ class SimulatedDevice : public Device {
   /// Clears all simulated time (buffers survive, their timestamps reset).
   void ResetTimelines();
 
-  /// H2D and D2H run on separate copy engines (as on discrete GPUs), so
-  /// result readbacks do not serialize against the input chunk stream.
-  sim::ResourceTimeline& transfer_timeline() { return transfer_tl_; }
-  sim::ResourceTimeline& d2h_timeline() { return d2h_tl_; }
-  sim::ResourceTimeline& compute_timeline() { return compute_tl_; }
+  /// Busy time booked on each engine since the last ResetTimelines.
+  struct EngineBusy {
+    sim::SimTime h2d = 0;
+    sim::SimTime d2h = 0;
+    sim::SimTime compute = 0;
+    sim::SimTime total() const { return h2d + d2h + compute; }
+  };
+  EngineBusy busy() const;
+
+  /// Holds every engine until `at`: a zero-length booking on each, so no
+  /// later operation starts earlier (the device-parallel merge barrier).
+  void Barrier(sim::SimTime at);
+
+  /// While on, every engine keeps its bookings until the next
+  /// ResetTimelines, for RecordTimelineTrace.
+  void SetTimelineTracing(bool enabled);
+  /// Records the kept bookings as complete events on the trace recorder:
+  /// the h2d, d2h and compute engines on tracks `first_track` + 0, 1, 2,
+  /// named after the device, every timestamp shifted by `offset_us`.
+  void RecordTimelineTrace(int first_track, sim::SimTime offset_us) const;
+
+  /// Read-only views of the H2D copy and compute engines. H2D and D2H run
+  /// on separate copy engines (as on discrete GPUs), so result readbacks do
+  /// not serialize against the input chunk stream.
+  const sim::ResourceTimeline& transfer_timeline() const {
+    return transfer_tl_;
+  }
+  const sim::ResourceTimeline& compute_timeline() const { return compute_tl_; }
   sim::SimTime host_time() const { return host_time_; }
   /// Sum of pure kernel-body time (launch/mapping overheads excluded) —
   /// the "sum of processing time of the individual primitives" of Fig. 10.

@@ -91,6 +91,15 @@ std::string ChromeTraceBuilder::ToJson() const {
   std::ostringstream out;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
+  auto pid = [](int track) { return track >= kSimTrackBase ? 1 : 0; };
+  const bool simulated =
+      (!track_names_.empty() && pid(track_names_.rbegin()->first) == 1) ||
+      (!sorted.empty() && pid(sorted.back()->track) == 1);
+  if (simulated) {
+    out << "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+           "\"args\":{\"name\":\"simulated clock (us)\"}}";
+    first = false;
+  }
   int open_track = -1;
   bool open_track_valid = false;
   auto emit_track_meta = [&](int track) {
@@ -103,7 +112,7 @@ std::string ChromeTraceBuilder::ToJson() const {
     const std::string name = it != track_names_.end()
                                  ? it->second
                                  : "track " + std::to_string(track);
-    out << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << track
+    out << "{\"ph\":\"M\",\"pid\":" << pid(track) << ",\"tid\":" << track
         << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
         << JsonEscape(name) << "\"}}";
   };
@@ -123,8 +132,8 @@ std::string ChromeTraceBuilder::ToJson() const {
   open_track_valid = false;
   for (const Event* event : sorted) {
     emit_track_meta(event->track);
-    out << ",{\"ph\":\"" << event->phase
-        << "\",\"pid\":0,\"tid\":" << event->track << ",\"ts\":";
+    out << ",{\"ph\":\"" << event->phase << "\",\"pid\":"
+        << pid(event->track) << ",\"tid\":" << event->track << ",\"ts\":";
     AppendNumber(event->ts, &out);
     if (event->phase == 'X') {
       out << ",\"dur\":";

@@ -8,16 +8,19 @@
 
 namespace adamant::obs {
 
-/// The shared Chrome Trace Event serializer (chrome://tracing / Perfetto).
-/// Both the live TraceRecorder and the simulated-timeline exporter
-/// (sim/trace_export) render through this builder, so real and simulated
-/// runs produce byte-compatible trace files.
+/// Tracks at or above kSimTrackBase hold simulated-clock timelines and
+/// export under their own process (pid 1, "simulated clock"), so a viewer
+/// never lines simulated microseconds up against wall-clock spans.
+inline constexpr int kSimTrackBase = 1000;
+
+/// The Chrome Trace Event serializer (chrome://tracing / Perfetto) behind
+/// TraceRecorder::ExportChromeJson.
 ///
-/// One pid (0); each `track` becomes a thread with an "M" thread_name
-/// metadata event followed by its "X" (complete) and "i" (instant) events
-/// sorted by timestamp — Perfetto requires non-decreasing timestamps per
-/// track, which the sort guarantees regardless of the order events were
-/// recorded in.
+/// Wall-clock tracks export under pid 0, simulated-clock tracks under
+/// pid 1; each `track` becomes a thread with an "M" thread_name metadata
+/// event followed by its "X" (complete) and "i" (instant) events sorted by
+/// timestamp — Perfetto requires non-decreasing timestamps per track, which
+/// the sort guarantees regardless of the order events were recorded in.
 class ChromeTraceBuilder {
  public:
   /// Names the track (thread) in the viewer. Unnamed tracks fall back to

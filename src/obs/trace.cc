@@ -33,13 +33,9 @@ void TraceRecorder::Enable() {
                       .count(),
                   std::memory_order_relaxed);
   {
+    // A new trace names only its own tracks, never an earlier trace's.
     std::lock_guard<std::mutex> lock(registry_mu_);
-    if (track_names_.find(kHostTrack) == track_names_.end()) {
-      track_names_[kHostTrack] = "host";
-    }
-    if (track_names_.find(kServiceTrack) == track_names_.end()) {
-      track_names_[kServiceTrack] = "service";
-    }
+    track_names_ = {{kHostTrack, "host"}, {kServiceTrack, "service"}};
   }
   g_tracing_enabled.store(true, std::memory_order_release);
 }
@@ -72,8 +68,8 @@ void TraceRecorder::Append(Event event) {
   buffer->events.push_back(std::move(event));
 }
 
-void TraceRecorder::RecordComplete(int track, uint64_t start_us,
-                                   uint64_t dur_us, std::string name,
+void TraceRecorder::RecordComplete(int track, double start_us,
+                                   double dur_us, std::string name,
                                    std::string args_json) {
   if (!TracingEnabled()) return;
   Event event;
@@ -119,14 +115,11 @@ std::string TraceRecorder::ExportChromeJson() {
     std::lock_guard<std::mutex> buffer_lock(buffer->mu);
     for (const Event& event : buffer->events) {
       if (event.phase == 'i') {
-        builder.AddInstant(event.track, static_cast<double>(event.ts),
-                           event.name, event.args);
+        builder.AddInstant(event.track, event.ts, event.name, event.args);
       } else if (event.phase == 'C') {
-        builder.AddCounter(event.track, static_cast<double>(event.ts),
-                           event.name, event.args);
+        builder.AddCounter(event.track, event.ts, event.name, event.args);
       } else {
-        builder.AddComplete(event.track, static_cast<double>(event.ts),
-                            static_cast<double>(event.dur), event.name,
+        builder.AddComplete(event.track, event.ts, event.dur, event.name,
                             event.args);
       }
     }
@@ -140,7 +133,17 @@ void TraceRecorder::Clear() {
     std::lock_guard<std::mutex> buffer_lock(buffer->mu);
     buffer->events.clear();
   }
+  next_sim_window_ = SimWindow{};
   dropped_.store(0, std::memory_order_relaxed);
+}
+
+TraceRecorder::SimWindow TraceRecorder::ClaimSimulatedWindow(
+    double length_us) {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  const SimWindow window = next_sim_window_;
+  next_sim_window_.start_us += length_us;
+  ++next_sim_window_.run;
+  return window;
 }
 
 size_t TraceRecorder::TotalEvents() {

@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/chrome_trace.h"
+
 namespace adamant::obs {
 
 /// Track ids: device events record on the DeviceId itself (0..N-1); the
@@ -24,6 +26,12 @@ inline constexpr int kServiceTrack = 901;
 /// parallel region (and participates in it) records on kPoolCallerTrack.
 inline constexpr int kPoolTrackBase = 910;
 inline constexpr int kPoolCallerTrack = 926;
+/// Simulated-clock tracks (kSimTrackBase and up, exported as their own
+/// process): each traced run records one `run:<n>` span on kSimTrackBase
+/// and device d's h2d/d2h/compute engine bookings on SimEngineTrack(d) +
+/// {0, 1, 2}. Timestamps are simulated microseconds, each run in its own
+/// window (ClaimSimulatedWindow).
+inline int SimEngineTrack(int device) { return kSimTrackBase + 1 + 3 * device; }
 
 /// The disabled-path guard: one relaxed atomic load and a branch, inlinable
 /// at every instrumentation site. All Record*/TraceSpan entry points check
@@ -48,7 +56,8 @@ class TraceRecorder {
  public:
   static TraceRecorder& Global();
 
-  /// Clears prior events, restarts the time epoch, and turns recording on.
+  /// Clears prior events and track names, restarts the time epoch, and
+  /// turns recording on.
   void Enable();
   void Disable();
   bool enabled() const { return TracingEnabled(); }
@@ -56,11 +65,11 @@ class TraceRecorder {
   /// Microseconds since Enable().
   uint64_t NowUs() const;
 
-  /// Names a track in the exported trace (e.g. a device's name). Safe to
-  /// call whether or not recording is enabled.
+  /// Names a track in the exported trace (e.g. a device's name) until the
+  /// next Enable(). Safe to call whether or not recording is enabled.
   void SetTrackName(int track, const std::string& name);
 
-  void RecordComplete(int track, uint64_t start_us, uint64_t dur_us,
+  void RecordComplete(int track, double start_us, double dur_us,
                       std::string name, std::string args_json = std::string());
   void RecordInstant(int track, std::string name,
                      std::string args_json = std::string());
@@ -69,6 +78,15 @@ class TraceRecorder {
   /// a single thread (or under one lock) so per-track timestamps give a
   /// well-defined series order.
   void RecordCounter(int track, std::string name, std::string args_json);
+
+  /// Reserves the next `length_us` of the simulated-clock time axis for one
+  /// run, so consecutive runs never overlap there; returns the window's
+  /// start and its sequence number (`run`). Enable() rewinds to 0.
+  struct SimWindow {
+    double start_us = 0;
+    size_t run = 0;
+  };
+  SimWindow ClaimSimulatedWindow(double length_us);
 
   /// Chrome Trace Event JSON of everything recorded since Enable().
   std::string ExportChromeJson();
@@ -89,8 +107,8 @@ class TraceRecorder {
   struct Event {
     int track = 0;
     char phase = 'X';  // 'X' complete | 'i' instant | 'C' counter
-    uint64_t ts = 0;
-    uint64_t dur = 0;
+    double ts = 0;
+    double dur = 0;
     std::string name;
     std::string args;
   };
@@ -108,6 +126,7 @@ class TraceRecorder {
   std::mutex registry_mu_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
   std::map<int, std::string> track_names_;
+  SimWindow next_sim_window_;  // guarded by registry_mu_
 };
 
 /// RAII span: declare unconditionally, Start() behind the TracingEnabled()

@@ -194,8 +194,9 @@ Result<PlacementSearchResult> SearchPlacements(
     name += "}";
     // Merge-cost gate: when the interior-breaker round-trip is predicted to
     // eat the compute savings of the split, don't even simulate the
-    // candidate (BENCH_multidevice's Q4 regression: a fact-table HASH_BUILD
-    // union dominating a 2-device split).
+    // candidate (Q4 across two GPUs, where a fact-table HASH_BUILD union
+    // dominates the split; parity_matrix_test's
+    // SimulatedClockGates.DeviceParallelScalingAndMergeGate holds it).
     ADAMANT_ASSIGN_OR_RETURN(
         MergeCostEstimate merge,
         EstimateDeviceParallelMerge(*plan.bundle.graph, manager, split_set,

@@ -37,14 +37,6 @@ struct SubRun {
   double observed_us = 0;
 };
 
-/// Simulated busy time accumulated on a device across all three resource
-/// timelines. Only the partition thread that owns the device may call this
-/// mid-pipeline (the accessors are unsynchronized).
-sim::SimTime DeviceBusy(SimulatedDevice& dev) {
-  return dev.transfer_timeline().busy_time() + dev.d2h_timeline().busy_time() +
-         dev.compute_timeline().busy_time();
-}
-
 /// Runtime rebalancing pool for one pipeline: partitions claim their
 /// contiguous ranges chunk by chunk, and a partition that runs ahead on the
 /// *simulated* clock steals whole chunks from the slowest partition's
@@ -236,14 +228,14 @@ Status RunPartitionRebalanced(RunContext& sub, const Pipeline& pipeline,
     auto claim = pool.Claim(i);
     if (!claim.ok()) return claim.status();
     if (!claim->has) return Status::OK();
-    const sim::SimTime busy_before = DeviceBusy(*dev);
+    const sim::SimTime busy_before = dev->busy().total();
     st = sub.RunChunks(pipeline, claim->chunk, claim->chunk + 1, cap);
     if (!st.ok()) {
       pool.Fail();
       return st;
     }
     const double observed =
-        static_cast<double>(DeviceBusy(*dev) - busy_before);
+        static_cast<double>(dev->busy().total() - busy_before);
     *observed_us += observed;
     pool.Complete(i, observed);
   }
@@ -261,9 +253,7 @@ Status ScheduleBarrier(DeviceManager* manager,
   }
   for (DeviceId id : devices) {
     ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager->GetDevice(id));
-    dev->transfer_timeline().Schedule(barrier, 0, "dp-barrier");
-    dev->d2h_timeline().Schedule(barrier, 0, "dp-barrier");
-    dev->compute_timeline().Schedule(barrier, 0, "dp-barrier");
+    dev->Barrier(barrier);
   }
   return Status::OK();
 }
@@ -376,22 +366,12 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
   // points and the lease is exclusive (parent reset_device_state).
   const bool profile = ctx.options().collect_profile &&
                        ctx.options().reset_device_state;
-  struct Busy {
-    sim::SimTime h2d = 0;
-    sim::SimTime d2h = 0;
-    sim::SimTime compute = 0;
-  };
+  using Busy = SimulatedDevice::EngineBusy;
   auto sample_busy = [&ctx, &devices]() {
     std::vector<Busy> samples;
     for (DeviceId id : devices) {
-      Busy busy;
       auto dev = ctx.manager()->GetDevice(id);
-      if (dev.ok()) {
-        busy.h2d = (*dev)->transfer_timeline().busy_time();
-        busy.d2h = (*dev)->d2h_timeline().busy_time();
-        busy.compute = (*dev)->compute_timeline().busy_time();
-      }
-      samples.push_back(busy);
+      samples.push_back(dev.ok() ? (*dev)->busy() : Busy{});
     }
     return samples;
   };

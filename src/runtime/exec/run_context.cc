@@ -41,8 +41,10 @@ Status RunContext::Plan() {
 }
 
 Status RunContext::Prepare(const std::vector<DeviceId>& device_override) {
-  ADAMANT_RETURN_NOT_OK(CheckCancel());
+  // Planned before the cancel check, so a run cancelled before dispatch
+  // still finalizes one operator entry per node.
   ADAMANT_RETURN_NOT_OK(Plan());
+  ADAMANT_RETURN_NOT_OK(CheckCancel());
 
   if (device_override.empty()) {
     for (const GraphNode& node : graph_->nodes()) {
@@ -63,6 +65,9 @@ Status RunContext::Prepare(const std::vector<DeviceId>& device_override) {
     ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager_->GetDevice(id));
     if (options_.reset_device_state) {
       dev->ResetTimelines();
+      // A traced run keeps its engine bookings for the simulated-clock
+      // tracks FinalizeStats records.
+      dev->SetTimelineTracing(obs::TracingEnabled());
       dev->ResetStats();
       dev->device_arena().ResetHighWater();
       dev->pinned_arena().ResetHighWater();
@@ -97,25 +102,19 @@ void RunContext::ClosePipeline() {
           std::chrono::steady_clock::now() - pipeline_start_)
           .count();
   profile.chunks = exec_.stats.chunks - pipeline_chunk_start_;
-  // Per-device busy deltas need the devices' unsynchronized timeline
-  // accessors — exclusive-lease runs only (see FinalizeStats).
+  // Per-device busy deltas mean something only under an exclusive lease
+  // (see FinalizeStats).
   if (options_.reset_device_state) {
-    for (const auto& [id, snapshot] : pipeline_busy_snapshot_) {
+    for (const auto& [id, before] : pipeline_busy_snapshot_) {
       auto dev = manager_->GetDevice(id);
       if (!dev.ok()) continue;
+      const SimulatedDevice::EngineBusy now = (*dev)->busy();
       obs::PipelineDeviceSlice slice;
       slice.device = static_cast<int>(id);
-      slice.transfer_ms =
-          static_cast<double>((*dev)->transfer_timeline().busy_time() -
-                              snapshot.h2d) /
-          1000.0;
-      slice.d2h_ms = static_cast<double>((*dev)->d2h_timeline().busy_time() -
-                                         snapshot.d2h) /
-                     1000.0;
+      slice.transfer_ms = static_cast<double>(now.h2d - before.h2d) / 1000.0;
+      slice.d2h_ms = static_cast<double>(now.d2h - before.d2h) / 1000.0;
       slice.compute_ms =
-          static_cast<double>((*dev)->compute_timeline().busy_time() -
-                              snapshot.compute) /
-          1000.0;
+          static_cast<double>(now.compute - before.compute) / 1000.0;
       profile.devices.push_back(slice);
     }
   }
@@ -169,11 +168,7 @@ Status RunContext::BeginPipeline(const Pipeline& pipeline,
       for (DeviceId id : used_devices_) {
         auto dev = manager_->GetDevice(id);
         if (!dev.ok()) continue;
-        BusySnapshot snapshot;
-        snapshot.h2d = (*dev)->transfer_timeline().busy_time();
-        snapshot.d2h = (*dev)->d2h_timeline().busy_time();
-        snapshot.compute = (*dev)->compute_timeline().busy_time();
-        pipeline_busy_snapshot_[id] = snapshot;
+        pipeline_busy_snapshot_[id] = (*dev)->busy();
       }
     }
   }
@@ -201,7 +196,7 @@ Status RunContext::RunChunks(const Pipeline& pipeline, size_t chunk_begin,
       ADAMANT_RETURN_NOT_OK(PlaceScanChunk(edge_id, c, base_row, n));
     }
     for (int node_id : pipeline.nodes) {
-      ADAMANT_RETURN_NOT_OK(ExecuteNode(node_id, c, base_row, n));
+      ADAMANT_RETURN_NOT_OK(ExecuteNode(node_id, base_row, n));
     }
     for (int edge_id : pipeline.scan_edges) {
       graph_->edge(edge_id).processed_until += n;
@@ -499,17 +494,15 @@ Status RunContext::StageAllocations(const Pipeline& pipeline, size_t cap) {
   return Status::OK();
 }
 
-Status RunContext::ExecuteNode(int node_id, size_t chunk, size_t base_row,
-                               size_t n) {
+Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
   const GraphNode& node = graph_->node(node_id);
   ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev,
                            manager_->GetDevice(node.device));
 
   // Fused composites take a variable number of inputs and launch the
-  // recipe interpreter; they get their own path.
+  // recipe interpreter; they bind their own inputs and outputs.
   if (node.kind == PrimitiveKind::kFused ||
       node.kind == PrimitiveKind::kFusedAgg) {
-    (void)chunk;
     return ExecuteFusedNode(node, dev, base_row, n);
   }
 
@@ -727,69 +720,10 @@ Status RunContext::ExecuteNode(int node_id, size_t chunk, size_t base_row,
                               ": fused kinds are dispatched above");
   }
 
-  launch.variant = options_.kernel_variant;
-  launch.num_threads = options_.kernel_threads;
-  launch.cancel = options_.cancel_token;
-
-  // EXPLAIN ANALYZE: the primary input's valid-row count is known before
-  // the launch (its producer already ran this chunk).
-  int64_t analyze_rows_in = static_cast<int64_t>(n);
-  if (options_.collect_operator_stats) {
-    const auto pslot = static_cast<size_t>(PrimaryInputSlot(node));
-    if (has_in[pslot]) {
-      ADAMANT_ASSIGN_OR_RETURN(analyze_rows_in, BindingRows(in[pslot]));
-    }
-  }
-
-  {
-    static obs::Counter* launches =
-        obs::GlobalMetrics().GetCounter("adamant_kernel_launches_total");
-    launches->Increment();
-    obs::TraceSpan kernel_span;
-    if (obs::TracingEnabled()) {
-      kernel_span.Start(static_cast<int>(node.device), "kernel:" + node.label);
-    }
-    std::chrono::steady_clock::time_point kernel_start;
-    if (options_.collect_operator_stats) {
-      kernel_start = std::chrono::steady_clock::now();
-    }
-    ADAMANT_RETURN_NOT_OK(
-        dev->Execute(launch).WithContext(node.label).WithDevice(node.device));
-    if (options_.collect_operator_stats) {
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - kernel_start)
-                                 .count();
-      // Kinds that write a fresh count report measured output rows; the
-      // rest pass their input cardinality through. Breakers defer to
-      // FinalizeOperatorStats.
-      const bool fresh_count = node.kind == PrimitiveKind::kFilterPosition ||
-                               node.kind == PrimitiveKind::kMaterialize ||
-                               node.kind == PrimitiveKind::kHashProbe;
-      int64_t rows_out = analyze_rows_in;
-      if (fresh_count) {
-        ADAMANT_ASSIGN_OR_RETURN(rows_out, BindingRows(out0));
-      }
-      RecordOperatorSample(node, dev, static_cast<uint64_t>(analyze_rows_in),
-                           static_cast<uint64_t>(rows_out),
-                           !GetSignature(node.kind).pipeline_breaker, wall_ms);
-    }
-  }
-
-  // Publish outputs on the outgoing edges.
-  for (int edge_id : graph_->OutEdges(node_id)) {
-    const GraphEdge& edge = graph_->edges()[static_cast<size_t>(edge_id)];
-    edge_bindings_[edge_id] = edge.from_slot == 1 && has_out1 ? out1 : out0;
-  }
-
-  // Terminal streaming outputs (non-breaker leaves) come back per chunk.
-  if (graph_->IsTerminal(node_id) &&
-      !GetSignature(node.kind).pipeline_breaker) {
-    ADAMANT_RETURN_NOT_OK(
-        RetrieveStreaming(node, dev, out0, has_out1 ? &out1 : nullptr,
-                          base_row, n));
-  }
-  (void)chunk;
-  return Status::OK();
+  const auto pslot = static_cast<size_t>(PrimaryInputSlot(node));
+  return Launch(node, dev, std::move(launch),
+                has_in[pslot] ? &in[pslot] : nullptr, out0,
+                has_out1 ? &out1 : nullptr, base_row, n);
 }
 
 Status RunContext::ExecuteFusedNode(const GraphNode& node,
@@ -849,13 +783,25 @@ Status RunContext::ExecuteFusedNode(const GraphNode& node,
                                 a.count);
   }
 
+  return Launch(node, dev, std::move(launch), &a, out0, nullptr, base_row, n);
+}
+
+Status RunContext::Launch(const GraphNode& node, SimulatedDevice* dev,
+                          KernelLaunch launch, const Binding* primary_in,
+                          const Binding& out0, const Binding* out1,
+                          size_t base_row, size_t n) {
   launch.variant = options_.kernel_variant;
   launch.num_threads = options_.kernel_threads;
   launch.cancel = options_.cancel_token;
+  const bool fused = node.kind == PrimitiveKind::kFused ||
+                     node.kind == PrimitiveKind::kFusedAgg;
+  const bool breaker = GetSignature(node.kind).pipeline_breaker;
 
-  int64_t analyze_rows_in = static_cast<int64_t>(n);
-  if (options_.collect_operator_stats) {
-    ADAMANT_ASSIGN_OR_RETURN(analyze_rows_in, BindingRows(a));
+  // EXPLAIN ANALYZE: the primary input's valid-row count is known before
+  // the launch (its producer already ran this chunk).
+  int64_t rows_in = static_cast<int64_t>(n);
+  if (options_.collect_operator_stats && primary_in != nullptr) {
+    ADAMANT_ASSIGN_OR_RETURN(rows_in, BindingRows(*primary_in));
   }
 
   {
@@ -864,10 +810,12 @@ Status RunContext::ExecuteFusedNode(const GraphNode& node,
     launches->Increment();
     obs::TraceSpan kernel_span;
     if (obs::TracingEnabled()) {
-      // One span per fused group launch, named after the recipe so traces
-      // show what the composite replaced (e.g. fused:filter+filter+map+agg).
+      // A fused group's span is named after its recipe, so traces show what
+      // the composite replaced (e.g. fused:filter+filter+map+agg).
       kernel_span.Start(static_cast<int>(node.device),
-                        "fused:" + FusedRecipeLabel(node.config.fused_steps));
+                        fused ? "fused:" +
+                                    FusedRecipeLabel(node.config.fused_steps)
+                              : "kernel:" + node.label);
     }
     std::chrono::steady_clock::time_point kernel_start;
     if (options_.collect_operator_stats) {
@@ -879,25 +827,34 @@ Status RunContext::ExecuteFusedNode(const GraphNode& node,
       const double wall_ms = std::chrono::duration<double, std::milli>(
                                  std::chrono::steady_clock::now() - kernel_start)
                                  .count();
-      int64_t rows_out = analyze_rows_in;
-      if (node.kind == PrimitiveKind::kFused) {
+      // Kinds that write a fresh count report measured output rows; the
+      // rest pass their input cardinality through. Breakers defer to
+      // FinalizeOperatorStats.
+      const bool fresh_count = node.kind == PrimitiveKind::kFilterPosition ||
+                               node.kind == PrimitiveKind::kMaterialize ||
+                               node.kind == PrimitiveKind::kHashProbe ||
+                               node.kind == PrimitiveKind::kFused;
+      int64_t rows_out = rows_in;
+      if (fresh_count) {
         ADAMANT_ASSIGN_OR_RETURN(rows_out, BindingRows(out0));
       }
-      RecordOperatorSample(node, dev, static_cast<uint64_t>(analyze_rows_in),
-                           static_cast<uint64_t>(rows_out),
-                           node.kind == PrimitiveKind::kFused, wall_ms);
+      RecordOperatorSample(node, dev, static_cast<uint64_t>(rows_in),
+                           static_cast<uint64_t>(rows_out), !breaker, wall_ms);
     }
   }
 
+  // Publish outputs on the outgoing edges.
   for (int edge_id : graph_->OutEdges(node.id)) {
-    edge_bindings_[edge_id] = out0;
+    const GraphEdge& edge = graph_->edges()[static_cast<size_t>(edge_id)];
+    edge_bindings_[edge_id] =
+        edge.from_slot == 1 && out1 != nullptr ? *out1 : out0;
   }
 
-  // A terminal FUSED node streams its compacted output back per chunk;
-  // FUSED_AGG is a breaker and is retrieved via its persist.
-  if (graph_->IsTerminal(node.id) && node.kind == PrimitiveKind::kFused) {
+  // Terminal streaming outputs (non-breaker leaves) come back per chunk;
+  // breakers are retrieved through their persist at the end of the run.
+  if (graph_->IsTerminal(node.id) && !breaker) {
     ADAMANT_RETURN_NOT_OK(
-        RetrieveStreaming(node, dev, out0, nullptr, base_row, n));
+        RetrieveStreaming(node, dev, out0, out1, base_row, n));
   }
   return Status::OK();
 }
@@ -1385,9 +1342,10 @@ void RunContext::FinalizeStats() {
     }
     SimulatedDevice* dev = *dev_or;
     DeviceRunStats& ds = stats.devices[static_cast<size_t>(id)];
-    ds.h2d_busy_us = dev->transfer_timeline().busy_time();
-    ds.d2h_busy_us = dev->d2h_timeline().busy_time();
-    ds.compute_busy_us = dev->compute_timeline().busy_time();
+    const SimulatedDevice::EngineBusy busy = dev->busy();
+    ds.h2d_busy_us = busy.h2d;
+    ds.d2h_busy_us = busy.d2h;
+    ds.compute_busy_us = busy.compute;
     ds.kernel_body_us = dev->kernel_body_time();
     ds.kernel_body_by_name = dev->kernel_body_by_name();
     ds.transfer_wire_us = dev->transfer_wire_time();
@@ -1418,6 +1376,24 @@ void RunContext::FinalizeStats() {
       dp.fused_launches = ds.fused_launches;
       dp.fused_body_ms = static_cast<double>(ds.fused_body_us) / 1000.0;
       stats.profile.devices.push_back(std::move(dp));
+    }
+  }
+  if (obs::TracingEnabled()) RecordSimulatedTimelines();
+}
+
+void RunContext::RecordSimulatedTimelines() {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  const obs::TraceRecorder::SimWindow window =
+      recorder.ClaimSimulatedWindow(exec_.stats.elapsed_us);
+  recorder.SetTrackName(obs::kSimTrackBase, "runs (simulated)");
+  recorder.RecordComplete(obs::kSimTrackBase, window.start_us,
+                          exec_.stats.elapsed_us,
+                          "run:" + std::to_string(window.run));
+  for (DeviceId id : used_devices_) {
+    auto dev = manager_->GetDevice(id);
+    if (dev.ok()) {
+      (*dev)->RecordTimelineTrace(obs::SimEngineTrack(static_cast<int>(id)),
+                                  window.start_us);
     }
   }
 }

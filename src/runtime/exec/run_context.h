@@ -190,11 +190,21 @@ class RunContext {
   size_t StagedInputCapacity(const GraphNode& node, size_t cap,
                              std::map<std::pair<int, int>, size_t>* caps) const;
   static int PrimaryInputSlot(const GraphNode& node);
-  Status ExecuteNode(int node_id, size_t chunk, size_t base_row, size_t n);
-  /// FUSED / FUSED_AGG launch path: variable input count, recipe
-  /// interpreter kernel, `fused:<recipe>` trace span.
+  Status ExecuteNode(int node_id, size_t base_row, size_t n);
+  /// FUSED / FUSED_AGG inputs and outputs: variable input count, recipe
+  /// interpreter kernel.
   Status ExecuteFusedNode(const GraphNode& node, SimulatedDevice* dev,
                           size_t base_row, size_t n);
+  /// The launch tail every primitive shares: stamps the run's variant,
+  /// threads and cancel token, counts and traces the launch (`kernel:` or
+  /// `fused:` span), times it and samples its rows for EXPLAIN ANALYZE
+  /// (`primary_in` holds the input rows, null = the chunk's `n`), then
+  /// publishes the outputs on the outgoing edges and streams a terminal
+  /// non-breaker's output back.
+  Status Launch(const GraphNode& node, SimulatedDevice* dev,
+                KernelLaunch launch, const Binding* primary_in,
+                const Binding& out0, const Binding* out1, size_t base_row,
+                size_t n);
   Status AllocatePersist(const GraphNode& node, size_t input_rows);
   Status RetrieveStreaming(const GraphNode& node, SimulatedDevice* dev,
                            const Binding& out0, const Binding* out1,
@@ -221,6 +231,10 @@ class RunContext {
 
   /// The track a pipeline's events record on: its first node's device.
   int PipelineTrack(const Pipeline& pipeline) const;
+  /// Traced exclusive-lease runs: records the used devices' engine
+  /// bookings on the simulated-clock tracks, in a window of their own
+  /// after every run traced before.
+  void RecordSimulatedTimelines();
   /// Closes the open pipeline trace span and, when profiling, folds the
   /// pipeline's wall time / chunk count / per-device busy deltas into the
   /// profile. Called from BeginPipeline (previous pipeline), ReleaseAll,
@@ -261,12 +275,7 @@ class RunContext {
   size_t pipeline_chunk_start_ = 0;
   std::chrono::steady_clock::time_point run_start_;
   std::chrono::steady_clock::time_point pipeline_start_;
-  struct BusySnapshot {
-    sim::SimTime h2d = 0;
-    sim::SimTime d2h = 0;
-    sim::SimTime compute = 0;
-  };
-  std::map<DeviceId, BusySnapshot> pipeline_busy_snapshot_;
+  std::map<DeviceId, SimulatedDevice::EngineBusy> pipeline_busy_snapshot_;
 
   // --- EXPLAIN ANALYZE state (options_.collect_operator_stats) ---
   std::map<int, obs::OperatorStats> op_stats_;

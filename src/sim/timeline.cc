@@ -9,7 +9,7 @@ namespace adamant::sim {
 TimelineEntry ResourceTimeline::Schedule(SimTime earliest_start,
                                          SimTime duration,
                                          const std::string& label) {
-  ADAMANT_DCHECK(duration >= 0) << "negative duration on " << name_;
+  ADAMANT_DCHECK(duration >= 0) << "negative duration for " << label;
   SimTime start = std::max(earliest_start, available_at_);
   SimTime end = start + duration;
   available_at_ = end;

@@ -23,8 +23,6 @@ struct TimelineEntry {
 /// transfer vs compute vs idle.
 class ResourceTimeline {
  public:
-  explicit ResourceTimeline(std::string name) : name_(std::move(name)) {}
-
   /// Books an operation and returns its [start, end] interval.
   /// `earliest_start` encodes data dependencies (input readiness).
   TimelineEntry Schedule(SimTime earliest_start, SimTime duration,
@@ -33,20 +31,18 @@ class ResourceTimeline {
   SimTime available_at() const { return available_at_; }
   SimTime busy_time() const { return busy_time_; }
   size_t op_count() const { return op_count_; }
-  const std::string& name() const { return name_; }
 
   /// When enabled, every booked operation is retained in trace() (bounded by
   /// kMaxTraceEntries to keep long chunked runs from exhausting memory).
   void set_tracing(bool enabled) { tracing_ = enabled; }
   const std::vector<TimelineEntry>& trace() const { return trace_; }
 
-  /// Clears bookings but keeps the identity/tracing flag.
+  /// Clears bookings but keeps the tracing flag.
   void Reset();
 
   static constexpr size_t kMaxTraceEntries = 1 << 16;
 
  private:
-  std::string name_;
   SimTime available_at_ = 0;
   SimTime busy_time_ = 0;
   size_t op_count_ = 0;

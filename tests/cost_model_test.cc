@@ -1,7 +1,8 @@
 // Tests for the static cost model: the simulated device's per-launch price
 // equals what Execute charges, the graph pricer's predictions (admission,
-// split, EXPLAIN ANALYZE, fusion gate) match the golden file, and the two
-// calibration stores that consume the price behave as documented.
+// split, EXPLAIN ANALYZE, fusion gate) match the golden file, fusion's
+// simulated kernel-body win on Q6, and the two calibration stores that
+// consume the price behave as documented.
 
 #include <gtest/gtest.h>
 
@@ -290,6 +291,65 @@ TEST(GoldenPredictions, MatchTheReplacedWalksWhereTheyAgreedWithTheDevice) {
   // 4 queries x (4 drivers x 6 requests x 2 models x 3 kinds + 6 x 2
   // weights + 4 drivers x 6 fusion).
   EXPECT_EQ(checked, 4u * (4 * 6 * 2 * 3 + 6 * 2 + 4 * 6));
+}
+
+// --- Fusion gate ---
+
+struct Q6Run {
+  int64_t revenue = 0;
+  double kernel_body_us = 0;
+  size_t fused_launches = 0;
+  int fused_groups = 0;
+};
+
+/// Q6 compiled through CompileQuery under `fusion` and run chunked on a
+/// fresh cuda_gpu (fresh, so its clocks measure exactly this run), SF 0.01
+/// charged as SF 30.
+Result<Q6Run> RunQ6(const Catalog& catalog, FusionMode fusion) {
+  DeviceManager manager;
+  manager.SetDataScale(30 / 0.01);
+  ADAMANT_ASSIGN_OR_RETURN(DeviceId device,
+                           manager.AddDriver(sim::DriverKind::kCudaGpu));
+  ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(device)));
+  QuerySource source;
+  ADAMANT_ASSIGN_OR_RETURN(source.bundle, plan::BuildQ6(catalog, {}, device));
+  CompileContext context;
+  context.catalog = &catalog;
+  context.manager = &manager;
+  context.placement = plan::PlacementPolicy::AllOn(device);
+  context.options.model = ExecutionModelKind::kChunked;
+  context.options.chunk_elems = size_t{1} << 25;
+  context.options.fusion = fusion;
+  ADAMANT_ASSIGN_OR_RETURN(CompiledPlan plan,
+                           CompileQuery(std::move(source), context));
+  QueryExecutor executor(&manager);
+  ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
+                           executor.Run(plan.bundle.graph.get(), plan.options));
+  Q6Run run;
+  ADAMANT_ASSIGN_OR_RETURN(run.revenue, plan::ExtractQ6(plan.bundle, exec));
+  run.kernel_body_us = exec.stats.kernel_body_us;
+  for (const DeviceRunStats& device : exec.stats.devices) {
+    run.fused_launches += device.fused_launches;
+  }
+  run.fused_groups = plan.fusion.groups;
+  return run;
+}
+
+// Fusing Q6's filter/materialize/map/agg chain into one composite cuts its
+// simulated kernel body time >= 2x (the model gives 5.77x; wire
+// time, which the scan columns pay either way, is not gated), with a
+// bit-identical revenue.
+TEST(FusionGate, FusedQ6KernelBodyAtLeastTwiceFaster) {
+  auto catalog = tpch::Generate({.scale_factor = 0.01});
+  ASSERT_TRUE(catalog.ok());
+  auto unfused = RunQ6(**catalog, FusionMode::kOff);
+  auto fused = RunQ6(**catalog, FusionMode::kOn);
+  ASSERT_TRUE(unfused.ok()) << unfused.status().ToString();
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  EXPECT_GE(fused->fused_groups, 1);
+  EXPECT_GT(fused->fused_launches, 0u);
+  EXPECT_GE(unfused->kernel_body_us / fused->kernel_body_us, 2.0);
+  EXPECT_EQ(fused->revenue, unfused->revenue);
 }
 
 // --- The price's consumers: wall-time and split calibration ---

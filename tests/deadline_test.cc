@@ -158,12 +158,22 @@ TEST(ExecutorCancelTest, PreCancelledTokenUnwindsEveryModel) {
     options.model = model;
     options.cancel_token = &token;
     options.memory_listener = &ledger;
+    QueryStats sink;
+    options.collect_operator_stats = true;
+    options.stats_sink = &sink;
     auto cancelled = RunQ6Once(&manager, options);
     ASSERT_FALSE(cancelled.ok());
     EXPECT_TRUE(cancelled.status().IsCancelled())
         << cancelled.status().ToString();
     // The unwind returned every charged byte.
     EXPECT_EQ(ledger.budget(0).live_bytes(), 0u);
+    // The sink holds one operator entry per node, none launched.
+    auto q6 = plan::BuildQ6(*DeadlineFixture::Get().catalog, {}, 0);
+    ASSERT_TRUE(q6.ok());
+    ASSERT_EQ(sink.profile.operators.size(), q6->graph->nodes().size());
+    for (const obs::OperatorStats& op : sink.profile.operators) {
+      EXPECT_EQ(op.launches, 0u) << op.label;
+    }
 
     // The device is perfectly reusable: a clean run is bit-identical.
     ExecutionOptions clean;

@@ -360,8 +360,7 @@ TEST(DeviceTiming, AsyncOverlapsTransferAndCompute) {
 TEST(DeviceTiming, WriteAfterReadHazardDelaysTransfer) {
   auto device = MakeTestDevice();
   device->SetAsyncMode(true);
-  device->transfer_timeline().set_tracing(true);
-  device->compute_timeline().set_tracing(true);
+  device->SetTimelineTracing(true);
   const size_t bytes = 1 << 20;
   std::vector<uint8_t> host(bytes);
   auto buf = device->PrepareMemory(bytes);
@@ -385,7 +384,7 @@ TEST(DeviceTiming, WriteAfterReadHazardDelaysTransfer) {
 TEST(DeviceTiming, ExecuteWaitsForInputTransfer) {
   auto device = MakeTestDevice();
   device->SetAsyncMode(true);
-  device->compute_timeline().set_tracing(true);
+  device->SetTimelineTracing(true);
   const size_t bytes = 1 << 20;
   const double t_xfer = device->perf_model().TransferDuration(
       bytes, sim::TransferDirection::kHostToDevice, false);
@@ -464,7 +463,7 @@ TEST(DeviceTiming, ResetTimelinesClearsBufferTimestamps) {
   device->ResetTimelines();
   EXPECT_DOUBLE_EQ(device->MaxCompletion(), 0.0);
   // A kernel right after reset starts at t=0 (no stale readiness).
-  device->compute_timeline().set_tracing(true);
+  device->SetTimelineTracing(true);
   KernelLaunch launch;
   launch.kernel_name = "work";
   launch.work_items = 1;

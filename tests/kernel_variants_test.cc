@@ -1,5 +1,6 @@
 // Parallel kernel variants: bit-identity property tests against the scalar
-// reference, plus WorkerPool unit tests.
+// reference, the simulated speedup the variants charge, plus WorkerPool
+// unit tests.
 //
 // Every kernel with a parallel variant runs the same launch twice on a fresh
 // parallel-native (openmp_cpu) device — once forced scalar, once forced
@@ -39,8 +40,9 @@ struct Rig {
   std::unique_ptr<DeviceManager> manager;
   SimulatedDevice* dev = nullptr;
 
-  Rig() {
+  explicit Rig(double data_scale = 1) {
     manager = std::make_unique<DeviceManager>();
+    manager->SetDataScale(data_scale);
     auto id = manager->AddDriver(sim::DriverKind::kOpenMpCpu);
     ADAMANT_CHECK(id.ok()) << id.status().ToString();
     ADAMANT_CHECK(BindStandardKernels(manager->device(*id)).ok());
@@ -598,6 +600,159 @@ TEST(KernelVariantRegistry, ParallelLaunchCounterTracksDispatch) {
   launch.variant = KernelVariantRequest::kAuto;  // openmp_cpu -> parallel
   ASSERT_TRUE(rig.dev->Execute(launch).ok());
   EXPECT_EQ(rig.dev->parallel_launches(), 1u);
+}
+
+// --- Simulated speedup gates -----------------------------------------------
+//
+// 2^22 keys executed and charged as 2^25, the chunk size of the SF >= 10
+// queries: every parallel variant takes the parallel dispatch path, and
+// map, filter_bitmap and agg_block charge >= 2x less simulated body time
+// than scalar (the model predicts 3.08x at 4 threads). At 4096 elements,
+// below two tiles, the parallel variant falls back to scalar and may
+// charge at most 5% more.
+
+constexpr size_t kLargeElems = size_t{1} << 22;
+constexpr size_t kNominalElems = size_t{1} << 25;
+constexpr size_t kSmallElems = 4096;
+
+const std::vector<int32_t>& SpeedupKeys() {
+  static const std::vector<int32_t>* const kKeys =
+      new std::vector<int32_t>(RandomInts(kLargeElems, 20260805, 1, 1 << 30));
+  return *kKeys;
+}
+
+/// The launch of one kernel over the first `n` keys; setup kernels (a
+/// bitmap to materialize by, a filled table to probe) run before it.
+using SpeedupCase = std::function<KernelLaunch(Rig&, size_t n)>;
+
+std::vector<std::pair<const char*, SpeedupCase>> SpeedupCases() {
+  auto keys = [](Rig& rig, size_t n) {
+    return rig.Push(SpeedupKeys().data(), n * 4);
+  };
+  auto table = [keys](Rig& rig, size_t n, bool insert) {
+    const size_t slots = HashTableLayout::SlotsFor(n);
+    BufferId t = rig.PushVec(SentinelTable(slots));
+    if (insert) {
+      ADAMANT_CHECK(rig.dev
+                        ->Execute(kernels::MakeHashBuild(
+                            keys(rig, n), kInvalidBuffer, t, slots, 0, n))
+                        .ok());
+    }
+    return std::make_pair(t, slots);
+  };
+  return {
+      {"map",
+       [keys](Rig& rig, size_t n) {
+         return kernels::MakeMap(keys(rig, n), kInvalidBuffer,
+                                 rig.PushZeros(n * 4), MapOp::kAddScalar,
+                                 ElementType::kInt32, ElementType::kInt32, 7,
+                                 n);
+       }},
+      {"filter_bitmap",
+       [keys](Rig& rig, size_t n) {
+         return kernels::MakeFilterBitmap(
+             keys(rig, n), rig.PushZeros(bit_util::BytesForBits(n)),
+             CmpOp::kLt, ElementType::kInt32, 1 << 29, 0, false, n);
+       }},
+      {"filter_position",
+       [keys](Rig& rig, size_t n) {
+         return kernels::MakeFilterPosition(
+             keys(rig, n), rig.PushZeros(n * 4), rig.PushZeros(8), CmpOp::kLt,
+             ElementType::kInt32, 1 << 29, 0, n);
+       }},
+      {"materialize",
+       [keys](Rig& rig, size_t n) {
+         BufferId in = keys(rig, n);
+         BufferId bitmap = rig.PushZeros(bit_util::BytesForBits(n));
+         ADAMANT_CHECK(rig.dev
+                           ->Execute(kernels::MakeFilterBitmap(
+                               in, bitmap, CmpOp::kLt, ElementType::kInt32,
+                               1 << 29, 0, false, n))
+                           .ok());
+         return kernels::MakeMaterialize(in, bitmap, rig.PushZeros(n * 4),
+                                         rig.PushZeros(8),
+                                         ElementType::kInt32, n);
+       }},
+      {"materialize_position",
+       [keys](Rig& rig, size_t n) {
+         std::vector<int32_t> positions(n);
+         for (size_t i = 0; i < n; ++i) {
+           positions[i] = static_cast<int32_t>(n - 1 - i);
+         }
+         return kernels::MakeMaterializePosition(
+             keys(rig, n), rig.PushVec(positions), rig.PushZeros(n * 4),
+             ElementType::kInt32, n);
+       }},
+      {"prefix_sum",
+       [keys](Rig& rig, size_t n) {
+         return kernels::MakePrefixSum(keys(rig, n), rig.PushZeros(n * 4),
+                                       true, n);
+       }},
+      {"agg_block",
+       [keys](Rig& rig, size_t n) {
+         return kernels::MakeAggBlock(keys(rig, n), rig.PushZeros(8),
+                                      AggOp::kSum, ElementType::kInt32, true,
+                                      n);
+       }},
+      {"hash_build",
+       [keys, table](Rig& rig, size_t n) {
+         const auto [t, slots] = table(rig, n, /*insert=*/false);
+         return kernels::MakeHashBuild(keys(rig, n), kInvalidBuffer, t, slots,
+                                       0, n);
+       }},
+      {"hash_probe",
+       [keys, table](Rig& rig, size_t n) {
+         const auto [t, slots] = table(rig, n, /*insert=*/true);
+         return kernels::MakeHashProbe(keys(rig, n), t, rig.PushZeros(n * 4),
+                                       rig.PushZeros(n * 4), rig.PushZeros(8),
+                                       slots, ProbeMode::kSemi, 0, n);
+       }},
+  };
+}
+
+struct BodyTime {
+  double sim_us = 0;
+  bool parallel_dispatch = false;
+};
+
+/// Simulated body time of one launch with `variant` forced, on a fresh
+/// openmp_cpu device charging `nominal` elements for `n`.
+BodyTime MeasureBody(const SpeedupCase& make, KernelVariantRequest variant,
+                     size_t n, size_t nominal) {
+  Rig rig(static_cast<double>(nominal) / static_cast<double>(n));
+  KernelLaunch launch = make(rig, n);
+  launch.variant = variant;
+  launch.num_threads = kDefaultKernelThreads;
+  const double body_before = rig.dev->kernel_body_time();
+  const size_t parallel_before = rig.dev->parallel_launches();
+  ADAMANT_CHECK(rig.dev->Execute(launch).ok()) << launch.kernel_name;
+  return {rig.dev->kernel_body_time() - body_before,
+          rig.dev->parallel_launches() > parallel_before};
+}
+
+TEST(KernelVariantSpeedup, ParallelVariantsChargeLessAtChunkSize) {
+  for (const auto& [name, make] : SpeedupCases()) {
+    const std::string kernel = name;
+    const BodyTime scalar = MeasureBody(make, KernelVariantRequest::kScalar,
+                                        kLargeElems, kNominalElems);
+    const BodyTime parallel = MeasureBody(
+        make, KernelVariantRequest::kParallel, kLargeElems, kNominalElems);
+    EXPECT_TRUE(parallel.parallel_dispatch) << kernel;
+    if (kernel == "map" || kernel == "filter_bitmap" ||
+        kernel == "agg_block") {
+      EXPECT_GE(scalar.sim_us / parallel.sim_us, 2.0) << kernel;
+    }
+  }
+}
+
+TEST(KernelVariantSpeedup, SmallLaunchesFallBackToScalarCost) {
+  for (const auto& [name, make] : SpeedupCases()) {
+    const BodyTime scalar = MeasureBody(make, KernelVariantRequest::kScalar,
+                                        kSmallElems, kSmallElems);
+    const BodyTime parallel = MeasureBody(
+        make, KernelVariantRequest::kParallel, kSmallElems, kSmallElems);
+    EXPECT_LE(parallel.sim_us, scalar.sim_us * 1.05) << name;
+  }
 }
 
 // --- WorkerPool ------------------------------------------------------------

@@ -20,10 +20,11 @@
 namespace adamant {
 namespace {
 
-// ctest reruns this whole binary with ADAMANT_FUSION=on
-// (parity_matrix_fused_test): every matrix test then executes fused plans,
-// re-checking the same bit-identity invariants in every build. Bundle node ids are remapped in place, so
-// result extraction keeps working on the fused graph.
+// ctest reruns this binary, all but the SimulatedClockGates, with
+// ADAMANT_FUSION=on (parity_matrix_fused_test): every matrix test then
+// executes fused plans, re-checking the same bit-identity invariants in every
+// build. Bundle node ids are remapped in place, so result extraction keeps
+// working on the fused graph.
 Status ApplyEnvFusion(plan::PlanBundle* bundle) {
   const char* env = std::getenv("ADAMANT_FUSION");
   if (env == nullptr || std::string(env) != "on") return Status::OK();
@@ -346,10 +347,11 @@ TEST(ParityMatrixTest, EstimateUpperBoundsHighWaterForAllModels) {
 
 // Fast + slow device pair for the heterogeneous matrix: device 0 is the
 // stock cuda_gpu driver, device 1 is the same model with 4x slower compute
-// and a slower bus (the bench_hetero_split profile), so the cost-ratio
-// search genuinely produces an asymmetric split.
-std::unique_ptr<DeviceManager> HeteroManager() {
+// and a slower bus, so the cost-ratio search genuinely produces an
+// asymmetric split.
+std::unique_ptr<DeviceManager> HeteroManager(double data_scale = 1) {
   auto manager = std::make_unique<DeviceManager>();
+  manager->SetDataScale(data_scale);
   auto fast = manager->AddDriver(sim::DriverKind::kCudaGpu, "cuda_fast.0");
   ADAMANT_CHECK(fast.ok()) << fast.status().ToString();
   ADAMANT_CHECK(BindStandardKernels(manager->device(*fast)).ok());
@@ -483,6 +485,207 @@ TEST(ParityMatrixTest, HeterogeneousSeededCancellationOnAsymmetricSplit) {
   // should land mid-run; if the runs got too fast to ever catch, that is
   // worth noticing rather than silently passing.
   EXPECT_GT(cancelled_runs, 0u);
+}
+
+// --- Simulated-clock gates at the paper's scale ------------------------------
+//
+// SF 0.02 generated and charged as SF 30, the larger-than-memory regime,
+// through CompileQuery with fusion off (the gates measure the primitive
+// plans). Every bound is on the deterministic simulated clock, and every
+// run must match the scalar reference bit for bit.
+
+constexpr double kGateScale = 30 / 0.02;
+
+const Catalog& GateCatalog() {
+  static const Catalog* const kCatalog = [] {
+    tpch::TpchConfig config;
+    config.scale_factor = 0.02;
+    config.include_dimension_tables = false;
+    auto catalog = tpch::Generate(config);
+    ADAMANT_CHECK(catalog.ok()) << catalog.status().ToString();
+    return new Catalog(**catalog);
+  }();
+  return *kCatalog;
+}
+
+std::unique_ptr<DeviceManager> GpuManager(int devices) {
+  auto manager = std::make_unique<DeviceManager>();
+  manager->SetDataScale(kGateScale);
+  for (int i = 0; i < devices; ++i) {
+    auto device = manager->AddDriver(sim::DriverKind::kCudaGpu,
+                                     "cuda_gpu." + std::to_string(i));
+    ADAMANT_CHECK(device.ok()) << device.status().ToString();
+    ADAMANT_CHECK(BindStandardKernels(manager->device(*device)).ok());
+  }
+  return manager;
+}
+
+Result<plan::PlanBundle> BuildGateQuery(int query) {
+  const Catalog& catalog = GateCatalog();
+  if (query == 3) return plan::BuildQ3(catalog, {}, 0);
+  if (query == 4) return plan::BuildQ4(catalog, {}, 0);
+  return plan::BuildQ6(catalog, {}, 0);
+}
+
+/// Chunked, or device-parallel across `devices` (rebalancing on), in
+/// 2^22-element chunks (~43 lineitem chunks, so a split has granularity).
+ExecutionOptions GateOptions(std::vector<DeviceId> devices = {},
+                             std::vector<double> split = {}) {
+  ExecutionOptions options;
+  options.chunk_elems = size_t{1} << 22;
+  options.fusion = FusionMode::kOff;
+  if (!devices.empty()) {
+    options.model = ExecutionModelKind::kDeviceParallel;
+    options.device_set = std::move(devices);
+    options.device_split = std::move(split);
+  }
+  return options;
+}
+
+/// The paper's 2^25-element chunks.
+ExecutionOptions WideChunks(ExecutionOptions options) {
+  options.chunk_elems = size_t{1} << 25;
+  return options;
+}
+
+struct GateRun {
+  double elapsed_us = 0;
+  std::vector<double> split;  // the compiled device-parallel shares
+};
+
+/// Compiles hand-built Q3/Q4/Q6 under `options`, runs it, and checks the
+/// result against the scalar reference.
+Result<GateRun> RunGate(DeviceManager* manager, int query,
+                        const ExecutionOptions& options) {
+  const Catalog& catalog = GateCatalog();
+  QuerySource source;
+  ADAMANT_ASSIGN_OR_RETURN(source.bundle, BuildGateQuery(query));
+  CompileContext context;
+  context.catalog = &catalog;
+  context.manager = manager;
+  context.placement = plan::PlacementPolicy::AllOn(0);
+  context.options = options;
+  ADAMANT_ASSIGN_OR_RETURN(CompiledPlan plan,
+                           CompileQuery(std::move(source), context));
+  QueryExecutor executor(manager);
+  ADAMANT_ASSIGN_OR_RETURN(QueryExecution exec,
+                           executor.Run(plan.bundle.graph.get(), plan.options));
+  bool match = false;
+  if (query == 3) {
+    ADAMANT_ASSIGN_OR_RETURN(auto got,
+                             plan::ExtractQ3(plan.bundle, exec, catalog, {}));
+    ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q3Reference(catalog, {}));
+    match = got == want;
+  } else if (query == 4) {
+    ADAMANT_ASSIGN_OR_RETURN(auto got, plan::ExtractQ4(plan.bundle, exec));
+    ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q4Reference(catalog, {}));
+    match = got == want;
+  } else {
+    ADAMANT_ASSIGN_OR_RETURN(auto got, plan::ExtractQ6(plan.bundle, exec));
+    ADAMANT_ASSIGN_OR_RETURN(auto want, tpch::Q6Reference(catalog, {}));
+    match = got == want;
+  }
+  if (!match) {
+    return Status::ExecutionError(
+        (testing::Message() << "Q" << query
+                            << " differs from the scalar reference")
+            .GetString());
+  }
+  return GateRun{exec.stats.elapsed_us, plan.options.device_split};
+}
+
+// A fast+slow pair (4x slower compute, 0.7x bus) split by the cost ratio
+// CompileQuery prices: Q6 runs >= 1.3x faster than on the fast device
+// alone (the model gives 1.63x) and Q3 faster at all; with the
+// fast device's share mis-set to half, runtime rebalancing recovers >= 80%
+// of the gap to the well-set split.
+TEST(SimulatedClockGates, HeterogeneousCostRatioSplit) {
+  for (int query : {6, 3}) {
+    SCOPED_TRACE(testing::Message() << "Q" << query);
+    auto manager = HeteroManager(kGateScale);
+    auto alone = RunGate(manager.get(), query, GateOptions());
+    auto well = RunGate(manager.get(), query, GateOptions({0, 1}));
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    ASSERT_TRUE(well.ok()) << well.status().ToString();
+    // The priced split favours the fast device.
+    ASSERT_EQ(well->split.size(), 2u);
+    EXPECT_GT(well->split[0], 0.5);
+    const std::vector<double> misset = {well->split[0] / 2,
+                                        1 - well->split[0] / 2};
+    ExecutionOptions mis = GateOptions({0, 1}, misset);
+    mis.split_rebalance = false;
+    auto mis_static = RunGate(manager.get(), query, mis);
+    mis.split_rebalance = true;
+    auto mis_rebalanced = RunGate(manager.get(), query, mis);
+    ExecutionOptions even = GateOptions({0, 1}, {0.5, 0.5});
+    even.split_rebalance = false;
+    auto even_static = RunGate(manager.get(), query, even);
+    ASSERT_TRUE(mis_static.ok()) << mis_static.status().ToString();
+    ASSERT_TRUE(mis_rebalanced.ok()) << mis_rebalanced.status().ToString();
+    ASSERT_TRUE(even_static.ok()) << even_static.status().ToString();
+
+    if (query == 6) {
+      EXPECT_GE(alone->elapsed_us / well->elapsed_us, 1.3);
+    } else {
+      EXPECT_LT(well->elapsed_us, alone->elapsed_us);
+    }
+    const double gap = mis_static->elapsed_us - well->elapsed_us;
+    ASSERT_GT(gap, 0) << "the mis-set split is not slower";
+    EXPECT_GE((mis_static->elapsed_us - mis_rebalanced->elapsed_us) / gap, 0.8);
+  }
+}
+
+// On two identical devices the cost-ratio path (rebalancing on) stays
+// within 5% of the static even split.
+TEST(SimulatedClockGates, HomogeneousCostRatioSplitMatchesEvenSplit) {
+  for (int query : {6, 3}) {
+    SCOPED_TRACE(testing::Message() << "Q" << query);
+    auto manager = GpuManager(2);
+    ExecutionOptions even = GateOptions({0, 1}, {0.5, 0.5});
+    even.split_rebalance = false;
+    auto legacy = RunGate(manager.get(), query, even);
+    auto priced = RunGate(manager.get(), query, GateOptions({0, 1}));
+    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+    ASSERT_TRUE(priced.ok()) << priced.status().ToString();
+    EXPECT_LE(priced->elapsed_us, legacy->elapsed_us * 1.05);
+  }
+}
+
+// Device-parallel across 2 and 4 identical GPUs against chunked on one:
+// Q6 x2 beats chunked and the merge-cost estimate admits it, the estimate
+// rejects Q4 x2 (its interior hash table round-trips through the host and
+// the run is ~0.54x), and no admitted point runs below 0.95x.
+TEST(SimulatedClockGates, DeviceParallelScalingAndMergeGate) {
+  for (int query : {3, 4, 6}) {
+    auto baseline =
+        RunGate(GpuManager(1).get(), query, WideChunks(GateOptions()));
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    for (int devices : {2, 4}) {
+      SCOPED_TRACE(testing::Message() << "Q" << query << " x" << devices);
+      auto manager = GpuManager(devices);
+      std::vector<DeviceId> set;
+      for (int i = 0; i < devices; ++i) set.push_back(i);
+      auto bundle = BuildGateQuery(query);
+      ASSERT_TRUE(bundle.ok());
+      auto merge = plan::EstimateDeviceParallelMerge(
+          *bundle->graph, manager.get(), set, baseline->elapsed_us);
+      ASSERT_TRUE(merge.ok()) << merge.status().ToString();
+      const bool admitted = !merge->merge_dominated;
+      auto run = RunGate(manager.get(), query, WideChunks(GateOptions(set)));
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const double speedup = baseline->elapsed_us / run->elapsed_us;
+      if (admitted) {
+        EXPECT_GE(speedup, 0.95);
+      }
+      if (devices == 2 && query == 4) {
+        EXPECT_FALSE(admitted);
+      }
+      if (devices == 2 && query == 6) {
+        EXPECT_TRUE(admitted);
+        EXPECT_GT(speedup, 1.0);
+      }
+    }
+  }
 }
 
 }  // namespace

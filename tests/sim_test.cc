@@ -30,7 +30,7 @@ TEST(SimTime, TransferUsMatchesBandwidth) {
 // --- ResourceTimeline ---
 
 TEST(Timeline, FifoBackToBack) {
-  ResourceTimeline tl("t");
+  ResourceTimeline tl;
   auto a = tl.Schedule(0, 10);
   auto b = tl.Schedule(0, 5);
   EXPECT_DOUBLE_EQ(a.start, 0);
@@ -43,7 +43,7 @@ TEST(Timeline, FifoBackToBack) {
 }
 
 TEST(Timeline, EarliestStartDelays) {
-  ResourceTimeline tl("t");
+  ResourceTimeline tl;
   auto a = tl.Schedule(100, 10);
   EXPECT_DOUBLE_EQ(a.start, 100);
   EXPECT_DOUBLE_EQ(a.end, 110);
@@ -52,14 +52,14 @@ TEST(Timeline, EarliestStartDelays) {
 }
 
 TEST(Timeline, DependencyBeforeResourceFree) {
-  ResourceTimeline tl("t");
+  ResourceTimeline tl;
   tl.Schedule(0, 50);
   auto b = tl.Schedule(10, 5);
   EXPECT_DOUBLE_EQ(b.start, 50) << "resource availability dominates";
 }
 
 TEST(Timeline, ResetClears) {
-  ResourceTimeline tl("t");
+  ResourceTimeline tl;
   tl.Schedule(0, 10);
   tl.Reset();
   EXPECT_DOUBLE_EQ(tl.available_at(), 0);
@@ -68,7 +68,7 @@ TEST(Timeline, ResetClears) {
 }
 
 TEST(Timeline, TracingRecordsLabels) {
-  ResourceTimeline tl("t");
+  ResourceTimeline tl;
   tl.set_tracing(true);
   tl.Schedule(0, 10, "h2d");
   tl.Schedule(0, 5, "kernel");
@@ -78,7 +78,7 @@ TEST(Timeline, TracingRecordsLabels) {
 }
 
 TEST(Timeline, TracingOffByDefault) {
-  ResourceTimeline tl("t");
+  ResourceTimeline tl;
   tl.Schedule(0, 10, "x");
   EXPECT_TRUE(tl.trace().empty());
 }

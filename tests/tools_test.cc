@@ -1,55 +1,116 @@
-// Tests for the tooling around the executor: chrome-trace export, the
-// chunk-size tuner, and failure injection through a flaky device (error
-// propagation and resource cleanup).
+// Tests for the tooling around the executor: the simulated timelines in
+// the chrome trace, the chunk-size tuner, and failure injection through a
+// flaky device (error propagation and resource cleanup).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <numeric>
 
 #include "adamant/adamant.h"
 #include "runtime/chunk_tuner.h"
 #include "common/bit_util.h"
-#include "sim/trace_export.h"
+#include "obs/trace_check.h"
 
 namespace adamant {
 namespace {
 
-// --- Chrome trace export ---
+// --- Simulated timelines in the trace ---
 
-TEST(TraceExport, EmitsThreadsAndEvents) {
-  sim::ResourceTimeline h2d("gpu.h2d");
-  sim::ResourceTimeline compute("gpu.compute");
-  h2d.set_tracing(true);
-  compute.set_tracing(true);
-  h2d.Schedule(0, 100, "chunk0");
-  compute.Schedule(100, 40, "filter_bitmap");
-  h2d.Schedule(100, 100, "chunk1");
-
-  std::string json = sim::ToChromeTrace({&h2d, &compute});
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("gpu.h2d"), std::string::npos);
-  EXPECT_NE(json.find("gpu.compute"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"chunk1\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"filter_bitmap\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":100"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":40"), std::string::npos);
-  // Valid-ish JSON: balanced braces/brackets.
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+/// A timestamp field as the trace serializer prints it.
+std::string TsField(double us) {
+  char buf[48];
+  if (us == std::floor(us)) {
+    std::snprintf(buf, sizeof(buf), "\"ts\":%lld,",
+                  static_cast<long long>(us));
+  } else {
+    std::snprintf(buf, sizeof(buf), "\"ts\":%.3f,", us);
+  }
+  return buf;
 }
 
-TEST(TraceExport, EscapesQuotesAndSkipsNull) {
-  sim::ResourceTimeline timeline("t\"x");
-  timeline.set_tracing(true);
-  timeline.Schedule(0, 1, "label\"quoted");
-  std::string json = sim::ToChromeTrace({nullptr, &timeline});
-  EXPECT_NE(json.find("t\\\"x"), std::string::npos);
-  EXPECT_NE(json.find("label\\\"quoted"), std::string::npos);
+/// Exports the recorder and validates the result.
+std::string ExportValidated() {
+  const std::string json = obs::TraceRecorder::Global().ExportChromeJson();
+  const obs::TraceCheckResult check = obs::ValidateChromeTrace(json);
+  EXPECT_TRUE(check.ok) << check.Summary();
+  return json;
 }
 
-TEST(TraceExport, FullQueryTraceRoundTrip) {
+TEST(TraceExport, EngineBookingsExportAsTheSimulatedProcess) {
+  DeviceManager manager;
+  auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
+  ASSERT_TRUE(gpu.ok());
+  ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
+  SimulatedDevice* dev = manager.device(*gpu);
+  dev->SetTimelineTracing(true);
+  std::vector<int32_t> values(1024, 7);
+  auto in = dev->PrepareMemory(values.size() * 4);
+  auto out = dev->PrepareMemory(values.size() * 4);
+  ASSERT_TRUE(in.ok() && out.ok());
+  ASSERT_TRUE(dev->PlaceData(*in, values.data(), values.size() * 4, 0).ok());
+  ASSERT_TRUE(dev->Execute(kernels::MakeMap(*in, kInvalidBuffer, *out,
+                                            MapOp::kAddScalar,
+                                            ElementType::kInt32,
+                                            ElementType::kInt32, 1,
+                                            values.size()))
+                  .ok());
+  const double barrier = std::ceil(dev->MaxCompletion()) + 100;
+  dev->Barrier(barrier);
+
+  obs::TraceRecorder::Global().Enable();
+  dev->RecordTimelineTrace(obs::SimEngineTrack(0), 40);
+  obs::TraceRecorder::Global().Disable();
+  const std::string json = ExportValidated();
+  EXPECT_NE(json.find("\"name\":\"simulated clock (us)\""), std::string::npos);
+  EXPECT_NE(json.find("cuda_gpu h2d (simulated)"), std::string::npos);
+  EXPECT_NE(json.find("cuda_gpu compute (simulated)"), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":1,\"tid\":" +
+                      std::to_string(obs::SimEngineTrack(0)) + ",\"ts\":"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"h2d\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"map\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"dp-barrier\""), std::string::npos);
+  // Every booking is shifted by the offset.
+  EXPECT_NE(json.find(TsField(barrier + 40) +
+                      "\"dur\":0,\"name\":\"dp-barrier\""),
+            std::string::npos);
+}
+
+TEST(TraceExport, EscapesQuotesInDeviceAndEventNames) {
+  DeviceManager manager;
+  auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu, "t\"x");
+  ASSERT_TRUE(gpu.ok());
+  SimulatedDevice* dev = manager.device(*gpu);
+  dev->SetTimelineTracing(true);
+  dev->Barrier(1);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Enable();
+  dev->RecordTimelineTrace(obs::SimEngineTrack(0), 0);
+  recorder.RecordComplete(obs::SimEngineTrack(0), 0, 1, "label\"quoted");
+  recorder.Disable();
+  const std::string json = ExportValidated();
+  EXPECT_NE(json.find("t\\\"x d2h (simulated)"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"label\\\"quoted\""), std::string::npos)
+      << json;
+}
+
+TEST(TraceExport, EachTraceNamesOnlyItsOwnTracks) {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Enable();
+  recorder.SetTrackName(obs::SimEngineTrack(0), "earlier trace");
+  recorder.RecordComplete(obs::SimEngineTrack(0), 0, 5, "k");
+  recorder.Disable();
+  recorder.Enable();
+  recorder.RecordComplete(0, 0, 5, "k");
+  recorder.Disable();
+  const std::string json = ExportValidated();
+  EXPECT_EQ(json.find("earlier trace"), std::string::npos) << json;
+  EXPECT_EQ(json.find("simulated clock"), std::string::npos) << json;
+}
+
+TEST(TraceExport, TracedQueriesGetOneSimulatedWindowEach) {
   auto catalog = tpch::Generate(
       {.scale_factor = 0.002, .include_dimension_tables = false});
   ASSERT_TRUE(catalog.ok());
@@ -57,23 +118,30 @@ TEST(TraceExport, FullQueryTraceRoundTrip) {
   auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
   ASSERT_TRUE(gpu.ok());
   ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
-  manager.device(*gpu)->transfer_timeline().set_tracing(true);
-  manager.device(*gpu)->compute_timeline().set_tracing(true);
-
   auto bundle = plan::BuildQ6(**catalog, {}, *gpu);
   ASSERT_TRUE(bundle.ok());
   ExecutionOptions options;
   options.model = ExecutionModelKind::kFourPhasePipelined;
   options.chunk_elems = 512;
   QueryExecutor executor(&manager);
-  ASSERT_TRUE(executor.Run(bundle->graph.get(), options).ok());
+  obs::TraceRecorder::Global().Enable();
+  auto first = executor.Run(bundle->graph.get(), options);
+  auto second = executor.Run(bundle->graph.get(), options);
+  obs::TraceRecorder::Global().Disable();
+  ASSERT_TRUE(first.ok() && second.ok());
 
-  std::string json = sim::ToChromeTrace(
-      {&manager.device(*gpu)->transfer_timeline(),
-       &manager.device(*gpu)->compute_timeline()});
-  EXPECT_NE(json.find("\"name\":\"h2d\""), std::string::npos);
+  const std::string json = ExportValidated();
   EXPECT_NE(json.find("\"name\":\"filter_bitmap\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"agg_block\""), std::string::npos);
+  // Two runs, two windows: the second starts where the first ends.
+  EXPECT_NE(json.find("\"name\":\"run:0\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"run:1\""), std::string::npos);
+  EXPECT_NE(json.find(TsField(first->stats.elapsed_us) + "\"dur\":" ),
+            std::string::npos);
+  // An untraced run records nothing simulated.
+  obs::TraceRecorder::Global().Clear();
+  ASSERT_TRUE(executor.Run(bundle->graph.get(), options).ok());
+  EXPECT_EQ(obs::TraceRecorder::Global().TotalEvents(), 0u);
 }
 
 // --- Chunk tuner ---

@@ -49,18 +49,19 @@ Flags:
                     drivers parallel, GPU drivers scalar); the choice per
                     device is reported on a JSON line
   --kernel-threads=N
-                    thread budget for parallel variants (default: the
-                    device policy count, 4 on CPU drivers)
+                    thread budget for parallel variants, 0..1024 (default:
+                    the device policy count, 4 on CPU drivers)
   --fusion=off|on|auto
                     plan-level kernel fusion (src/plan/fusion.h) of
                     MAP/FILTER/MATERIALIZE/AGG chains: never, every eligible
                     group, or (default) where the cost model predicts a win
   --verify          compare results against the scalar reference
   --trace=PATH      write a chrome://tracing JSON of the run: per-device
-                    pipeline/chunk/kernel/transfer spans; with --serve also
-                    admission/placement events (validate with check_trace)
-  --sim-trace=PATH  write the simulated-hardware timeline trace instead
-                    (device clock, not wall clock)
+                    pipeline/chunk/kernel/transfer spans on the wall clock;
+                    with --serve also admission/placement events; and, as
+                    a second process, every device's h2d/d2h/compute
+                    engine bookings on the simulated clock, one window per
+                    query (validate with check_trace)
   --profile         print the per-query phase profile as a JSON line
   --metrics=PATH    after the run, dump the metrics registries to PATH as
                     Prometheus text (or JSON when PATH ends in .json)
@@ -82,9 +83,9 @@ SQL frontend (src/sql/, docs/sql.md):
   --sql-file=PATH   like --sql, reading the query text from PATH
   --list-queries    print every built-in query name + SQL text and exit
   --devices=LIST    (single-query mode) run device-parallel across distinct
-                    device ids, e.g. --devices=0,1 (a bare count N means
-                    0..N-1), or across one device per named driver class,
-                    e.g. --devices=cuda_gpu,openmp_cpu
+                    device ids below 64, e.g. --devices=0,1 (a bare count N
+                    means 0..N-1), or across one device per named driver
+                    class, e.g. --devices=cuda_gpu,openmp_cpu; at most 64
   --split=LIST      explicit split shares, one positive value per --devices
                     entry (e.g. --split=3,1); overrides the cost ratios
   --no-rebalance    disable runtime chunk stealing between partitions
@@ -98,10 +99,10 @@ against the scalar reference, and prints ServiceStats as JSON:
   --serve           enable serve mode
   --serve-sql       serve the q3/q4/q6 built-ins as SQL text instead,
                     checked against the host interpreter
-  --clients=N       concurrent worker threads (default 4)
+  --clients=N       concurrent worker threads, 1..64 (default 4)
   --queries=N       workload size (default 50)
   --seed=N          workload RNG seed (default 7)
-  --devices=N       instances of --driver to plug (default 2)
+  --devices=N       instances of --driver to plug, 1..64 (default 2)
   --no-cache        disable the cross-query device column cache
   --history=PATH    dump the query-history ring and the calibration store
                     as JSON after the workload drains (docs/serving.md)
@@ -110,8 +111,9 @@ Fault injection (serve mode; see docs/serving.md "Fault handling"):
 
   run_tpch --serve --queries=200 --fault-rate=0.007 --fault-seed=13
 
-  --fault-rate=P    per-call transient fault probability on each serving
-                    device's data-path interface calls (default 0 = off)
+  --fault-rate=P    per-call transient fault probability in [0, 1] on each
+                    serving device's data-path interface calls (default 0 =
+                    off)
   --fault-seed=N    fault RNG seed; device i uses N + i (default 13)
   --sticky-device=I device I dies on its first Execute and stays dead
                     until quarantined (default -1 = none)
@@ -135,6 +137,11 @@ queries were shed / cancelled / failed — details on the machine-readable
 "serve_errors:" JSON line.
 )";
 
+// Upper bounds of the counts that start threads or plug devices, so a typo
+// exits 2 instead of starting thousands of either.
+constexpr size_t kMaxClients = 64;
+constexpr size_t kMaxDevices = 64;
+
 // Parsed flags; kUsage documents each.
 struct Options {
   bool help = false;
@@ -152,7 +159,6 @@ struct Options {
   std::string fusion = "auto";
   bool verify = false;
   std::string trace_path;
-  std::string sim_trace_path;
   bool profile = false;
   std::string metrics_path;
   bool explain = false;
@@ -242,14 +248,27 @@ Status ParseDevices(const std::string& value, Options* options) {
   const std::vector<std::string> tokens = SplitList(value);
   if (value.find(',') == std::string::npos &&
       (value.empty() || std::isdigit(static_cast<unsigned char>(value[0])))) {
-    ADAMANT_RETURN_NOT_OK(ParseNumber("devices", value, &options->devices));
+    ADAMANT_RETURN_NOT_OK(ParseNumber("devices", value, &options->devices, 1));
+    if (options->devices > kMaxDevices) {
+      return Status::InvalidArgument("--devices: at most " +
+                                     std::to_string(kMaxDevices) +
+                                     " devices, got " + value);
+    }
     for (size_t d = 0; d < options->devices; ++d) {
       options->device_set.push_back(static_cast<DeviceId>(d));
     }
     return Status::OK();
   }
+  if (tokens.empty()) {
+    return Status::InvalidArgument("--devices: '" + value +
+                                   "' names no device");
+  }
+  if (tokens.size() > kMaxDevices) {
+    return Status::InvalidArgument(
+        "--devices: at most " + std::to_string(kMaxDevices) +
+        " devices, got a list of " + std::to_string(tokens.size()));
+  }
   const bool named =
-      !tokens.empty() &&
       !std::isdigit(static_cast<unsigned char>(tokens.front().front()));
   for (size_t t = 0; t < tokens.size(); ++t) {
     auto id = static_cast<DeviceId>(t);
@@ -261,6 +280,11 @@ Status ParseDevices(const std::string& value, Options* options) {
       options->device_classes.push_back(tokens[t]);
     } else {
       ADAMANT_RETURN_NOT_OK(ParseNumber("devices", tokens[t], &id, 0));
+      if (static_cast<size_t>(id) >= kMaxDevices) {
+        return Status::InvalidArgument("--devices: device ids must be below " +
+                                       std::to_string(kMaxDevices) + ", got " +
+                                       tokens[t]);
+      }
     }
     if (std::find(options->device_set.begin(), options->device_set.end(),
                   id) != options->device_set.end()) {
@@ -271,6 +295,40 @@ Status ParseDevices(const std::string& value, Options* options) {
   }
   options->devices = options->device_set.size();
   return Status::OK();
+}
+
+// Options → ExecutionOptions for the execution knobs that run_tpch forwards
+// verbatim. ParseArgs validates the strings before calling it (exit 2 on
+// typos), so the Parse* calls here cannot fail.
+ExecutionOptions MakeExecOptions(const Options& options) {
+  ExecutionOptions exec_options;
+  exec_options.model = *ParseExecutionModel(options.model);
+  exec_options.chunk_elems = options.chunk;
+  if (!options.device_set.empty()) {
+    exec_options.model = ExecutionModelKind::kDeviceParallel;
+    exec_options.device_set = options.device_set;
+    exec_options.device_split = options.device_split;
+  }
+  exec_options.split_rebalance = !options.no_rebalance;
+  exec_options.collect_profile = options.profile;
+  exec_options.collect_operator_stats = options.explain_analyze;
+  exec_options.kernel_variant = *ParseKernelVariant(options.kernel_variant);
+  exec_options.kernel_threads = options.kernel_threads;
+  exec_options.fusion = *ParseFusionMode(options.fusion);
+  return exec_options;
+}
+
+// ValidateExecutionOptions names the option field it rejects; its message
+// gets the flag that sets that field.
+std::string FlagOfField(const std::string& message) {
+  const std::pair<const char*, const char*> kFlags[] = {
+      {"kernel_threads", "--kernel-threads"},
+      {"device_split", "--split"},
+      {"chunk_elems", "--chunk"}};
+  for (const auto& [field, flag] : kFlags) {
+    if (message.find(field) != std::string::npos) return flag;
+  }
+  return "flags";
 }
 
 Result<Options> ParseArgs(int argc, char** argv) {
@@ -289,8 +347,8 @@ Result<Options> ParseArgs(int argc, char** argv) {
   };
   const std::map<std::string, std::string*> paths = {
       {"tbl-dir", &o.tbl_dir},         {"trace", &o.trace_path},
-      {"sim-trace", &o.sim_trace_path}, {"metrics", &o.metrics_path},
-      {"sql-file", &o.sql_file},       {"history", &o.history_path},
+      {"metrics", &o.metrics_path},    {"sql-file", &o.sql_file},
+      {"history", &o.history_path},
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -356,6 +414,9 @@ Result<Options> ParseArgs(int argc, char** argv) {
       o.fusion = value;
     } else if (flag == "clients") {
       ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.clients, 1));
+      if (o.clients > kMaxClients) {
+        return bad("at most " + std::to_string(kMaxClients) + " clients");
+      }
     } else if (flag == "queries") {
       ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.serve_queries));
     } else if (flag == "seed") {
@@ -372,6 +433,7 @@ Result<Options> ParseArgs(int argc, char** argv) {
       }
     } else if (flag == "fault-rate") {
       ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.fault_rate, 0.0));
+      if (o.fault_rate > 1) return bad("'" + value + "' is not a probability");
     } else if (flag == "fault-seed") {
       ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.fault_seed));
     } else if (flag == "sticky-device") {
@@ -409,28 +471,12 @@ Result<Options> ParseArgs(int argc, char** argv) {
         " --devices entries");
   }
   if (o.nominal_sf <= 0) o.nominal_sf = o.sf;
-  return o;
-}
-
-// Options → ExecutionOptions for the execution knobs that run_tpch forwards
-// verbatim. The strings were validated at ParseArgs time (exit 2 on typos),
-// so the Parse* calls here cannot fail.
-ExecutionOptions MakeExecOptions(const Options& options) {
-  ExecutionOptions exec_options;
-  exec_options.model = *ParseExecutionModel(options.model);
-  exec_options.chunk_elems = options.chunk;
-  if (!options.device_set.empty()) {
-    exec_options.model = ExecutionModelKind::kDeviceParallel;
-    exec_options.device_set = options.device_set;
-    exec_options.device_split = options.device_split;
+  // The runtime's own knob validation, before any data is generated.
+  if (Status st = ValidateExecutionOptions(MakeExecOptions(o)); !st.ok()) {
+    return Status::InvalidArgument(FlagOfField(st.message()) + ": " +
+                                   st.message());
   }
-  exec_options.split_rebalance = !options.no_rebalance;
-  exec_options.collect_profile = options.profile;
-  exec_options.collect_operator_stats = options.explain_analyze;
-  exec_options.kernel_variant = *ParseKernelVariant(options.kernel_variant);
-  exec_options.kernel_threads = options.kernel_threads;
-  exec_options.fusion = *ParseFusionMode(options.fusion);
-  return exec_options;
+  return o;
 }
 
 // --explain: one line per primitive with the Task-layer kernel variant its
@@ -1171,11 +1217,6 @@ Status Run(const Options& options, int* exit_code) {
             : manager.AddDriver(kind, drivers[i] + "." + std::to_string(i)));
     ADAMANT_RETURN_NOT_OK(BindStandardKernels(manager.device(added)));
   }
-  if (!options.sim_trace_path.empty()) {
-    manager.device(device)->transfer_timeline().set_tracing(true);
-    manager.device(device)->d2h_timeline().set_tracing(true);
-    manager.device(device)->compute_timeline().set_tracing(true);
-  }
   // Tracing only records: the traced run executes the same plan.
   if (!options.trace_path.empty()) EnableTracing(&manager);
 
@@ -1207,14 +1248,6 @@ Status Run(const Options& options, int* exit_code) {
   }
   if (!options.metrics_path.empty()) {
     ADAMANT_RETURN_NOT_OK(DumpMetrics(options.metrics_path, nullptr));
-  }
-  if (!options.sim_trace_path.empty()) {
-    SimulatedDevice* dev = manager.device(device);
-    ADAMANT_RETURN_NOT_OK(WriteOutput(
-        options.sim_trace_path,
-        sim::ToChromeTrace({&dev->transfer_timeline(), &dev->d2h_timeline(),
-                            &dev->compute_timeline()}),
-        "simulated-timeline trace"));
   }
   return Status::OK();
 }
