@@ -22,6 +22,15 @@
 //                 and keep it <= 1.5x with deadline shedding on, shedding
 //                 at least one query.
 //
+// Report-only rows, with no bound:
+//
+//   tiled_kernels every kernel that tiles, on openmp_cpu over 2^22 random
+//                 int32 keys: the minimum of 11 alternating host-clock
+//                 Executes forced scalar (one range) and forced parallel at
+//                 4 threads (16,384-row tiles on the worker pool). No
+//                 perfbench workload tiles, so these rows are the only
+//                 host-clock view of the tiled path.
+//
 // Every measured value, its bound and verdict go to BENCH_gates.json in the
 // working directory; the exit status is 1 when any gate fails.
 
@@ -30,11 +39,17 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <functional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/bit_util.h"
+#include "common/random.h"
+#include "task/hash_table.h"
+#include "task/kernels_fused.h"
 
 namespace adamant::bench {
 namespace {
@@ -268,9 +283,204 @@ void DeadlineGates(std::vector<Gate>* gates) {
                     static_cast<double>(shed.shed), 1, true});
 }
 
+// --- tiled_kernels (report only) ---------------------------------------------
+
+/// A kernel's best host-clock Execute, forced scalar and forced parallel.
+struct KernelRow {
+  std::string kernel;
+  double scalar_ms = 0;
+  double tiled_ms = 0;
+};
+
+/// The timed launch of one kernel, plus launches that restore its inputs
+/// before every run (a hash table to refill).
+struct TimedLaunch {
+  KernelLaunch launch;
+  std::vector<KernelLaunch> reset = {};
+};
+
+/// Builds one kernel's launch over `keys` on `dev`; setup kernels run here.
+using TimedCase = std::function<TimedLaunch(SimulatedDevice* dev,
+                                            BufferId keys, size_t n)>;
+
+BufferId Alloc(SimulatedDevice* dev, size_t bytes) {
+  auto buf = dev->PrepareMemory(bytes);
+  ADAMANT_CHECK(buf.ok()) << buf.status().ToString();
+  return *buf;
+}
+
+BufferId Put(SimulatedDevice* dev, const void* data, size_t bytes) {
+  const BufferId buf = Alloc(dev, bytes);
+  ADAMANT_CHECK(dev->PlaceData(buf, data, bytes, 0).ok());
+  return buf;
+}
+
+void Run(SimulatedDevice* dev, const KernelLaunch& launch) {
+  const Status status = dev->Execute(launch);
+  ADAMANT_CHECK(status.ok()) << launch.kernel_name << ": "
+                             << status.ToString();
+}
+
+FusedStep Step(FusedStep::Op op, int64_t a, int64_t b, int32_t src0) {
+  FusedStep step;
+  step.op = op;
+  step.a = a;
+  step.b = b;
+  step.src0 = src0;
+  return step;
+}
+
+/// load key; filter key < 2^29; map key * 3 as int64; then `terminal`.
+std::vector<FusedStep> FusedRecipe(const FusedStep& terminal) {
+  FusedStep map = Step(FusedStep::Op::kMap,
+                       static_cast<int64_t>(MapOp::kMulScalar), 3, 0);
+  map.c = static_cast<int64_t>(ElementType::kInt64);
+  return {Step(FusedStep::Op::kLoad, 0,
+               static_cast<int64_t>(ElementType::kInt32), -1),
+          Step(FusedStep::Op::kFilter, static_cast<int64_t>(CmpOp::kLt),
+               1 << 29, 0),
+          map, terminal};
+}
+
+std::vector<std::pair<const char*, TimedCase>> TimedCases() {
+  auto build_table = [](SimulatedDevice* dev, BufferId keys, size_t n,
+                        bool insert) {
+    const size_t slots = HashTableLayout::SlotsFor(n);
+    const size_t bytes = HashTableLayout::BuildTableBytes(slots);
+    const BufferId table = Alloc(dev, bytes);
+    const KernelLaunch fill =
+        kernels::MakeFill(table, HashTableLayout::kEmptyKey, bytes / 4);
+    Run(dev, fill);
+    if (insert) {
+      Run(dev, kernels::MakeHashBuild(keys, kInvalidBuffer, table, slots, 0,
+                                      n));
+    }
+    return std::make_tuple(table, slots, fill);
+  };
+  return {
+      {"map",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         return TimedLaunch{kernels::MakeMap(keys, kInvalidBuffer,
+                                             Alloc(dev, n * 4),
+                                             MapOp::kAddScalar,
+                                             ElementType::kInt32,
+                                             ElementType::kInt32, 7, n)};
+       }},
+      {"filter_bitmap",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         return TimedLaunch{kernels::MakeFilterBitmap(
+             keys, Alloc(dev, bit_util::BytesForBits(n)), CmpOp::kLt,
+             ElementType::kInt32, 1 << 29, 0, false, n)};
+       }},
+      {"filter_position",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         return TimedLaunch{kernels::MakeFilterPosition(
+             keys, Alloc(dev, n * 4), Alloc(dev, 8), CmpOp::kLt,
+             ElementType::kInt32, 1 << 29, 0, n)};
+       }},
+      {"materialize",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         const BufferId bitmap = Alloc(dev, bit_util::BytesForBits(n));
+         Run(dev, kernels::MakeFilterBitmap(keys, bitmap, CmpOp::kLt,
+                                            ElementType::kInt32, 1 << 29, 0,
+                                            false, n));
+         return TimedLaunch{kernels::MakeMaterialize(
+             keys, bitmap, Alloc(dev, n * 4), Alloc(dev, 8),
+             ElementType::kInt32, n)};
+       }},
+      {"materialize_position",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         std::vector<int32_t> positions(n);
+         for (size_t i = 0; i < n; ++i) {
+           positions[i] = static_cast<int32_t>(n - 1 - i);
+         }
+         return TimedLaunch{kernels::MakeMaterializePosition(
+             keys, Put(dev, positions.data(), n * 4), Alloc(dev, n * 4),
+             ElementType::kInt32, n)};
+       }},
+      {"prefix_sum",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         return TimedLaunch{
+             kernels::MakePrefixSum(keys, Alloc(dev, n * 4), true, n)};
+       }},
+      {"agg_block",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         return TimedLaunch{kernels::MakeAggBlock(
+             keys, Alloc(dev, 8), AggOp::kSum, ElementType::kInt32, true, n)};
+       }},
+      {"hash_build",
+       [build_table](SimulatedDevice* dev, BufferId keys, size_t n) {
+         const auto [table, slots, fill] = build_table(dev, keys, n, false);
+         return TimedLaunch{kernels::MakeHashBuild(keys, kInvalidBuffer, table,
+                                                   slots, 0, n),
+                            {fill}};
+       }},
+      {"hash_probe",
+       [build_table](SimulatedDevice* dev, BufferId keys, size_t n) {
+         const auto [table, slots, fill] = build_table(dev, keys, n, true);
+         return TimedLaunch{kernels::MakeHashProbe(
+             keys, table, Alloc(dev, n * 4), Alloc(dev, n * 4), Alloc(dev, 8),
+             slots, ProbeMode::kSemi, 0, n)};
+       }},
+      {"fused",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         const FusedStep emit = Step(
+             FusedStep::Op::kEmit, static_cast<int64_t>(ElementType::kInt64),
+             0, 2);
+         return TimedLaunch{kernels::MakeFused({keys}, Alloc(dev, n * 8),
+                                               Alloc(dev, 8),
+                                               FusedRecipe(emit), false, n)};
+       }},
+      {"fused_agg",
+       [](SimulatedDevice* dev, BufferId keys, size_t n) {
+         const FusedStep agg = Step(
+             FusedStep::Op::kAgg, static_cast<int64_t>(AggOp::kSum), 0, 2);
+         return TimedLaunch{kernels::MakeFused({keys}, Alloc(dev, 8),
+                                               kInvalidBuffer,
+                                               FusedRecipe(agg), true, n)};
+       }},
+  };
+}
+
+std::vector<KernelRow> TiledKernelRows() {
+  constexpr size_t kElems = size_t{1} << 22;
+  constexpr int kRuns = 11;
+  std::vector<int32_t> keys(kElems);
+  Rng rng(20260805);
+  for (int32_t& key : keys) {
+    key = static_cast<int32_t>(rng.Uniform(1, int64_t{1} << 30));
+  }
+  std::vector<KernelRow> rows;
+  for (const auto& [name, make] : TimedCases()) {
+    BenchRig rig = BenchRig::Make(sim::DriverKind::kOpenMpCpu);
+    rig.manager->SetDataScale(1);
+    SimulatedDevice* dev = rig.dev();
+    TimedLaunch timed = make(dev, Put(dev, keys.data(), kElems * 4), kElems);
+    timed.launch.num_threads = kDefaultKernelThreads;
+    auto run_ms = [&](KernelVariantRequest variant) {
+      for (const KernelLaunch& reset : timed.reset) Run(dev, reset);
+      timed.launch.variant = variant;
+      const auto start = Clock::now();
+      Run(dev, timed.launch);
+      return MsSince(start);
+    };
+    KernelRow row{name, std::numeric_limits<double>::infinity(),
+                  std::numeric_limits<double>::infinity()};
+    for (int i = 0; i < kRuns; ++i) {
+      row.scalar_ms =
+          std::min(row.scalar_ms, run_ms(KernelVariantRequest::kScalar));
+      row.tiled_ms =
+          std::min(row.tiled_ms, run_ms(KernelVariantRequest::kParallel));
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 // --- The one emitter ---------------------------------------------------------
 
-bool Report(const std::vector<Gate>& gates, const char* path) {
+bool Report(const std::vector<Gate>& gates, const std::vector<KernelRow>& rows,
+            const char* path) {
   std::FILE* json = std::fopen(path, "w");
   ADAMANT_CHECK(json != nullptr) << "cannot open " << path;
   std::fprintf(json, "{\"clock\":\"host\",\"gates\":[");
@@ -288,6 +498,18 @@ bool Report(const std::vector<Gate>& gates, const char* path) {
                  g.at_least ? "min" : "max", g.bound,
                  g.pass() ? "true" : "false");
   }
+  std::fprintf(json, "],\"tiled_kernels\":[");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const KernelRow& r = rows[i];
+    std::printf("INFO %-38s %-18s %10.3f ms scalar %8.3f ms tiled\n",
+                "tiled_kernels min of 11, 2^22 rows", r.kernel.c_str(),
+                r.scalar_ms, r.tiled_ms);
+    std::fprintf(json,
+                 "%s{\"kernel\":\"%s\",\"scalar_ms\":%.4f,"
+                 "\"tiled_ms\":%.4f}",
+                 i == 0 ? "" : ",", r.kernel.c_str(), r.scalar_ms,
+                 r.tiled_ms);
+  }
   std::fprintf(json, "],\"pass\":%s}\n", ok ? "true" : "false");
   std::fclose(json);
   std::printf("%s (host clock); wrote %s\n",
@@ -304,5 +526,5 @@ int main() {
   SqlCompileGates(&gates);
   ObsOverheadGates(&gates);
   DeadlineGates(&gates);
-  return Report(gates, "BENCH_gates.json") ? 0 : 1;
+  return Report(gates, TiledKernelRows(), "BENCH_gates.json") ? 0 : 1;
 }

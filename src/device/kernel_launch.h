@@ -14,10 +14,10 @@ namespace adamant {
 
 class CancelToken;
 
-/// Task-layer implementation variant of a kernel. The Task layer may hold
-/// several implementations of one primitive (Table I); `kScalar` is the
-/// single-threaded reference, `kParallel` a tiled worker-pool implementation
-/// with bit-identical output. Devices resolve which one a launch runs.
+/// How a launch runs its Task-layer kernel: `kScalar` on one thread,
+/// `kParallel` with a thread budget, under which a kernel that tiles splits
+/// launches of two or more tiles across the worker pool, with bit-identical
+/// output. Devices resolve which one a launch runs.
 enum class KernelVariant : uint8_t {
   kScalar = 0,
   kParallel = 1,
@@ -25,7 +25,7 @@ enum class KernelVariant : uint8_t {
 
 /// What a launch (or ExecutionOptions) asks for: defer to the device's
 /// default policy, or force one variant. Forcing kParallel silently falls
-/// back to kScalar for kernels without a parallel implementation.
+/// back to kScalar for kernels that do not tile.
 enum class KernelVariantRequest : uint8_t {
   kAuto = 0,
   kScalar = 1,
@@ -106,14 +106,19 @@ class KernelExecContext {
   int64_t scalar(size_t i) const { return args_[i].i64; }
   double scalar_f(size_t i) const { return args_[i].f64; }
 
-  /// Thread budget for parallel kernel variants: the maximum number of
-  /// threads (pool workers + the calling thread) the kernel may use.
-  /// <= 1 means run single-threaded; scalar variants ignore it.
+  /// Thread budget of the launch: the maximum number of threads (pool
+  /// workers + the calling thread) the kernel may use. <= 1 means run
+  /// single-threaded.
   int parallel_threads() const { return parallel_threads_; }
   void set_parallel_threads(int threads) { parallel_threads_ = threads; }
 
-  /// Cooperative cancellation token for the owning run, or null. Parallel
-  /// variants poll it between tiles so a cancelled run stops claiming work
+  /// Set by a kernel that ran the launch as two or more tiles on the
+  /// worker pool; the device counts these launches (parallel_launches).
+  bool tiled() const { return tiled_; }
+  void set_tiled() { tiled_ = true; }
+
+  /// Cooperative cancellation token for the owning run, or null. Tiled
+  /// runs poll it between tiles so a cancelled run stops claiming work
   /// instead of finishing the kernel.
   CancelToken* cancel() const { return cancel_; }
   void set_cancel(CancelToken* token) { cancel_ = token; }
@@ -124,6 +129,7 @@ class KernelExecContext {
   std::vector<KernelArg> args_;
   size_t work_items_;
   int parallel_threads_ = 0;
+  bool tiled_ = false;
   CancelToken* cancel_ = nullptr;
 };
 
@@ -156,16 +162,15 @@ struct KernelLaunch {
   /// benchmark's data-scale factor (e.g. hash-table cardinalities), false
   /// for fixed parameters (e.g. the 5 TPC-H order priorities).
   bool scale_cost_param = false;
-  /// Which Task-layer implementation variant to run. kAuto defers to the
-  /// device's default policy (set per driver kind at BindStandardKernels
-  /// time); forcing kParallel falls back to the scalar implementation for
-  /// kernels without a registered parallel variant. Ignored when `fn` is set.
+  /// Which variant to run. kAuto defers to the device's default policy
+  /// (set per driver kind at BindStandardKernels time); forcing kParallel
+  /// runs scalar for kernels that do not tile. Ignored when `fn` is set.
   KernelVariantRequest variant = KernelVariantRequest::kAuto;
   /// Thread budget for the parallel variant; 0 = the device's policy count.
   int num_threads = 0;
   /// Cooperative cancellation token for the owning run; not owned, may be
-  /// null. Stamped by the executor from ExecutionOptions so parallel tile
-  /// loops can stop early on cancel/deadline.
+  /// null. Stamped by the executor from ExecutionOptions so tile loops can
+  /// stop early on cancel/deadline.
   CancelToken* cancel = nullptr;
   /// Inline implementation; if empty, the kernel registered under
   /// kernel_name via prepare_kernel()/RegisterPrecompiledKernel() is used.

@@ -229,22 +229,13 @@ bool SimulatedDevice::HasKernel(const std::string& name) const {
          precompiled_kernels_.count(name) > 0;
 }
 
-void SimulatedDevice::RegisterParallelKernel(const std::string& name,
-                                             HostKernelFn fn) {
-  std::lock_guard<std::mutex> lock(parallel_mu_);
-  parallel_kernels_[name] = std::move(fn);
-}
-
-bool SimulatedDevice::HasParallelKernel(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(parallel_mu_);
-  return parallel_kernels_.find(name) != parallel_kernels_.end();
-}
-
-void SimulatedDevice::SetKernelVariantPolicy(KernelVariant native,
-                                             int threads) {
+void SimulatedDevice::SetKernelVariantPolicy(
+    KernelVariant native, int threads,
+    std::set<std::string, std::less<>> tiled_kernels) {
   std::lock_guard<std::mutex> lock(call_mu_);
   default_variant_ = native;
   kernel_threads_ = threads > 0 ? threads : 1;
+  tiled_kernels_ = std::move(tiled_kernels);
 }
 
 KernelVariantChoice SimulatedDevice::ResolveVariant(
@@ -260,8 +251,7 @@ KernelVariantChoice SimulatedDevice::ResolveVariant(
 KernelVariantChoice SimulatedDevice::ResolveKernelVariant(
     std::string_view kernel, KernelVariantRequest request, int threads) const {
   const KernelVariantChoice choice = ResolveVariant(request, threads);
-  if (choice.variant == KernelVariant::kParallel &&
-      !HasParallelKernel(kernel)) {
+  if (choice.variant == KernelVariant::kParallel && !KernelTiles(kernel)) {
     return {KernelVariant::kScalar, 1};
   }
   return choice;
@@ -353,17 +343,13 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
                                   " (runtime compilation required)");
   }
 
-  // Resolve the Task-layer variant (ResolveKernelVariant). Inline fns
-  // bypass variants and charge the native rate.
+  // Resolve the variant (ResolveKernelVariant): its thread budget is all
+  // the kernel sees of it. Inline fns bypass variants and charge the native
+  // rate.
   const KernelVariantChoice choice =
       launch.fn ? ResolveVariant(KernelVariantRequest::kAuto, 0)
                 : ResolveKernelVariant(launch.kernel_name, launch.variant,
                                        launch.num_threads);
-  if (!launch.fn && choice.variant == KernelVariant::kParallel) {
-    std::lock_guard<std::mutex> parallel_lock(parallel_mu_);
-    fn = parallel_kernels_.find(launch.kernel_name)->second;
-    ++parallel_launches_;
-  }
 
   if (launch.kernel_name == "fused") ++fused_launches_;
 
@@ -415,8 +401,9 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
                         launch.work_items);
   ctx.set_parallel_threads(choice.threads);
   ctx.set_cancel(launch.cancel);
-  return fn(&ctx).WithContext("kernel '" + launch.kernel_name + "' on " +
-                              name_);
+  const Status status = fn(&ctx);
+  if (ctx.tiled()) ++parallel_launches_;
+  return status.WithContext("kernel '" + launch.kernel_name + "' on " + name_);
 }
 
 SimTime SimulatedDevice::Synchronize() {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -93,22 +94,23 @@ class SimulatedDevice : public Device {
   void RegisterPrecompiledKernel(const std::string& name, HostKernelFn fn);
   bool HasKernel(const std::string& name) const;
 
-  /// Registers the parallel (worker-pool) Task-layer variant of `name`.
-  /// Orthogonal to PrepareKernel/RegisterPrecompiledKernel: a launch still
-  /// needs the scalar binding, and the variant resolved at Execute time
-  /// (launch.variant, else the device policy) picks between the two.
-  void RegisterParallelKernel(const std::string& name, HostKernelFn fn);
-  bool HasParallelKernel(std::string_view name) const;
-
-  /// Sets the device's native variant and thread count. The driver's
+  /// Sets the device's native variant, its thread count and the kernels
+  /// that tile (set-up state, before the first launch). The driver's
   /// calibrated kernel rates correspond to its *native* variant, so Execute
   /// charges KernelDuration scaled by S(native)/S(used) — forcing kScalar on
   /// a parallel-native CPU driver slows it down; forcing kParallel on a
-  /// scalar-native (GPU) driver changes which host fn computes but not the
+  /// scalar-native (GPU) driver changes the host thread budget but not the
   /// simulated time (the GPU model already is massively parallel).
-  void SetKernelVariantPolicy(KernelVariant native, int threads);
+  void SetKernelVariantPolicy(
+      KernelVariant native, int threads,
+      std::set<std::string, std::less<>> tiled_kernels);
   KernelVariant default_kernel_variant() const { return default_variant_; }
   int kernel_threads() const { return kernel_threads_; }
+  /// True when `name` tiles under the parallel variant's thread budget;
+  /// the other kernels run scalar (ResolveKernelVariant).
+  bool KernelTiles(std::string_view name) const {
+    return tiled_kernels_.find(name) != tiled_kernels_.end();
+  }
 
   // --- Kernel pricing: the one cost model of a launch. Execute charges
   //     exactly this; admission, the split, EXPLAIN and the fusion gate
@@ -123,7 +125,7 @@ class SimulatedDevice : public Device {
   KernelVariantChoice ResolveVariant(KernelVariantRequest request,
                                      int threads) const;
   /// What Execute runs for a launch of `kernel`: ResolveVariant, falling
-  /// back to scalar when the kernel has no parallel binding.
+  /// back to scalar when the kernel does not tile.
   KernelVariantChoice ResolveKernelVariant(std::string_view kernel,
                                            KernelVariantRequest request,
                                            int threads) const;
@@ -138,7 +140,8 @@ class SimulatedDevice : public Device {
   };
   LaunchPrice PriceLaunch(std::string_view kernel, double tuples,
                           KernelVariantRequest request, int threads) const;
-  /// Number of Execute calls that dispatched a parallel variant fn.
+  /// Number of Execute calls whose kernel ran two or more tiles on the
+  /// worker pool.
   size_t parallel_launches() const { return parallel_launches_; }
   /// Number of Execute calls that ran the fused composite kernel.
   size_t fused_launches() const { return fused_launches_; }
@@ -279,17 +282,12 @@ class SimulatedDevice : public Device {
 
   std::map<std::string, HostKernelFn, std::less<>> prepared_kernels_;
   std::map<std::string, HostKernelFn, std::less<>> precompiled_kernels_;
-  /// Guards parallel_kernels_ on its own: Execute holds call_mu_ across
-  /// the kernel's computation, and pricing (PriceLaunch from admission on
-  /// another thread) must not wait for a running kernel. Lock order:
-  /// call_mu_, then parallel_mu_.
-  mutable std::mutex parallel_mu_;
-  std::map<std::string, HostKernelFn, std::less<>> parallel_kernels_;
   KernelVariant default_variant_ = KernelVariant::kScalar;
   /// Thread budget handed to parallel variants (deterministic policy
   /// constant, never hardware_concurrency — simulated time must not depend
   /// on the host machine).
   int kernel_threads_ = 4;
+  std::set<std::string, std::less<>> tiled_kernels_;
   size_t parallel_launches_ = 0;
   size_t fused_launches_ = 0;
 

@@ -152,11 +152,7 @@ bool BuildRecipe(const PrimitiveGraph& g, GroupPlan* group) {
         if (src0 < 0) return false;
         int32_t src1 = -1;
         const MapOp op = node.config.map_op;
-        const bool needs_in1 =
-            op == MapOp::kAddCol || op == MapOp::kSubCol ||
-            op == MapOp::kMulCol || op == MapOp::kMulPctComplement ||
-            op == MapOp::kMulPct || op == MapOp::kMulPctPlus;
-        if (needs_in1) {
+        if (MapReadsSecondColumn(op)) {
           src1 = input_reg(id, 1);
           if (src1 < 0) return false;
           // Both operands must pair rows under the same compaction, or the
@@ -166,9 +162,7 @@ bool BuildRecipe(const PrimitiveGraph& g, GroupPlan* group) {
         // The unfused percentage maps read their in1 buffer as raw int32;
         // the fused interpreter reads a register. They agree only when the
         // register is an int32 load.
-        const bool pct = op == MapOp::kMulPctComplement ||
-                         op == MapOp::kMulPct || op == MapOp::kMulPctPlus;
-        if (pct &&
+        if (IsPercentMap(op) &&
             (steps[static_cast<size_t>(src1)].op != FusedStep::Op::kLoad ||
              static_cast<ElementType>(steps[static_cast<size_t>(src1)].b) !=
                  ElementType::kInt32)) {

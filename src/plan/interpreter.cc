@@ -59,7 +59,7 @@ std::vector<int64_t> InterpretExpr(const ScalarExpr& expr,
   const std::vector<int64_t>& a = s.cols.at(expr.a);
   // Scalar ops never read `b`.
   const std::vector<int64_t>& b =
-      expr.is_column_column() ? s.cols.at(expr.b) : a;
+      MapReadsSecondColumn(expr.op) ? s.cols.at(expr.b) : a;
   std::vector<int64_t> out(s.rows);
   for (size_t i = 0; i < s.rows; ++i) {
     out[i] = ApplyExpr(expr, a[i], b[i], i > 0 ? &a[i - 1] : nullptr);

@@ -57,12 +57,6 @@ struct ScalarExpr {
     return {MapOp::kMulPctPlus, std::move(money), std::move(pct), 0,
             ElementType::kInt64};
   }
-
-  bool is_column_column() const {
-    return op == MapOp::kAddCol || op == MapOp::kSubCol ||
-           op == MapOp::kMulCol || op == MapOp::kMulPctComplement ||
-           op == MapOp::kMulPct || op == MapOp::kMulPctPlus;
-  }
 };
 
 /// A conjunctive predicate term over one column. `selectivity` is the

@@ -168,11 +168,9 @@ class Lowering {
     for (const auto& [name, expr] : node.projections) {
       ADAMANT_ASSIGN_OR_RETURN(ColumnState a, Access(&stream, expr.a));
       ColumnState b;
-      if (expr.is_column_column()) {
+      if (MapReadsSecondColumn(expr.op)) {
         ADAMANT_ASSIGN_OR_RETURN(b, Access(&stream, expr.b));
-        const bool pct_op = expr.op == MapOp::kMulPctComplement ||
-                            expr.op == MapOp::kMulPct ||
-                            expr.op == MapOp::kMulPctPlus;
+        const bool pct_op = IsPercentMap(expr.op);
         if (pct_op && b.type != ElementType::kInt32) {
           return Status::InvalidArgument("percentage operand '" + expr.b +
                                          "' must be int32");
@@ -191,7 +189,7 @@ class Lowering {
                             policy_.For(PrimitiveKind::kMap), cfg,
                             "lower.map(" + name + ")");
       ADAMANT_RETURN_NOT_OK(ConnectBinding(a, map, 0));
-      if (expr.is_column_column()) {
+      if (MapReadsSecondColumn(expr.op)) {
         ADAMANT_RETURN_NOT_OK(ConnectBinding(b, map, 1));
       }
       ColumnState out;

@@ -19,7 +19,7 @@ void CollectReads(const LogicalNode& node, std::set<std::string>* names) {
   for (const Predicate& pred : node.predicates) names->insert(pred.column);
   for (const auto& [name, expr] : node.projections) {
     names->insert(expr.a);
-    if (expr.is_column_column()) names->insert(expr.b);
+    if (MapReadsSecondColumn(expr.op)) names->insert(expr.b);
   }
   names->insert({node.build_key, node.probe_key, node.group_key});
   if (node.build != nullptr) CollectReads(*node.build, names);

@@ -169,8 +169,8 @@ struct DeviceRunStats {
   size_t device_mem_high_water = 0;  // nominal bytes
   size_t pinned_mem_high_water = 0;  // nominal bytes
   /// Task-layer variant policy the device ran under ("scalar"|"parallel"),
-  /// its thread budget, and how many Execute calls dispatched a parallel
-  /// variant fn — so benchmark output is self-describing.
+  /// its thread budget, and how many Execute calls ran their kernel as two
+  /// or more tiles — so benchmark output is self-describing.
   std::string kernel_variant;
   int kernel_threads = 0;
   size_t parallel_launches = 0;

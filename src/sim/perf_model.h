@@ -39,8 +39,8 @@ enum class TransferDirection { kHostToDevice, kDeviceToHost };
 ///   S(t, n) = 1                                            below the threshold
 ///
 /// The sub-linear term models tile dispatch, cache sharing and the serial
-/// tail; the threshold models the auto-fallback of parallel variants to the
-/// scalar path when a launch holds too few tiles to amortize the fork.
+/// tail; the threshold models a kernel running a launch as one range when
+/// it holds too few tiles to amortize the fork.
 /// Calibrated CPU kernel rates (presets.cc) correspond to the driver's
 /// *default* variant — the paper's OpenMP implementation is multi-threaded —
 /// so a device charges KernelDuration scaled by S(native)/S(used).

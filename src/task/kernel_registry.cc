@@ -1,5 +1,7 @@
 #include "task/kernel_registry.h"
 
+#include <set>
+#include <string>
 #include <string_view>
 
 #include "task/kernels.h"
@@ -20,6 +22,7 @@ bool IsCpuDriver(std::string_view perf_model_name) {
 
 Status BindStandardKernels(SimulatedDevice* device) {
   if (device == nullptr) return Status::InvalidArgument("null device");
+  std::set<std::string, std::less<>> tiled;
   for (const std::string& name : kernels::AllKernelNames()) {
     HostKernelFn fn = kernels::GetKernelFn(name);
     if (device->requires_compilation()) {
@@ -28,17 +31,12 @@ Status BindStandardKernels(SimulatedDevice* device) {
     } else {
       device->RegisterPrecompiledKernel(name, std::move(fn));
     }
-  }
-  // Parallel variants ship precompiled with every driver (they are host
-  // code, not SDK kernels) and sit beside the scalar binding; the variant
-  // resolved at Execute time picks between the two.
-  for (const std::string& name : kernels::ParallelKernelNames()) {
-    device->RegisterParallelKernel(name, kernels::GetParallelKernelFn(name));
+    if (kernels::KernelTiles(name)) tiled.insert(name);
   }
   device->SetKernelVariantPolicy(IsCpuDriver(device->perf_model().name)
                                      ? KernelVariant::kParallel
                                      : KernelVariant::kScalar,
-                                 kDefaultKernelThreads);
+                                 kDefaultKernelThreads, std::move(tiled));
   return Status::OK();
 }
 

@@ -6,7 +6,7 @@
 
 namespace adamant {
 
-/// Default thread budget of parallel kernel variants on parallel-native
+/// Default thread budget of the parallel variant on parallel-native
 /// (CPU) drivers. A deterministic policy constant — never derived from the
 /// host's core count, so simulated timings are machine-independent.
 inline constexpr int kDefaultKernelThreads = 4;
@@ -17,8 +17,8 @@ inline constexpr int kDefaultKernelThreads = 4;
 /// the compile cost once; on CUDA/OpenMP drivers kernels are registered as
 /// precompiled binaries.
 ///
-/// Also installs the parallel (worker-pool) variant of every primitive that
-/// has one and sets the device's variant policy: CPU drivers
+/// Also sets the device's variant policy: the kernels that tile
+/// (kernels::KernelTiles), and the native variant — CPU drivers
 /// (openmp_cpu/opencl_cpu) are parallel-native with kDefaultKernelThreads
 /// threads, GPU drivers scalar-native. See SetKernelVariantPolicy for the
 /// timing semantics.

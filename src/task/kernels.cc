@@ -14,23 +14,29 @@ namespace adamant::kernels {
 
 namespace {
 
-// Shared decode/arithmetic helpers live in kernels_internal.h so the
-// parallel variants (kernels_parallel.cc) reuse them bit-for-bit.
 using internal::AggCombine;
 using internal::AggIdentity;
+using internal::ApplyMap;
 using internal::CheckCapacity;
 using internal::CheckIntType;
+using internal::Compact;
 using internal::Compare;
+using internal::Fold;
+using internal::ForEachTile;
 using internal::Frame;
 using internal::LoadAs64;
+using internal::ScanTiles;
 using internal::StoreFrom64;
 
 // ---------------------------------------------------------------------------
 // Kernel implementations. The per-kernel scalar lists are documented in
-// kernels.h; scalar k lives at index frame.scalar_base + k.
+// kernels.h; scalar k lives at index frame.scalar_base + k. Each kernel runs
+// its row body through one strategy of kernels_internal.h.
 // ---------------------------------------------------------------------------
 
 // Data: in0[, in1], out. Scalars: op, in_type, out_type, imm, has_count.
+// Tiles are independent: kNeqPrev reads in0[i-1] across a tile boundary, but
+// in0 is read-only.
 Status MapKernel(KernelExecContext* ctx) {
   ADAMANT_ASSIGN_OR_RETURN(Frame f, Frame::Decode(*ctx, 5));
   if (f.num_data != 2 && f.num_data != 3) {
@@ -53,61 +59,31 @@ Status MapKernel(KernelExecContext* ctx) {
       CheckCapacity(*ctx, out_arg, f.n * ElementSize(out_type), "map out"));
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base, f.n * ElementSize(in_type), "map in"));
-
-  const bool needs_col = op == MapOp::kAddCol || op == MapOp::kSubCol ||
-                         op == MapOp::kMulCol ||
-                         op == MapOp::kMulPctComplement ||
-                         op == MapOp::kMulPct || op == MapOp::kMulPctPlus;
-  if (needs_col != col_col) {
+  if (MapReadsSecondColumn(op) != col_col) {
     return Status::InvalidArgument(
         "map operand mismatch: column-column op requires exactly 3 buffers");
   }
 
-  for (size_t i = 0; i < f.n; ++i) {
-    int64_t a = LoadAs64(in0, in_type, i);
-    int64_t r = 0;
-    switch (op) {
-      case MapOp::kAddScalar:
-        r = a + imm;
-        break;
-      case MapOp::kSubScalar:
-        r = a - imm;
-        break;
-      case MapOp::kMulScalar:
-        r = a * imm;
-        break;
-      case MapOp::kAddCol:
-        r = a + LoadAs64(in1, in_type, i);
-        break;
-      case MapOp::kSubCol:
-        r = a - LoadAs64(in1, in_type, i);
-        break;
-      case MapOp::kMulCol:
-        r = a * LoadAs64(in1, in_type, i);
-        break;
-      case MapOp::kMulPctComplement:
-        // Fixed-point price * (1 - discount); in1 is an int32 percentage.
-        r = a * (100 - static_cast<const int32_t*>(in1)[i]) / 100;
-        break;
-      case MapOp::kMulPct:
-        r = a * static_cast<const int32_t*>(in1)[i] / 100;
-        break;
-      case MapOp::kMulPctPlus:
-        r = a * (100 + static_cast<const int32_t*>(in1)[i]) / 100;
-        break;
-      case MapOp::kIdentity:
-        r = a;
-        break;
-      case MapOp::kNeqPrev:
-        r = i > 0 && a != LoadAs64(in0, in_type, i - 1) ? 1 : 0;
-        break;
+  // The second operand: in1 (an int32 percentage for the percentage ops),
+  // or for kNeqPrev the previous row of in0.
+  const size_t shift = op == MapOp::kNeqPrev ? 1 : 0;
+  const void* second = shift == 1 ? in0 : in1;
+  const ElementType second_type =
+      IsPercentMap(op) ? ElementType::kInt32 : in_type;
+  return ForEachTile(ctx, f.n, "map", [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const int64_t a = LoadAs64(in0, in_type, i);
+      const int64_t r = ApplyMap(op, a, imm, [&] {
+        return i >= shift ? LoadAs64(second, second_type, i - shift) : a;
+      });
+      StoreFrom64(out, out_type, i, r);
     }
-    StoreFrom64(out, out_type, i, r);
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 // Data: in, bitmap. Scalars: cmp, type, lo, hi, combine_and, has_count.
+// Tiles own whole bitmap words (the tile size is a multiple of 64).
 Status FilterBitmapKernel(KernelExecContext* ctx) {
   ADAMANT_ASSIGN_OR_RETURN(Frame f, Frame::Decode(*ctx, 6));
   if (f.num_data != 2) {
@@ -127,12 +103,14 @@ Status FilterBitmapKernel(KernelExecContext* ctx) {
   ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base,
                                       f.n * ElementSize(type), "filter in"));
 
-  for (size_t i = 0; i < f.n; ++i) {
-    bool pred = Compare(op, LoadAs64(in, type, i), lo, hi);
-    if (combine_and) pred = pred && bit_util::GetBit(bitmap, i);
-    bit_util::SetBitTo(bitmap, i, pred);
-  }
-  return Status::OK();
+  return ForEachTile(ctx, f.n, "filter_bitmap", [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      bool pred = Compare(op, LoadAs64(in, type, i), lo, hi);
+      if (combine_and) pred = pred && bit_util::GetBit(bitmap, i);
+      bit_util::SetBitTo(bitmap, i, pred);
+    }
+    return Status::OK();
+  });
 }
 
 // Data: in, positions, count_out. Scalars: cmp, type, lo, hi, has_count.
@@ -154,20 +132,15 @@ Status FilterPositionKernel(KernelExecContext* ctx) {
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base + 2, sizeof(int64_t), "count"));
 
-  size_t k = 0;
-  for (size_t i = 0; i < f.n; ++i) {
-    if (Compare(op, LoadAs64(in, type, i), lo, hi)) {
-      // The result size is estimated up-front (Table I); overflowing the
-      // estimate is an execution error the runtime surfaces.
-      if (k >= cap) {
-        return Status::ExecutionError("position list overflow at row " +
-                                      std::to_string(i));
-      }
-      positions[k++] = static_cast<int32_t>(i);
-    }
-  }
-  count[0] = static_cast<int64_t>(k);
-  return Status::OK();
+  // The result size is estimated up-front (Table I); overflowing the
+  // estimate is an execution error the runtime surfaces.
+  return Compact(
+      ctx, f.n, "filter_position", cap, "position list",
+      [&](size_t i, const auto& emit) {
+        if (Compare(op, LoadAs64(in, type, i), lo, hi)) emit(i);
+      },
+      [&](size_t k, size_t i) { positions[k] = static_cast<int32_t>(i); },
+      count);
 }
 
 // Data: in, bitmap, out, count_out. Scalars: type, has_count.
@@ -189,18 +162,15 @@ Status MaterializeKernel(KernelExecContext* ctx) {
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base + 3, sizeof(int64_t), "count"));
 
-  size_t k = 0;
-  for (size_t i = 0; i < f.n; ++i) {
-    if (bit_util::GetBit(bitmap, i)) {
-      if (k >= cap) {
-        return Status::ExecutionError("materialize overflow at row " +
-                                      std::to_string(i));
-      }
-      StoreFrom64(out, type, k++, LoadAs64(in, type, i));
-    }
-  }
-  count[0] = static_cast<int64_t>(k);
-  return Status::OK();
+  return Compact(
+      ctx, f.n, "materialize", cap, "materialize",
+      [&](size_t i, const auto& emit) {
+        if (bit_util::GetBit(bitmap, i)) emit(i);
+      },
+      [&](size_t k, size_t i) {
+        StoreFrom64(out, type, k, LoadAs64(in, type, i));
+      },
+      count);
 }
 
 // Data: in, positions, out. Scalars: type, has_count.
@@ -220,15 +190,20 @@ Status MaterializePositionKernel(KernelExecContext* ctx) {
   ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base + 2,
                                       f.n * ElementSize(type), "gather out"));
 
-  for (size_t i = 0; i < f.n; ++i) {
-    const auto p = static_cast<size_t>(positions[i]);
-    if (p >= in_len) {
-      return Status::ExecutionError("gather position " + std::to_string(p) +
-                                    " out of range " + std::to_string(in_len));
-    }
-    StoreFrom64(out, type, i, LoadAs64(in, type, p));
-  }
-  return Status::OK();
+  return ForEachTile(
+      ctx, f.n, "materialize_position", [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          const auto p = static_cast<size_t>(positions[i]);
+          if (p >= in_len) {
+            return Status::ExecutionError("gather position " +
+                                          std::to_string(p) +
+                                          " out of range " +
+                                          std::to_string(in_len));
+          }
+          StoreFrom64(out, type, i, LoadAs64(in, type, p));
+        }
+        return Status::OK();
+      });
 }
 
 // Data: in, out (both int32). Scalars: exclusive, has_count.
@@ -244,17 +219,26 @@ Status PrefixSumKernel(KernelExecContext* ctx) {
       CheckCapacity(*ctx, f.data_base + 1, f.n * 4, "prefix_sum out"));
 
   // int32 sums wrap mod 2^32; the unsigned accumulator makes that defined.
-  uint32_t acc = 0;
-  for (size_t i = 0; i < f.n; ++i) {
-    if (exclusive) {
-      out[i] = static_cast<int32_t>(acc);
-      acc += static_cast<uint32_t>(in[i]);
-    } else {
-      acc += static_cast<uint32_t>(in[i]);
-      out[i] = static_cast<int32_t>(acc);
-    }
-  }
-  return Status::OK();
+  return ScanTiles(
+      ctx, f.n, "prefix_sum",
+      [&](size_t begin, size_t end) {
+        uint32_t sum = 0;
+        for (size_t i = begin; i < end; ++i) {
+          sum += static_cast<uint32_t>(in[i]);
+        }
+        return sum;
+      },
+      [&](size_t begin, size_t end, uint32_t acc) {
+        for (size_t i = begin; i < end; ++i) {
+          if (exclusive) {
+            out[i] = static_cast<int32_t>(acc);
+            acc += static_cast<uint32_t>(in[i]);
+          } else {
+            acc += static_cast<uint32_t>(in[i]);
+            out[i] = static_cast<int32_t>(acc);
+          }
+        }
+      });
 }
 
 // Data: in, acc(int64[1]). Scalars: op, type, init, has_count.
@@ -273,12 +257,11 @@ Status AggBlockKernel(KernelExecContext* ctx) {
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base + 1, sizeof(int64_t), "acc"));
 
-  int64_t a = init ? AggIdentity(op) : acc[0];
-  for (size_t i = 0; i < f.n; ++i) {
-    a = AggCombine(op, a, op == AggOp::kCount ? 0 : LoadAs64(in, type, i));
-  }
-  acc[0] = a;
-  return Status::OK();
+  return Fold(ctx, f.n, "agg_block", op, init, acc,
+              [&](size_t i, int64_t a) {
+                return AggCombine(
+                    op, a, op == AggOp::kCount ? 0 : LoadAs64(in, type, i));
+              });
 }
 
 // Data: keys[, payload], table. Scalars: num_slots, pos_base, has_count.
@@ -303,31 +286,51 @@ Status HashBuildKernel(KernelExecContext* ctx) {
       *ctx, table_arg, HashTableLayout::BuildTableBytes(num_slots), "table"));
 
   const size_t mask = num_slots - 1;
-  for (size_t i = 0; i < f.n; ++i) {
-    const int32_t key = keys[i];
-    if (key == HashTableLayout::kEmptyKey) {
-      return Status::InvalidArgument("key collides with empty sentinel");
-    }
-    size_t slot = HashTableLayout::Hash(key) & mask;
-    size_t attempts = 0;
-    // Linear probing; duplicates occupy their own slots within the cluster.
-    while (table[slot].key != HashTableLayout::kEmptyKey) {
-      slot = (slot + 1) & mask;
-      if (++attempts >= num_slots) {
-        return Status::ExecutionError("hash table full (" +
-                                      std::to_string(num_slots) + " slots)");
+  // Insertion is serial: the linear-probe layout depends on insertion
+  // order. It reports the first error in row order.
+  const auto insert_rows = [&](const auto& home_slot) {
+    for (size_t i = 0; i < f.n; ++i) {
+      const int32_t key = keys[i];
+      if (key == HashTableLayout::kEmptyKey) {
+        return Status::InvalidArgument("key collides with empty sentinel");
       }
+      size_t slot = home_slot(i);
+      size_t attempts = 0;
+      // Linear probing; duplicates occupy their own slots within the cluster.
+      while (table[slot].key != HashTableLayout::kEmptyKey) {
+        slot = (slot + 1) & mask;
+        if (++attempts >= num_slots) {
+          return Status::ExecutionError("hash table full (" +
+                                        std::to_string(num_slots) + " slots)");
+        }
+      }
+      table[slot].key = key;
+      table[slot].payload =
+          has_payload ? payload[i]
+                      : static_cast<int32_t>(pos_base + static_cast<int64_t>(i));
     }
-    table[slot].key = key;
-    table[slot].payload =
-        has_payload ? payload[i]
-                    : static_cast<int32_t>(pos_base + static_cast<int64_t>(i));
+    return Status::OK();
+  };
+  if (!internal::RunsTiled(*ctx, f.n)) {
+    return insert_rows(
+        [&](size_t i) { return HashTableLayout::Hash(keys[i]) & mask; });
   }
-  return Status::OK();
+  // Tiled, the hash pass runs ahead on independent tiles; it records home
+  // slots only, so every error still comes from the insert, in row order.
+  std::vector<uint32_t> home(f.n);
+  ADAMANT_RETURN_NOT_OK(
+      ForEachTile(ctx, f.n, "hash_build", [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          home[i] = HashTableLayout::Hash(keys[i]) & static_cast<uint32_t>(mask);
+        }
+        return Status::OK();
+      }));
+  return insert_rows([&](size_t i) { return home[i]; });
 }
 
 // Data: keys, table, left_pos, right_payload, count_out.
-// Scalars: num_slots, mode, pos_base, has_count.
+// Scalars: num_slots, mode, pos_base, has_count. The table is read-only, so
+// tiles probe concurrently.
 Status HashProbeKernel(KernelExecContext* ctx) {
   ADAMANT_ASSIGN_OR_RETURN(Frame f, Frame::Decode(*ctx, 4));
   if (f.num_data != 5) {
@@ -356,29 +359,27 @@ Status HashProbeKernel(KernelExecContext* ctx) {
                      sizeof(int32_t);
 
   const size_t mask = num_slots - 1;
-  size_t k = 0;
-  for (size_t i = 0; i < f.n; ++i) {
-    const int32_t key = keys[i];
-    size_t slot = HashTableLayout::Hash(key) & mask;
-    size_t attempts = 0;
-    while (table[slot].key != HashTableLayout::kEmptyKey &&
-           attempts < num_slots) {
-      if (table[slot].key == key) {
-        if (k >= cap) {
-          return Status::ExecutionError("join result overflow at row " +
-                                        std::to_string(i));
+  return Compact(
+      ctx, f.n, "hash_probe", cap, "join result",
+      [&](size_t i, const auto& emit) {
+        const int32_t key = keys[i];
+        size_t slot = HashTableLayout::Hash(key) & mask;
+        size_t attempts = 0;
+        while (table[slot].key != HashTableLayout::kEmptyKey &&
+               attempts < num_slots) {
+          if (table[slot].key == key) {
+            emit(i, table[slot].payload);
+            if (mode == ProbeMode::kSemi) break;
+          }
+          slot = (slot + 1) & mask;
+          ++attempts;
         }
+      },
+      [&](size_t k, size_t i, int32_t build_payload) {
         left[k] = static_cast<int32_t>(pos_base + static_cast<int64_t>(i));
-        right[k] = table[slot].payload;
-        ++k;
-        if (mode == ProbeMode::kSemi) break;
-      }
-      slot = (slot + 1) & mask;
-      ++attempts;
-    }
-  }
-  count[0] = static_cast<int64_t>(k);
-  return Status::OK();
+        right[k] = build_payload;
+      },
+      count);
 }
 
 // Data: keys[, values], table. Scalars: num_slots, op, value_type, has_count.
@@ -488,22 +489,28 @@ Status FillKernel(KernelExecContext* ctx) {
   return Status::OK();
 }
 
-const std::map<std::string, HostKernelFn>& KernelTable() {
-  static const std::map<std::string, HostKernelFn>* const kTable =
-      new std::map<std::string, HostKernelFn>{
-          {"map", MapKernel},
-          {"filter_bitmap", FilterBitmapKernel},
-          {"filter_position", FilterPositionKernel},
-          {"materialize", MaterializeKernel},
-          {"materialize_position", MaterializePositionKernel},
-          {"prefix_sum", PrefixSumKernel},
-          {"agg_block", AggBlockKernel},
-          {"hash_build", HashBuildKernel},
-          {"hash_probe", HashProbeKernel},
-          {"hash_agg", HashAggKernel},
-          {"sort_agg", SortAggKernel},
-          {"fill", FillKernel},
-          {"fused", FusedKernel},
+struct KernelEntry {
+  HostKernelFn fn;
+  /// Runs a launch of two or more tiles as tiles under a thread budget.
+  bool tiles;
+};
+
+const std::map<std::string, KernelEntry>& KernelTable() {
+  static const std::map<std::string, KernelEntry>* const kTable =
+      new std::map<std::string, KernelEntry>{
+          {"map", {MapKernel, true}},
+          {"filter_bitmap", {FilterBitmapKernel, true}},
+          {"filter_position", {FilterPositionKernel, true}},
+          {"materialize", {MaterializeKernel, true}},
+          {"materialize_position", {MaterializePositionKernel, true}},
+          {"prefix_sum", {PrefixSumKernel, true}},
+          {"agg_block", {AggBlockKernel, true}},
+          {"hash_build", {HashBuildKernel, true}},
+          {"hash_probe", {HashProbeKernel, true}},
+          {"hash_agg", {HashAggKernel, false}},
+          {"sort_agg", {SortAggKernel, false}},
+          {"fill", {FillKernel, false}},
+          {"fused", {FusedKernel, true}},
       };
   return *kTable;
 }
@@ -513,17 +520,24 @@ const std::map<std::string, HostKernelFn>& KernelTable() {
 HostKernelFn GetKernelFn(const std::string& name) {
   auto it = KernelTable().find(name);
   ADAMANT_CHECK(it != KernelTable().end()) << "unknown kernel '" << name << "'";
-  return it->second;
+  return it->second.fn;
 }
 
 bool HasKernel(const std::string& name) {
   return KernelTable().count(name) > 0;
 }
 
+bool KernelTiles(const std::string& name) {
+  auto it = KernelTable().find(name);
+  return it != KernelTable().end() && it->second.tiles;
+}
+
+size_t ParallelTileElems() { return internal::kTileElems; }
+
 const std::vector<std::string>& AllKernelNames() {
   static const std::vector<std::string>* const kNames = [] {
     auto* names = new std::vector<std::string>();
-    for (const auto& [name, fn] : KernelTable()) names->push_back(name);
+    for (const auto& [name, entry] : KernelTable()) names->push_back(name);
     return names;
   }();
   return *kNames;

@@ -13,7 +13,13 @@
 namespace adamant::kernels {
 
 /// Host implementations of every Table-I primitive, plus launch builders
-/// that encode the argument layout.
+/// that encode the argument layout. Each primitive has one implementation:
+/// it decodes and validates its launch once, then runs its row body through
+/// a tiling strategy (task/kernels_internal.h). Under a thread budget of one
+/// thread (KernelExecContext::parallel_threads()), or on a launch of fewer
+/// than two ParallelTileElems()-row tiles, the body runs once over all rows;
+/// otherwise kernels that tile (KernelTiles) split the rows across the
+/// shared task::WorkerPool, with bit-identical output and error messages.
 ///
 /// Layout convention: buffer arguments first, scalar arguments after. Every
 /// kernel's last scalar is `has_count_in`; when set, the FIRST buffer is a
@@ -36,27 +42,14 @@ bool HasKernel(const std::string& name);
 /// All kernel names, in no particular order.
 const std::vector<std::string>& AllKernelNames();
 
-// ---------------------------------------------------------------------------
-// Parallel (worker-pool) variants. The Task layer holds a second, tiled
-// implementation of the hot primitives (kernels_parallel.cc): bit-identical
-// output and error messages, work split into ParallelTileElems()-sized tiles
-// run on the shared task::WorkerPool. A parallel fn reads its thread budget
-// from KernelExecContext::parallel_threads() and falls back to the scalar
-// implementation when the launch is too small to amortize the fork (< 2
-// tiles) or the budget is <= 1 thread.
-// ---------------------------------------------------------------------------
+/// True for kernels that run launches of two or more tiles as tiles when
+/// their thread budget allows (every Table-I primitive but HASH_AGG and
+/// SORT_AGG, plus FUSED); false for the rest and for unknown names.
+bool KernelTiles(const std::string& name);
 
-/// Tile size (tuples) of the parallel variants. A power of two and a
-/// multiple of 64 so FILTER_BITMAP tiles are bitmap-word aligned.
+/// Tile size (tuples) of tiled runs. A power of two and a multiple of 64 so
+/// FILTER_BITMAP tiles are bitmap-word aligned.
 size_t ParallelTileElems();
-
-/// Parallel implementation of kernel `name`. Dies on kernels without one
-/// (use HasParallelKernel to probe).
-HostKernelFn GetParallelKernelFn(const std::string& name);
-bool HasParallelKernel(const std::string& name);
-
-/// Names of kernels with a parallel variant, in no particular order.
-const std::vector<std::string>& ParallelKernelNames();
 
 /// Pseudo-OpenCL source text for `name`, fed to prepare_kernel on drivers
 /// with runtime compilation (models the kernel strings ADAMANT compiles at

@@ -1,18 +1,15 @@
 #include "task/kernels_fused.h"
 
-#include <algorithm>
 #include <string>
 
 #include "common/logging.h"
-#include "task/kernels.h"
 #include "task/kernels_internal.h"
-#include "task/worker_pool.h"
 
 namespace adamant::kernels {
 namespace {
 
 using internal::AggCombine;
-using internal::AggIdentity;
+using internal::ApplyMap;
 using internal::CheckCapacity;
 using internal::CheckIntType;
 using internal::Compare;
@@ -47,9 +44,8 @@ Result<Frame> DecodeFusedFrame(const KernelExecContext& ctx) {
       ctx, kFusedStepScalars * static_cast<size_t>(num_steps) + 4);
 }
 
-/// Shared by the scalar and parallel variants so validation errors stay
-/// bit-identical. Checks step well-formedness (register references resolve
-/// to value-producing steps, exactly one terminal, supported ops/types) and
+/// Checks step well-formedness (register references resolve to
+/// value-producing steps, exactly one terminal, supported ops/types) and
 /// buffer capacities, in deterministic step order.
 Result<FusedProgram> DecodeFusedProgram(const KernelExecContext& ctx,
                                         const Frame& f) {
@@ -106,12 +102,8 @@ Result<FusedProgram> DecodeFusedProgram(const KernelExecContext& ctx,
           return Status::NotSupported(
               "fused map step does not support NEQ_PREV");
         }
-        const bool needs_col = op == MapOp::kAddCol || op == MapOp::kSubCol ||
-                               op == MapOp::kMulCol ||
-                               op == MapOp::kMulPctComplement ||
-                               op == MapOp::kMulPct ||
-                               op == MapOp::kMulPctPlus;
-        if (!is_value(st.src0, s) || (needs_col && !is_value(st.src1, s))) {
+        if (!is_value(st.src0, s) ||
+            (MapReadsSecondColumn(op) && !is_value(st.src1, s))) {
           return Status::InvalidArgument("fused step " + std::to_string(s) +
                                          " reads a non-value register");
         }
@@ -163,13 +155,11 @@ Result<FusedProgram> DecodeFusedProgram(const KernelExecContext& ctx,
   return p;
 }
 
-/// Per-row evaluator. Registers are caller-provided scratch (one int64 per
-/// step) so parallel tiles evaluate independently. Returns the row's
-/// predicate; *value receives the terminal's source register. Once the
-/// predicate is false downstream map arithmetic is skipped — exactly the
-/// rows the unfused chain's materialize would have dropped before the map
-/// kernel ran, so fused evaluation never performs arithmetic the unfused
-/// chain did not.
+/// Per-row evaluator. Returns the row's predicate; *value receives the
+/// terminal's source register. Once the predicate is false downstream map
+/// arithmetic is skipped — exactly the rows the unfused chain's materialize
+/// would have dropped before the map kernel ran, so fused evaluation never
+/// performs arithmetic the unfused chain did not.
 class FusedEval {
  public:
   FusedEval(const KernelExecContext& ctx, const FusedProgram& p,
@@ -181,7 +171,11 @@ class FusedEval {
     }
   }
 
-  bool Row(size_t i, int64_t* regs, int64_t* value) const {
+  bool Row(size_t i, int64_t* value) const {
+    // Step s writes regs[s] before any later step reads it (decode checks
+    // that every read names an earlier value step). Per thread, so tiles
+    // evaluate concurrently.
+    thread_local int64_t regs[kMaxFusedSteps];
     bool pred = true;
     for (size_t s = 0; s < steps_.size(); ++s) {
       const FusedStep& st = steps_[s];
@@ -202,42 +196,8 @@ class FusedEval {
             regs[s] = 0;
             break;
           }
-          const int64_t a = regs[st.src0];
-          int64_t r = 0;
-          switch (static_cast<MapOp>(st.a)) {
-            case MapOp::kAddScalar:
-              r = a + st.b;
-              break;
-            case MapOp::kSubScalar:
-              r = a - st.b;
-              break;
-            case MapOp::kMulScalar:
-              r = a * st.b;
-              break;
-            case MapOp::kAddCol:
-              r = a + regs[st.src1];
-              break;
-            case MapOp::kSubCol:
-              r = a - regs[st.src1];
-              break;
-            case MapOp::kMulCol:
-              r = a * regs[st.src1];
-              break;
-            case MapOp::kMulPctComplement:
-              r = a * (100 - regs[st.src1]) / 100;
-              break;
-            case MapOp::kMulPct:
-              r = a * regs[st.src1] / 100;
-              break;
-            case MapOp::kMulPctPlus:
-              r = a * (100 + regs[st.src1]) / 100;
-              break;
-            case MapOp::kIdentity:
-              r = a;
-              break;
-            case MapOp::kNeqPrev:
-              break;  // rejected at decode
-          }
+          const int64_t r = ApplyMap(static_cast<MapOp>(st.a), regs[st.src0],
+                                     st.b, [&] { return regs[st.src1]; });
           // The unfused chain stores each map result as out_type and the
           // consumer reloads it; replay that round-trip.
           regs[s] = static_cast<ElementType>(st.c) == ElementType::kInt32
@@ -259,167 +219,34 @@ class FusedEval {
   std::vector<const void*> inputs_;
 };
 
-// --- Tiling helpers, consistent with kernels_parallel.cc ---
-
-size_t Tiles(size_t n) {
-  const size_t t = ParallelTileElems();
-  return (n + t - 1) / t;
-}
-size_t TileBegin(size_t tile) { return tile * ParallelTileElems(); }
-size_t TileEnd(size_t n, size_t tile) {
-  return std::min(n, (tile + 1) * ParallelTileElems());
-}
-bool ShouldFallBack(const KernelExecContext& ctx, size_t n) {
-  return ctx.parallel_threads() <= 1 || Tiles(n) < 2;
-}
-Status RunTiled(const KernelExecContext& ctx, size_t n, int max_threads,
-                const std::function<Status(size_t, size_t)>& fn) {
-  static const std::string kLabel = "fused";
-  return task::WorkerPool::Global().ParallelTiles(
-      Tiles(n), max_threads, kLabel,
-      [&](size_t tile) { return fn(TileBegin(tile), TileEnd(n, tile)); },
-      ctx.cancel());
-}
-size_t ScanTileCounts(std::vector<size_t>* counts) {
-  size_t total = 0;
-  for (size_t& c : *counts) {
-    const size_t tile_count = c;
-    c = total;
-    total += tile_count;
-  }
-  return total;
-}
-
-int64_t MergeAggPartial(AggOp op, int64_t a, int64_t p) {
-  switch (op) {
-    case AggOp::kSum:
-    case AggOp::kCount:
-      return a + p;  // COUNT partials merge by addition, not AggCombine(+1).
-    case AggOp::kMin:
-      return p < a ? p : a;
-    case AggOp::kMax:
-      return p > a ? p : a;
-  }
-  return a;
-}
-
 }  // namespace
 
 Status FusedKernel(KernelExecContext* ctx) {
   ADAMANT_ASSIGN_OR_RETURN(Frame f, DecodeFusedFrame(*ctx));
   ADAMANT_ASSIGN_OR_RETURN(FusedProgram p, DecodeFusedProgram(*ctx, f));
   const FusedEval eval(*ctx, p, f);
-  std::vector<int64_t> regs(p.steps.size(), 0);
-  int64_t value = 0;
 
   if (p.agg_terminal) {
-    auto* acc = ctx->ptr_as<int64_t>(p.out_arg);
-    int64_t a = p.init ? AggIdentity(p.agg_op) : acc[0];
-    for (size_t i = 0; i < f.n; ++i) {
-      if (eval.Row(i, regs.data(), &value)) {
-        a = AggCombine(p.agg_op, a,
-                       p.agg_op == AggOp::kCount ? 0 : value);
-      }
-    }
-    acc[0] = a;
-    return Status::OK();
-  }
-
-  void* out = ctx->ptr(p.out_arg);
-  auto* count = ctx->ptr_as<int64_t>(p.count_arg);
-  const size_t cap = ctx->arg_bytes(p.out_arg) / ElementSize(p.out_type);
-  size_t k = 0;
-  for (size_t i = 0; i < f.n; ++i) {
-    if (eval.Row(i, regs.data(), &value)) {
-      if (k >= cap) {
-        return Status::ExecutionError("fused output overflow at row " +
-                                      std::to_string(i));
-      }
-      StoreFrom64(out, p.out_type, k++, value);
-    }
-  }
-  count[0] = static_cast<int64_t>(k);
-  return Status::OK();
-}
-
-Status ParallelFusedKernel(KernelExecContext* ctx) {
-  ADAMANT_ASSIGN_OR_RETURN(Frame f, DecodeFusedFrame(*ctx));
-  if (ShouldFallBack(*ctx, f.n)) return FusedKernel(ctx);
-  ADAMANT_ASSIGN_OR_RETURN(FusedProgram p, DecodeFusedProgram(*ctx, f));
-  const FusedEval eval(*ctx, p, f);
-  const int threads = ctx->parallel_threads();
-
-  if (p.agg_terminal) {
-    auto* acc = ctx->ptr_as<int64_t>(p.out_arg);
-    std::vector<int64_t> partials(Tiles(f.n), 0);
-    ADAMANT_RETURN_NOT_OK(
-        RunTiled(*ctx, f.n, threads, [&](size_t begin, size_t end) {
-          std::vector<int64_t> regs(p.steps.size(), 0);
+    return internal::Fold(
+        ctx, f.n, "fused", p.agg_op, p.init, ctx->ptr_as<int64_t>(p.out_arg),
+        [&](size_t i, int64_t a) {
           int64_t value = 0;
-          int64_t part = AggIdentity(p.agg_op);
-          for (size_t i = begin; i < end; ++i) {
-            if (eval.Row(i, regs.data(), &value)) {
-              part = AggCombine(p.agg_op, part,
-                                p.agg_op == AggOp::kCount ? 0 : value);
-            }
-          }
-          partials[begin / ParallelTileElems()] = part;
-          return Status::OK();
-        }));
-    int64_t a = p.init ? AggIdentity(p.agg_op) : acc[0];
-    for (int64_t part : partials) a = MergeAggPartial(p.agg_op, a, part);
-    acc[0] = a;
-    return Status::OK();
+          if (!eval.Row(i, &value)) return a;
+          return AggCombine(p.agg_op, a,
+                            p.agg_op == AggOp::kCount ? 0 : value);
+        });
   }
 
   void* out = ctx->ptr(p.out_arg);
-  auto* count = ctx->ptr_as<int64_t>(p.count_arg);
   const size_t cap = ctx->arg_bytes(p.out_arg) / ElementSize(p.out_type);
-  std::vector<size_t> offsets(Tiles(f.n), 0);
-  ADAMANT_RETURN_NOT_OK(
-      RunTiled(*ctx, f.n, threads, [&](size_t begin, size_t end) {
-        std::vector<int64_t> regs(p.steps.size(), 0);
+  return internal::Compact(
+      ctx, f.n, "fused", cap, "fused output",
+      [&](size_t i, const auto& emit) {
         int64_t value = 0;
-        size_t c = 0;
-        for (size_t i = begin; i < end; ++i) {
-          if (eval.Row(i, regs.data(), &value)) ++c;
-        }
-        offsets[begin / ParallelTileElems()] = c;
-        return Status::OK();
-      }));
-  const size_t total = ScanTileCounts(&offsets);
-  if (total > cap) {
-    // Re-derive the exact failing row so the error matches scalar.
-    size_t tile = 0;
-    while (tile + 1 < offsets.size() && offsets[tile + 1] <= cap) ++tile;
-    std::vector<int64_t> regs(p.steps.size(), 0);
-    int64_t value = 0;
-    size_t k = offsets[tile];
-    for (size_t i = TileBegin(tile); i < TileEnd(f.n, tile); ++i) {
-      if (eval.Row(i, regs.data(), &value)) {
-        if (k >= cap) {
-          return Status::ExecutionError("fused output overflow at row " +
-                                        std::to_string(i));
-        }
-        ++k;
-      }
-    }
-    return Status::ExecutionError("fused output overflow");  // unreachable
-  }
-  ADAMANT_RETURN_NOT_OK(
-      RunTiled(*ctx, f.n, threads, [&](size_t begin, size_t end) {
-        std::vector<int64_t> regs(p.steps.size(), 0);
-        int64_t value = 0;
-        size_t k = offsets[begin / ParallelTileElems()];
-        for (size_t i = begin; i < end; ++i) {
-          if (eval.Row(i, regs.data(), &value)) {
-            StoreFrom64(out, p.out_type, k++, value);
-          }
-        }
-        return Status::OK();
-      }));
-  count[0] = static_cast<int64_t>(total);
-  return Status::OK();
+        if (eval.Row(i, &value)) emit(value);
+      },
+      [&](size_t k, int64_t value) { StoreFrom64(out, p.out_type, k, value); },
+      ctx->ptr_as<int64_t>(p.count_arg));
 }
 
 KernelLaunch MakeFused(const std::vector<BufferId>& inputs,

@@ -24,13 +24,10 @@ namespace adamant::kernels {
 /// (kFusedStepScalars each) followed by init, num_inputs, num_steps,
 /// has_count — self-describing from the tail, so the kernel recovers the
 /// scalar count before the standard Frame decode.
+///
+/// Tiles like the primitives it replaces: FUSED through the compaction
+/// strategy, FUSED_AGG through the block fold (task/kernels_internal.h).
 Status FusedKernel(KernelExecContext* ctx);
-
-/// Worker-pool (tiled) variant: per-tile partials folded in tile order for
-/// FUSED_AGG, count-pass / scan / emit-pass for FUSED (the parallel
-/// materialize recipe). Falls back to the scalar interpreter on small
-/// launches; bit-identical either way.
-Status ParallelFusedKernel(KernelExecContext* ctx);
 
 /// Upper bound on recipe length (keeps the scalar list bounded).
 constexpr size_t kMaxFusedSteps = 64;

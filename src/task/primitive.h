@@ -99,6 +99,19 @@ enum class MapOp : int64_t {
   kNeqPrev,
 };
 
+/// True for the percentage ops, whose second column is an int32
+/// percentage.
+constexpr bool IsPercentMap(MapOp op) {
+  return op == MapOp::kMulPctComplement || op == MapOp::kMulPct ||
+         op == MapOp::kMulPctPlus;
+}
+
+/// True for the ops that read a second column (in1).
+constexpr bool MapReadsSecondColumn(MapOp op) {
+  return op == MapOp::kAddCol || op == MapOp::kSubCol ||
+         op == MapOp::kMulCol || IsPercentMap(op);
+}
+
 /// Comparison operations for filters.
 enum class CmpOp : int64_t {
   kLt = 0,

@@ -15,8 +15,8 @@
 
 namespace adamant::task {
 
-/// Shared, lazily-started worker pool backing the parallel kernel variants
-/// (kernels_parallel.cc). Threads are spawned once on the first parallel
+/// Shared, lazily-started worker pool backing tiled kernel runs
+/// (task/kernels_internal.h). Threads are spawned once on the first parallel
 /// region and reused across kernel launches — a launch never pays a thread
 /// spawn, only a condvar wake.
 ///

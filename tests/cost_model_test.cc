@@ -92,15 +92,16 @@ TEST(PriceEqualsCharge, EveryDriverVariantAndThreadCount) {
           const KernelVariantChoice choice =
               price->nodes[static_cast<size_t>(rig.node)].choice;
           EXPECT_EQ(choice.variant, launch.choice.variant);
-          EXPECT_EQ(charged.parallel_launches,
-                    choice.variant == KernelVariant::kParallel ? 1u : 0u);
+          // 4,096 rows are one tile: whatever the variant, the launch runs
+          // as one range, so no launch counts as tiled.
+          EXPECT_EQ(charged.parallel_launches, 0u);
         }
       }
     }
   }
 }
 
-TEST(PriceEqualsCharge, KernelsWithoutParallelBindingRunScalar) {
+TEST(PriceEqualsCharge, KernelsThatDoNotTileRunScalar) {
   SingleLaunch rig(sim::DriverKind::kOpenMpCpu, PrimitiveKind::kHashAgg);
   const SimulatedDevice* dev = rig.manager.device(0);
   const KernelVariantChoice agg =

@@ -1,16 +1,18 @@
-// Parallel kernel variants: bit-identity property tests against the scalar
-// reference, the simulated speedup the variants charge, plus WorkerPool
-// unit tests.
+// Kernel variants: bit-identity of tiled runs against one-range runs of the
+// same kernel, the simulated speedup the parallel variant charges, plus
+// WorkerPool unit tests.
 //
-// Every kernel with a parallel variant runs the same launch twice on a fresh
-// parallel-native (openmp_cpu) device — once forced scalar, once forced
-// parallel — across a size sweep covering 0, 1, tile-1, tile, tile+1,
-// non-tile-multiples and larger sizes. Outputs must be byte-identical and
-// failure Statuses (message included) must match, including the capacity
-// overflow, gather-range, and hash-table error paths.
+// Every kernel that tiles runs the same launch twice on a fresh
+// parallel-native (openmp_cpu) device — once forced scalar (one range),
+// once forced parallel (tiles from two tiles up) — across a size sweep
+// covering 0, 1, tile-1, tile, tile+1, non-tile-multiples and larger sizes.
+// Outputs must be byte-identical and failure Statuses (message included)
+// must match, including the capacity overflow, gather-range, and
+// hash-table error paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <functional>
@@ -23,14 +25,15 @@
 #include "task/hash_table.h"
 #include "task/kernel_registry.h"
 #include "task/kernels.h"
+#include "task/kernels_fused.h"
 #include "task/worker_pool.h"
 
 namespace adamant {
 namespace {
 
 // Size sweep around the tile boundary (ParallelTileElems() == 16384): below
-// 2 tiles the parallel variant falls back to scalar, so both the fallback
-// and the genuinely tiled paths are exercised.
+// 2 tiles a forced-parallel launch runs as one range like scalar, so both
+// the one-range and the tiled paths are exercised.
 const size_t kSizes[] = {0,     1,     2,     63,    64,    1000,  16383,
                          16384, 16385, 32768, 40000, 49153, 100000};
 
@@ -484,6 +487,27 @@ TEST(KernelVariantParity, HashBuildTableFullErrorParity) {
       "hash_build table full");
 }
 
+TEST(KernelVariantParity, HashBuildTableFullBeforeSentinel) {
+  // The 16-slot table fills at row 16, long before the sentinel key at row
+  // 30,000: the error that comes first in row order wins, so a tiled run
+  // reports "hash table full" like scalar, not the sentinel key.
+  const size_t n = 40000;
+  const SetupFn setup = [n](Rig& rig) {
+    std::vector<int32_t> keys = RandomInts(n, 131, 1, 1 << 28);
+    keys[30000] = HashTableLayout::kEmptyKey;
+    BufferId keys_buf = rig.PushVec(keys);
+    BufferId table = rig.PushVec(SentinelTable(16));
+    return Launched{
+        kernels::MakeHashBuild(keys_buf, kInvalidBuffer, table, 16, 0, n), {}};
+  };
+  ExpectParity(setup, "hash_build table full before sentinel");
+  const RunResult tiled = RunVariant(KernelVariantRequest::kParallel, setup);
+  EXPECT_TRUE(tiled.status.IsExecutionError()) << tiled.status.ToString();
+  EXPECT_NE(tiled.status.message().find("hash table full (16 slots)"),
+            std::string::npos)
+      << tiled.status.ToString();
+}
+
 // --- HASH_PROBE ------------------------------------------------------------
 
 /// Builds (scalar, so both runs see the identical table) and returns the
@@ -548,17 +572,105 @@ TEST(KernelVariantParity, HashProbeOverflowErrorParity) {
       "hash_probe overflow");
 }
 
+// --- FUSED / FUSED_AGG -----------------------------------------------------
+
+FusedStep Step(FusedStep::Op op, int64_t a, int64_t b = 0, int64_t c = 0,
+               int32_t src0 = -1, int32_t src1 = -1) {
+  FusedStep step;
+  step.op = op;
+  step.a = a;
+  step.b = b;
+  step.c = c;
+  step.src0 = src0;
+  step.src1 = src1;
+  return step;
+}
+
+/// load price, load pct; filter price BETWEEN 100 AND 700; map
+/// price * (100 - pct) / 100 as int64; then `terminal` over the map (reg 3).
+std::vector<FusedStep> FusedRecipe(const FusedStep& terminal) {
+  return {Step(FusedStep::Op::kLoad, 0,
+               static_cast<int64_t>(ElementType::kInt32)),
+          Step(FusedStep::Op::kLoad, 1,
+               static_cast<int64_t>(ElementType::kInt32)),
+          Step(FusedStep::Op::kFilter, static_cast<int64_t>(CmpOp::kBetween),
+               100, 700, 0),
+          Step(FusedStep::Op::kMap,
+               static_cast<int64_t>(MapOp::kMulPctComplement), 0,
+               static_cast<int64_t>(ElementType::kInt64), 0, 1),
+          terminal};
+}
+
+/// A stream (load -> filter -> map -> emit) launch over n rows whose output
+/// holds `cap` values.
+Launched FusedStream(Rig& rig, size_t n, size_t cap, uint64_t seed) {
+  BufferId price = rig.PushVec(RandomInts(n, seed, 0, 1000));
+  BufferId pct = rig.PushVec(RandomInts(n, seed + 1, 0, 10));
+  BufferId out = rig.PushZeros(cap * 8);
+  BufferId count = rig.PushZeros(8);
+  const FusedStep emit = Step(FusedStep::Op::kEmit,
+                              static_cast<int64_t>(ElementType::kInt64), 0, 0,
+                              3);
+  return Launched{kernels::MakeFused({price, pct}, out, count,
+                                     FusedRecipe(emit), false, n),
+                  {{out, cap * 8}, {count, 8}}};
+}
+
+TEST(KernelVariantParity, FusedStream) {
+  for (size_t n : kSizes) {
+    ExpectParity([n](Rig& rig) { return FusedStream(rig, n, n, 137 + n); },
+                 "fused stream n=" + std::to_string(n));
+  }
+}
+
+TEST(KernelVariantParity, FusedStreamOverflowErrorParity) {
+  // About 60% of the rows pass the filter into room for an eighth of them.
+  const size_t n = 60000;
+  ExpectParity(
+      [n](Rig& rig) {
+        Launched l = FusedStream(rig, n, n / 8, 139);
+        l.outputs.clear();
+        return l;
+      },
+      "fused stream overflow");
+}
+
+TEST(KernelVariantParity, FusedAgg) {
+  for (size_t n : kSizes) {
+    for (AggOp op : {AggOp::kSum, AggOp::kCount, AggOp::kMin, AggOp::kMax}) {
+      ExpectParity(
+          [n, op](Rig& rig) {
+            BufferId price = rig.PushVec(RandomInts(n, 149 + n, 0, 1000));
+            BufferId pct = rig.PushVec(RandomInts(n, 151 + n, 0, 10));
+            std::vector<int64_t> prior = {-42};
+            BufferId acc = rig.PushVec(prior);
+            const FusedStep agg = Step(FusedStep::Op::kAgg,
+                                       static_cast<int64_t>(op), 0, 0, 3);
+            return Launched{kernels::MakeFused({price, pct}, acc,
+                                               kInvalidBuffer,
+                                               FusedRecipe(agg),
+                                               /*init=*/n % 2 == 0, n),
+                            {{acc, 8}}};
+          },
+          "fused agg op=" + std::to_string(static_cast<int>(op)) +
+              " n=" + std::to_string(n));
+    }
+  }
+}
+
 // --- Variant registry & device policy --------------------------------------
 
-TEST(KernelVariantRegistry, EveryParallelKernelHasAScalarReference) {
-  EXPECT_EQ(kernels::ParallelKernelNames().size(), 10u);
-  for (const std::string& name : kernels::ParallelKernelNames()) {
-    EXPECT_TRUE(kernels::HasKernel(name)) << name;
-    EXPECT_TRUE(kernels::HasParallelKernel(name)) << name;
-    EXPECT_TRUE(kernels::GetParallelKernelFn(name) != nullptr) << name;
+TEST(KernelVariantRegistry, TiledKernelsAreTheHotPrimitivesAndFused) {
+  std::vector<std::string> tiled;
+  for (const std::string& name : kernels::AllKernelNames()) {
+    if (kernels::KernelTiles(name)) tiled.push_back(name);
   }
-  EXPECT_FALSE(kernels::HasParallelKernel("hash_agg"));
-  EXPECT_FALSE(kernels::HasParallelKernel("no_such_kernel"));
+  std::sort(tiled.begin(), tiled.end());
+  EXPECT_EQ(tiled, (std::vector<std::string>{
+                       "agg_block", "filter_bitmap", "filter_position",
+                       "fused", "hash_build", "hash_probe", "map",
+                       "materialize", "materialize_position", "prefix_sum"}));
+  EXPECT_FALSE(kernels::KernelTiles("no_such_kernel"));
 }
 
 TEST(KernelVariantRegistry, CpuDriversAreParallelNativeGpusScalarNative) {
@@ -581,11 +693,12 @@ TEST(KernelVariantRegistry, CpuDriversAreParallelNativeGpusScalarNative) {
     EXPECT_EQ(dev->default_kernel_variant(), want.native)
         << dev->perf_model().name;
     EXPECT_EQ(dev->kernel_threads(), kDefaultKernelThreads);
-    EXPECT_TRUE(dev->HasParallelKernel("map")) << dev->perf_model().name;
+    EXPECT_TRUE(dev->KernelTiles("map")) << dev->perf_model().name;
+    EXPECT_FALSE(dev->KernelTiles("hash_agg")) << dev->perf_model().name;
   }
 }
 
-TEST(KernelVariantRegistry, ParallelLaunchCounterTracksDispatch) {
+TEST(KernelVariantRegistry, ParallelLaunchCounterCountsTiledRuns) {
   Rig rig;
   const size_t n = 50000;
   std::vector<int32_t> in = RandomInts(n, 127, 0, 100);
@@ -600,16 +713,26 @@ TEST(KernelVariantRegistry, ParallelLaunchCounterTracksDispatch) {
   launch.variant = KernelVariantRequest::kAuto;  // openmp_cpu -> parallel
   ASSERT_TRUE(rig.dev->Execute(launch).ok());
   EXPECT_EQ(rig.dev->parallel_launches(), 1u);
+  // One tile runs as one range under any budget, so it does not count.
+  launch.work_items = kernels::ParallelTileElems();
+  ASSERT_TRUE(rig.dev->Execute(launch).ok());
+  EXPECT_EQ(rig.dev->parallel_launches(), 1u);
+  // Neither does a budget of one thread.
+  launch.work_items = n;
+  launch.variant = KernelVariantRequest::kParallel;
+  launch.num_threads = 1;
+  ASSERT_TRUE(rig.dev->Execute(launch).ok());
+  EXPECT_EQ(rig.dev->parallel_launches(), 1u);
 }
 
 // --- Simulated speedup gates -----------------------------------------------
 //
 // 2^22 keys executed and charged as 2^25, the chunk size of the SF >= 10
-// queries: every parallel variant takes the parallel dispatch path, and
-// map, filter_bitmap and agg_block charge >= 2x less simulated body time
-// than scalar (the model predicts 3.08x at 4 threads). At 4096 elements,
-// below two tiles, the parallel variant falls back to scalar and may
-// charge at most 5% more.
+// queries: every forced-parallel launch runs tiled, and map, filter_bitmap
+// and agg_block charge >= 2x less simulated body time than scalar (the
+// model predicts 3.08x at 4 threads). At 4096 elements, below two tiles,
+// a forced-parallel launch runs as one range and may charge at most 5%
+// more.
 
 constexpr size_t kLargeElems = size_t{1} << 22;
 constexpr size_t kNominalElems = size_t{1} << 25;

@@ -170,12 +170,19 @@ TEST(ParityMatrixTest, DeviceParallelSplitsAcrossBothDevices) {
 
 // --- Parallel kernel variants ----------------------------------------------
 
-// The whole matrix again with the worker-pool kernel variants forced on:
-// every model x Q3/Q4/Q6 must still match the host reference bit for bit.
-// (The fixture devices are scalar-native GPUs, so this genuinely flips the
-// executed Task-layer implementation rather than re-running the default.)
+// The whole matrix again with the parallel variant forced on: every model x
+// Q3/Q4/Q6 must still match the host reference bit for bit. The fixture
+// devices are scalar-native GPUs, and the SF 0.002 matrix never launches
+// two tiles, so this case runs SF 0.01 in two-tile chunks: every model,
+// each device-parallel partition included, runs tiled launches.
 TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
-  const auto& fixture = MatrixFixture::Get();
+  static const Catalog* const kCatalog = [] {
+    tpch::TpchConfig config;
+    config.scale_factor = 0.01;
+    auto catalog = tpch::Generate(config);
+    ADAMANT_CHECK(catalog.ok()) << catalog.status().ToString();
+    return new Catalog(**catalog);
+  }();
   struct Case {
     const char* name;
     std::function<Result<plan::PlanBundle>(DeviceId)> build;
@@ -183,7 +190,7 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
                        ExecutionModelKind)>
         check;
   };
-  const Catalog& catalog = *fixture.catalog;
+  const Catalog& catalog = *kCatalog;
   const Case kCases[] = {
       {"Q3", [&](DeviceId d) { return plan::BuildQ3(catalog, {}, d); },
        [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
@@ -218,10 +225,11 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
     ASSERT_TRUE(bundle.ok());
     ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
     for (ExecutionModelKind model : kAllModels) {
+      ExecutionOptions options =
+          OptionsFor(model, KernelVariantRequest::kParallel);
+      options.chunk_elems = 2 * kernels::ParallelTileElems();
       QueryExecutor executor(manager.get());
-      auto exec = executor.Run(
-          bundle->graph.get(),
-          OptionsFor(model, KernelVariantRequest::kParallel));
+      auto exec = executor.Run(bundle->graph.get(), options);
       ASSERT_TRUE(exec.ok()) << c.name << "/" << ExecutionModelName(model)
                              << ": " << exec.status().ToString();
       c.check(*bundle, *exec, model);

@@ -801,8 +801,8 @@ Status RunSingleQuery(const SingleQuery& q, const Catalog& catalog,
               ExecutionModelName(plan.options.model), plan.options.chunk_elems);
   PrintStats(exec, device);
   // Self-describing benchmark output: which Task-layer kernel variant each
-  // used device resolved, its thread budget, and how many launches actually
-  // dispatched a parallel or fused fn.
+  // used device resolved, its thread budget, and how many launches ran as
+  // two or more tiles or ran the fused kernel.
   const std::string& id = q.sql.empty() ? q.query : q.label;
   std::string variants_json;
   for (const DeviceRunStats& ds : exec.stats.devices) {
