@@ -26,8 +26,8 @@
 //
 //   tiled_kernels every kernel that tiles, on openmp_cpu over 2^22 random
 //                 int32 keys: the minimum of 11 alternating host-clock
-//                 Executes forced scalar (one range) and forced parallel at
-//                 4 threads (16,384-row tiles on the worker pool). No
+//                 Executes at a budget of 1 thread (one range) and of 4
+//                 threads (16,384-row tiles on the worker pool). No
 //                 perfbench workload tiles, so these rows are the only
 //                 host-clock view of the tiled path.
 //
@@ -285,7 +285,7 @@ void DeadlineGates(std::vector<Gate>* gates) {
 
 // --- tiled_kernels (report only) ---------------------------------------------
 
-/// A kernel's best host-clock Execute, forced scalar and forced parallel.
+/// A kernel's best host-clock Execute at a budget of 1 and of 4 threads.
 struct KernelRow {
   std::string kernel;
   double scalar_ms = 0;
@@ -456,10 +456,9 @@ std::vector<KernelRow> TiledKernelRows() {
     rig.manager->SetDataScale(1);
     SimulatedDevice* dev = rig.dev();
     TimedLaunch timed = make(dev, Put(dev, keys.data(), kElems * 4), kElems);
-    timed.launch.num_threads = kDefaultKernelThreads;
-    auto run_ms = [&](KernelVariantRequest variant) {
+    auto run_ms = [&](int threads) {
       for (const KernelLaunch& reset : timed.reset) Run(dev, reset);
-      timed.launch.variant = variant;
+      timed.launch.num_threads = threads;
       const auto start = Clock::now();
       Run(dev, timed.launch);
       return MsSince(start);
@@ -467,10 +466,8 @@ std::vector<KernelRow> TiledKernelRows() {
     KernelRow row{name, std::numeric_limits<double>::infinity(),
                   std::numeric_limits<double>::infinity()};
     for (int i = 0; i < kRuns; ++i) {
-      row.scalar_ms =
-          std::min(row.scalar_ms, run_ms(KernelVariantRequest::kScalar));
-      row.tiled_ms =
-          std::min(row.tiled_ms, run_ms(KernelVariantRequest::kParallel));
+      row.scalar_ms = std::min(row.scalar_ms, run_ms(1));
+      row.tiled_ms = std::min(row.tiled_ms, run_ms(kDefaultKernelThreads));
     }
     rows.push_back(row);
   }

@@ -14,35 +14,6 @@ namespace adamant {
 
 class CancelToken;
 
-/// How a launch runs its Task-layer kernel: `kScalar` on one thread,
-/// `kParallel` with a thread budget, under which a kernel that tiles splits
-/// launches of two or more tiles across the worker pool, with bit-identical
-/// output. Devices resolve which one a launch runs.
-enum class KernelVariant : uint8_t {
-  kScalar = 0,
-  kParallel = 1,
-};
-
-/// What a launch (or ExecutionOptions) asks for: defer to the device's
-/// default policy, or force one variant. Forcing kParallel silently falls
-/// back to kScalar for kernels that do not tile.
-enum class KernelVariantRequest : uint8_t {
-  kAuto = 0,
-  kScalar = 1,
-  kParallel = 2,
-};
-
-inline const char* KernelVariantName(KernelVariant v) {
-  return v == KernelVariant::kParallel ? "parallel" : "scalar";
-}
-
-/// The variant a launch runs and its thread budget (1 for kScalar), as a
-/// device resolves it from a KernelVariantRequest.
-struct KernelVariantChoice {
-  KernelVariant variant = KernelVariant::kScalar;
-  int threads = 1;
-};
-
 /// One argument of a kernel launch: a device buffer (tagged by access mode
 /// so the simulator can derive data dependencies) or an immediate scalar.
 struct KernelArg {
@@ -162,11 +133,9 @@ struct KernelLaunch {
   /// benchmark's data-scale factor (e.g. hash-table cardinalities), false
   /// for fixed parameters (e.g. the 5 TPC-H order priorities).
   bool scale_cost_param = false;
-  /// Which variant to run. kAuto defers to the device's default policy
-  /// (set per driver kind at BindStandardKernels time); forcing kParallel
-  /// runs scalar for kernels that do not tile. Ignored when `fn` is set.
-  KernelVariantRequest variant = KernelVariantRequest::kAuto;
-  /// Thread budget for the parallel variant; 0 = the device's policy count.
+  /// Thread budget of the launch: 0 takes the device's own budget, N >= 1
+  /// lets a kernel that tiles split its launch across N threads. Kernels
+  /// that do not tile run on one thread. Ignored when `fn` is set.
   int num_threads = 0;
   /// Cooperative cancellation token for the owning run; not owned, may be
   /// null. Stamped by the executor from ExecutionOptions so tile loops can

@@ -229,55 +229,37 @@ bool SimulatedDevice::HasKernel(const std::string& name) const {
          precompiled_kernels_.count(name) > 0;
 }
 
-void SimulatedDevice::SetKernelVariantPolicy(
-    KernelVariant native, int threads,
-    std::set<std::string, std::less<>> tiled_kernels) {
+void SimulatedDevice::SetKernelThreads(
+    int own_threads, std::set<std::string, std::less<>> tiled_kernels) {
   std::lock_guard<std::mutex> lock(call_mu_);
-  default_variant_ = native;
-  kernel_threads_ = threads > 0 ? threads : 1;
+  kernel_threads_ = own_threads > 0 ? own_threads : 1;
   tiled_kernels_ = std::move(tiled_kernels);
 }
 
-KernelVariantChoice SimulatedDevice::ResolveVariant(
-    KernelVariantRequest request, int threads) const {
-  const KernelVariant variant =
-      request == KernelVariantRequest::kScalar     ? KernelVariant::kScalar
-      : request == KernelVariantRequest::kParallel ? KernelVariant::kParallel
-                                                   : default_variant_;
-  if (variant == KernelVariant::kScalar) return {variant, 1};
-  return {variant, threads > 0 ? threads : kernel_threads_};
-}
-
-KernelVariantChoice SimulatedDevice::ResolveKernelVariant(
-    std::string_view kernel, KernelVariantRequest request, int threads) const {
-  const KernelVariantChoice choice = ResolveVariant(request, threads);
-  if (choice.variant == KernelVariant::kParallel && !KernelTiles(kernel)) {
-    return {KernelVariant::kScalar, 1};
-  }
-  return choice;
+int SimulatedDevice::LaunchThreads(int budget, std::string_view kernel) const {
+  if (!kernel.empty() && !KernelTiles(kernel)) return 1;
+  return budget > 0 ? budget : kernel_threads_;
 }
 
 SimTime SimulatedDevice::KernelBody(std::string_view kernel, double tuples,
-                                    double cost_param,
-                                    KernelVariantChoice choice) const {
+                                    double cost_param, int threads) const {
   SimTime body = model_.KernelDuration(kernel, tuples, cost_param);
-  // The calibrated rate corresponds to the driver's *native* variant; when
-  // that is the parallel one (CPU drivers), running another variant scales
-  // the body by S(native)/S(used). Scalar-native (GPU) drivers charge the
-  // calibrated rate regardless — their model already is massively parallel.
-  if (default_variant_ == KernelVariant::kParallel) {
+  // The calibrated rate corresponds to the device's own budget; where that
+  // exceeds one thread (CPU drivers), running on another count scales the
+  // body by S(own)/S(used). One-thread (GPU) drivers charge the calibrated
+  // rate under any budget — their model already is massively parallel.
+  if (kernel_threads_ > 1) {
     body *= sim::ParallelKernelSpeedup(kernel_threads_, tuples) /
-            sim::ParallelKernelSpeedup(choice.threads, tuples);
+            sim::ParallelKernelSpeedup(threads, tuples);
   }
   return body;
 }
 
 SimulatedDevice::LaunchPrice SimulatedDevice::PriceLaunch(
-    std::string_view kernel, double tuples, KernelVariantRequest request,
-    int threads) const {
+    std::string_view kernel, double tuples, int budget) const {
   LaunchPrice price;
-  price.choice = ResolveKernelVariant(kernel, request, threads);
-  price.body_us = KernelBody(kernel, tuples, /*cost_param=*/1.0, price.choice);
+  price.threads = LaunchThreads(budget, kernel);
+  price.body_us = KernelBody(kernel, tuples, /*cost_param=*/1.0, price.threads);
   price.total_us = model_.kernel_launch_us + price.body_us;
   return price;
 }
@@ -343,13 +325,11 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
                                   " (runtime compilation required)");
   }
 
-  // Resolve the variant (ResolveKernelVariant): its thread budget is all
-  // the kernel sees of it. Inline fns bypass variants and charge the native
-  // rate.
-  const KernelVariantChoice choice =
-      launch.fn ? ResolveVariant(KernelVariantRequest::kAuto, 0)
-                : ResolveKernelVariant(launch.kernel_name, launch.variant,
-                                       launch.num_threads);
+  // The launch's threads (LaunchThreads). Inline fns ignore the run's
+  // budget and charge the calibrated rate.
+  const int threads =
+      launch.fn ? LaunchThreads(0)
+                : LaunchThreads(launch.num_threads, launch.kernel_name);
 
   if (launch.kernel_name == "fused") ++fused_launches_;
 
@@ -381,7 +361,7 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
   double cost_param = launch.scale_cost_param ? Scale(launch.cost_param)
                                               : launch.cost_param;
   const SimTime body =
-      KernelBody(launch.kernel_name, tuples, cost_param, choice);
+      KernelBody(launch.kernel_name, tuples, cost_param, threads);
   kernel_body_time_ += body;
   kernel_body_by_name_[launch.kernel_name] += body;
   if (launch.kernel_name == "fused") fused_body_time_ += body;
@@ -399,7 +379,7 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
   // Run the actual computation now, in issue order.
   KernelExecContext ctx(std::move(pointers), std::move(sizes), launch.args,
                         launch.work_items);
-  ctx.set_parallel_threads(choice.threads);
+  ctx.set_parallel_threads(threads);
   ctx.set_cancel(launch.cancel);
   const Status status = fn(&ctx);
   if (ctx.tiled()) ++parallel_launches_;

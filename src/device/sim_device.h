@@ -94,20 +94,20 @@ class SimulatedDevice : public Device {
   void RegisterPrecompiledKernel(const std::string& name, HostKernelFn fn);
   bool HasKernel(const std::string& name) const;
 
-  /// Sets the device's native variant, its thread count and the kernels
-  /// that tile (set-up state, before the first launch). The driver's
-  /// calibrated kernel rates correspond to its *native* variant, so Execute
-  /// charges KernelDuration scaled by S(native)/S(used) — forcing kScalar on
-  /// a parallel-native CPU driver slows it down; forcing kParallel on a
-  /// scalar-native (GPU) driver changes the host thread budget but not the
-  /// simulated time (the GPU model already is massively parallel).
-  void SetKernelVariantPolicy(
-      KernelVariant native, int threads,
-      std::set<std::string, std::less<>> tiled_kernels);
-  KernelVariant default_kernel_variant() const { return default_variant_; }
+  /// Sets the device's own thread budget and the kernels that tile (set-up
+  /// state, before the first launch). The driver's calibrated kernel rates
+  /// correspond to its own budget: where that exceeds one thread, Execute
+  /// charges KernelDuration scaled by S(own)/S(used), so one thread on a
+  /// CPU driver runs slower. A device that owns one thread (GPU drivers)
+  /// charges the calibrated rate under any budget; its model already is
+  /// massively parallel, and the budget only changes how many host threads
+  /// run the kernel.
+  void SetKernelThreads(int own_threads,
+                        std::set<std::string, std::less<>> tiled_kernels);
+  /// The device's own thread budget: what a run asking for 0 threads gets.
   int kernel_threads() const { return kernel_threads_; }
-  /// True when `name` tiles under the parallel variant's thread budget;
-  /// the other kernels run scalar (ResolveKernelVariant).
+  /// True when `name` splits a launch across its thread budget; the other
+  /// kernels run on one thread (LaunchThreads).
   bool KernelTiles(std::string_view name) const {
     return tiled_kernels_.find(name) != tiled_kernels_.end();
   }
@@ -115,31 +115,25 @@ class SimulatedDevice : public Device {
   // --- Kernel pricing: the one cost model of a launch. Execute charges
   //     exactly this; admission, the split, EXPLAIN and the fusion gate
   //     predict with it (exec::PriceGraph). None of these wait for a
-  //     running Execute; the variant policy is set-up state, like the
+  //     running Execute; the thread budget is set-up state, like the
   //     accessors above. ---
 
-  /// The variant a run asking for `request` gets on this device: a forced
-  /// request wins, kAuto takes the native policy; the parallel variant's
-  /// budget is `threads`, or the policy count when 0. Device-wide — one
-  /// kernel may still fall back (ResolveKernelVariant).
-  KernelVariantChoice ResolveVariant(KernelVariantRequest request,
-                                     int threads) const;
-  /// What Execute runs for a launch of `kernel`: ResolveVariant, falling
-  /// back to scalar when the kernel does not tile.
-  KernelVariantChoice ResolveKernelVariant(std::string_view kernel,
-                                           KernelVariantRequest request,
-                                           int threads) const;
+  /// Threads a launch of `kernel` runs on when the run asks for `budget`
+  /// (ExecutionOptions::kernel_threads): 0 takes the device's own budget,
+  /// and a kernel that does not tile runs on one thread. Without a kernel
+  /// name, the budget the device's tiling kernels run under.
+  int LaunchThreads(int budget, std::string_view kernel = {}) const;
   /// Static price of one launch of `kernel` over `tuples` (already
-  /// data-scaled) tuples with cost_param pinned at 1, run as
-  /// ResolveKernelVariant picks: the body Execute books into
-  /// kernel_body_time(), plus the SDK's per-launch overhead.
+  /// data-scaled) tuples with cost_param pinned at 1, run on the threads
+  /// LaunchThreads picks: the body Execute books into kernel_body_time(),
+  /// plus the SDK's per-launch overhead.
   struct LaunchPrice {
-    KernelVariantChoice choice;
+    int threads = 1;
     sim::SimTime body_us = 0;
     sim::SimTime total_us = 0;
   };
   LaunchPrice PriceLaunch(std::string_view kernel, double tuples,
-                          KernelVariantRequest request, int threads) const;
+                          int budget) const;
   /// Number of Execute calls whose kernel ran two or more tiles on the
   /// worker pool.
   size_t parallel_launches() const { return parallel_launches_; }
@@ -264,9 +258,9 @@ class SimulatedDevice : public Device {
 
   /// Completion time without taking call_mu_ (callers hold the lock).
   sim::SimTime MaxCompletionLocked() const;
-  /// Kernel-body time of one launch run as `choice`.
+  /// Kernel-body time of one launch run on `threads` threads.
   sim::SimTime KernelBody(std::string_view kernel, double tuples,
-                          double cost_param, KernelVariantChoice choice) const;
+                          double cost_param, int threads) const;
 
   std::string name_;
   sim::DevicePerfModel model_;
@@ -282,11 +276,10 @@ class SimulatedDevice : public Device {
 
   std::map<std::string, HostKernelFn, std::less<>> prepared_kernels_;
   std::map<std::string, HostKernelFn, std::less<>> precompiled_kernels_;
-  KernelVariant default_variant_ = KernelVariant::kScalar;
-  /// Thread budget handed to parallel variants (deterministic policy
-  /// constant, never hardware_concurrency — simulated time must not depend
-  /// on the host machine).
-  int kernel_threads_ = 4;
+  /// The device's own thread budget (a deterministic set-up constant,
+  /// never hardware_concurrency: simulated time must not depend on the host
+  /// machine).
+  int kernel_threads_ = 1;
   std::set<std::string, std::less<>> tiled_kernels_;
   size_t parallel_launches_ = 0;
   size_t fused_launches_ = 0;

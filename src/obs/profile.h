@@ -72,9 +72,9 @@ struct OperatorStats {
   /// carries no selectivity estimate. Consumed by the selectivity feedback
   /// cache (plan/calibration.h).
   std::string feedback_key;
-  /// True for kinds whose NodeConfig::selectivity sizes output buffers
-  /// (FILTER_POSITION / MATERIALIZE / HASH_PROBE / FUSED) — the operators
-  /// a selectivity q-error is meaningful for.
+  /// True for kinds sized by selectivity (PrimitiveSignature::
+  /// sized_by_selectivity: FILTER_POSITION / MATERIALIZE / HASH_PROBE /
+  /// FUSED) — the operators a selectivity q-error is meaningful for.
   bool selective = false;
 
   // --- Predicted ---
@@ -93,7 +93,10 @@ struct OperatorStats {
   /// absorb (the feedback cache applies this, not the run average).
   double max_chunk_selectivity = 0;
   size_t launches = 0;
-  double kernel_ms = 0;  // wall time inside Execute, all variants
+  /// Wall time inside Execute: all of it, then split by how the launches
+  /// ran — on one thread, on more (the run's thread budget for a kernel
+  /// that tiles), or as a fused composite.
+  double kernel_ms = 0;
   double scalar_ms = 0;
   double parallel_ms = 0;
   double fused_ms = 0;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/chrome_trace.h"
+#include "task/primitive.h"
 
 namespace adamant::plan {
 
@@ -19,12 +20,6 @@ double Clamp(double v, double lo, double hi) {
 
 double ClampSelectivity(double v) {
   return Clamp(v, Calibration::kSelectivityFloor, 1.0);
-}
-
-bool IsSelectiveKind(PrimitiveKind kind) {
-  return kind == PrimitiveKind::kFilterPosition ||
-         kind == PrimitiveKind::kMaterialize ||
-         kind == PrimitiveKind::kHashProbe || kind == PrimitiveKind::kFused;
 }
 
 std::string LabelKey(const std::string& label, int ordinal) {
@@ -73,7 +68,7 @@ int Calibration::ApplyToGraph(const std::string& query_name,
   int adjusted = 0;
   std::map<std::string, int> ordinals;
   for (const GraphNode& node : graph->nodes()) {
-    if (!IsSelectiveKind(node.kind)) continue;
+    if (!GetSignature(node.kind).sized_by_selectivity) continue;
     const int ordinal = ordinals[node.label]++;
     auto it = model.keys.find(LabelKey(node.label, ordinal));
     if (it == model.keys.end()) continue;

@@ -253,7 +253,7 @@ bool BuildRecipe(const PrimitiveGraph& g, GroupPlan* group) {
 
 /// Auto-mode cost check: one fused launch vs the member kernels' launches,
 /// each priced by the device at a representative chunk size under the
-/// run's kernel-variant request.
+/// run's thread budget.
 bool FusionPaysOff(const PrimitiveGraph& g, const GroupPlan& group,
                    const ExecutionOptions& options, DeviceManager* manager) {
   if (manager == nullptr) return true;
@@ -262,7 +262,7 @@ bool FusionPaysOff(const PrimitiveGraph& g, const GroupPlan& group,
   auto price = [&](const char* kernel) {
     return (*dev)
         ->PriceLaunch(kernel, static_cast<double>(size_t{1} << 20),
-                      options.kernel_variant, options.kernel_threads)
+                      options.kernel_threads)
         .total_us;
   };
   double unfused_us = 0.0;

@@ -48,14 +48,13 @@ Result<size_t> SuggestChunkElems(const SimulatedDevice& device,
   size_t elems = budget / per_row;
   elems = bit_util::NextPowerOfTwo(std::max<size_t>(elems, 2)) / 2;  // floor
   size_t min_chunk = size_t{1} << 16;
-  // Parallel-native devices want chunks holding several tiles per thread,
-  // or the worker-pool variants run under-occupied (and tiny chunks fall
-  // below the auto-fallback threshold entirely, wasting the cores).
-  if (device.default_kernel_variant() == KernelVariant::kParallel) {
-    const size_t parallel_floor =
-        bit_util::NextPowerOfTwo(kernels::ParallelTileElems() *
-                                 static_cast<size_t>(device.kernel_threads()) *
-                                 4);
+  // Devices that own several threads want chunks holding several tiles per
+  // thread, or the tiled kernels run under-occupied (and tiny chunks fall
+  // below two tiles entirely, running as one range and wasting the cores).
+  const int threads = device.LaunchThreads(0);
+  if (threads > 1) {
+    const size_t parallel_floor = bit_util::NextPowerOfTwo(
+        kernels::ParallelTileElems() * static_cast<size_t>(threads) * 4);
     min_chunk = std::max(min_chunk, parallel_floor);
   }
   constexpr size_t kMaxChunk = size_t{1} << 26;

@@ -61,9 +61,9 @@ Result<GraphPrice> PriceGraph(const PrimitiveGraph& graph,
       if (dev == nullptr) continue;
       const SimulatedDevice::LaunchPrice launch = dev->PriceLaunch(
           GetSignature(graph.node(node_id).kind).kernel_name, rows / chunks,
-          options.kernel_variant, options.kernel_threads);
+          options.kernel_threads);
       GraphPrice::NodePrice& node = price.nodes[static_cast<size_t>(node_id)];
-      node.choice = launch.choice;
+      node.threads = launch.threads;
       node.cost_us = chunks * launch.total_us;
       cost += node.cost_us;
     }

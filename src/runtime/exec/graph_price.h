@@ -23,8 +23,8 @@ namespace adamant::exec {
 /// quantity, not a schedule.
 struct GraphPrice {
   struct NodePrice {
-    KernelVariantChoice choice;  // the variant the node's launches run
-    double cost_us = 0;          // every launch of the node
+    int threads = 1;     // the threads the node's launches run on
+    double cost_us = 0;  // every launch of the node
   };
   /// Parallel to the priced pipelines.
   std::vector<double> pipeline_cost_us;
@@ -41,10 +41,10 @@ struct GraphPrice {
 };
 
 /// Prices `pipelines` (graph.SplitPipelines()) under `options` — model,
-/// chunk size, kernel variant and threads. With `device` every node and
-/// transfer is priced on that device; without, each node on its annotated
-/// device and each pipeline's scans on its first node's device, and nodes
-/// whose device is not plugged price at 0.
+/// chunk size and kernel threads. With `device` every node and transfer is
+/// priced on that device; without, each node on its annotated device and
+/// each pipeline's scans on its first node's device, and nodes whose device
+/// is not plugged price at 0.
 Result<GraphPrice> PriceGraph(const PrimitiveGraph& graph,
                               const std::vector<Pipeline>& pipelines,
                               const ExecutionOptions& options,

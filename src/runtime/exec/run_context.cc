@@ -482,10 +482,7 @@ Status RunContext::StageAllocations(const Pipeline& pipeline, size_t cap) {
     }
     // Record this node's output capacity for downstream sizing.
     const size_t out_cap =
-        node.kind == PrimitiveKind::kFilterPosition ||
-                node.kind == PrimitiveKind::kMaterialize ||
-                node.kind == PrimitiveKind::kHashProbe ||
-                node.kind == PrimitiveKind::kFused
+        GetSignature(node.kind).sized_by_selectivity
             ? EstimateElems(in_cap, node.config.selectivity)
             : in_cap;
     caps[{node_id, 0}] = out_cap;
@@ -790,12 +787,12 @@ Status RunContext::Launch(const GraphNode& node, SimulatedDevice* dev,
                           KernelLaunch launch, const Binding* primary_in,
                           const Binding& out0, const Binding* out1,
                           size_t base_row, size_t n) {
-  launch.variant = options_.kernel_variant;
   launch.num_threads = options_.kernel_threads;
   launch.cancel = options_.cancel_token;
   const bool fused = node.kind == PrimitiveKind::kFused ||
                      node.kind == PrimitiveKind::kFusedAgg;
-  const bool breaker = GetSignature(node.kind).pipeline_breaker;
+  const PrimitiveSignature& signature = GetSignature(node.kind);
+  const bool breaker = signature.pipeline_breaker;
 
   // EXPLAIN ANALYZE: the primary input's valid-row count is known before
   // the launch (its producer already ran this chunk).
@@ -827,15 +824,11 @@ Status RunContext::Launch(const GraphNode& node, SimulatedDevice* dev,
       const double wall_ms = std::chrono::duration<double, std::milli>(
                                  std::chrono::steady_clock::now() - kernel_start)
                                  .count();
-      // Kinds that write a fresh count report measured output rows; the
-      // rest pass their input cardinality through. Breakers defer to
-      // FinalizeOperatorStats.
-      const bool fresh_count = node.kind == PrimitiveKind::kFilterPosition ||
-                               node.kind == PrimitiveKind::kMaterialize ||
-                               node.kind == PrimitiveKind::kHashProbe ||
-                               node.kind == PrimitiveKind::kFused;
+      // Kinds sized by selectivity write a fresh count and report measured
+      // output rows; the rest pass their input cardinality through.
+      // Breakers defer to FinalizeOperatorStats.
       int64_t rows_out = rows_in;
-      if (fresh_count) {
+      if (signature.sized_by_selectivity) {
         ADAMANT_ASSIGN_OR_RETURN(rows_out, BindingRows(out0));
       }
       RecordOperatorSample(node, dev, static_cast<uint64_t>(rows_in),
@@ -1115,14 +1108,9 @@ void RunContext::RecordOperatorSample(const GraphNode& node,
       node.kind == PrimitiveKind::kFusedAgg) {
     op.fused_ms += wall_ms;
   } else {
-    const KernelVariantChoice choice = dev->ResolveKernelVariant(
-        GetSignature(node.kind).kernel_name, options_.kernel_variant,
-        options_.kernel_threads);
-    if (choice.variant == KernelVariant::kParallel) {
-      op.parallel_ms += wall_ms;
-    } else {
-      op.scalar_ms += wall_ms;
-    }
+    const int threads = dev->LaunchThreads(
+        options_.kernel_threads, GetSignature(node.kind).kernel_name);
+    (threads > 1 ? op.parallel_ms : op.scalar_ms) += wall_ms;
   }
   const int device = static_cast<int>(node.device);
   obs::OperatorDeviceSlice* slice = nullptr;
@@ -1212,10 +1200,7 @@ void RunContext::FinalizeOperatorStats() {
         break;
       }
       op.predicted_rows_in = pred_in;
-      op.selective = node.kind == PrimitiveKind::kFilterPosition ||
-                     node.kind == PrimitiveKind::kMaterialize ||
-                     node.kind == PrimitiveKind::kHashProbe ||
-                     node.kind == PrimitiveKind::kFused;
+      op.selective = GetSignature(node.kind).sized_by_selectivity;
       double pred_out = pred_in;
       if (op.selective) {
         op.predicted_selectivity = node.config.selectivity;
@@ -1355,10 +1340,7 @@ void RunContext::FinalizeStats() {
     ds.prepare_calls = dev->stats().prepare_memory;
     ds.device_mem_high_water = dev->device_arena().high_water();
     ds.pinned_mem_high_water = dev->pinned_arena().high_water();
-    const KernelVariantChoice choice =
-        dev->ResolveVariant(options_.kernel_variant, options_.kernel_threads);
-    ds.kernel_variant = KernelVariantName(choice.variant);
-    ds.kernel_threads = choice.threads;
+    ds.kernel_threads = dev->LaunchThreads(options_.kernel_threads);
     ds.parallel_launches = dev->parallel_launches();
     ds.fused_launches = dev->fused_launches();
     ds.fused_body_us = dev->fused_body_time();

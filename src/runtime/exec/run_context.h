@@ -195,8 +195,8 @@ class RunContext {
   /// interpreter kernel.
   Status ExecuteFusedNode(const GraphNode& node, SimulatedDevice* dev,
                           size_t base_row, size_t n);
-  /// The launch tail every primitive shares: stamps the run's variant,
-  /// threads and cancel token, counts and traces the launch (`kernel:` or
+  /// The launch tail every primitive shares: stamps the run's thread
+  /// budget and cancel token, counts and traces the launch (`kernel:` or
   /// `fused:` span), times it and samples its rows for EXPLAIN ANALYZE
   /// (`primary_in` holds the input rows, null = the chunk's `n`), then
   /// publishes the outputs on the outgoing edges and streams a terminal

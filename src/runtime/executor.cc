@@ -59,16 +59,6 @@ Status ValidateExecutionOptions(const ExecutionOptions& options) {
           "unknown execution model " +
           std::to_string(static_cast<int>(options.model)));
   }
-  switch (options.kernel_variant) {
-    case KernelVariantRequest::kAuto:
-    case KernelVariantRequest::kScalar:
-    case KernelVariantRequest::kParallel:
-      break;
-    default:
-      return Status::InvalidArgument(
-          "unknown kernel variant " +
-          std::to_string(static_cast<int>(options.kernel_variant)));
-  }
   switch (options.fusion) {
     case FusionMode::kOff:
     case FusionMode::kOn:
@@ -112,15 +102,6 @@ Status ValidateExecutionOptions(const ExecutionOptions& options) {
     }
   }
   return Status::OK();
-}
-
-Result<KernelVariantRequest> ParseKernelVariant(const std::string& value) {
-  if (value == "auto") return KernelVariantRequest::kAuto;
-  if (value == "scalar") return KernelVariantRequest::kScalar;
-  if (value == "parallel") return KernelVariantRequest::kParallel;
-  return Status::InvalidArgument(
-      "unknown kernel variant '" + value +
-      "' (expected auto|scalar|parallel)");
 }
 
 Result<FusionMode> ParseFusionMode(const std::string& value) {

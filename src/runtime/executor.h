@@ -93,13 +93,11 @@ struct ExecutionOptions {
   /// bit-identical either way; only the schedule (and the simulated elapsed
   /// time) changes. On by default — a correct static split steals nothing.
   bool split_rebalance = true;
-  /// Task-layer kernel variant stamped onto every launch: kAuto defers to
-  /// each device's policy (CPU drivers run parallel natively, GPU drivers
-  /// scalar); kScalar/kParallel force one variant engine-wide. Kernels
-  /// without a parallel implementation always run scalar.
-  KernelVariantRequest kernel_variant = KernelVariantRequest::kAuto;
-  /// Thread budget per parallel kernel launch; 0 = each device's policy
-  /// count (kDefaultKernelThreads for CPU drivers).
+  /// Thread budget stamped onto every kernel launch, the one Task-layer
+  /// kernel knob: 0 = each device's own budget (kDefaultKernelThreads on
+  /// CPU drivers, 1 on GPU drivers); N >= 1 = N threads for every launch
+  /// that tiles, on every device. Kernels that do not tile (hash_agg,
+  /// sort_agg, fill) run on one thread.
   int kernel_threads = 0;
   /// Kernel-fusion mode consumed by plan::ApplyFusion (the executor itself
   /// runs whatever graph it is handed — fusion is a plan-level rewrite
@@ -130,12 +128,12 @@ struct ExecutionOptions {
   /// pipeline timings and run_ms are collected regardless.
   bool collect_profile = false;
   /// EXPLAIN ANALYZE: collect the per-operator obs::OperatorStats tree
-  /// (rows in/out, kernel wall ms by variant, launches, bytes, cache hits,
-  /// per-device slices) into QueryStats::profile.operators. Orthogonal to
-  /// collect_profile and safe under shared devices — the collection uses
-  /// only wall clocks and this run's own counters, never the devices'
-  /// unsynchronized accessors. Results stay bit-identical to an
-  /// uninstrumented run.
+  /// (rows in/out, kernel wall ms by thread count, launches, bytes, cache
+  /// hits, per-device slices) into QueryStats::profile.operators.
+  /// Orthogonal to collect_profile and safe under shared devices — the
+  /// collection uses only wall clocks and this run's own counters, never
+  /// the devices' unsynchronized accessors. Results stay bit-identical to
+  /// an uninstrumented run.
   bool collect_operator_stats = false;
   /// When set, the executor copies the run's QueryStats here on *every*
   /// exit path — including error and cancellation unwinds, where Run()
@@ -168,10 +166,9 @@ struct DeviceRunStats {
   size_t prepare_calls = 0;
   size_t device_mem_high_water = 0;  // nominal bytes
   size_t pinned_mem_high_water = 0;  // nominal bytes
-  /// Task-layer variant policy the device ran under ("scalar"|"parallel"),
-  /// its thread budget, and how many Execute calls ran their kernel as two
-  /// or more tiles — so benchmark output is self-describing.
-  std::string kernel_variant;
+  /// The thread budget the device's tiling kernels ran under, and how many
+  /// Execute calls ran their kernel as two or more tiles — so benchmark
+  /// output is self-describing.
   int kernel_threads = 0;
   size_t parallel_launches = 0;
   /// Execute calls that ran a FUSED composite kernel on this device, and
@@ -270,16 +267,14 @@ class QueryExecution {
 // values with the same messages instead of scattering per-site checks.
 // ---------------------------------------------------------------------------
 
-/// Validates the cross-field knobs of `options` (kernel_variant,
-/// kernel_threads, model, fusion, chunk_elems, pipeline_depth). Returns
-/// InvalidArgument with a descriptive message on the first violation.
+/// Validates the cross-field knobs of `options` (kernel_threads, model,
+/// fusion, chunk_elems, pipeline_depth). Returns InvalidArgument with a
+/// descriptive message on the first violation.
 Status ValidateExecutionOptions(const ExecutionOptions& options);
 
-/// String parsers for the CLI-facing knobs. Accepted values:
-/// kernel variant "auto"|"scalar"|"parallel"; fusion "off"|"on"|"auto";
-/// model "oaat"|"chunked"|"pipelined"|"4phase"|"4phase-pipelined"|
-/// "device-parallel".
-Result<KernelVariantRequest> ParseKernelVariant(const std::string& value);
+/// String parsers for the CLI-facing knobs. Accepted values: fusion
+/// "off"|"on"|"auto"; model "oaat"|"chunked"|"pipelined"|"4phase"|
+/// "4phase-pipelined"|"device-parallel".
 Result<FusionMode> ParseFusionMode(const std::string& value);
 Result<ExecutionModelKind> ParseExecutionModel(const std::string& value);
 

@@ -12,6 +12,22 @@ namespace adamant {
 
 namespace {
 
+// Retry backoff: 1 ms before the first retry, doubling per attempt, capped
+// at 100 ms, then scaled by a factor drawn uniformly from [0.5, 1.5] with an
+// RNG seeded at 42, so same-seed runs back off identically.
+constexpr double kBackoffBaseMs = 1.0;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffMaxMs = 100.0;
+constexpr double kJitterFraction = 0.5;
+constexpr uint64_t kJitterSeed = 42;
+// SLO floors: on every run-time prediction, so a cold (uncalibrated)
+// service is permissive rather than trigger-happy; on the watchdog budget,
+// over and above the factor, to absorb scheduler noise on very short
+// queries; and the watchdog's poll cadence.
+constexpr double kMinPredictedMs = 5.0;
+constexpr double kMinWatchdogMs = 50.0;
+constexpr double kWatchdogPollMs = 5.0;
+
 double ElapsedMs(std::chrono::steady_clock::time_point from,
                  std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
@@ -26,7 +42,7 @@ QueryService::QueryService(DeviceManager* manager, ServiceConfig config)
       queue_(config.max_queue),
       slots_(manager->num_devices(), std::max<size_t>(config.slots_per_device, 1)),
       health_(manager->num_devices(), config.health),
-      jitter_rng_(config.retry.jitter_seed) {
+      jitter_rng_(kJitterSeed) {
   // All counters live in the per-service registry; the pointers below are
   // stable for the service's lifetime and are incremented under mu_, so the
   // exact-count semantics of the old plain members are preserved.
@@ -154,16 +170,18 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
       Compile(spec, nullptr, probe_device, std::move(probe_options)));
   const size_t estimate = probe.memory_bytes;
 
-  // A query whose estimate exceeds every eligible budget would wait
-  // forever — reject it up front. One that merely exceeds what is free
-  // *right now* queues below.
-  size_t max_budget = 0;
+  // A lease reserves the estimate on `want` devices at once, so a query
+  // that fewer than `want` eligible budgets can hold would wait forever —
+  // reject it up front. One that merely exceeds what is free *right now*
+  // queues below.
+  size_t fitting = 0;
   for (size_t i = 0; i < manager_->num_devices(); ++i) {
     const auto device = static_cast<DeviceId>(i);
     const auto& eligible = spec.eligible_devices;
-    if (eligible.empty() || std::find(eligible.begin(), eligible.end(),
-                                      device) != eligible.end()) {
-      max_budget = std::max(max_budget, ledger_->budget(device).capacity());
+    if ((eligible.empty() || std::find(eligible.begin(), eligible.end(),
+                                       device) != eligible.end()) &&
+        ledger_->budget(device).capacity() >= estimate) {
+      ++fitting;
     }
   }
 
@@ -194,12 +212,13 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
                               "\",\"reason\":\"" + reason + "\"}");
       }
     };
-    if (estimate > max_budget) {
+    if (fitting < want) {
       reject_event("estimate_over_budget");
       return Status::OutOfMemory(
           query->spec.name + ": footprint estimate (" +
-          std::to_string(estimate) + " B) exceeds every eligible device's " +
-          "memory budget (" + std::to_string(max_budget) + " B)");
+          std::to_string(estimate) + " B) fits the memory budget of " +
+          std::to_string(fitting) + " eligible device(s); the lease needs " +
+          std::to_string(want));
     }
     if (stopping_) {
       reject_event("stopping");
@@ -256,16 +275,12 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
 }
 
 double QueryService::BackoffMs(size_t attempt) {
-  const RetryPolicy& retry = config_.retry;
-  double delay = retry.backoff_base_ms;
-  for (size_t i = 1; i < attempt; ++i) delay *= retry.backoff_multiplier;
-  delay = std::min(delay, retry.backoff_max_ms);
-  if (retry.jitter_fraction > 0) {
-    std::uniform_real_distribution<double> factor(
-        1.0 - retry.jitter_fraction, 1.0 + retry.jitter_fraction);
-    delay *= factor(jitter_rng_);
-  }
-  return delay;
+  double delay = kBackoffBaseMs;
+  for (size_t i = 1; i < attempt; ++i) delay *= kBackoffMultiplier;
+  delay = std::min(delay, kBackoffMaxMs);
+  std::uniform_real_distribution<double> factor(1.0 - kJitterFraction,
+                                                1.0 + kJitterFraction);
+  return delay * factor(jitter_rng_);
 }
 
 void QueryService::WorkerLoop() {
@@ -338,45 +353,35 @@ void QueryService::WorkerLoop() {
           // dropped (for want == 1 that is the empty case): a retry that
           // has tried everyone must be allowed back rather than starve.
           if (allowed.size() < want) allowed = candidates;
+          // The lease: a slot plus the per-device budget on `want` devices
+          // at once, or nothing. Free-slot devices are tried in
+          // least-loaded order and each whose budget also covers the
+          // estimate joins, so a query that fits only the larger of two
+          // budgets is not pinned forever to the smaller device by a
+          // slot-count tie-break. The estimate is a per-device bound (each
+          // partition holds every persist plus its own transients), so the
+          // full amount is reserved on each.
           auto fits = [&](DeviceId d) {
             return ledger_->budget(d).TryReserve(candidate.estimate_bytes);
           };
-          auto defer = [&](bool had_free_slot) {
-            // Blocked by budget (not slots): count the deferral once per
-            // release epoch, not once per queue scan.
-            if (had_free_slot && candidate.deferral_epoch != release_epoch_) {
-              candidate.deferral_epoch = release_epoch_;
-              budget_deferrals_->Increment();
-            }
-            return false;
-          };
           bool had_free_slot = false;
-          if (want == 1) {
-            // Try free-slot devices in least-loaded order and take the
-            // first whose budget also covers the estimate: a query that
-            // fits only the larger of two budgets must not be pinned
-            // forever to the smaller device by a slot-count tie-break.
-            const DeviceId best =
-                slots_.PickLeastLoaded(allowed, fits, &had_free_slot);
-            if (best < 0) return defer(had_free_slot);
-            placed.assign(1, best);
-            return true;
-          }
-          // Multi-device lease: slot + per-device budget on `want` devices
-          // at once, or nothing — a partial lease releases its
-          // reservations and the query stays queued. The estimate is a
-          // per-device bound (each partition holds every persist plus its
-          // own transients), so the full amount is reserved on each.
           std::vector<DeviceId> set =
               slots_.PickLeastLoadedSet(allowed, want, fits, &had_free_slot);
-          if (set.size() < want) {
-            for (DeviceId d : set) {
-              ledger_->budget(d).Release(candidate.estimate_bytes);
-            }
-            return defer(had_free_slot);
+          if (set.size() == want) {
+            placed = std::move(set);
+            return true;
           }
-          placed = std::move(set);
-          return true;
+          // A partial lease releases its reservations and the query stays
+          // queued. Blocked by budget (not slots): count the deferral once
+          // per release epoch, not once per queue scan.
+          for (DeviceId d : set) {
+            ledger_->budget(d).Release(candidate.estimate_bytes);
+          }
+          if (had_free_slot && candidate.deferral_epoch != release_epoch_) {
+            candidate.deferral_epoch = release_epoch_;
+            budget_deferrals_->Increment();
+          }
+          return false;
         });
         if (query != nullptr) break;
         wake = std::min(wake, health_.NextProbeTime());
@@ -419,7 +424,7 @@ void QueryService::WorkerLoop() {
       if (config_.slo.watchdog_factor > 0) {
         run.budget_ms = std::max(
             config_.slo.watchdog_factor * PredictRunMs(*query),
-            config_.slo.min_watchdog_ms);
+            kMinWatchdogMs);
       }
       run.device = placed.front();
       run.name = query->spec.name;
@@ -499,10 +504,8 @@ void QueryService::WorkerLoop() {
       // User cancels and lapsed deadlines are final: retrying cannot
       // un-cancel or un-miss them.
       const bool final_cancel = was_cancelled && !watchdog_retry;
-      const bool retryable =
-          !ok && !final_cancel &&
-          (result.status().IsTransient() || watchdog_retry ||
-           !config_.retry.transient_only);
+      const bool retryable = !ok && !final_cancel &&
+                             (result.status().IsTransient() || watchdog_retry);
       if (retryable && query->attempt < config_.retry.max_attempts) {
         // Requeue with the failing device excluded and a backoff deadline.
         // The admission bound does not apply: a requeue re-enters work that
@@ -631,7 +634,7 @@ void QueryService::WorkerLoop() {
 
 double QueryService::PredictRunMs(const QueuedQuery& query) const {
   return calibration_.PredictWallMs(query.spec.name, query.predicted_sim_us,
-                                    config_.slo.min_predicted_ms);
+                                    kMinPredictedMs);
 }
 
 void QueryService::EvictLapsedLocked(
@@ -698,8 +701,8 @@ void QueryService::WatchdogLoop() {
                             std::to_string(run.budget_ms) + " ms budget",
                         run.device);
     }
-    watchdog_cv_.wait_for(lock, std::chrono::duration<double, std::milli>(
-                                    config_.slo.watchdog_poll_ms));
+    watchdog_cv_.wait_for(
+        lock, std::chrono::duration<double, std::milli>(kWatchdogPollMs));
   }
 }
 

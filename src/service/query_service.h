@@ -29,31 +29,22 @@ namespace adamant {
 
 /// Retry policy for transient query failures (Status::IsTransient(), i.e.
 /// a device interface call failed but the query may succeed elsewhere or
-/// later). A failed attempt is requeued with the failing device excluded
-/// and an exponential-backoff deadline; exclusions are cleared when they
-/// would cover every eligible device, so a retry can return to a recovered
-/// device rather than starve.
+/// later; permanent plan/validation errors fail the ticket immediately). A
+/// failed attempt is requeued with the failing device excluded and an
+/// exponential-backoff deadline: 1 ms doubling per attempt, capped at
+/// 100 ms, with ±50% jitter from a seeded RNG, so same-seed runs back off
+/// identically. Exclusions are cleared when they would cover every eligible
+/// device, so a retry can return to a recovered device rather than starve.
 struct RetryPolicy {
   /// Total attempts including the first; 1 disables retry.
   size_t max_attempts = 3;
-  double backoff_base_ms = 1.0;
-  double backoff_multiplier = 2.0;
-  double backoff_max_ms = 100.0;
-  /// Backoff is multiplied by a factor drawn uniformly from
-  /// [1 - jitter_fraction, 1 + jitter_fraction] with a seeded RNG, so
-  /// same-seed runs back off identically.
-  double jitter_fraction = 0.5;
-  uint64_t jitter_seed = 42;
-  /// Retry only transient failures (permanent plan/validation errors fail
-  /// the ticket immediately). Turning this off retries everything.
-  bool transient_only = true;
 };
 
 /// Deadline / SLO policy (docs/serving.md "Deadlines, cancellation, and
 /// load shedding"). Predictions come from the service's plan::Calibration:
-/// the plan's static price rescaled by observed completions, with
-/// `min_predicted_ms` as the floor so a cold (uncalibrated) service is
-/// permissive rather than trigger-happy.
+/// the plan's static price rescaled by observed completions, floored at
+/// 5 ms so a cold (uncalibrated) service is permissive rather than
+/// trigger-happy.
 struct SloPolicy {
   /// Shed at Submit when predicted run time plus predicted queue wait
   /// cannot meet the query's deadline. Shedding fails fast with
@@ -67,15 +58,10 @@ struct SloPolicy {
   /// watchdog_factor × predicted run time. The cancellation is tagged with
   /// the run's primary device, so DeviceHealth treats a chronic straggler
   /// exactly like a crasher (quarantine + probe) and the retry lands
-  /// elsewhere. 0 disables the watchdog.
+  /// elsewhere. The budget is at least 50 ms, which absorbs scheduler noise
+  /// on very short queries; the watchdog polls every 5 ms. 0 disables the
+  /// watchdog.
   double watchdog_factor = 0;
-  /// Floor on every run-time prediction (ms).
-  double min_predicted_ms = 5.0;
-  /// Floor on the watchdog budget (ms), over and above the factor — absorbs
-  /// scheduler noise on very short queries.
-  double min_watchdog_ms = 50.0;
-  /// Watchdog poll cadence (ms).
-  double watchdog_poll_ms = 5.0;
 };
 
 struct ServiceConfig {
@@ -144,7 +130,7 @@ struct ServiceStats {
   size_t admitted = 0;
   size_t completed = 0;
   size_t failed = 0;
-  size_t rejected = 0;  // queue full or estimate beyond every budget
+  size_t rejected = 0;  // queue full or estimate beyond the lease's budgets
   /// Times a query with a free device slot had to stay queued because no
   /// eligible device's memory budget could cover its footprint estimate
   /// yet. Counted at most once per query per release epoch (a completion
@@ -213,9 +199,10 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues a query. Fails with OutOfMemory when the queue is full or the
-  /// query's footprint estimate exceeds every eligible device's budget, and
-  /// with Unavailable once Stop() has begun.
+  /// Enqueues a query. Fails with OutOfMemory when the queue is full or
+  /// fewer eligible devices than the lease needs (parallel_devices) have a
+  /// budget that can hold the query's footprint estimate, and with
+  /// Unavailable once Stop() has begun.
   Result<std::shared_ptr<QueryTicket>> Submit(QuerySpec spec);
 
   /// Blocks until the queue is empty and no query is running.

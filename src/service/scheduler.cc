@@ -59,36 +59,6 @@ std::vector<std::shared_ptr<QueuedQuery>> AdmissionQueue::EvictIf(
   return evicted;
 }
 
-DeviceId DeviceSlotTable::PickLeastLoaded(
-    const std::vector<DeviceId>& eligible) const {
-  return PickLeastLoaded(eligible, [](DeviceId) { return true; });
-}
-
-DeviceId DeviceSlotTable::PickLeastLoaded(
-    const std::vector<DeviceId>& eligible,
-    const std::function<bool(DeviceId)>& fits, bool* had_free_slot) const {
-  std::vector<DeviceId> candidates;
-  auto consider = [&](DeviceId device) {
-    if (HasFree(device)) candidates.push_back(device);
-  };
-  if (eligible.empty()) {
-    for (size_t i = 0; i < active_.size(); ++i) {
-      consider(static_cast<DeviceId>(i));
-    }
-  } else {
-    for (DeviceId device : eligible) consider(device);
-  }
-  if (had_free_slot != nullptr) *had_free_slot = !candidates.empty();
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [this](DeviceId a, DeviceId b) {
-                     return active(a) < active(b);
-                   });
-  for (DeviceId device : candidates) {
-    if (fits(device)) return device;
-  }
-  return -1;
-}
-
 std::vector<DeviceId> DeviceSlotTable::PickLeastLoadedSet(
     const std::vector<DeviceId>& eligible, size_t count,
     const std::function<bool(DeviceId)>& fits, bool* had_free_slot) const {

@@ -55,7 +55,9 @@ struct QuerySpec {
   /// scheduler atomically leases that many devices (a slot AND the query's
   /// footprint estimate reserved on each — the estimate is a per-device
   /// bound under the chunk split) and the run splits its chunk range across
-  /// them. The query stays queued until that many devices qualify at once.
+  /// them. The query stays queued until that many devices qualify at once;
+  /// Submit rejects it with OutOfMemory when fewer than that many eligible
+  /// devices have a budget that can hold the estimate.
   size_t parallel_devices = 1;
 };
 
@@ -187,26 +189,16 @@ class DeviceSlotTable {
   void Acquire(DeviceId device) { ++active_[static_cast<size_t>(device)]; }
   void Release(DeviceId device) { --active_[static_cast<size_t>(device)]; }
 
-  /// Least-loaded device with a free slot among `eligible` (empty = all);
-  /// ties break to the lowest id. Returns -1 when every candidate is full.
-  DeviceId PickLeastLoaded(const std::vector<DeviceId>& eligible) const;
-
-  /// Like PickLeastLoaded, but candidates with a free slot are tried in
-  /// ascending-load order (ties keep eligible-list order; ascending id when
-  /// empty) and the first for which `fits` returns true wins — so e.g.
-  /// budget headroom, not just slot counts, decides placement. Returns -1
-  /// when no candidate passes; `had_free_slot` (optional) reports whether
-  /// at least one device had a free slot, distinguishing "all slots busy"
-  /// from "slots free but every candidate rejected".
-  DeviceId PickLeastLoaded(const std::vector<DeviceId>& eligible,
-                           const std::function<bool(DeviceId)>& fits,
-                           bool* had_free_slot = nullptr) const;
-
-  /// Multi-device variant for device-parallel leases: free-slot candidates
-  /// are tried in ascending-load order and each one `fits` accepts joins
-  /// the set, stopping at `count`. Returns the accepted devices sorted by
-  /// id — possibly fewer than `count`, in which case the caller must undo
-  /// whatever reservations its `fits` callback made for the partial set.
+  /// The devices of a lease: candidates among `eligible` (empty = all)
+  /// with a free slot are tried in ascending-load order (ties keep
+  /// eligible-list order; ascending id when empty), and each one `fits`
+  /// accepts joins the set, stopping at `count`. So e.g. budget headroom,
+  /// not just slot counts, decides placement. Returns the accepted devices
+  /// sorted by id — possibly fewer than `count`, in which case the caller
+  /// must undo whatever reservations its `fits` callback made for the
+  /// partial set. `had_free_slot` (optional) reports whether at least
+  /// `count` devices had a free slot, distinguishing "slots busy" from
+  /// "slots free but too few candidates accepted".
   std::vector<DeviceId> PickLeastLoadedSet(
       const std::vector<DeviceId>& eligible, size_t count,
       const std::function<bool(DeviceId)>& fits,

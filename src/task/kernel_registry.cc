@@ -9,10 +9,10 @@
 namespace adamant {
 namespace {
 
-/// CPU drivers are parallel-native: the paper's OpenMP (and OpenCL-on-CPU)
+/// CPU drivers own several threads: the paper's OpenMP (and OpenCL-on-CPU)
 /// kernels are multi-threaded, and the calibrated rates in presets.cc
-/// describe exactly those. GPU drivers stay scalar-native — their host-side
-/// variant choice cannot change device time.
+/// describe exactly those. GPU drivers own one — their host-side thread
+/// count cannot change device time.
 bool IsCpuDriver(std::string_view perf_model_name) {
   return perf_model_name.substr(0, 10) == "openmp_cpu" ||
          perf_model_name.substr(0, 10) == "opencl_cpu";
@@ -33,10 +33,9 @@ Status BindStandardKernels(SimulatedDevice* device) {
     }
     if (kernels::KernelTiles(name)) tiled.insert(name);
   }
-  device->SetKernelVariantPolicy(IsCpuDriver(device->perf_model().name)
-                                     ? KernelVariant::kParallel
-                                     : KernelVariant::kScalar,
-                                 kDefaultKernelThreads, std::move(tiled));
+  device->SetKernelThreads(
+      IsCpuDriver(device->perf_model().name) ? kDefaultKernelThreads : 1,
+      std::move(tiled));
   return Status::OK();
 }
 

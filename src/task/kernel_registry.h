@@ -6,9 +6,9 @@
 
 namespace adamant {
 
-/// Default thread budget of the parallel variant on parallel-native
-/// (CPU) drivers. A deterministic policy constant — never derived from the
-/// host's core count, so simulated timings are machine-independent.
+/// Own thread budget of the CPU drivers. A deterministic constant — never
+/// derived from the host's core count, so simulated timings are
+/// machine-independent.
 inline constexpr int kDefaultKernelThreads = 4;
 
 /// Installs the standard Table-I kernel library on a device. On drivers with
@@ -17,11 +17,10 @@ inline constexpr int kDefaultKernelThreads = 4;
 /// the compile cost once; on CUDA/OpenMP drivers kernels are registered as
 /// precompiled binaries.
 ///
-/// Also sets the device's variant policy: the kernels that tile
-/// (kernels::KernelTiles), and the native variant — CPU drivers
-/// (openmp_cpu/opencl_cpu) are parallel-native with kDefaultKernelThreads
-/// threads, GPU drivers scalar-native. See SetKernelVariantPolicy for the
-/// timing semantics.
+/// Also sets the device's own thread budget and the kernels that tile
+/// (kernels::KernelTiles): CPU drivers (openmp_cpu/opencl_cpu) own
+/// kDefaultKernelThreads threads, GPU drivers one. See SetKernelThreads for
+/// the timing semantics.
 Status BindStandardKernels(SimulatedDevice* device);
 
 }  // namespace adamant

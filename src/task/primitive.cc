@@ -58,39 +58,42 @@ namespace {
 using S = DataSemantic;
 
 // Table I of the paper, in PrimitiveKind order. Pipeline breakers (dagger in
-// the paper) materialize their result into device memory and end a pipeline.
+// the paper) materialize their result into device memory and end a pipeline;
+// the last column marks the kinds sized by selectivity.
 const std::vector<PrimitiveSignature>& SignatureTable() {
   static const std::vector<PrimitiveSignature>* const kTable =
       new std::vector<PrimitiveSignature>{
           {PrimitiveKind::kMap, "map", {S::kNumeric, S::kNumeric},
-           {S::kNumeric}, false},
+           {S::kNumeric}, false, false},
           {PrimitiveKind::kAggBlock, "agg_block", {S::kNumeric},
-           {S::kNumeric}, true},
+           {S::kNumeric}, true, false},
           {PrimitiveKind::kHashAgg, "hash_agg", {S::kNumeric, S::kNumeric},
-           {S::kHashTable}, true},
+           {S::kHashTable}, true, false},
           {PrimitiveKind::kHashBuild, "hash_build",
-           {S::kNumeric, S::kNumeric}, {S::kHashTable}, true},
+           {S::kNumeric, S::kNumeric}, {S::kHashTable}, true, false},
           {PrimitiveKind::kHashProbe, "hash_probe",
-           {S::kNumeric, S::kHashTable}, {S::kPosition, S::kNumeric}, false},
+           {S::kNumeric, S::kHashTable}, {S::kPosition, S::kNumeric}, false,
+           true},
           {PrimitiveKind::kSortAgg, "sort_agg",
-           {S::kNumeric, S::kPrefixSum, S::kNumeric}, {S::kNumeric}, true},
+           {S::kNumeric, S::kPrefixSum, S::kNumeric}, {S::kNumeric}, true,
+           false},
           {PrimitiveKind::kFilterBitmap, "filter_bitmap", {S::kNumeric},
-           {S::kBitmap}, false},
+           {S::kBitmap}, false, false},
           {PrimitiveKind::kFilterPosition, "filter_position", {S::kNumeric},
-           {S::kPosition}, false},
+           {S::kPosition}, false, true},
           {PrimitiveKind::kPrefixSum, "prefix_sum", {S::kNumeric},
-           {S::kPrefixSum}, true},
+           {S::kPrefixSum}, true, false},
           {PrimitiveKind::kMaterialize, "materialize",
-           {S::kNumeric, S::kBitmap}, {S::kNumeric}, false},
+           {S::kNumeric, S::kBitmap}, {S::kNumeric}, false, true},
           {PrimitiveKind::kMaterializePosition, "materialize_position",
-           {S::kNumeric, S::kPosition}, {S::kNumeric}, false},
+           {S::kNumeric, S::kPosition}, {S::kNumeric}, false, false},
           // Composite primitives (plan::FusionPass). Input arity is
           // recipe-dependent; the runtime validates it from the node's
           // fused_steps, so the signature stays GENERIC.
           {PrimitiveKind::kFused, "fused", {S::kGeneric}, {S::kNumeric},
-           false},
+           false, true},
           {PrimitiveKind::kFusedAgg, "fused", {S::kGeneric}, {S::kNumeric},
-           true},
+           true, false},
       };
   return *kTable;
 }

@@ -61,6 +61,10 @@ struct PrimitiveSignature {
   std::vector<DataSemantic> inputs;
   std::vector<DataSemantic> outputs;
   bool pipeline_breaker;
+  /// Writes a fresh row count, so its output holds input rows times the
+  /// node's NodeConfig::selectivity: that sizes its output buffers, its
+  /// measured rows out and its selectivity feedback.
+  bool sized_by_selectivity;
 };
 
 /// Signature of `kind` per Table I.

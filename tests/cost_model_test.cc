@@ -20,9 +20,8 @@
 namespace adamant {
 namespace {
 
-constexpr KernelVariantRequest kRequests[] = {KernelVariantRequest::kAuto,
-                                              KernelVariantRequest::kScalar,
-                                              KernelVariantRequest::kParallel};
+/// Thread budgets: each device's own, one thread, four threads.
+constexpr int kBudgets[] = {0, 1, 4};
 constexpr sim::DriverKind kDrivers[] = {
     sim::DriverKind::kCudaGpu, sim::DriverKind::kOpenClGpu,
     sim::DriverKind::kOpenClCpu, sim::DriverKind::kOpenMpCpu};
@@ -55,68 +54,55 @@ struct SingleLaunch {
   }
 };
 
-TEST(PriceEqualsCharge, EveryDriverVariantAndThreadCount) {
+TEST(PriceEqualsCharge, EveryDriverAndThreadBudget) {
   for (sim::DriverKind driver : kDrivers) {
     for (PrimitiveKind kind : {PrimitiveKind::kMap, PrimitiveKind::kHashAgg}) {
       const char* kernel = GetSignature(kind).kernel_name;
-      for (KernelVariantRequest request : kRequests) {
-        for (int threads : {0, 1}) {
-          SCOPED_TRACE(std::string(sim::DriverKindName(driver)) + " " +
-                       kernel + " variant=" +
-                       std::to_string(static_cast<int>(request)) +
-                       " threads=" + std::to_string(threads));
-          SingleLaunch rig(driver, kind);
-          ExecutionOptions options;
-          options.chunk_elems = size_t{1} << 30;  // one chunk
-          options.kernel_variant = request;
-          options.kernel_threads = threads;
-          auto pipelines = rig.graph.SplitPipelines();
-          ASSERT_TRUE(pipelines.ok());
-          auto price =
-              exec::PriceGraph(rig.graph, *pipelines, options, &rig.manager);
-          ASSERT_TRUE(price.ok()) << price.status().ToString();
-          ASSERT_EQ(price->pipeline_chunks, std::vector<size_t>{1});
-          SimulatedDevice* dev = rig.manager.device(0);
-          const SimulatedDevice::LaunchPrice launch =
-              dev->PriceLaunch(kernel, 4096.0 * 1000, request, threads);
+      for (int budget : kBudgets) {
+        SCOPED_TRACE(std::string(sim::DriverKindName(driver)) + " " + kernel +
+                     " threads=" + std::to_string(budget));
+        SingleLaunch rig(driver, kind);
+        ExecutionOptions options;
+        options.chunk_elems = size_t{1} << 30;  // one chunk
+        options.kernel_threads = budget;
+        auto pipelines = rig.graph.SplitPipelines();
+        ASSERT_TRUE(pipelines.ok());
+        auto price =
+            exec::PriceGraph(rig.graph, *pipelines, options, &rig.manager);
+        ASSERT_TRUE(price.ok()) << price.status().ToString();
+        ASSERT_EQ(price->pipeline_chunks, std::vector<size_t>{1});
+        SimulatedDevice* dev = rig.manager.device(0);
+        const SimulatedDevice::LaunchPrice launch =
+            dev->PriceLaunch(kernel, 4096.0 * 1000, budget);
 
-          QueryExecutor executor(&rig.manager);
-          auto run = executor.Run(&rig.graph, options);
-          ASSERT_TRUE(run.ok()) << run.status().ToString();
-          const DeviceRunStats& charged = run->stats.devices[0];
-          const sim::SimTime body = charged.kernel_body_by_name.at(kernel);
-          EXPECT_EQ(launch.body_us, body);
-          EXPECT_EQ(price->nodes[static_cast<size_t>(rig.node)].cost_us,
-                    dev->perf_model().kernel_launch_us + body);
-          // The variant the pricer reports is the one Execute dispatched.
-          const KernelVariantChoice choice =
-              price->nodes[static_cast<size_t>(rig.node)].choice;
-          EXPECT_EQ(choice.variant, launch.choice.variant);
-          // 4,096 rows are one tile: whatever the variant, the launch runs
-          // as one range, so no launch counts as tiled.
-          EXPECT_EQ(charged.parallel_launches, 0u);
-        }
+        QueryExecutor executor(&rig.manager);
+        auto run = executor.Run(&rig.graph, options);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        const DeviceRunStats& charged = run->stats.devices[0];
+        const sim::SimTime body = charged.kernel_body_by_name.at(kernel);
+        EXPECT_EQ(launch.body_us, body);
+        EXPECT_EQ(price->nodes[static_cast<size_t>(rig.node)].cost_us,
+                  dev->perf_model().kernel_launch_us + body);
+        // The threads the pricer reports are the ones Execute ran on.
+        EXPECT_EQ(price->nodes[static_cast<size_t>(rig.node)].threads,
+                  launch.threads);
+        // 4,096 rows are one tile: under any budget the launch runs as one
+        // range, so no launch counts as tiled.
+        EXPECT_EQ(charged.parallel_launches, 0u);
       }
     }
   }
 }
 
-TEST(PriceEqualsCharge, KernelsThatDoNotTileRunScalar) {
+TEST(PriceEqualsCharge, KernelsThatDoNotTileRunOnOneThread) {
   SingleLaunch rig(sim::DriverKind::kOpenMpCpu, PrimitiveKind::kHashAgg);
   const SimulatedDevice* dev = rig.manager.device(0);
-  const KernelVariantChoice agg =
-      dev->ResolveKernelVariant("hash_agg", KernelVariantRequest::kAuto, 0);
-  EXPECT_EQ(agg.variant, KernelVariant::kScalar);
-  EXPECT_EQ(agg.threads, 1);
-  const KernelVariantChoice map =
-      dev->ResolveKernelVariant("map", KernelVariantRequest::kAuto, 0);
-  EXPECT_EQ(map.variant, KernelVariant::kParallel);
-  EXPECT_EQ(map.threads, dev->kernel_threads());
-  // The device-wide policy is what DeviceRunStats reports.
-  const KernelVariantChoice policy =
-      dev->ResolveVariant(KernelVariantRequest::kAuto, 0);
-  EXPECT_EQ(policy.variant, KernelVariant::kParallel);
-  EXPECT_EQ(policy.threads, dev->kernel_threads());
+  EXPECT_EQ(dev->LaunchThreads(0, "hash_agg"), 1);
+  EXPECT_EQ(dev->LaunchThreads(4, "hash_agg"), 1);
+  EXPECT_EQ(dev->LaunchThreads(0, "map"), dev->kernel_threads());
+  EXPECT_EQ(dev->LaunchThreads(2, "map"), 2);
+  // The device-wide budget is what DeviceRunStats reports.
+  EXPECT_EQ(dev->LaunchThreads(0), dev->kernel_threads());
 }
 
 // --- Golden predictions ---
@@ -161,21 +147,19 @@ DeviceId DeviceByName(const std::string& name) {
   return -1;
 }
 
-/// True when every launch of `kernel` runs the device's native variant, so
+/// True when every launch of `kernel` runs on the device's own budget, so
 /// the walks the pricer replaced already agreed with the device's charge.
-bool RunsNative(const SimulatedDevice& dev, const char* kernel,
+bool RunsOwnBudget(const SimulatedDevice& dev, const char* kernel,
                 const ExecutionOptions& options) {
-  if (dev.default_kernel_variant() == KernelVariant::kScalar) return true;
-  const KernelVariantChoice choice = dev.ResolveKernelVariant(
-      kernel, options.kernel_variant, options.kernel_threads);
-  return choice.variant == KernelVariant::kParallel &&
-         choice.threads == dev.kernel_threads();
+  return dev.kernel_threads() == 1 ||
+         dev.LaunchThreads(options.kernel_threads, kernel) ==
+             dev.kernel_threads();
 }
 
-bool GraphRunsNative(const PrimitiveGraph& graph, const SimulatedDevice& dev,
+bool GraphRunsOwnBudget(const PrimitiveGraph& graph, const SimulatedDevice& dev,
                      const ExecutionOptions& options) {
   for (const GraphNode& node : graph.nodes()) {
-    if (!RunsNative(dev, GetSignature(node.kind).kernel_name, options)) {
+    if (!RunsOwnBudget(dev, GetSignature(node.kind).kernel_name, options)) {
       return false;
     }
   }
@@ -185,7 +169,7 @@ bool GraphRunsNative(const PrimitiveGraph& graph, const SimulatedDevice& dev,
 /// Checks one golden value token: "X" (unchanged from the replaced walks)
 /// or "X>Y" (moved to the device's own price Y).
 void CheckValue(const std::string& token, double actual, bool relative,
-                bool native, const std::string& what) {
+                bool own_budget, const std::string& what) {
   const size_t arrow = token.find('>');
   const double parent = std::stod(token.substr(0, arrow));
   if (arrow == std::string::npos) {
@@ -196,7 +180,7 @@ void CheckValue(const std::string& token, double actual, bool relative,
     }
     return;
   }
-  EXPECT_FALSE(native) << what << ": moved although the launch runs native";
+  EXPECT_FALSE(own_budget) << what << ": moved on the device's own budget";
   const double moved = std::stod(token.substr(arrow + 1));
   EXPECT_NE(parent, moved) << what;
   EXPECT_EQ(actual, moved) << what;
@@ -211,87 +195,80 @@ TEST(GoldenPredictions, MatchTheReplacedWalksWhereTheyAgreedWithTheDevice) {
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
-    std::string query, driver, variant, threads, model, kind, token;
-    fields >> query >> driver >> variant >> threads >> model >> kind;
+    std::string query, driver, threads, model, kind, token;
+    fields >> query >> driver >> threads >> model >> kind;
     std::vector<std::string> values;
     while (fields >> token) values.push_back(token);
 
-    std::vector<KernelVariantRequest> requests(std::begin(kRequests),
-                                               std::end(kRequests));
-    if (variant != "*") requests = {*ParseKernelVariant(variant)};
-    std::vector<int> thread_counts = {0, 1};
-    if (threads != "*") thread_counts = {std::stoi(threads)};
-    for (KernelVariantRequest request : requests) {
-      for (int thread_count : thread_counts) {
-        const std::string what =
-            line.substr(0, line.find(kind) + kind.size()) +
-            " [variant=" + std::to_string(static_cast<int>(request)) +
-            " threads=" + std::to_string(thread_count) + "]";
-        ExecutionOptions options;
-        options.model = model == "oaat" ? ExecutionModelKind::kOperatorAtATime
-                                        : ExecutionModelKind::kChunked;
-        options.chunk_elems = size_t{1} << 22;
-        options.kernel_variant = request;
-        options.kernel_threads = thread_count;
-        ++checked;
+    std::vector<int> budgets(std::begin(kBudgets), std::end(kBudgets));
+    if (threads != "*") budgets = {std::stoi(threads)};
+    for (int budget : budgets) {
+      const std::string what =
+          line.substr(0, line.find(kind) + kind.size()) +
+          " [threads=" + std::to_string(budget) + "]";
+      ExecutionOptions options;
+      options.model = model == "oaat" ? ExecutionModelKind::kOperatorAtATime
+                                      : ExecutionModelKind::kChunked;
+      options.chunk_elems = size_t{1} << 22;
+      options.kernel_threads = budget;
+      ++checked;
 
-        if (kind == "weights") {
-          plan::PlanBundle bundle = rig.Build(query, 0);
-          auto prices =
-              exec::PriceDevices(*bundle.graph, options, &rig.manager, {0, 3});
-          ASSERT_TRUE(prices.ok());
-          const std::vector<double> weights = exec::ThroughputWeights(*prices);
-          const bool native = GraphRunsNative(
-              *bundle.graph, *rig.manager.device(3), options);
-          ASSERT_EQ(values.size(), 2u) << what;
-          CheckValue(values[0], weights[0], false, native, what);
-          CheckValue(values[1], weights[1], false, native, what);
-          continue;
-        }
-        const DeviceId device = DeviceByName(driver);
-        const SimulatedDevice& dev = *rig.manager.device(device);
-        plan::PlanBundle bundle = rig.Build(query, device);
-        if (kind == "fusion") {
-          options.fusion = FusionMode::kAuto;
-          auto report = plan::ApplyFusion(&bundle, options, &rig.manager);
-          ASSERT_TRUE(report.ok());
-          std::vector<std::string> got = {std::to_string(report->groups)};
-          got.insert(got.end(), report->recipes.begin(),
-                     report->recipes.end());
-          EXPECT_EQ(got, values) << what;
-        } else if (kind == "admission" || kind == "split") {
-          // Admission prices the probe device exactly like a split prices
-          // each device of its set.
-          auto prices = exec::PriceDevices(*bundle.graph, options,
-                                           &rig.manager, {device});
-          ASSERT_TRUE(prices.ok());
-          ASSERT_EQ(values.size(), 1u) << what;
-          CheckValue(values[0], prices->front().cost_us, kind == "admission",
-                     GraphRunsNative(*bundle.graph, dev, options), what);
-        } else {
-          ASSERT_EQ(kind, "nodes");
-          options.collect_operator_stats = true;
-          QueryExecutor executor(&rig.manager);
-          auto run = executor.Run(bundle.graph.get(), options);
-          ASSERT_TRUE(run.ok()) << what << ": " << run.status().ToString();
-          const auto& operators = run->stats.profile.operators;
-          ASSERT_EQ(operators.size(), values.size()) << what;
-          for (size_t i = 0; i < operators.size(); ++i) {
-            const char* kernel =
-                GetSignature(bundle.graph->node(operators[i].node_id).kind)
-                    .kernel_name;
-            CheckValue(values[i], operators[i].predicted_cost_us, false,
-                       RunsNative(dev, kernel, options),
-                       what + " node " + std::to_string(i) + " (" + kernel +
-                           ")");
-          }
+      if (kind == "weights") {
+        plan::PlanBundle bundle = rig.Build(query, 0);
+        auto prices =
+            exec::PriceDevices(*bundle.graph, options, &rig.manager, {0, 3});
+        ASSERT_TRUE(prices.ok());
+        const std::vector<double> weights = exec::ThroughputWeights(*prices);
+        const bool own_budget = GraphRunsOwnBudget(
+            *bundle.graph, *rig.manager.device(3), options);
+        ASSERT_EQ(values.size(), 2u) << what;
+        CheckValue(values[0], weights[0], false, own_budget, what);
+        CheckValue(values[1], weights[1], false, own_budget, what);
+        continue;
+      }
+      const DeviceId device = DeviceByName(driver);
+      const SimulatedDevice& dev = *rig.manager.device(device);
+      plan::PlanBundle bundle = rig.Build(query, device);
+      if (kind == "fusion") {
+        options.fusion = FusionMode::kAuto;
+        auto report = plan::ApplyFusion(&bundle, options, &rig.manager);
+        ASSERT_TRUE(report.ok());
+        std::vector<std::string> got = {std::to_string(report->groups)};
+        got.insert(got.end(), report->recipes.begin(),
+                   report->recipes.end());
+        EXPECT_EQ(got, values) << what;
+      } else if (kind == "admission" || kind == "split") {
+        // Admission prices the probe device exactly like a split prices
+        // each device of its set.
+        auto prices = exec::PriceDevices(*bundle.graph, options,
+                                         &rig.manager, {device});
+        ASSERT_TRUE(prices.ok());
+        ASSERT_EQ(values.size(), 1u) << what;
+        CheckValue(values[0], prices->front().cost_us, kind == "admission",
+                   GraphRunsOwnBudget(*bundle.graph, dev, options), what);
+      } else {
+        ASSERT_EQ(kind, "nodes");
+        options.collect_operator_stats = true;
+        QueryExecutor executor(&rig.manager);
+        auto run = executor.Run(bundle.graph.get(), options);
+        ASSERT_TRUE(run.ok()) << what << ": " << run.status().ToString();
+        const auto& operators = run->stats.profile.operators;
+        ASSERT_EQ(operators.size(), values.size()) << what;
+        for (size_t i = 0; i < operators.size(); ++i) {
+          const char* kernel =
+              GetSignature(bundle.graph->node(operators[i].node_id).kind)
+                  .kernel_name;
+          CheckValue(values[i], operators[i].predicted_cost_us, false,
+                     RunsOwnBudget(dev, kernel, options),
+                     what + " node " + std::to_string(i) + " (" + kernel +
+                         ")");
         }
       }
     }
   }
-  // 4 queries x (4 drivers x 6 requests x 2 models x 3 kinds + 6 x 2
-  // weights + 4 drivers x 6 fusion).
-  EXPECT_EQ(checked, 4u * (4 * 6 * 2 * 3 + 6 * 2 + 4 * 6));
+  // 4 queries x (4 drivers x 3 budgets x 2 models x 3 kinds + 3 x 2
+  // weights + 4 drivers x 3 fusion).
+  EXPECT_EQ(checked, 4u * (4 * 3 * 2 * 3 + 3 * 2 + 4 * 3));
 }
 
 // --- Fusion gate ---

@@ -1,11 +1,12 @@
-// Kernel variants: bit-identity of tiled runs against one-range runs of the
-// same kernel, the simulated speedup the parallel variant charges, plus
-// WorkerPool unit tests.
+// Kernel thread budgets: bit-identity of tiled runs against one-range runs
+// of the same kernel, the simulated speedup a four-thread budget charges,
+// plus WorkerPool unit tests.
 //
-// Every kernel that tiles runs the same launch twice on a fresh
-// parallel-native (openmp_cpu) device — once forced scalar (one range),
-// once forced parallel (tiles from two tiles up) — across a size sweep
-// covering 0, 1, tile-1, tile, tile+1, non-tile-multiples and larger sizes.
+// Every kernel that tiles runs the same launch twice on a fresh openmp_cpu
+// device (own budget four threads) — once at a budget of one thread (one
+// range), once at four threads (tiles from two tiles up) — across a size
+// sweep covering 0, 1, tile-1, tile, tile+1, non-tile-multiples and larger
+// sizes.
 // Outputs must be byte-identical and failure Statuses (message included)
 // must match, including the capacity overflow, gather-range, and
 // hash-table error paths.
@@ -32,21 +33,23 @@ namespace adamant {
 namespace {
 
 // Size sweep around the tile boundary (ParallelTileElems() == 16384): below
-// 2 tiles a forced-parallel launch runs as one range like scalar, so both
-// the one-range and the tiled paths are exercised.
+// 2 tiles a four-thread launch runs as one range like a one-thread one, so
+// both the one-range and the tiled paths are exercised.
 const size_t kSizes[] = {0,     1,     2,     63,    64,    1000,  16383,
                          16384, 16385, 32768, 40000, 49153, 100000};
 
-/// Fresh openmp_cpu (parallel-native) device per run plus typed helpers.
-/// Outputs are always pushed zero-filled so untouched tails compare equal.
+/// Fresh device per run (openmp_cpu unless `driver` says otherwise) plus
+/// typed helpers. Outputs are always pushed zero-filled so untouched tails
+/// compare equal.
 struct Rig {
   std::unique_ptr<DeviceManager> manager;
   SimulatedDevice* dev = nullptr;
 
-  explicit Rig(double data_scale = 1) {
+  explicit Rig(double data_scale = 1,
+               sim::DriverKind driver = sim::DriverKind::kOpenMpCpu) {
     manager = std::make_unique<DeviceManager>();
     manager->SetDataScale(data_scale);
-    auto id = manager->AddDriver(sim::DriverKind::kOpenMpCpu);
+    auto id = manager->AddDriver(driver);
     ADAMANT_CHECK(id.ok()) << id.status().ToString();
     ADAMANT_CHECK(BindStandardKernels(manager->device(*id)).ok());
     dev = manager->device(*id);
@@ -79,7 +82,7 @@ struct Rig {
 
 struct Launched {
   KernelLaunch launch;
-  /// Buffers whose full contents must be bit-identical across variants.
+  /// Buffers whose full contents must be bit-identical across budgets.
   std::vector<std::pair<BufferId, size_t>> outputs;
 };
 
@@ -90,11 +93,10 @@ struct RunResult {
   std::vector<std::vector<uint8_t>> outputs;
 };
 
-RunResult RunVariant(KernelVariantRequest variant, const SetupFn& setup) {
+RunResult RunWithThreads(int threads, const SetupFn& setup) {
   Rig rig;
   Launched l = setup(rig);
-  l.launch.variant = variant;
-  l.launch.num_threads = kDefaultKernelThreads;
+  l.launch.num_threads = threads;
   RunResult result;
   result.status = rig.dev->Execute(l.launch);
   if (result.status.ok()) {
@@ -105,11 +107,11 @@ RunResult RunVariant(KernelVariantRequest variant, const SetupFn& setup) {
   return result;
 }
 
-/// The property: scalar and parallel runs of the same launch agree on
-/// Status (message included) and every output byte.
+/// The property: one-thread and four-thread runs of the same launch agree
+/// on Status (message included) and every output byte.
 void ExpectParity(const SetupFn& setup, const std::string& what) {
-  RunResult scalar = RunVariant(KernelVariantRequest::kScalar, setup);
-  RunResult parallel = RunVariant(KernelVariantRequest::kParallel, setup);
+  RunResult scalar = RunWithThreads(1, setup);
+  RunResult parallel = RunWithThreads(kDefaultKernelThreads, setup);
   EXPECT_EQ(scalar.status.ok(), parallel.status.ok()) << what;
   EXPECT_EQ(scalar.status.ToString(), parallel.status.ToString()) << what;
   ASSERT_EQ(scalar.outputs.size(), parallel.outputs.size()) << what;
@@ -166,8 +168,8 @@ TEST(KernelVariantParity, MapNeqPrevCrossesTileBoundary) {
 }
 
 TEST(KernelVariantParity, MapRespectsDeviceCount) {
-  // has_count_in: the device-resident count truncates the launch; the
-  // parallel variant must tile min(work_items, count), not work_items.
+  // has_count_in: the device-resident count truncates the launch; a tiled
+  // run must tile min(work_items, count), not work_items.
   const size_t n = 50000;
   ExpectParity(
       [n](Rig& rig) {
@@ -248,7 +250,7 @@ TEST(KernelVariantParity, FilterPosition) {
 
 TEST(KernelVariantParity, FilterPositionOverflowErrorParity) {
   // Capacity for ~n/8 positions, ~n/2 selected: the overflow row reported by
-  // the parallel variant must equal the scalar failure row.
+  // a tiled run must equal the one-range failure row.
   const size_t n = 60000;
   ExpectParity(
       [n](Rig& rig) {
@@ -357,8 +359,8 @@ TEST(KernelVariantParity, PrefixSum) {
     for (bool exclusive : {false, true}) {
       ExpectParity(
           [n, exclusive](Rig& rig) {
-            // Large magnitudes force int32 wraparound; the parallel tile
-            // bases must reproduce the scalar accumulator mod 2^32.
+            // Large magnitudes force int32 wraparound; the tile bases must
+            // reproduce the one-range accumulator mod 2^32.
             std::vector<int32_t> in =
                 RandomInts(n, 67 + n, -(int64_t{1} << 30), int64_t{1} << 30);
             BufferId in_buf = rig.PushVec(in);
@@ -472,7 +474,7 @@ TEST(KernelVariantParity, HashBuildSentinelKeyErrorParity) {
 }
 
 TEST(KernelVariantParity, HashBuildTableFullErrorParity) {
-  // More rows than slots: both variants must fail with the same message.
+  // More rows than slots: both budgets must fail with the same message.
   const size_t n = 50000;
   ExpectParity(
       [n](Rig& rig) {
@@ -501,7 +503,7 @@ TEST(KernelVariantParity, HashBuildTableFullBeforeSentinel) {
         kernels::MakeHashBuild(keys_buf, kInvalidBuffer, table, 16, 0, n), {}};
   };
   ExpectParity(setup, "hash_build table full before sentinel");
-  const RunResult tiled = RunVariant(KernelVariantRequest::kParallel, setup);
+  const RunResult tiled = RunWithThreads(kDefaultKernelThreads, setup);
   EXPECT_TRUE(tiled.status.IsExecutionError()) << tiled.status.ToString();
   EXPECT_NE(tiled.status.message().find("hash table full (16 slots)"),
             std::string::npos)
@@ -510,15 +512,15 @@ TEST(KernelVariantParity, HashBuildTableFullBeforeSentinel) {
 
 // --- HASH_PROBE ------------------------------------------------------------
 
-/// Builds (scalar, so both runs see the identical table) and returns the
-/// filled build table over `build_keys`.
+/// Builds (on one thread, so both runs see the identical table) and returns
+/// the filled build table over `build_keys`.
 BufferId BuildScalarTable(Rig& rig, const std::vector<int32_t>& build_keys,
                           size_t slots) {
   BufferId table = rig.PushVec(SentinelTable(slots));
   KernelLaunch build = kernels::MakeHashBuild(
       rig.PushVec(build_keys), kInvalidBuffer, table, slots, 0,
       build_keys.size());
-  build.variant = KernelVariantRequest::kScalar;
+  build.num_threads = 1;
   ADAMANT_CHECK(rig.dev->Execute(build).ok());
   return table;
 }
@@ -658,7 +660,7 @@ TEST(KernelVariantParity, FusedAgg) {
   }
 }
 
-// --- Variant registry & device policy --------------------------------------
+// --- Tiling registry & device budgets --------------------------------------
 
 TEST(KernelVariantRegistry, TiledKernelsAreTheHotPrimitivesAndFused) {
   std::vector<std::string> tiled;
@@ -673,26 +675,25 @@ TEST(KernelVariantRegistry, TiledKernelsAreTheHotPrimitivesAndFused) {
   EXPECT_FALSE(kernels::KernelTiles("no_such_kernel"));
 }
 
-TEST(KernelVariantRegistry, CpuDriversAreParallelNativeGpusScalarNative) {
+TEST(KernelVariantRegistry, CpuDriversOwnFourThreadsGpusOne) {
   DeviceManager manager;
   struct Want {
     sim::DriverKind kind;
-    KernelVariant native;
+    int own_threads;
   };
   const Want kWants[] = {
-      {sim::DriverKind::kOpenMpCpu, KernelVariant::kParallel},
-      {sim::DriverKind::kOpenClCpu, KernelVariant::kParallel},
-      {sim::DriverKind::kCudaGpu, KernelVariant::kScalar},
-      {sim::DriverKind::kOpenClGpu, KernelVariant::kScalar},
+      {sim::DriverKind::kOpenMpCpu, 4},
+      {sim::DriverKind::kOpenClCpu, 4},
+      {sim::DriverKind::kCudaGpu, 1},
+      {sim::DriverKind::kOpenClGpu, 1},
   };
   for (const Want& want : kWants) {
     auto id = manager.AddDriver(want.kind);
     ASSERT_TRUE(id.ok());
     ASSERT_TRUE(BindStandardKernels(manager.device(*id)).ok());
     SimulatedDevice* dev = manager.device(*id);
-    EXPECT_EQ(dev->default_kernel_variant(), want.native)
+    EXPECT_EQ(dev->kernel_threads(), want.own_threads)
         << dev->perf_model().name;
-    EXPECT_EQ(dev->kernel_threads(), kDefaultKernelThreads);
     EXPECT_TRUE(dev->KernelTiles("map")) << dev->perf_model().name;
     EXPECT_FALSE(dev->KernelTiles("hash_agg")) << dev->perf_model().name;
   }
@@ -707,32 +708,44 @@ TEST(KernelVariantRegistry, ParallelLaunchCounterCountsTiledRuns) {
   KernelLaunch launch =
       kernels::MakeMap(in_buf, kInvalidBuffer, out, MapOp::kAddScalar,
                        ElementType::kInt32, ElementType::kInt32, 1, n);
-  launch.variant = KernelVariantRequest::kScalar;
+  launch.num_threads = 1;  // one thread runs one range
   ASSERT_TRUE(rig.dev->Execute(launch).ok());
   EXPECT_EQ(rig.dev->parallel_launches(), 0u);
-  launch.variant = KernelVariantRequest::kAuto;  // openmp_cpu -> parallel
+  launch.num_threads = 0;  // openmp_cpu's own budget: four threads
   ASSERT_TRUE(rig.dev->Execute(launch).ok());
   EXPECT_EQ(rig.dev->parallel_launches(), 1u);
   // One tile runs as one range under any budget, so it does not count.
   launch.work_items = kernels::ParallelTileElems();
   ASSERT_TRUE(rig.dev->Execute(launch).ok());
   EXPECT_EQ(rig.dev->parallel_launches(), 1u);
-  // Neither does a budget of one thread.
-  launch.work_items = n;
-  launch.variant = KernelVariantRequest::kParallel;
-  launch.num_threads = 1;
-  ASSERT_TRUE(rig.dev->Execute(launch).ok());
-  EXPECT_EQ(rig.dev->parallel_launches(), 1u);
+
+  // On cuda_gpu (own budget one thread) a two-tile launch at budget 4 tiles
+  // on the host, so it counts, but charges the body of budget 1: the GPU
+  // model already is massively parallel.
+  Rig gpu(1, sim::DriverKind::kCudaGpu);
+  const size_t two_tiles = 2 * kernels::ParallelTileElems();
+  KernelLaunch gpu_launch = kernels::MakeMap(
+      gpu.PushVec(RandomInts(two_tiles, 129, 0, 100)), kInvalidBuffer,
+      gpu.PushZeros(two_tiles * 4), MapOp::kAddScalar, ElementType::kInt32,
+      ElementType::kInt32, 1, two_tiles);
+  double body_us[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    gpu_launch.num_threads = i == 0 ? 1 : 4;
+    const double before = gpu.dev->kernel_body_time();
+    ASSERT_TRUE(gpu.dev->Execute(gpu_launch).ok());
+    body_us[i] = gpu.dev->kernel_body_time() - before;
+    EXPECT_EQ(gpu.dev->parallel_launches(), static_cast<size_t>(i));
+  }
+  EXPECT_EQ(body_us[1], body_us[0]);
 }
 
 // --- Simulated speedup gates -----------------------------------------------
 //
 // 2^22 keys executed and charged as 2^25, the chunk size of the SF >= 10
-// queries: every forced-parallel launch runs tiled, and map, filter_bitmap
-// and agg_block charge >= 2x less simulated body time than scalar (the
-// model predicts 3.08x at 4 threads). At 4096 elements, below two tiles,
-// a forced-parallel launch runs as one range and may charge at most 5%
-// more.
+// queries: every four-thread launch runs tiled, and map, filter_bitmap and
+// agg_block charge >= 2x less simulated body time than on one thread (the
+// model predicts 3.08x at 4 threads). At 4096 elements, below two tiles, a
+// four-thread launch runs as one range and may charge at most 5% more.
 
 constexpr size_t kLargeElems = size_t{1} << 22;
 constexpr size_t kNominalElems = size_t{1} << 25;
@@ -838,14 +851,13 @@ struct BodyTime {
   bool parallel_dispatch = false;
 };
 
-/// Simulated body time of one launch with `variant` forced, on a fresh
+/// Simulated body time of one launch at a budget of `threads`, on a fresh
 /// openmp_cpu device charging `nominal` elements for `n`.
-BodyTime MeasureBody(const SpeedupCase& make, KernelVariantRequest variant,
-                     size_t n, size_t nominal) {
+BodyTime MeasureBody(const SpeedupCase& make, int threads, size_t n,
+                     size_t nominal) {
   Rig rig(static_cast<double>(nominal) / static_cast<double>(n));
   KernelLaunch launch = make(rig, n);
-  launch.variant = variant;
-  launch.num_threads = kDefaultKernelThreads;
+  launch.num_threads = threads;
   const double body_before = rig.dev->kernel_body_time();
   const size_t parallel_before = rig.dev->parallel_launches();
   ADAMANT_CHECK(rig.dev->Execute(launch).ok()) << launch.kernel_name;
@@ -853,13 +865,12 @@ BodyTime MeasureBody(const SpeedupCase& make, KernelVariantRequest variant,
           rig.dev->parallel_launches() > parallel_before};
 }
 
-TEST(KernelVariantSpeedup, ParallelVariantsChargeLessAtChunkSize) {
+TEST(KernelVariantSpeedup, FourThreadsChargeLessAtChunkSize) {
   for (const auto& [name, make] : SpeedupCases()) {
     const std::string kernel = name;
-    const BodyTime scalar = MeasureBody(make, KernelVariantRequest::kScalar,
-                                        kLargeElems, kNominalElems);
-    const BodyTime parallel = MeasureBody(
-        make, KernelVariantRequest::kParallel, kLargeElems, kNominalElems);
+    const BodyTime scalar = MeasureBody(make, 1, kLargeElems, kNominalElems);
+    const BodyTime parallel = MeasureBody(make, kDefaultKernelThreads,
+                                          kLargeElems, kNominalElems);
     EXPECT_TRUE(parallel.parallel_dispatch) << kernel;
     if (kernel == "map" || kernel == "filter_bitmap" ||
         kernel == "agg_block") {
@@ -868,12 +879,11 @@ TEST(KernelVariantSpeedup, ParallelVariantsChargeLessAtChunkSize) {
   }
 }
 
-TEST(KernelVariantSpeedup, SmallLaunchesFallBackToScalarCost) {
+TEST(KernelVariantSpeedup, SmallLaunchesFallBackToOneThreadCost) {
   for (const auto& [name, make] : SpeedupCases()) {
-    const BodyTime scalar = MeasureBody(make, KernelVariantRequest::kScalar,
-                                        kSmallElems, kSmallElems);
-    const BodyTime parallel = MeasureBody(
-        make, KernelVariantRequest::kParallel, kSmallElems, kSmallElems);
+    const BodyTime scalar = MeasureBody(make, 1, kSmallElems, kSmallElems);
+    const BodyTime parallel =
+        MeasureBody(make, kDefaultKernelThreads, kSmallElems, kSmallElems);
     EXPECT_LE(parallel.sim_us, scalar.sim_us * 1.05) << name;
   }
 }

@@ -72,13 +72,11 @@ std::unique_ptr<DeviceManager> TwoGpuManager() {
   return manager;
 }
 
-ExecutionOptions OptionsFor(
-    ExecutionModelKind model,
-    KernelVariantRequest variant = KernelVariantRequest::kAuto) {
+ExecutionOptions OptionsFor(ExecutionModelKind model, int kernel_threads = 0) {
   ExecutionOptions options;
   options.model = model;
   options.chunk_elems = 1024;  // several chunks even at SF 0.002
-  options.kernel_variant = variant;
+  options.kernel_threads = kernel_threads;
   if (model == ExecutionModelKind::kDeviceParallel) {
     options.device_set = {0, 1};
   }
@@ -168,14 +166,14 @@ TEST(ParityMatrixTest, DeviceParallelSplitsAcrossBothDevices) {
   EXPECT_EQ(split, exec->stats.chunks);
 }
 
-// --- Parallel kernel variants ----------------------------------------------
+// --- Four-thread kernels ----------------------------------------------------
 
-// The whole matrix again with the parallel variant forced on: every model x
+// The whole matrix again at a budget of four threads: every model x
 // Q3/Q4/Q6 must still match the host reference bit for bit. The fixture
-// devices are scalar-native GPUs, and the SF 0.002 matrix never launches
-// two tiles, so this case runs SF 0.01 in two-tile chunks: every model,
-// each device-parallel partition included, runs tiled launches.
-TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
+// devices are GPUs, whose own budget is one thread, and the SF 0.002 matrix
+// never launches two tiles, so this case runs SF 0.01 in two-tile chunks:
+// every model, each device-parallel partition included, runs tiled launches.
+TEST(ParityMatrixTest, AllModelsBitIdenticalWithFourThreadKernels) {
   static const Catalog* const kCatalog = [] {
     tpch::TpchConfig config;
     config.scale_factor = 0.01;
@@ -225,8 +223,7 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
     ASSERT_TRUE(bundle.ok());
     ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
     for (ExecutionModelKind model : kAllModels) {
-      ExecutionOptions options =
-          OptionsFor(model, KernelVariantRequest::kParallel);
+      ExecutionOptions options = OptionsFor(model, kDefaultKernelThreads);
       options.chunk_elems = 2 * kernels::ParallelTileElems();
       QueryExecutor executor(manager.get());
       auto exec = executor.Run(bundle->graph.get(), options);
@@ -236,7 +233,7 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithParallelVariants) {
       // The stats must report what actually ran.
       for (const DeviceRunStats& device : exec->stats.devices) {
         if (device.execute_calls == 0) continue;
-        EXPECT_EQ(device.kernel_variant, "parallel")
+        EXPECT_EQ(device.kernel_threads, kDefaultKernelThreads)
             << c.name << "/" << ExecutionModelName(model);
         EXPECT_GT(device.parallel_launches, 0u)
             << c.name << "/" << ExecutionModelName(model);

@@ -79,7 +79,7 @@ TEST(RunTpchCli, UnknownFlagsAndBadKnobsExitTwo) {
   const std::pair<std::string, const char*> kBad[] = {
       {"--bogus", nullptr},
       {"--model=warp", nullptr},
-      {"--kernel-variant=simd", nullptr},
+      {"--kernel-variant=simd", nullptr},  // a removed flag is unknown
       {"--priority=urgent", nullptr},
       {"--serve --chunk=auto", "--chunk"},
       {"--query=2", "--query"},
@@ -234,19 +234,18 @@ TEST(RunTpchCli, TracedFusion) {
 TEST(RunTpchCli, TracedParallelKernels) {
   const std::string trace = TracePath("parallel");
   const std::string output = RunOk(
-      "--query=6 --driver=openmp_cpu --kernel-variant=parallel --fusion=off "
+      "--query=6 --driver=openmp_cpu --kernel-threads=4 --fusion=off "
       "--verify --trace=" + trace);
-  EXPECT_NE(output.find("\"variant\":\"parallel\""), std::string::npos)
-      << output;
+  EXPECT_NE(output.find("\"threads\":4"), std::string::npos) << output;
   EXPECT_NE(output.find("verification: MATCH"), std::string::npos) << output;
   CheckTrace(trace, {{"tile:"}, {"kernel"}}, {"fused:"});
-  // Q3 and Q4 too: their parallel hash kernels run tiles on the worker
-  // pool (the TSan build runs these for races).
+  // Q3 and Q4 too: their hash kernels run tiles on the worker pool (the
+  // TSan build runs these for races).
   for (const char* query : {"3", "4"}) {
     const std::string q_trace = TracePath(std::string("parallel_q") + query);
     const std::string q_output =
         RunOk(std::string("--query=") + query +
-              " --driver=openmp_cpu --kernel-variant=parallel --verify "
+              " --driver=openmp_cpu --kernel-threads=4 --verify "
               "--trace=" + q_trace);
     EXPECT_NE(q_output.find("verification: MATCH"), std::string::npos)
         << q_output;

@@ -118,40 +118,47 @@ TEST(AdmissionQueueTest, PopFirstSkipsInadmissible) {
 
 TEST(DeviceSlotTableTest, LeastLoadedPlacement) {
   DeviceSlotTable slots(3, 2);
-  EXPECT_EQ(slots.PickLeastLoaded({}), 0);
+  auto pick = [&slots](const std::vector<DeviceId>& eligible) {
+    return slots.PickLeastLoadedSet(eligible, 1,
+                                    [](DeviceId) { return true; });
+  };
+  using Set = std::vector<DeviceId>;
+  EXPECT_EQ(pick({}), Set{0});
   slots.Acquire(0);
-  EXPECT_EQ(slots.PickLeastLoaded({}), 1);
+  EXPECT_EQ(pick({}), Set{1});
   slots.Acquire(1);
   slots.Acquire(1);  // device 1 full
-  EXPECT_EQ(slots.PickLeastLoaded({1}), -1);
-  EXPECT_EQ(slots.PickLeastLoaded({1, 2}), 2);
+  EXPECT_EQ(pick({1}), Set{});
+  EXPECT_EQ(pick({1, 2}), Set{2});
   slots.Release(1);
-  EXPECT_EQ(slots.PickLeastLoaded({1}), 1);
+  EXPECT_EQ(pick({1}), Set{1});
 }
 
 TEST(DeviceSlotTableTest, PredicateFallsThroughToNextLeastLoaded) {
   DeviceSlotTable slots(3, 1);
+  using Set = std::vector<DeviceId>;
   // Device 0 is least loaded, but the predicate (no budget headroom, say)
   // rejects it: placement must fall through to the next candidate instead
   // of giving up.
   bool had_free_slot = false;
-  EXPECT_EQ(slots.PickLeastLoaded(
-                {}, [](DeviceId device) { return device != 0; },
+  EXPECT_EQ(slots.PickLeastLoadedSet(
+                {}, 1, [](DeviceId device) { return device != 0; },
                 &had_free_slot),
-            1);
+            Set{1});
   EXPECT_TRUE(had_free_slot);
-  // Every candidate rejected: -1, but free slots were seen (deferral).
-  EXPECT_EQ(slots.PickLeastLoaded({}, [](DeviceId) { return false; },
-                                  &had_free_slot),
-            -1);
+  // Every candidate rejected: no device, but free slots were seen
+  // (deferral).
+  EXPECT_EQ(slots.PickLeastLoadedSet({}, 1, [](DeviceId) { return false; },
+                                     &had_free_slot),
+            Set{});
   EXPECT_TRUE(had_free_slot);
-  // Every device full: -1 with no free slot (not a budget deferral).
+  // Every device full: no device and no free slot (not a budget deferral).
   slots.Acquire(0);
   slots.Acquire(1);
   slots.Acquire(2);
-  EXPECT_EQ(slots.PickLeastLoaded({}, [](DeviceId) { return true; },
-                                  &had_free_slot),
-            -1);
+  EXPECT_EQ(slots.PickLeastLoadedSet({}, 1, [](DeviceId) { return true; },
+                                     &had_free_slot),
+            Set{});
   EXPECT_FALSE(had_free_slot);
 }
 
@@ -590,6 +597,60 @@ TEST(QueryServiceTest, MultiDeviceLeaseValidatesSpec) {
   too_many.options.model = ExecutionModelKind::kDeviceParallel;
   too_many.parallel_devices = 3;
   EXPECT_TRUE(service.Submit(too_many).status().IsInvalidArgument());
+}
+
+// A k-device lease reserves the estimate on k devices at once, so Submit
+// rejects a query that fewer than k eligible budgets can hold: queued, it
+// would never dispatch. (The deadline makes a regression fail, not hang.)
+TEST(QueryServiceTest, MultiDeviceLeaseNeedsThatManyBudgetsToHoldIt) {
+  const auto& fixture = ServiceFixture::Get();
+  DeviceManager manager;
+  auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
+  auto cpu = manager.AddDriver(sim::DriverKind::kOpenMpCpu);
+  ASSERT_TRUE(gpu.ok() && cpu.ok());
+  ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
+  ASSERT_TRUE(BindStandardKernels(manager.device(*cpu)).ok());
+  manager.SetDataScale(50000);  // the SF 0.002 fixture charged as SF 100
+  QueryService service(&manager, {});  // budgets 8.25 and 61.25 GiB
+
+  QuerySpec spec = SpecFor(fixture.catalog.get(), 2);
+  spec.options.model = ExecutionModelKind::kDeviceParallel;
+  spec.options.chunk_elems = size_t{1} << 30;
+  auto bundle = plan::BuildQ6(*fixture.catalog, {}, 0);
+  ASSERT_TRUE(bundle.ok());
+  auto estimate = EstimateDeviceMemoryBytes(*bundle->graph, spec.options,
+                                            manager.data_scale());
+  ASSERT_TRUE(estimate.ok());
+  // The per-device estimate (about 16 GiB) fits the CPU's budget only.
+  ASSERT_GT(*estimate, service.ledger().budget(*gpu).capacity());
+  ASSERT_LE(*estimate, service.ledger().budget(*cpu).capacity());
+
+  QuerySpec pair = spec;
+  pair.parallel_devices = 2;
+  pair.deadline_ms = 1500;
+  auto rejected = service.Submit(pair);
+  // Admitted, the pair lease could never dispatch: only its deadline would
+  // end it (evicted as DeadlineExceeded).
+  if (rejected.ok()) (*rejected)->Wait();
+  EXPECT_EQ(rejected.status().code(), StatusCode::kOutOfMemory)
+      << rejected.status().ToString();
+
+  // A one-device lease of the same query fits and runs on the CPU.
+  auto ticket = service.Submit(spec);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ASSERT_TRUE((*ticket)->Wait().ok())
+      << (*ticket)->Wait().status().ToString();
+  EXPECT_EQ((*ticket)->placed_devices(), std::vector<DeviceId>{*cpu});
+
+  service.Drain();
+  ServiceStats stats = service.GetStats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.budget_deferrals, 0u);
+  for (const auto& entry : stats.devices) {
+    EXPECT_EQ(entry.budget_reserved, 0u);
+  }
 }
 
 TEST(ColumnCacheTest, EvictionSkipsPinnedEntries) {

@@ -44,13 +44,13 @@ Flags:
                     | device-parallel
   --chunk=N|auto    chunk size in nominal elements (default 2^25); auto is
                     single-query only
-  --kernel-variant=auto|scalar|parallel
-                    Task-layer kernel variant: auto = per-device policy (CPU
-                    drivers parallel, GPU drivers scalar); the choice per
-                    device is reported on a JSON line
   --kernel-threads=N
-                    thread budget for parallel variants, 0..1024 (default:
-                    the device policy count, 4 on CPU drivers)
+                    the one Task-layer kernel knob: every kernel that tiles
+                    splits its launches across N threads, 0..1024; 0
+                    (default) takes each device's own budget, 4 on CPU
+                    drivers and 1 on GPU drivers. hash_agg and sort_agg run
+                    on one thread. Each device's budget is reported on a
+                    JSON line
   --fusion=off|on|auto
                     plan-level kernel fusion (src/plan/fusion.h) of
                     MAP/FILTER/MATERIALIZE/AGG chains: never, every eligible
@@ -66,8 +66,8 @@ Flags:
   --metrics=PATH    after the run, dump the metrics registries to PATH as
                     Prometheus text (or JSON when PATH ends in .json)
   --explain         print the compiled plan — each primitive's kernel
-                    variant and threads, the device-parallel split, and for
-                    SQL the logical plan and placement search — and exit
+                    threads, the device-parallel split, and for SQL the
+                    logical plan and placement search — and exit
   --explain-analyze run with per-operator stats and print the measured tree
                     next to the planner's predictions (rows, selectivity,
                     cost share, q-errors); docs/observability.md
@@ -154,7 +154,6 @@ struct Options {
   std::string model = "chunked";
   size_t chunk = size_t{1} << 25;
   bool chunk_auto = false;
-  std::string kernel_variant = "auto";
   int kernel_threads = 0;
   std::string fusion = "auto";
   bool verify = false;
@@ -312,7 +311,6 @@ ExecutionOptions MakeExecOptions(const Options& options) {
   exec_options.split_rebalance = !options.no_rebalance;
   exec_options.collect_profile = options.profile;
   exec_options.collect_operator_stats = options.explain_analyze;
-  exec_options.kernel_variant = *ParseKernelVariant(options.kernel_variant);
   exec_options.kernel_threads = options.kernel_threads;
   exec_options.fusion = *ParseFusionMode(options.fusion);
   return exec_options;
@@ -404,9 +402,6 @@ Result<Options> ParseArgs(int argc, char** argv) {
       if (!o.chunk_auto) {
         ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.chunk, 1));
       }
-    } else if (flag == "kernel-variant") {
-      ADAMANT_RETURN_NOT_OK(ParseKernelVariant(value).status());
-      o.kernel_variant = value;
     } else if (flag == "kernel-threads") {
       ADAMANT_RETURN_NOT_OK(ParseNumber(flag, value, &o.kernel_threads, 0));
     } else if (flag == "fusion") {
@@ -479,26 +474,22 @@ Result<Options> ParseArgs(int argc, char** argv) {
   return o;
 }
 
-// --explain: one line per primitive with the Task-layer kernel variant its
-// launches resolve to (the compiled plan's price asks the device, so
-// kernels without a parallel binding show scalar) and its thread budget.
-// Fused composites carry their recipe in the label.
+// --explain: one line per primitive with the threads its launches run on
+// (the compiled plan's price asks the device, so kernels that do not tile
+// show one thread). Fused composites carry their recipe in the label and a
+// `fused` marker.
 void PrintExplain(const std::string& title, const CompiledPlan& plan) {
   std::printf("%s primitive graph (fusion %s: %d group(s), %d primitive(s) "
               "fused):\n",
               title.c_str(), FusionModeName(plan.options.fusion),
               plan.fusion.groups, plan.fusion.nodes_fused);
   for (const GraphNode& node : plan.bundle.graph->nodes()) {
-    const KernelVariantChoice choice =
-        plan.prices.front().nodes[static_cast<size_t>(node.id)].choice;
     const bool fused_node = node.kind == PrimitiveKind::kFused ||
                             node.kind == PrimitiveKind::kFusedAgg;
-    const std::string variant =
-        std::string(fused_node ? "fused/" : "") +
-        KernelVariantName(choice.variant);
-    std::printf("  [%2d] %-22s %-36s variant=%s threads=%d\n", node.id,
+    std::printf("  [%2d] %-22s %-36s threads=%d%s\n", node.id,
                 PrimitiveKindName(node.kind), node.label.c_str(),
-                variant.c_str(), choice.threads);
+                plan.prices.front().nodes[static_cast<size_t>(node.id)].threads,
+                fused_node ? " fused" : "");
   }
 }
 
@@ -800,26 +791,24 @@ Status RunSingleQuery(const SingleQuery& q, const Catalog& catalog,
               q.label.c_str(), manager->device(device)->name().c_str(),
               ExecutionModelName(plan.options.model), plan.options.chunk_elems);
   PrintStats(exec, device);
-  // Self-describing benchmark output: which Task-layer kernel variant each
-  // used device resolved, its thread budget, and how many launches ran as
-  // two or more tiles or ran the fused kernel.
+  // Self-describing benchmark output: each used device's thread budget and
+  // how many launches ran as two or more tiles or ran the fused kernel.
   const std::string& id = q.sql.empty() ? q.query : q.label;
-  std::string variants_json;
+  std::string kernels_json;
   for (const DeviceRunStats& ds : exec.stats.devices) {
-    if (ds.execute_calls == 0 || ds.kernel_variant.empty()) continue;
+    if (ds.execute_calls == 0) continue;
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"variant\":\"%s\",\"threads\":%d,"
-                  "\"parallel_launches\":%zu,\"fused_launches\":%zu}",
-                  variants_json.empty() ? "" : ",", ds.name.c_str(),
-                  ds.kernel_variant.c_str(), ds.kernel_threads,
-                  ds.parallel_launches, ds.fused_launches);
-    variants_json += buf;
+                  "%s\"%s\":{\"threads\":%d,\"parallel_launches\":%zu,"
+                  "\"fused_launches\":%zu}",
+                  kernels_json.empty() ? "" : ",", ds.name.c_str(),
+                  ds.kernel_threads, ds.parallel_launches, ds.fused_launches);
+    kernels_json += buf;
   }
-  if (!variants_json.empty()) {
+  if (!kernels_json.empty()) {
     std::printf("    {\"query\":\"%s\",\"fused_groups\":%d,"
-                "\"kernel_variants\":{%s}}\n",
-                id.c_str(), plan.fusion.groups, variants_json.c_str());
+                "\"kernels\":{%s}}\n",
+                id.c_str(), plan.fusion.groups, kernels_json.c_str());
   }
   if (options.profile) {
     std::printf("    profile: %s\n", exec.stats.profile.ToJson().c_str());
