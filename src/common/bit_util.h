@@ -27,26 +27,6 @@ constexpr uint64_t NextPowerOfTwo(uint64_t v) {
   return v <= 1 ? 1 : uint64_t{1} << (64 - std::countl_zero(v - 1));
 }
 
-inline bool GetBit(const uint64_t* bitmap, size_t i) {
-  return (bitmap[i >> 6] >> (i & 63)) & 1;
-}
-
-inline void SetBit(uint64_t* bitmap, size_t i) {
-  bitmap[i >> 6] |= uint64_t{1} << (i & 63);
-}
-
-inline void ClearBit(uint64_t* bitmap, size_t i) {
-  bitmap[i >> 6] &= ~(uint64_t{1} << (i & 63));
-}
-
-inline void SetBitTo(uint64_t* bitmap, size_t i, bool value) {
-  if (value) {
-    SetBit(bitmap, i);
-  } else {
-    ClearBit(bitmap, i);
-  }
-}
-
 /// Population count over the first `num_bits` bits of a word-padded bitmap.
 size_t CountSetBits(const uint64_t* bitmap, size_t num_bits);
 

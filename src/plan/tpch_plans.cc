@@ -550,23 +550,35 @@ Result<std::vector<tpch::Q3Row>> ExtractQ3(const PlanBundle& bundle,
                            Col(catalog, "orders", "o_orderdate"));
   ADAMANT_ASSIGN_OR_RETURN(ColumnPtr o_shippriority,
                            Col(catalog, "orders", "o_shippriority"));
-  std::unordered_map<int32_t, size_t> order_row;
-  order_row.reserve(o_orderkey->length());
+  // Index the few result groups, then find each one's first order row in
+  // one pass over o_orderkey.
+  constexpr size_t kNoRow = SIZE_MAX;
+  std::unordered_map<int32_t, size_t> group_of;
+  group_of.reserve(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    group_of.emplace(groups[g].first, g);
+  }
+  std::vector<size_t> order_row(groups.size(), kNoRow);
+  const int32_t* orderkeys = o_orderkey->data<int32_t>();
   for (size_t i = 0; i < o_orderkey->length(); ++i) {
-    order_row.emplace(o_orderkey->Value<int32_t>(i), i);
+    auto it = group_of.find(orderkeys[i]);
+    if (it != group_of.end() && order_row[it->second] == kNoRow) {
+      order_row[it->second] = i;
+    }
   }
 
   std::vector<tpch::Q3Row> rows;
   rows.reserve(groups.size());
-  for (const auto& [orderkey, revenue] : groups) {
-    auto it = order_row.find(orderkey);
-    if (it == order_row.end()) {
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const auto [orderkey, revenue] = groups[g];
+    const size_t row = order_row[g];
+    if (row == kNoRow) {
       return Status::Internal("Q3 group key " + std::to_string(orderkey) +
                               " not in orders");
     }
     rows.push_back(tpch::Q3Row{orderkey, revenue,
-                               o_orderdate->Value<int32_t>(it->second),
-                               o_shippriority->Value<int32_t>(it->second)});
+                               o_orderdate->Value<int32_t>(row),
+                               o_shippriority->Value<int32_t>(row)});
   }
   std::sort(rows.begin(), rows.end(),
             [](const tpch::Q3Row& a, const tpch::Q3Row& b) {

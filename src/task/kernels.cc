@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <type_traits>
 
 #include "common/bit_util.h"
 #include "common/logging.h"
@@ -20,18 +21,26 @@ using internal::ApplyMap;
 using internal::CheckCapacity;
 using internal::CheckIntType;
 using internal::Compact;
-using internal::Compare;
+using internal::CompactWords;
 using internal::Fold;
 using internal::ForEachTile;
 using internal::Frame;
-using internal::LoadAs64;
+using internal::LiveBits;
+using internal::PredicateWord;
 using internal::ScanTiles;
-using internal::StoreFrom64;
+using internal::WithAggOp;
+using internal::WithIntType;
+using internal::WithMapOp;
+using internal::WithPredicate;
+
+/// Rows ahead of the current one whose home slot the hash kernels prefetch.
+constexpr size_t kPrefetchRows = 16;
 
 // ---------------------------------------------------------------------------
 // Kernel implementations. The per-kernel scalar lists are documented in
-// kernels.h; scalar k lives at index frame.scalar_base + k. Each kernel runs
-// its row body through one strategy of kernels_internal.h.
+// kernels.h; scalar k lives at index frame.scalar_base + k. Each kernel
+// resolves its types and ops once, then runs its typed row body through one
+// strategy of kernels_internal.h.
 // ---------------------------------------------------------------------------
 
 // Data: in0[, in1], out. Scalars: op, in_type, out_type, imm, has_count.
@@ -51,10 +60,7 @@ Status MapKernel(KernelExecContext* ctx) {
   ADAMANT_RETURN_NOT_OK(CheckIntType(in_type));
   ADAMANT_RETURN_NOT_OK(CheckIntType(out_type));
 
-  const void* in0 = ctx->ptr(f.data_base);
-  const void* in1 = col_col ? ctx->ptr(f.data_base + 1) : nullptr;
   const size_t out_arg = f.data_base + f.num_data - 1;
-  void* out = ctx->ptr(out_arg);
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, out_arg, f.n * ElementSize(out_type), "map out"));
   ADAMANT_RETURN_NOT_OK(
@@ -63,27 +69,53 @@ Status MapKernel(KernelExecContext* ctx) {
     return Status::InvalidArgument(
         "map operand mismatch: column-column op requires exactly 3 buffers");
   }
-
   // The second operand: in1 (an int32 percentage for the percentage ops),
   // or for kNeqPrev the previous row of in0.
-  const size_t shift = op == MapOp::kNeqPrev ? 1 : 0;
-  const void* second = shift == 1 ? in0 : in1;
-  const ElementType second_type =
-      IsPercentMap(op) ? ElementType::kInt32 : in_type;
-  return ForEachTile(ctx, f.n, "map", [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const int64_t a = LoadAs64(in0, in_type, i);
-      const int64_t r = ApplyMap(op, a, imm, [&] {
-        return i >= shift ? LoadAs64(second, second_type, i - shift) : a;
+  if (col_col) {
+    const ElementType in1_type =
+        IsPercentMap(op) ? ElementType::kInt32 : in_type;
+    ADAMANT_RETURN_NOT_OK(CheckCapacity(
+        *ctx, f.data_base + 1, f.n * ElementSize(in1_type), "map in1"));
+  }
+
+  return WithMapOp(op, [&](auto op_c) {
+    constexpr MapOp kOp = decltype(op_c)::value;
+    return WithIntType(in_type, [&](auto in_tag) {
+      using In = decltype(in_tag);
+      using Second = std::conditional_t<IsPercentMap(kOp), int32_t, In>;
+      return WithIntType(out_type, [&](auto out_tag) {
+        using Out = decltype(out_tag);
+        const auto* in0 = ctx->ptr_as<const In>(f.data_base);
+        const Second* second =
+            kOp == MapOp::kNeqPrev
+                ? ctx->ptr_as<const Second>(f.data_base)
+                : (col_col ? ctx->ptr_as<const Second>(f.data_base + 1)
+                           : nullptr);
+        constexpr size_t kShift = kOp == MapOp::kNeqPrev ? 1 : 0;
+        auto* out = ctx->ptr_as<Out>(out_arg);
+        return ForEachTile(ctx, f.n, "map", [&](size_t begin, size_t end) {
+          size_t i = begin;
+          if (kShift == 1 && i == 0 && end > 0) {
+            // Row 0 has no previous row: its second operand is itself.
+            const int64_t a = in0[0];
+            out[0] = static_cast<Out>(ApplyMap<kOp>(a, imm, [&] { return a; }));
+            i = 1;
+          }
+          for (; i < end; ++i) {
+            out[i] = static_cast<Out>(ApplyMap<kOp>(in0[i], imm, [&] {
+              return static_cast<int64_t>(second[i - kShift]);
+            }));
+          }
+          return Status::OK();
+        });
       });
-      StoreFrom64(out, out_type, i, r);
-    }
-    return Status::OK();
+    });
   });
 }
 
 // Data: in, bitmap. Scalars: cmp, type, lo, hi, combine_and, has_count.
-// Tiles own whole bitmap words (the tile size is a multiple of 64).
+// Each word is built from 64 predicates and stored once; tiles own whole
+// bitmap words (the tile size is a multiple of 64).
 Status FilterBitmapKernel(KernelExecContext* ctx) {
   ADAMANT_ASSIGN_OR_RETURN(Frame f, Frame::Decode(*ctx, 6));
   if (f.num_data != 2) {
@@ -96,20 +128,31 @@ Status FilterBitmapKernel(KernelExecContext* ctx) {
   const bool combine_and = ctx->scalar(f.scalar_base + 4) != 0;
   ADAMANT_RETURN_NOT_OK(CheckIntType(type));
 
-  const void* in = ctx->ptr(f.data_base);
   auto* bitmap = ctx->ptr_as<uint64_t>(f.data_base + 1);
   ADAMANT_RETURN_NOT_OK(CheckCapacity(
       *ctx, f.data_base + 1, bit_util::BytesForBits(f.n), "filter bitmap"));
   ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base,
                                       f.n * ElementSize(type), "filter in"));
 
-  return ForEachTile(ctx, f.n, "filter_bitmap", [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      bool pred = Compare(op, LoadAs64(in, type, i), lo, hi);
-      if (combine_and) pred = pred && bit_util::GetBit(bitmap, i);
-      bit_util::SetBitTo(bitmap, i, pred);
-    }
-    return Status::OK();
+  return WithPredicate(op, lo, hi, [&](const auto& pred) {
+    return WithIntType(type, [&](auto tag) {
+      const auto* in = ctx->ptr_as<const decltype(tag)>(f.data_base);
+      return ForEachTile(
+          ctx, f.n, "filter_bitmap", [&](size_t begin, size_t end) {
+            for (size_t w = begin / 64; w * 64 < end; ++w) {
+              const size_t m = std::min<size_t>(64, end - w * 64);
+              uint64_t word = PredicateWord(in + w * 64, m, pred);
+              if (combine_and) word &= bitmap[w];
+              if (m < 64) {
+                // The tail word keeps its bits at rows n and up.
+                const uint64_t live = LiveBits(end, w);
+                word |= bitmap[w] & ~live;
+              }
+              bitmap[w] = word;
+            }
+            return Status::OK();
+          });
+    });
   });
 }
 
@@ -125,22 +168,29 @@ Status FilterPositionKernel(KernelExecContext* ctx) {
   const int64_t hi = ctx->scalar(f.scalar_base + 3);
   ADAMANT_RETURN_NOT_OK(CheckIntType(type));
 
-  const void* in = ctx->ptr(f.data_base);
   auto* positions = ctx->ptr_as<int32_t>(f.data_base + 1);
   auto* count = ctx->ptr_as<int64_t>(f.data_base + 2);
   const size_t cap = ctx->arg_bytes(f.data_base + 1) / sizeof(int32_t);
+  ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base,
+                                      f.n * ElementSize(type), "filter in"));
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base + 2, sizeof(int64_t), "count"));
 
   // The result size is estimated up-front (Table I); overflowing the
   // estimate is an execution error the runtime surfaces.
-  return Compact(
-      ctx, f.n, "filter_position", cap, "position list",
-      [&](size_t i, const auto& emit) {
-        if (Compare(op, LoadAs64(in, type, i), lo, hi)) emit(i);
-      },
-      [&](size_t k, size_t i) { positions[k] = static_cast<int32_t>(i); },
-      count);
+  return WithPredicate(op, lo, hi, [&](const auto& pred) {
+    return WithIntType(type, [&](auto tag) {
+      const auto* in = ctx->ptr_as<const decltype(tag)>(f.data_base);
+      return CompactWords(
+          ctx, f.n, "filter_position", cap, "position list",
+          [&](size_t w) {
+            return PredicateWord(in + w * 64,
+                                 std::min<size_t>(64, f.n - w * 64), pred);
+          },
+          [&](size_t k, size_t i) { positions[k] = static_cast<int32_t>(i); },
+          count);
+    });
+  });
 }
 
 // Data: in, bitmap, out, count_out. Scalars: type, has_count.
@@ -152,25 +202,26 @@ Status MaterializeKernel(KernelExecContext* ctx) {
   const auto type = static_cast<ElementType>(ctx->scalar(f.scalar_base));
   ADAMANT_RETURN_NOT_OK(CheckIntType(type));
 
-  const void* in = ctx->ptr(f.data_base);
   const auto* bitmap = ctx->ptr_as<const uint64_t>(f.data_base + 1);
-  void* out = ctx->ptr(f.data_base + 2);
   auto* count = ctx->ptr_as<int64_t>(f.data_base + 3);
   const size_t cap = ctx->arg_bytes(f.data_base + 2) / ElementSize(type);
+  ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base,
+                                      f.n * ElementSize(type),
+                                      "materialize in"));
   ADAMANT_RETURN_NOT_OK(CheckCapacity(
       *ctx, f.data_base + 1, bit_util::BytesForBits(f.n), "bitmap"));
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base + 3, sizeof(int64_t), "count"));
 
-  return Compact(
-      ctx, f.n, "materialize", cap, "materialize",
-      [&](size_t i, const auto& emit) {
-        if (bit_util::GetBit(bitmap, i)) emit(i);
-      },
-      [&](size_t k, size_t i) {
-        StoreFrom64(out, type, k, LoadAs64(in, type, i));
-      },
-      count);
+  return WithIntType(type, [&](auto tag) {
+    using T = decltype(tag);
+    const auto* in = ctx->ptr_as<const T>(f.data_base);
+    auto* out = ctx->ptr_as<T>(f.data_base + 2);
+    return CompactWords(
+        ctx, f.n, "materialize", cap, "materialize",
+        [&](size_t w) { return bitmap[w] & LiveBits(f.n, w); },
+        [&](size_t k, size_t i) { out[k] = in[i]; }, count);
+  });
 }
 
 // Data: in, positions, out. Scalars: type, has_count.
@@ -183,27 +234,32 @@ Status MaterializePositionKernel(KernelExecContext* ctx) {
   const auto type = static_cast<ElementType>(ctx->scalar(f.scalar_base));
   ADAMANT_RETURN_NOT_OK(CheckIntType(type));
 
-  const void* in = ctx->ptr(f.data_base);
   const auto* positions = ctx->ptr_as<const int32_t>(f.data_base + 1);
-  void* out = ctx->ptr(f.data_base + 2);
   const size_t in_len = ctx->arg_bytes(f.data_base) / ElementSize(type);
+  ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base + 1,
+                                      f.n * sizeof(int32_t), "positions"));
   ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base + 2,
                                       f.n * ElementSize(type), "gather out"));
 
-  return ForEachTile(
-      ctx, f.n, "materialize_position", [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const auto p = static_cast<size_t>(positions[i]);
-          if (p >= in_len) {
-            return Status::ExecutionError("gather position " +
-                                          std::to_string(p) +
-                                          " out of range " +
-                                          std::to_string(in_len));
+  return WithIntType(type, [&](auto tag) {
+    using T = decltype(tag);
+    const auto* in = ctx->ptr_as<const T>(f.data_base);
+    auto* out = ctx->ptr_as<T>(f.data_base + 2);
+    return ForEachTile(
+        ctx, f.n, "materialize_position", [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            const auto p = static_cast<size_t>(positions[i]);
+            if (p >= in_len) {
+              return Status::ExecutionError("gather position " +
+                                            std::to_string(p) +
+                                            " out of range " +
+                                            std::to_string(in_len));
+            }
+            out[i] = in[p];
           }
-          StoreFrom64(out, type, i, LoadAs64(in, type, p));
-        }
-        return Status::OK();
-      });
+          return Status::OK();
+        });
+  });
 }
 
 // Data: in, out (both int32). Scalars: exclusive, has_count.
@@ -215,6 +271,8 @@ Status PrefixSumKernel(KernelExecContext* ctx) {
   const bool exclusive = ctx->scalar(f.scalar_base) != 0;
   const auto* in = ctx->ptr_as<const int32_t>(f.data_base);
   auto* out = ctx->ptr_as<int32_t>(f.data_base + 1);
+  ADAMANT_RETURN_NOT_OK(
+      CheckCapacity(*ctx, f.data_base, f.n * 4, "prefix_sum in"));
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base + 1, f.n * 4, "prefix_sum out"));
 
@@ -230,13 +288,9 @@ Status PrefixSumKernel(KernelExecContext* ctx) {
       },
       [&](size_t begin, size_t end, uint32_t acc) {
         for (size_t i = begin; i < end; ++i) {
-          if (exclusive) {
-            out[i] = static_cast<int32_t>(acc);
-            acc += static_cast<uint32_t>(in[i]);
-          } else {
-            acc += static_cast<uint32_t>(in[i]);
-            out[i] = static_cast<int32_t>(acc);
-          }
+          const uint32_t v = static_cast<uint32_t>(in[i]);
+          out[i] = static_cast<int32_t>(exclusive ? acc : acc + v);
+          acc += v;
         }
       });
 }
@@ -252,16 +306,28 @@ Status AggBlockKernel(KernelExecContext* ctx) {
   const bool init = ctx->scalar(f.scalar_base + 2) != 0;
   ADAMANT_RETURN_NOT_OK(CheckIntType(type));
 
-  const void* in = ctx->ptr(f.data_base);
   auto* acc = ctx->ptr_as<int64_t>(f.data_base + 1);
+  if (op != AggOp::kCount) {
+    ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base,
+                                        f.n * ElementSize(type), "agg in"));
+  }
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base + 1, sizeof(int64_t), "acc"));
 
-  return Fold(ctx, f.n, "agg_block", op, init, acc,
-              [&](size_t i, int64_t a) {
-                return AggCombine(
-                    op, a, op == AggOp::kCount ? 0 : LoadAs64(in, type, i));
-              });
+  return WithAggOp(op, [&](auto op_c) {
+    constexpr AggOp kOp = decltype(op_c)::value;
+    return WithIntType(type, [&](auto tag) {
+      const auto* in = ctx->ptr_as<const decltype(tag)>(f.data_base);
+      return Fold(ctx, f.n, "agg_block", kOp, init, acc,
+                  [&](size_t begin, size_t end, int64_t a) {
+                    for (size_t i = begin; i < end; ++i) {
+                      a = AggCombine<kOp>(
+                          a, kOp == AggOp::kCount ? 0 : int64_t{in[i]});
+                    }
+                    return a;
+                  });
+    });
+  });
 }
 
 // Data: keys[, payload], table. Scalars: num_slots, pos_base, has_count.
@@ -282,14 +348,24 @@ Status HashBuildKernel(KernelExecContext* ctx) {
       has_payload ? ctx->ptr_as<const int32_t>(f.data_base + 1) : nullptr;
   const size_t table_arg = f.data_base + f.num_data - 1;
   auto* table = static_cast<HashTableLayout::BuildSlot*>(ctx->ptr(table_arg));
+  ADAMANT_RETURN_NOT_OK(
+      CheckCapacity(*ctx, f.data_base, f.n * sizeof(int32_t), "keys"));
+  if (has_payload) {
+    ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base + 1,
+                                        f.n * sizeof(int32_t), "payload"));
+  }
   ADAMANT_RETURN_NOT_OK(CheckCapacity(
       *ctx, table_arg, HashTableLayout::BuildTableBytes(num_slots), "table"));
 
   const size_t mask = num_slots - 1;
   // Insertion is serial: the linear-probe layout depends on insertion
-  // order. It reports the first error in row order.
+  // order. It reports the first error in row order, and prefetches the
+  // home slot kPrefetchRows rows ahead.
   const auto insert_rows = [&](const auto& home_slot) {
     for (size_t i = 0; i < f.n; ++i) {
+      if (i + kPrefetchRows < f.n) {
+        __builtin_prefetch(&table[home_slot(i + kPrefetchRows)], 1);
+      }
       const int32_t key = keys[i];
       if (key == HashTableLayout::kEmptyKey) {
         return Status::InvalidArgument("key collides with empty sentinel");
@@ -338,6 +414,7 @@ Status HashProbeKernel(KernelExecContext* ctx) {
   }
   const auto num_slots = static_cast<size_t>(ctx->scalar(f.scalar_base));
   const auto mode = static_cast<ProbeMode>(ctx->scalar(f.scalar_base + 1));
+  const bool semi = mode == ProbeMode::kSemi;
   const int64_t pos_base = ctx->scalar(f.scalar_base + 2);
   if (!bit_util::IsPowerOfTwo(num_slots)) {
     return Status::InvalidArgument("num_slots must be a power of two");
@@ -349,6 +426,8 @@ Status HashProbeKernel(KernelExecContext* ctx) {
   auto* left = ctx->ptr_as<int32_t>(f.data_base + 2);
   auto* right = ctx->ptr_as<int32_t>(f.data_base + 3);
   auto* count = ctx->ptr_as<int64_t>(f.data_base + 4);
+  ADAMANT_RETURN_NOT_OK(
+      CheckCapacity(*ctx, f.data_base, f.n * sizeof(int32_t), "keys"));
   ADAMANT_RETURN_NOT_OK(CheckCapacity(
       *ctx, f.data_base + 1, HashTableLayout::BuildTableBytes(num_slots),
       "table"));
@@ -361,18 +440,24 @@ Status HashProbeKernel(KernelExecContext* ctx) {
   const size_t mask = num_slots - 1;
   return Compact(
       ctx, f.n, "hash_probe", cap, "join result",
-      [&](size_t i, const auto& emit) {
-        const int32_t key = keys[i];
-        size_t slot = HashTableLayout::Hash(key) & mask;
-        size_t attempts = 0;
-        while (table[slot].key != HashTableLayout::kEmptyKey &&
-               attempts < num_slots) {
-          if (table[slot].key == key) {
-            emit(i, table[slot].payload);
-            if (mode == ProbeMode::kSemi) break;
+      [&](size_t begin, size_t end, const auto& emit) {
+        for (size_t i = begin; i < end; ++i) {
+          if (i + kPrefetchRows < end) {
+            __builtin_prefetch(
+                &table[HashTableLayout::Hash(keys[i + kPrefetchRows]) & mask]);
           }
-          slot = (slot + 1) & mask;
-          ++attempts;
+          const int32_t key = keys[i];
+          size_t slot = HashTableLayout::Hash(key) & mask;
+          size_t attempts = 0;
+          while (table[slot].key != HashTableLayout::kEmptyKey &&
+                 attempts < num_slots) {
+            if (table[slot].key == key) {
+              emit(i, table[slot].payload);
+              if (semi) break;
+            }
+            slot = (slot + 1) & mask;
+            ++attempts;
+          }
         }
       },
       [&](size_t k, size_t i, int32_t build_payload) {
@@ -391,8 +476,10 @@ Status HashAggKernel(KernelExecContext* ctx) {
   const bool has_values = f.num_data == 3;
   const auto num_slots = static_cast<size_t>(ctx->scalar(f.scalar_base));
   const auto op = static_cast<AggOp>(ctx->scalar(f.scalar_base + 1));
+  // COUNT reads no values; its value type is never used.
   const auto value_type =
-      static_cast<ElementType>(ctx->scalar(f.scalar_base + 2));
+      has_values ? static_cast<ElementType>(ctx->scalar(f.scalar_base + 2))
+                 : ElementType::kInt64;
   if (!bit_util::IsPowerOfTwo(num_slots)) {
     return Status::InvalidArgument("num_slots must be a power of two");
   }
@@ -402,38 +489,52 @@ Status HashAggKernel(KernelExecContext* ctx) {
   if (op != AggOp::kCount && !has_values) {
     return Status::InvalidArgument("aggregate needs a values buffer");
   }
-  if (has_values) ADAMANT_RETURN_NOT_OK(CheckIntType(value_type));
+  ADAMANT_RETURN_NOT_OK(CheckIntType(value_type));
 
   const auto* keys = ctx->ptr_as<const int32_t>(f.data_base);
-  const void* values = has_values ? ctx->ptr(f.data_base + 1) : nullptr;
   const size_t table_arg = f.data_base + f.num_data - 1;
   auto* table = static_cast<HashTableLayout::AggSlot*>(ctx->ptr(table_arg));
+  ADAMANT_RETURN_NOT_OK(
+      CheckCapacity(*ctx, f.data_base, f.n * sizeof(int32_t), "keys"));
+  if (has_values) {
+    ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base + 1,
+                                        f.n * ElementSize(value_type),
+                                        "values"));
+  }
   ADAMANT_RETURN_NOT_OK(CheckCapacity(
       *ctx, table_arg, HashTableLayout::AggTableBytes(num_slots), "table"));
 
   const size_t mask = num_slots - 1;
-  for (size_t i = 0; i < f.n; ++i) {
-    const int32_t key = keys[i];
-    if (key == HashTableLayout::kEmptyKey) {
-      return Status::InvalidArgument("key collides with empty sentinel");
-    }
-    size_t slot = HashTableLayout::Hash(key) & mask;
-    size_t attempts = 0;
-    while (table[slot].key != HashTableLayout::kEmptyKey &&
-           table[slot].key != key) {
-      slot = (slot + 1) & mask;
-      if (++attempts >= num_slots) {
-        return Status::ExecutionError("aggregation hash table full");
+  return WithAggOp(op, [&](auto op_c) {
+    constexpr AggOp kOp = decltype(op_c)::value;
+    return WithIntType(value_type, [&](auto tag) {
+      const auto* values =
+          has_values ? ctx->ptr_as<const decltype(tag)>(f.data_base + 1)
+                     : nullptr;
+      for (size_t i = 0; i < f.n; ++i) {
+        const int32_t key = keys[i];
+        if (key == HashTableLayout::kEmptyKey) {
+          return Status::InvalidArgument("key collides with empty sentinel");
+        }
+        size_t slot = HashTableLayout::Hash(key) & mask;
+        size_t attempts = 0;
+        while (table[slot].key != HashTableLayout::kEmptyKey &&
+               table[slot].key != key) {
+          slot = (slot + 1) & mask;
+          if (++attempts >= num_slots) {
+            return Status::ExecutionError("aggregation hash table full");
+          }
+        }
+        if (table[slot].key == HashTableLayout::kEmptyKey) {
+          table[slot].key = key;
+          table[slot].value = AggIdentity(kOp);
+        }
+        table[slot].value = AggCombine<kOp>(
+            table[slot].value, kOp == AggOp::kCount ? 0 : int64_t{values[i]});
       }
-    }
-    if (table[slot].key == HashTableLayout::kEmptyKey) {
-      table[slot].key = key;
-      table[slot].value = AggIdentity(op);
-    }
-    const int64_t v = has_values ? LoadAs64(values, value_type, i) : 0;
-    table[slot].value = AggCombine(op, table[slot].value, v);
-  }
-  return Status::OK();
+      return Status::OK();
+    });
+  });
 }
 
 // Data: values, pxsum, agg. Scalars: op, value_type, num_groups, init,
@@ -453,25 +554,37 @@ Status SortAggKernel(KernelExecContext* ctx) {
   }
   ADAMANT_RETURN_NOT_OK(CheckIntType(value_type));
 
-  const void* values = ctx->ptr(f.data_base);
   const auto* pxsum = ctx->ptr_as<const int32_t>(f.data_base + 1);
   auto* agg = ctx->ptr_as<int64_t>(f.data_base + 2);
+  if (op != AggOp::kCount) {
+    ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base,
+                                        f.n * ElementSize(value_type),
+                                        "values"));
+  }
+  ADAMANT_RETURN_NOT_OK(
+      CheckCapacity(*ctx, f.data_base + 1, f.n * sizeof(int32_t), "pxsum"));
   ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base + 2,
                                       num_groups * sizeof(int64_t),
                                       "aggregates"));
 
   if (init) std::memset(agg, 0, num_groups * sizeof(int64_t));
-  for (size_t i = 0; i < f.n; ++i) {
-    const auto g = static_cast<size_t>(pxsum[i]);
-    if (g >= num_groups) {
-      return Status::ExecutionError("group index " + std::to_string(g) +
-                                    " out of range " +
-                                    std::to_string(num_groups));
-    }
-    agg[g] = AggCombine(
-        op, agg[g], op == AggOp::kCount ? 0 : LoadAs64(values, value_type, i));
-  }
-  return Status::OK();
+  return WithAggOp(op, [&](auto op_c) {
+    constexpr AggOp kOp = decltype(op_c)::value;
+    return WithIntType(value_type, [&](auto tag) {
+      const auto* values = ctx->ptr_as<const decltype(tag)>(f.data_base);
+      for (size_t i = 0; i < f.n; ++i) {
+        const auto g = static_cast<size_t>(pxsum[i]);
+        if (g >= num_groups) {
+          return Status::ExecutionError("group index " + std::to_string(g) +
+                                        " out of range " +
+                                        std::to_string(num_groups));
+        }
+        agg[g] = AggCombine<kOp>(agg[g],
+                                 kOp == AggOp::kCount ? 0 : int64_t{values[i]});
+      }
+      return Status::OK();
+    });
+  });
 }
 
 // Data: out. Scalars: pattern, has_count. Fills work_items int32 words —

@@ -14,8 +14,10 @@ namespace adamant::kernels {
 
 /// Host implementations of every Table-I primitive, plus launch builders
 /// that encode the argument layout. Each primitive has one implementation:
-/// it decodes and validates its launch once, then runs its row body through
-/// a tiling strategy (task/kernels_internal.h). Under a thread budget of one
+/// it decodes and validates its launch once, checks every buffer it reads
+/// and writes against the rows it touches, resolves its element types and
+/// ops once, then runs its typed row body through a tiling strategy
+/// (task/kernels_internal.h). Under a thread budget of one
 /// thread (KernelExecContext::parallel_threads()), or on a launch of fewer
 /// than two ParallelTileElems()-row tiles, the body runs once over all rows;
 /// otherwise kernels that tile (KernelTiles) split the rows across the

@@ -1,5 +1,6 @@
 #include "task/kernels_fused.h"
 
+#include <array>
 #include <string>
 
 #include "common/logging.h"
@@ -14,19 +15,105 @@ using internal::CheckCapacity;
 using internal::CheckIntType;
 using internal::Compare;
 using internal::Frame;
-using internal::LoadAs64;
-using internal::StoreFrom64;
+using internal::WithAggOp;
+using internal::WithCmpOp;
+using internal::WithIntType;
+using internal::WithMapOp;
 
-/// Decoded, validated fused program: steps plus resolved argument indices.
+/// Rows the interpreter runs through the recipe at a time.
+constexpr size_t kBatchRows = 1024;
+
+/// One batch: rows [begin, begin + rows) of the launch. The first `live`
+/// entries of `sel` are the batch offsets, ascending, of the rows every
+/// filter so far kept; live == rows means all rows are live and `sel` is
+/// not read. Value register r holds row j at reg(r)[j], defined at live
+/// offsets only.
+struct Batch {
+  size_t begin = 0;
+  size_t rows = 0;
+  size_t live = 0;
+  std::array<uint32_t, kBatchRows> sel{};
+  std::vector<int64_t> regs;
+
+  int64_t* reg(int32_t r) {
+    return regs.data() + static_cast<size_t>(r) * kBatchRows;
+  }
+  const int64_t* reg(int32_t r) const {
+    return regs.data() + static_cast<size_t>(r) * kBatchRows;
+  }
+};
+
+/// Calls fn(j) for every live offset j of the batch, in row order.
+template <typename Fn>
+inline void ForLive(const Batch& b, const Fn& fn) {
+  if (b.live == b.rows) {
+    for (size_t j = 0; j < b.rows; ++j) fn(j);
+  } else {
+    for (size_t k = 0; k < b.live; ++k) fn(size_t{b.sel[k]});
+  }
+}
+
+/// A non-terminal recipe step whose op and types were resolved at decode:
+/// `run` is one typed loop over a batch's live rows.
+struct CompiledStep {
+  void (*run)(const CompiledStep&, Batch*) = nullptr;
+  const void* input = nullptr;  // load: the input buffer
+  int64_t imm = 0;              // filter: lo; map: the immediate
+  int64_t hi = 0;               // filter: hi
+  int32_t dst = -1;             // load/map: the register written
+  int32_t src0 = -1;
+  int32_t src1 = -1;
+};
+using StepFn = void (*)(const CompiledStep&, Batch*);
+
+/// A widening copy of the live rows.
+template <typename T>
+void LoadStep(const CompiledStep& st, Batch* b) {
+  const T* in = static_cast<const T*>(st.input) + b->begin;
+  int64_t* dst = b->reg(st.dst);
+  ForLive(*b, [&](size_t j) { dst[j] = in[j]; });
+}
+
+/// Narrows the selection to the live rows the comparison keeps.
+template <CmpOp Op>
+void FilterStep(const CompiledStep& st, Batch* b) {
+  const int64_t* v = b->reg(st.src0);
+  size_t k = 0;
+  ForLive(*b, [&](size_t j) {
+    b->sel[k] = static_cast<uint32_t>(j);
+    k += Compare<Op>(v[j], st.imm, st.hi) ? 1 : 0;
+  });
+  b->live = k;
+}
+
+/// Map arithmetic on live rows only: a row an earlier filter dropped never
+/// reaches it, as in the unfused chain, whose materialize drops the row
+/// before the map kernel runs. The unfused chain stores each result as Out
+/// and the consumer reloads it; the cast replays that round-trip.
+template <MapOp Op, typename Out>
+void MapStep(const CompiledStep& st, Batch* b) {
+  const int64_t* a = b->reg(st.src0);
+  const int64_t* second = st.src1 >= 0 ? b->reg(st.src1) : nullptr;
+  int64_t* dst = b->reg(st.dst);
+  ForLive(*b, [&](size_t j) {
+    dst[j] = static_cast<Out>(
+        ApplyMap<Op>(a[j], st.imm, [&] { return second[j]; }));
+  });
+}
+
+/// Decoded, validated fused program: the non-terminal steps compiled to
+/// typed loops, the terminal and the resolved argument indices.
 struct FusedProgram {
-  std::vector<FusedStep> steps;
+  std::vector<CompiledStep> steps;
+  size_t num_regs = 0;
   size_t num_inputs = 0;
   bool init = false;
   bool agg_terminal = false;
   AggOp agg_op = AggOp::kSum;
   ElementType out_type = ElementType::kInt32;  // stream terminal
-  size_t out_arg = 0;    // stream: out buffer; agg: accumulator
-  size_t count_arg = 0;  // stream only
+  int32_t value_reg = -1;  // register the terminal reads, if any
+  size_t out_arg = 0;      // stream: out buffer; agg: accumulator
+  size_t count_arg = 0;    // stream only
 };
 
 /// The fused scalar list is variable-length, so the standard Frame decode
@@ -44,9 +131,58 @@ Result<Frame> DecodeFusedFrame(const KernelExecContext& ctx) {
       ctx, kFusedStepScalars * static_cast<size_t>(num_steps) + 4);
 }
 
+/// Compiles the validated non-terminal step `st` into `out`. `reg` maps
+/// recipe step indices to registers.
+Status CompileStep(const KernelExecContext& ctx, const Frame& f,
+                   const FusedStep& st, const std::vector<int32_t>& reg,
+                   CompiledStep* out) {
+  // Unvalidated references (a load's, a scalar map's src1) resolve to -1.
+  const auto reg_of = [&](int32_t step) {
+    return step >= 0 && static_cast<size_t>(step) < reg.size()
+               ? reg[static_cast<size_t>(step)]
+               : -1;
+  };
+  out->src0 = reg_of(st.src0);
+  out->src1 = reg_of(st.src1);
+  switch (st.op) {
+    case FusedStep::Op::kLoad:
+      out->input = ctx.ptr(f.data_base + static_cast<size_t>(st.a));
+      out->run = WithIntType(static_cast<ElementType>(st.b),
+                             [](auto tag) -> StepFn {
+                               return &LoadStep<decltype(tag)>;
+                             });
+      return Status::OK();
+    case FusedStep::Op::kFilter: {
+      auto op = static_cast<CmpOp>(st.a);
+      out->imm = st.b;
+      out->hi = st.c;
+      internal::ResolveEmptyRange(&op, &out->imm, out->hi);
+      return WithCmpOp(op, [&](auto op_c) {
+        out->run = &FilterStep<decltype(op_c)::value>;
+        return Status::OK();
+      });
+    }
+    case FusedStep::Op::kMap:
+      out->imm = st.b;
+      return WithMapOp(static_cast<MapOp>(st.a), [&](auto op_c) {
+        out->run = WithIntType(static_cast<ElementType>(st.c),
+                               [](auto tag) -> StepFn {
+                                 return &MapStep<decltype(op_c)::value,
+                                                 decltype(tag)>;
+                               });
+        return Status::OK();
+      });
+    case FusedStep::Op::kEmit:
+    case FusedStep::Op::kAgg:
+      break;
+  }
+  return Status::Internal("fused terminal step compiled as a loop");
+}
+
 /// Checks step well-formedness (register references resolve to
 /// value-producing steps, exactly one terminal, supported ops/types) and
-/// buffer capacities, in deterministic step order.
+/// buffer capacities, in deterministic step order, then compiles the
+/// steps.
 Result<FusedProgram> DecodeFusedProgram(const KernelExecContext& ctx,
                                         const Frame& f) {
   FusedProgram p;
@@ -55,10 +191,10 @@ Result<FusedProgram> DecodeFusedProgram(const KernelExecContext& ctx,
   p.num_inputs = static_cast<size_t>(ctx.scalar(num_args - 3));
   p.init = ctx.scalar(num_args - 4) != 0;
 
-  p.steps.resize(num_steps);
+  std::vector<FusedStep> steps(num_steps);
   for (size_t s = 0; s < num_steps; ++s) {
     const size_t base = f.scalar_base + kFusedStepScalars * s;
-    FusedStep& st = p.steps[s];
+    FusedStep& st = steps[s];
     st.op = static_cast<FusedStep::Op>(ctx.scalar(base));
     st.a = ctx.scalar(base + 1);
     st.b = ctx.scalar(base + 2);
@@ -69,11 +205,11 @@ Result<FusedProgram> DecodeFusedProgram(const KernelExecContext& ctx,
 
   auto is_value = [&](int32_t reg, size_t s) {
     return reg >= 0 && static_cast<size_t>(reg) < s &&
-           (p.steps[reg].op == FusedStep::Op::kLoad ||
-            p.steps[reg].op == FusedStep::Op::kMap);
+           (steps[reg].op == FusedStep::Op::kLoad ||
+            steps[reg].op == FusedStep::Op::kMap);
   };
   for (size_t s = 0; s < num_steps; ++s) {
-    const FusedStep& st = p.steps[s];
+    const FusedStep& st = steps[s];
     const bool terminal = st.op == FusedStep::Op::kEmit ||
                           st.op == FusedStep::Op::kAgg;
     if (terminal != (s + 1 == num_steps)) {
@@ -137,7 +273,7 @@ Result<FusedProgram> DecodeFusedProgram(const KernelExecContext& ctx,
                                    std::to_string(expect_data) +
                                    " data buffers");
   }
-  for (const FusedStep& st : p.steps) {
+  for (const FusedStep& st : steps) {
     if (st.op != FusedStep::Op::kLoad) continue;
     ADAMANT_RETURN_NOT_OK(CheckCapacity(
         ctx, f.data_base + static_cast<size_t>(st.a),
@@ -152,101 +288,85 @@ Result<FusedProgram> DecodeFusedProgram(const KernelExecContext& ctx,
     ADAMANT_RETURN_NOT_OK(
         CheckCapacity(ctx, p.count_arg, sizeof(int64_t), "count"));
   }
+
+  // One register per value step; filters narrow the selection instead.
+  std::vector<int32_t> reg(num_steps, -1);
+  for (size_t s = 0; s + 1 < num_steps; ++s) {
+    CompiledStep step;
+    if (steps[s].op != FusedStep::Op::kFilter) {
+      reg[s] = static_cast<int32_t>(p.num_regs++);
+      step.dst = reg[s];
+    }
+    ADAMANT_RETURN_NOT_OK(CompileStep(ctx, f, steps[s], reg, &step));
+    p.steps.push_back(step);
+  }
+  const int32_t terminal_src = steps.back().src0;
+  p.value_reg = terminal_src >= 0 ? reg[static_cast<size_t>(terminal_src)]
+                                  : -1;
   return p;
 }
 
-/// Per-row evaluator. Returns the row's predicate; *value receives the
-/// terminal's source register. Once the predicate is false downstream map
-/// arithmetic is skipped — exactly the rows the unfused chain's materialize
-/// would have dropped before the map kernel ran, so fused evaluation never
-/// performs arithmetic the unfused chain did not.
-class FusedEval {
- public:
-  FusedEval(const KernelExecContext& ctx, const FusedProgram& p,
-            const Frame& f)
-      : steps_(p.steps) {
-    inputs_.reserve(p.num_inputs);
-    for (size_t i = 0; i < p.num_inputs; ++i) {
-      inputs_.push_back(ctx.ptr(f.data_base + i));
+/// Runs the compiled steps over rows [begin, end) one batch at a time and
+/// hands each batch's live rows to terminal(batch). A batch whose rows a
+/// filter all dropped skips the remaining steps.
+template <typename Terminal>
+void RunBatches(const FusedProgram& p, size_t begin, size_t end,
+                const Terminal& terminal) {
+  Batch b;
+  b.regs.resize(p.num_regs * kBatchRows);
+  for (size_t b0 = begin; b0 < end; b0 += kBatchRows) {
+    b.begin = b0;
+    b.rows = std::min(kBatchRows, end - b0);
+    b.live = b.rows;
+    for (const CompiledStep& st : p.steps) {
+      if (b.live == 0) break;
+      st.run(st, &b);
     }
+    terminal(b);
   }
-
-  bool Row(size_t i, int64_t* value) const {
-    // Step s writes regs[s] before any later step reads it (decode checks
-    // that every read names an earlier value step). Per thread, so tiles
-    // evaluate concurrently.
-    thread_local int64_t regs[kMaxFusedSteps];
-    bool pred = true;
-    for (size_t s = 0; s < steps_.size(); ++s) {
-      const FusedStep& st = steps_[s];
-      switch (st.op) {
-        case FusedStep::Op::kLoad:
-          regs[s] = LoadAs64(inputs_[static_cast<size_t>(st.a)],
-                             static_cast<ElementType>(st.b), i);
-          break;
-        case FusedStep::Op::kFilter:
-          if (pred) {
-            pred = Compare(static_cast<CmpOp>(st.a), regs[st.src0], st.b,
-                           st.c);
-          }
-          regs[s] = 0;
-          break;
-        case FusedStep::Op::kMap: {
-          if (!pred) {
-            regs[s] = 0;
-            break;
-          }
-          const int64_t r = ApplyMap(static_cast<MapOp>(st.a), regs[st.src0],
-                                     st.b, [&] { return regs[st.src1]; });
-          // The unfused chain stores each map result as out_type and the
-          // consumer reloads it; replay that round-trip.
-          regs[s] = static_cast<ElementType>(st.c) == ElementType::kInt32
-                        ? static_cast<int64_t>(static_cast<int32_t>(r))
-                        : r;
-          break;
-        }
-        case FusedStep::Op::kEmit:
-        case FusedStep::Op::kAgg:
-          *value = pred && st.src0 >= 0 ? regs[st.src0] : 0;
-          return pred;
-      }
-    }
-    return false;  // unreachable: decode guarantees a terminal step
-  }
-
- private:
-  const std::vector<FusedStep>& steps_;
-  std::vector<const void*> inputs_;
-};
+}
 
 }  // namespace
 
 Status FusedKernel(KernelExecContext* ctx) {
   ADAMANT_ASSIGN_OR_RETURN(Frame f, DecodeFusedFrame(*ctx));
   ADAMANT_ASSIGN_OR_RETURN(FusedProgram p, DecodeFusedProgram(*ctx, f));
-  const FusedEval eval(*ctx, p, f);
 
   if (p.agg_terminal) {
-    return internal::Fold(
-        ctx, f.n, "fused", p.agg_op, p.init, ctx->ptr_as<int64_t>(p.out_arg),
-        [&](size_t i, int64_t a) {
-          int64_t value = 0;
-          if (!eval.Row(i, &value)) return a;
-          return AggCombine(p.agg_op, a,
-                            p.agg_op == AggOp::kCount ? 0 : value);
-        });
+    return WithAggOp(p.agg_op, [&](auto op_c) {
+      constexpr AggOp kOp = decltype(op_c)::value;
+      return internal::Fold(
+          ctx, f.n, "fused", kOp, p.init, ctx->ptr_as<int64_t>(p.out_arg),
+          [&](size_t begin, size_t end, int64_t a) {
+            RunBatches(p, begin, end, [&](const Batch& b) {
+              const int64_t* v = kOp == AggOp::kCount ? nullptr
+                                                      : b.reg(p.value_reg);
+              ForLive(b, [&](size_t j) {
+                a = AggCombine<kOp>(a, kOp == AggOp::kCount ? 0 : v[j]);
+              });
+            });
+            return a;
+          });
+    });
   }
 
-  void* out = ctx->ptr(p.out_arg);
   const size_t cap = ctx->arg_bytes(p.out_arg) / ElementSize(p.out_type);
-  return internal::Compact(
-      ctx, f.n, "fused", cap, "fused output",
-      [&](size_t i, const auto& emit) {
-        int64_t value = 0;
-        if (eval.Row(i, &value)) emit(value);
-      },
-      [&](size_t k, int64_t value) { StoreFrom64(out, p.out_type, k, value); },
-      ctx->ptr_as<int64_t>(p.count_arg));
+  return WithIntType(p.out_type, [&](auto tag) {
+    using T = decltype(tag);
+    auto* out = ctx->ptr_as<T>(p.out_arg);
+    return internal::Compact(
+        ctx, f.n, "fused", cap, "fused output",
+        [&](size_t begin, size_t end, const auto& emit) {
+          RunBatches(p, begin, end, [&](const Batch& b) {
+            const int64_t* v = b.reg(p.value_reg);
+            ForLive(b, [&](size_t j) { emit(b.begin + j, v[j]); });
+          });
+        },
+        [&](size_t k, size_t, int64_t value) {
+          out[k] = static_cast<T>(value);
+        },
+        ctx->ptr_as<int64_t>(p.count_arg));
+  });
 }
 
 KernelLaunch MakeFused(const std::vector<BufferId>& inputs,

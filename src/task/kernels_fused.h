@@ -13,11 +13,15 @@ namespace adamant::kernels {
 
 /// Single-pass interpreter over a fused recipe (FUSED / FUSED_AGG composite
 /// primitives, see plan::FusionPass). One traversal of the scan inputs
-/// replaces the whole map/filter/materialize[/agg] chain: per row the steps
-/// run in recipe order with predicate short-circuiting, and the terminal
-/// step either compacts survivors into the output (FUSED) or folds them
-/// into an int64 accumulator (FUSED_AGG). Outputs and error messages are
-/// bit-identical to running the unfused chain.
+/// replaces the whole map/filter/materialize[/agg] chain. The recipe runs a
+/// fixed-size batch of rows at a time, each step one typed loop over the
+/// batch's live rows (a selection vector): a load copies them widened to
+/// int64, a filter narrows the selection, a map computes only live rows (so
+/// no arithmetic the unfused chain did not do), and the terminal step
+/// either compacts the live rows in row order into the output (FUSED) or
+/// folds them into an int64 accumulator (FUSED_AGG). Ops and types resolve
+/// once per launch. Outputs and error messages are bit-identical to running
+/// the unfused chain.
 ///
 /// Argument layout (see MakeFused): buffers are [count_in?] in0..inN-1,
 /// then out+count (stream) or acc (agg); scalars are the encoded steps

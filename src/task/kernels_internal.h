@@ -3,17 +3,24 @@
 
 /// Shared decoding, arithmetic and tiling of the Task-layer kernels
 /// (kernels.cc, kernels_fused.cc). Each kernel decodes and validates its
-/// launch once and hands its one row body to one of the four strategies
-/// below. A strategy runs the body once over [0, n) when the launch's thread
-/// budget is one thread or the launch holds fewer than two tiles, and
-/// otherwise over kTileElems-row tiles on the shared task::WorkerPool, with
-/// output and error messages bit-identical to the one-range run:
+/// launch once, resolves its element types and ops once (WithIntType,
+/// WithCmpOp, WithMapOp, WithAggOp), and hands its typed row body to one of
+/// the strategies below. A row loop never switches on a runtime type or op:
+/// the op semantics (Compare, ApplyMap, AggCombine) are templates on the op,
+/// and bitmaps are read and written a 64-bit word at a time.
+///
+/// A strategy runs the body once over [0, n) when the launch's thread budget
+/// is one thread or the launch holds fewer than two tiles, and otherwise
+/// over kTileElems-row tiles on the shared task::WorkerPool, with output and
+/// error messages bit-identical to the one-range run:
 ///
 ///   * ForEachTile: independent tiles (MAP, FILTER_BITMAP,
 ///     MATERIALIZE_POSITION; HASH_BUILD's hash pass).
-///   * Compact: count -> exclusive offset -> compact, reporting the row the
-///     one-range run fails on (FILTER_POSITION, MATERIALIZE, HASH_PROBE,
-///     FUSED streams).
+///   * CompactWords: count -> exclusive offset -> compact over selection
+///     words, reporting the row the one-range run fails on (MATERIALIZE,
+///     FILTER_POSITION).
+///   * Compact: the same over a row scan that emits any number of outputs
+///     per row (HASH_PROBE, FUSED streams).
 ///   * Fold: per-tile folds merged by MergeAggPartials (AGG_BLOCK,
 ///     FUSED_AGG).
 ///   * ScanTiles: the three-pass tile scan (PREFIX_SUM).
@@ -22,8 +29,10 @@
 /// compiles to the plain loop.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -44,20 +53,6 @@ inline Status CheckIntType(ElementType type) {
   return Status::OK();
 }
 
-inline int64_t LoadAs64(const void* ptr, ElementType type, size_t i) {
-  return type == ElementType::kInt32
-             ? static_cast<const int32_t*>(ptr)[i]
-             : static_cast<const int64_t*>(ptr)[i];
-}
-
-inline void StoreFrom64(void* ptr, ElementType type, size_t i, int64_t value) {
-  if (type == ElementType::kInt32) {
-    static_cast<int32_t*>(ptr)[i] = static_cast<int32_t>(value);
-  } else {
-    static_cast<int64_t*>(ptr)[i] = value;
-  }
-}
-
 inline Status CheckCapacity(const KernelExecContext& ctx, size_t arg,
                             size_t needed, const char* what) {
   if (ctx.arg_bytes(arg) < needed) {
@@ -69,7 +64,72 @@ inline Status CheckCapacity(const KernelExecContext& ctx, size_t arg,
   return Status::OK();
 }
 
-inline int64_t AggIdentity(AggOp op) {
+// ---------------------------------------------------------------------------
+// One dispatch per launch: runtime types and ops become compile-time ones.
+// ---------------------------------------------------------------------------
+
+/// Calls f(T{}) with T the C++ type of `type`, which CheckIntType accepted.
+template <typename F>
+decltype(auto) WithIntType(ElementType type, const F& f) {
+  return type == ElementType::kInt32 ? f(int32_t{}) : f(int64_t{});
+}
+
+template <auto V>
+using Const = std::integral_constant<decltype(V), V>;
+
+/// Calls f(Const<op>{}); an op outside the enum is an InvalidArgument.
+template <typename F>
+Status WithCmpOp(CmpOp op, const F& f) {
+  switch (op) {
+    case CmpOp::kLt: return f(Const<CmpOp::kLt>{});
+    case CmpOp::kLe: return f(Const<CmpOp::kLe>{});
+    case CmpOp::kGt: return f(Const<CmpOp::kGt>{});
+    case CmpOp::kGe: return f(Const<CmpOp::kGe>{});
+    case CmpOp::kEq: return f(Const<CmpOp::kEq>{});
+    case CmpOp::kNe: return f(Const<CmpOp::kNe>{});
+    case CmpOp::kBetween: return f(Const<CmpOp::kBetween>{});
+    case CmpOp::kInPair: return f(Const<CmpOp::kInPair>{});
+  }
+  return Status::InvalidArgument("unknown comparison op " +
+                                 std::to_string(static_cast<int64_t>(op)));
+}
+
+template <typename F>
+Status WithMapOp(MapOp op, const F& f) {
+  switch (op) {
+    case MapOp::kAddScalar: return f(Const<MapOp::kAddScalar>{});
+    case MapOp::kSubScalar: return f(Const<MapOp::kSubScalar>{});
+    case MapOp::kMulScalar: return f(Const<MapOp::kMulScalar>{});
+    case MapOp::kAddCol: return f(Const<MapOp::kAddCol>{});
+    case MapOp::kSubCol: return f(Const<MapOp::kSubCol>{});
+    case MapOp::kMulCol: return f(Const<MapOp::kMulCol>{});
+    case MapOp::kMulPctComplement: return f(Const<MapOp::kMulPctComplement>{});
+    case MapOp::kMulPct: return f(Const<MapOp::kMulPct>{});
+    case MapOp::kMulPctPlus: return f(Const<MapOp::kMulPctPlus>{});
+    case MapOp::kIdentity: return f(Const<MapOp::kIdentity>{});
+    case MapOp::kNeqPrev: return f(Const<MapOp::kNeqPrev>{});
+  }
+  return Status::InvalidArgument("unknown map op " +
+                                 std::to_string(static_cast<int64_t>(op)));
+}
+
+template <typename F>
+Status WithAggOp(AggOp op, const F& f) {
+  switch (op) {
+    case AggOp::kSum: return f(Const<AggOp::kSum>{});
+    case AggOp::kCount: return f(Const<AggOp::kCount>{});
+    case AggOp::kMin: return f(Const<AggOp::kMin>{});
+    case AggOp::kMax: return f(Const<AggOp::kMax>{});
+  }
+  return Status::InvalidArgument("unknown aggregate op " +
+                                 std::to_string(static_cast<int64_t>(op)));
+}
+
+// ---------------------------------------------------------------------------
+// Op semantics, each written once.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t AggIdentity(AggOp op) {
   switch (op) {
     case AggOp::kSum:
     case AggOp::kCount:
@@ -82,76 +142,127 @@ inline int64_t AggIdentity(AggOp op) {
   return 0;
 }
 
-inline int64_t AggCombine(AggOp op, int64_t acc, int64_t value) {
-  switch (op) {
-    case AggOp::kSum:
-      return acc + value;
-    case AggOp::kCount:
-      return acc + 1;
-    case AggOp::kMin:
-      return value < acc ? value : acc;
-    case AggOp::kMax:
-      return value > acc ? value : acc;
+/// Folds one row's value into acc; COUNT ignores the value.
+template <AggOp Op>
+inline int64_t AggCombine(int64_t acc, int64_t value) {
+  if constexpr (Op == AggOp::kSum) {
+    return acc + value;
+  } else if constexpr (Op == AggOp::kCount) {
+    return acc + 1;
+  } else if constexpr (Op == AggOp::kMin) {
+    return value < acc ? value : acc;
+  } else {
+    static_assert(Op == AggOp::kMax);
+    return value > acc ? value : acc;
   }
-  return acc;
 }
 
-inline bool Compare(CmpOp op, int64_t v, int64_t lo, int64_t hi) {
-  switch (op) {
-    case CmpOp::kLt:
-      return v < lo;
-    case CmpOp::kLe:
-      return v <= lo;
-    case CmpOp::kGt:
-      return v > lo;
-    case CmpOp::kGe:
-      return v >= lo;
-    case CmpOp::kEq:
-      return v == lo;
-    case CmpOp::kNe:
-      return v != lo;
-    case CmpOp::kBetween:
-      return lo <= v && v <= hi;
-    case CmpOp::kInPair:
-      return v == lo || v == hi;
+/// The comparison `Op` of v against lo (and hi). BETWEEN is lo <= v <= hi as
+/// one unsigned range compare, which needs lo <= hi: WithPredicate turns an
+/// empty range into a predicate no row satisfies.
+template <CmpOp Op>
+inline bool Compare(int64_t v, int64_t lo, int64_t hi) {
+  if constexpr (Op == CmpOp::kLt) {
+    return v < lo;
+  } else if constexpr (Op == CmpOp::kLe) {
+    return v <= lo;
+  } else if constexpr (Op == CmpOp::kGt) {
+    return v > lo;
+  } else if constexpr (Op == CmpOp::kGe) {
+    return v >= lo;
+  } else if constexpr (Op == CmpOp::kEq) {
+    return v == lo;
+  } else if constexpr (Op == CmpOp::kNe) {
+    return v != lo;
+  } else if constexpr (Op == CmpOp::kBetween) {
+    return static_cast<uint64_t>(v) - static_cast<uint64_t>(lo) <=
+           static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  } else {
+    static_assert(Op == CmpOp::kInPair);
+    return (v == lo) | (v == hi);
   }
-  return false;
 }
 
-/// The MAP arithmetic of the map kernel and the fused interpreter: `op` over
+/// A BETWEEN whose range is empty (lo > hi) becomes v < INT64_MIN, which no
+/// row satisfies; every other comparison is left as it is.
+inline void ResolveEmptyRange(CmpOp* op, int64_t* lo, int64_t hi) {
+  if (*op == CmpOp::kBetween && *lo > hi) {
+    *op = CmpOp::kLt;
+    *lo = INT64_MIN;
+  }
+}
+
+/// Calls f(pred), pred(v) being the comparison `op` of v against lo/hi with
+/// the op a compile-time constant.
+template <typename F>
+Status WithPredicate(CmpOp op, int64_t lo, int64_t hi, const F& f) {
+  ResolveEmptyRange(&op, &lo, hi);
+  return WithCmpOp(op, [&](auto op_c) {
+    return f([lo, hi](int64_t v) {
+      return Compare<decltype(op_c)::value>(v, lo, hi);
+    });
+  });
+}
+
+/// The MAP arithmetic of the map kernel and the fused interpreter: `Op` over
 /// `a`, the immediate `imm` and `b()`, the second operand of the ops that
 /// read a second column (for the percentage ops an int32 percentage).
 /// kNeqPrev is the map kernel's alone: its b() is the previous row's value,
 /// or `a` on row 0.
-template <typename SecondOperand>
-inline int64_t ApplyMap(MapOp op, int64_t a, int64_t imm,
-                        const SecondOperand& b) {
-  switch (op) {
-    case MapOp::kAddScalar:
-      return a + imm;
-    case MapOp::kSubScalar:
-      return a - imm;
-    case MapOp::kMulScalar:
-      return a * imm;
-    case MapOp::kAddCol:
-      return a + b();
-    case MapOp::kSubCol:
-      return a - b();
-    case MapOp::kMulCol:
-      return a * b();
-    case MapOp::kMulPctComplement:
-      // Fixed-point price * (1 - discount).
-      return a * (100 - b()) / 100;
-    case MapOp::kMulPct:
-      return a * b() / 100;
-    case MapOp::kMulPctPlus:
-      return a * (100 + b()) / 100;
-    case MapOp::kIdentity:
-      return a;
-    case MapOp::kNeqPrev:
-      return a != b() ? 1 : 0;
+template <MapOp Op, typename SecondOperand>
+inline int64_t ApplyMap(int64_t a, int64_t imm, const SecondOperand& b) {
+  if constexpr (Op == MapOp::kAddScalar) {
+    return a + imm;
+  } else if constexpr (Op == MapOp::kSubScalar) {
+    return a - imm;
+  } else if constexpr (Op == MapOp::kMulScalar) {
+    return a * imm;
+  } else if constexpr (Op == MapOp::kAddCol) {
+    return a + b();
+  } else if constexpr (Op == MapOp::kSubCol) {
+    return a - b();
+  } else if constexpr (Op == MapOp::kMulCol) {
+    return a * b();
+  } else if constexpr (Op == MapOp::kMulPctComplement) {
+    // Fixed-point price * (1 - discount).
+    return a * (100 - b()) / 100;
+  } else if constexpr (Op == MapOp::kMulPct) {
+    return a * b() / 100;
+  } else if constexpr (Op == MapOp::kMulPctPlus) {
+    return a * (100 + b()) / 100;
+  } else if constexpr (Op == MapOp::kIdentity) {
+    return a;
+  } else {
+    static_assert(Op == MapOp::kNeqPrev);
+    return a != b() ? 1 : 0;
   }
-  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// Bitmap words.
+// ---------------------------------------------------------------------------
+
+/// The mask of word w's rows below n: all ones unless w is the tail word.
+inline uint64_t LiveBits(size_t n, size_t w) {
+  const size_t m = n - w * 64;
+  return m >= 64 ? ~uint64_t{0} : (uint64_t{1} << m) - 1;
+}
+
+/// The predicate word of rows in[0, m), m <= 64: bit j is pred(in[j]), bits
+/// m and up are zero. Full words run a fixed 64-row loop.
+template <typename T, typename Pred>
+inline uint64_t PredicateWord(const T* in, size_t m, const Pred& pred) {
+  uint64_t word = 0;
+  if (m == 64) {
+    for (size_t j = 0; j < 64; ++j) {
+      word |= static_cast<uint64_t>(pred(static_cast<int64_t>(in[j]))) << j;
+    }
+  } else {
+    for (size_t j = 0; j < m; ++j) {
+      word |= static_cast<uint64_t>(pred(static_cast<int64_t>(in[j]))) << j;
+    }
+  }
+  return word;
 }
 
 /// Decoded argument frame: handles the `has_count_in` convention uniformly.
@@ -195,9 +306,10 @@ struct Frame {
 // Tiling strategies.
 // ---------------------------------------------------------------------------
 
-/// Tile size (tuples): a power of two and a multiple of 64, so every
-/// FILTER_BITMAP tile owns whole bitmap words.
+/// Tile size (tuples): a power of two and a multiple of 64, so every tile
+/// owns whole bitmap words.
 constexpr size_t kTileElems = 16384;
+constexpr size_t kTileWords = kTileElems / 64;
 
 inline size_t NumTiles(size_t n) { return (n + kTileElems - 1) / kTileElems; }
 
@@ -222,6 +334,31 @@ Status RunTiles(KernelExecContext* ctx, size_t n, const char* label,
       ctx->cancel());
 }
 
+/// Exclusive scan of per-tile output counts into tile offsets, in place;
+/// returns the total.
+inline size_t ExclusiveScan(std::vector<size_t>* counts) {
+  size_t total = 0;
+  for (size_t& c : *counts) {
+    const size_t tile_count = c;
+    c = total;
+    total += tile_count;
+  }
+  return total;
+}
+
+/// The tile holding output cap + 1 of an overflowing compaction: the last
+/// tile that starts at or below cap.
+inline size_t OverflowTile(const std::vector<size_t>& offsets, size_t cap) {
+  size_t t = offsets.size() - 1;
+  while (offsets[t] > cap) --t;
+  return t;
+}
+
+inline Status OverflowAt(const char* what, size_t row) {
+  return Status::ExecutionError(std::string(what) + " overflow at row " +
+                                std::to_string(row));
+}
+
 /// Independent tiles: body(begin, end) handles rows [begin, end) and
 /// returns its first error. Tiles fail on their first bad row and the pool
 /// reports the lowest failing tile, so the error is the one-range run's.
@@ -234,28 +371,109 @@ Status ForEachTile(KernelExecContext* ctx, size_t n, const char* label,
   });
 }
 
-/// Compaction: row(i, emit) calls emit(values...) once per output of row i,
-/// in order, and write(k, values...) stores output k. At most `cap`
+/// Compaction over selection words: word(w) returns the selection bits of
+/// rows [64w, 64w + 64), zero at rows n and up, and write(k, i) stores
+/// output k from row i. Zero words are skipped and set bits walked in row
+/// order, one popcount per word checking the capacity. At most `cap`
 /// outputs fit; past that the launch fails with "<what> overflow at row i"
-/// for the row the one-range run fails on. On success *count receives the
-/// number of outputs, which appear in row order.
-template <typename Row, typename Write>
-Status Compact(KernelExecContext* ctx, size_t n, const char* label,
-               size_t cap, const char* what, const Row& row,
-               const Write& write, int64_t* count) {
-  const auto overflow_at = [what](size_t i) {
-    return Status::ExecutionError(std::string(what) + " overflow at row " +
-                                  std::to_string(i));
+/// for the row of output cap + 1. On success *count receives the number of
+/// outputs.
+template <typename Word, typename Write>
+Status CompactWords(KernelExecContext* ctx, size_t n, const char* label,
+                    size_t cap, const char* what, const Word& word,
+                    const Write& write, int64_t* count) {
+  // Writes the set rows of words [wb, we) from output *next on.
+  const auto walk = [&](size_t wb, size_t we, size_t* next) {
+    size_t k = *next;
+    for (size_t w = wb; w < we; ++w) {
+      uint64_t bits = word(w);
+      if (bits == 0) continue;
+      const size_t base = w * 64;
+      if (k + static_cast<size_t>(std::popcount(bits)) > cap) {
+        // Row by row inside the word that overflows.
+        for (; k < cap; ++k, bits &= bits - 1) {
+          write(k, base + static_cast<size_t>(std::countr_zero(bits)));
+        }
+        return OverflowAt(what,
+                          base + static_cast<size_t>(std::countr_zero(bits)));
+      }
+      if (bits == ~uint64_t{0}) {
+        // A full word copies 64 consecutive rows.
+        for (size_t j = 0; j < 64; ++j) write(k + j, base + j);
+        k += 64;
+        continue;
+      }
+      for (; bits != 0; bits &= bits - 1) {
+        write(k++, base + static_cast<size_t>(std::countr_zero(bits)));
+      }
+    }
+    *next = k;
+    return Status::OK();
   };
+  const size_t num_words = (n + 63) / 64;
   if (!RunsTiled(*ctx, n)) {
     size_t k = 0;
-    for (size_t i = 0; i < n; ++i) {
-      row(i, [&](auto... values) {
-        if (k < cap) write(k, values...);
-        ++k;
-      });
-      if (k > cap) return overflow_at(i);
+    ADAMANT_RETURN_NOT_OK(walk(0, num_words, &k));
+    *count = static_cast<int64_t>(k);
+    return Status::OK();
+  }
+  const auto tile_words = [&](size_t t) {
+    return std::pair{t * kTileWords, std::min(num_words, (t + 1) * kTileWords)};
+  };
+  // Count pass (popcounts), then the exclusive scan into tile offsets.
+  std::vector<size_t> offsets(NumTiles(n), 0);
+  ADAMANT_RETURN_NOT_OK(RunTiles(ctx, n, label, [&](size_t t, size_t, size_t) {
+    const auto [wb, we] = tile_words(t);
+    size_t c = 0;
+    for (size_t w = wb; w < we; ++w) {
+      c += static_cast<size_t>(std::popcount(word(w)));
     }
+    offsets[t] = c;
+    return Status::OK();
+  }));
+  const size_t total = ExclusiveScan(&offsets);
+  if (total > cap) {
+    const size_t t = OverflowTile(offsets, cap);
+    size_t k = offsets[t];
+    ADAMANT_RETURN_NOT_OK(walk(tile_words(t).first, num_words, &k));
+    return Status::Internal(std::string(what) + " overflow row not found");
+  }
+  ADAMANT_RETURN_NOT_OK(RunTiles(ctx, n, label, [&](size_t t, size_t, size_t) {
+    const auto [wb, we] = tile_words(t);
+    size_t k = offsets[t];
+    return walk(wb, we, &k);
+  }));
+  *count = static_cast<int64_t>(total);
+  return Status::OK();
+}
+
+/// Compaction over a row scan: scan(begin, end, emit) visits rows
+/// [begin, end) in order and calls emit(i, values...) once per output of
+/// row i, and write(k, i, values...) stores output k. At most `cap` outputs
+/// fit; past that the launch fails with "<what> overflow at row i" for the
+/// row of output cap + 1. On success *count receives the number of outputs,
+/// which appear in row order.
+template <typename Scan, typename Write>
+Status Compact(KernelExecContext* ctx, size_t n, const char* label,
+               size_t cap, const char* what, const Scan& scan,
+               const Write& write, int64_t* count) {
+  // Writes the outputs of rows [begin, end) from output k on; returns the
+  // output count after them. *fail receives the row of output cap + 1.
+  const auto run = [&](size_t begin, size_t end, size_t k, size_t* fail) {
+    scan(begin, end, [&](size_t i, auto... values) {
+      if (k < cap) {
+        write(k, i, values...);
+      } else if (k == cap) {
+        *fail = i;
+      }
+      ++k;
+    });
+    return k;
+  };
+  size_t fail = 0;
+  if (!RunsTiled(*ctx, n)) {
+    const size_t k = run(0, n, 0, &fail);
+    if (k > cap) return OverflowAt(what, fail);
     *count = static_cast<int64_t>(k);
     return Status::OK();
   }
@@ -264,55 +482,36 @@ Status Compact(KernelExecContext* ctx, size_t n, const char* label,
   ADAMANT_RETURN_NOT_OK(
       RunTiles(ctx, n, label, [&](size_t t, size_t begin, size_t end) {
         size_t c = 0;
-        for (size_t i = begin; i < end; ++i) row(i, [&](auto...) { ++c; });
+        scan(begin, end, [&](size_t, auto...) { ++c; });
         offsets[t] = c;
         return Status::OK();
       }));
-  size_t total = 0;
-  for (size_t& offset : offsets) {
-    const size_t tile_count = offset;
-    offset = total;
-    total += tile_count;
-  }
+  const size_t total = ExclusiveScan(&offsets);
   if (total > cap) {
-    // The failing row emits output cap + 1; it lies in the last tile that
-    // starts at or below cap.
-    size_t t = offsets.size() - 1;
-    while (offsets[t] > cap) --t;
-    size_t k = offsets[t];
-    for (size_t i = t * kTileElems; i < n; ++i) {
-      row(i, [&](auto...) { ++k; });
-      if (k > cap) return overflow_at(i);
-    }
-    return Status::Internal(std::string(what) + " overflow row not found");
+    const size_t t = OverflowTile(offsets, cap);
+    run(t * kTileElems, n, offsets[t], &fail);
+    return OverflowAt(what, fail);
   }
   ADAMANT_RETURN_NOT_OK(
       RunTiles(ctx, n, label, [&](size_t t, size_t begin, size_t end) {
-        size_t k = offsets[t];
-        for (size_t i = begin; i < end; ++i) {
-          row(i, [&](auto... values) { write(k++, values...); });
-        }
+        run(begin, end, offsets[t], &fail);
         return Status::OK();
       }));
   *count = static_cast<int64_t>(total);
   return Status::OK();
 }
 
-/// Block fold: row(i, a) folds row i into the aggregate a. The result goes
-/// to *acc, folded onto the op's identity when `init`, else onto *acc.
-/// Tiles fold from the identity and merge in tile order; int64
-/// SUM/COUNT/MIN/MAX merges are associative, so the result is the
-/// one-range left fold's.
-template <typename Row>
+/// Block fold: fold(begin, end, a) folds rows [begin, end) in order into
+/// the aggregate a and returns it. The result goes to *acc, folded onto the
+/// op's identity when `init`, else onto *acc. Tiles fold from the identity
+/// and merge in tile order; int64 SUM/COUNT/MIN/MAX merges are associative,
+/// so the result is the one-range left fold's.
+template <typename RangeFold>
 Status Fold(KernelExecContext* ctx, size_t n, const char* label, AggOp op,
-            bool init, int64_t* acc, const Row& row) {
-  const auto fold = [&](size_t begin, size_t end, int64_t a) {
-    for (size_t i = begin; i < end; ++i) a = row(i, a);
-    return a;
-  };
+            bool init, int64_t* acc, const RangeFold& fold) {
   int64_t a = init ? AggIdentity(op) : *acc;
   if (!RunsTiled(*ctx, n)) {
-    *acc = fold(0, n, a);
+    *acc = fold(size_t{0}, n, a);
     return Status::OK();
   }
   std::vector<int64_t> partials(NumTiles(n), 0);

@@ -154,9 +154,10 @@ enum class ProbeMode : int64_t {
 /// One step of a fused recipe. The fused kernel is a register machine: step
 /// `s` writes register `s` (loads and maps produce values; filters AND into
 /// the row predicate), and the single terminal step emits or aggregates.
-/// Steps are evaluated per row in recipe (topological) order with predicate
+/// A row meets the steps in recipe (topological) order with predicate
 /// short-circuiting, which is exactly the row's fate in the unfused chain:
-/// a row dropped by a filter never reaches downstream map arithmetic.
+/// a row dropped by a filter never reaches downstream map arithmetic. (The
+/// kernel runs each step over a batch of rows, kernels_fused.h.)
 struct FusedStep {
   enum class Op : int64_t {
     /// reg = load(input buffer `a`) as ElementType `b`.

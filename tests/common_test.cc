@@ -145,23 +145,6 @@ TEST(BitUtil, PowersOfTwo) {
   EXPECT_EQ(bit_util::NextPowerOfTwo(1025), 2048u);
 }
 
-TEST(BitUtil, SetGetClearBits) {
-  uint64_t bitmap[2] = {0, 0};
-  bit_util::SetBit(bitmap, 0);
-  bit_util::SetBit(bitmap, 63);
-  bit_util::SetBit(bitmap, 64);
-  EXPECT_TRUE(bit_util::GetBit(bitmap, 0));
-  EXPECT_TRUE(bit_util::GetBit(bitmap, 63));
-  EXPECT_TRUE(bit_util::GetBit(bitmap, 64));
-  EXPECT_FALSE(bit_util::GetBit(bitmap, 1));
-  bit_util::ClearBit(bitmap, 63);
-  EXPECT_FALSE(bit_util::GetBit(bitmap, 63));
-  bit_util::SetBitTo(bitmap, 5, true);
-  EXPECT_TRUE(bit_util::GetBit(bitmap, 5));
-  bit_util::SetBitTo(bitmap, 5, false);
-  EXPECT_FALSE(bit_util::GetBit(bitmap, 5));
-}
-
 TEST(BitUtil, CountSetBitsHonorsTail) {
   uint64_t bitmap[2] = {~uint64_t{0}, ~uint64_t{0}};
   EXPECT_EQ(bit_util::CountSetBits(bitmap, 128), 128u);

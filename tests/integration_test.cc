@@ -198,5 +198,52 @@ INSTANTIATE_TEST_SUITE_P(
              }(std::get<1>(info.param));
     });
 
+// ExtractQ3 joins orderdate/shippriority back from the catalog's orders; a
+// group key orders lacks is an Internal error naming the first such key in
+// key order.
+TEST(ExtractQ3Test, GroupKeyMissingFromOrdersNamesTheFirstInKeyOrder) {
+  const auto& catalog = *TpchFixture::Get().catalog;
+  DeviceManager manager;
+  auto device = manager.AddDriver(sim::DriverKind::kCudaGpu);
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
+  auto bundle = plan::BuildQ3(catalog, {}, *device);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  auto exec = QueryExecutor(&manager).Run(bundle->graph.get(), {});
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  auto groups = exec->GroupResults(bundle->result_node);
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_GE(groups->size(), 3u);
+
+  // Orders without the second and third group keys (TPC-H keys are >= 1).
+  auto orders = catalog.GetTable("orders");
+  ASSERT_TRUE(orders.ok());
+  auto orderkey = (*orders)->GetColumn("o_orderkey");
+  ASSERT_TRUE(orderkey.ok());
+  const int32_t* keys = (*orderkey)->data<int32_t>();
+  std::vector<int32_t> stripped(keys, keys + (*orderkey)->length());
+  for (int32_t& key : stripped) {
+    if (key == (*groups)[1].first || key == (*groups)[2].first) key = 0;
+  }
+  auto lacking_orders = std::make_shared<Table>("orders");
+  ASSERT_TRUE(lacking_orders
+                  ->AddColumn(Column::FromVector("o_orderkey", stripped))
+                  .ok());
+  for (const char* name : {"o_orderdate", "o_shippriority"}) {
+    auto column = (*orders)->GetColumn(name);
+    ASSERT_TRUE(column.ok());
+    ASSERT_TRUE(lacking_orders->AddColumn(*column).ok());
+  }
+  Catalog lacking;
+  ASSERT_TRUE(lacking.AddTable(lacking_orders).ok());
+
+  auto rows = plan::ExtractQ3(*bundle, *exec, lacking, {});
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsInternal()) << rows.status().ToString();
+  EXPECT_EQ(rows.status().message(),
+            "Q3 group key " + std::to_string((*groups)[1].first) +
+                " not in orders");
+}
+
 }  // namespace
 }  // namespace adamant

@@ -1,15 +1,14 @@
-// Kernel thread budgets: bit-identity of tiled runs against one-range runs
-// of the same kernel, the simulated speedup a four-thread budget charges,
-// plus WorkerPool unit tests.
+// Kernel thread budgets: every kernel checked against the per-row reference
+// (kernel_reference.h) at budgets of one and four threads, the simulated
+// speedup a four-thread budget charges, plus WorkerPool unit tests.
 //
-// Every kernel that tiles runs the same launch twice on a fresh openmp_cpu
-// device (own budget four threads) — once at a budget of one thread (one
-// range), once at four threads (tiles from two tiles up) — across a size
-// sweep covering 0, 1, tile-1, tile, tile+1, non-tile-multiples and larger
-// sizes.
-// Outputs must be byte-identical and failure Statuses (message included)
-// must match, including the capacity overflow, gather-range, and
-// hash-table error paths.
+// Each launch runs three times on fresh openmp_cpu devices (own budget four
+// threads): through the per-row reference on host copies of its buffers, at
+// a budget of one thread (one range), and at four threads (tiles from two
+// tiles up). The size sweeps cover 0, 1, the bitmap-word edges 63/64/65,
+// tile-1, tile, tile+1 and larger sizes. Outputs must be byte-identical and
+// failure Statuses (message included) must match, including the capacity
+// overflow, gather-range, and hash-table error paths.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +16,14 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "common/bit_util.h"
 #include "common/random.h"
 #include "device/device_manager.h"
+#include "kernel_reference.h"
 #include "task/hash_table.h"
 #include "task/kernel_registry.h"
 #include "task/kernels.h"
@@ -61,6 +62,7 @@ struct Rig {
     if (bytes > 0) {
       ADAMANT_CHECK(dev->PlaceData(*buf, data, bytes, 0).ok());
     }
+    sizes[*buf] = std::max<size_t>(bytes, 1);
     return *buf;
   }
   template <typename T>
@@ -78,6 +80,9 @@ struct Rig {
     }
     return out;
   }
+
+  /// Bytes of every buffer pushed.
+  std::map<BufferId, size_t> sizes;
 };
 
 struct Launched {
@@ -107,18 +112,58 @@ RunResult RunWithThreads(int threads, const SetupFn& setup) {
   return result;
 }
 
-/// The property: one-thread and four-thread runs of the same launch agree
-/// on Status (message included) and every output byte.
-void ExpectParity(const SetupFn& setup, const std::string& what) {
-  RunResult scalar = RunWithThreads(1, setup);
-  RunResult parallel = RunWithThreads(kDefaultKernelThreads, setup);
-  EXPECT_EQ(scalar.status.ok(), parallel.status.ok()) << what;
-  EXPECT_EQ(scalar.status.ToString(), parallel.status.ToString()) << what;
-  ASSERT_EQ(scalar.outputs.size(), parallel.outputs.size()) << what;
-  for (size_t i = 0; i < scalar.outputs.size(); ++i) {
-    EXPECT_EQ(scalar.outputs[i], parallel.outputs[i])
-        << what << " output " << i;
+/// Runs the launch through the per-row reference on host copies of its
+/// buffers as `setup` left them on the device.
+RunResult RunReference(const SetupFn& setup) {
+  Rig rig;
+  Launched l = setup(rig);
+  std::map<BufferId, std::vector<uint8_t>> host;
+  std::vector<void*> pointers(l.launch.args.size(), nullptr);
+  std::vector<size_t> sizes(l.launch.args.size(), 0);
+  for (size_t i = 0; i < l.launch.args.size(); ++i) {
+    const KernelArg& arg = l.launch.args[i];
+    if (!arg.is_buffer()) continue;
+    auto [it, fresh] = host.try_emplace(arg.buffer);
+    if (fresh) {
+      it->second = rig.PullBytes(arg.buffer, rig.sizes.at(arg.buffer));
+    }
+    pointers[i] = it->second.data();
+    sizes[i] = it->second.size();
   }
+  KernelExecContext ctx(std::move(pointers), std::move(sizes), l.launch.args,
+                        l.launch.work_items);
+  const HostKernelFn fn = reference::KernelFn(l.launch.kernel_name);
+  ADAMANT_CHECK(fn != nullptr) << l.launch.kernel_name;
+  RunResult result;
+  result.status = fn(&ctx).WithContext("kernel '" + l.launch.kernel_name +
+                                       "' on " + rig.dev->name());
+  if (result.status.ok()) {
+    for (const auto& [id, bytes] : l.outputs) {
+      const std::vector<uint8_t>& buf = host.at(id);
+      result.outputs.emplace_back(buf.begin(), buf.begin() + bytes);
+    }
+  }
+  return result;
+}
+
+void ExpectSameRun(const RunResult& want, const RunResult& got,
+                   const std::string& what) {
+  EXPECT_EQ(want.status.ok(), got.status.ok()) << what;
+  EXPECT_EQ(want.status.ToString(), got.status.ToString()) << what;
+  ASSERT_EQ(want.outputs.size(), got.outputs.size()) << what;
+  for (size_t i = 0; i < want.outputs.size(); ++i) {
+    EXPECT_EQ(want.outputs[i], got.outputs[i]) << what << " output " << i;
+  }
+}
+
+/// The property: the per-row reference, a one-thread run and a four-thread
+/// run of the same launch agree on Status (message included) and every
+/// output byte.
+void ExpectParity(const SetupFn& setup, const std::string& what) {
+  const RunResult reference = RunReference(setup);
+  ExpectSameRun(reference, RunWithThreads(1, setup), what + " budget 1");
+  ExpectSameRun(reference, RunWithThreads(kDefaultKernelThreads, setup),
+                what + " budget 4");
 }
 
 std::vector<int32_t> RandomInts(size_t n, uint64_t seed, int64_t lo,
@@ -605,7 +650,8 @@ std::vector<FusedStep> FusedRecipe(const FusedStep& terminal) {
 
 /// A stream (load -> filter -> map -> emit) launch over n rows whose output
 /// holds `cap` values.
-Launched FusedStream(Rig& rig, size_t n, size_t cap, uint64_t seed) {
+Launched FusedStream(Rig& rig, size_t n, size_t cap, uint64_t seed,
+                     BufferId count_in = kInvalidBuffer) {
   BufferId price = rig.PushVec(RandomInts(n, seed, 0, 1000));
   BufferId pct = rig.PushVec(RandomInts(n, seed + 1, 0, 10));
   BufferId out = rig.PushZeros(cap * 8);
@@ -614,7 +660,7 @@ Launched FusedStream(Rig& rig, size_t n, size_t cap, uint64_t seed) {
                               static_cast<int64_t>(ElementType::kInt64), 0, 0,
                               3);
   return Launched{kernels::MakeFused({price, pct}, out, count,
-                                     FusedRecipe(emit), false, n),
+                                     FusedRecipe(emit), false, n, count_in),
                   {{out, cap * 8}, {count, 8}}};
 }
 
@@ -658,6 +704,663 @@ TEST(KernelVariantParity, FusedAgg) {
               " n=" + std::to_string(n));
     }
   }
+}
+
+// --- Per-row reference sweeps ---------------------------------------------
+//
+// Every CmpOp, MapOp and AggOp on int32 and int64 columns at the sizes
+// around a bitmap word and a tile, plus the edges the typed bodies special-
+// case: empty and extreme BETWEEN ranges, bits past n, device counts below
+// work_items and overflows whose capacity ends mid-word.
+
+const size_t kEdgeSizes[] = {0,     1,     63,    64,
+                             65,    16383, 16385, 2 * 16384 + 7};
+constexpr size_t kTwoTilesPlus7 = 2 * 16384 + 7;
+constexpr ElementType kIntTypes[] = {ElementType::kInt32,
+                                     ElementType::kInt64};
+constexpr CmpOp kCmpOps[] = {CmpOp::kLt, CmpOp::kLe,      CmpOp::kGt,
+                             CmpOp::kGe, CmpOp::kEq,      CmpOp::kNe,
+                             CmpOp::kBetween, CmpOp::kInPair};
+constexpr MapOp kMapOps[] = {
+    MapOp::kAddScalar,  MapOp::kSubScalar,        MapOp::kMulScalar,
+    MapOp::kAddCol,     MapOp::kSubCol,           MapOp::kMulCol,
+    MapOp::kMulPctComplement, MapOp::kMulPct,     MapOp::kMulPctPlus,
+    MapOp::kIdentity,   MapOp::kNeqPrev};
+constexpr AggOp kAggOps[] = {AggOp::kSum, AggOp::kCount, AggOp::kMin,
+                             AggOp::kMax};
+
+std::string Label(const char* kernel, ElementType type, int64_t op,
+                  size_t n) {
+  return std::string(kernel) + " " + ElementTypeName(type) + " op=" +
+         std::to_string(op) + " n=" + std::to_string(n);
+}
+
+/// The bytes of an n-row `type` column drawn from [lo, hi]; rows 0 and 1
+/// (when present) hold the type's minimum and maximum when `extremes`.
+std::vector<uint8_t> RandomColumn(ElementType type, size_t n, uint64_t seed,
+                                  int64_t lo, int64_t hi,
+                                  bool extremes = false) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n * ElementSize(type));
+  const bool narrow = type == ElementType::kInt32;
+  for (size_t i = 0; i < n; ++i) {
+    int64_t v = rng.Uniform(lo, hi);
+    if (extremes && i < 2) {
+      v = i == 0 ? (narrow ? INT32_MIN : INT64_MIN)
+                 : (narrow ? INT32_MAX : INT64_MAX);
+    }
+    if (narrow) {
+      const auto v32 = static_cast<int32_t>(v);
+      std::memcpy(&bytes[i * 4], &v32, 4);
+    } else {
+      std::memcpy(&bytes[i * 8], &v, 8);
+    }
+  }
+  return bytes;
+}
+
+/// A word-padded bitmap over n rows, each bit set with probability pct/100,
+/// the padding bits past n included.
+std::vector<uint8_t> RandomBitmap(size_t n, uint64_t seed, int pct) {
+  Rng rng(seed);
+  std::vector<uint64_t> words(bit_util::WordsForBits(n), 0);
+  for (uint64_t& w : words) {
+    for (int j = 0; j < 64; ++j) {
+      if (rng.Uniform(0, 99) < pct) w |= uint64_t{1} << j;
+    }
+  }
+  std::vector<uint8_t> bytes(words.size() * 8);
+  if (!bytes.empty()) std::memcpy(bytes.data(), words.data(), bytes.size());
+  return bytes;
+}
+
+BufferId PushCount(Rig& rig, int64_t count) {
+  return rig.PushVec(std::vector<int64_t>{count});
+}
+
+TEST(KernelReference, FilterBitmapEveryOp) {
+  for (ElementType type : kIntTypes) {
+    for (CmpOp op : kCmpOps) {
+      for (bool combine : {false, true}) {
+        for (size_t n : kEdgeSizes) {
+          ExpectParity(
+              [=](Rig& rig) {
+                BufferId in =
+                    rig.PushVec(RandomColumn(type, n, 7 + n, -20, 20));
+                // Preset bits, those past n included, which must survive.
+                const size_t bytes = bit_util::BytesForBits(n);
+                BufferId bitmap = rig.PushVec(RandomBitmap(n, 11 + n, 50));
+                return Launched{kernels::MakeFilterBitmap(in, bitmap, op, type,
+                                                          -5, 9, combine, n),
+                                {{bitmap, bytes}}};
+              },
+              Label("filter_bitmap", type, static_cast<int64_t>(op), n) +
+                  (combine ? " and" : ""));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelReference, FilterPositionEveryOp) {
+  for (ElementType type : kIntTypes) {
+    for (CmpOp op : kCmpOps) {
+      for (size_t n : kEdgeSizes) {
+        ExpectParity(
+            [=](Rig& rig) {
+              BufferId in = rig.PushVec(RandomColumn(type, n, 13 + n, -20, 20));
+              BufferId positions = rig.PushZeros(n * 4);
+              BufferId count = rig.PushZeros(8);
+              return Launched{kernels::MakeFilterPosition(
+                                  in, positions, count, op, type, -5, 9, n),
+                              {{positions, n * 4}, {count, 8}}};
+            },
+            Label("filter_position", type, static_cast<int64_t>(op), n));
+      }
+    }
+  }
+}
+
+/// load(type) -> filter `op` against lo/hi -> emit as `type`.
+Launched FusedFilterStream(Rig& rig, ElementType type, CmpOp op, int64_t lo,
+                           int64_t hi, const std::vector<uint8_t>& column,
+                           size_t n) {
+  const auto t = static_cast<int64_t>(type);
+  BufferId in = rig.PushVec(column);
+  BufferId out = rig.PushZeros(n * ElementSize(type));
+  BufferId count = rig.PushZeros(8);
+  return Launched{
+      kernels::MakeFused({in}, out, count,
+                         {Step(FusedStep::Op::kLoad, 0, t),
+                          Step(FusedStep::Op::kFilter,
+                               static_cast<int64_t>(op), lo, hi, 0),
+                          Step(FusedStep::Op::kEmit, t, 0, 0, 0)},
+                         false, n),
+      {{out, n * ElementSize(type)}, {count, 8}}};
+}
+
+TEST(KernelReference, BetweenEmptyAndExtremeRanges) {
+  struct Range {
+    int64_t lo, hi;
+  };
+  const Range kRanges[] = {{9, -5},
+                           {INT64_MAX, INT64_MIN},
+                           {INT64_MIN, INT64_MAX},
+                           {INT64_MIN, 3},
+                           {-3, INT64_MAX},
+                           {INT64_MIN, INT64_MIN},
+                           {INT64_MAX, INT64_MAX},
+                           {INT32_MIN, INT32_MAX}};
+  const size_t n = kTwoTilesPlus7;
+  for (ElementType type : kIntTypes) {
+    for (const Range& r : kRanges) {
+      const std::string what = std::string(ElementTypeName(type)) + " [" +
+                               std::to_string(r.lo) + ", " +
+                               std::to_string(r.hi) + "]";
+      const auto column = [=] {
+        return RandomColumn(type, n, 17, -20, 20, /*extremes=*/true);
+      };
+      for (bool combine : {false, true}) {
+        ExpectParity(
+            [=](Rig& rig) {
+              BufferId in = rig.PushVec(column());
+              BufferId bitmap = rig.PushVec(RandomBitmap(n, 19, 50));
+              return Launched{
+                  kernels::MakeFilterBitmap(in, bitmap, CmpOp::kBetween, type,
+                                            r.lo, r.hi, combine, n),
+                  {{bitmap, bit_util::BytesForBits(n)}}};
+            },
+            "filter_bitmap between " + what);
+      }
+      ExpectParity(
+          [=](Rig& rig) {
+            BufferId in = rig.PushVec(column());
+            BufferId positions = rig.PushZeros(n * 4);
+            BufferId count = rig.PushZeros(8);
+            return Launched{
+                kernels::MakeFilterPosition(in, positions, count,
+                                            CmpOp::kBetween, type, r.lo, r.hi,
+                                            n),
+                {{positions, n * 4}, {count, 8}}};
+          },
+          "filter_position between " + what);
+      ExpectParity(
+          [=](Rig& rig) {
+            return FusedFilterStream(rig, type, CmpOp::kBetween, r.lo, r.hi,
+                                     column(), n);
+          },
+          "fused between " + what);
+    }
+  }
+}
+
+TEST(KernelReference, MapEveryOp) {
+  for (ElementType in_type : kIntTypes) {
+    for (ElementType out_type : kIntTypes) {
+      for (MapOp op : kMapOps) {
+        for (size_t n : kEdgeSizes) {
+          ExpectParity(
+              [=](Rig& rig) {
+                BufferId in0 =
+                    rig.PushVec(RandomColumn(in_type, n, 23 + n, -50, 50));
+                BufferId in1 = kInvalidBuffer;
+                if (MapReadsSecondColumn(op)) {
+                  in1 = rig.PushVec(RandomColumn(
+                      IsPercentMap(op) ? ElementType::kInt32 : in_type, n,
+                      29 + n, 0, 100));
+                }
+                const size_t out_bytes = n * ElementSize(out_type);
+                BufferId out = rig.PushZeros(out_bytes);
+                return Launched{kernels::MakeMap(in0, in1, out, op, in_type,
+                                                 out_type, 7, n),
+                                {{out, out_bytes}}};
+              },
+              Label("map", in_type, static_cast<int64_t>(op), n) + " to " +
+                  ElementTypeName(out_type));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelReference, AggBlockEveryOp) {
+  for (ElementType type : kIntTypes) {
+    for (AggOp op : kAggOps) {
+      for (size_t n : kEdgeSizes) {
+        ExpectParity(
+            [=](Rig& rig) {
+              BufferId in =
+                  rig.PushVec(RandomColumn(type, n, 31 + n, -1000, 1000));
+              BufferId acc = PushCount(rig, -42);
+              return Launched{kernels::MakeAggBlock(in, acc, op, type,
+                                                    /*init=*/n % 2 == 0, n),
+                              {{acc, 8}}};
+            },
+            Label("agg_block", type, static_cast<int64_t>(op), n));
+      }
+    }
+  }
+}
+
+TEST(KernelReference, HashAggEveryOp) {
+  const size_t slots = 128;
+  for (ElementType type : kIntTypes) {
+    for (AggOp op : kAggOps) {
+      for (size_t n : kEdgeSizes) {
+        ExpectParity(
+            [=](Rig& rig) {
+              std::vector<int32_t> keys = RandomInts(n, 37 + n, 1, 50);
+              BufferId key_buf = rig.PushVec(keys);
+              BufferId values =
+                  op == AggOp::kCount
+                      ? kInvalidBuffer
+                      : rig.PushVec(RandomColumn(type, n, 41 + n, -1000, 1000));
+              const size_t bytes = HashTableLayout::AggTableBytes(slots);
+              BufferId table = rig.PushVec(std::vector<int32_t>(
+                  bytes / 4, HashTableLayout::kEmptyKey));
+              return Launched{kernels::MakeHashAgg(key_buf, values, table,
+                                                   slots, op, type, n, 50,
+                                                   false),
+                              {{table, bytes}}};
+            },
+            Label("hash_agg", type, static_cast<int64_t>(op), n));
+      }
+    }
+  }
+}
+
+TEST(KernelReference, SortAggSumAndCount) {
+  const size_t groups = 37;
+  for (ElementType type : kIntTypes) {
+    for (AggOp op : {AggOp::kSum, AggOp::kCount}) {
+      for (size_t n : kEdgeSizes) {
+        ExpectParity(
+            [=](Rig& rig) {
+              std::vector<int32_t> pxsum = RandomInts(n, 43 + n, 0, groups - 1);
+              std::sort(pxsum.begin(), pxsum.end());
+              BufferId values =
+                  rig.PushVec(RandomColumn(type, n, 47 + n, -1000, 1000));
+              BufferId pxsum_buf = rig.PushVec(pxsum);
+              BufferId agg = rig.PushVec(std::vector<int64_t>(groups, 5));
+              return Launched{kernels::MakeSortAgg(values, pxsum_buf, agg, op,
+                                                   type, groups,
+                                                   /*init=*/n % 2 == 0, n),
+                              {{agg, groups * 8}}};
+            },
+            Label("sort_agg", type, static_cast<int64_t>(op), n));
+      }
+    }
+  }
+}
+
+TEST(KernelReference, MaterializeEveryTypeAndDensity) {
+  for (ElementType type : kIntTypes) {
+    for (int pct : {0, 3, 50, 98, 100}) {
+      for (size_t n : kEdgeSizes) {
+        ExpectParity(
+            [=](Rig& rig) {
+              BufferId in =
+                  rig.PushVec(RandomColumn(type, n, 53 + n, -1000, 1000));
+              BufferId bitmap = rig.PushVec(RandomBitmap(n, 59 + n, pct));
+              const size_t out_bytes = n * ElementSize(type);
+              BufferId out = rig.PushZeros(out_bytes);
+              BufferId count = rig.PushZeros(8);
+              return Launched{
+                  kernels::MakeMaterialize(in, bitmap, out, count, type, n),
+                  {{out, out_bytes}, {count, 8}}};
+            },
+            Label("materialize", type, pct, n));
+      }
+    }
+  }
+}
+
+TEST(KernelReference, MaterializePositionEveryType) {
+  for (ElementType type : kIntTypes) {
+    for (size_t n : kEdgeSizes) {
+      ExpectParity(
+          [=](Rig& rig) {
+            BufferId in =
+                rig.PushVec(RandomColumn(type, n, 61 + n, -1000, 1000));
+            const auto last = static_cast<int64_t>(n) - 1;
+            BufferId positions = rig.PushVec(
+                RandomInts(n, 67 + n, 0, std::max<int64_t>(last, 0)));
+            const size_t out_bytes = n * ElementSize(type);
+            BufferId out = rig.PushZeros(out_bytes);
+            return Launched{kernels::MakeMaterializePosition(in, positions,
+                                                             out, type, n),
+                            {{out, out_bytes}}};
+          },
+          Label("materialize_position", type, 0, n));
+    }
+  }
+}
+
+// Overflow: capacities ending mid-word, in a dense and in a full bitmap, so
+// the failing row lies in a walked word and in a copied full word.
+const size_t kMidWordCaps[] = {0, 37, 100, 16384 + 13, 20000 + 5};
+
+TEST(KernelReference, CompactionOverflowMidWord) {
+  const size_t n = kTwoTilesPlus7;
+  for (size_t cap : kMidWordCaps) {
+    for (int pct : {50, 100}) {
+      ExpectParity(
+          [=](Rig& rig) {
+            BufferId in = rig.PushVec(RandomColumn(ElementType::kInt64, n, 71,
+                                                   -1000, 1000));
+            BufferId bitmap = rig.PushVec(RandomBitmap(n, 73, pct));
+            BufferId out = rig.PushZeros(cap * 8);
+            BufferId count = rig.PushZeros(8);
+            return Launched{kernels::MakeMaterialize(in, bitmap, out, count,
+                                                     ElementType::kInt64, n),
+                            {}};
+          },
+          "materialize overflow cap=" + std::to_string(cap) +
+              " pct=" + std::to_string(pct));
+      ExpectParity(
+          [=](Rig& rig) {
+            // pct 100 selects every row (v != 1000 on [-20, 20]).
+            BufferId in = rig.PushVec(RandomColumn(ElementType::kInt32, n, 79,
+                                                   -20, 20));
+            BufferId positions = rig.PushZeros(cap * 4);
+            BufferId count = rig.PushZeros(8);
+            return Launched{kernels::MakeFilterPosition(
+                                in, positions, count,
+                                pct == 100 ? CmpOp::kNe : CmpOp::kLt,
+                                ElementType::kInt32, pct == 100 ? 1000 : 0, 0,
+                                n),
+                            {}};
+          },
+          "filter_position overflow cap=" + std::to_string(cap) +
+              " pct=" + std::to_string(pct));
+    }
+    ExpectParity(
+        [=](Rig& rig) {
+          std::vector<int32_t> build_keys = RandomInts(4000, 83, 1, 2000);
+          const size_t slots = HashTableLayout::SlotsFor(4000);
+          BufferId table = BuildScalarTable(rig, build_keys, slots);
+          BufferId probe = rig.PushVec(RandomInts(n, 89, 1, 2000));
+          BufferId left = rig.PushZeros(cap * 4);
+          BufferId right = rig.PushZeros(cap * 4);
+          BufferId count = rig.PushZeros(8);
+          return Launched{kernels::MakeHashProbe(probe, table, left, right,
+                                                 count, slots, ProbeMode::kAll,
+                                                 0, n),
+                          {}};
+        },
+        "hash_probe overflow cap=" + std::to_string(cap));
+    ExpectParity(
+        [=](Rig& rig) {
+          Launched l = FusedStream(rig, n, cap, 97);
+          l.outputs.clear();
+          return l;
+        },
+        "fused overflow cap=" + std::to_string(cap));
+  }
+}
+
+TEST(KernelReference, DeviceCountBelowWorkItems) {
+  const size_t n = kTwoTilesPlus7;
+  for (int64_t valid : {int64_t{0}, int64_t{63}, int64_t{16385 + 30}}) {
+    const std::string what = " count=" + std::to_string(valid);
+    ExpectParity(
+        [=](Rig& rig) {
+          BufferId count_in = PushCount(rig, valid);
+          BufferId in = rig.PushVec(RandomInts(n, 101, -20, 20));
+          BufferId out = rig.PushZeros(n * 8);
+          return Launched{kernels::MakeMap(in, kInvalidBuffer, out,
+                                           MapOp::kMulScalar,
+                                           ElementType::kInt32,
+                                           ElementType::kInt64, -3, n,
+                                           count_in),
+                          {{out, n * 8}}};
+        },
+        "map" + what);
+    ExpectParity(
+        [=](Rig& rig) {
+          BufferId count_in = PushCount(rig, valid);
+          BufferId in = rig.PushVec(RandomInts(n, 103, -20, 20));
+          BufferId bitmap = rig.PushVec(RandomBitmap(n, 107, 50));
+          return Launched{kernels::MakeFilterBitmap(
+                              in, bitmap, CmpOp::kGe, ElementType::kInt32, 0,
+                              0, true, n, count_in),
+                          {{bitmap, bit_util::BytesForBits(n)}}};
+        },
+        "filter_bitmap" + what);
+    ExpectParity(
+        [=](Rig& rig) {
+          BufferId count_in = PushCount(rig, valid);
+          BufferId in = rig.PushVec(RandomInts(n, 109, -20, 20));
+          BufferId positions = rig.PushZeros(n * 4);
+          BufferId count = rig.PushZeros(8);
+          return Launched{kernels::MakeFilterPosition(
+                              in, positions, count, CmpOp::kLt,
+                              ElementType::kInt32, 5, 0, n, count_in),
+                          {{positions, n * 4}, {count, 8}}};
+        },
+        "filter_position" + what);
+    ExpectParity(
+        [=](Rig& rig) {
+          BufferId count_in = PushCount(rig, valid);
+          BufferId in = rig.PushVec(RandomInts(n, 113, -20, 20));
+          BufferId bitmap = rig.PushVec(RandomBitmap(n, 127, 98));
+          BufferId out = rig.PushZeros(n * 4);
+          BufferId count = rig.PushZeros(8);
+          return Launched{
+              kernels::MakeMaterialize(in, bitmap, out, count,
+                                       ElementType::kInt32, n, count_in),
+              {{out, n * 4}, {count, 8}}};
+        },
+        "materialize" + what);
+    ExpectParity(
+        [=](Rig& rig) {
+          BufferId count_in = PushCount(rig, valid);
+          BufferId in = rig.PushVec(RandomInts(n, 131, -20, 20));
+          BufferId acc = PushCount(rig, 7);
+          return Launched{kernels::MakeAggBlock(in, acc, AggOp::kSum,
+                                                ElementType::kInt32, false, n,
+                                                count_in),
+                          {{acc, 8}}};
+        },
+        "agg_block" + what);
+    ExpectParity(
+        [=](Rig& rig) {
+          return FusedStream(rig, n, n, 137, PushCount(rig, valid));
+        },
+        "fused" + what);
+  }
+}
+
+/// load a, load b (int32 0..100); filter a >= -500; map `op` over a (and b,
+/// or imm 7) to `out_type`; `terminal` over the map (reg 3).
+std::vector<FusedStep> FusedMapRecipe(ElementType in_type, MapOp op,
+                                      ElementType out_type,
+                                      const FusedStep& terminal) {
+  return {Step(FusedStep::Op::kLoad, 0, static_cast<int64_t>(in_type)),
+          Step(FusedStep::Op::kLoad, 1,
+               static_cast<int64_t>(ElementType::kInt32)),
+          Step(FusedStep::Op::kFilter, static_cast<int64_t>(CmpOp::kGe), -500,
+               0, 0),
+          Step(FusedStep::Op::kMap, static_cast<int64_t>(op), 7,
+               static_cast<int64_t>(out_type), 0,
+               MapReadsSecondColumn(op) ? 1 : -1),
+          terminal};
+}
+
+TEST(KernelReference, FusedEveryFilterOp) {
+  for (ElementType type : kIntTypes) {
+    for (CmpOp op : kCmpOps) {
+      for (size_t n : kEdgeSizes) {
+        ExpectParity(
+            [=](Rig& rig) {
+              return FusedFilterStream(rig, type, op, -5, 9,
+                                       RandomColumn(type, n, 139 + n, -20, 20),
+                                       n);
+            },
+            Label("fused filter", type, static_cast<int64_t>(op), n));
+      }
+    }
+  }
+}
+
+TEST(KernelReference, FusedEveryMapAndAggOp) {
+  const size_t kSizesSubset[] = {0, 1, 65, 16385, kTwoTilesPlus7};
+  for (ElementType in_type : kIntTypes) {
+    for (ElementType out_type : kIntTypes) {
+      for (MapOp op : kMapOps) {
+        if (op == MapOp::kNeqPrev) continue;  // not fusable
+        for (size_t n : kSizesSubset) {
+          const auto inputs = [=](Rig& rig) {
+            return std::vector<BufferId>{
+                rig.PushVec(RandomColumn(in_type, n, 149 + n, -1000, 1000)),
+                rig.PushVec(RandomInts(n, 151 + n, 0, 100))};
+          };
+          const std::string what =
+              Label("fused map", in_type, static_cast<int64_t>(op), n) +
+              " to " + ElementTypeName(out_type);
+          ExpectParity(
+              [=](Rig& rig) {
+                const size_t out_bytes = n * ElementSize(out_type);
+                BufferId out = rig.PushZeros(out_bytes);
+                BufferId count = rig.PushZeros(8);
+                const FusedStep emit =
+                    Step(FusedStep::Op::kEmit,
+                         static_cast<int64_t>(out_type), 0, 0, 3);
+                return Launched{
+                    kernels::MakeFused(inputs(rig), out, count,
+                                       FusedMapRecipe(in_type, op, out_type,
+                                                      emit),
+                                       false, n),
+                    {{out, out_bytes}, {count, 8}}};
+              },
+              what + " emit");
+          for (AggOp agg_op : kAggOps) {
+            ExpectParity(
+                [=](Rig& rig) {
+                  BufferId acc = PushCount(rig, -42);
+                  const FusedStep agg =
+                      Step(FusedStep::Op::kAgg, static_cast<int64_t>(agg_op),
+                           0, 0, agg_op == AggOp::kCount ? -1 : 3);
+                  return Launched{
+                      kernels::MakeFused(inputs(rig), acc, kInvalidBuffer,
+                                         FusedMapRecipe(in_type, op, out_type,
+                                                        agg),
+                                         /*init=*/n % 2 == 0, n),
+                      {{acc, 8}}};
+                },
+                what + " agg=" + std::to_string(static_cast<int>(agg_op)));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelReference, FusedFilterOnAMapAndTwoFilters) {
+  for (size_t n : kEdgeSizes) {
+    ExpectParity(
+        [=](Rig& rig) {
+          // map a + 3 as int32, then filter the map's value.
+          BufferId a = rig.PushVec(RandomInts(n, 157 + n, -200, 200));
+          BufferId out = rig.PushZeros(n * 4);
+          BufferId count = rig.PushZeros(8);
+          const auto i32 = static_cast<int64_t>(ElementType::kInt32);
+          return Launched{
+              kernels::MakeFused(
+                  {a}, out, count,
+                  {Step(FusedStep::Op::kLoad, 0, i32),
+                   Step(FusedStep::Op::kMap,
+                        static_cast<int64_t>(MapOp::kAddScalar), 3, i32, 0),
+                   Step(FusedStep::Op::kFilter,
+                        static_cast<int64_t>(CmpOp::kLt), 100, 0, 1),
+                   Step(FusedStep::Op::kEmit, i32, 0, 0, 1)},
+                  false, n),
+              {{out, n * 4}, {count, 8}}};
+        },
+        "fused filter on a map n=" + std::to_string(n));
+    ExpectParity(
+        [=](Rig& rig) {
+          // Q6's shape: three filters on three loads, a map, a sum.
+          const auto i32 = static_cast<int64_t>(ElementType::kInt32);
+          const auto i64 = static_cast<int64_t>(ElementType::kInt64);
+          BufferId date = rig.PushVec(RandomInts(n, 163 + n, 0, 2000));
+          BufferId disc = rig.PushVec(RandomInts(n, 167 + n, 0, 10));
+          BufferId qty = rig.PushVec(RandomInts(n, 173 + n, 1, 50));
+          BufferId price = rig.PushVec(RandomColumn(ElementType::kInt64, n,
+                                                    179 + n, 100, 100000));
+          BufferId acc = PushCount(rig, 0);
+          return Launched{
+              kernels::MakeFused(
+                  {date, disc, qty, price}, acc, kInvalidBuffer,
+                  {Step(FusedStep::Op::kLoad, 0, i32),
+                   Step(FusedStep::Op::kFilter,
+                        static_cast<int64_t>(CmpOp::kBetween), 365, 729, 0),
+                   Step(FusedStep::Op::kLoad, 1, i32),
+                   Step(FusedStep::Op::kFilter,
+                        static_cast<int64_t>(CmpOp::kBetween), 5, 7, 2),
+                   Step(FusedStep::Op::kLoad, 2, i32),
+                   Step(FusedStep::Op::kFilter,
+                        static_cast<int64_t>(CmpOp::kLt), 24, 0, 4),
+                   Step(FusedStep::Op::kLoad, 3, i64),
+                   Step(FusedStep::Op::kMap,
+                        static_cast<int64_t>(MapOp::kMulPct), 0, i64, 6, 2),
+                   Step(FusedStep::Op::kAgg,
+                        static_cast<int64_t>(AggOp::kSum), 0, 0, 7)},
+                  true, n),
+              {{acc, 8}}};
+        },
+        "fused q6 shape n=" + std::to_string(n));
+  }
+}
+
+TEST(KernelReference, FusedMapNeverRunsOnRowsAFilterDropped) {
+  // Every other row holds a value whose map (* 4) overflows int64; the
+  // filter drops exactly those rows, so no run may compute their map. Under
+  // UBSan an interpreter that maps dead rows fails here.
+  const size_t n = kTwoTilesPlus7;
+  const auto column = [n] {
+    std::vector<int64_t> v(n);
+    for (size_t i = 0; i < n; ++i) {
+      v[i] = i % 2 == 0 ? INT64_MAX / 2 + static_cast<int64_t>(i)
+                        : static_cast<int64_t>(i % 1000);
+    }
+    return v;
+  };
+  const auto i64 = static_cast<int64_t>(ElementType::kInt64);
+  const auto recipe = [i64](const FusedStep& terminal) {
+    return std::vector<FusedStep>{
+        Step(FusedStep::Op::kLoad, 0, i64),
+        Step(FusedStep::Op::kFilter, static_cast<int64_t>(CmpOp::kLt), 1000,
+             0, 0),
+        Step(FusedStep::Op::kMap, static_cast<int64_t>(MapOp::kMulScalar), 4,
+             i64, 0),
+        terminal};
+  };
+  ExpectParity(
+      [=](Rig& rig) {
+        BufferId in = rig.PushVec(column());
+        BufferId out = rig.PushZeros(n * 8);
+        BufferId count = rig.PushZeros(8);
+        return Launched{
+            kernels::MakeFused({in}, out, count,
+                               recipe(Step(FusedStep::Op::kEmit, i64, 0, 0, 2)),
+                               false, n),
+            {{out, n * 8}, {count, 8}}};
+      },
+      "fused dead-row overflow emit");
+  ExpectParity(
+      [=](Rig& rig) {
+        BufferId in = rig.PushVec(column());
+        BufferId acc = PushCount(rig, 0);
+        return Launched{
+            kernels::MakeFused(
+                {in}, acc, kInvalidBuffer,
+                recipe(Step(FusedStep::Op::kAgg,
+                            static_cast<int64_t>(AggOp::kSum), 0, 0, 2)),
+                true, n),
+            {{acc, 8}}};
+      },
+      "fused dead-row overflow agg");
 }
 
 // --- Tiling registry & device budgets --------------------------------------

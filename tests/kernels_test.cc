@@ -12,9 +12,15 @@
 #include "task/hash_table.h"
 #include "task/kernel_registry.h"
 #include "task/kernels.h"
+#include "task/kernels_fused.h"
 
 namespace adamant {
 namespace {
+
+/// Bit i of a word-padded bitmap.
+bool Bit(const std::vector<uint64_t>& words, size_t i) {
+  return (words[i / 64] >> (i % 64)) & 1;
+}
 
 /// Test harness: one CUDA-like device plus typed push/pull helpers.
 class KernelTest : public ::testing::Test {
@@ -191,7 +197,7 @@ TEST_P(FilterBitmapTest, ComparisonSemantics) {
                   .ok());
   auto words = Pull<uint64_t>(bitmap, 1);
   for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(bit_util::GetBit(words.data(), i), c.expected[i])
+    EXPECT_EQ(Bit(words, i), c.expected[i])
         << "element " << i;
   }
 }
@@ -222,10 +228,10 @@ TEST_F(KernelTest, FilterBitmapCombineAnd) {
                                                       0, true, 4))
                   .ok());
   auto words = Pull<uint64_t>(bitmap, 1);
-  EXPECT_FALSE(bit_util::GetBit(words.data(), 0));
-  EXPECT_TRUE(bit_util::GetBit(words.data(), 1));
-  EXPECT_TRUE(bit_util::GetBit(words.data(), 2));
-  EXPECT_FALSE(bit_util::GetBit(words.data(), 3));
+  EXPECT_FALSE(Bit(words, 0));
+  EXPECT_TRUE(Bit(words, 1));
+  EXPECT_TRUE(Bit(words, 2));
+  EXPECT_FALSE(Bit(words, 3));
 }
 
 TEST_F(KernelTest, FilterBitmapInt64Column) {
@@ -237,9 +243,9 @@ TEST_F(KernelTest, FilterBitmapInt64Column) {
                       false, 3))
                   .ok());
   auto words = Pull<uint64_t>(bitmap, 1);
-  EXPECT_TRUE(bit_util::GetBit(words.data(), 0));
-  EXPECT_TRUE(bit_util::GetBit(words.data(), 1));
-  EXPECT_FALSE(bit_util::GetBit(words.data(), 2));
+  EXPECT_TRUE(Bit(words, 0));
+  EXPECT_TRUE(Bit(words, 1));
+  EXPECT_FALSE(Bit(words, 2));
 }
 
 // --- FILTER_POSITION ---
@@ -732,6 +738,84 @@ TEST_F(KernelTest, NegativeDeviceCountIsError) {
                                              ElementType::kInt32, 0, 1,
                                              count_in))
                   .IsExecutionError());
+}
+
+// --- Input capacity ---
+
+TEST_F(KernelTest, EveryKernelChecksTheBuffersItReads) {
+  // 65,536 rows over a 16-byte input: each kernel must refuse the launch
+  // with "... buffer too small" before reading past the buffer. Every other
+  // buffer is large enough. fill reads no buffer.
+  constexpr size_t kRows = 65536;
+  constexpr size_t kSlots = 2 * kRows;
+  BufferId tiny = Alloc(16);
+  BufferId ints = Push(std::vector<int32_t>(kRows, 1));
+  BufferId longs = Push(std::vector<int64_t>(kRows, 1));
+  BufferId bitmap = Push(std::vector<uint64_t>(kRows / 64, ~uint64_t{0}));
+  BufferId out_a = Alloc(kRows * 8);
+  BufferId out_b = Alloc(kRows * 8);
+  BufferId count = Alloc(8);
+  BufferId acc = Alloc(8);
+  constexpr int32_t kEmpty = HashTableLayout::kEmptyKey;
+  BufferId build_table = Push(std::vector<int32_t>(
+      HashTableLayout::BuildTableBytes(kSlots) / 4, kEmpty));
+  BufferId agg_table = Push(
+      std::vector<int32_t>(HashTableLayout::AggTableBytes(kSlots) / 4, kEmpty));
+  FusedStep load;
+  load.op = FusedStep::Op::kLoad;
+  load.b = static_cast<int64_t>(ElementType::kInt32);
+  FusedStep sum;
+  sum.op = FusedStep::Op::kAgg;
+  sum.a = static_cast<int64_t>(AggOp::kSum);
+  sum.src0 = 0;
+  const auto i32 = ElementType::kInt32;
+  const auto i64 = ElementType::kInt64;
+
+  const std::vector<std::pair<std::string, KernelLaunch>> cases = {
+      {"map in0", kernels::MakeMap(tiny, kInvalidBuffer, out_a,
+                                   MapOp::kAddScalar, i32, i64, 1, kRows)},
+      {"map in1", kernels::MakeMap(ints, tiny, out_a, MapOp::kAddCol, i32,
+                                   i32, 0, kRows)},
+      {"filter_bitmap in",
+       kernels::MakeFilterBitmap(tiny, bitmap, CmpOp::kGt, i32, 0, 0, false,
+                                 kRows)},
+      {"filter_position in",
+       kernels::MakeFilterPosition(tiny, out_a, count, CmpOp::kGt, i32, 0, 0,
+                                   kRows)},
+      {"materialize in", kernels::MakeMaterialize(tiny, bitmap, out_a, count,
+                                                  i32, kRows)},
+      {"materialize_position positions",
+       kernels::MakeMaterializePosition(ints, tiny, out_a, i32, kRows)},
+      {"prefix_sum in", kernels::MakePrefixSum(tiny, out_a, false, kRows)},
+      {"agg_block in",
+       kernels::MakeAggBlock(tiny, acc, AggOp::kSum, i32, true, kRows)},
+      {"hash_build keys", kernels::MakeHashBuild(tiny, kInvalidBuffer,
+                                                 build_table, kSlots, 0,
+                                                 kRows)},
+      {"hash_build payload",
+       kernels::MakeHashBuild(ints, tiny, build_table, kSlots, 0, kRows)},
+      {"hash_probe keys",
+       kernels::MakeHashProbe(tiny, build_table, out_a, out_b, count, kSlots,
+                              ProbeMode::kAll, 0, kRows)},
+      {"hash_agg keys", kernels::MakeHashAgg(tiny, longs, agg_table, kSlots,
+                                             AggOp::kSum, i64, kRows, 1,
+                                             false)},
+      {"hash_agg values", kernels::MakeHashAgg(ints, tiny, agg_table, kSlots,
+                                               AggOp::kSum, i64, kRows, 1,
+                                               false)},
+      {"sort_agg values", kernels::MakeSortAgg(tiny, ints, out_a, AggOp::kSum,
+                                               i64, 2, true, kRows)},
+      {"sort_agg pxsum", kernels::MakeSortAgg(longs, tiny, out_a, AggOp::kSum,
+                                              i64, 2, true, kRows)},
+      {"fused in", kernels::MakeFused({tiny}, acc, kInvalidBuffer,
+                                      {load, sum}, true, kRows)},
+  };
+  for (const auto& [what, launch] : cases) {
+    const Status status = device_->Execute(launch);
+    EXPECT_TRUE(status.IsExecutionError()) << what << ": " << status.ToString();
+    EXPECT_NE(status.message().find("buffer too small"), std::string::npos)
+        << what << ": " << status.ToString();
+  }
 }
 
 // --- fill ---
