@@ -130,20 +130,20 @@ void HashAggBench(benchmark::State& state, DriverCombo combo) {
   RunPanel(state, combo, kNominalRows, [&](SimulatedDevice* dev) {
     auto k = dev->PrepareMemory(kActualElems * 4);
     auto v = dev->PrepareMemory(kActualElems * 8);
-    auto table = dev->PrepareMemory(HashTableLayout::AggTableBytes(slots));
+    auto table = dev->PrepareMemory(HashTableLayout::AggTableBytes(slots, 1));
     ADAMANT_CHECK(k.ok() && v.ok() && table.ok());
     ADAMANT_CHECK(dev->PlaceData(*k, keys.data(), kActualElems * 4, 0).ok());
     ADAMANT_CHECK(dev->PlaceData(*v, values.data(), kActualElems * 8, 0).ok());
     ADAMANT_CHECK(
-        dev->Execute(kernels::MakeFill(*table, HashTableLayout::kEmptyKey,
-                                       HashTableLayout::AggTableBytes(slots) /
-                                           4))
+        dev->Execute(kernels::MakeFill(
+                         *table, HashTableLayout::kEmptyKey,
+                         HashTableLayout::AggTableBytes(slots, 1) / 4))
             .ok());
     const double t0 = dev->MaxCompletion();
     // Group count is passed as the *nominal* contention parameter directly.
     KernelLaunch launch = kernels::MakeHashAgg(
-        *k, *v, *table, slots, AggOp::kSum, ElementType::kInt64, kActualElems,
-        nominal_groups, /*groups_scale_with_data=*/false);
+        *k, {{AggOp::kSum, *v, ElementType::kInt64}}, *table, slots,
+        kActualElems, nominal_groups, /*groups_scale_with_data=*/false);
     ADAMANT_CHECK(dev->Execute(launch).ok());
     const double elapsed = dev->MaxCompletion() - t0;
     for (BufferId id : {*k, *v, *table}) {

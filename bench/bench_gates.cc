@@ -30,6 +30,14 @@
 //                 threads (16,384-row tiles on the worker pool). No
 //                 perfbench workload tiles, so these rows are the only
 //                 host-clock view of the tiled path.
+//   group_by      the minimum of 11 alternating host-clock runs of:
+//                 one five-accumulator HASH_AGG launch (TPC-H Q1's SUM
+//                 int32, 3x SUM int64, COUNT) against the five
+//                 one-accumulator launches it replaces, on openmp_cpu over
+//                 2^22 rows with 4 and with 2^16 groups; and the HASH_AGG
+//                 kernel_ms of hand-built Q1 against SQL q1's, both
+//                 compiled unfused on cuda_gpu at SF 0.1 (EXPLAIN ANALYZE
+//                 operator stats).
 //
 // Every measured value, its bound and verdict go to BENCH_gates.json in the
 // working directory; the exit status is 1 when any gate fails.
@@ -474,10 +482,128 @@ std::vector<KernelRow> TiledKernelRows() {
   return rows;
 }
 
+// --- group_by (report only) --------------------------------------------------
+
+/// Two host-clock minimums side by side.
+struct GroupByRow {
+  std::string subject;
+  std::string a;
+  double a_ms = std::numeric_limits<double>::infinity();
+  std::string b;
+  double b_ms = std::numeric_limits<double>::infinity();
+};
+
+/// One N=5 HASH_AGG launch vs its five N=1 launches over 2^22 rows of
+/// `groups` random keys, each run into a freshly filled table.
+GroupByRow HashAggRow(size_t groups) {
+  constexpr size_t kElems = size_t{1} << 22;
+  constexpr int kRuns = 11;
+  Rng rng(20261019 + groups);
+  std::vector<int32_t> keys(kElems), small(kElems);
+  std::vector<int64_t> big(kElems);
+  for (size_t i = 0; i < kElems; ++i) {
+    keys[i] = static_cast<int32_t>(rng.Uniform(1, static_cast<int64_t>(groups)));
+    small[i] = static_cast<int32_t>(rng.Uniform(1, 50));
+    big[i] = rng.Uniform(1, 10000000);
+  }
+  BenchRig rig = BenchRig::Make(sim::DriverKind::kOpenMpCpu);
+  rig.manager->SetDataScale(1);
+  SimulatedDevice* dev = rig.dev();
+  const BufferId key_buf = Put(dev, keys.data(), kElems * 4);
+  const BufferId small_buf = Put(dev, small.data(), kElems * 4);
+  std::vector<BufferId> big_bufs;
+  for (int i = 0; i < 3; ++i) big_bufs.push_back(Put(dev, big.data(), kElems * 8));
+  const std::vector<kernels::HashAggAccumulator> accs = {
+      {AggOp::kSum, small_buf, ElementType::kInt32},
+      {AggOp::kSum, big_bufs[0], ElementType::kInt64},
+      {AggOp::kSum, big_bufs[1], ElementType::kInt64},
+      {AggOp::kSum, big_bufs[2], ElementType::kInt64},
+      {AggOp::kCount}};
+  const size_t slots = HashTableLayout::SlotsFor(groups);
+  // Times `launches`, each into its own freshly filled table.
+  auto run_ms = [&](const std::vector<std::vector<kernels::HashAggAccumulator>>&
+                        launches) {
+    double ms = 0;
+    for (const auto& list : launches) {
+      const size_t bytes = HashTableLayout::AggTableBytes(slots, list.size());
+      const BufferId table = Alloc(dev, bytes);
+      Run(dev, kernels::MakeFill(table, HashTableLayout::kEmptyKey, bytes / 4));
+      const KernelLaunch launch = kernels::MakeHashAgg(
+          key_buf, list, table, slots, kElems, static_cast<double>(groups),
+          false);
+      const auto start = Clock::now();
+      Run(dev, launch);
+      ms += MsSince(start);
+      ADAMANT_CHECK(dev->DeleteMemory(table).ok());
+    }
+    return ms;
+  };
+  std::vector<std::vector<kernels::HashAggAccumulator>> singles;
+  for (const auto& acc : accs) singles.push_back({acc});
+  GroupByRow row{"hash_agg " + std::to_string(groups) + " groups", "N=5"};
+  row.b = "five N=1";
+  for (int i = 0; i < kRuns; ++i) {
+    row.a_ms = std::min(row.a_ms, run_ms({accs}));
+    row.b_ms = std::min(row.b_ms, run_ms(singles));
+  }
+  return row;
+}
+
+/// The HASH_AGG kernel_ms of hand-built Q1 and of SQL q1, compiled unfused
+/// through CompileQuery on cuda_gpu at SF 0.1 and run chunked with
+/// operator stats.
+GroupByRow Q1HashAggRow() {
+  constexpr int kRuns = 11;
+  tpch::TpchConfig config;
+  config.scale_factor = 0.1;
+  config.include_dimension_tables = false;
+  auto catalog = tpch::Generate(config);
+  ADAMANT_CHECK(catalog.ok()) << catalog.status().ToString();
+  BenchRig rig = BenchRig::Make(sim::DriverKind::kCudaGpu);
+  rig.manager->SetDataScale(1);
+  auto kernel_ms = [&](bool sql) {
+    CompileContext context;
+    context.catalog = catalog->get();
+    context.manager = rig.manager.get();
+    context.placement = plan::PlacementPolicy::AllOn(rig.device);
+    context.options.fusion = FusionMode::kOff;
+    context.options.collect_operator_stats = true;
+    QuerySource source;
+    if (sql) {
+      source.sql = sql::FindBuiltinQuery("q1")->sql;
+    } else {
+      auto bundle = plan::BuildQ1(**catalog, {}, rig.device);
+      ADAMANT_CHECK(bundle.ok()) << bundle.status().ToString();
+      source.bundle = std::move(*bundle);
+    }
+    auto plan = CompileQuery(std::move(source), context);
+    ADAMANT_CHECK(plan.ok()) << plan.status().ToString();
+    QueryExecutor executor(rig.manager.get());
+    auto exec = executor.Run(plan->bundle.graph.get(), plan->options);
+    ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
+    double ms = 0;
+    for (const obs::OperatorStats& op : exec->stats.profile.operators) {
+      if (op.kind == "hash_agg") ms += op.kernel_ms;
+    }
+    return ms;
+  };
+  GroupByRow row{"q1 hash_agg kernel_ms", "hand-built Q1"};
+  row.b = "SQL q1";
+  for (int i = 0; i < kRuns; ++i) {
+    row.a_ms = std::min(row.a_ms, kernel_ms(false));
+    row.b_ms = std::min(row.b_ms, kernel_ms(true));
+  }
+  return row;
+}
+
+std::vector<GroupByRow> GroupByRows() {
+  return {HashAggRow(4), HashAggRow(size_t{1} << 16), Q1HashAggRow()};
+}
+
 // --- The one emitter ---------------------------------------------------------
 
 bool Report(const std::vector<Gate>& gates, const std::vector<KernelRow>& rows,
-            const char* path) {
+            const std::vector<GroupByRow>& group_by, const char* path) {
   std::FILE* json = std::fopen(path, "w");
   ADAMANT_CHECK(json != nullptr) << "cannot open " << path;
   std::fprintf(json, "{\"clock\":\"host\",\"gates\":[");
@@ -507,6 +633,17 @@ bool Report(const std::vector<Gate>& gates, const std::vector<KernelRow>& rows,
                  i == 0 ? "" : ",", r.kernel.c_str(), r.scalar_ms,
                  r.tiled_ms);
   }
+  std::fprintf(json, "],\"group_by\":[");
+  for (size_t i = 0; i < group_by.size(); ++i) {
+    const GroupByRow& r = group_by[i];
+    std::printf("INFO %-38s %-22s %s %.3f ms, %s %.3f ms\n",
+                "group_by min of 11", r.subject.c_str(), r.a.c_str(), r.a_ms,
+                r.b.c_str(), r.b_ms);
+    std::fprintf(json,
+                 "%s{\"subject\":\"%s\",\"%s\":%.4f,\"%s\":%.4f}",
+                 i == 0 ? "" : ",", r.subject.c_str(), r.a.c_str(), r.a_ms,
+                 r.b.c_str(), r.b_ms);
+  }
   std::fprintf(json, "],\"pass\":%s}\n", ok ? "true" : "false");
   std::fclose(json);
   std::printf("%s (host clock); wrote %s\n",
@@ -523,5 +660,7 @@ int main() {
   SqlCompileGates(&gates);
   ObsOverheadGates(&gates);
   DeadlineGates(&gates);
-  return Report(gates, TiledKernelRows(), "BENCH_gates.json") ? 0 : 1;
+  return Report(gates, TiledKernelRows(), GroupByRows(), "BENCH_gates.json")
+             ? 0
+             : 1;
 }

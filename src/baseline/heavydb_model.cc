@@ -80,7 +80,8 @@ Result<HeavyDbRun> HeavyDbExecutor::Run(const PrimitiveGraph& graph,
     } else if (node.kind == PrimitiveKind::kHashAgg) {
       const size_t slots = HashTableLayout::SlotsFor(
           static_cast<size_t>(node.config.expected_build_rows));
-      resident += static_cast<double>(HashTableLayout::AggTableBytes(slots));
+      resident += static_cast<double>(
+          HashTableLayout::AggTableBytes(slots, node.config.agg_ops.size()));
     } else if (node.kind == PrimitiveKind::kHashProbe &&
                node.config.probe_mode == ProbeMode::kAll) {
       resident += pipeline_rows[node.id] * kJoinPairBytes;
@@ -131,8 +132,9 @@ Result<HeavyDbRun> HeavyDbExecutor::Run(const PrimitiveGraph& graph,
       const double groups =
           node.config.expected_build_rows *
           (node.config.build_rows_scale_with_data ? scale : 1.0);
-      run.compute_us += model.KernelDuration(
-          "hash_agg", pipeline_rows[node.id] * scale, groups);
+      run.compute_us += KernelBodies(node) *
+                        model.KernelDuration(
+                            "hash_agg", pipeline_rows[node.id] * scale, groups);
     }
   }
 

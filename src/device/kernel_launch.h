@@ -133,6 +133,10 @@ struct KernelLaunch {
   /// benchmark's data-scale factor (e.g. hash-table cardinalities), false
   /// for fixed parameters (e.g. the 5 TPC-H order priorities).
   bool scale_cost_param = false;
+  /// Single-kernel bodies the launch does per tuple, each charged at the
+  /// kernel's calibrated rate: an N-accumulator HASH_AGG makes N atomic
+  /// updates per tuple where Fig. 9c calibrates one.
+  int bodies = 1;
   /// Thread budget of the launch: 0 takes the device's own budget, N >= 1
   /// lets a kernel that tiles split its launch across N threads. Kernels
   /// that do not tile run on one thread. Ignored when `fn` is set.

@@ -256,10 +256,11 @@ SimTime SimulatedDevice::KernelBody(std::string_view kernel, double tuples,
 }
 
 SimulatedDevice::LaunchPrice SimulatedDevice::PriceLaunch(
-    std::string_view kernel, double tuples, int budget) const {
+    std::string_view kernel, double tuples, int budget, int bodies) const {
   LaunchPrice price;
   price.threads = LaunchThreads(budget, kernel);
-  price.body_us = KernelBody(kernel, tuples, /*cost_param=*/1.0, price.threads);
+  price.body_us = bodies * KernelBody(kernel, tuples, /*cost_param=*/1.0,
+                                      price.threads);
   price.total_us = model_.kernel_launch_us + price.body_us;
   return price;
 }
@@ -361,6 +362,7 @@ Status SimulatedDevice::Execute(const KernelLaunch& launch) {
   double cost_param = launch.scale_cost_param ? Scale(launch.cost_param)
                                               : launch.cost_param;
   const SimTime body =
+      launch.bodies *
       KernelBody(launch.kernel_name, tuples, cost_param, threads);
   kernel_body_time_ += body;
   kernel_body_by_name_[launch.kernel_name] += body;

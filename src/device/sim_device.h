@@ -125,15 +125,16 @@ class SimulatedDevice : public Device {
   int LaunchThreads(int budget, std::string_view kernel = {}) const;
   /// Static price of one launch of `kernel` over `tuples` (already
   /// data-scaled) tuples with cost_param pinned at 1, run on the threads
-  /// LaunchThreads picks: the body Execute books into kernel_body_time(),
-  /// plus the SDK's per-launch overhead.
+  /// LaunchThreads picks: the body Execute books into kernel_body_time()
+  /// (`bodies` single-kernel bodies, KernelLaunch::bodies), plus the SDK's
+  /// per-launch overhead.
   struct LaunchPrice {
     int threads = 1;
     sim::SimTime body_us = 0;
     sim::SimTime total_us = 0;
   };
-  LaunchPrice PriceLaunch(std::string_view kernel, double tuples,
-                          int budget) const;
+  LaunchPrice PriceLaunch(std::string_view kernel, double tuples, int budget,
+                          int bodies = 1) const;
   /// Number of Execute calls whose kernel ran two or more tiles on the
   /// worker pool.
   size_t parallel_launches() const { return parallel_launches_; }

@@ -1,6 +1,9 @@
 #include "plan/logical_plan.h"
 
+#include <algorithm>
 #include <sstream>
+
+#include "common/bit_util.h"
 
 namespace adamant::plan {
 
@@ -57,6 +60,45 @@ LogicalNodePtr GroupBy(LogicalNodePtr child, std::string key,
   node->expected_groups = expected_groups;
   node->groups_scale_with_data = groups_scale_with_data;
   return node;
+}
+
+int64_t GroupKeyModulus(int64_t lo_domain) {
+  return static_cast<int64_t>(bit_util::NextPowerOfTwo(
+      static_cast<uint64_t>(std::max<int64_t>(lo_domain, 8))));
+}
+
+Result<int64_t> GroupKeyDomain(const Table& table, const std::string& column) {
+  if (const StringDictionary* dict = table.FindDictionary(column)) {
+    return static_cast<int64_t>(dict->size());
+  }
+  ADAMANT_ASSIGN_OR_RETURN(ColumnPtr col, table.GetColumn(column));
+  int64_t max_value = 0;
+  for (size_t i = 0; i < col->length(); ++i) {
+    int64_t v = 0;
+    switch (col->type()) {
+      case ElementType::kInt32: v = col->Value<int32_t>(i); break;
+      case ElementType::kInt64: v = col->Value<int64_t>(i); break;
+      case ElementType::kFloat64:
+        v = static_cast<int64_t>(col->Value<double>(i));
+        break;
+    }
+    if (v < 0) {
+      return Status::NotSupported(
+          "GROUP BY column '" + column +
+          "' holds negative values and cannot be packed into a "
+          "two-column key");
+    }
+    max_value = std::max(max_value, v);
+  }
+  return max_value + 1;
+}
+
+double PackedGroupCount(int64_t hi_domain, int64_t lo_domain) {
+  return static_cast<double>(hi_domain * lo_domain);
+}
+
+std::pair<int64_t, int64_t> UnpackGroupKey(int32_t key, int64_t modulus) {
+  return {key / modulus, key % modulus};
 }
 
 LogicalNodePtr Reduce(LogicalNodePtr child, std::vector<AggSpec> aggregates) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "task/hash_table.h"
+
 namespace adamant::plan {
 
 namespace {
@@ -251,24 +253,41 @@ class Lowering {
       if (key.type != ElementType::kInt32) {
         return Status::InvalidArgument("group keys must be int32");
       }
-      for (const AggSpec& agg : node.aggregates) {
-        NodeConfig cfg;
-        cfg.agg_op = agg.op;
-        cfg.expected_build_rows =
-            node.expected_groups > 0
-                ? node.expected_groups
-                : std::max(16.0, stream.row_estimate * kEstimateMargin);
-        cfg.build_rows_scale_with_data = node.groups_scale_with_data;
+      NodeConfig cfg;
+      cfg.expected_build_rows =
+          node.expected_groups > 0
+              ? node.expected_groups
+              : std::max(16.0, stream.row_estimate * kEstimateMargin);
+      cfg.build_rows_scale_with_data = node.groups_scale_with_data;
+      // One HASH_AGG holds every aggregate of the GROUP BY; past the
+      // kernel's accumulator limit the next ones start another node.
+      const size_t per_node = HashTableLayout::kMaxAccumulators;
+      const size_t num_aggs = node.aggregates.size();
+      for (size_t first = 0; first < num_aggs; first += per_node) {
+        const size_t last = std::min(num_aggs, first + per_node);
+        cfg.agg_ops.clear();
+        for (size_t a = first; a < last; ++a) {
+          cfg.agg_ops.push_back(node.aggregates[a].op);
+        }
+        std::string label = "lower.groupby(" + node.group_key + ")";
+        if (num_aggs > per_node) {
+          label += "[" + std::to_string(first / per_node) + "]";
+        }
         int sink = g().AddNode(PrimitiveKind::kHashAgg,
                                policy_.For(PrimitiveKind::kHashAgg), cfg,
-                               "lower.groupby(" + agg.output_name + ")");
+                               std::move(label));
         ADAMANT_RETURN_NOT_OK(ConnectBinding(key, sink, 0));
-        if (agg.op != AggOp::kCount) {
-          ADAMANT_ASSIGN_OR_RETURN(ColumnState value,
-                                   Access(&stream, agg.value_column));
-          ADAMANT_RETURN_NOT_OK(ConnectBinding(value, sink, 1));
+        for (size_t a = first; a < last; ++a) {
+          const AggSpec& agg = node.aggregates[a];
+          if (agg.op != AggOp::kCount) {
+            ADAMANT_ASSIGN_OR_RETURN(ColumnState value,
+                                     Access(&stream, agg.value_column));
+            ADAMANT_RETURN_NOT_OK(ConnectBinding(
+                value, sink, static_cast<int>(1 + a - first)));
+          }
+          bundle_.nodes[agg.output_name] = sink;
+          bundle_.accumulators[agg.output_name] = a - first;
         }
-        bundle_.nodes[agg.output_name] = sink;
         if (bundle_.result_node < 0) bundle_.result_node = sink;
       }
     } else {  // kReduce

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "plan/logical_plan.h"
 #include "tpch/tpch_gen.h"
 
 namespace adamant::plan {
@@ -289,7 +290,7 @@ Result<PlanBundle> BuildRevenueByOrderHashed(const Catalog& catalog,
   ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_extprice, map_rev, 0).status());
   ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_discount, map_rev, 1).status());
   NodeConfig agg_cfg = HashCfg(static_cast<double>(l_orderkey->length()));
-  agg_cfg.agg_op = AggOp::kSum;
+  agg_cfg.agg_ops = {AggOp::kSum};
   int agg = g.AddNode(K::kHashAgg, device, agg_cfg, "hashed.hash_agg");
   ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_orderkey, agg, 0).status());
   ADAMANT_RETURN_NOT_OK(
@@ -365,7 +366,7 @@ Result<PlanBundle> BuildQ4(const Catalog& catalog,
   int gather =
       g.AddNode(K::kMaterializePosition, device, {}, "q4.gather_priority");
   NodeConfig agg_cfg = HashCfg(/*5 priorities*/ 8, /*scale=*/false);
-  agg_cfg.agg_op = AggOp::kCount;
+  agg_cfg.agg_ops = {AggOp::kCount};
   int agg = g.AddNode(K::kHashAgg, device, agg_cfg, "q4.count_by_priority");
 
   ADAMANT_RETURN_NOT_OK(g.ConnectScan(o_orderdate, f_date, 0).status());
@@ -389,8 +390,8 @@ Result<std::vector<tpch::Q4Row>> ExtractQ4(const PlanBundle& bundle,
   ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(bundle.result_node));
   std::vector<tpch::Q4Row> rows;
   rows.reserve(groups.size());
-  for (const auto& [priority, count] : groups) {
-    rows.push_back(tpch::Q4Row{priority, count});
+  for (const AggGroup& group : groups) {
+    rows.push_back(tpch::Q4Row{group.key, group.acc[0]});
   }
   return rows;
 }
@@ -505,7 +506,7 @@ Result<PlanBundle> BuildQ3(const Catalog& catalog,
                                  ElementType::kInt64),
                           "q3.map_revenue");
   NodeConfig agg_cfg = HashCfg(orders_rows * 0.15);
-  agg_cfg.agg_op = AggOp::kSum;
+  agg_cfg.agg_ops = {AggOp::kSum};
   int agg = g.AddNode(K::kHashAgg, device, agg_cfg, "q3.agg_revenue");
 
   ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_shipdate, f_ship, 0).status());
@@ -550,43 +551,77 @@ Result<std::vector<tpch::Q3Row>> ExtractQ3(const PlanBundle& bundle,
                            Col(catalog, "orders", "o_orderdate"));
   ADAMANT_ASSIGN_OR_RETURN(ColumnPtr o_shippriority,
                            Col(catalog, "orders", "o_shippriority"));
-  // Index the few result groups, then find each one's first order row in
-  // one pass over o_orderkey.
+  // Find each group's first order row. The generator's dense keys and
+  // dbgen's sparse ones both come in ascending o_orderkey, where the groups,
+  // sorted by key too, each gallop forward from the previous group's row
+  // and binary-search the bracket; other orders take one pass over the
+  // column.
   constexpr size_t kNoRow = SIZE_MAX;
-  std::unordered_map<int32_t, size_t> group_of;
-  group_of.reserve(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    group_of.emplace(groups[g].first, g);
-  }
   std::vector<size_t> order_row(groups.size(), kNoRow);
   const int32_t* orderkeys = o_orderkey->data<int32_t>();
-  for (size_t i = 0; i < o_orderkey->length(); ++i) {
-    auto it = group_of.find(orderkeys[i]);
-    if (it != group_of.end() && order_row[it->second] == kNoRow) {
-      order_row[it->second] = i;
+  const int32_t* orderkeys_end = orderkeys + o_orderkey->length();
+  // One branch-free pass, which vectorizes where std::is_sorted's early
+  // exit does not.
+  uint32_t descents = 0;
+  for (size_t i = 1; i < o_orderkey->length(); ++i) {
+    descents |= static_cast<uint32_t>(orderkeys[i - 1] > orderkeys[i]);
+  }
+  if (descents == 0) {
+    // Every row before `lo` holds a key below the current group's.
+    const int32_t* lo = orderkeys;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const int32_t key = groups[g].key;
+      const int32_t* hi = lo;
+      for (size_t step = 1; hi != orderkeys_end && *hi < key; step *= 2) {
+        lo = hi + 1;
+        hi = static_cast<size_t>(orderkeys_end - lo) > step ? lo + step
+                                                             : orderkeys_end;
+      }
+      lo = std::lower_bound(lo, hi, key);
+      if (lo != orderkeys_end && *lo == key) {
+        order_row[g] = static_cast<size_t>(lo - orderkeys);
+      }
+    }
+  } else {
+    std::unordered_map<int32_t, size_t> group_of;
+    group_of.reserve(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      group_of.emplace(groups[g].key, g);
+    }
+    for (size_t i = 0; i < o_orderkey->length(); ++i) {
+      auto it = group_of.find(orderkeys[i]);
+      if (it != group_of.end() && order_row[it->second] == kNoRow) {
+        order_row[it->second] = i;
+      }
     }
   }
 
+  // Groups come sorted by key, so the first missing one is reported.
   std::vector<tpch::Q3Row> rows;
   rows.reserve(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
-    const auto [orderkey, revenue] = groups[g];
+    const int32_t orderkey = groups[g].key;
     const size_t row = order_row[g];
     if (row == kNoRow) {
       return Status::Internal("Q3 group key " + std::to_string(orderkey) +
                               " not in orders");
     }
-    rows.push_back(tpch::Q3Row{orderkey, revenue,
+    rows.push_back(tpch::Q3Row{orderkey, groups[g].acc[0],
                                o_orderdate->Value<int32_t>(row),
                                o_shippriority->Value<int32_t>(row)});
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const tpch::Q3Row& a, const tpch::Q3Row& b) {
-              if (a.revenue != b.revenue) return a.revenue > b.revenue;
-              if (a.orderdate != b.orderdate) return a.orderdate < b.orderdate;
-              return a.orderkey < b.orderkey;
-            });
-  if (rows.size() > params.limit) rows.resize(params.limit);
+  // The first `limit` rows in (revenue desc, orderdate, orderkey) order; the
+  // order is total, so a partial sort gives exactly the full sort's prefix.
+  const size_t kept = std::min(params.limit, rows.size());
+  std::partial_sort(rows.begin(), rows.begin() + kept, rows.end(),
+                    [](const tpch::Q3Row& a, const tpch::Q3Row& b) {
+                      if (a.revenue != b.revenue) return a.revenue > b.revenue;
+                      if (a.orderdate != b.orderdate) {
+                        return a.orderdate < b.orderdate;
+                      }
+                      return a.orderkey < b.orderkey;
+                    });
+  rows.resize(kept);
   return rows;
 }
 
@@ -633,11 +668,18 @@ Result<PlanBundle> BuildQ1(const Catalog& catalog,
   ADAMANT_ASSIGN_OR_RETURN(int m_disc, materialize(discount, "q1.mat_disc"));
   ADAMANT_ASSIGN_OR_RETURN(int m_tax, materialize(tax, "q1.mat_tax"));
 
-  // key = returnflag * 8 + linestatus (dictionary codes are small ints).
-  int key_hi = g.AddNode(
-      K::kMap, device,
-      MapCfg(MapOp::kMulScalar, ElementType::kInt32, ElementType::kInt32, 8),
-      "q1.map_key_hi");
+  // key = returnflag * modulus + linestatus over their dictionary codes,
+  // packed and sized by the rule the SQL planner uses.
+  ADAMANT_ASSIGN_OR_RETURN(TablePtr lineitem, catalog.GetTable("lineitem"));
+  ADAMANT_ASSIGN_OR_RETURN(int64_t rf_domain,
+                           GroupKeyDomain(*lineitem, "l_returnflag"));
+  ADAMANT_ASSIGN_OR_RETURN(int64_t ls_domain,
+                           GroupKeyDomain(*lineitem, "l_linestatus"));
+  bundle.group_key_modulus = GroupKeyModulus(ls_domain);
+  int key_hi = g.AddNode(K::kMap, device,
+                         MapCfg(MapOp::kMulScalar, ElementType::kInt32,
+                                ElementType::kInt32, bundle.group_key_modulus),
+                         "q1.map_key_hi");
   int key = g.AddNode(
       K::kMap, device,
       MapCfg(MapOp::kAddCol, ElementType::kInt32, ElementType::kInt32),
@@ -661,74 +703,49 @@ Result<PlanBundle> BuildQ1(const Catalog& catalog,
       g.Connect(disc_price, 0, charge, 0, ElementType::kInt64).status());
   ADAMANT_RETURN_NOT_OK(g.Connect(m_tax, 0, charge, 1).status());
 
-  auto agg = [&](int values_node, ElementType type, AggOp op,
-                 const char* label) -> Result<int> {
-    NodeConfig cfg = HashCfg(/*<=24 packed keys*/ 32, /*scale=*/false);
-    cfg.agg_op = op;
-    int node = g.AddNode(K::kHashAgg, device, cfg, label);
-    ADAMANT_RETURN_NOT_OK(g.Connect(key, 0, node, 0).status());
-    if (op != AggOp::kCount) {
-      ADAMANT_RETURN_NOT_OK(g.Connect(values_node, 0, node, 1, type).status());
-    }
-    return node;
-  };
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_qty, agg(m_qty, ElementType::kInt32, AggOp::kSum, "q1.sum_qty"));
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_base,
-      agg(m_price, ElementType::kInt64, AggOp::kSum, "q1.sum_base"));
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_disc,
-      agg(disc_price, ElementType::kInt64, AggOp::kSum, "q1.sum_disc_price"));
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_charge,
-      agg(charge, ElementType::kInt64, AggOp::kSum, "q1.sum_charge"));
-  ADAMANT_ASSIGN_OR_RETURN(
-      int a_count, agg(-1, ElementType::kInt64, AggOp::kCount, "q1.count"));
+  // One HASH_AGG holds all five aggregates; accumulator a reads slot a + 1.
+  NodeConfig agg_cfg =
+      HashCfg(PackedGroupCount(rf_domain, ls_domain), /*scale=*/false);
+  agg_cfg.agg_ops = {AggOp::kSum, AggOp::kSum, AggOp::kSum, AggOp::kSum,
+                     AggOp::kCount};
+  int agg = g.AddNode(K::kHashAgg, device, agg_cfg, "q1.agg");
+  ADAMANT_RETURN_NOT_OK(g.Connect(key, 0, agg, 0).status());
+  ADAMANT_RETURN_NOT_OK(g.Connect(m_qty, 0, agg, 1).status());
+  ADAMANT_RETURN_NOT_OK(
+      g.Connect(m_price, 0, agg, 2, ElementType::kInt64).status());
+  ADAMANT_RETURN_NOT_OK(
+      g.Connect(disc_price, 0, agg, 3, ElementType::kInt64).status());
+  ADAMANT_RETURN_NOT_OK(
+      g.Connect(charge, 0, agg, 4, ElementType::kInt64).status());
 
-  bundle.nodes = {{"sum_qty", a_qty},
-                  {"sum_base", a_base},
-                  {"sum_disc_price", a_disc},
-                  {"sum_charge", a_charge},
-                  {"count", a_count}};
-  bundle.result_node = a_count;
+  bundle.nodes = {{"agg", agg}};
+  bundle.accumulators = {{"sum_qty", 0},
+                         {"sum_base", 1},
+                         {"sum_disc_price", 2},
+                         {"sum_charge", 3},
+                         {"count", 4}};
+  bundle.result_node = agg;
   return bundle;
 }
 
 Result<std::vector<tpch::Q1Row>> ExtractQ1(const PlanBundle& bundle,
                                            const QueryExecution& exec) {
-  std::map<int32_t, tpch::Q1Row> rows;
-  auto fold = [&](const char* name, auto apply) -> Status {
-    ADAMANT_ASSIGN_OR_RETURN(auto groups,
-                             exec.GroupResults(bundle.nodes.at(name)));
-    for (const auto& [packed, value] : groups) {
-      tpch::Q1Row& row = rows[packed];
-      row.returnflag = packed / 8;
-      row.linestatus = packed % 8;
-      apply(&row, value);
-    }
-    return Status::OK();
+  ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(bundle.result_node));
+  const auto acc = [&](const AggGroup& group, const char* name) {
+    return group.acc[bundle.AccumulatorOf(name)];
   };
-  ADAMANT_RETURN_NOT_OK(fold("sum_qty", [](tpch::Q1Row* r, int64_t v) {
-    r->sum_qty = v;
-  }));
-  ADAMANT_RETURN_NOT_OK(fold("sum_base", [](tpch::Q1Row* r, int64_t v) {
-    r->sum_base_price = v;
-  }));
-  ADAMANT_RETURN_NOT_OK(fold("sum_disc_price", [](tpch::Q1Row* r, int64_t v) {
-    r->sum_disc_price = v;
-  }));
-  ADAMANT_RETURN_NOT_OK(fold("sum_charge", [](tpch::Q1Row* r, int64_t v) {
-    r->sum_charge = v;
-  }));
-  ADAMANT_RETURN_NOT_OK(fold("count", [](tpch::Q1Row* r, int64_t v) {
-    r->count = v;
-  }));
-
-  std::vector<tpch::Q1Row> result;
-  result.reserve(rows.size());
-  for (const auto& [packed, row] : rows) result.push_back(row);
-  return result;
+  std::vector<tpch::Q1Row> rows;
+  rows.reserve(groups.size());
+  for (const AggGroup& group : groups) {
+    const auto [returnflag, linestatus] =
+        UnpackGroupKey(group.key, bundle.group_key_modulus);
+    rows.push_back(tpch::Q1Row{static_cast<int32_t>(returnflag),
+                               static_cast<int32_t>(linestatus),
+                               acc(group, "sum_qty"), acc(group, "sum_base"),
+                               acc(group, "sum_disc_price"),
+                               acc(group, "sum_charge"), acc(group, "count")});
+  }
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -896,7 +913,7 @@ Result<PlanBundle> BuildQ5(const Catalog& catalog,
   int g_rev4 =
       g.AddNode(K::kMaterializePosition, device, {}, "q5.gather_revenue4");
   NodeConfig agg_cfg = HashCfg(32, /*scale=*/false);
-  agg_cfg.agg_op = AggOp::kSum;
+  agg_cfg.agg_ops = {AggOp::kSum};
   int agg = g.AddNode(K::kHashAgg, device, agg_cfg, "q5.agg_by_nation");
 
   ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_orderkey, probe0, 0).status());
@@ -972,14 +989,14 @@ Result<std::vector<tpch::Q5Row>> ExtractQ5(const PlanBundle& bundle,
   }
   std::vector<tpch::Q5Row> rows;
   rows.reserve(groups.size());
-  for (const auto& [nationkey, revenue] : groups) {
-    auto it = name_of.find(nationkey);
+  for (const AggGroup& group : groups) {
+    auto it = name_of.find(group.key);
     if (it == name_of.end()) {
-      return Status::Internal("nation key " + std::to_string(nationkey) +
+      return Status::Internal("nation key " + std::to_string(group.key) +
                               " not in nation table");
     }
     rows.push_back(
-        tpch::Q5Row{nationkey, dict->GetString(it->second), revenue});
+        tpch::Q5Row{group.key, dict->GetString(it->second), group.acc[0]});
   }
   std::sort(rows.begin(), rows.end(),
             [](const tpch::Q5Row& a, const tpch::Q5Row& b) {
@@ -1067,7 +1084,7 @@ Result<PlanBundle> BuildQ10(const Catalog& catalog,
                                  ElementType::kInt64),
                           "q10.map_revenue");
   NodeConfig agg_cfg = HashCfg(orders_rows * 0.05);
-  agg_cfg.agg_op = AggOp::kSum;
+  agg_cfg.agg_ops = {AggOp::kSum};
   int agg = g.AddNode(K::kHashAgg, device, agg_cfg, "q10.agg_by_custkey");
 
   ADAMANT_RETURN_NOT_OK(g.ConnectScan(l_returnflag, f_ret, 0).status());
@@ -1103,8 +1120,8 @@ Result<std::vector<tpch::Q10Row>> ExtractQ10(const PlanBundle& bundle,
   ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(bundle.result_node));
   std::vector<tpch::Q10Row> rows;
   rows.reserve(groups.size());
-  for (const auto& [custkey, revenue] : groups) {
-    rows.push_back(tpch::Q10Row{custkey, revenue});
+  for (const AggGroup& group : groups) {
+    rows.push_back(tpch::Q10Row{group.key, group.acc[0]});
   }
   std::sort(rows.begin(), rows.end(),
             [](const tpch::Q10Row& a, const tpch::Q10Row& b) {
@@ -1228,7 +1245,7 @@ Result<PlanBundle> BuildQ12(const Catalog& catalog,
     ADAMANT_RETURN_NOT_OK(g.Connect(g_mode, 0, m, 0).status());
     ADAMANT_RETURN_NOT_OK(g.Connect(f, 0, m, 1).status());
     NodeConfig acfg = HashCfg(/*7 ship modes*/ 8, /*scale=*/false);
-    acfg.agg_op = AggOp::kCount;
+    acfg.agg_ops = {AggOp::kCount};
     int agg = g.AddNode(K::kHashAgg, device, acfg,
                         std::string("q12.count_") + label);
     ADAMANT_RETURN_NOT_OK(g.Connect(m, 0, agg, 0).status());
@@ -1253,13 +1270,13 @@ Result<std::vector<tpch::Q12Row>> ExtractQ12(const PlanBundle& bundle,
                            exec.GroupResults(bundle.nodes.at("high")));
   ADAMANT_ASSIGN_OR_RETURN(auto low, exec.GroupResults(bundle.nodes.at("low")));
   std::map<int32_t, tpch::Q12Row> rows;
-  for (const auto& [mode, count] : high) {
-    rows.try_emplace(mode, tpch::Q12Row{mode, 0, 0}).first->second
-        .high_line_count = count;
+  for (const AggGroup& group : high) {
+    rows.try_emplace(group.key, tpch::Q12Row{group.key, 0, 0}).first->second
+        .high_line_count = group.acc[0];
   }
-  for (const auto& [mode, count] : low) {
-    rows.try_emplace(mode, tpch::Q12Row{mode, 0, 0}).first->second
-        .low_line_count = count;
+  for (const AggGroup& group : low) {
+    rows.try_emplace(group.key, tpch::Q12Row{group.key, 0, 0}).first->second
+        .low_line_count = group.acc[0];
   }
   std::vector<tpch::Q12Row> result;
   result.reserve(rows.size());

@@ -23,8 +23,20 @@ struct PlanBundle {
   std::unique_ptr<PrimitiveGraph> graph;
   /// Named nodes ("agg", "agg_qty", ...) for result extraction.
   std::map<std::string, int> nodes;
+  /// The accumulator a named HASH_AGG output reads in its node
+  /// (NodeConfig::agg_ops index); a name missing here reads accumulator 0.
+  std::map<std::string, size_t> accumulators;
+  /// Two-column group keys: the GroupKeyModulus they were packed with
+  /// (key = hi * modulus + lo); 0 when the group key is one column.
+  int64_t group_key_modulus = 0;
   /// The primary result node (terminal aggregation).
   int result_node = -1;
+
+  /// The accumulator `name` reads in its node.
+  size_t AccumulatorOf(const std::string& name) const {
+    const auto it = accumulators.find(name);
+    return it == accumulators.end() ? 0 : it->second;
+  }
 };
 
 /// TPC-H Q6: conjunctive filter chain + revenue map + block aggregation

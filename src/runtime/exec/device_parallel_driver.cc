@@ -303,8 +303,9 @@ Status MergeBreaker(RunContext& parent, std::vector<SubRun>& subs,
       }
       case PrimitiveKind::kHashAgg:
         ADAMANT_RETURN_NOT_OK(
-            MergeAggTables(node.config.agg_op, partials[i].data(),
-                           merged.size() / sizeof(HashTableLayout::AggSlot),
+            MergeAggTables(node.config.agg_ops, partials[i].data(),
+                           merged.size() / HashTableLayout::AggSlotBytes(
+                                               node.config.agg_ops.size()),
                            merged.data())
                 .WithContext(node.label));
         break;

@@ -59,9 +59,10 @@ Result<GraphPrice> PriceGraph(const PrimitiveGraph& graph,
     for (int node_id : pipeline.nodes) {
       SimulatedDevice* dev = device_of(node_id);
       if (dev == nullptr) continue;
+      const GraphNode& graph_node = graph.node(node_id);
       const SimulatedDevice::LaunchPrice launch = dev->PriceLaunch(
-          GetSignature(graph.node(node_id).kind).kernel_name, rows / chunks,
-          options.kernel_threads);
+          GetSignature(graph_node.kind).kernel_name, rows / chunks,
+          options.kernel_threads, KernelBodies(graph_node));
       GraphPrice::NodePrice& node = price.nodes[static_cast<size_t>(node_id)];
       node.threads = launch.threads;
       node.cost_us = chunks * launch.total_us;

@@ -81,7 +81,8 @@ Result<PersistShape> PlanPersist(const GraphNode& node, size_t input_rows) {
       }
       shape.num_slots = HashTableLayout::SlotsFor(
           static_cast<size_t>(node.config.expected_build_rows));
-      shape.bytes = HashTableLayout::AggTableBytes(shape.num_slots);
+      shape.bytes = HashTableLayout::AggTableBytes(
+          shape.num_slots, node.config.agg_ops.size());
       break;
     }
     case PrimitiveKind::kSortAgg:

@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "runtime/exec/graph_price.h"
 #include "runtime/exec/plan_shapes.h"
+#include "task/hash_table.h"
 #include "task/kernels.h"
 #include "task/kernels_fused.h"
 
@@ -503,9 +504,10 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
     return ExecuteFusedNode(node, dev, base_row, n);
   }
 
-  // Resolve inputs by slot.
-  std::array<Binding, 2> in{};
-  std::array<bool, 2> has_in{false, false};
+  // Resolve inputs by slot: a HASH_AGG takes its keys and one values slot
+  // per accumulator, every other kind at most two inputs.
+  std::array<Binding, 1 + HashTableLayout::kMaxAccumulators> in{};
+  std::array<bool, 1 + HashTableLayout::kMaxAccumulators> has_in{};
   for (int edge_id : graph_->InEdges(node_id)) {
     const GraphEdge& edge = graph_->edges()[static_cast<size_t>(edge_id)];
     const auto slot = static_cast<size_t>(edge.to_slot);
@@ -687,10 +689,17 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
       out0.data = persist.buffer;
       out0.num_slots = persist.num_slots;
       out0.device = node.device;
+      std::vector<kernels::HashAggAccumulator> accs(
+          node.config.agg_ops.size());
+      for (size_t a = 0; a < accs.size(); ++a) {
+        accs[a].op = node.config.agg_ops[a];
+        if (has_in[a + 1]) {
+          accs[a].values = in[a + 1].data;
+          accs[a].value_type = in[a + 1].elem_type;
+        }
+      }
       launch = kernels::MakeHashAgg(
-          keys.data, has_in[1] ? in[1].data : kInvalidBuffer, persist.buffer,
-          persist.num_slots, node.config.agg_op,
-          has_in[1] ? in[1].elem_type : ElementType::kInt64, keys.capacity,
+          keys.data, accs, persist.buffer, persist.num_slots, keys.capacity,
           node.config.expected_build_rows,
           node.config.build_rows_scale_with_data, keys.count);
       break;

@@ -153,23 +153,38 @@ Result<int64_t> QueryExecution::AggValue(int node_id) const {
   return value;
 }
 
-Result<std::vector<std::pair<int32_t, int64_t>>> QueryExecution::GroupResults(
-    int node_id) const {
+Result<std::vector<AggGroup>> QueryExecution::GroupResults(int node_id) const {
   ADAMANT_ASSIGN_OR_RETURN(const NodeOutput* output, Output(node_id));
   if (output->kind != PrimitiveKind::kHashAgg) {
     return Status::InvalidArgument("node " + std::to_string(node_id) +
                                    " is not a HASH_AGG result");
   }
-  const auto* slots =
-      reinterpret_cast<const HashTableLayout::AggSlot*>(output->bytes.data());
-  const size_t n = output->bytes.size() / sizeof(HashTableLayout::AggSlot);
-  std::vector<std::pair<int32_t, int64_t>> groups;
-  for (size_t i = 0; i < n; ++i) {
-    if (slots[i].key != HashTableLayout::kEmptyKey) {
-      groups.emplace_back(slots[i].key, slots[i].value);
-    }
+  std::vector<AggGroup> groups;
+  if (output->num_slots == 0) return groups;
+  const size_t slot_bytes = output->bytes.size() / output->num_slots;
+  const size_t num_accs =
+      (slot_bytes - HashTableLayout::kAggAccOffset) / sizeof(int64_t);
+  if (slot_bytes != HashTableLayout::AggSlotBytes(num_accs) ||
+      num_accs > HashTableLayout::kMaxAccumulators) {
+    return Status::Internal("node " + std::to_string(node_id) +
+                            ": malformed HASH_AGG table");
   }
-  std::sort(groups.begin(), groups.end());
+  // Sort (key, slot) pairs, then copy each group's accumulators once.
+  std::vector<std::pair<int32_t, size_t>> order;
+  for (size_t i = 0; i < output->num_slots; ++i) {
+    int32_t key;
+    std::memcpy(&key, output->bytes.data() + i * slot_bytes, sizeof(key));
+    if (key != HashTableLayout::kEmptyKey) order.emplace_back(key, i);
+  }
+  std::sort(order.begin(), order.end());
+  groups.resize(order.size());
+  for (size_t g = 0; g < order.size(); ++g) {
+    groups[g].key = order[g].first;
+    std::memcpy(groups[g].acc.data(),
+                output->bytes.data() + order[g].second * slot_bytes +
+                    HashTableLayout::kAggAccOffset,
+                num_accs * sizeof(int64_t));
+  }
   return groups;
 }
 

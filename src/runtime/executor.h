@@ -1,6 +1,7 @@
 #ifndef ADAMANT_RUNTIME_EXECUTOR_H_
 #define ADAMANT_RUNTIME_EXECUTOR_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -16,6 +17,7 @@
 #include "runtime/transfer_hub.h"
 #include "sim/sim_time.h"
 #include "task/containers.h"
+#include "task/hash_table.h"
 
 namespace adamant {
 
@@ -221,6 +223,15 @@ struct QueryStats {
 /// Results + statistics of one query run. Terminal pipeline-breaker outputs
 /// are retrieved to the host at the end of execution; terminal streaming
 /// outputs (e.g. a bare filter) are collected per chunk.
+/// One HASH_AGG group: its key and the value of each of the node's
+/// accumulators, in NodeConfig::agg_ops order (the rest stay 0).
+struct AggGroup {
+  int32_t key = 0;
+  std::array<int64_t, HashTableLayout::kMaxAccumulators> acc{};
+
+  bool operator==(const AggGroup&) const = default;
+};
+
 class QueryExecution {
  public:
   struct ChunkPart {
@@ -244,9 +255,8 @@ class QueryExecution {
   /// AGG_BLOCK result.
   Result<int64_t> AggValue(int node_id) const;
 
-  /// HASH_AGG groups, sorted by key.
-  Result<std::vector<std::pair<int32_t, int64_t>>> GroupResults(
-      int node_id) const;
+  /// HASH_AGG groups, sorted by key, each with the node's accumulators.
+  Result<std::vector<AggGroup>> GroupResults(int node_id) const;
 
   /// HASH_BUILD entries (key, payload), sorted by (key, payload).
   Result<std::vector<std::pair<int32_t, int32_t>>> BuildEntries(

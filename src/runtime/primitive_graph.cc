@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "task/hash_table.h"
 
 namespace adamant {
 
@@ -43,10 +44,15 @@ std::vector<SlotSpec> ExpectedInputs(const GraphNode& node) {
       return {{S::kNumeric, true}, {S::kNumeric, false}};
     case PrimitiveKind::kHashProbe:
       return {{S::kNumeric, true}, {S::kHashTable, true}};
-    case PrimitiveKind::kHashAgg:
-      // values slot required unless COUNT (Table I).
-      return {{S::kNumeric, true},
-              {S::kNumeric, node.config.agg_op != AggOp::kCount}};
+    case PrimitiveKind::kHashAgg: {
+      // The keys, then one values slot per accumulator, required unless
+      // COUNT (Table I).
+      std::vector<SlotSpec> slots = {{S::kNumeric, true}};
+      for (AggOp op : node.config.agg_ops) {
+        slots.push_back({S::kNumeric, op != AggOp::kCount});
+      }
+      return slots;
+    }
     case PrimitiveKind::kSortAgg:
       return {{S::kNumeric, true}, {S::kPrefixSum, true}};
     case PrimitiveKind::kFused:
@@ -170,6 +176,14 @@ size_t PrimitiveGraph::InputBytes() const {
 
 Status PrimitiveGraph::ValidateNodeInputs(
     const GraphNode& node, const std::vector<int>& in_edges) const {
+  if (node.kind == PrimitiveKind::kHashAgg &&
+      (node.config.agg_ops.empty() ||
+       node.config.agg_ops.size() > HashTableLayout::kMaxAccumulators)) {
+    return Status::InvalidArgument(
+        node.label + ": HASH_AGG takes 1 to " +
+        std::to_string(HashTableLayout::kMaxAccumulators) +
+        " accumulators, got " + std::to_string(node.config.agg_ops.size()));
+  }
   const std::vector<SlotSpec> expected = ExpectedInputs(node);
   std::vector<const GraphEdge*> by_slot(expected.size(), nullptr);
   for (int edge_id : in_edges) {

@@ -31,8 +31,14 @@ struct NodeConfig {
   /// Table I's one-input FILTER_BITMAP.
   bool combine_and = false;
 
-  // AGG_BLOCK / HASH_AGG / SORT_AGG
+  // AGG_BLOCK / SORT_AGG
   AggOp agg_op = AggOp::kSum;
+
+  /// HASH_AGG: one op per accumulator, 1 to HashTableLayout::
+  /// kMaxAccumulators, so one node holds every aggregate of a GROUP BY.
+  /// Accumulator a reads its values from input slot a + 1; a COUNT's slot
+  /// stays empty (Table I).
+  std::vector<AggOp> agg_ops;
 
   // HASH_PROBE
   ProbeMode probe_mode = ProbeMode::kAll;
@@ -70,6 +76,14 @@ struct GraphNode {
   NodeConfig config;
   std::string label;
 };
+
+/// Single-kernel bodies one launch of `node` charges (KernelLaunch::
+/// bodies): a HASH_AGG's accumulator count, 1 for every other kind.
+inline int KernelBodies(const GraphNode& node) {
+  return node.kind == PrimitiveKind::kHashAgg
+             ? static_cast<int>(node.config.agg_ops.size())
+             : 1;
+}
 
 /// A data edge. Sources are either another node's output slot or a host
 /// column (a scan). Edges carry the paper's runtime annotations: unique data

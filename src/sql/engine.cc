@@ -6,6 +6,7 @@
 
 #include "common/date.h"
 #include "plan/interpreter.h"
+#include "plan/logical_plan.h"
 #include "sql/parser.h"
 
 namespace adamant::sql {
@@ -26,15 +27,10 @@ std::string FormatDouble(double v) {
   return buffer;
 }
 
-/// Decoded group-key parts for one output row.
-std::pair<int64_t, int64_t> UnpackKey(int32_t key, int64_t pack_mod) {
-  if (pack_mod <= 0) return {key, 0};
-  return {key / pack_mod, key % pack_mod};
-}
-
+/// Decoded group-key part `part` of one output row.
 int64_t KeyPartValue(const CompiledQuery& query, int32_t key, int part) {
-  const auto [hi, lo] = UnpackKey(key, query.pack_mod);
-  if (query.pack_mod <= 0) return hi;
+  if (query.pack_mod <= 0) return key;
+  const auto [hi, lo] = plan::UnpackGroupKey(key, query.pack_mod);
   return part == 0 ? hi : lo;
 }
 
@@ -55,9 +51,11 @@ Result<SqlResultSet> ExtractResults(const CompiledQuery& query,
     out.column_names.push_back(output.name);
   }
 
-  // Pull every aggregate sink once.
+  // Pull every aggregate sink once: the groups of each HASH_AGG node (one
+  // per GROUP BY, holding several aggregates), or each AGG_BLOCK's value.
   std::vector<std::map<int32_t, int64_t>> agg_results(
       query.aggregates.size());
+  std::map<int, std::vector<AggGroup>> node_groups;
   std::vector<int32_t> keys;
   for (size_t a = 0; a < query.aggregates.size(); ++a) {
     const std::string& name = query.aggregates[a].output_name;
@@ -67,12 +65,20 @@ Result<SqlResultSet> ExtractResults(const CompiledQuery& query,
                               "' missing from the lowered plan");
     }
     if (query.grouped) {
-      ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(it->second));
+      auto groups_it = node_groups.find(it->second);
+      if (groups_it == node_groups.end()) {
+        ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(it->second));
+        groups_it = node_groups.emplace(it->second, std::move(groups)).first;
+      }
+      const std::vector<AggGroup>& groups = groups_it->second;
       if (a == 0) {
         keys.reserve(groups.size());
-        for (const auto& [key, _] : groups) keys.push_back(key);
+        for (const AggGroup& group : groups) keys.push_back(group.key);
       }
-      agg_results[a].insert(groups.begin(), groups.end());
+      const size_t acc = bundle.AccumulatorOf(name);
+      for (const AggGroup& group : groups) {
+        agg_results[a].emplace(group.key, group.acc[acc]);
+      }
     } else {
       ADAMANT_ASSIGN_OR_RETURN(int64_t value, exec.AggValue(it->second));
       agg_results[a][0] = value;
@@ -203,6 +209,7 @@ Status VerifyAgainstInterpreter(const CompiledQuery& query,
                                 const Catalog& catalog) {
   ADAMANT_ASSIGN_OR_RETURN(plan::InterpreterResults want,
                            plan::InterpretPlan(*query.plan, catalog));
+  std::map<int, std::vector<AggGroup>> node_groups;
   for (const BoundAggregate& agg : query.aggregates) {
     const auto node = bundle.nodes.find(agg.output_name);
     if (node == bundle.nodes.end()) {
@@ -216,14 +223,22 @@ Status VerifyAgainstInterpreter(const CompiledQuery& query,
     }
     const auto& want_groups = want_it->second;
     if (query.grouped) {
-      ADAMANT_ASSIGN_OR_RETURN(auto got, exec.GroupResults(node->second));
+      auto got_it = node_groups.find(node->second);
+      if (got_it == node_groups.end()) {
+        ADAMANT_ASSIGN_OR_RETURN(auto groups, exec.GroupResults(node->second));
+        got_it = node_groups.emplace(node->second, std::move(groups)).first;
+      }
+      const std::vector<AggGroup>& got = got_it->second;
       if (got.size() != want_groups.size()) {
         return Status::ExecutionError(
             "aggregate '" + agg.output_name + "': executor returned " +
             std::to_string(got.size()) + " groups, interpreter " +
             std::to_string(want_groups.size()));
       }
-      for (const auto& [key, value] : got) {
+      const size_t acc = bundle.AccumulatorOf(agg.output_name);
+      for (const AggGroup& group : got) {
+        const int32_t key = group.key;
+        const int64_t value = group.acc[acc];
         const auto it = want_groups.find(key);
         if (it == want_groups.end()) {
           return Status::ExecutionError("aggregate '" + agg.output_name +

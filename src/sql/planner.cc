@@ -27,12 +27,6 @@ int64_t CellValue(const Column& col, size_t i) {
   return 0;
 }
 
-int64_t NextPow2(int64_t v) {
-  int64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 double Clamp(double v, double lo, double hi) {
   return std::min(hi, std::max(lo, v));
 }
@@ -404,10 +398,10 @@ class Planner {
     std::vector<std::pair<std::string, ScalarExpr>> projections =
         bound_.projections;
     if (bound_.group_by.size() == 2) {
-      // Pack both keys into one int32: key = first * M + second, with M a
-      // power of two covering the second key's domain.
+      // Pack both keys into one int32 by the shared two-column rule:
+      // key = first * GroupKeyModulus(second's domain) + second.
       ADAMANT_ASSIGN_OR_RETURN(int64_t dom2, KeyDomain(bound_.group_by[1]));
-      out->pack_mod = NextPow2(std::max<int64_t>(dom2, 1));
+      out->pack_mod = plan::GroupKeyModulus(dom2);
       const std::string hi = "$khi";
       projections.emplace_back(
           hi, ScalarExpr::MulScalar(bound_.group_by[0].column, out->pack_mod,
@@ -422,28 +416,11 @@ class Planner {
     return stream;
   }
 
-  /// Domain size (max value + 1) of a group-key column on the fact table;
-  /// dictionary columns use the dictionary size, others a scan. Negative
-  /// keys cannot be packed.
+  /// Domain size of a group-key column on the fact table
+  /// (plan::GroupKeyDomain).
   Result<int64_t> KeyDomain(const BoundGroupKey& key) {
-    const BoundTable& fact = bound_.tables[bound_.fact_table];
-    if (key.sem == ColumnSemantic::kDict) {
-      const StringDictionary* dict = fact.table->FindDictionary(key.column);
-      if (dict != nullptr) return static_cast<int64_t>(dict->size());
-    }
-    ADAMANT_ASSIGN_OR_RETURN(ColumnPtr col, fact.table->GetColumn(key.column));
-    int64_t max_value = 0;
-    for (size_t i = 0; i < col->length(); ++i) {
-      const int64_t v = CellValue(*col, i);
-      if (v < 0) {
-        return Status::NotSupported(
-            "GROUP BY column '" + key.column +
-            "' holds negative values and cannot be packed into a "
-            "two-column key");
-      }
-      max_value = std::max(max_value, v);
-    }
-    return max_value + 1;
+    return plan::GroupKeyDomain(*bound_.tables[bound_.fact_table].table,
+                                key.column);
   }
 
   Result<LogicalNodePtr> EmitSink(LogicalNodePtr stream, CompiledQuery*) {
@@ -467,7 +444,7 @@ class Planner {
       key = "$gkey";
       ADAMANT_ASSIGN_OR_RETURN(int64_t dom1, KeyDomain(bound_.group_by[0]));
       ADAMANT_ASSIGN_OR_RETURN(int64_t dom2, KeyDomain(bound_.group_by[1]));
-      expected = static_cast<double>(dom1 * dom2);
+      expected = plan::PackedGroupCount(dom1, dom2);
       scale = false;
     } else if (bound_.group_by[0].sem == ColumnSemantic::kDict) {
       const BoundTable& fact = bound_.tables[bound_.fact_table];

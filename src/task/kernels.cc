@@ -1,9 +1,11 @@
 #include "task/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
 #include <type_traits>
+#include <utility>
 
 #include "common/bit_util.h"
 #include "common/logging.h"
@@ -467,74 +469,253 @@ Status HashProbeKernel(KernelExecContext* ctx) {
       count);
 }
 
-// Data: keys[, values], table. Scalars: num_slots, op, value_type, has_count.
-Status HashAggKernel(KernelExecContext* ctx) {
-  ADAMANT_ASSIGN_OR_RETURN(Frame f, Frame::Decode(*ctx, 4));
-  if (f.num_data != 2 && f.num_data != 3) {
-    return Status::InvalidArgument("hash_agg expects 2 or 3 data buffers");
+// The HASH_AGG accumulators of one (op, value type) kind, resolved once per
+// launch: each one's values column and its index in a slot's acc[].
+template <typename T>
+struct AccKind {
+  const T* values[HashTableLayout::kMaxAccumulators];
+  uint32_t acc[HashTableLayout::kMaxAccumulators];
+  uint32_t count = 0;
+
+  void Add(const void* column, size_t accumulator) {
+    values[count] = static_cast<const T*>(column);
+    acc[count++] = static_cast<uint32_t>(accumulator);
   }
-  const bool has_values = f.num_data == 3;
+};
+
+// Every accumulator of a launch, by kind.
+struct AccKinds {
+  AccKind<int32_t> sum32, min32, max32;
+  AccKind<int64_t> sum64, min64, max64, count;
+};
+
+// Folds row i into accumulators [first, last) of one kind, a runtime range;
+// the op and the value type are compile-time.
+template <AggOp Op, typename T>
+[[gnu::always_inline]] inline void FoldKind(int64_t* __restrict accs,
+                                            const AccKind<T>& kind,
+                                            size_t first, size_t last,
+                                            size_t i) {
+  for (size_t k = first; k < last; ++k) {
+    int64_t value = 0;
+    if constexpr (Op != AggOp::kCount) value = kind.values[k][i];
+    accs[kind.acc[k]] = AggCombine<Op>(accs[kind.acc[k]], value);
+  }
+}
+
+// An aggregation table as the row loop sees it: slots of num_accs
+// accumulators, and the identities a new group's slot starts from.
+struct HashAggTable {
+  uint8_t* slots;
+  size_t num_slots;
+  size_t num_accs;
+  const int64_t* identity;
+};
+
+// Probes each row's key, claiming an empty slot for a new group, and hands
+// the group's accumulators to fold(accs, i). Fails at the first sentinel
+// key or when the table is full, with rows [0, i) applied.
+template <typename Fold>
+Status AggRows(const int32_t* __restrict keys, size_t n,
+               const HashAggTable& table, const Fold& fold) {
+  const size_t slot_bytes = HashTableLayout::AggSlotBytes(table.num_accs);
+  const size_t mask = table.num_slots - 1;
+  const auto key_at = [](uint8_t* slot) {
+    return reinterpret_cast<int32_t*>(slot);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t key = keys[i];
+    if (key == HashTableLayout::kEmptyKey) {
+      return Status::InvalidArgument("key collides with empty sentinel");
+    }
+    size_t slot = HashTableLayout::Hash(key) & mask;
+    uint8_t* s = table.slots + slot * slot_bytes;
+    size_t attempts = 0;
+    while (*key_at(s) != HashTableLayout::kEmptyKey && *key_at(s) != key) {
+      slot = (slot + 1) & mask;
+      s = table.slots + slot * slot_bytes;
+      if (++attempts >= table.num_slots) {
+        return Status::ExecutionError("aggregation hash table full");
+      }
+    }
+    auto* accs =
+        reinterpret_cast<int64_t*>(s + HashTableLayout::kAggAccOffset);
+    if (*key_at(s) == HashTableLayout::kEmptyKey) {
+      *key_at(s) = key;
+      for (size_t a = 0; a < table.num_accs; ++a) accs[a] = table.identity[a];
+    }
+    fold(accs, i);
+  }
+  return Status::OK();
+}
+
+// The first kNum accumulators of a kind, kNum compile-time: their folds
+// unroll, and their columns and slots sit in fixed-size locals the row loop
+// keeps in registers.
+template <typename T, size_t kNum>
+struct FixedKind {
+  std::array<const T*, kNum> values;
+  std::array<uint32_t, kNum> acc;
+
+  explicit FixedKind(const AccKind<T>& kind) {
+    for (size_t k = 0; k < kNum; ++k) {
+      values[k] = kind.values[k];
+      acc[k] = kind.acc[k];
+    }
+  }
+
+  template <AggOp Op>
+  void Fold(int64_t* __restrict accs, size_t i) const {
+    for (size_t k = 0; k < kNum; ++k) {
+      int64_t value = 0;
+      if constexpr (Op != AggOp::kCount) value = values[k][i];
+      accs[acc[k]] = AggCombine<Op>(accs[acc[k]], value);
+    }
+  }
+};
+
+// The row loop of a launch holding kSum32 int32 SUMs, kSum64 int64 SUMs and
+// kCount (0 or 1) COUNTs, the bulk of a GROUP BY and all of TPC-H Q1's, as
+// FixedKinds. Further COUNTs and the MIN/MAX kinds fold through loops over
+// their runtime counts, when the launch holds any.
+template <size_t kSum32, size_t kSum64, size_t kCount>
+Status FoldRows(const int32_t* keys, size_t n, const HashAggTable& table,
+                const AccKinds& launch_kinds) {
+  const AccKinds k = launch_kinds;  // a copy the table's stores cannot alias
+  const FixedKind<int32_t, kSum32> sum32(k.sum32);
+  const FixedKind<int64_t, kSum64> sum64(k.sum64);
+  const FixedKind<int64_t, kCount> count(k.count);
+  const bool rest = k.count.count > kCount || k.min32.count > 0 ||
+                    k.min64.count > 0 || k.max32.count > 0 ||
+                    k.max64.count > 0;
+  return AggRows(keys, n, table, [&](int64_t* accs, size_t i) {
+    sum32.template Fold<AggOp::kSum>(accs, i);
+    sum64.template Fold<AggOp::kSum>(accs, i);
+    count.template Fold<AggOp::kCount>(accs, i);
+    if (rest) {
+      FoldKind<AggOp::kCount>(accs, k.count, kCount, k.count.count, i);
+      FoldKind<AggOp::kMin>(accs, k.min32, 0, k.min32.count, i);
+      FoldKind<AggOp::kMin>(accs, k.min64, 0, k.min64.count, i);
+      FoldKind<AggOp::kMax>(accs, k.max32, 0, k.max32.count, i);
+      FoldKind<AggOp::kMax>(accs, k.max64, 0, k.max64.count, i);
+    }
+  });
+}
+
+constexpr size_t kMaxAccs = HashTableLayout::kMaxAccumulators;
+
+// FoldRows for every (kSum32, kSum64, kCount) a launch can hold, indexed by
+// (kSum32 * (kMaxAccs + 1) + kSum64) * 2 + kCount.
+using FoldRowsFn = Status (*)(const int32_t*, size_t, const HashAggTable&,
+                              const AccKinds&);
+
+template <size_t kIndex>
+constexpr FoldRowsFn FoldRowsAt() {
+  constexpr size_t kSum32 = kIndex / (2 * (kMaxAccs + 1));
+  constexpr size_t kSum64 = kIndex / 2 % (kMaxAccs + 1);
+  constexpr size_t kCount = kIndex % 2;
+  if constexpr (kSum32 + kSum64 + kCount <= kMaxAccs) {
+    return &FoldRows<kSum32, kSum64, kCount>;
+  } else {
+    return nullptr;
+  }
+}
+
+template <size_t... kIndex>
+constexpr std::array<FoldRowsFn, sizeof...(kIndex)> FoldRowsTable(
+    std::index_sequence<kIndex...>) {
+  return {FoldRowsAt<kIndex>()...};
+}
+
+// Data: keys, the values of every accumulator but COUNT, table.
+// Scalars: num_slots, (op, value_type) per accumulator, num_accs, has_count.
+// One probe per row finds the group's slot, then the row folds into all N
+// accumulators, resolved once per launch into their typed kinds.
+Status HashAggKernel(KernelExecContext* ctx) {
+  if (ctx->num_args() < 2) {
+    return Status::InvalidArgument("too few kernel arguments");
+  }
+  const auto num_accs =
+      static_cast<size_t>(ctx->scalar(ctx->num_args() - 2));
+  if (num_accs < 1 || num_accs > kMaxAccs) {
+    return Status::InvalidArgument("hash_agg takes 1 to " +
+                                   std::to_string(kMaxAccs) +
+                                   " accumulators, got " +
+                                   std::to_string(num_accs));
+  }
+  ADAMANT_ASSIGN_OR_RETURN(Frame f, Frame::Decode(*ctx, 3 + 2 * num_accs));
   const auto num_slots = static_cast<size_t>(ctx->scalar(f.scalar_base));
-  const auto op = static_cast<AggOp>(ctx->scalar(f.scalar_base + 1));
-  // COUNT reads no values; its value type is never used.
-  const auto value_type =
-      has_values ? static_cast<ElementType>(ctx->scalar(f.scalar_base + 2))
-                 : ElementType::kInt64;
   if (!bit_util::IsPowerOfTwo(num_slots)) {
     return Status::InvalidArgument("num_slots must be a power of two");
   }
-  if (op == AggOp::kCount && has_values) {
-    return Status::InvalidArgument("COUNT takes no values buffer (Table I)");
+  AggOp ops[kMaxAccs];
+  ElementType types[kMaxAccs];
+  size_t num_valued = 0;
+  for (size_t a = 0; a < num_accs; ++a) {
+    ops[a] = static_cast<AggOp>(ctx->scalar(f.scalar_base + 1 + 2 * a));
+    types[a] =
+        static_cast<ElementType>(ctx->scalar(f.scalar_base + 2 + 2 * a));
+    if (static_cast<uint64_t>(ops[a]) > static_cast<uint64_t>(AggOp::kMax)) {
+      return Status::InvalidArgument(
+          "unknown aggregate op " +
+          std::to_string(static_cast<int64_t>(ops[a])));
+    }
+    if (ops[a] == AggOp::kCount) continue;
+    ADAMANT_RETURN_NOT_OK(CheckIntType(types[a]));
+    ++num_valued;
   }
-  if (op != AggOp::kCount && !has_values) {
-    return Status::InvalidArgument("aggregate needs a values buffer");
+  if (f.num_data != num_valued + 2) {
+    return Status::InvalidArgument(
+        "hash_agg expects " + std::to_string(num_valued + 2) +
+        " data buffers: keys, one values buffer per accumulator but COUNT "
+        "(Table I), table");
   }
-  ADAMANT_RETURN_NOT_OK(CheckIntType(value_type));
-
-  const auto* keys = ctx->ptr_as<const int32_t>(f.data_base);
-  const size_t table_arg = f.data_base + f.num_data - 1;
-  auto* table = static_cast<HashTableLayout::AggSlot*>(ctx->ptr(table_arg));
   ADAMANT_RETURN_NOT_OK(
       CheckCapacity(*ctx, f.data_base, f.n * sizeof(int32_t), "keys"));
-  if (has_values) {
-    ADAMANT_RETURN_NOT_OK(CheckCapacity(*ctx, f.data_base + 1,
-                                        f.n * ElementSize(value_type),
-                                        "values"));
-  }
-  ADAMANT_RETURN_NOT_OK(CheckCapacity(
-      *ctx, table_arg, HashTableLayout::AggTableBytes(num_slots), "table"));
 
-  const size_t mask = num_slots - 1;
-  return WithAggOp(op, [&](auto op_c) {
-    constexpr AggOp kOp = decltype(op_c)::value;
-    return WithIntType(value_type, [&](auto tag) {
-      const auto* values =
-          has_values ? ctx->ptr_as<const decltype(tag)>(f.data_base + 1)
-                     : nullptr;
-      for (size_t i = 0; i < f.n; ++i) {
-        const int32_t key = keys[i];
-        if (key == HashTableLayout::kEmptyKey) {
-          return Status::InvalidArgument("key collides with empty sentinel");
-        }
-        size_t slot = HashTableLayout::Hash(key) & mask;
-        size_t attempts = 0;
-        while (table[slot].key != HashTableLayout::kEmptyKey &&
-               table[slot].key != key) {
-          slot = (slot + 1) & mask;
-          if (++attempts >= num_slots) {
-            return Status::ExecutionError("aggregation hash table full");
-          }
-        }
-        if (table[slot].key == HashTableLayout::kEmptyKey) {
-          table[slot].key = key;
-          table[slot].value = AggIdentity(kOp);
-        }
-        table[slot].value = AggCombine<kOp>(
-            table[slot].value, kOp == AggOp::kCount ? 0 : int64_t{values[i]});
-      }
-      return Status::OK();
-    });
-  });
+  // Resolve the accumulator list once: each accumulator joins the kind of
+  // its (op, value type), and the identities fill a new group's slot.
+  AccKinds kinds;
+  int64_t identity[kMaxAccs];
+  size_t values_arg = f.data_base + 1;
+  for (size_t a = 0; a < num_accs; ++a) {
+    identity[a] = AggIdentity(ops[a]);
+    if (ops[a] == AggOp::kCount) {
+      kinds.count.Add(nullptr, a);
+      continue;
+    }
+    ADAMANT_RETURN_NOT_OK(CheckCapacity(
+        *ctx, values_arg, f.n * ElementSize(types[a]), "values"));
+    const void* column = ctx->ptr(values_arg++);
+    const bool wide = types[a] == ElementType::kInt64;
+    switch (ops[a]) {
+      case AggOp::kSum:
+        wide ? kinds.sum64.Add(column, a) : kinds.sum32.Add(column, a);
+        break;
+      case AggOp::kMin:
+        wide ? kinds.min64.Add(column, a) : kinds.min32.Add(column, a);
+        break;
+      case AggOp::kMax:
+        wide ? kinds.max64.Add(column, a) : kinds.max32.Add(column, a);
+        break;
+      case AggOp::kCount:
+        break;
+    }
+  }
+  const size_t table_arg = values_arg;
+  ADAMANT_RETURN_NOT_OK(CheckCapacity(
+      *ctx, table_arg, HashTableLayout::AggTableBytes(num_slots, num_accs),
+      "table"));
+
+  static constexpr auto kFoldRows = FoldRowsTable(
+      std::make_index_sequence<2 * (kMaxAccs + 1) * (kMaxAccs + 1)>{});
+  const size_t fold = (kinds.sum32.count * (kMaxAccs + 1) +
+                       kinds.sum64.count) * 2 +
+                      std::min<size_t>(kinds.count.count, 1);
+  const HashAggTable table{static_cast<uint8_t*>(ctx->ptr(table_arg)),
+                           num_slots, num_accs, identity};
+  return kFoldRows[fold](ctx->ptr_as<const int32_t>(f.data_base), f.n, table,
+                         kinds);
 }
 
 // Data: values, pxsum, agg. Scalars: op, value_type, num_groups, init,
@@ -816,20 +997,31 @@ KernelLaunch MakeHashProbe(BufferId keys, BufferId table, BufferId left_pos,
   return launch;
 }
 
-KernelLaunch MakeHashAgg(BufferId keys, BufferId values, BufferId table,
-                         size_t num_slots, AggOp op, ElementType value_type,
-                         size_t n, double nominal_groups,
-                         bool groups_scale_with_data, BufferId count_in) {
+KernelLaunch MakeHashAgg(BufferId keys,
+                         const std::vector<HashAggAccumulator>& accs,
+                         BufferId table, size_t num_slots, size_t n,
+                         double nominal_groups, bool groups_scale_with_data,
+                         BufferId count_in) {
   KernelLaunch launch = BaseLaunch("hash_agg", n, count_in);
   launch.args.push_back(KernelArg::In(keys));
-  if (values != kInvalidBuffer) launch.args.push_back(KernelArg::In(values));
+  for (const HashAggAccumulator& acc : accs) {
+    if (acc.values != kInvalidBuffer) {
+      launch.args.push_back(KernelArg::In(acc.values));
+    }
+  }
   launch.args.push_back(KernelArg::InOut(table));
   launch.args.push_back(KernelArg::Scalar(static_cast<int64_t>(num_slots)));
-  launch.args.push_back(KernelArg::Scalar(static_cast<int64_t>(op)));
-  launch.args.push_back(KernelArg::Scalar(static_cast<int64_t>(value_type)));
+  for (const HashAggAccumulator& acc : accs) {
+    launch.args.push_back(KernelArg::Scalar(static_cast<int64_t>(acc.op)));
+    launch.args.push_back(
+        KernelArg::Scalar(static_cast<int64_t>(acc.value_type)));
+  }
+  launch.args.push_back(KernelArg::Scalar(static_cast<int64_t>(accs.size())));
   FinishCount(&launch, count_in);
   launch.cost_param = nominal_groups;
   launch.scale_cost_param = groups_scale_with_data;
+  // One atomic update per accumulator and tuple: N single-aggregate bodies.
+  launch.bodies = static_cast<int>(accs.size());
   return launch;
 }
 

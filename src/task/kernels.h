@@ -118,13 +118,25 @@ KernelLaunch MakeHashProbe(BufferId keys, BufferId table, BufferId left_pos,
                            size_t num_slots, ProbeMode mode, int64_t pos_base,
                            size_t n, BufferId count_in = kInvalidBuffer);
 
-/// HASH_AGG. Data buffers: keys[, values], table(inout, AggSlot layout).
-/// COUNT takes no values buffer. `nominal_groups` drives the contention
-/// model (Fig. 9c); set `groups_scale_with_data` when it is data-dependent.
-KernelLaunch MakeHashAgg(BufferId keys, BufferId values, BufferId table,
-                         size_t num_slots, AggOp op, ElementType value_type,
-                         size_t n, double nominal_groups,
-                         bool groups_scale_with_data,
+/// One HASH_AGG accumulator: its op and the buffer and element type of its
+/// values. COUNT takes no values buffer (Table I).
+struct HashAggAccumulator {
+  AggOp op = AggOp::kSum;
+  BufferId values = kInvalidBuffer;
+  ElementType value_type = ElementType::kInt64;
+};
+
+/// HASH_AGG over N = accs.size() accumulators (1 to HashTableLayout::
+/// kMaxAccumulators): one probe per row, then the row folds into each of
+/// the group's N accumulators. Data buffers: keys, the values of every
+/// accumulator but COUNT in accumulator order, table(inout, N-accumulator
+/// slots). `nominal_groups` drives the contention model (Fig. 9c); set
+/// `groups_scale_with_data` when it is data-dependent. The launch charges
+/// N single-aggregate bodies (KernelLaunch::bodies).
+KernelLaunch MakeHashAgg(BufferId keys,
+                         const std::vector<HashAggAccumulator>& accs,
+                         BufferId table, size_t num_slots, size_t n,
+                         double nominal_groups, bool groups_scale_with_data,
                          BufferId count_in = kInvalidBuffer);
 
 /// Infrastructure: fills `n_words` int32 words of `out` with `pattern`

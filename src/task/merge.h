@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/result.h"
 #include "task/primitive.h"
@@ -21,13 +22,15 @@ namespace adamant {
 /// sides here are already aggregates: COUNT and SUM add, MIN/MAX fold.
 int64_t MergeAggPartials(AggOp op, int64_t a, int64_t b);
 
-/// Merges a partial HASH_AGG table into `dst` (both `num_slots` slots of
-/// HashTableLayout::AggSlot). Every non-empty partial group is re-inserted
-/// with linear probing: a matching key folds via MergeAggPartials, an empty
-/// slot takes a copy. Errors if `dst` overflows (cannot happen when both
-/// tables were sized via SlotsFor of the total expected groups).
-Status MergeAggTables(AggOp op, const uint8_t* partial, size_t num_slots,
-                      uint8_t* dst);
+/// Merges a partial HASH_AGG table into `dst`: both hold `num_slots` slots
+/// of ops.size() accumulators (HashTableLayout), accumulator a folding with
+/// ops[a]. Every non-empty partial group is re-inserted with linear
+/// probing: a matching key folds each accumulator via MergeAggPartials, an
+/// empty slot takes a copy of the whole slot. Errors if `dst` overflows
+/// (cannot happen when both tables were sized for the total expected
+/// groups).
+Status MergeAggTables(const std::vector<AggOp>& ops, const uint8_t* partial,
+                      size_t num_slots, uint8_t* dst);
 
 /// Merges a partial HASH_BUILD table into `dst` (both `num_slots` slots of
 /// HashTableLayout::BuildSlot). Entry union preserving duplicates — every

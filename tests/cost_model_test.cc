@@ -29,19 +29,21 @@ constexpr sim::DriverKind kDrivers[] = {
 // --- Price equals charge ---
 
 /// One launch of `kind` over a single 4096-row chunk at data scale 1000
-/// (4M tuples, past the parallel-speedup threshold), cost_param 1.
+/// (4M tuples, past the parallel-speedup threshold), cost_param 1. A
+/// HASH_AGG holds `ops`, each valued accumulator reading its own column.
 struct SingleLaunch {
   DeviceManager manager;
   PrimitiveGraph graph;
   int node = -1;
 
-  SingleLaunch(sim::DriverKind driver, PrimitiveKind kind) {
+  SingleLaunch(sim::DriverKind driver, PrimitiveKind kind,
+               std::vector<AggOp> ops = {AggOp::kCount}) {
     auto id = manager.AddDriver(driver);
     ADAMANT_CHECK(id.ok() && BindStandardKernels(manager.device(*id)).ok());
     manager.SetDataScale(1000);
     NodeConfig config;
     if (kind == PrimitiveKind::kHashAgg) {
-      config.agg_op = AggOp::kCount;
+      config.agg_ops = ops;
       config.expected_build_rows = 1;  // one group: cost_param stays 1
       config.build_rows_scale_with_data = false;
     }
@@ -51,17 +53,43 @@ struct SingleLaunch {
                                        "k", std::vector<int32_t>(4096, 0)),
                                    node, 0)
                       .ok());
+    if (kind != PrimitiveKind::kHashAgg) return;
+    for (size_t a = 0; a < ops.size(); ++a) {
+      if (ops[a] == AggOp::kCount) continue;
+      ADAMANT_CHECK(
+          graph
+              .ConnectScan(Column::FromVector("v" + std::to_string(a),
+                                              std::vector<int64_t>(4096, 1)),
+                           node, static_cast<int>(a + 1))
+              .ok());
+    }
   }
 };
 
+/// The HASH_AGG accumulator lists priced: Table I's one, and five of every
+/// op in one table, like TPC-H Q1's.
+const std::vector<std::vector<AggOp>> kAccumulatorLists = {
+    {AggOp::kCount},
+    {AggOp::kSum, AggOp::kCount, AggOp::kMin, AggOp::kMax, AggOp::kSum}};
+
 TEST(PriceEqualsCharge, EveryDriverAndThreadBudget) {
+  // An N-accumulator HASH_AGG is priced and charged N single bodies.
+  std::vector<std::pair<PrimitiveKind, std::vector<AggOp>>> launches = {
+      {PrimitiveKind::kMap, {}}};
+  for (const std::vector<AggOp>& ops : kAccumulatorLists) {
+    launches.emplace_back(PrimitiveKind::kHashAgg, ops);
+  }
   for (sim::DriverKind driver : kDrivers) {
-    for (PrimitiveKind kind : {PrimitiveKind::kMap, PrimitiveKind::kHashAgg}) {
+    for (const auto& [kind, ops] : launches) {
       const char* kernel = GetSignature(kind).kernel_name;
+      const int bodies = kind == PrimitiveKind::kHashAgg
+                             ? static_cast<int>(ops.size())
+                             : 1;
       for (int budget : kBudgets) {
         SCOPED_TRACE(std::string(sim::DriverKindName(driver)) + " " + kernel +
+                     " bodies=" + std::to_string(bodies) +
                      " threads=" + std::to_string(budget));
-        SingleLaunch rig(driver, kind);
+        SingleLaunch rig(driver, kind, ops);
         ExecutionOptions options;
         options.chunk_elems = size_t{1} << 30;  // one chunk
         options.kernel_threads = budget;
@@ -73,7 +101,10 @@ TEST(PriceEqualsCharge, EveryDriverAndThreadBudget) {
         ASSERT_EQ(price->pipeline_chunks, std::vector<size_t>{1});
         SimulatedDevice* dev = rig.manager.device(0);
         const SimulatedDevice::LaunchPrice launch =
-            dev->PriceLaunch(kernel, 4096.0 * 1000, budget);
+            dev->PriceLaunch(kernel, 4096.0 * 1000, budget, bodies);
+        EXPECT_EQ(launch.body_us,
+                  bodies * dev->PriceLaunch(kernel, 4096.0 * 1000, budget)
+                               .body_us);
 
         QueryExecutor executor(&rig.manager);
         auto run = executor.Run(&rig.graph, options);

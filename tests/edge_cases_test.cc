@@ -126,7 +126,7 @@ TEST(EdgeCases, ProbeAgainstEmptyHashTable) {
   NodeConfig probe_cfg;
   int probe = graph.AddNode(PrimitiveKind::kHashProbe, rig.gpu, probe_cfg);
   NodeConfig agg_cfg;
-  agg_cfg.agg_op = AggOp::kCount;
+  agg_cfg.agg_ops = {AggOp::kCount};
   agg_cfg.expected_build_rows = 16;
   agg_cfg.build_rows_scale_with_data = false;
   int agg = graph.AddNode(PrimitiveKind::kHashAgg, rig.gpu, agg_cfg);

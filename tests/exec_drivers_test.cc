@@ -73,37 +73,83 @@ TEST(MergeTest, AggPartialsFollowOpSemantics) {
   EXPECT_EQ(MergeAggPartials(AggOp::kMax, 3, 4), 4);
 }
 
-TEST(MergeTest, AggTablesMergeByKey) {
-  using Slot = HashTableLayout::AggSlot;
-  const size_t slots = 8;
-  std::vector<Slot> dst(slots), partial(slots);
-  for (auto* table : {&dst, &partial}) {
-    for (Slot& slot : *table) slot.key = HashTableLayout::kEmptyKey;
+// An aggregation table of `slots` slots with `num_accs` accumulators, in
+// HashTableLayout's byte layout, filled the way the kernels insert.
+struct AggTable {
+  size_t slots;
+  size_t num_accs;
+  std::vector<uint8_t> bytes;
+
+  AggTable(size_t slots_in, size_t num_accs_in)
+      : slots(slots_in),
+        num_accs(num_accs_in),
+        bytes(HashTableLayout::AggTableBytes(slots_in, num_accs_in)) {
+    for (size_t i = 0; i < slots; ++i) SetKey(i, HashTableLayout::kEmptyKey);
   }
-  auto insert = [&](std::vector<Slot>& table, int32_t key, int64_t value) {
+  uint8_t* Slot(size_t i) {
+    return bytes.data() + i * HashTableLayout::AggSlotBytes(num_accs);
+  }
+  int32_t Key(size_t i) {
+    int32_t key;
+    std::memcpy(&key, Slot(i), sizeof(key));
+    return key;
+  }
+  void SetKey(size_t i, int32_t key) { std::memcpy(Slot(i), &key, 4); }
+  int64_t Acc(size_t i, size_t a) {
+    int64_t v;
+    std::memcpy(&v, Slot(i) + HashTableLayout::kAggAccOffset + 8 * a, 8);
+    return v;
+  }
+  void Insert(int32_t key, const std::vector<int64_t>& accs) {
     size_t i = HashTableLayout::Hash(key) & (slots - 1);
-    while (table[i].key != HashTableLayout::kEmptyKey) i = (i + 1) % slots;
-    table[i].key = key;
-    table[i].value = value;
-  };
-  insert(dst, 1, 10);
-  insert(dst, 2, 20);
-  insert(partial, 2, 5);   // merges into dst's key 2
-  insert(partial, 3, 30);  // new key
-  auto st = MergeAggTables(AggOp::kSum,
-                           reinterpret_cast<const uint8_t*>(partial.data()),
-                           slots, reinterpret_cast<uint8_t*>(dst.data()));
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  std::vector<std::pair<int32_t, int64_t>> got;
-  for (const Slot& slot : dst) {
-    if (slot.key != HashTableLayout::kEmptyKey) {
-      got.emplace_back(slot.key, slot.value);
-    }
+    while (Key(i) != HashTableLayout::kEmptyKey) i = (i + 1) % slots;
+    SetKey(i, key);
+    std::memcpy(Slot(i) + HashTableLayout::kAggAccOffset, accs.data(),
+                8 * accs.size());
   }
-  std::sort(got.begin(), got.end());
-  const std::vector<std::pair<int32_t, int64_t>> want = {
-      {1, 10}, {2, 25}, {3, 30}};
-  EXPECT_EQ(got, want);
+  /// (key, accumulators) of every group, sorted by key.
+  std::vector<std::pair<int32_t, std::vector<int64_t>>> Groups() {
+    std::vector<std::pair<int32_t, std::vector<int64_t>>> groups;
+    for (size_t i = 0; i < slots; ++i) {
+      if (Key(i) == HashTableLayout::kEmptyKey) continue;
+      std::vector<int64_t> accs;
+      for (size_t a = 0; a < num_accs; ++a) accs.push_back(Acc(i, a));
+      groups.emplace_back(Key(i), accs);
+    }
+    std::sort(groups.begin(), groups.end());
+    return groups;
+  }
+};
+
+TEST(MergeTest, AggTablesMergeByKey) {
+  AggTable dst(8, 1), partial(8, 1);
+  dst.Insert(1, {10});
+  dst.Insert(2, {20});
+  partial.Insert(2, {5});   // merges into dst's key 2
+  partial.Insert(3, {30});  // new key
+  auto st = MergeAggTables({AggOp::kSum}, partial.bytes.data(), 8,
+                           dst.bytes.data());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const std::vector<std::pair<int32_t, std::vector<int64_t>>> want = {
+      {1, {10}}, {2, {25}}, {3, {30}}};
+  EXPECT_EQ(dst.Groups(), want);
+}
+
+TEST(MergeTest, AggTablesMergeEveryAccumulatorByItsOp) {
+  // One table per GROUP BY: SUM, COUNT, MIN and MAX partials of the same
+  // group each fold by their own op; a new group copies its whole slot.
+  const std::vector<AggOp> ops = {AggOp::kSum, AggOp::kCount, AggOp::kMin,
+                                  AggOp::kMax, AggOp::kSum};
+  AggTable dst(16, ops.size()), partial(16, ops.size());
+  dst.Insert(7, {100, 3, -5, 40, 1});
+  dst.Insert(9, {1, 1, 1, 1, 1});
+  partial.Insert(7, {-20, 2, -9, 30, 2});
+  partial.Insert(11, {5, 4, 6, 7, 8});
+  auto st = MergeAggTables(ops, partial.bytes.data(), 16, dst.bytes.data());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const std::vector<std::pair<int32_t, std::vector<int64_t>>> want = {
+      {7, {80, 5, -9, 40, 3}}, {9, {1, 1, 1, 1, 1}}, {11, {5, 4, 6, 7, 8}}};
+  EXPECT_EQ(dst.Groups(), want);
 }
 
 TEST(MergeTest, BuildTablesUnionPreservesDuplicates) {
@@ -138,17 +184,13 @@ TEST(MergeTest, BuildTablesUnionPreservesDuplicates) {
 }
 
 TEST(MergeTest, AggTableOverflowReported) {
-  using Slot = HashTableLayout::AggSlot;
   // A full destination with all-distinct keys cannot absorb a new one.
-  const size_t slots = 2;
-  std::vector<Slot> dst(slots), partial(slots);
-  dst[0] = {1, 0, 10};
-  dst[1] = {2, 0, 20};
-  partial[0] = {3, 0, 30};
-  partial[1].key = HashTableLayout::kEmptyKey;
-  auto st = MergeAggTables(AggOp::kSum,
-                           reinterpret_cast<const uint8_t*>(partial.data()),
-                           slots, reinterpret_cast<uint8_t*>(dst.data()));
+  AggTable dst(2, 1), partial(2, 1);
+  dst.Insert(1, {10});
+  dst.Insert(2, {20});
+  partial.Insert(3, {30});
+  auto st = MergeAggTables({AggOp::kSum}, partial.bytes.data(), 2,
+                           dst.bytes.data());
   EXPECT_FALSE(st.ok());
 }
 

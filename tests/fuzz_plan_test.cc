@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "plan/interpreter.h"
 #include "plan/lowering.h"
+#include "task/hash_table.h"
 
 namespace adamant::plan {
 namespace {
@@ -134,8 +135,17 @@ FuzzCase MakeCase(uint64_t seed) {
     return rng.Bernoulli(0.5) ? "value" : "small";
   };
   if (rng.Bernoulli(0.6)) {
-    std::vector<AggSpec> aggs = {{AggOp::kSum, pick_value_col(), "sum"}};
-    if (rng.Bernoulli(0.5)) aggs.push_back({AggOp::kCount, "", "count"});
+    // One to two past HashTableLayout::kMaxAccumulators aggregates of every
+    // op, COUNT mixed among the valued ones: one HASH_AGG holds them, two
+    // when they overflow it.
+    const auto num_aggs = static_cast<size_t>(rng.Uniform(
+        1, static_cast<int64_t>(HashTableLayout::kMaxAccumulators) + 2));
+    std::vector<AggSpec> aggs;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const auto op = static_cast<AggOp>(rng.Uniform(0, 3));
+      aggs.push_back({op, op == AggOp::kCount ? "" : pick_value_col(),
+                      "agg" + std::to_string(a)});
+    }
     const std::string key_col = rng.Bernoulli(0.7) ? "key" : "pct";
     c.plan = GroupBy(stream, key_col, std::move(aggs),
                      /*expected_groups=*/3000, false);
@@ -192,9 +202,12 @@ TEST_P(PlanFuzz, ExecutorMatchesHostInterpreter) {
       auto got = exec->GroupResults(node);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_EQ(got->size(), want_groups.size()) << "aggregate " << name;
-      for (const auto& [key, value] : *got) {
-        ASSERT_TRUE(want_groups.count(key)) << name << " key " << key;
-        EXPECT_EQ(value, want_groups.at(key)) << name << " key " << key;
+      const size_t acc = bundle->AccumulatorOf(name);
+      for (const AggGroup& group : *got) {
+        ASSERT_TRUE(want_groups.count(group.key))
+            << name << " key " << group.key;
+        EXPECT_EQ(group.acc[acc], want_groups.at(group.key))
+            << name << " key " << group.key;
       }
     } else {
       auto got = exec->AggValue(node);

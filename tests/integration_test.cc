@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <tuple>
 
 #include "adamant/adamant.h"
@@ -198,32 +200,104 @@ INSTANTIATE_TEST_SUITE_P(
              }(std::get<1>(info.param));
     });
 
-// ExtractQ3 joins orderdate/shippriority back from the catalog's orders; a
-// group key orders lacks is an Internal error naming the first such key in
-// key order.
-TEST(ExtractQ3Test, GroupKeyMissingFromOrdersNamesTheFirstInKeyOrder) {
-  const auto& catalog = *TpchFixture::Get().catalog;
+// Runs Q3 on one cuda_gpu over the fixture's catalog.
+struct Q3Run {
   DeviceManager manager;
-  auto device = manager.AddDriver(sim::DriverKind::kCudaGpu);
-  ASSERT_TRUE(device.ok()) << device.status().ToString();
-  ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
-  auto bundle = plan::BuildQ3(catalog, {}, *device);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  auto exec = QueryExecutor(&manager).Run(bundle->graph.get(), {});
-  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  auto groups = exec->GroupResults(bundle->result_node);
+  Result<plan::PlanBundle> bundle = Status::Internal("not built");
+  Result<QueryExecution> exec = Status::Internal("not run");
+
+  Q3Run() {
+    const auto& catalog = *TpchFixture::Get().catalog;
+    auto device = manager.AddDriver(sim::DriverKind::kCudaGpu);
+    ADAMANT_CHECK(device.ok()) << device.status().ToString();
+    ADAMANT_CHECK(BindStandardKernels(manager.device(*device)).ok());
+    bundle = plan::BuildQ3(catalog, {}, *device);
+    ADAMANT_CHECK(bundle.ok()) << bundle.status().ToString();
+    exec = QueryExecutor(&manager).Run(bundle->graph.get(), {});
+    ADAMANT_CHECK(exec.ok()) << exec.status().ToString();
+  }
+};
+
+// A catalog holding only an orders table whose three Q3 columns are the
+// fixture's rows `rows`, in that order.
+Catalog OrdersWithRows(const std::vector<size_t>& rows) {
+  auto orders = TpchFixture::Get().catalog->GetTable("orders");
+  ADAMANT_CHECK(orders.ok());
+  auto table = std::make_shared<Table>("orders");
+  for (const char* name : {"o_orderkey", "o_orderdate", "o_shippriority"}) {
+    auto column = (*orders)->GetColumn(name);
+    ADAMANT_CHECK(column.ok());
+    std::vector<int32_t> values;
+    for (size_t row : rows) values.push_back((*column)->Value<int32_t>(row));
+    ADAMANT_CHECK(table->AddColumn(Column::FromVector(name, values)).ok());
+  }
+  Catalog catalog;
+  ADAMANT_CHECK(catalog.AddTable(table).ok());
+  return catalog;
+}
+
+std::vector<size_t> AllOrderRows() {
+  auto orders = TpchFixture::Get().catalog->GetTable("orders");
+  ADAMANT_CHECK(orders.ok());
+  std::vector<size_t> rows((*orders)->num_rows());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  return rows;
+}
+
+// ExtractQ3 joins orderdate/shippriority back from the catalog's orders by
+// binary search when o_orderkey ascends, and by one pass otherwise: a
+// shuffled orders table gives the same rows.
+TEST(ExtractQ3Test, ShuffledOrdersGiveTheSameRows) {
+  Q3Run run;
+  auto sorted = plan::ExtractQ3(*run.bundle, *run.exec,
+                                *TpchFixture::Get().catalog, {});
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  auto want = tpch::Q3Reference(*TpchFixture::Get().catalog, {});
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(*sorted, *want);
+
+  std::vector<size_t> rows = AllOrderRows();
+  std::mt19937 rng(7);
+  std::shuffle(rows.begin(), rows.end(), rng);
+  auto shuffled =
+      plan::ExtractQ3(*run.bundle, *run.exec, OrdersWithRows(rows), {});
+  ASSERT_TRUE(shuffled.ok()) << shuffled.status().ToString();
+  EXPECT_EQ(*shuffled, *sorted);
+}
+
+// A group key orders lacks is an Internal error naming the first such key
+// in key order, on either path: orders that stay sorted with the rows
+// dropped, and orders whose keys were zeroed out of order.
+TEST(ExtractQ3Test, GroupKeyMissingFromOrdersNamesTheFirstInKeyOrder) {
+  Q3Run run;
+  auto groups = run.exec->GroupResults(run.bundle->result_node);
   ASSERT_TRUE(groups.ok()) << groups.status().ToString();
   ASSERT_GE(groups->size(), 3u);
+  const int32_t second = (*groups)[1].key;
+  const int32_t third = (*groups)[2].key;
+  const std::string want =
+      "Q3 group key " + std::to_string(second) + " not in orders";
 
-  // Orders without the second and third group keys (TPC-H keys are >= 1).
-  auto orders = catalog.GetTable("orders");
+  auto orders = TpchFixture::Get().catalog->GetTable("orders");
   ASSERT_TRUE(orders.ok());
   auto orderkey = (*orders)->GetColumn("o_orderkey");
   ASSERT_TRUE(orderkey.ok());
+  std::vector<size_t> kept;
+  for (size_t row : AllOrderRows()) {
+    const int32_t key = (*orderkey)->Value<int32_t>(row);
+    if (key != second && key != third) kept.push_back(row);
+  }
+  auto dropped =
+      plan::ExtractQ3(*run.bundle, *run.exec, OrdersWithRows(kept), {});
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_TRUE(dropped.status().IsInternal()) << dropped.status().ToString();
+  EXPECT_EQ(dropped.status().message(), want);
+
+  // Zeroed keys (TPC-H keys are >= 1) leave o_orderkey out of order.
   const int32_t* keys = (*orderkey)->data<int32_t>();
   std::vector<int32_t> stripped(keys, keys + (*orderkey)->length());
   for (int32_t& key : stripped) {
-    if (key == (*groups)[1].first || key == (*groups)[2].first) key = 0;
+    if (key == second || key == third) key = 0;
   }
   auto lacking_orders = std::make_shared<Table>("orders");
   ASSERT_TRUE(lacking_orders
@@ -236,13 +310,10 @@ TEST(ExtractQ3Test, GroupKeyMissingFromOrdersNamesTheFirstInKeyOrder) {
   }
   Catalog lacking;
   ASSERT_TRUE(lacking.AddTable(lacking_orders).ok());
-
-  auto rows = plan::ExtractQ3(*bundle, *exec, lacking, {});
-  ASSERT_FALSE(rows.ok());
-  EXPECT_TRUE(rows.status().IsInternal()) << rows.status().ToString();
-  EXPECT_EQ(rows.status().message(),
-            "Q3 group key " + std::to_string((*groups)[1].first) +
-                " not in orders");
+  auto zeroed = plan::ExtractQ3(*run.bundle, *run.exec, lacking, {});
+  ASSERT_FALSE(zeroed.ok());
+  EXPECT_TRUE(zeroed.status().IsInternal()) << zeroed.status().ToString();
+  EXPECT_EQ(zeroed.status().message(), want);
 }
 
 }  // namespace

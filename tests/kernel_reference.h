@@ -288,35 +288,60 @@ inline Status HashProbe(KernelExecContext* ctx) {
   return Status::OK();
 }
 
+// Accumulator a of a slot lives at byte kAggAccOffset + 8a; the key at 0.
 inline Status HashAgg(KernelExecContext* ctx) {
-  ADAMANT_ASSIGN_OR_RETURN(Frame f, Frame::Decode(*ctx, 4));
-  const bool has_values = f.num_data == 3;
+  const auto num_accs = static_cast<size_t>(ctx->scalar(ctx->num_args() - 2));
+  ADAMANT_ASSIGN_OR_RETURN(Frame f, Frame::Decode(*ctx, 3 + 2 * num_accs));
   const auto num_slots = static_cast<size_t>(ctx->scalar(f.scalar_base));
-  const auto op = static_cast<AggOp>(ctx->scalar(f.scalar_base + 1));
-  const auto value_type =
-      static_cast<ElementType>(ctx->scalar(f.scalar_base + 2));
+  std::vector<AggOp> ops;
+  std::vector<ElementType> types;
+  std::vector<const void*> values;
+  size_t values_arg = f.data_base + 1;
+  for (size_t a = 0; a < num_accs; ++a) {
+    ops.push_back(static_cast<AggOp>(ctx->scalar(f.scalar_base + 1 + 2 * a)));
+    types.push_back(
+        static_cast<ElementType>(ctx->scalar(f.scalar_base + 2 + 2 * a)));
+    values.push_back(ops[a] == AggOp::kCount ? nullptr
+                                             : ctx->ptr(values_arg++));
+  }
   const auto* keys = ctx->ptr_as<const int32_t>(f.data_base);
-  const void* values = has_values ? ctx->ptr(f.data_base + 1) : nullptr;
-  auto* table = static_cast<HashTableLayout::AggSlot*>(
-      ctx->ptr(f.data_base + f.num_data - 1));
+  auto* table = static_cast<uint8_t*>(ctx->ptr(values_arg));
+  const size_t slot_bytes = HashTableLayout::AggSlotBytes(num_accs);
+  const auto key_of = [&](size_t slot) {
+    int32_t key;
+    std::memcpy(&key, table + slot * slot_bytes, sizeof(key));
+    return key;
+  };
+  const auto acc_at = [&](size_t slot, size_t a) {
+    return table + slot * slot_bytes + HashTableLayout::kAggAccOffset +
+           a * sizeof(int64_t);
+  };
   for (size_t i = 0; i < f.n; ++i) {
     if (keys[i] == HashTableLayout::kEmptyKey) {
       return Status::InvalidArgument("key collides with empty sentinel");
     }
     size_t slot = HashTableLayout::Hash(keys[i]) & (num_slots - 1);
-    for (size_t attempts = 0; table[slot].key != HashTableLayout::kEmptyKey &&
-                              table[slot].key != keys[i];) {
+    for (size_t attempts = 0; key_of(slot) != HashTableLayout::kEmptyKey &&
+                              key_of(slot) != keys[i];) {
       slot = (slot + 1) & (num_slots - 1);
       if (++attempts >= num_slots) {
         return Status::ExecutionError("aggregation hash table full");
       }
     }
-    if (table[slot].key == HashTableLayout::kEmptyKey) {
-      table[slot].key = keys[i];
-      table[slot].value = AggIdentity(op);
+    if (key_of(slot) == HashTableLayout::kEmptyKey) {
+      std::memcpy(table + slot * slot_bytes, &keys[i], sizeof(int32_t));
+      for (size_t a = 0; a < num_accs; ++a) {
+        const int64_t identity = AggIdentity(ops[a]);
+        std::memcpy(acc_at(slot, a), &identity, sizeof(identity));
+      }
     }
-    table[slot].value = AggCombine(
-        op, table[slot].value, has_values ? Load(values, value_type, i) : 0);
+    for (size_t a = 0; a < num_accs; ++a) {
+      int64_t acc;
+      std::memcpy(&acc, acc_at(slot, a), sizeof(acc));
+      acc = AggCombine(ops[a], acc,
+                       values[a] != nullptr ? Load(values[a], types[a], i) : 0);
+      std::memcpy(acc_at(slot, a), &acc, sizeof(acc));
+    }
   }
   return Status::OK();
 }

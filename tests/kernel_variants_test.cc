@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/bit_util.h"
@@ -942,31 +943,142 @@ TEST(KernelReference, AggBlockEveryOp) {
   }
 }
 
-TEST(KernelReference, HashAggEveryOp) {
+// HASH_AGG accumulator lists: N accumulators around `op`, COUNT at every
+// third position past the first so it sits among the valued ones, value
+// types alternating from `type` so int32 and int64 columns share a table.
+std::vector<std::pair<AggOp, ElementType>> AccList(size_t num_accs, AggOp op,
+                                                   ElementType type) {
+  const ElementType other = type == ElementType::kInt32 ? ElementType::kInt64
+                                                        : ElementType::kInt32;
+  std::vector<std::pair<AggOp, ElementType>> accs;
+  for (size_t a = 0; a < num_accs; ++a) {
+    accs.emplace_back(a % 3 == 1 ? AggOp::kCount : op,
+                      a % 2 == 0 ? type : other);
+  }
+  return accs;
+}
+
+/// One HASH_AGG launch of `accs` over `keys` into a fresh `slots`-slot
+/// table, each valued accumulator reading its own random column.
+Launched HashAggLaunch(Rig& rig, const std::vector<int32_t>& keys,
+                       const std::vector<std::pair<AggOp, ElementType>>& accs,
+                       size_t slots, uint64_t seed) {
+  const size_t n = keys.size();
+  std::vector<kernels::HashAggAccumulator> launch_accs;
+  for (size_t a = 0; a < accs.size(); ++a) {
+    kernels::HashAggAccumulator acc;
+    acc.op = accs[a].first;
+    acc.value_type = accs[a].second;
+    if (acc.op != AggOp::kCount) {
+      acc.values = rig.PushVec(
+          RandomColumn(acc.value_type, n, seed + 97 * a, -1000, 1000));
+    }
+    launch_accs.push_back(acc);
+  }
+  const size_t bytes = HashTableLayout::AggTableBytes(slots, accs.size());
+  BufferId table = rig.PushVec(
+      std::vector<int32_t>(bytes / 4, HashTableLayout::kEmptyKey));
+  return Launched{kernels::MakeHashAgg(rig.PushVec(keys), launch_accs, table,
+                                       slots, n, 50, false),
+                  {{table, bytes}}};
+}
+
+TEST(KernelReference, HashAggEveryOpAndAccumulatorCount) {
   const size_t slots = 128;
-  for (ElementType type : kIntTypes) {
-    for (AggOp op : kAggOps) {
-      for (size_t n : kEdgeSizes) {
-        ExpectParity(
-            [=](Rig& rig) {
-              std::vector<int32_t> keys = RandomInts(n, 37 + n, 1, 50);
-              BufferId key_buf = rig.PushVec(keys);
-              BufferId values =
-                  op == AggOp::kCount
-                      ? kInvalidBuffer
-                      : rig.PushVec(RandomColumn(type, n, 41 + n, -1000, 1000));
-              const size_t bytes = HashTableLayout::AggTableBytes(slots);
-              BufferId table = rig.PushVec(std::vector<int32_t>(
-                  bytes / 4, HashTableLayout::kEmptyKey));
-              return Launched{kernels::MakeHashAgg(key_buf, values, table,
-                                                   slots, op, type, n, 50,
-                                                   false),
-                              {{table, bytes}}};
-            },
-            Label("hash_agg", type, static_cast<int64_t>(op), n));
+  for (size_t num_accs : {size_t{1}, size_t{2}, size_t{5},
+                          HashTableLayout::kMaxAccumulators}) {
+    for (ElementType type : kIntTypes) {
+      for (AggOp op : kAggOps) {
+        for (size_t n : kEdgeSizes) {
+          ExpectParity(
+              [=](Rig& rig) {
+                return HashAggLaunch(rig, RandomInts(n, 37 + n, 1, 50),
+                                     AccList(num_accs, op, type), slots,
+                                     41 + n);
+              },
+              Label("hash_agg", type, static_cast<int64_t>(op), n) +
+                  " accs=" + std::to_string(num_accs));
+        }
       }
     }
   }
+}
+
+/// Status and table bytes of one launch at a budget of one thread, the
+/// table pulled whether or not the launch failed.
+std::pair<Status, std::vector<uint8_t>> RunKeepingTable(
+    const std::function<Launched(Rig&)>& setup) {
+  Rig rig;
+  Launched l = setup(rig);
+  l.launch.num_threads = 1;
+  const Status status = rig.dev->Execute(l.launch);
+  return {status, rig.PullBytes(l.outputs[0].first, l.outputs[0].second)};
+}
+
+TEST(KernelReference, HashAggFailsAtTheRowSingleLaunchesFailAt) {
+  // A sentinel key, and a 16-slot table that fills at its 17th distinct
+  // key: the N-accumulator launch fails at the same row with the same
+  // error as each of its accumulators' single launches, with rows [0, i)
+  // applied to every accumulator -- the resumable state a growing table
+  // restarts from.
+  const size_t slots = 16;
+  const auto accs = AccList(5, AggOp::kMin, ElementType::kInt64);
+  std::vector<int32_t> sentinel = RandomInts(1000, 5, 1, 12);
+  sentinel[700] = HashTableLayout::kEmptyKey;
+  std::vector<int32_t> full = RandomInts(1000, 6, 1, 12);
+  full[800] = 5000;
+  for (size_t i = 900; i < 1000; ++i) full[i] = 6000 + static_cast<int32_t>(i);
+  for (const auto& [what, keys, message] :
+       {std::tuple{"sentinel", sentinel, "key collides with empty sentinel"},
+        std::tuple{"table full", full, "aggregation hash table full"}}) {
+    const auto [status, table] = RunKeepingTable(
+        [&](Rig& rig) { return HashAggLaunch(rig, keys, accs, slots, 3); });
+    ASSERT_FALSE(status.ok()) << what;
+    EXPECT_NE(status.message().find(message), std::string::npos)
+        << status.ToString();
+    const size_t slot_bytes = HashTableLayout::AggSlotBytes(accs.size());
+    for (size_t a = 0; a < accs.size(); ++a) {
+      // Accumulator a alone, reading the column the N launch gave it.
+      const auto [single_status, single] = RunKeepingTable([&](Rig& rig) {
+        Launched l = HashAggLaunch(rig, keys, accs, slots, 3);
+        std::vector<kernels::HashAggAccumulator> one(1);
+        one[0].op = accs[a].first;
+        one[0].value_type = accs[a].second;
+        size_t buffer_arg = 1;
+        for (size_t b = 0; b < a; ++b) {
+          buffer_arg += accs[b].first == AggOp::kCount ? 0 : 1;
+        }
+        if (one[0].op != AggOp::kCount) {
+          one[0].values = l.launch.args[buffer_arg].buffer;
+        }
+        const size_t bytes = HashTableLayout::AggTableBytes(slots, 1);
+        BufferId table = rig.PushVec(
+            std::vector<int32_t>(bytes / 4, HashTableLayout::kEmptyKey));
+        return Launched{kernels::MakeHashAgg(l.launch.args[0].buffer, one,
+                                             table, slots, keys.size(), 50,
+                                             false),
+                        {{table, bytes}}};
+      });
+      EXPECT_EQ(single_status.ToString(), status.ToString()) << what;
+      for (size_t slot = 0; slot < slots; ++slot) {
+        const uint8_t* many = table.data() + slot * slot_bytes;
+        const uint8_t* one =
+            single.data() + slot * HashTableLayout::AggSlotBytes(1);
+        EXPECT_EQ(std::memcmp(many, one, 4), 0)
+            << what << " key of slot " << slot;
+        EXPECT_EQ(std::memcmp(many + HashTableLayout::kAggAccOffset + 8 * a,
+                              one + HashTableLayout::kAggAccOffset, 8),
+                  0)
+            << what << " accumulator " << a << " of slot " << slot;
+      }
+    }
+  }
+  // The reference fails the same way.
+  ExpectParity(
+      [&](Rig& rig) { return HashAggLaunch(rig, sentinel, accs, slots, 3); },
+      "hash_agg sentinel");
+  ExpectParity([&](Rig& rig) { return HashAggLaunch(rig, full, accs, slots, 3); },
+               "hash_agg table full");
 }
 
 TEST(KernelReference, SortAggSumAndCount) {

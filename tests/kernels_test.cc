@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <numeric>
 #include <vector>
 
@@ -545,105 +547,106 @@ TEST_F(KernelTest, HashProbeCollisionClusters) {
 
 // --- HASH_AGG ---
 
-TEST_F(KernelTest, HashAggSumByGroup) {
+// The groups of an aggregation table of `slots` slots and `num_accs`
+// accumulators: key -> accumulators.
+std::map<int32_t, std::vector<int64_t>> AggGroups(
+    const std::vector<uint8_t>& bytes, size_t slots, size_t num_accs) {
+  std::map<int32_t, std::vector<int64_t>> groups;
+  const size_t slot_bytes = HashTableLayout::AggSlotBytes(num_accs);
+  for (size_t i = 0; i < slots; ++i) {
+    const uint8_t* slot = bytes.data() + i * slot_bytes;
+    int32_t key;
+    std::memcpy(&key, slot, sizeof(key));
+    if (key == HashTableLayout::kEmptyKey) continue;
+    std::vector<int64_t> accs(num_accs);
+    std::memcpy(accs.data(), slot + HashTableLayout::kAggAccOffset,
+                num_accs * sizeof(int64_t));
+    groups[key] = accs;
+  }
+  return groups;
+}
+
+class HashAggTest : public KernelTest {
+ protected:
+  /// Runs one HASH_AGG launch of `accs` over `keys` into a fresh table of
+  /// `slots` slots and returns its groups.
+  std::map<int32_t, std::vector<int64_t>> Run(
+      BufferId keys, size_t n,
+      const std::vector<kernels::HashAggAccumulator>& accs, size_t slots) {
+    const size_t bytes = HashTableLayout::AggTableBytes(slots, accs.size());
+    BufferId table = Alloc(bytes);
+    EXPECT_TRUE(device_
+                    ->Execute(kernels::MakeFill(
+                        table, HashTableLayout::kEmptyKey, bytes / 4))
+                    .ok());
+    const Status status = device_->Execute(
+        kernels::MakeHashAgg(keys, accs, table, slots, n, 3, false));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return AggGroups(Pull<uint8_t>(table, bytes), slots, accs.size());
+  }
+};
+
+using Groups = std::map<int32_t, std::vector<int64_t>>;
+
+TEST_F(HashAggTest, SumByGroup) {
   BufferId keys = Push<int32_t>({1, 2, 1, 3, 2, 1});
   BufferId values = Push<int64_t>({10, 20, 30, 40, 50, 60});
-  const size_t slots = 16;
-  BufferId table = Alloc(HashTableLayout::AggTableBytes(slots));
-  ASSERT_TRUE(device_->Execute(kernels::MakeFill(
-                                   table, HashTableLayout::kEmptyKey,
-                                   HashTableLayout::AggTableBytes(slots) / 4))
-                  .ok());
-  ASSERT_TRUE(device_
-                  ->Execute(kernels::MakeHashAgg(keys, values, table, slots,
-                                                 AggOp::kSum,
-                                                 ElementType::kInt64, 6, 3,
-                                                 false))
-                  .ok());
-  auto bytes = Pull<uint8_t>(table, HashTableLayout::AggTableBytes(slots));
-  const auto* agg_slots =
-      reinterpret_cast<const HashTableLayout::AggSlot*>(bytes.data());
-  std::map<int32_t, int64_t> groups;
-  for (size_t i = 0; i < slots; ++i) {
-    if (agg_slots[i].key != HashTableLayout::kEmptyKey) {
-      groups[agg_slots[i].key] = agg_slots[i].value;
-    }
-  }
-  EXPECT_EQ(groups, (std::map<int32_t, int64_t>{{1, 100}, {2, 70}, {3, 40}}));
+  EXPECT_EQ(Run(keys, 6, {{AggOp::kSum, values, ElementType::kInt64}}, 16),
+            (Groups{{1, {100}}, {2, {70}}, {3, {40}}}));
 }
 
-TEST_F(KernelTest, HashAggCountNeedsNoValues) {
+TEST_F(HashAggTest, CountNeedsNoValues) {
   BufferId keys = Push<int32_t>({5, 5, 6});
-  const size_t slots = 16;
-  BufferId table = Alloc(HashTableLayout::AggTableBytes(slots));
-  ASSERT_TRUE(device_->Execute(kernels::MakeFill(
-                                   table, HashTableLayout::kEmptyKey,
-                                   HashTableLayout::AggTableBytes(slots) / 4))
-                  .ok());
-  ASSERT_TRUE(device_
-                  ->Execute(kernels::MakeHashAgg(keys, kInvalidBuffer, table,
-                                                 slots, AggOp::kCount,
-                                                 ElementType::kInt64, 3, 2,
-                                                 false))
-                  .ok());
-  auto bytes = Pull<uint8_t>(table, HashTableLayout::AggTableBytes(slots));
-  const auto* agg_slots =
-      reinterpret_cast<const HashTableLayout::AggSlot*>(bytes.data());
-  int64_t count5 = 0, count6 = 0;
-  for (size_t i = 0; i < slots; ++i) {
-    if (agg_slots[i].key == 5) count5 = agg_slots[i].value;
-    if (agg_slots[i].key == 6) count6 = agg_slots[i].value;
-  }
-  EXPECT_EQ(count5, 2);
-  EXPECT_EQ(count6, 1);
+  EXPECT_EQ(Run(keys, 3, {{AggOp::kCount}}, 16),
+            (Groups{{5, {2}}, {6, {1}}}));
 }
 
-TEST_F(KernelTest, HashAggRejectsValueMismatch) {
+TEST_F(HashAggTest, OneProbeFoldsEveryAccumulator) {
+  // Five accumulators of every op and both value types in one table: the
+  // slot holds each one's value, in launch order.
+  BufferId keys = Push<int32_t>({1, 2, 1, 1, 2});
+  BufferId small = Push<int32_t>({4, -1, 7, 2, 3});
+  BufferId big = Push<int64_t>({10, 20, 30, -40, 50});
+  EXPECT_EQ(Run(keys, 5,
+                {{AggOp::kSum, small, ElementType::kInt32},
+                 {AggOp::kCount},
+                 {AggOp::kMin, big, ElementType::kInt64},
+                 {AggOp::kMax, small, ElementType::kInt32},
+                 {AggOp::kSum, big, ElementType::kInt64}},
+                16),
+            (Groups{{1, {13, 3, -40, 7, 0}}, {2, {2, 2, 20, 3, 70}}}));
+}
+
+TEST_F(HashAggTest, RejectsValueMismatch) {
   BufferId keys = Push<int32_t>({1});
   BufferId values = Push<int64_t>({1});
   const size_t slots = 16;
-  BufferId table = Alloc(HashTableLayout::AggTableBytes(slots));
+  BufferId table = Alloc(HashTableLayout::AggTableBytes(slots, 2));
+  const auto launch = [&](std::vector<kernels::HashAggAccumulator> accs) {
+    return device_->Execute(
+        kernels::MakeHashAgg(keys, accs, table, slots, 1, 1, false));
+  };
   // COUNT with values.
-  EXPECT_TRUE(device_
-                  ->Execute(kernels::MakeHashAgg(keys, values, table, slots,
-                                                 AggOp::kCount,
-                                                 ElementType::kInt64, 1, 1,
-                                                 false))
-                  .IsInvalidArgument());
+  EXPECT_TRUE(launch({{AggOp::kCount, values}}).IsInvalidArgument());
   // SUM without values.
-  EXPECT_TRUE(device_
-                  ->Execute(kernels::MakeHashAgg(keys, kInvalidBuffer, table,
-                                                 slots, AggOp::kSum,
-                                                 ElementType::kInt64, 1, 1,
-                                                 false))
+  EXPECT_TRUE(launch({{AggOp::kSum}}).IsInvalidArgument());
+  // A values buffer short of the valued accumulators.
+  EXPECT_TRUE(launch({{AggOp::kSum, values}, {AggOp::kMax}})
+                  .IsInvalidArgument());
+  // More accumulators than a slot holds.
+  EXPECT_TRUE(launch(std::vector<kernels::HashAggAccumulator>(
+                         HashTableLayout::kMaxAccumulators + 1,
+                         {AggOp::kCount}))
                   .IsInvalidArgument());
 }
 
-TEST_F(KernelTest, HashAggMinMax) {
+TEST_F(HashAggTest, MinMax) {
   BufferId keys = Push<int32_t>({1, 1, 1});
   BufferId values = Push<int64_t>({5, -3, 9});
-  const size_t slots = 16;
   for (auto [op, want] : std::vector<std::pair<AggOp, int64_t>>{
            {AggOp::kMin, -3}, {AggOp::kMax, 9}}) {
-    BufferId table = Alloc(HashTableLayout::AggTableBytes(slots));
-    ASSERT_TRUE(
-        device_->Execute(kernels::MakeFill(
-                             table, HashTableLayout::kEmptyKey,
-                             HashTableLayout::AggTableBytes(slots) / 4))
-            .ok());
-    ASSERT_TRUE(device_
-                    ->Execute(kernels::MakeHashAgg(keys, values, table, slots,
-                                                   op, ElementType::kInt64, 3,
-                                                   1, false))
-                    .ok());
-    auto bytes = Pull<uint8_t>(table, HashTableLayout::AggTableBytes(slots));
-    const auto* agg_slots =
-        reinterpret_cast<const HashTableLayout::AggSlot*>(bytes.data());
-    int64_t got = 0;
-    for (size_t i = 0; i < slots; ++i) {
-      if (agg_slots[i].key == 1) got = agg_slots[i].value;
-    }
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(Run(keys, 3, {{op, values, ElementType::kInt64}}, 16),
+              (Groups{{1, {want}}}));
   }
 }
 
@@ -759,8 +762,8 @@ TEST_F(KernelTest, EveryKernelChecksTheBuffersItReads) {
   constexpr int32_t kEmpty = HashTableLayout::kEmptyKey;
   BufferId build_table = Push(std::vector<int32_t>(
       HashTableLayout::BuildTableBytes(kSlots) / 4, kEmpty));
-  BufferId agg_table = Push(
-      std::vector<int32_t>(HashTableLayout::AggTableBytes(kSlots) / 4, kEmpty));
+  BufferId agg_table = Push(std::vector<int32_t>(
+      HashTableLayout::AggTableBytes(kSlots, 4) / 4, kEmpty));
   FusedStep load;
   load.op = FusedStep::Op::kLoad;
   load.b = static_cast<int64_t>(ElementType::kInt32);
@@ -797,12 +800,31 @@ TEST_F(KernelTest, EveryKernelChecksTheBuffersItReads) {
       {"hash_probe keys",
        kernels::MakeHashProbe(tiny, build_table, out_a, out_b, count, kSlots,
                               ProbeMode::kAll, 0, kRows)},
-      {"hash_agg keys", kernels::MakeHashAgg(tiny, longs, agg_table, kSlots,
-                                             AggOp::kSum, i64, kRows, 1,
-                                             false)},
-      {"hash_agg values", kernels::MakeHashAgg(ints, tiny, agg_table, kSlots,
-                                               AggOp::kSum, i64, kRows, 1,
-                                               false)},
+      {"hash_agg keys",
+       kernels::MakeHashAgg(tiny, {{AggOp::kSum, longs, i64}}, agg_table,
+                            kSlots, kRows, 1, false)},
+      // Every values buffer of a four-accumulator launch, in turn.
+      {"hash_agg values 0",
+       kernels::MakeHashAgg(ints,
+                            {{AggOp::kSum, tiny, i64},
+                             {AggOp::kCount},
+                             {AggOp::kMin, ints, i32},
+                             {AggOp::kMax, longs, i64}},
+                            agg_table, kSlots, kRows, 1, false)},
+      {"hash_agg values 1",
+       kernels::MakeHashAgg(ints,
+                            {{AggOp::kSum, longs, i64},
+                             {AggOp::kCount},
+                             {AggOp::kMin, tiny, i32},
+                             {AggOp::kMax, longs, i64}},
+                            agg_table, kSlots, kRows, 1, false)},
+      {"hash_agg values 2",
+       kernels::MakeHashAgg(ints,
+                            {{AggOp::kSum, longs, i64},
+                             {AggOp::kCount},
+                             {AggOp::kMin, ints, i32},
+                             {AggOp::kMax, tiny, i64}},
+                            agg_table, kSlots, kRows, 1, false)},
       {"sort_agg values", kernels::MakeSortAgg(tiny, ints, out_a, AggOp::kSum,
                                                i64, 2, true, kRows)},
       {"sort_agg pxsum", kernels::MakeSortAgg(longs, tiny, out_a, AggOp::kSum,

@@ -167,9 +167,9 @@ TEST(Lowering, GroupByOverJoinGathersColumns) {
   ASSERT_TRUE(groups.ok());
   // Semi join keeps probe rows with k in {0,1,2}: ten rows per key.
   ASSERT_EQ(groups->size(), 3u);
-  for (const auto& [key, count] : *groups) {
-    EXPECT_LT(key, 3);
-    EXPECT_EQ(count, 10);
+  for (const AggGroup& group : *groups) {
+    EXPECT_LT(group.key, 3);
+    EXPECT_EQ(group.acc[0], 10);
   }
 }
 
@@ -267,7 +267,9 @@ TEST(Placement, PerKindOverridesSplitWorkAcrossDevices) {
     if (i % 10 < 7) expected[i % 10] += 100 * (i + 1);
   }
   ASSERT_EQ(groups->size(), expected.size());
-  for (const auto& [key, value] : *groups) EXPECT_EQ(expected.at(key), value);
+  for (const AggGroup& group : *groups) {
+    EXPECT_EQ(expected.at(group.key), group.acc[0]);
+  }
   // Both devices actually executed kernels, and data crossed the host.
   EXPECT_GT(exec->stats.devices[static_cast<size_t>(*gpu)].execute_calls, 0u);
   EXPECT_GT(exec->stats.devices[static_cast<size_t>(*cpu)].execute_calls, 0u);

@@ -1,4 +1,4 @@
-// Cross-model parity matrix: Q3/Q4/Q6 must produce bit-identical extracted
+// Cross-model parity matrix: Q1/Q3/Q4/Q6 must produce bit-identical extracted
 // results under every execution model — including device-parallel split
 // across two simulated devices — and the admission-control footprint
 // estimate must upper-bound the observed device memory high water for each
@@ -112,6 +112,36 @@ TEST(ParityMatrixTest, Q6AllModelsBitIdentical) {
   }
 }
 
+// Q1 is the one multi-aggregate plan: a single five-accumulator HASH_AGG,
+// whose partial tables the device-parallel model merges accumulator by
+// accumulator. Every model matches the reference, and every run returns
+// each byte it charged to the memory ledger.
+TEST(ParityMatrixTest, Q1AllModelsBitIdentical) {
+  const auto& fixture = MatrixFixture::Get();
+  auto manager = TwoGpuManager();
+  MemoryLedger ledger(manager.get(), 0);
+  auto bundle = plan::BuildQ1(*fixture.catalog, {}, 0);
+  ASSERT_TRUE(bundle.ok());
+  ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
+  auto want = tpch::Q1Reference(*fixture.catalog, {});
+  ASSERT_TRUE(want.ok());
+  for (ExecutionModelKind model : kAllModels) {
+    ExecutionOptions options = OptionsFor(model);
+    options.memory_listener = &ledger;
+    QueryExecutor executor(manager.get());
+    auto exec = executor.Run(bundle->graph.get(), options);
+    ASSERT_TRUE(exec.ok()) << ExecutionModelName(model) << ": "
+                           << exec.status().ToString();
+    auto rows = plan::ExtractQ1(*bundle, *exec);
+    ASSERT_TRUE(rows.ok()) << ExecutionModelName(model);
+    EXPECT_EQ(*rows, *want) << ExecutionModelName(model);
+    for (DeviceId device : {0, 1}) {
+      EXPECT_EQ(ledger.budget(device).live_bytes(), 0u)
+          << ExecutionModelName(model) << " device " << device;
+    }
+  }
+}
+
 TEST(ParityMatrixTest, Q3AllModelsBitIdentical) {
   const auto& fixture = MatrixFixture::Get();
   auto manager = TwoGpuManager();
@@ -169,7 +199,7 @@ TEST(ParityMatrixTest, DeviceParallelSplitsAcrossBothDevices) {
 // --- Four-thread kernels ----------------------------------------------------
 
 // The whole matrix again at a budget of four threads: every model x
-// Q3/Q4/Q6 must still match the host reference bit for bit. The fixture
+// Q1/Q3/Q4/Q6 must still match the host reference bit for bit. The fixture
 // devices are GPUs, whose own budget is one thread, and the SF 0.002 matrix
 // never launches two tiles, so this case runs SF 0.01 in two-tile chunks:
 // every model, each device-parallel partition included, runs tiled launches.
@@ -190,6 +220,15 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithFourThreadKernels) {
   };
   const Catalog& catalog = *kCatalog;
   const Case kCases[] = {
+      {"Q1", [&](DeviceId d) { return plan::BuildQ1(catalog, {}, d); },
+       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
+           ExecutionModelKind model) {
+         auto want = tpch::Q1Reference(catalog, {});
+         ASSERT_TRUE(want.ok());
+         auto rows = plan::ExtractQ1(bundle, exec);
+         ASSERT_TRUE(rows.ok()) << ExecutionModelName(model);
+         EXPECT_EQ(*rows, *want) << "Q1/" << ExecutionModelName(model);
+       }},
       {"Q3", [&](DeviceId d) { return plan::BuildQ3(catalog, {}, d); },
        [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
            ExecutionModelKind model) {
@@ -371,7 +410,7 @@ std::unique_ptr<DeviceManager> HeteroManager(double data_scale = 1) {
   return manager;
 }
 
-// Q3/Q4/Q6 across the fast+slow pair, cost-ratio split, with runtime
+// Q1/Q3/Q4/Q6 across the fast+slow pair, cost-ratio split, with runtime
 // rebalancing on and off: every run must match the host reference bit for
 // bit — stealing may move chunks between devices but never changes results.
 TEST(ParityMatrixTest, HeterogeneousSplitBitIdenticalWithAndWithoutRebalance) {
@@ -385,6 +424,15 @@ TEST(ParityMatrixTest, HeterogeneousSplitBitIdenticalWithAndWithoutRebalance) {
         check;
   };
   const Case kCases[] = {
+      {"Q1", [&](DeviceId d) { return plan::BuildQ1(catalog, {}, d); },
+       [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
+           const char* tag) {
+         auto want = tpch::Q1Reference(catalog, {});
+         ASSERT_TRUE(want.ok());
+         auto rows = plan::ExtractQ1(bundle, exec);
+         ASSERT_TRUE(rows.ok()) << tag;
+         EXPECT_EQ(*rows, *want) << tag;
+       }},
       {"Q3", [&](DeviceId d) { return plan::BuildQ3(catalog, {}, d); },
        [&](const plan::PlanBundle& bundle, const QueryExecution& exec,
            const char* tag) {

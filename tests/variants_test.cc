@@ -110,7 +110,7 @@ TEST(SortedAggregation, MatchesHashAggregation) {
   // by key.
   ASSERT_GE(values->size(), groups->size());
   for (size_t g = 0; g < groups->size(); ++g) {
-    EXPECT_EQ((*values)[g], (*groups)[g].second) << "group " << g;
+    EXPECT_EQ((*values)[g], (*groups)[g].acc[0]) << "group " << g;
   }
   // Slots past the last group stayed at the identity.
   for (size_t g = groups->size(); g < values->size(); ++g) {
