@@ -1,13 +1,15 @@
 // Tests for the static cost model: the simulated device's per-launch price
 // equals what Execute charges, the graph pricer's predictions (admission,
-// split, EXPLAIN ANALYZE, fusion gate) match the golden file, fusion's
-// simulated kernel-body win on Q6, and the two calibration stores that
-// consume the price behave as documented.
+// split, EXPLAIN ANALYZE, fusion gate) match the golden file, every model's
+// run charges what the run-clock golden holds, fusion's simulated
+// kernel-body win on Q6, and the two calibration stores that consume the
+// price behave as documented.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -300,6 +302,108 @@ TEST(GoldenPredictions, MatchTheReplacedWalksWhereTheyAgreedWithTheDevice) {
   // 4 queries x (4 drivers x 3 budgets x 2 models x 3 kinds + 3 x 2
   // weights + 4 drivers x 3 fusion).
   EXPECT_EQ(checked, 4u * (4 * 3 * 2 * 3 + 3 * 2 + 4 * 3));
+}
+
+// --- Golden run clock ---
+
+/// The single-device models of run_clock.txt, by the token its lines use,
+/// with the pipelined staging-ring depth.
+struct ClockModel {
+  const char* token;
+  ExecutionModelKind model;
+  size_t pipeline_depth;
+};
+constexpr ClockModel kClockModels[] = {
+    {"oaat", ExecutionModelKind::kOperatorAtATime, 0},
+    {"chunked", ExecutionModelKind::kChunked, 0},
+    {"pipelined", ExecutionModelKind::kPipelined, 0},
+    {"pipelined-depth2", ExecutionModelKind::kPipelined, 2},
+    {"4phase", ExecutionModelKind::kFourPhaseChunked, 0},
+    {"4phase-pipelined", ExecutionModelKind::kFourPhasePipelined, 0},
+};
+
+/// One run of `query` under `options` (fused first when `fused`), as its
+/// golden line's values: the simulated clock, chunks and H2D bytes, then
+/// each device the run called.
+std::string RunClockValues(GoldenRig& rig, const std::string& query,
+                           DeviceId device, bool fused,
+                           ExecutionOptions options) {
+  plan::PlanBundle bundle = rig.Build(query, device);
+  if (fused) {
+    options.fusion = FusionMode::kOn;
+    auto report = plan::ApplyFusion(&bundle, options, &rig.manager);
+    if (!report.ok()) return "fusion error: " + report.status().ToString();
+  }
+  QueryExecutor executor(&rig.manager);
+  auto run = executor.Run(bundle.graph.get(), options);
+  if (!run.ok()) return "error: " + run.status().ToString();
+  const QueryStats& stats = run->stats;
+  std::ostringstream out;
+  out << std::setprecision(17) << "elapsed_us=" << stats.elapsed_us
+      << " kernel_body_us=" << stats.kernel_body_us
+      << " transfer_wire_us=" << stats.transfer_wire_us
+      << " chunks=" << stats.chunks << " bytes_h2d=" << stats.bytes_h2d;
+  for (const DeviceRunStats& dev : stats.devices) {
+    if (dev.execute_calls == 0 && dev.prepare_calls == 0) continue;
+    out << " " << dev.name << ":execute=" << dev.execute_calls
+        << ",prepare=" << dev.prepare_calls
+        << ",mem_high_water=" << dev.device_mem_high_water;
+  }
+  return out.str();
+}
+
+// Every model's run charges exactly the simulated time, launches,
+// allocations and device memory the golden file recorded: a runtime
+// refactor that moves one booked microsecond fails here.
+TEST(GoldenRunClock, EveryModelChargesWhatTheGoldenHolds) {
+  GoldenRig rig;
+  std::vector<std::string> got;
+  for (const char* query : {"Q1", "Q3", "Q4", "Q6"}) {
+    for (bool fused : {false, true}) {
+      const std::string key_tail = fused ? " fusion=on " : " fusion=off ";
+      for (const char* driver :
+           {"cuda_gpu", "opencl_gpu", "opencl_cpu", "openmp_cpu"}) {
+        for (const ClockModel& model : kClockModels) {
+          ExecutionOptions options;
+          options.model = model.model;
+          options.pipeline_depth = model.pipeline_depth;
+          options.chunk_elems = size_t{1} << 22;
+          options.fusion = FusionMode::kOff;
+          got.push_back(std::string(query) + " " + driver + " " +
+                        model.token + key_tail +
+                        RunClockValues(rig, query, DeviceByName(driver),
+                                       fused, options));
+        }
+      }
+      // Device-parallel on the cuda_gpu + openmp_cpu pair, split by the
+      // priced throughput. Rebalancing stays off: its steals follow host
+      // timing, so only the static split has one clock.
+      ExecutionOptions options;
+      options.model = ExecutionModelKind::kDeviceParallel;
+      options.device_set = {DeviceByName("cuda_gpu"),
+                            DeviceByName("openmp_cpu")};
+      options.split_rebalance = false;
+      options.chunk_elems = size_t{1} << 22;
+      options.fusion = FusionMode::kOff;
+      got.push_back(std::string(query) +
+                    " cuda_gpu+openmp_cpu device-parallel" + key_tail +
+                    RunClockValues(rig, query, 0, fused, options));
+    }
+  }
+
+  std::ifstream in(ADAMANT_GOLDEN_DIR "/run_clock.txt");
+  ASSERT_TRUE(in.good());
+  std::vector<std::string> want;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line[0] != '#') want.push_back(line);
+  }
+  // 4 queries x 2 fusion modes x (4 drivers x 6 models + 1 pair).
+  ASSERT_EQ(got.size(), 4u * 2 * (4 * 6 + 1));
+  EXPECT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(i < want.size() ? want[i] : "", got[i]) << "line " << i;
+  }
 }
 
 // --- Fusion gate ---
