@@ -10,8 +10,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/exec/drivers.h"
 #include "runtime/exec/hetero_split.h"
+#include "runtime/exec/run_context.h"
 #include "task/hash_table.h"
 #include "task/merge.h"
 
@@ -216,10 +216,9 @@ class StealPool {
 /// One partition's chunk loop under the rebalancing pool: claim, execute,
 /// fold the observed cost back in, repeat until the pool runs dry.
 Status RunPartitionRebalanced(RunContext& sub, const Pipeline& pipeline,
-                              size_t cap, size_t total_chunks, StealPool& pool,
-                              size_t i, SimulatedDevice* dev,
-                              double* observed_us) {
-  Status st = sub.BeginPipeline(pipeline, total_chunks);
+                              size_t cap, StealPool& pool, size_t i,
+                              SimulatedDevice* dev, double* observed_us) {
+  Status st = sub.BeginPipeline(pipeline, cap);
   if (!st.ok()) {
     pool.Fail();
     return st;
@@ -410,12 +409,11 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
       if (!dev.ok()) return dev.status();
       SimulatedDevice* device = *dev;
       double* observed = &subs[i].observed_us;
-      const size_t total = chunks.total();
-      threads.emplace_back([sub, sub_pipeline, cap, total, &pool, i, device,
-                            observed, status] {
-        *status = RunPartitionRebalanced(*sub, *sub_pipeline, cap, total,
-                                         pool, i, device, observed);
-      });
+      threads.emplace_back(
+          [sub, sub_pipeline, cap, &pool, i, device, observed, status] {
+            *status = RunPartitionRebalanced(*sub, *sub_pipeline, cap, pool,
+                                             i, device, observed);
+          });
     }
     for (std::thread& t : threads) t.join();
     for (const Status& st : statuses) {
@@ -510,7 +508,7 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
 
 }  // namespace
 
-Status DeviceParallelDriver::Execute(RunContext& ctx) {
+Status RunDeviceParallel(RunContext& ctx) {
   // Resolve the partition device set: the options' set, or every plugged
   // device when unspecified.
   std::vector<DeviceId> devices = ctx.options().device_set;

@@ -12,11 +12,7 @@ Result<size_t> EstimateDeviceMemoryBytes(const PrimitiveGraph& graph,
   ADAMANT_RETURN_NOT_OK(graph.Validate());
   ADAMANT_ASSIGN_OR_RETURN(std::vector<Pipeline> pipelines,
                            graph.SplitPipelines());
-  const bool oaat = options.model == ExecutionModelKind::kOperatorAtATime;
-  const bool staged = options.model == ExecutionModelKind::kFourPhaseChunked ||
-                      options.model == ExecutionModelKind::kFourPhasePipelined;
-  const bool async = options.model == ExecutionModelKind::kPipelined ||
-                     options.model == ExecutionModelKind::kFourPhasePipelined;
+  const exec::ModelTraits traits = exec::TraitsOf(options.model);
   // kDeviceParallel behaves like kChunked here on purpose: each partition
   // device holds every breaker persist (its own full-size copy, merged
   // between pipelines) plus the same per-chunk transients, so the
@@ -28,17 +24,18 @@ Result<size_t> EstimateDeviceMemoryBytes(const PrimitiveGraph& graph,
   std::map<DeviceId, size_t> persist_bytes;
   std::map<DeviceId, size_t> worst_pipeline;
   for (const Pipeline& pipeline : pipelines) {
-    const size_t cap = exec::PipelineChunkCapacity(pipeline, options, oaat,
-                                                   data_scale);
+    const size_t cap =
+        exec::PipelineChunkCapacity(pipeline, options, data_scale);
     std::map<DeviceId, size_t> transient;
 
     // Scan staging. The 4-phase models stage scan chunks in *pinned host*
     // buffers (not charged against device memory); the ring holds
     // pipeline_depth device-resident slots; otherwise one transient device
     // buffer per distinct (column, device) per chunk.
-    if (!staged) {
-      const size_t copies =
-          async && options.pipeline_depth > 0 ? options.pipeline_depth : 1;
+    if (!traits.staged) {
+      const size_t copies = traits.async && options.pipeline_depth > 0
+                                ? options.pipeline_depth
+                                : 1;
       std::map<std::pair<const Column*, DeviceId>, size_t> scans;
       for (int edge_id : pipeline.scan_edges) {
         const GraphEdge& edge = graph.edges()[static_cast<size_t>(edge_id)];
@@ -49,12 +46,15 @@ Result<size_t> EstimateDeviceMemoryBytes(const PrimitiveGraph& graph,
       for (const auto& [key, bytes] : scans) transient[key.second] += bytes;
     }
 
-    for (int node_id : pipeline.nodes) {
-      const GraphNode& node = graph.node(node_id);
-      // Conservative: size every node's outputs off the full chunk capacity
-      // (downstream capacities only shrink through selectivity).
+    // Every output sized as the run sizes it, off the chunk capacity walked
+    // through the pipeline (a MAP behind a MATERIALIZE holds the
+    // materialize's slack, which can exceed the chunk capacity).
+    const std::vector<size_t> in_caps =
+        exec::PipelineInputCapacities(graph, pipeline, cap);
+    for (size_t i = 0; i < pipeline.nodes.size(); ++i) {
+      const GraphNode& node = graph.node(pipeline.nodes[i]);
       for (const exec::OutputPlanEntry& out :
-           exec::PlanNodeOutputs(node, cap)) {
+           exec::PlanNodeOutputs(node, in_caps[i])) {
         transient[node.device] += out.bytes;
       }
       if (GetSignature(node.kind).pipeline_breaker) {

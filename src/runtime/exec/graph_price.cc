@@ -22,11 +22,10 @@ Result<GraphPrice> PriceGraph(const PrimitiveGraph& graph,
     return dev.ok() ? *dev : nullptr;
   };
   const double scale = manager->data_scale();
-  const bool oaat = options.model == ExecutionModelKind::kOperatorAtATime;
   GraphPrice price;
   price.nodes.resize(graph.nodes().size());
   for (const Pipeline& pipeline : pipelines) {
-    const size_t cap = PipelineChunkCapacity(pipeline, options, oaat, scale);
+    const size_t cap = PipelineChunkCapacity(pipeline, options, scale);
     const size_t chunk_count = ChunkSource(pipeline.input_rows, cap).total();
     const double chunks = static_cast<double>(chunk_count);
     const double input_rows = static_cast<double>(pipeline.input_rows);

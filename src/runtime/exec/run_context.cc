@@ -18,14 +18,8 @@ RunContext::RunContext(DeviceManager* manager, PrimitiveGraph* graph,
     : manager_(manager),
       graph_(graph),
       options_(options),
-      oaat_(options.model == ExecutionModelKind::kOperatorAtATime),
-      staged_(options.model == ExecutionModelKind::kFourPhaseChunked ||
-              options.model == ExecutionModelKind::kFourPhasePipelined),
-      async_(options.model == ExecutionModelKind::kPipelined ||
-             options.model == ExecutionModelKind::kFourPhasePipelined),
-      hub_(manager, options.use_transform
-                        ? DataContainer::WithDefaultTransforms()
-                        : DataContainer::WithoutTransforms()) {
+      traits_(TraitsOf(options.model)),
+      hub_(manager, DataContainer::WithDefaultTransforms()) {
   hub_.set_scan_cache(options.scan_cache);
   hub_.set_memory_listener(options.memory_listener);
   hub_.set_cancel_token(options.cancel_token);
@@ -73,14 +67,44 @@ Status RunContext::Prepare(const std::vector<DeviceId>& device_override) {
       dev->device_arena().ResetHighWater();
       dev->pinned_arena().ResetHighWater();
     }
-    dev->SetAsyncMode(async_);
+    dev->SetAsyncMode(traits_.async);
+  }
+  return Status::OK();
+}
+
+Status RunContext::Run() {
+  ADAMANT_RETURN_NOT_OK(Prepare());
+  for (const Pipeline& pipeline : pipelines_) {
+    const size_t cap = ChunkCapacity(pipeline);
+    ADAMANT_RETURN_NOT_OK(BeginPipeline(pipeline, cap));
+    ADAMANT_RETURN_NOT_OK(
+        RunChunks(pipeline, 0, ChunkSource(pipeline.input_rows, cap).total(),
+                  cap));
+    if (!traits_.async) continue;
+    // Threads synchronize at each pipeline breaker (Algorithm 2).
+    for (int node_id : pipeline.nodes) {
+      ADAMANT_ASSIGN_OR_RETURN(
+          SimulatedDevice * dev,
+          manager_->GetDevice(graph_->node(node_id).device));
+      dev->Synchronize();
+    }
+  }
+  ADAMANT_RETURN_NOT_OK(CheckCancel());
+  // Result delivery: terminal breaker outputs come back to the host.
+  for (const GraphNode& node : graph_->nodes()) {
+    if (!GetSignature(node.kind).pipeline_breaker) continue;
+    if (!graph_->IsTerminal(node.id)) continue;
+    ADAMANT_RETURN_NOT_OK(RetrieveBreaker(node));
+  }
+  for (DeviceId id : used_devices_) {
+    ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager_->GetDevice(id));
+    dev->Synchronize();
   }
   return Status::OK();
 }
 
 size_t RunContext::ChunkCapacity(const Pipeline& pipeline) const {
-  return PipelineChunkCapacity(pipeline, options_, oaat_,
-                               manager_->data_scale());
+  return PipelineChunkCapacity(pipeline, options_, manager_->data_scale());
 }
 
 int RunContext::PipelineTrack(const Pipeline& pipeline) const {
@@ -123,10 +147,10 @@ void RunContext::ClosePipeline() {
   exec_.stats.profile.pipelines.push_back(std::move(profile));
 }
 
-Status RunContext::BeginPipeline(const Pipeline& pipeline,
-                                 size_t total_chunks) {
+Status RunContext::BeginPipeline(const Pipeline& pipeline, size_t cap) {
   ClosePipeline();
   ADAMANT_RETURN_NOT_OK(CheckCancel());
+  const size_t total_chunks = ChunkSource(pipeline.input_rows, cap).total();
   for (int node_id : pipeline.nodes) {
     const GraphNode& node = graph_->node(node_id);
     if (node.kind == PrimitiveKind::kPrefixSum && total_chunks > 1) {
@@ -139,14 +163,14 @@ Status RunContext::BeginPipeline(const Pipeline& pipeline,
     }
   }
   // The previous pipeline's devices are synchronized before a new pipeline
-  // begins (every driver syncs after its chunk loop), so its scoped
+  // begins (an async run syncs after each chunk loop), so its scoped
   // transients can go back to the arenas now.
   FreeAll(&pipeline_allocs_);
   staged_scan_bufs_.clear();
   staged_outputs_.clear();
   ring_bufs_.clear();
 
-  // Every driver calls BeginPipeline exactly once per pipeline, so the span
+  // Every run calls BeginPipeline exactly once per pipeline, so the span
   // opened here covers the pipeline's staging + chunk loop; it closes at the
   // next BeginPipeline / ReleaseAll / FinalizeStats.
   int index = static_cast<int>(exec_.stats.profile.pipelines.size());
@@ -172,6 +196,10 @@ Status RunContext::BeginPipeline(const Pipeline& pipeline,
         pipeline_busy_snapshot_[id] = (*dev)->busy();
       }
     }
+  }
+  if (traits_.staged) return StageAllocations(pipeline, cap);
+  if (traits_.async && options_.pipeline_depth > 0) {
+    return AllocateRing(pipeline, cap);
   }
   return Status::OK();
 }
@@ -209,31 +237,6 @@ Status RunContext::RunChunks(const Pipeline& pipeline, size_t chunk_begin,
   return Status::OK();
 }
 
-Status RunContext::SyncPipelineDevices(const Pipeline& pipeline) {
-  for (int node_id : pipeline.nodes) {
-    ADAMANT_ASSIGN_OR_RETURN(
-        SimulatedDevice * dev,
-        manager_->GetDevice(graph_->node(node_id).device));
-    dev->Synchronize();
-  }
-  return Status::OK();
-}
-
-Status RunContext::CompleteRun() {
-  ADAMANT_RETURN_NOT_OK(CheckCancel());
-  // Result delivery: terminal breaker outputs come back to the host.
-  for (const GraphNode& node : graph_->nodes()) {
-    if (!GetSignature(node.kind).pipeline_breaker) continue;
-    if (!graph_->IsTerminal(node.id)) continue;
-    ADAMANT_RETURN_NOT_OK(RetrieveBreaker(node));
-  }
-  for (DeviceId id : used_devices_) {
-    ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager_->GetDevice(id));
-    dev->Synchronize();
-  }
-  return Status::OK();
-}
-
 Status RunContext::PlaceScanChunk(int edge_id, size_t chunk, size_t base_row,
                                   size_t n) {
   GraphEdge& edge = graph_->edge(edge_id);
@@ -258,7 +261,7 @@ Status RunContext::PlaceScanChunk(int edge_id, size_t chunk, size_t base_row,
   }
 
   BufferId buf;
-  if (staged_) {
+  if (traits_.staged) {
     buf = staged_scan_bufs_.at(edge_id)[chunk % 2];
     ADAMANT_RETURN_NOT_OK(
         hub_.PlaceChunk(consumer.device, buf,
@@ -378,42 +381,29 @@ size_t RunContext::BindingBytes(const GraphEdge& edge,
   return binding.capacity * ElementSize(binding.elem_type);
 }
 
-Result<BufferId> RunContext::OutputBuffer(const GraphNode& node, int slot,
-                                          size_t bytes,
-                                          DataSemantic semantic) {
-  if (staged_) {
-    auto it = staged_outputs_.find({node.id, slot});
-    if (it == staged_outputs_.end()) {
-      return Status::Internal(node.label + ": output slot " +
-                              std::to_string(slot) + " was not staged");
-    }
-    return it->second;
+Result<std::array<BufferId, 3>> RunContext::AllocateOutputs(
+    const GraphNode& node, const NodeOutputPlan& plan,
+    std::vector<std::pair<DeviceId, BufferId>>* allocs) {
+  std::array<BufferId, 3> bufs;
+  bufs.fill(kInvalidBuffer);
+  for (const OutputPlanEntry& out : plan) {
+    BufferId& buf = bufs[static_cast<size_t>(out.slot)];
+    ADAMANT_ASSIGN_OR_RETURN(
+        buf, hub_.PrepareOutputBuffer(node.device, out.semantic, out.bytes,
+                                      /*pinned=*/false));
+    allocs->emplace_back(node.device, buf);
   }
-  ADAMANT_ASSIGN_OR_RETURN(
-      BufferId buf,
-      hub_.PrepareOutputBuffer(node.device, semantic, bytes, false));
-  per_chunk_allocs_.emplace_back(node.device, buf);
-  return buf;
+  return bufs;
 }
 
-size_t RunContext::StagedInputCapacity(
-    const GraphNode& node, size_t cap,
-    std::map<std::pair<int, int>, size_t>* caps) const {
-  size_t in_cap = cap;
-  for (int edge_id : graph_->InEdges(node.id)) {
-    const GraphEdge& edge = graph_->edges()[static_cast<size_t>(edge_id)];
-    if (edge.to_slot != PrimaryInputSlot(node)) continue;
-    if (edge.is_scan()) return cap;
-    auto it = caps->find({edge.from_node, edge.from_slot});
-    if (it != caps->end()) return it->second;
+Result<std::array<BufferId, 3>> RunContext::OutputBuffers(
+    const GraphNode& node, const NodeOutputPlan& plan) {
+  if (!traits_.staged) return AllocateOutputs(node, plan, &per_chunk_allocs_);
+  auto it = staged_outputs_.find(node.id);
+  if (it == staged_outputs_.end()) {
+    return Status::Internal(node.label + ": outputs were not staged");
   }
-  return in_cap;
-}
-
-int RunContext::PrimaryInputSlot(const GraphNode& node) {
-  // The input whose cardinality drives the node's output sizing: slot 1
-  // (positions) for gathers, slot 0 otherwise.
-  return node.kind == PrimitiveKind::kMaterializePosition ? 1 : 0;
+  return it->second;
 }
 
 Status RunContext::AllocateRing(const Pipeline& pipeline, size_t cap) {
@@ -469,25 +459,14 @@ Status RunContext::StageAllocations(const Pipeline& pipeline, size_t cap) {
   // Intermediate result buffers, staged once and reused across chunks
   // ("utilizing the dedicated device memory to store intermediate
   // results").
-  std::map<std::pair<int, int>, size_t> caps;  // (node, slot) -> elements
-  for (int node_id : pipeline.nodes) {
-    const GraphNode& node = graph_->node(node_id);
-    const size_t in_cap = StagedInputCapacity(node, cap, &caps);
-    for (const OutputPlanEntry& out : PlanNodeOutputs(node, in_cap)) {
-      ADAMANT_ASSIGN_OR_RETURN(
-          BufferId buf,
-          hub_.PrepareOutputBuffer(node.device, out.semantic, out.bytes,
-                                   /*pinned=*/false));
-      pipeline_allocs_.emplace_back(node.device, buf);
-      staged_outputs_[{node_id, out.slot}] = buf;
-    }
-    // Record this node's output capacity for downstream sizing.
-    const size_t out_cap =
-        GetSignature(node.kind).sized_by_selectivity
-            ? EstimateElems(in_cap, node.config.selectivity)
-            : in_cap;
-    caps[{node_id, 0}] = out_cap;
-    caps[{node_id, 1}] = out_cap;
+  const std::vector<size_t> in_caps =
+      PipelineInputCapacities(*graph_, pipeline, cap);
+  for (size_t i = 0; i < pipeline.nodes.size(); ++i) {
+    const GraphNode& node = graph_->node(pipeline.nodes[i]);
+    ADAMANT_ASSIGN_OR_RETURN(
+        staged_outputs_[node.id],
+        AllocateOutputs(node, PlanNodeOutputs(node, in_caps[i]),
+                        &pipeline_allocs_));
   }
   return Status::OK();
 }
@@ -515,8 +494,14 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
     has_in[slot] = true;
   }
 
+  // Every output buffer, sized off the primary input's capacity.
+  const auto pslot = static_cast<size_t>(PrimaryInputSlot(node));
+  const NodeOutputPlan plan = PlanNodeOutputs(node, in[pslot].capacity);
+  ADAMANT_ASSIGN_OR_RETURN(const auto buf, OutputBuffers(node, plan));
+
   KernelLaunch launch;
   Binding out0, out1;
+  out0.device = node.device;
   bool has_out1 = false;
 
   switch (node.kind) {
@@ -528,14 +513,10 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
                                        ", config says " +
                                        ElementTypeName(node.config.in_type));
       }
-      ADAMANT_ASSIGN_OR_RETURN(
-          out0.data, OutputBuffer(node, 0,
-                                  a.capacity * ElementSize(node.config.out_type),
-                                  DataSemantic::kNumeric));
+      out0.data = buf[0];
       out0.count = a.count;
-      out0.capacity = a.capacity;
+      out0.capacity = plan.capacity;
       out0.elem_type = node.config.out_type;
-      out0.device = node.device;
       launch = kernels::MakeMap(a.data, has_in[1] ? in[1].data : kInvalidBuffer,
                                 out0.data, node.config.map_op,
                                 node.config.in_type, node.config.out_type,
@@ -544,22 +525,15 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
     }
     case PrimitiveKind::kFilterBitmap: {
       const Binding& a = in[0];
-      BufferId bitmap;
-      if (node.config.combine_and) {
-        if (!has_in[1]) {
-          return Status::InvalidArgument(node.label +
-                                         ": combine filter needs a bitmap");
-        }
-        bitmap = in[1].data;
-      } else {
-        ADAMANT_ASSIGN_OR_RETURN(
-            bitmap, OutputBuffer(node, 0, bit_util::BytesForBits(a.capacity),
-                                 DataSemantic::kBitmap));
+      if (node.config.combine_and && !has_in[1]) {
+        return Status::InvalidArgument(node.label +
+                                       ": combine filter needs a bitmap");
       }
+      // A combining filter ANDs into its input bitmap.
+      const BufferId bitmap = node.config.combine_and ? in[1].data : buf[0];
       out0.data = bitmap;
       out0.count = a.count;
-      out0.capacity = a.capacity;
-      out0.device = node.device;
+      out0.capacity = plan.capacity;
       launch = kernels::MakeFilterBitmap(
           a.data, bitmap, node.config.cmp_op, a.elem_type, node.config.lo,
           node.config.hi, node.config.combine_and, a.capacity, a.count);
@@ -567,16 +541,10 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
     }
     case PrimitiveKind::kFilterPosition: {
       const Binding& a = in[0];
-      const size_t est = EstimateElems(a.capacity, node.config.selectivity);
-      ADAMANT_ASSIGN_OR_RETURN(
-          out0.data, OutputBuffer(node, 0, est * sizeof(int32_t),
-                                  DataSemantic::kPosition));
-      ADAMANT_ASSIGN_OR_RETURN(
-          out0.count,
-          OutputBuffer(node, 2, sizeof(int64_t), DataSemantic::kNumeric));
-      out0.capacity = est;
+      out0.data = buf[0];
+      out0.count = buf[2];
+      out0.capacity = plan.capacity;
       out0.elem_type = ElementType::kInt32;
-      out0.device = node.device;
       launch = kernels::MakeFilterPosition(
           a.data, out0.data, out0.count, node.config.cmp_op, a.elem_type,
           node.config.lo, node.config.hi, a.capacity, a.count);
@@ -584,15 +552,10 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
     }
     case PrimitiveKind::kMaterialize: {
       const Binding& a = in[0];
-      const size_t est = EstimateElems(a.capacity, node.config.selectivity);
-      ADAMANT_ASSIGN_OR_RETURN(
-          out0.data, OutputBuffer(node, 0, est * 8, DataSemantic::kNumeric));
-      ADAMANT_ASSIGN_OR_RETURN(
-          out0.count,
-          OutputBuffer(node, 2, sizeof(int64_t), DataSemantic::kNumeric));
-      out0.capacity = est;
+      out0.data = buf[0];
+      out0.count = buf[2];
+      out0.capacity = plan.capacity;
       out0.elem_type = a.elem_type;
-      out0.device = node.device;
       launch = kernels::MakeMaterialize(a.data, in[1].data, out0.data,
                                         out0.count, a.elem_type, a.capacity,
                                         a.count);
@@ -601,13 +564,10 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
     case PrimitiveKind::kMaterializePosition: {
       const Binding& values = in[0];
       const Binding& positions = in[1];
-      ADAMANT_ASSIGN_OR_RETURN(
-          out0.data, OutputBuffer(node, 0, positions.capacity * 8,
-                                  DataSemantic::kNumeric));
+      out0.data = buf[0];
       out0.count = positions.count;
-      out0.capacity = positions.capacity;
+      out0.capacity = plan.capacity;
       out0.elem_type = values.elem_type;
-      out0.device = node.device;
       launch = kernels::MakeMaterializePosition(
           values.data, positions.data, out0.data, values.elem_type,
           positions.capacity, positions.count);
@@ -620,7 +580,6 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
       out0.count = a.count;
       out0.capacity = persist.capacity;
       out0.elem_type = ElementType::kInt32;
-      out0.device = node.device;
       launch = kernels::MakePrefixSum(a.data, persist.buffer,
                                       node.config.exclusive, a.capacity,
                                       a.count);
@@ -634,7 +593,6 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
       out0.data = persist.buffer;
       out0.capacity = 1;
       out0.elem_type = ElementType::kInt64;
-      out0.device = node.device;
       launch = kernels::MakeAggBlock(a.data, persist.buffer,
                                      node.config.agg_op, a.elem_type, init,
                                      a.capacity, a.count);
@@ -645,7 +603,6 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
       Persist& persist = persists_.at(node_id);
       out0.data = persist.buffer;
       out0.num_slots = persist.num_slots;
-      out0.device = node.device;
       launch = kernels::MakeHashBuild(
           keys.data, has_in[1] ? in[1].data : kInvalidBuffer, persist.buffer,
           persist.num_slots, static_cast<int64_t>(base_row), keys.capacity,
@@ -658,23 +615,12 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
       if (table.num_slots == 0) {
         return Status::Internal(node.label + ": probe table has no slots");
       }
-      const size_t est = EstimateElems(keys.capacity, node.config.selectivity);
-      ADAMANT_ASSIGN_OR_RETURN(
-          out0.data, OutputBuffer(node, 0, est * sizeof(int32_t),
-                                  DataSemantic::kPosition));
-      ADAMANT_ASSIGN_OR_RETURN(
-          out1.data, OutputBuffer(node, 1, est * sizeof(int32_t),
-                                  DataSemantic::kNumeric));
-      ADAMANT_ASSIGN_OR_RETURN(
-          out0.count,
-          OutputBuffer(node, 2, sizeof(int64_t), DataSemantic::kNumeric));
-      out0.capacity = est;
+      out0.data = buf[0];
+      out0.count = buf[2];
+      out0.capacity = plan.capacity;
       out0.elem_type = ElementType::kInt32;
-      out0.device = node.device;
-      out1.count = out0.count;
-      out1.capacity = est;
-      out1.elem_type = ElementType::kInt32;
-      out1.device = node.device;
+      out1 = out0;
+      out1.data = buf[1];
       has_out1 = true;
       launch = kernels::MakeHashProbe(keys.data, table.data, out0.data,
                                       out1.data, out0.count,
@@ -688,7 +634,6 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
       Persist& persist = persists_.at(node_id);
       out0.data = persist.buffer;
       out0.num_slots = persist.num_slots;
-      out0.device = node.device;
       std::vector<kernels::HashAggAccumulator> accs(
           node.config.agg_ops.size());
       for (size_t a = 0; a < accs.size(); ++a) {
@@ -713,7 +658,6 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
       out0.data = persist.buffer;
       out0.capacity = node.config.num_groups;
       out0.elem_type = ElementType::kInt64;
-      out0.device = node.device;
       launch = kernels::MakeSortAgg(values.data, pxsum.data, persist.buffer,
                                     node.config.agg_op, values.elem_type,
                                     node.config.num_groups, init,
@@ -726,7 +670,6 @@ Status RunContext::ExecuteNode(int node_id, size_t base_row, size_t n) {
                               ": fused kinds are dispatched above");
   }
 
-  const auto pslot = static_cast<size_t>(PrimaryInputSlot(node));
   return Launch(node, dev, std::move(launch),
                 has_in[pslot] ? &in[pslot] : nullptr, out0,
                 has_out1 ? &out1 : nullptr, base_row, n);
@@ -763,16 +706,14 @@ Status RunContext::ExecuteFusedNode(const GraphNode& node,
 
   KernelLaunch launch;
   Binding out0;
+  out0.device = node.device;
   if (node.kind == PrimitiveKind::kFused) {
-    const size_t est = EstimateElems(a.capacity, node.config.selectivity);
-    ADAMANT_ASSIGN_OR_RETURN(
-        out0.data, OutputBuffer(node, 0, est * 8, DataSemantic::kNumeric));
-    ADAMANT_ASSIGN_OR_RETURN(
-        out0.count,
-        OutputBuffer(node, 2, sizeof(int64_t), DataSemantic::kNumeric));
-    out0.capacity = est;
+    const NodeOutputPlan plan = PlanNodeOutputs(node, a.capacity);
+    ADAMANT_ASSIGN_OR_RETURN(const auto buf, OutputBuffers(node, plan));
+    out0.data = buf[0];
+    out0.count = buf[2];
+    out0.capacity = plan.capacity;
     out0.elem_type = node.config.out_type;
-    out0.device = node.device;
     launch = kernels::MakeFused(inputs, out0.data, out0.count,
                                 node.config.fused_steps, /*init=*/false,
                                 a.capacity, a.count);
@@ -783,7 +724,6 @@ Status RunContext::ExecuteFusedNode(const GraphNode& node,
     out0.data = persist.buffer;
     out0.capacity = 1;
     out0.elem_type = ElementType::kInt64;
-    out0.device = node.device;
     launch = kernels::MakeFused(inputs, persist.buffer, kInvalidBuffer,
                                 node.config.fused_steps, init, a.capacity,
                                 a.count);
@@ -1344,8 +1284,6 @@ void RunContext::FinalizeStats() {
     ds.kernel_body_by_name = dev->kernel_body_by_name();
     ds.transfer_wire_us = dev->transfer_wire_time();
     ds.execute_calls = dev->stats().execute;
-    ds.place_calls = dev->stats().place_data;
-    ds.retrieve_calls = dev->stats().retrieve_data;
     ds.prepare_calls = dev->stats().prepare_memory;
     ds.device_mem_high_water = dev->device_arena().high_water();
     ds.pinned_mem_high_water = dev->pinned_arena().high_water();

@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "device/device_manager.h"
 #include "obs/trace.h"
+#include "runtime/exec/plan_shapes.h"
 #include "runtime/executor.h"
 #include "runtime/primitive_graph.h"
 #include "runtime/transfer_hub.h"
@@ -44,7 +45,7 @@ struct Persist {
 /// The chunk range of one pipeline: global chunk indices map to (base_row,
 /// rows) windows over the pipeline's input. An empty input still yields one
 /// empty chunk, so breaker kernels run once and write their identity.
-/// Drivers iterate a contiguous sub-range of [0, total()); the device-
+/// A run iterates a contiguous sub-range of [0, total()); the device-
 /// parallel model hands each device a disjoint sub-range.
 class ChunkSource {
  public:
@@ -65,11 +66,12 @@ class ChunkSource {
   size_t cap_;
 };
 
-/// Per-run execution state shared by every ModelDriver: pipelines, edge
-/// bindings, breaker persists, staging plans, allocation ledgers, and the
-/// data transfer hub. A driver composes the public phase operations
-/// (Prepare / BeginPipeline / staging / RunChunks / CompleteRun) into its
-/// execution model; QueryExecutor::Run owns cleanup (ReleaseAll) and stats
+/// Per-run execution state: pipelines, edge bindings, breaker persists,
+/// staging plans, allocation ledgers, and the data transfer hub. Run() is
+/// the one chunk loop every single-device model runs, shaped by the
+/// model's traits (plan_shapes.h); RunDeviceParallel composes the public
+/// phase operations (Prepare / BeginPipeline / RunChunks) over one context
+/// per device. QueryExecutor::Run owns cleanup (ReleaseAll) and stats
 /// finalization.
 class RunContext {
  public:
@@ -80,34 +82,35 @@ class RunContext {
   RunContext& operator=(const RunContext&) = delete;
 
   /// Validates the graph, splits its pipelines and resets chunk progress,
-  /// once per context. Prepare calls it; the device-parallel driver calls
-  /// it first to price its split over the pipelines it will run.
+  /// once per context. Prepare calls it; RunDeviceParallel calls it first
+  /// to price its split over the pipelines it will run.
   Status Plan();
 
   /// Plan(), then readies the run's devices (state reset when the options
   /// ask for it, async mode per the model). `device_override` names the
   /// devices the run will touch when they cannot be derived from the
-  /// graph's node annotations — the device-parallel driver passes its
-  /// device set so all partition devices are reset and snapshotted.
+  /// graph's node annotations — RunDeviceParallel passes its device set so
+  /// all partition devices are reset and snapshotted.
   Status Prepare(const std::vector<DeviceId>& device_override = {});
 
-  // --- Driver-facing phase operations ---
+  /// The single-device run (Section IV): Prepare, then per pipeline
+  /// BeginPipeline and the chunk loop over every chunk, synchronizing the
+  /// pipeline's devices after it when the model is async (Algorithm 2's
+  /// barrier at each breaker); then result delivery — terminal breaker
+  /// outputs back to the host and a final synchronize of every used device.
+  Status Run();
+
+  // --- Phase operations (Run and RunDeviceParallel) ---
 
   /// Chunk capacity (elements) for one pipeline under this run's model.
   size_t ChunkCapacity(const Pipeline& pipeline) const;
 
-  /// Per-pipeline setup: model restriction checks (a global breaker cannot
-  /// run chunked), breaker persist allocation, staging-state reset.
-  Status BeginPipeline(const Pipeline& pipeline, size_t total_chunks);
-
-  /// Stage phase (Algorithm 3): dual pinned input buffers per scan column
-  /// plus all intermediate buffers, allocated once for the pipeline.
-  Status StageAllocations(const Pipeline& pipeline, size_t cap);
-
-  /// Bounded transfer lookahead (Algorithm 2 with a staging ring): the WAR
-  /// hazard on a ring slot keeps the transfer thread at most
-  /// `pipeline_depth` chunks ahead of execution.
-  Status AllocateRing(const Pipeline& pipeline, size_t cap);
+  /// Per-pipeline setup for chunks of `cap` rows: model restriction checks
+  /// (a global breaker cannot run chunked), breaker persist allocation,
+  /// release of the previous pipeline's transients, then the model's
+  /// staging — Algorithm 3's stage phase when staged, else a bounded
+  /// transfer ring when async with pipeline_depth > 0.
+  Status BeginPipeline(const Pipeline& pipeline, size_t cap);
 
   /// Copy/compute loop over global chunk indices [chunk_begin, chunk_end):
   /// place scan chunks, execute every node, advance progress, release
@@ -115,17 +118,9 @@ class RunContext {
   Status RunChunks(const Pipeline& pipeline, size_t chunk_begin,
                    size_t chunk_end, size_t cap);
 
-  /// Synchronizes the devices of one pipeline's nodes (the async models'
-  /// barrier at each pipeline breaker, Algorithm 2).
-  Status SyncPipelineDevices(const Pipeline& pipeline);
-
-  /// Result delivery: terminal breaker outputs back to the host, then a
-  /// final synchronize of every used device.
-  Status CompleteRun();
-
   /// The run's cancellation state: OK without a token (or while untripped),
-  /// otherwise the token's DeadlineExceeded/Cancelled status. Drivers and
-  /// phase operations poll this at pipeline and chunk boundaries; a non-OK
+  /// otherwise the token's DeadlineExceeded/Cancelled status. The phase
+  /// operations poll this at pipeline and chunk boundaries; a non-OK
   /// return unwinds through ReleaseAll like any other error.
   Status CheckCancel() const {
     return options_.cancel_token == nullptr ? Status::OK()
@@ -155,8 +150,8 @@ class RunContext {
     return op_stats_;
   }
   /// Folds a partition sub-run's operator stats into this context. The
-  /// device-parallel driver's sub-graphs are clones with identical node
-  /// ids, so entries merge by id (sums; max for per-chunk selectivity).
+  /// device-parallel sub-graphs are clones with identical node ids, so
+  /// entries merge by id (sums; max for per-chunk selectivity).
   void MergeOperatorStats(const std::map<int, obs::OperatorStats>& other);
 
   // --- Cleanup and accounting (QueryExecutor::Run's business) ---
@@ -166,8 +161,8 @@ class RunContext {
   void ReleaseAll();
 
   /// Folds hub counters and per-device timeline/footprint snapshots into
-  /// the execution's QueryStats. Counters are added, not assigned, so a
-  /// composite driver may pre-accumulate sub-run statistics.
+  /// the execution's QueryStats. Counters are added, not assigned, so
+  /// RunDeviceParallel may pre-accumulate sub-run statistics.
   void FinalizeStats();
 
   // --- Accessors ---
@@ -177,7 +172,6 @@ class RunContext {
   PrimitiveGraph* graph() { return graph_; }
   DeviceManager* manager() { return manager_; }
   const DataTransferHub& hub() const { return hub_; }
-  bool async_mode() const { return async_; }
   QueryExecution& exec() { return exec_; }
   Result<QueryExecution> TakeExecution() { return std::move(exec_); }
 
@@ -185,11 +179,22 @@ class RunContext {
   Status PlaceScanChunk(int edge_id, size_t chunk, size_t base_row, size_t n);
   Result<Binding> InputBinding(const GraphEdge& edge, DeviceId device);
   size_t BindingBytes(const GraphEdge& edge, const Binding& binding) const;
-  Result<BufferId> OutputBuffer(const GraphNode& node, int slot, size_t bytes,
-                                DataSemantic semantic);
-  size_t StagedInputCapacity(const GraphNode& node, size_t cap,
-                             std::map<std::pair<int, int>, size_t>* caps) const;
-  static int PrimaryInputSlot(const GraphNode& node);
+  /// Stage phase (Algorithm 3): dual pinned input buffers per scan column
+  /// plus all intermediate buffers, allocated once for the pipeline.
+  Status StageAllocations(const Pipeline& pipeline, size_t cap);
+  /// Bounded transfer lookahead (Algorithm 2 with a staging ring): the WAR
+  /// hazard on a ring slot keeps the transfer thread at most
+  /// `pipeline_depth` chunks ahead of execution.
+  Status AllocateRing(const Pipeline& pipeline, size_t cap);
+  /// Allocates every output `plan` names on `node`'s device, by slot
+  /// (kInvalidBuffer where it plans none), recording each in `allocs`.
+  Result<std::array<BufferId, 3>> AllocateOutputs(
+      const GraphNode& node, const NodeOutputPlan& plan,
+      std::vector<std::pair<DeviceId, BufferId>>* allocs);
+  /// One chunk's output buffers of `node`: the pipeline's staged buffers,
+  /// or per-chunk allocations of `plan`.
+  Result<std::array<BufferId, 3>> OutputBuffers(const GraphNode& node,
+                                                const NodeOutputPlan& plan);
   Status ExecuteNode(int node_id, size_t base_row, size_t n);
   /// FUSED / FUSED_AGG inputs and outputs: variable input count, recipe
   /// interpreter kernel.
@@ -244,9 +249,7 @@ class RunContext {
   DeviceManager* manager_;
   PrimitiveGraph* graph_;
   ExecutionOptions options_;
-  const bool oaat_;
-  const bool staged_;
-  const bool async_;
+  const ModelTraits traits_;
   DataTransferHub hub_;
 
   std::vector<Pipeline> pipelines_;
@@ -257,7 +260,7 @@ class RunContext {
   std::map<int, std::array<BufferId, 2>> staged_scan_bufs_;
   std::map<int, std::vector<BufferId>> ring_bufs_;
   std::map<std::pair<const Column*, DeviceId>, Binding> chunk_scan_cache_;
-  std::map<std::pair<int, int>, BufferId> staged_outputs_;
+  std::map<int, std::array<BufferId, 3>> staged_outputs_;  // by node id
   std::vector<std::pair<DeviceId, BufferId>> per_chunk_allocs_;
   /// Pipeline-scoped transients (ring slots, staged scan buffers, staged
   /// intermediate outputs): freed when the next pipeline begins, so the
@@ -283,6 +286,13 @@ class RunContext {
   /// device-local), so each count crosses the bus at most once per chunk.
   std::map<std::pair<DeviceId, BufferId>, int64_t> analyze_counts_;
 };
+
+/// Intra-query device parallelism (kDeviceParallel), run instead of
+/// ctx.Run(): partitions each pipeline's chunk range across
+/// ExecutionOptions::device_set, runs the chunked loop per device
+/// concurrently (one cloned graph + RunContext per device), and merges
+/// pipeline-breaker outputs at the task layer between pipelines.
+Status RunDeviceParallel(RunContext& ctx);
 
 }  // namespace adamant::exec
 

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <utility>
 
 #include "obs/trace.h"
-#include "runtime/exec/model_driver.h"
+#include "runtime/exec/run_context.h"
 #include "task/hash_table.h"
 
 namespace adamant {
@@ -220,8 +219,8 @@ Result<std::vector<int64_t>> QueryExecution::SortAggValues(int node_id) const {
 }
 
 // ---------------------------------------------------------------------------
-// Executor: setup + driver dispatch + cleanup + stats finalization. All
-// per-model control flow lives in the drivers under src/runtime/exec/.
+// Executor: setup + the run + cleanup + stats finalization. The run loop
+// and the device-parallel composite live under src/runtime/exec/.
 // ---------------------------------------------------------------------------
 
 Result<QueryExecution> QueryExecutor::Run(PrimitiveGraph* graph,
@@ -231,15 +230,15 @@ Result<QueryExecution> QueryExecutor::Run(PrimitiveGraph* graph,
     return Status::InvalidArgument("no devices plugged");
   }
   ADAMANT_RETURN_NOT_OK(ValidateExecutionOptions(options));
-  ADAMANT_ASSIGN_OR_RETURN(std::unique_ptr<exec::ModelDriver> driver,
-                           exec::MakeModelDriver(options.model));
   obs::TraceSpan query_span;
   if (obs::TracingEnabled()) {
     query_span.Start(obs::kHostTrack,
                      std::string("query:") + ExecutionModelName(options.model));
   }
   exec::RunContext context(manager_, graph, options);
-  Status st = driver->Execute(context);
+  Status st = options.model == ExecutionModelKind::kDeviceParallel
+                  ? exec::RunDeviceParallel(context)
+                  : context.Run();
   // Delete phase / error cleanup: give every allocation back. Stats are
   // finalized on the error path too, so a stats_sink observes the partial
   // profile/operator tree of a cancelled or failed run.

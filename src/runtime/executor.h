@@ -68,9 +68,6 @@ struct ExecutionOptions {
   /// executor divides by the manager's data scale so the chunk *count*
   /// matches the nominal run.
   size_t chunk_elems = size_t{1} << 25;
-  /// When false, SDK-format conversions fall back to host round-trips
-  /// (ablation of the transform_memory interface).
-  bool use_transform = true;
   /// Pipelined model only: number of in-flight chunk staging buffers per
   /// scan column. 0 = allocate per chunk (the transfer thread may run
   /// arbitrarily far ahead, Algorithm 2's unbounded form); N > 0 = a ring
@@ -84,7 +81,7 @@ struct ExecutionOptions {
   std::vector<DeviceId> device_set;
   /// Device-parallel model only: explicit per-device split shares, parallel
   /// to `device_set` (same order; need not sum to 1 — they are normalized).
-  /// Empty = the driver derives throughput-proportional shares from the
+  /// Empty = the run derives throughput-proportional shares from the
   /// run's pipelines priced on each device (exec::PriceGraph).
   /// CompileQuery always sets it, calibrated by observed throughput.
   std::vector<double> device_split;
@@ -144,7 +141,7 @@ struct ExecutionOptions {
   /// that blew its deadline. Not owned; must outlive the run.
   QueryStats* stats_sink = nullptr;
   /// Cooperative cancellation / deadline token for this run; not owned, may
-  /// be null. Checked at pipeline and chunk boundaries in every ModelDriver,
+  /// be null. Checked at pipeline and chunk boundaries of every run,
   /// per tile in the WorkerPool claim loop, and around DataTransferHub
   /// H2D/D2H calls. A tripped token unwinds through the same deterministic
   /// teardown as a device fault: MemoryLedger back to zero, cache leases
@@ -163,8 +160,6 @@ struct DeviceRunStats {
   std::map<std::string, sim::SimTime> kernel_body_by_name;
   sim::SimTime transfer_wire_us = 0;
   size_t execute_calls = 0;
-  size_t place_calls = 0;
-  size_t retrieve_calls = 0;
   size_t prepare_calls = 0;
   size_t device_mem_high_water = 0;  // nominal bytes
   size_t pinned_mem_high_water = 0;  // nominal bytes
@@ -188,7 +183,7 @@ struct QueryStats {
   sim::SimTime transfer_wire_us = 0;
   size_t chunks = 0;
   /// Device-parallel model: chunks executed per device (the split the
-  /// driver chose), and host-side wall-clock spent merging partition
+  /// run chose), and host-side wall-clock spent merging partition
   /// breaker outputs. Empty / 0 for single-device models.
   std::map<int, size_t> chunks_by_device;
   double merge_host_ms = 0;

@@ -148,7 +148,7 @@ class PrimitiveGraph {
   const std::vector<GraphEdge>& edges() const { return edges_; }
   const GraphNode& node(int id) const { return nodes_.at(static_cast<size_t>(id)); }
   /// Mutable node access for post-lowering placement rewrites (the
-  /// device-parallel driver retargets a cloned graph to one device).
+  /// device-parallel run retargets a cloned graph to one device).
   GraphNode& mutable_node(int id) { return nodes_.at(static_cast<size_t>(id)); }
   GraphEdge& edge(int id) { return edges_.at(static_cast<size_t>(id)); }
 

@@ -27,6 +27,8 @@ constexpr uint64_t kJitterSeed = 42;
 constexpr double kMinPredictedMs = 5.0;
 constexpr double kMinWatchdogMs = 50.0;
 constexpr double kWatchdogPollMs = 5.0;
+// Admission queue bound: Submit rejects beyond it with OutOfMemory.
+constexpr size_t kMaxQueue = 256;
 
 double ElapsedMs(std::chrono::steady_clock::time_point from,
                  std::chrono::steady_clock::time_point to) {
@@ -39,7 +41,7 @@ QueryService::QueryService(DeviceManager* manager, ServiceConfig config)
     : manager_(manager),
       config_(config),
       start_time_(std::chrono::steady_clock::now()),
-      queue_(config.max_queue),
+      queue_(kMaxQueue),
       slots_(manager->num_devices(), std::max<size_t>(config.slots_per_device, 1)),
       health_(manager->num_devices(), config.health),
       jitter_rng_(kJitterSeed) {
@@ -229,7 +231,7 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
     if (queue_.full()) {
       reject_event("queue_full");
       return Status::OutOfMemory("admission queue is full (" +
-                                 std::to_string(config_.max_queue) + ")");
+                                 std::to_string(kMaxQueue) + ")");
     }
     if (query->has_deadline && config_.slo.shed_on_admission) {
       // Shed, don't enqueue: when predicted run time plus predicted queue
@@ -670,11 +672,16 @@ void QueryService::EvictLapsedLocked(
     q->ticket->Complete(std::move(cause));
   }
   idle_cv_.notify_all();
+  // A stopping worker waits here for the queue to drain.
+  dispatch_cv_.notify_all();
 }
 
 void QueryService::WatchdogLoop() {
   std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
+  // Eviction outlives Stop() until the queue drains, so a queued query that
+  // cannot dispatch (its devices quarantined) still ends at its deadline or
+  // its client's cancel rather than at the next probe.
+  while (!stopping_ || !queue_.empty()) {
     const auto now = std::chrono::steady_clock::now();
     // Lapsed queued work is evicted here too, so eviction keeps its
     // cadence even when every worker is pinned down by long runs.

@@ -71,8 +71,6 @@ struct ServiceConfig {
   /// exclusively: per-query timing stays exact. >1 interleaves queries on
   /// the shared simulated device: results stay exact, timing approximate.
   size_t slots_per_device = 1;
-  /// Admission queue bound; Submit rejects beyond it.
-  size_t max_queue = 256;
   /// Per-device admission budget in nominal bytes; 0 = the device arena's
   /// capacity minus the column-cache budget, so cache residency and query
   /// working sets cannot jointly overcommit the arena.

@@ -24,7 +24,7 @@ namespace adamant::task {
 /// claimed with a single atomic fetch-add (monotonically increasing index),
 /// the submitting thread participates, and up to `max_threads - 1` pool
 /// workers join. One region runs at a time: concurrent submitters (e.g. the
-/// device-parallel driver's partition threads, each inside its device's
+/// device-parallel run's partition threads, each inside its device's
 /// call mutex) queue on the submit mutex rather than interleaving tiles of
 /// different kernels.
 ///

@@ -682,6 +682,49 @@ TEST(ServiceDeadlineTest, ClientCancelWhileQueuedEvicts) {
   EXPECT_EQ(service.ledger().budget(0).live_bytes(), 0u);
 }
 
+// Stop() keeps evicting: a queued query that waits on a quarantined device
+// ends DeadlineExceeded at its deadline, and Stop() returns then, not when
+// the device's 30 s probe cooldown ends.
+TEST(ServiceDeadlineTest, StopEvictsQueuedQueryAtItsDeadline) {
+  const auto& fixture = DeadlineFixture::Get();
+  DeviceManager manager;
+  auto device = manager.AddDriver(sim::DriverKind::kCudaGpu, "gpu.0",
+                                  FaultPlan::Sticky(InterfaceCall::kExecute));
+  ASSERT_TRUE(device.ok());
+  ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
+
+  ServiceConfig config;
+  config.workers = 1;
+  config.retry.max_attempts = 1;
+  config.health.quarantine_threshold = 1;
+  config.health.probe_cooldown_ms = 30000.0;
+  QueryService service(&manager, config);
+
+  // The first query fails on the dead device and quarantines it...
+  auto first = service.Submit(Q6Spec(fixture.catalog.get()));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE((*first)->Wait().ok());
+  ASSERT_TRUE(service.GetStats().devices[0].quarantined);
+
+  // ...so the second can only wait in the queue.
+  QuerySpec spec = Q6Spec(fixture.catalog.get());
+  spec.deadline_ms = 200.0;
+  auto second = service.Submit(std::move(spec));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+
+  const auto start = std::chrono::steady_clock::now();
+  service.Stop();
+  const double stop_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(stop_ms, 5000.0);
+  const Result<QueryExecution>& result = (*second)->Wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+  EXPECT_EQ((*second)->attempts(), 0u);
+}
+
 // --- The headline acceptance test: watchdog vs a stalled device --------------
 
 // A sticky wall-clock stall on gpu.0's Execute makes every run there hang far

@@ -1,7 +1,8 @@
-// Unit tests for the execution-model driver framework (src/runtime/exec/):
-// the ChunkSource arithmetic every driver shares, the driver factory, the
-// host-side breaker merge helpers, and device-parallel edge cases (single
-// device, fewer chunks than devices, unsupported breakers, bad device ids).
+// Unit tests for the execution models' run loop (src/runtime/exec/): the
+// ChunkSource arithmetic every model shares, every model's name and
+// traits, the host-side breaker merge helpers, and device-parallel edge
+// cases (single device, fewer chunks than devices, unsupported breakers,
+// bad device ids).
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,7 @@
 #include <vector>
 
 #include "adamant/adamant.h"
-#include "runtime/exec/drivers.h"
-#include "runtime/exec/model_driver.h"
+#include "runtime/exec/plan_shapes.h"
 #include "runtime/exec/run_context.h"
 #include "task/hash_table.h"
 #include "task/merge.h"
@@ -44,22 +44,34 @@ TEST(ChunkSourceTest, EmptyInputStillHasOneChunk) {
   EXPECT_EQ(source.rows(0), 0u);
 }
 
-// --- Driver factory --------------------------------------------------------
+// --- Model names and traits ------------------------------------------------
 
-TEST(ModelDriverTest, FactoryCoversEveryModel) {
-  const std::pair<ExecutionModelKind, const char*> kExpected[] = {
-      {ExecutionModelKind::kOperatorAtATime, "operator-at-a-time"},
-      {ExecutionModelKind::kChunked, "chunked"},
-      {ExecutionModelKind::kPipelined, "pipelined"},
-      {ExecutionModelKind::kFourPhaseChunked, "4-phase"},
-      {ExecutionModelKind::kFourPhasePipelined, "4-phase-pipelined"},
-      {ExecutionModelKind::kDeviceParallel, "device-parallel"},
+// Every model has its name, and the traits the one run loop, the memory
+// estimate and the pricer read: whole input per chunk, staged, async.
+TEST(ExecutionModelTest, EveryModelHasItsNameAndTraits) {
+  struct Expected {
+    ExecutionModelKind kind;
+    const char* name;
+    bool whole_input, staged, async;
   };
-  for (const auto& [kind, name] : kExpected) {
-    auto driver = exec::MakeModelDriver(kind);
-    ASSERT_TRUE(driver.ok()) << name;
-    EXPECT_STREQ((*driver)->name(), name);
-    EXPECT_STREQ(ExecutionModelName(kind), name);
+  const Expected kExpected[] = {
+      {ExecutionModelKind::kOperatorAtATime, "operator-at-a-time", true,
+       false, false},
+      {ExecutionModelKind::kChunked, "chunked", false, false, false},
+      {ExecutionModelKind::kPipelined, "pipelined", false, false, true},
+      {ExecutionModelKind::kFourPhaseChunked, "4-phase", false, true, false},
+      {ExecutionModelKind::kFourPhasePipelined, "4-phase-pipelined", false,
+       true, true},
+      // Its partitions run the chunked loop.
+      {ExecutionModelKind::kDeviceParallel, "device-parallel", false, false,
+       false},
+  };
+  for (const Expected& want : kExpected) {
+    EXPECT_STREQ(ExecutionModelName(want.kind), want.name);
+    const exec::ModelTraits traits = exec::TraitsOf(want.kind);
+    EXPECT_EQ(traits.whole_input, want.whole_input) << want.name;
+    EXPECT_EQ(traits.staged, want.staged) << want.name;
+    EXPECT_EQ(traits.async, want.async) << want.name;
   }
 }
 

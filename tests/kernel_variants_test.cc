@@ -1777,7 +1777,7 @@ TEST(WorkerPoolTest, PoolIsReusableAcrossRegions) {
 }
 
 TEST(WorkerPoolTest, ConcurrentSubmittersSerializeSafely) {
-  // Several threads submit regions at once (the device-parallel driver's
+  // Several threads submit regions at once (the device-parallel run's
   // partition threads do exactly this); regions must not interleave tiles.
   constexpr int kThreads = 4;
   constexpr int kRegionsEach = 8;

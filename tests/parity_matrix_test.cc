@@ -352,23 +352,37 @@ TEST(ParityMatrixTest, AllModelsBitIdenticalWithFusionForced) {
 
 // --- Footprint estimate upper-bounds observed high water -------------------
 
+// The estimate sizes every output off the capacities the run derives, so
+// it also bounds plans whose MAPs read a MATERIALIZE's slack (Q1 and its
+// lowered SQL form, whose selectivity sits near 1).
 TEST(ParityMatrixTest, EstimateUpperBoundsHighWaterForAllModels) {
   const auto& fixture = MatrixFixture::Get();
   struct Case {
-    const char* name;
+    std::string name;
     std::function<Result<plan::PlanBundle>(DeviceId)> build;
   };
   const Catalog& catalog = *fixture.catalog;
-  const Case kCases[] = {
+  std::vector<Case> cases = {
+      {"Q1", [&](DeviceId d) { return plan::BuildQ1(catalog, {}, d); }},
       {"Q3", [&](DeviceId d) { return plan::BuildQ3(catalog, {}, d); }},
       {"Q4", [&](DeviceId d) { return plan::BuildQ4(catalog, {}, d); }},
       {"Q6", [&](DeviceId d) { return plan::BuildQ6(catalog, {}, d); }}};
-  for (const Case& c : kCases) {
+  for (const char* builtin :
+       {"q1", "q4", "q6", "shipmode_rollup", "priority_window"}) {
+    cases.push_back(
+        {builtin, [&catalog, builtin](DeviceId d) -> Result<plan::PlanBundle> {
+           ADAMANT_ASSIGN_OR_RETURN(
+               sql::CompiledQuery query,
+               sql::Compile(sql::FindBuiltinQuery(builtin)->sql, catalog));
+           return plan::LowerPlan(*query.plan, catalog, d);
+         }});
+  }
+  for (const Case& c : cases) {
     for (ExecutionModelKind model : kAllModels) {
       // Fresh manager per run so high-water marks are not inherited.
       auto manager = TwoGpuManager();
       auto bundle = c.build(0);
-      ASSERT_TRUE(bundle.ok());
+      ASSERT_TRUE(bundle.ok()) << c.name << ": " << bundle.status().ToString();
       ASSERT_TRUE(ApplyEnvFusion(&*bundle).ok());
       const ExecutionOptions options = OptionsFor(model);
       auto estimate = EstimateDeviceMemoryBytes(*bundle->graph, options,
