@@ -10,40 +10,27 @@ namespace adamant::obs {
 
 class MetricsRegistry;
 
-/// One device's share of one pipeline: time this device spent moving data
-/// in (H2D), moving results out (D2H), and computing, while the pipeline
-/// was running. Milliseconds throughout.
+/// One device's share of one pipeline: simulated time this device spent
+/// moving data in (H2D), moving results out (D2H), and computing, while the
+/// pipeline was running.
 struct PipelineDeviceSlice {
   int device = 0;
-  double transfer_ms = 0;  // H2D
-  double d2h_ms = 0;
-  double compute_ms = 0;
+  double sim_h2d_us = 0;
+  double sim_d2h_us = 0;
+  double sim_compute_us = 0;
 };
 
 /// Per-pipeline breakdown within a query run.
 struct PipelineProfile {
   int index = 0;
   double wall_ms = 0;
+  /// Chunks this run executed in the pipeline (summed over partitions).
   size_t chunks = 0;
   /// True when the run was cancelled (deadline, client cancel, watchdog)
   /// while this pipeline was executing — its chunk count and timings cover
   /// only the work done before the token tripped.
   bool cancelled = false;
   std::vector<PipelineDeviceSlice> devices;
-};
-
-/// Whole-run totals for one device across all pipelines.
-struct DeviceProfile {
-  std::string name;
-  double transfer_ms = 0;  // H2D
-  double d2h_ms = 0;
-  double compute_ms = 0;
-  double kernel_body_ms = 0;
-  size_t kernel_launches = 0;
-  /// Fused-composite launches and their share of kernel_body_ms, split out
-  /// so fusion wins are attributable (kernel_launches counts them too).
-  size_t fused_launches = 0;
-  double fused_body_ms = 0;
 };
 
 /// One operator's share of one run on one partition device. Single-device
@@ -100,6 +87,14 @@ struct OperatorStats {
   double scalar_ms = 0;
   double parallel_ms = 0;
   double fused_ms = 0;
+  /// q-errors (QError), stamped when the run's stats are finalized; 0 where
+  /// none applies. Selectivity: selective operators that saw input rows.
+  /// Cost: operators that launched, comparing this operator's share of the
+  /// predicted total with its share of the measured kernel_ms total (so the
+  /// simulated-us prediction and the wall-ms measurement need no common
+  /// unit), when both totals are positive.
+  double selectivity_qerror = 0;
+  double cost_qerror = 0;
   uint64_t bytes_h2d = 0;
   uint64_t bytes_d2h = 0;
   size_t cache_hits = 0;
@@ -118,33 +113,24 @@ struct OperatorStats {
 /// finite error instead of inf.
 double QError(double predicted, double actual);
 
-/// The paper's Fig. 10/11-style phase breakdown for one live query:
-/// where did the time go — queue wait, device transfer vs compute per
-/// pipeline and per device, host-side merges. Filled by the executor when
-/// ExecutionOptions::collect_profile is set; queue_wait_ms is stamped by
-/// the service layer. All times are milliseconds.
+/// The wall-clock phase profile of one run (QueryStats::profile): run time,
+/// one entry per pipeline, and the EXPLAIN ANALYZE tree. Filled by the
+/// executor when ExecutionOptions::collect_profile is set (the operator
+/// tree under collect_operator_stats).
 struct QueryProfile {
-  bool collected = false;
   /// Why the run ended early, or empty for a completed run: "user",
   /// "deadline", or "watchdog" (CancelCauseToString of the tripped token).
   std::string cancelled_cause;
-  double queue_wait_ms = 0;
-  double run_ms = 0;
-  double merge_host_ms = 0;
+  double run_ms = 0;  // wall
   std::vector<PipelineProfile> pipelines;
-  std::vector<DeviceProfile> devices;
   /// EXPLAIN ANALYZE tree (node-id order), present when the run collected
   /// operator stats.
   std::vector<OperatorStats> operators;
-
-  std::string ToJson() const;
 };
 
-/// Observes every operator's selectivity and cost q-error into the
+/// Observes every operator's stamped selectivity and cost q-error into the
 /// `adamant_plan_qerror_selectivity` / `adamant_plan_qerror_cost`
-/// histograms of `metrics` (labelled by query name). Cost q-errors compare
-/// normalized cost *shares* (each side divided by its total), so the
-/// comparison needs no sim-us-to-wall calibration.
+/// histograms of `metrics` (labelled by query name).
 void RecordPlanQErrors(MetricsRegistry* metrics, const std::string& query_name,
                        const std::vector<OperatorStats>& operators);
 

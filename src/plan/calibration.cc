@@ -265,7 +265,7 @@ std::string Calibration::ToJson() const {
     out << "{\"ratio\":" << ratio.value
         << ",\"observations\":" << ratio.observations << '}';
   }
-  out << "},\"runs\":{\"avg_run_ms\":" << avg_run_ms_.value
+  out << "},\"runs\":{\"wall_avg_run_ms\":" << avg_run_ms_.value
       << ",\"wall_ms_per_sim_us\":" << wall_ms_per_sim_us_.value
       << ",\"observations\":" << avg_run_ms_.observations << "}}";
   return out.str();

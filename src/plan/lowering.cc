@@ -271,7 +271,9 @@ class Lowering {
         }
         std::string label = "lower.groupby(" + node.group_key + ")";
         if (num_aggs > per_node) {
-          label += "[" + std::to_string(first / per_node) + "]";
+          label.append("[")
+              .append(std::to_string(first / per_node))
+              .append("]");
         }
         int sink = g().AddNode(PrimitiveKind::kHashAgg,
                                policy_.For(PrimitiveKind::kHashAgg), cfg,

@@ -39,6 +39,51 @@ PlacementPolicy MakeCandidate(DeviceId streaming, DeviceId hash,
   return policy;
 }
 
+/// The device set for a homogeneous device-parallel candidate: the largest
+/// group of plugged devices sharing one performance model (an *even* chunk
+/// split across unlike devices is dominated by the slowest partition), ids
+/// ascending. A single-element set means device-parallel degenerates to
+/// chunked and is not worth dispatching.
+Result<std::vector<DeviceId>> ChooseDeviceSet(DeviceManager* manager) {
+  if (manager == nullptr || manager->num_devices() == 0) {
+    return Status::InvalidArgument("no devices plugged");
+  }
+  std::map<std::string, std::vector<DeviceId>> groups;
+  for (size_t i = 0; i < manager->num_devices(); ++i) {
+    const auto id = static_cast<DeviceId>(i);
+    groups[manager->device(id)->perf_model().name].push_back(id);
+  }
+  const std::vector<DeviceId>* best = nullptr;
+  for (const auto& [model_name, ids] : groups) {
+    if (best == nullptr || ids.size() > best->size()) best = &ids;
+  }
+  return *best;  // already sorted: ids ascend per group
+}
+
+/// The heterogeneous candidate's set: every plugged device, viable since
+/// the run splits the chunk range by cost ratio, so a slow device takes a
+/// proportionally small slice. NotFound when every device shares one
+/// performance model (ChooseDeviceSet covers that case).
+Result<std::vector<DeviceId>> ChooseHeterogeneousDeviceSet(
+    DeviceManager* manager) {
+  if (manager == nullptr || manager->num_devices() == 0) {
+    return Status::InvalidArgument("no devices plugged");
+  }
+  std::set<std::string> models;
+  std::vector<DeviceId> set;
+  for (size_t i = 0; i < manager->num_devices(); ++i) {
+    const auto id = static_cast<DeviceId>(i);
+    models.insert(manager->device(id)->perf_model().name);
+    set.push_back(id);
+  }
+  if (models.size() < 2) {
+    return Status::NotFound(
+        "all plugged devices share one performance model; use "
+        "ChooseDeviceSet");
+  }
+  return set;
+}
+
 }  // namespace
 
 Result<MergeCostEstimate> EstimateDeviceParallelMerge(
@@ -215,11 +260,11 @@ Result<PlacementSearchResult> SearchPlacements(
     return Status::OK();
   };
   ADAMANT_ASSIGN_OR_RETURN(std::vector<DeviceId> set,
-                           ChooseDeviceSet(manager, 0));
+                           ChooseDeviceSet(manager));
   if (set.size() >= 2) {
     ADAMANT_RETURN_NOT_OK(try_device_parallel(set, /*hetero=*/false));
   }
-  auto hetero = ChooseHeterogeneousDeviceSet(manager, 0);
+  auto hetero = ChooseHeterogeneousDeviceSet(manager);
   if (hetero.ok() && hetero->size() >= 2) {
     ADAMANT_RETURN_NOT_OK(try_device_parallel(*hetero, /*hetero=*/true));
   }
@@ -228,46 +273,6 @@ Result<PlacementSearchResult> SearchPlacements(
     return Status::ExecutionError("every placement candidate failed");
   }
   return result;
-}
-
-Result<std::vector<DeviceId>> ChooseDeviceSet(DeviceManager* manager,
-                                              size_t max_devices) {
-  if (manager == nullptr || manager->num_devices() == 0) {
-    return Status::InvalidArgument("no devices plugged");
-  }
-  std::map<std::string, std::vector<DeviceId>> groups;
-  for (size_t i = 0; i < manager->num_devices(); ++i) {
-    const auto id = static_cast<DeviceId>(i);
-    groups[manager->device(id)->perf_model().name].push_back(id);
-  }
-  const std::vector<DeviceId>* best = nullptr;
-  for (const auto& [model_name, ids] : groups) {
-    if (best == nullptr || ids.size() > best->size()) best = &ids;
-  }
-  std::vector<DeviceId> set = *best;  // already sorted: ids ascend per group
-  if (max_devices > 0 && set.size() > max_devices) set.resize(max_devices);
-  return set;
-}
-
-Result<std::vector<DeviceId>> ChooseHeterogeneousDeviceSet(
-    DeviceManager* manager, size_t max_devices) {
-  if (manager == nullptr || manager->num_devices() == 0) {
-    return Status::InvalidArgument("no devices plugged");
-  }
-  std::set<std::string> models;
-  std::vector<DeviceId> set;
-  for (size_t i = 0; i < manager->num_devices(); ++i) {
-    const auto id = static_cast<DeviceId>(i);
-    models.insert(manager->device(id)->perf_model().name);
-    set.push_back(id);
-  }
-  if (models.size() < 2) {
-    return Status::NotFound(
-        "all plugged devices share one performance model; use "
-        "ChooseDeviceSet");
-  }
-  if (max_devices > 0 && set.size() > max_devices) set.resize(max_devices);
-  return set;
 }
 
 }  // namespace adamant::plan

@@ -77,23 +77,6 @@ Result<MergeCostEstimate> EstimateDeviceParallelMerge(
     const std::vector<DeviceId>& device_set, sim::SimTime baseline_elapsed_us,
     const std::vector<double>& split = {});
 
-/// Pick a device set for the device-parallel execution model: the largest
-/// group of plugged devices sharing one performance model (identical
-/// hardware — an *even* chunk split across unlike devices is dominated by
-/// the slowest partition), truncated to max_devices (0 = no limit). Returns
-/// the ids sorted ascending; a single-element set means device-parallel
-/// degenerates to chunked and is not worth dispatching.
-Result<std::vector<DeviceId>> ChooseDeviceSet(DeviceManager* manager,
-                                              size_t max_devices);
-
-/// Heterogeneous variant: every plugged device, regardless of performance
-/// model — viable since the driver splits the chunk range by cost ratio
-/// rather than evenly, so a slow device takes a proportionally small slice
-/// instead of dominating the join. NotFound when the manager's devices all
-/// share one model (the homogeneous chooser covers that case).
-Result<std::vector<DeviceId>> ChooseHeterogeneousDeviceSet(
-    DeviceManager* manager, size_t max_devices);
-
 }  // namespace adamant::plan
 
 #endif  // ADAMANT_PLAN_PLACEMENT_OPTIMIZER_H_

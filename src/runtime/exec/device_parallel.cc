@@ -28,6 +28,7 @@ namespace {
 /// SimulatedDevice, which only its own thread touches between joins.
 struct SubRun {
   DeviceId device = 0;
+  SimulatedDevice* dev = nullptr;
   std::unique_ptr<PrimitiveGraph> graph;
   std::unique_ptr<RunContext> ctx;
   size_t chunks_run = 0;
@@ -215,10 +216,10 @@ class StealPool {
 
 /// One partition's chunk loop under the rebalancing pool: claim, execute,
 /// fold the observed cost back in, repeat until the pool runs dry.
-Status RunPartitionRebalanced(RunContext& sub, const Pipeline& pipeline,
-                              size_t cap, StealPool& pool, size_t i,
-                              SimulatedDevice* dev, double* observed_us) {
-  Status st = sub.BeginPipeline(pipeline, cap);
+Status RunPartitionRebalanced(SubRun& sub, size_t pi, size_t cap,
+                              StealPool& pool, size_t i) {
+  const Pipeline& pipeline = sub.ctx->pipelines()[pi];
+  Status st = sub.ctx->BeginPipeline(pipeline, cap);
   if (!st.ok()) {
     pool.Fail();
     return st;
@@ -227,15 +228,15 @@ Status RunPartitionRebalanced(RunContext& sub, const Pipeline& pipeline,
     auto claim = pool.Claim(i);
     if (!claim.ok()) return claim.status();
     if (!claim->has) return Status::OK();
-    const sim::SimTime busy_before = dev->busy().total();
-    st = sub.RunChunks(pipeline, claim->chunk, claim->chunk + 1, cap);
+    const sim::SimTime busy_before = sub.dev->busy().total();
+    st = sub.ctx->RunChunks(pipeline, claim->chunk, claim->chunk + 1, cap);
     if (!st.ok()) {
       pool.Fail();
       return st;
     }
     const double observed =
-        static_cast<double>(dev->busy().total() - busy_before);
-    *observed_us += observed;
+        static_cast<double>(sub.dev->busy().total() - busy_before);
+    sub.observed_us += observed;
     pool.Complete(i, observed);
   }
 }
@@ -263,8 +264,7 @@ Status ScheduleBarrier(DeviceManager* manager,
 /// breaker kernel, so its persist holds no identity to merge).
 Status MergeBreaker(RunContext& parent, std::vector<SubRun>& subs,
                     const GraphNode& node,
-                    const std::vector<size_t>& contributors,
-                    double* merge_host_ms) {
+                    const std::vector<size_t>& contributors) {
   if (!parent.graph()->IsTerminal(node.id) && subs.size() == 1) {
     // Single-partition run: the device already holds the only container
     // and its own next pipeline reads it in place — reading it back to the
@@ -321,7 +321,7 @@ Status MergeBreaker(RunContext& parent, std::vector<SubRun>& subs,
                                     ": breaker kind has no partition merge");
     }
   }
-  *merge_host_ms +=
+  parent.exec().stats.merge_host_ms +=
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
@@ -353,28 +353,11 @@ Status MergeBreaker(RunContext& parent, std::vector<SubRun>& subs,
 Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
                       const std::vector<DeviceId>& devices,
                       const std::vector<double>& weights,
-                      const std::vector<GraphPrice>& prices,
-                      double* merge_host_ms) {
+                      const std::vector<GraphPrice>& prices) {
   const std::vector<Pipeline>& pipelines = ctx.pipelines();
   const bool rebalance = ctx.options().split_rebalance && subs.size() > 1;
   std::vector<std::string> names;
   for (DeviceId id : devices) names.push_back(ctx.manager()->device(id)->name());
-  // Per-pipeline device slices for the profile: the sub-contexts run with
-  // reset_device_state=false (the parent owns the snapshot), so the parent
-  // thread samples each device's busy time at the pipeline boundaries —
-  // safe here because the partition threads are joined at both sample
-  // points and the lease is exclusive (parent reset_device_state).
-  const bool profile = ctx.options().collect_profile &&
-                       ctx.options().reset_device_state;
-  using Busy = SimulatedDevice::EngineBusy;
-  auto sample_busy = [&ctx, &devices]() {
-    std::vector<Busy> samples;
-    for (DeviceId id : devices) {
-      auto dev = ctx.manager()->GetDevice(id);
-      samples.push_back(dev.ok() ? (*dev)->busy() : Busy{});
-    }
-    return samples;
-  };
   for (size_t pi = 0; pi < pipelines.size(); ++pi) {
     const Pipeline& pipeline = pipelines[pi];
     const size_t cap = ctx.ChunkCapacity(pipeline);
@@ -387,9 +370,11 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
       seeds[i] = prices[i].pipeline_cost_us[pi] /
                  static_cast<double>(chunks.total());
     }
-    const auto pipeline_t0 = std::chrono::steady_clock::now();
-    const std::vector<Busy> busy_before = profile ? sample_busy()
-                                                  : std::vector<Busy>{};
+    // The parent holds the run's profile: the partitions run with
+    // reset_device_state and collect_profile off, and the parent's
+    // pipeline entry samples every partition device at the boundaries,
+    // when the partition threads are joined.
+    ctx.OpenPipeline(static_cast<int>(pi));
 
     // Every partition runs its chunk sub-range concurrently — statically
     // when rebalancing is off, through the claim/steal pool when on. A
@@ -397,32 +382,26 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
     // exist to receive merged containers.
     StealPool pool(ranges, seeds, rebalance, ctx.options().cancel_token,
                    names, pi);
-    std::vector<size_t> pipeline_runs(subs.size(), 0);
     std::vector<Status> statuses(subs.size());
     std::vector<std::thread> threads;
     threads.reserve(subs.size());
     for (size_t i = 0; i < subs.size(); ++i) {
-      RunContext* sub = subs[i].ctx.get();
-      const Pipeline* sub_pipeline = &sub->pipelines()[pi];
+      SubRun* sub = &subs[i];
       Status* status = &statuses[i];
-      auto dev = ctx.manager()->GetDevice(subs[i].device);
-      if (!dev.ok()) return dev.status();
-      SimulatedDevice* device = *dev;
-      double* observed = &subs[i].observed_us;
-      threads.emplace_back(
-          [sub, sub_pipeline, cap, &pool, i, device, observed, status] {
-            *status = RunPartitionRebalanced(*sub, *sub_pipeline, cap, pool,
-                                             i, device, observed);
-          });
+      threads.emplace_back([sub, pi, cap, &pool, i, status] {
+        *status = RunPartitionRebalanced(*sub, pi, cap, pool, i);
+      });
     }
     for (std::thread& t : threads) t.join();
-    for (const Status& st : statuses) {
-      ADAMANT_RETURN_NOT_OK(st);
-    }
+    // Chunks count before any status is checked, so a cancelled or failed
+    // pipeline's entry holds the chunks it ran.
     for (size_t i = 0; i < subs.size(); ++i) {
-      pipeline_runs[i] = pool.run(i);
       subs[i].chunks_run += pool.run(i);
       subs[i].chunks_stolen += pool.stolen(i);
+      ctx.exec().stats.chunks += pool.run(i);
+    }
+    for (const Status& st : statuses) {
+      ADAMANT_RETURN_NOT_OK(st);
     }
 
     // Host-side synchronization point before the merge.
@@ -430,7 +409,7 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
 
     std::vector<size_t> contributors;
     for (size_t i = 0; i < subs.size(); ++i) {
-      if (pipeline_runs[i] > 0) contributors.push_back(i);
+      if (pool.run(i) > 0) contributors.push_back(i);
     }
     for (int node_id : pipeline.nodes) {
       const GraphNode& node = ctx.graph()->node(node_id);
@@ -439,36 +418,11 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
       if (obs::TracingEnabled()) {
         merge_span.Start(obs::kHostTrack, "merge:" + node.label);
       }
-      ADAMANT_RETURN_NOT_OK(
-          MergeBreaker(ctx, subs, node, contributors, merge_host_ms));
+      ADAMANT_RETURN_NOT_OK(MergeBreaker(ctx, subs, node, contributors));
     }
     for (SubRun& sub : subs) {
       ADAMANT_RETURN_NOT_OK(
           sub.ctx->BindPersistOutputs(sub.ctx->pipelines()[pi]));
-    }
-    if (profile) {
-      const std::vector<Busy> busy_after = sample_busy();
-      obs::PipelineProfile pp;
-      pp.index = static_cast<int>(pi);
-      pp.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - pipeline_t0)
-                       .count();
-      pp.chunks = chunks.total();
-      for (size_t i = 0; i < devices.size(); ++i) {
-        obs::PipelineDeviceSlice slice;
-        slice.device = static_cast<int>(devices[i]);
-        slice.transfer_ms =
-            static_cast<double>(busy_after[i].h2d - busy_before[i].h2d) /
-            1000.0;
-        slice.d2h_ms =
-            static_cast<double>(busy_after[i].d2h - busy_before[i].d2h) /
-            1000.0;
-        slice.compute_ms = static_cast<double>(busy_after[i].compute -
-                                               busy_before[i].compute) /
-                           1000.0;
-        pp.devices.push_back(slice);
-      }
-      ctx.exec().stats.profile.pipelines.push_back(std::move(pp));
     }
   }
 
@@ -608,6 +562,7 @@ Status RunDeviceParallel(RunContext& ctx) {
   for (DeviceId id : devices) {
     SubRun sub;
     sub.device = id;
+    sub.dev = ctx.manager()->device(id);
     sub.graph = std::make_unique<PrimitiveGraph>(*ctx.graph());
     for (const GraphNode& node : ctx.graph()->nodes()) {
       sub.graph->mutable_node(node.id).device = id;
@@ -617,8 +572,7 @@ Status RunDeviceParallel(RunContext& ctx) {
     sub_options.device_set.clear();
     sub_options.device_split.clear();
     // The parent already reset/snapshots device state for the whole set,
-    // and collects the per-pipeline profile itself (around the partition
-    // threads' join points).
+    // and holds the run's profile (see RunPartitioned).
     sub_options.reset_device_state = false;
     sub_options.collect_profile = false;
     sub.ctx = std::make_unique<RunContext>(ctx.manager(), sub.graph.get(),
@@ -628,70 +582,60 @@ Status RunDeviceParallel(RunContext& ctx) {
     if (!st.ok()) break;
   }
 
-  double merge_host_ms = 0;
-  if (st.ok()) {
-    st = RunPartitioned(ctx, subs, devices, weights, prices,
-                        &merge_host_ms);
-  }
+  if (st.ok()) st = RunPartitioned(ctx, subs, devices, weights, prices);
 
-  // Fold partition accounting into the parent before its FinalizeStats
-  // (which adds, rather than assigns, exactly for this composition).
-  if (st.ok()) {
-    QueryStats& stats = ctx.exec().stats;
-    stats.merge_host_ms += merge_host_ms;
-    size_t total_chunks = 0;
-    for (const SubRun& sub : subs) total_chunks += sub.chunks_run;
-    size_t stolen_total = 0;
-    for (size_t i = 0; i < subs.size(); ++i) {
-      const SubRun& sub = subs[i];
-      const int id = static_cast<int>(sub.device);
-      const QueryStats& sub_stats = sub.ctx->exec().stats;
-      stats.chunks += sub_stats.chunks;
-      stats.chunks_by_device[id] += sub.chunks_run;
-      stats.bytes_h2d += sub.ctx->hub().bytes_host_to_device();
-      stats.bytes_d2h += sub.ctx->hub().bytes_device_to_host();
-      stats.scan_cache_hits += sub.ctx->hub().scan_cache_hits();
-      stats.scan_cache_misses += sub.ctx->hub().scan_cache_misses();
-      stats.bytes_h2d_saved += sub.ctx->hub().bytes_h2d_saved();
-      stats.split_ratio_by_device[id] = weights[i];
-      stats.chunks_stolen_by_device[id] = sub.chunks_stolen;
-      stolen_total += sub.chunks_stolen;
-      if (total_chunks > 0) {
-        stats.split_predicted_chunk_us[id] =
-            prices[i].cost_us / static_cast<double>(total_chunks);
-      }
-      if (sub.chunks_run > 0) {
-        stats.split_observed_chunk_us[id] =
-            sub.observed_us / static_cast<double>(sub.chunks_run);
-      }
-      // Prometheus exposition: the planned split per device and the
-      // process-wide steal total (obs_test asserts both).
-      obs::GlobalMetrics()
-          .GetGauge("adamant_split_ratio", "device",
-                    ctx.manager()->device(sub.device)->name())
-          ->Set(weights[i]);
+  // Fold partition accounting into the parent record on every path, before
+  // its FinalizeStats (which adds, rather than assigns, exactly for this
+  // composition): a cancelled or failed run reports what it ran. Chunks
+  // were counted per pipeline.
+  QueryStats& stats = ctx.exec().stats;
+  stats.devices.resize(ctx.manager()->num_devices());
+  size_t total_chunks = 0;
+  for (const SubRun& sub : subs) total_chunks += sub.chunks_run;
+  size_t stolen_total = 0;
+  for (size_t i = 0; i < subs.size(); ++i) {
+    const SubRun& sub = subs[i];
+    const DataTransferHub& hub = sub.ctx->hub();
+    stats.bytes_h2d += hub.bytes_host_to_device();
+    stats.bytes_d2h += hub.bytes_device_to_host();
+    stats.scan_cache_hits += hub.scan_cache_hits();
+    stats.scan_cache_misses += hub.scan_cache_misses();
+    stats.bytes_h2d_saved += hub.bytes_h2d_saved();
+    DeviceRunStats& ds = stats.devices[static_cast<size_t>(sub.device)];
+    ds.chunks = sub.chunks_run;
+    ds.split_share = weights[i];
+    ds.chunks_stolen = sub.chunks_stolen;
+    if (total_chunks > 0) {
+      ds.predicted_chunk_us =
+          prices[i].cost_us / static_cast<double>(total_chunks);
     }
+    if (sub.chunks_run > 0) {
+      ds.observed_chunk_us =
+          sub.observed_us / static_cast<double>(sub.chunks_run);
+    }
+    stolen_total += sub.chunks_stolen;
+    // Prometheus exposition: the planned split per device and the
+    // process-wide steal total (obs_test asserts both).
     obs::GlobalMetrics()
-        .GetCounter("adamant_chunks_stolen_total")
-        ->Add(static_cast<double>(stolen_total));
+        .GetGauge("adamant_split_ratio", "device", sub.dev->name())
+        ->Set(weights[i]);
   }
+  obs::GlobalMetrics()
+      .GetCounter("adamant_chunks_stolen_total")
+      ->Add(static_cast<double>(stolen_total));
 
   // EXPLAIN ANALYZE: fold partition operator stats on every path — the
   // partial tree of a cancelled or failed run still finalizes in the
   // parent (sub-graphs are clones, so node ids line up).
   if (ctx.options().collect_operator_stats) {
     for (const SubRun& sub : subs) {
-      if (sub.ctx != nullptr) {
-        ctx.MergeOperatorStats(sub.ctx->operator_stats());
-      }
+      ctx.MergeOperatorStats(sub.ctx->operator_stats());
     }
   }
 
   // Partition cleanup on every path; the parent context's own ReleaseAll
   // runs in QueryExecutor::Run.
-  for (SubRun& sub : subs) {
-    if (sub.ctx != nullptr) sub.ctx->ReleaseAll();
-  }
+  for (SubRun& sub : subs) sub.ctx->ReleaseAll();
   return st;
 }
 

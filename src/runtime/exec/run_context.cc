@@ -112,6 +112,21 @@ int RunContext::PipelineTrack(const Pipeline& pipeline) const {
   return static_cast<int>(graph_->node(pipeline.nodes.front()).device);
 }
 
+void RunContext::OpenPipeline(int index) {
+  ClosePipeline();
+  cur_pipeline_index_ = index;
+  if (!options_.collect_profile) return;
+  pipeline_start_ = std::chrono::steady_clock::now();
+  pipeline_chunk_start_ = exec_.stats.chunks;
+  // Per-device busy deltas mean something only under an exclusive lease
+  // (see FinalizeStats).
+  if (!options_.reset_device_state) return;
+  for (DeviceId id : used_devices_) {
+    auto dev = manager_->GetDevice(id);
+    if (dev.ok()) pipeline_busy_snapshot_[id] = (*dev)->busy();
+  }
+}
+
 void RunContext::ClosePipeline() {
   pipeline_span_.End();
   if (cur_pipeline_index_ < 0) return;
@@ -127,28 +142,23 @@ void RunContext::ClosePipeline() {
           std::chrono::steady_clock::now() - pipeline_start_)
           .count();
   profile.chunks = exec_.stats.chunks - pipeline_chunk_start_;
-  // Per-device busy deltas mean something only under an exclusive lease
-  // (see FinalizeStats).
-  if (options_.reset_device_state) {
-    for (const auto& [id, before] : pipeline_busy_snapshot_) {
-      auto dev = manager_->GetDevice(id);
-      if (!dev.ok()) continue;
-      const SimulatedDevice::EngineBusy now = (*dev)->busy();
-      obs::PipelineDeviceSlice slice;
-      slice.device = static_cast<int>(id);
-      slice.transfer_ms = static_cast<double>(now.h2d - before.h2d) / 1000.0;
-      slice.d2h_ms = static_cast<double>(now.d2h - before.d2h) / 1000.0;
-      slice.compute_ms =
-          static_cast<double>(now.compute - before.compute) / 1000.0;
-      profile.devices.push_back(slice);
-    }
+  for (const auto& [id, before] : pipeline_busy_snapshot_) {
+    auto dev = manager_->GetDevice(id);
+    if (!dev.ok()) continue;
+    const SimulatedDevice::EngineBusy now = (*dev)->busy();
+    profile.devices.push_back({static_cast<int>(id), now.h2d - before.h2d,
+                               now.d2h - before.d2h,
+                               now.compute - before.compute});
   }
   pipeline_busy_snapshot_.clear();
   exec_.stats.profile.pipelines.push_back(std::move(profile));
 }
 
 Status RunContext::BeginPipeline(const Pipeline& pipeline, size_t cap) {
-  ClosePipeline();
+  // The pipeline's profile entry opens first, so its busy slices hold
+  // everything the pipeline books, breaker persist fills included.
+  const int index = static_cast<int>(&pipeline - pipelines_.data());
+  OpenPipeline(index);
   ADAMANT_RETURN_NOT_OK(CheckCancel());
   const size_t total_chunks = ChunkSource(pipeline.input_rows, cap).total();
   for (int node_id : pipeline.nodes) {
@@ -173,29 +183,11 @@ Status RunContext::BeginPipeline(const Pipeline& pipeline, size_t cap) {
   // Every run calls BeginPipeline exactly once per pipeline, so the span
   // opened here covers the pipeline's staging + chunk loop; it closes at the
   // next BeginPipeline / ReleaseAll / FinalizeStats.
-  int index = static_cast<int>(exec_.stats.profile.pipelines.size());
-  if (!pipelines_.empty() && &pipeline >= pipelines_.data() &&
-      &pipeline < pipelines_.data() + pipelines_.size()) {
-    index = static_cast<int>(&pipeline - pipelines_.data());
-  }
   if (obs::TracingEnabled()) {
     pipeline_span_.Start(PipelineTrack(pipeline),
                          "pipeline:" + std::to_string(index));
     pipeline_span_.set_args("{\"chunks\":" + std::to_string(total_chunks) +
                             "}");
-  }
-  cur_pipeline_index_ = index;
-  if (options_.collect_profile) {
-    pipeline_start_ = std::chrono::steady_clock::now();
-    pipeline_chunk_start_ = exec_.stats.chunks;
-    pipeline_busy_snapshot_.clear();
-    if (options_.reset_device_state) {
-      for (DeviceId id : used_devices_) {
-        auto dev = manager_->GetDevice(id);
-        if (!dev.ok()) continue;
-        pipeline_busy_snapshot_[id] = (*dev)->busy();
-      }
-    }
   }
   if (traits_.staged) return StageAllocations(pipeline, cap);
   if (traits_.async && options_.pipeline_depth > 0) {
@@ -1019,6 +1011,19 @@ void RunContext::ReleaseAll() {
 // EXPLAIN ANALYZE collection (options_.collect_operator_stats).
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// `op`'s slice on `device`, appended on first use.
+obs::OperatorDeviceSlice& SliceOn(obs::OperatorStats& op, int device) {
+  for (obs::OperatorDeviceSlice& slice : op.devices) {
+    if (slice.device == device) return slice;
+  }
+  op.devices.emplace_back().device = device;
+  return op.devices.back();
+}
+
+}  // namespace
+
 Result<int64_t> RunContext::BindingRows(const Binding& binding) {
   if (binding.count == kInvalidBuffer) {
     return static_cast<int64_t>(binding.capacity);
@@ -1061,23 +1066,11 @@ void RunContext::RecordOperatorSample(const GraphNode& node,
         options_.kernel_threads, GetSignature(node.kind).kernel_name);
     (threads > 1 ? op.parallel_ms : op.scalar_ms) += wall_ms;
   }
-  const int device = static_cast<int>(node.device);
-  obs::OperatorDeviceSlice* slice = nullptr;
-  for (obs::OperatorDeviceSlice& existing : op.devices) {
-    if (existing.device == device) {
-      slice = &existing;
-      break;
-    }
-  }
-  if (slice == nullptr) {
-    op.devices.emplace_back();
-    slice = &op.devices.back();
-    slice->device = device;
-  }
-  slice->rows_in += rows_in;
-  if (counts_rows_out) slice->rows_out += rows_out;
-  ++slice->launches;
-  slice->kernel_ms += wall_ms;
+  obs::OperatorDeviceSlice& slice = SliceOn(op, static_cast<int>(node.device));
+  slice.rows_in += rows_in;
+  if (counts_rows_out) slice.rows_out += rows_out;
+  ++slice.launches;
+  slice.kernel_ms += wall_ms;
 }
 
 void RunContext::MergeOperatorStats(
@@ -1098,21 +1091,11 @@ void RunContext::MergeOperatorStats(
     dst.bytes_d2h += src.bytes_d2h;
     dst.cache_hits += src.cache_hits;
     for (const obs::OperatorDeviceSlice& s : src.devices) {
-      obs::OperatorDeviceSlice* slice = nullptr;
-      for (obs::OperatorDeviceSlice& existing : dst.devices) {
-        if (existing.device == s.device) {
-          slice = &existing;
-          break;
-        }
-      }
-      if (slice == nullptr) {
-        dst.devices.push_back(s);
-        continue;
-      }
-      slice->rows_in += s.rows_in;
-      slice->rows_out += s.rows_out;
-      slice->launches += s.launches;
-      slice->kernel_ms += s.kernel_ms;
+      obs::OperatorDeviceSlice& slice = SliceOn(dst, s.device);
+      slice.rows_in += s.rows_in;
+      slice.rows_out += s.rows_out;
+      slice.launches += s.launches;
+      slice.kernel_ms += s.kernel_ms;
     }
   }
 }
@@ -1218,17 +1201,35 @@ void RunContext::FinalizeOperatorStats() {
       }
     }
   }
+  std::vector<obs::OperatorStats>& ops = exec_.stats.profile.operators;
+  ops.clear();
+  ops.reserve(op_stats_.size());
+  double pred_total = 0;
+  double actual_total = 0;
+  for (const auto& [node_id, op] : op_stats_) {
+    ops.push_back(op);
+    pred_total += op.predicted_cost_us;
+    actual_total += op.kernel_ms;
+  }
+  for (obs::OperatorStats& op : ops) {
+    if (op.selective && op.rows_in > 0) {
+      op.selectivity_qerror =
+          obs::QError(op.predicted_selectivity, op.ActualSelectivity());
+    }
+    if (pred_total > 0 && actual_total > 0 && op.launches > 0) {
+      op.cost_qerror = obs::QError(op.predicted_cost_us / pred_total,
+                                   op.kernel_ms / actual_total);
+    }
+  }
 }
 
 void RunContext::FinalizeStats() {
   ClosePipeline();
   QueryStats& stats = exec_.stats;
   if (options_.collect_profile) {
-    stats.profile.collected = true;
     stats.profile.run_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - run_start_)
                                .count();
-    stats.profile.merge_host_ms = stats.merge_host_ms;
     if (options_.cancel_token != nullptr &&
         options_.cancel_token->cancelled()) {
       stats.profile.cancelled_cause =
@@ -1238,15 +1239,7 @@ void RunContext::FinalizeStats() {
   // EXPLAIN ANALYZE export happens before the shared-device early return
   // below: operator stats use only wall clocks and this run's own counters,
   // so they are safe (and meaningful) under shared device leases.
-  if (options_.collect_operator_stats) {
-    FinalizeOperatorStats();
-    stats.profile.operators.clear();
-    stats.profile.operators.reserve(op_stats_.size());
-    for (const auto& [node_id, op] : op_stats_) {
-      (void)node_id;
-      stats.profile.operators.push_back(op);
-    }
-  }
+  if (options_.collect_operator_stats) FinalizeOperatorStats();
   stats.bytes_h2d += hub_.bytes_host_to_device();
   stats.bytes_d2h += hub_.bytes_device_to_host();
   stats.scan_cache_hits += hub_.scan_cache_hits();
@@ -1294,18 +1287,6 @@ void RunContext::FinalizeStats() {
     stats.kernel_body_us += ds.kernel_body_us;
     stats.transfer_wire_us += ds.transfer_wire_us;
     stats.elapsed_us = std::max(stats.elapsed_us, dev->MaxCompletion());
-    if (options_.collect_profile) {
-      obs::DeviceProfile dp;
-      dp.name = ds.name;
-      dp.transfer_ms = static_cast<double>(ds.h2d_busy_us) / 1000.0;
-      dp.d2h_ms = static_cast<double>(ds.d2h_busy_us) / 1000.0;
-      dp.compute_ms = static_cast<double>(ds.compute_busy_us) / 1000.0;
-      dp.kernel_body_ms = static_cast<double>(ds.kernel_body_us) / 1000.0;
-      dp.kernel_launches = ds.execute_calls;
-      dp.fused_launches = ds.fused_launches;
-      dp.fused_body_ms = static_cast<double>(ds.fused_body_us) / 1000.0;
-      stats.profile.devices.push_back(std::move(dp));
-    }
   }
   if (obs::TracingEnabled()) RecordSimulatedTimelines();
 }

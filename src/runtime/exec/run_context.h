@@ -105,7 +105,8 @@ class RunContext {
   /// Chunk capacity (elements) for one pipeline under this run's model.
   size_t ChunkCapacity(const Pipeline& pipeline) const;
 
-  /// Per-pipeline setup for chunks of `cap` rows: model restriction checks
+  /// Per-pipeline setup for chunks of `cap` rows (`pipeline` is one of
+  /// pipelines()): opens its profile entry, model restriction checks
   /// (a global breaker cannot run chunked), breaker persist allocation,
   /// release of the previous pipeline's transients, then the model's
   /// staging — Algorithm 3's stage phase when staged, else a bounded
@@ -117,6 +118,12 @@ class RunContext {
   /// per-chunk allocations. `chunk_end` is clamped to the pipeline's total.
   Status RunChunks(const Pipeline& pipeline, size_t chunk_begin,
                    size_t chunk_end, size_t cap);
+
+  /// Closes the open pipeline's profile entry and opens pipeline `index`'s:
+  /// its wall clock, chunk count and the used devices' busy time start
+  /// here. BeginPipeline calls it; RunDeviceParallel calls it on the parent
+  /// context once per pipeline, whose partitions run on sub-contexts.
+  void OpenPipeline(int index);
 
   /// The run's cancellation state: OK without a token (or while untripped),
   /// otherwise the token's DeadlineExceeded/Cancelled status. The phase
@@ -162,7 +169,7 @@ class RunContext {
 
   /// Folds hub counters and per-device timeline/footprint snapshots into
   /// the execution's QueryStats. Counters are added, not assigned, so
-  /// RunDeviceParallel may pre-accumulate sub-run statistics.
+  /// RunDeviceParallel may pre-accumulate partition statistics.
   void FinalizeStats();
 
   // --- Accessors ---
@@ -231,7 +238,8 @@ class RunContext {
   /// Stamps labels/kinds/pipeline indexes, predicted rows/selectivity,
   /// predicted cost (each node's share of PriceGraph over pipelines_) and
   /// breaker output counts onto op_stats_, walking the lowered plan
-  /// node-for-node.
+  /// node-for-node, then exports the tree into QueryStats::profile.operators
+  /// with each operator's q-errors.
   void FinalizeOperatorStats();
 
   /// The track a pipeline's events record on: its first node's device.
@@ -240,9 +248,9 @@ class RunContext {
   /// bookings on the simulated-clock tracks, in a window of their own
   /// after every run traced before.
   void RecordSimulatedTimelines();
-  /// Closes the open pipeline trace span and, when profiling, folds the
-  /// pipeline's wall time / chunk count / per-device busy deltas into the
-  /// profile. Called from BeginPipeline (previous pipeline), ReleaseAll,
+  /// Closes the open pipeline trace span and, when profiling, appends the
+  /// pipeline's wall time / chunk count / per-device busy deltas to the
+  /// profile. Called from OpenPipeline (previous pipeline), ReleaseAll,
   /// and FinalizeStats; idempotent.
   void ClosePipeline();
 

@@ -1,9 +1,12 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <utility>
 
+#include "obs/chrome_trace.h"
 #include "obs/trace.h"
 #include "runtime/exec/run_context.h"
 #include "task/hash_table.h"
@@ -124,6 +127,134 @@ Result<ExecutionModelKind> ParseExecutionModel(const std::string& value) {
       "unknown execution model '" + value +
       "' (expected oaat|chunked|pipelined|4phase|4phase-pipelined|"
       "device-parallel)");
+}
+
+// ---------------------------------------------------------------------------
+// The run record's JSON.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Every non-integer value of the record's JSON, at three decimals.
+std::string Num(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3f", value);
+  return buf;
+}
+
+}  // namespace
+
+std::string QueryStats::ToJson() const {
+  std::ostringstream out;
+  out << "{\"sim_elapsed_us\":" << Num(elapsed_us)
+      << ",\"sim_kernel_body_us\":" << Num(kernel_body_us)
+      << ",\"sim_transfer_wire_us\":" << Num(transfer_wire_us)
+      << ",\"chunks\":" << chunks << ",\"bytes_h2d\":" << bytes_h2d
+      << ",\"bytes_d2h\":" << bytes_d2h
+      << ",\"scan_cache_hits\":" << scan_cache_hits
+      << ",\"scan_cache_misses\":" << scan_cache_misses
+      << ",\"bytes_h2d_saved\":" << bytes_h2d_saved
+      << ",\"wall_merge_host_ms\":" << Num(merge_host_ms)
+      << ",\"wall_run_ms\":" << Num(profile.run_ms);
+  if (!profile.cancelled_cause.empty()) {
+    out << ",\"cancelled\":\"" << obs::JsonEscape(profile.cancelled_cause)
+        << "\"";
+  }
+  out << ",\"devices\":[";
+  for (size_t i = 0; i < devices.size(); ++i) {
+    const DeviceRunStats& d = devices[i];
+    out << (i ? "," : "") << "{\"device\":" << i << ",\"name\":\""
+        << obs::JsonEscape(d.name)
+        << "\",\"sim_h2d_busy_us\":" << Num(d.h2d_busy_us)
+        << ",\"sim_d2h_busy_us\":" << Num(d.d2h_busy_us)
+        << ",\"sim_compute_busy_us\":" << Num(d.compute_busy_us)
+        << ",\"sim_kernel_body_us\":" << Num(d.kernel_body_us)
+        << ",\"sim_fused_body_us\":" << Num(d.fused_body_us)
+        << ",\"sim_transfer_wire_us\":" << Num(d.transfer_wire_us)
+        << ",\"execute_calls\":" << d.execute_calls
+        << ",\"prepare_calls\":" << d.prepare_calls
+        << ",\"fused_launches\":" << d.fused_launches
+        << ",\"parallel_launches\":" << d.parallel_launches
+        << ",\"kernel_threads\":" << d.kernel_threads
+        << ",\"device_mem_high_water\":" << d.device_mem_high_water
+        << ",\"pinned_mem_high_water\":" << d.pinned_mem_high_water;
+    if (d.split_share > 0 || d.chunks > 0) {  // a device-parallel partition
+      out << ",\"chunks\":" << d.chunks
+          << ",\"split_share\":" << Num(d.split_share)
+          << ",\"chunks_stolen\":" << d.chunks_stolen
+          << ",\"sim_predicted_chunk_us\":" << Num(d.predicted_chunk_us)
+          << ",\"sim_observed_chunk_us\":" << Num(d.observed_chunk_us);
+    }
+    out << ",\"sim_kernel_body_us_by_kernel\":{";
+    const char* sep = "";
+    for (const auto& [kernel, us] : d.kernel_body_by_name) {
+      out << sep << "\"" << obs::JsonEscape(kernel) << "\":" << Num(us);
+      sep = ",";
+    }
+    out << "}}";
+  }
+  out << "],\"pipelines\":[";
+  for (size_t i = 0; i < profile.pipelines.size(); ++i) {
+    const obs::PipelineProfile& pipeline = profile.pipelines[i];
+    out << (i ? "," : "") << "{\"index\":" << pipeline.index
+        << ",\"wall_ms\":" << Num(pipeline.wall_ms)
+        << ",\"chunks\":" << pipeline.chunks;
+    if (pipeline.cancelled) out << ",\"cancelled\":true";
+    out << ",\"devices\":[";
+    for (size_t j = 0; j < pipeline.devices.size(); ++j) {
+      const obs::PipelineDeviceSlice& slice = pipeline.devices[j];
+      out << (j ? "," : "") << "{\"device\":" << slice.device
+          << ",\"sim_h2d_us\":" << Num(slice.sim_h2d_us)
+          << ",\"sim_d2h_us\":" << Num(slice.sim_d2h_us)
+          << ",\"sim_compute_us\":" << Num(slice.sim_compute_us) << "}";
+    }
+    out << "]}";
+  }
+  out << "]";
+  if (!profile.operators.empty()) out << ",\"operators\":[";
+  for (size_t i = 0; i < profile.operators.size(); ++i) {
+    const obs::OperatorStats& op = profile.operators[i];
+    out << (i ? "," : "") << "{\"node\":" << op.node_id
+        << ",\"pipeline\":" << op.pipeline << ",\"kind\":\""
+        << obs::JsonEscape(op.kind) << "\",\"label\":\""
+        << obs::JsonEscape(op.label) << "\"";
+    if (!op.feedback_key.empty()) {
+      out << ",\"feedback_key\":\"" << obs::JsonEscape(op.feedback_key)
+          << "\"";
+    }
+    out << ",\"rows_in\":" << op.rows_in << ",\"rows_out\":" << op.rows_out
+        << ",\"predicted_rows_out\":" << Num(op.predicted_rows_out);
+    if (op.selective) {
+      out << ",\"predicted_selectivity\":" << Num(op.predicted_selectivity)
+          << ",\"actual_selectivity\":" << Num(op.ActualSelectivity())
+          << ",\"max_chunk_selectivity\":" << Num(op.max_chunk_selectivity);
+    }
+    if (op.selectivity_qerror > 0) {
+      out << ",\"selectivity_qerror\":" << Num(op.selectivity_qerror);
+    }
+    if (op.cost_qerror > 0) out << ",\"cost_qerror\":" << Num(op.cost_qerror);
+    out << ",\"sim_predicted_cost_us\":" << Num(op.predicted_cost_us)
+        << ",\"wall_kernel_ms\":" << Num(op.kernel_ms)
+        << ",\"wall_scalar_ms\":" << Num(op.scalar_ms)
+        << ",\"wall_parallel_ms\":" << Num(op.parallel_ms)
+        << ",\"wall_fused_ms\":" << Num(op.fused_ms)
+        << ",\"launches\":" << op.launches
+        << ",\"bytes_h2d\":" << op.bytes_h2d
+        << ",\"bytes_d2h\":" << op.bytes_d2h
+        << ",\"cache_hits\":" << op.cache_hits << ",\"devices\":[";
+    for (size_t j = 0; j < op.devices.size(); ++j) {
+      const obs::OperatorDeviceSlice& slice = op.devices[j];
+      out << (j ? "," : "") << "{\"device\":" << slice.device
+          << ",\"rows_in\":" << slice.rows_in
+          << ",\"rows_out\":" << slice.rows_out
+          << ",\"launches\":" << slice.launches
+          << ",\"wall_kernel_ms\":" << Num(slice.kernel_ms) << "}";
+    }
+    out << "]}";
+  }
+  if (!profile.operators.empty()) out << "]";
+  out << "}";
+  return out.str();
 }
 
 // ---------------------------------------------------------------------------

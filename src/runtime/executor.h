@@ -120,11 +120,10 @@ struct ExecutionOptions {
   /// when several queries share one device (slots_per_device > 1), where a
   /// mid-run reset would clobber a concurrent query's accounting.
   bool reset_device_state = true;
-  /// Fill QueryStats::profile with the per-pipeline / per-device phase
-  /// breakdown (obs::QueryProfile). Per-pipeline device slices need the
-  /// devices' timeline accessors, so they are only collected when
-  /// reset_device_state is also true (exclusive device use); wall-clock
-  /// pipeline timings and run_ms are collected regardless.
+  /// Fill QueryStats::profile with run_ms and one obs::PipelineProfile per
+  /// pipeline. Its per-device busy slices need the devices' timeline
+  /// accessors, so they are only collected when reset_device_state is also
+  /// true (exclusive device use).
   bool collect_profile = false;
   /// EXPLAIN ANALYZE: collect the per-operator obs::OperatorStats tree
   /// (rows in/out, kernel wall ms by thread count, launches, bytes, cache
@@ -149,7 +148,8 @@ struct ExecutionOptions {
   CancelToken* cancel_token = nullptr;
 };
 
-/// Per-device timing/footprint snapshot for one query execution.
+/// One device's numbers for one query run: engine busy time, kernel and
+/// wire time on the simulated clock (us), call counters and footprints.
 struct DeviceRunStats {
   std::string name;
   sim::SimTime h2d_busy_us = 0;
@@ -172,8 +172,21 @@ struct DeviceRunStats {
   /// the share of kernel_body_us spent inside them.
   size_t fused_launches = 0;
   sim::SimTime fused_body_us = 0;
+  /// Device-parallel model only (0 elsewhere): the chunks this device ran,
+  /// its planned split share (normalized, before runtime rebalancing), the
+  /// chunks it took from another partition's tail, and the predicted vs
+  /// observed simulated cost per chunk. The observed/predicted pair is what
+  /// the service feeds into plan::Calibration so the next compile's split
+  /// converges toward measured speed.
+  size_t chunks = 0;
+  double split_share = 0;
+  size_t chunks_stolen = 0;
+  double predicted_chunk_us = 0;
+  double observed_chunk_us = 0;
 };
 
+/// The one record of a query run: whole-run totals on the simulated clock,
+/// per-device numbers, and the wall-clock phase profile.
 struct QueryStats {
   sim::SimTime elapsed_us = 0;
   /// Sum of pure kernel-body time across devices — the "total sum of
@@ -182,21 +195,9 @@ struct QueryStats {
   sim::SimTime kernel_body_us = 0;
   sim::SimTime transfer_wire_us = 0;
   size_t chunks = 0;
-  /// Device-parallel model: chunks executed per device (the split the
-  /// run chose), and host-side wall-clock spent merging partition
-  /// breaker outputs. Empty / 0 for single-device models.
-  std::map<int, size_t> chunks_by_device;
+  /// Device-parallel model: host wall-clock ms spent merging partition
+  /// breaker outputs (0 for single-device models).
   double merge_host_ms = 0;
-  /// Device-parallel model: the planned split share per device (normalized,
-  /// before any runtime rebalancing), chunks each device took from another
-  /// partition's tail, and the predicted vs observed per-chunk simulated
-  /// cost per device. The observed/predicted pair is what the service feeds
-  /// into plan::Calibration so the next compile's split converges toward
-  /// measured speed. Empty for single-device models.
-  std::map<int, double> split_ratio_by_device;
-  std::map<int, size_t> chunks_stolen_by_device;
-  std::map<int, double> split_predicted_chunk_us;
-  std::map<int, double> split_observed_chunk_us;
   size_t bytes_h2d = 0;
   size_t bytes_d2h = 0;
   /// Scan-cache effect on this run (0 when no cache is attached).
@@ -208,11 +209,17 @@ struct QueryStats {
   /// hold just their name (reading another device's live counters would
   /// race with concurrently-running queries). With
   /// ExecutionOptions::reset_device_state == false (shared device leases)
-  /// every entry is name-only and `elapsed_us` stays 0.
+  /// every entry but the device-parallel fields is name-only and
+  /// `elapsed_us` stays 0.
   std::vector<DeviceRunStats> devices;
-  /// Phase breakdown (ExecutionOptions::collect_profile); queue_wait_ms is
-  /// stamped by the service layer, everything else by the executor.
+  /// Wall-clock phase profile and EXPLAIN ANALYZE tree
+  /// (ExecutionOptions::collect_profile / collect_operator_stats).
   obs::QueryProfile profile;
+
+  /// The whole record as one JSON object. Every duration key names its
+  /// clock and unit: `sim_..._us` on the simulated clock, `wall_..._ms` on
+  /// the host's.
+  std::string ToJson() const;
 };
 
 /// Results + statistics of one query run. Terminal pipeline-breaker outputs

@@ -551,10 +551,6 @@ void QueryService::WorkerLoop() {
               std::max(0.0, ElapsedMs(end, query->deadline)));
         }
         if (ok) {
-          // The runtime filled the rest of the profile; the queue wait is
-          // only knowable here, at the service layer.
-          (*result).stats.profile.queue_wait_ms =
-              query->ticket->queue_wait_ms_;
           // Close the loop. Clean completions only: a cancelled run's wall
           // time says nothing about how long the query *would* have taken.
           // The run time, the observed selectivities and the per-device
@@ -564,19 +560,14 @@ void QueryService::WorkerLoop() {
           // adamant_plan_qerror_* histograms.
           calibration_.ObserveRun(query->spec.name, query->predicted_sim_us,
                                   attempt_ms);
-          if (config_.collect_operator_stats) {
-            calibration_.ObserveOperators(query->spec.name,
-                                          run_stats.profile.operators);
-            obs::RecordPlanQErrors(&metrics_, query->spec.name,
-                                   run_stats.profile.operators);
-          }
-          for (const auto& [dev, predicted] :
-               run_stats.split_predicted_chunk_us) {
-            auto it = run_stats.split_observed_chunk_us.find(dev);
-            if (it == run_stats.split_observed_chunk_us.end()) continue;
-            calibration_.ObserveSplit(
-                manager_->device(static_cast<DeviceId>(dev))->name(),
-                predicted, it->second);
+          calibration_.ObserveOperators(query->spec.name,
+                                        run_stats.profile.operators);
+          obs::RecordPlanQErrors(&metrics_, query->spec.name,
+                                 run_stats.profile.operators);
+          for (const DeviceRunStats& dev : run_stats.devices) {
+            if (dev.chunks == 0) continue;  // not a partition of this run
+            calibration_.ObserveSplit(dev.name, dev.predicted_chunk_us,
+                                      dev.observed_chunk_us);
           }
         }
         if (config_.history_capacity > 0) {
@@ -600,12 +591,11 @@ void QueryService::WorkerLoop() {
             entry.slow = run_hist_->Count() >= 8 &&
                          attempt_ms > run_hist_->Quantile(0.95);
           }
-          entry.profile = run_stats.profile;
-          entry.profile.queue_wait_ms = query->ticket->queue_wait_ms_;
+          entry.stats = std::move(run_stats);
           if (entry.slow) {
             slow_queries_->Increment();
           } else {
-            entry.profile.operators.clear();
+            entry.stats.profile.operators.clear();
           }
           history_.push_back(std::move(entry));
           while (history_.size() > config_.history_capacity) {
@@ -786,12 +776,14 @@ Result<QueryExecution> QueryService::RunOne(
   // With exclusive device leases each run may reset its device's clocks and
   // counters; with shared devices that would clobber a neighbour mid-run.
   run.reset_device_state = config_.slots_per_device <= 1;
-  // Every served query carries its phase profile on the ticket; collection
-  // is a handful of clock reads per pipeline, so it is always on here.
+  // Every served query carries its phase profile and EXPLAIN ANALYZE
+  // operator tree on the ticket (bit-identical results, a few clock reads
+  // and count retrievals per chunk). The tree feeds the q-error histograms,
+  // the selectivity feedback of the next compile and the slow-query
+  // history; it rides the stats sink so it survives error and cancel exits
+  // (Result<> carries no stats on failure).
   run.collect_profile = true;
-  // EXPLAIN ANALYZE: the operator tree rides the stats sink so it survives
-  // error and cancel exits (Result<> carries no stats on failure).
-  run.collect_operator_stats = config_.collect_operator_stats;
+  run.collect_operator_stats = true;
   run.stats_sink = stats_sink;
   QueryExecutor executor(manager_);
   return executor.Run(plan->bundle.graph.get(), run);
@@ -873,22 +865,6 @@ ServiceStats QueryService::GetStats() const {
   return stats;
 }
 
-std::string QueryHistoryEntry::ToJson() const {
-  std::ostringstream out;
-  out << "{\"id\":" << id << ",\"name\":\"" << obs::JsonEscape(name) << "\""
-      << ",\"ok\":" << (ok ? "true" : "false");
-  if (!error.empty()) {
-    out << ",\"error\":\"" << obs::JsonEscape(error) << "\"";
-  }
-  out << ",\"device\":" << device << ",\"attempts\":" << attempts
-      << ",\"queue_wait_ms\":" << queue_wait_ms << ",\"run_ms\":" << run_ms
-      << ",\"predicted_ms\":" << predicted_ms;
-  if (deadline_ms > 0) out << ",\"deadline_ms\":" << deadline_ms;
-  out << ",\"slow\":" << (slow ? "true" : "false")
-      << ",\"profile\":" << profile.ToJson() << "}";
-  return out.str();
-}
-
 std::string QueryService::HistoryJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
@@ -899,9 +875,23 @@ std::string QueryService::HistoryJson() const {
   // Newest first: the slow query someone is hunting is usually recent.
   bool first = true;
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-    if (!first) out << ",";
+    const QueryHistoryEntry& entry = *it;
+    out << (first ? "" : ",") << "{\"id\":" << entry.id << ",\"name\":\""
+        << obs::JsonEscape(entry.name)
+        << "\",\"ok\":" << (entry.ok ? "true" : "false");
     first = false;
-    out << it->ToJson();
+    if (!entry.error.empty()) {
+      out << ",\"error\":\"" << obs::JsonEscape(entry.error) << "\"";
+    }
+    out << ",\"device\":" << entry.device << ",\"attempts\":" << entry.attempts
+        << ",\"wall_queue_wait_ms\":" << entry.queue_wait_ms
+        << ",\"wall_run_ms\":" << entry.run_ms
+        << ",\"wall_predicted_ms\":" << entry.predicted_ms;
+    if (entry.deadline_ms > 0) {
+      out << ",\"wall_deadline_ms\":" << entry.deadline_ms;
+    }
+    out << ",\"slow\":" << (entry.slow ? "true" : "false")
+        << ",\"stats\":" << entry.stats.ToJson() << "}";
   }
   out << "],\"feedback\":" << calibration_.ToJson() << "}";
   return out.str();

@@ -18,8 +18,8 @@
 #include "common/result.h"
 #include "device/device_manager.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "plan/calibration.h"
+#include "runtime/executor.h"
 #include "service/column_cache.h"
 #include "service/device_health.h"
 #include "service/memory_budget.h"
@@ -85,12 +85,6 @@ struct ServiceConfig {
   DeviceHealthConfig health;
   /// Deadline shedding / eviction / watchdog policy (see SloPolicy).
   SloPolicy slo;
-  /// EXPLAIN ANALYZE in serving: collect the per-operator stats tree on
-  /// every run (bit-identical results, a few extra clock reads and count
-  /// retrievals per chunk). Feeds the adamant_plan_qerror_* histograms, the
-  /// selectivity feedback cache consulted on the next compile of the same
-  /// query name, and the slow-query history.
-  bool collect_operator_stats = true;
   /// Bounded completed-query history ring (0 disables history entirely).
   size_t history_capacity = 64;
   /// Slow-query threshold: a finished query is logged slow — full profile
@@ -114,12 +108,9 @@ struct QueryHistoryEntry {
   double predicted_ms = 0;
   double deadline_ms = 0;  // 0 = none
   bool slow = false;
-  /// Slow queries retain the full profile including the EXPLAIN ANALYZE
-  /// operator tree; fast ones keep only the phase summary (operators
-  /// dropped), bounding the ring's memory.
-  obs::QueryProfile profile;
-
-  std::string ToJson() const;
+  /// The attempt's run record. Slow queries retain the EXPLAIN ANALYZE
+  /// operator tree; fast ones drop it, bounding the ring's memory.
+  QueryStats stats;
 };
 
 /// Aggregate service counters, exported as JSON by run_tpch --serve.

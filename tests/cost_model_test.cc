@@ -60,7 +60,8 @@ struct SingleLaunch {
       if (ops[a] == AggOp::kCount) continue;
       ADAMANT_CHECK(
           graph
-              .ConnectScan(Column::FromVector("v" + std::to_string(a),
+              .ConnectScan(Column::FromVector(std::string("v").append(
+                                                  std::to_string(a)),
                                               std::vector<int64_t>(4096, 1)),
                            node, static_cast<int>(a + 1))
               .ok());

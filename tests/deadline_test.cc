@@ -351,6 +351,89 @@ TEST(ExecutorCancelTest, SeededDeadlineLeavesConsistentOperatorStats) {
   EXPECT_GT(cancelled_runs, 0u);
 }
 
+// Trips a token on the run's nth device allocation: a cancel point that
+// lands at the same place in a run however fast the host runs it.
+class CancelOnNthAllocation : public MemoryChargeListener {
+ public:
+  CancelOnNthAllocation(CancelToken* token, size_t nth)
+      : token_(token), nth_(nth) {}
+  void OnAllocate(DeviceId, size_t) override {
+    if (++count_ == nth_) token_->Cancel(CancelCause::kUser, "nth allocation");
+  }
+  void OnFree(DeviceId, size_t) override {}
+  size_t count() const { return count_; }
+
+ private:
+  CancelToken* token_;
+  size_t nth_;
+  std::atomic<size_t> count_{0};
+};
+
+// A device-parallel run cancelled mid-pipeline reports what it ran: the
+// interrupted pipeline is recorded and flagged, and the run's chunk count
+// is the pipelines' and the partition devices' sum.
+TEST(ExecutorCancelTest, CancelledDeviceParallelRunReportsWhatItRan) {
+  const auto& fixture = DeadlineFixture::Get();
+  DeviceManager manager;
+  for (int i = 0; i < 2; ++i) {
+    auto device = manager.AddDriver(sim::DriverKind::kCudaGpu,
+                                    "gpu." + std::to_string(i));
+    ASSERT_TRUE(device.ok());
+    ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
+  }
+  auto run = [&](CancelToken* token, size_t cancel_at, size_t* allocations,
+                 QueryStats* sink) -> Status {
+    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
+                             plan::BuildQ3(*fixture.catalog, {}, 0));
+    CancelOnNthAllocation listener(token, cancel_at);
+    ExecutionOptions options;
+    options.model = ExecutionModelKind::kDeviceParallel;
+    options.device_set = {0, 1};
+    options.chunk_elems = 1024;
+    options.collect_profile = true;
+    options.cancel_token = token;
+    options.memory_listener = &listener;
+    options.stats_sink = sink;
+    QueryExecutor executor(&manager);
+    Status st = executor.Run(bundle.graph.get(), options).status();
+    *allocations = listener.count();
+    return st;
+  };
+
+  CancelToken never;
+  size_t allocations = 0;
+  QueryStats full;
+  ASSERT_TRUE(run(&never, 0, &allocations, &full).ok());
+  ASSERT_GT(full.profile.pipelines.size(), 1u);  // Q3 is multi-pipeline
+
+  CancelToken token;
+  QueryStats stats;
+  size_t unused = 0;
+  const Status st = run(&token, allocations / 2, &unused, &stats);
+  ASSERT_TRUE(st.IsCancelled()) << st.ToString();
+  EXPECT_EQ(stats.profile.cancelled_cause, "user");
+  // Every pipeline up to the interrupted one is recorded; only that last
+  // one is flagged.
+  const std::vector<obs::PipelineProfile>& pipelines = stats.profile.pipelines;
+  ASSERT_FALSE(pipelines.empty());
+  EXPECT_LE(pipelines.size(), full.profile.pipelines.size());
+  size_t pipeline_chunks = 0;
+  for (size_t i = 0; i < pipelines.size(); ++i) {
+    EXPECT_EQ(pipelines[i].index, static_cast<int>(i));
+    EXPECT_EQ(pipelines[i].cancelled, i + 1 == pipelines.size()) << i;
+    pipeline_chunks += pipelines[i].chunks;
+  }
+  size_t device_chunks = 0;
+  for (const DeviceRunStats& device : stats.devices) {
+    device_chunks += device.chunks;
+  }
+  EXPECT_GT(stats.chunks, 0u);
+  EXPECT_LT(stats.chunks, full.chunks);
+  EXPECT_EQ(pipeline_chunks, stats.chunks);
+  EXPECT_EQ(device_chunks, stats.chunks);
+  EXPECT_GT(stats.bytes_h2d, 0u);
+}
+
 // --- WorkerPool: the tile-claim loop honors the token ------------------------
 
 TEST(WorkerPoolCancelTest, PreCancelledTokenClaimsNoTiles) {
@@ -434,15 +517,14 @@ TEST(TransferHubCancelTest, CancelledTokenStopsLoads) {
 // --- Profile: cancelled runs are marked --------------------------------------
 
 TEST(ProfileCancelTest, CancelMarksSerializeToJson) {
-  obs::QueryProfile profile;
-  profile.collected = true;
-  profile.cancelled_cause = "deadline";
+  QueryStats stats;
+  stats.profile.cancelled_cause = "deadline";
   obs::PipelineProfile pipeline;
   pipeline.index = 0;
   pipeline.cancelled = true;
-  profile.pipelines.push_back(pipeline);
+  stats.profile.pipelines.push_back(pipeline);
 
-  const std::string json = profile.ToJson();
+  const std::string json = stats.ToJson();
   EXPECT_NE(json.find("\"cancelled\":\"deadline\""), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"cancelled\":true"), std::string::npos) << json;

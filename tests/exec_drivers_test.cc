@@ -289,7 +289,10 @@ TEST(DeviceParallelTest, EmptyDeviceSetUsesAllPluggedDevices) {
   QueryExecutor executor(manager.get());
   auto exec = executor.Run(bundle->graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  EXPECT_EQ(exec->stats.chunks_by_device.size(), 2u);
+  ASSERT_EQ(exec->stats.devices.size(), 2u);
+  for (const DeviceRunStats& device : exec->stats.devices) {
+    EXPECT_GT(device.split_share, 0.0) << device.name;
+  }
 }
 
 TEST(DeviceParallelTest, UnpluggedDeviceIdRejected) {

@@ -386,22 +386,29 @@ TEST(ProfileTest, DirectRunCollectsPhaseBreakdown) {
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
 
   const obs::QueryProfile& profile = exec->stats.profile;
-  EXPECT_TRUE(profile.collected);
   EXPECT_GT(profile.run_ms, 0.0);
   ASSERT_FALSE(profile.pipelines.empty());  // Q3 is multi-pipeline
   EXPECT_GT(profile.pipelines.size(), 1u);
   size_t chunks = 0;
-  for (const auto& pipeline : profile.pipelines) chunks += pipeline.chunks;
+  double compute_us = 0;
+  for (const auto& pipeline : profile.pipelines) {
+    chunks += pipeline.chunks;
+    ASSERT_EQ(pipeline.devices.size(), 1u);
+    compute_us += pipeline.devices[0].sim_compute_us;
+  }
   EXPECT_EQ(chunks, exec->stats.chunks);
-  ASSERT_EQ(profile.devices.size(), 1u);
-  EXPECT_GT(profile.devices[0].compute_ms, 0.0);
-  EXPECT_GT(profile.devices[0].transfer_ms, 0.0);
-  EXPECT_GT(profile.devices[0].kernel_launches, 0u);
+  // The pipelines' slices add up to the device's whole-run busy time.
+  const DeviceRunStats& device_stats = exec->stats.devices[0];
+  EXPECT_NEAR(compute_us, device_stats.compute_busy_us, 1e-6);
+  EXPECT_GT(device_stats.compute_busy_us, 0.0);
+  EXPECT_GT(device_stats.h2d_busy_us, 0.0);
+  EXPECT_GT(device_stats.execute_calls, 0u);
 
-  const std::string json = profile.ToJson();
+  const std::string json = exec->stats.ToJson();
   for (const char* want :
-       {"\"queue_wait_ms\"", "\"run_ms\"", "\"merge_host_ms\"",
-        "\"pipelines\"", "\"devices\"", "\"transfer_ms\"", "\"compute_ms\""}) {
+       {"\"wall_run_ms\"", "\"wall_merge_host_ms\"", "\"pipelines\"",
+        "\"devices\"", "\"sim_h2d_us\"", "\"sim_compute_us\"",
+        "\"sim_compute_busy_us\""}) {
     EXPECT_NE(json.find(want), std::string::npos) << want;
   }
 }
@@ -424,10 +431,11 @@ TEST(ProfileTest, ProfileOffByDefaultAndServiceTicketCarriesIt) {
     QueryExecutor executor(&manager);
     auto exec = executor.Run(bundle->graph.get(), {});
     ASSERT_TRUE(exec.ok());
-    EXPECT_FALSE(exec->stats.profile.collected);
+    EXPECT_EQ(exec->stats.profile.run_ms, 0.0);
+    EXPECT_TRUE(exec->stats.profile.pipelines.empty());
   }
 
-  // Through the service: always profiled, and queue wait is stamped in.
+  // Through the service: always profiled.
   ServiceConfig service_config;
   service_config.workers = 1;
   QueryService service(&manager, service_config);
@@ -445,10 +453,97 @@ TEST(ProfileTest, ProfileOffByDefaultAndServiceTicketCarriesIt) {
   const Result<QueryExecution>& result = (*ticket)->Wait();
   ASSERT_TRUE(result.ok());
   const obs::QueryProfile& profile = result->stats.profile;
-  EXPECT_TRUE(profile.collected);
-  EXPECT_EQ(profile.queue_wait_ms, (*ticket)->queue_wait_ms());
+  EXPECT_GT(profile.run_ms, 0.0);
   EXPECT_FALSE(profile.pipelines.empty());
   service.Drain();
+}
+
+// The keys of a JSON text: every quoted string followed by a colon (the
+// records hold no escaped quotes).
+std::vector<std::string> JsonKeys(const std::string& json) {
+  std::vector<std::string> keys;
+  size_t open = json.find('"');
+  while (open != std::string::npos) {
+    const size_t close = json.find('"', open + 1);
+    if (close == std::string::npos) break;
+    if (close + 1 < json.size() && json[close + 1] == ':') {
+      keys.push_back(json.substr(open + 1, close - open - 1));
+    }
+    open = json.find('"', close + 1);
+  }
+  return keys;
+}
+
+// Every duration key of a rendered record names its clock: `sim_` for the
+// simulated clock, `wall_` for the host's.
+void ExpectClockNamedDurations(const std::string& json) {
+  size_t durations = 0;
+  for (const std::string& key : JsonKeys(json)) {
+    const bool duration = key.ends_with("_ms") || key.ends_with("_us");
+    if (!duration) continue;
+    ++durations;
+    EXPECT_TRUE(key.starts_with("sim_") || key.starts_with("wall_")) << key;
+  }
+  EXPECT_GT(durations, 0u) << json;
+}
+
+TEST(ProfileTest, EveryDurationKeyNamesItsClock) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto catalog = tpch::Generate(config);
+  ASSERT_TRUE(catalog.ok());
+  DeviceManager manager;
+  for (int i = 0; i < 2; ++i) {
+    auto device = manager.AddDriver(sim::DriverKind::kCudaGpu,
+                                    "gpu." + std::to_string(i));
+    ASSERT_TRUE(device.ok());
+    ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
+  }
+
+  // A served Q3: the ticket's record and the history ring that holds it.
+  {
+    ServiceConfig service_config;
+    service_config.workers = 1;
+    service_config.slow_query_fraction = 0;  // keep the operator tree
+    QueryService service(&manager, service_config);
+    const Catalog* cat = catalog->get();
+    QuerySpec spec;
+    spec.name = "Q3";
+    spec.deadline_ms = 60000;
+    spec.make_graph =
+        [cat](DeviceId dev) -> Result<std::unique_ptr<PrimitiveGraph>> {
+      ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
+                               plan::BuildQ3(*cat, {}, dev));
+      return std::move(bundle.graph);
+    };
+    auto ticket = service.Submit(std::move(spec));
+    ASSERT_TRUE(ticket.ok());
+    const Result<QueryExecution>& result = (*ticket)->Wait();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    service.Drain();
+    const std::string json = result->stats.ToJson();
+    EXPECT_NE(json.find("\"operators\""), std::string::npos) << json;
+    ExpectClockNamedDurations(json);
+    const std::string history = service.HistoryJson();
+    EXPECT_NE(history.find("\"wall_deadline_ms\""), std::string::npos);
+    ExpectClockNamedDurations(history);
+  }
+
+  // A device-parallel Q3 over both devices, with its per-device split.
+  auto bundle = plan::BuildQ3(**catalog, {}, 0);
+  ASSERT_TRUE(bundle.ok());
+  ExecutionOptions options;
+  options.model = ExecutionModelKind::kDeviceParallel;
+  options.device_set = {0, 1};
+  options.chunk_elems = 1024;
+  options.collect_profile = true;
+  options.collect_operator_stats = true;
+  QueryExecutor executor(&manager);
+  auto exec = executor.Run(bundle->graph.get(), options);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  const std::string json = exec->stats.ToJson();
+  EXPECT_NE(json.find("\"sim_observed_chunk_us\""), std::string::npos);
+  ExpectClockNamedDurations(json);
 }
 
 // --- EXPLAIN ANALYZE operator stats ----------------------------------------
@@ -519,15 +614,30 @@ TEST(OperatorStatsTest, CollectedTreeAlignsWithGraphAndResultsBitIdentical) {
   }
   EXPECT_TRUE(saw_selective_probe);
 
-  // The serialized profile carries the tree.
-  const std::string json = exec->stats.profile.ToJson();
-  for (const char* want : {"\"operators\"", "\"feedback_key\"",
-                           "\"selectivity_qerror\"", "\"predicted_cost_us\""}) {
+  // Finalizing stamped each operator's q-errors: selectivity where a
+  // selective operator saw rows, cost wherever an operator launched.
+  for (const obs::OperatorStats& op : ops) {
+    SCOPED_TRACE(op.label);
+    if (op.selective) {
+      EXPECT_DOUBLE_EQ(op.selectivity_qerror,
+                       obs::QError(op.predicted_selectivity,
+                                   op.ActualSelectivity()));
+    } else {
+      EXPECT_EQ(op.selectivity_qerror, 0.0);
+    }
+    EXPECT_GE(op.cost_qerror, 1.0);
+  }
+
+  // The serialized record carries the tree.
+  const std::string json = exec->stats.ToJson();
+  for (const char* want :
+       {"\"operators\"", "\"feedback_key\"", "\"selectivity_qerror\"",
+        "\"cost_qerror\"", "\"sim_predicted_cost_us\"", "\"wall_kernel_ms\""}) {
     EXPECT_NE(json.find(want), std::string::npos) << want;
   }
 }
 
-TEST(OperatorStatsTest, FusedRunAttributesFusedLaunchesInDeviceProfile) {
+TEST(OperatorStatsTest, FusedRunAttributesFusedLaunchesInDeviceEntry) {
   tpch::TpchConfig config;
   config.scale_factor = 0.002;
   auto catalog = tpch::Generate(config);
@@ -552,19 +662,19 @@ TEST(OperatorStatsTest, FusedRunAttributesFusedLaunchesInDeviceProfile) {
   auto exec = executor.Run(bundle->graph.get(), options);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
 
-  // Satellite: the fused launch count and body-time share surface in the
-  // DeviceProfile and its JSON, and the operator tree attributes the wall
-  // time to the fused variant bucket.
-  ASSERT_EQ(exec->stats.profile.devices.size(), 1u);
-  const obs::DeviceProfile& dev = exec->stats.profile.devices[0];
+  // The fused launch count and body-time share surface in the device's
+  // entry of the record and its JSON, and the operator tree attributes the
+  // wall time to the fused variant bucket.
+  ASSERT_EQ(exec->stats.devices.size(), 1u);
+  const DeviceRunStats& dev = exec->stats.devices[0];
   EXPECT_GT(dev.fused_launches, 0u);
-  EXPECT_GT(dev.kernel_launches, 0u);
-  EXPECT_LE(dev.fused_launches, dev.kernel_launches);
-  EXPECT_GE(dev.fused_body_ms, 0.0);
-  EXPECT_LE(dev.fused_body_ms, dev.kernel_body_ms + 1e-9);
-  const std::string json = exec->stats.profile.ToJson();
+  EXPECT_GT(dev.execute_calls, 0u);
+  EXPECT_LE(dev.fused_launches, dev.execute_calls);
+  EXPECT_GE(dev.fused_body_us, 0.0);
+  EXPECT_LE(dev.fused_body_us, dev.kernel_body_us + 1e-9);
+  const std::string json = exec->stats.ToJson();
   EXPECT_NE(json.find("\"fused_launches\""), std::string::npos);
-  EXPECT_NE(json.find("\"fused_body_ms\""), std::string::npos);
+  EXPECT_NE(json.find("\"sim_fused_body_us\""), std::string::npos);
 
   bool saw_fused_op = false;
   for (const obs::OperatorStats& op : exec->stats.profile.operators) {
@@ -595,25 +705,20 @@ TEST(QErrorTest, SymmetricWithFloors) {
 
 TEST(QErrorTest, RecordPlanQErrorsFillsHistograms) {
   obs::MetricsRegistry registry;
+  // The q-errors finalizing stamps (see OperatorStats); 0 = none applies.
   obs::OperatorStats filter;
-  filter.selective = true;
-  filter.predicted_selectivity = 0.5;
-  filter.rows_in = 100;
-  filter.rows_out = 25;  // actual 0.25 → q-error 2
-  filter.predicted_cost_us = 10;
-  filter.kernel_ms = 1;
-  filter.launches = 1;
+  filter.selectivity_qerror = 2;
+  filter.cost_qerror = 1;
   obs::OperatorStats scan;
-  scan.predicted_cost_us = 10;
-  scan.kernel_ms = 1;
-  scan.launches = 1;
-  obs::RecordPlanQErrors(&registry, "Q3", {filter, scan});
+  scan.cost_qerror = 1;
+  obs::OperatorStats idle;  // never launched: observed by neither
+  obs::RecordPlanQErrors(&registry, "Q3", {filter, scan, idle});
 
   const std::string text = registry.ToPrometheusText();
   EXPECT_NE(text.find("adamant_plan_qerror_selectivity_count{query=\"Q3\"} 1"),
             std::string::npos)
       << text;
-  // Equal cost shares on both sides → both cost q-errors are exactly 1.
+  // Both launched operators' cost q-errors land in the le="1" bucket.
   EXPECT_NE(text.find("adamant_plan_qerror_cost_bucket{query=\"Q3\",le=\"1\"}"
                       " 2"),
             std::string::npos)
@@ -670,8 +775,8 @@ TEST(MetricsTest, SplitRatioGaugeAndStealCounterExposed) {
                                   ->Value();
   EXPECT_GT(stolen_after, stolen_before);
   size_t stolen_stats = 0;
-  for (const auto& [device, stolen] : exec->stats.chunks_stolen_by_device) {
-    stolen_stats += stolen;
+  for (const DeviceRunStats& device : exec->stats.devices) {
+    stolen_stats += device.chunks_stolen;
   }
   EXPECT_DOUBLE_EQ(stolen_after - stolen_before,
                    static_cast<double>(stolen_stats));

@@ -187,11 +187,11 @@ TEST(ParityMatrixTest, DeviceParallelSplitsAcrossBothDevices) {
   auto exec =
       RunModel(manager.get(), *bundle, ExecutionModelKind::kDeviceParallel);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-  ASSERT_EQ(exec->stats.chunks_by_device.size(), 2u);
+  ASSERT_EQ(exec->stats.devices.size(), 2u);
   size_t split = 0;
-  for (const auto& [device, chunks] : exec->stats.chunks_by_device) {
-    EXPECT_GT(chunks, 0u) << "device " << device << " got no chunks";
-    split += chunks;
+  for (const DeviceRunStats& device : exec->stats.devices) {
+    EXPECT_GT(device.chunks, 0u) << device.name << " got no chunks";
+    split += device.chunks;
   }
   EXPECT_EQ(split, exec->stats.chunks);
 }
@@ -489,8 +489,9 @@ TEST(ParityMatrixTest, HeterogeneousSplitBitIdenticalWithAndWithoutRebalance) {
       ASSERT_TRUE(exec.ok()) << exec.status().ToString();
       // The driver must have recorded an asymmetric cost-ratio split for
       // the pair (fast share strictly above even).
-      ASSERT_EQ(exec->stats.split_ratio_by_device.size(), 2u);
-      EXPECT_GT(exec->stats.split_ratio_by_device.begin()->second, 0.5);
+      ASSERT_EQ(exec->stats.devices.size(), 2u);
+      EXPECT_GT(exec->stats.devices[0].split_share, 0.5);
+      EXPECT_GT(exec->stats.devices[1].split_share, 0.0);
       c.check(*bundle, *exec, c.name);
     }
   }

@@ -372,7 +372,7 @@ TEST(QueryServiceTest, SlowQueryRetainsOperatorTreeInHistory) {
   EXPECT_NE(json.find("\"slow\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"operators\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"feedback\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"predicted_ms\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"wall_predicted_ms\""), std::string::npos) << json;
   EXPECT_EQ(service.GetStats().slow_queries, 1u);
 }
 
@@ -560,11 +560,13 @@ TEST(QueryServiceTest, MultiDeviceLeaseRunsDeviceParallel) {
   EXPECT_EQ(*got, *ref);
   EXPECT_EQ((*ticket)->placed_devices().size(), 2u);
   size_t split_chunks = 0;
-  for (const auto& [device, chunks] : result->stats.chunks_by_device) {
-    split_chunks += chunks;
+  size_t partitions = 0;
+  for (const DeviceRunStats& device : result->stats.devices) {
+    split_chunks += device.chunks;
+    if (device.split_share > 0) ++partitions;
   }
   EXPECT_EQ(split_chunks, result->stats.chunks);
-  EXPECT_EQ(result->stats.chunks_by_device.size(), 2u);
+  EXPECT_EQ(partitions, 2u);
 
   service.Drain();
   ServiceStats stats = service.GetStats();

@@ -774,13 +774,14 @@ TEST(SqlService, ServedSqlFusesLikeTheCli) {
   auto manager = TwoGpuManager();
   ServiceConfig config;
   config.workers = 1;
-  // The direct run below reads no operator counts (charged as simulated
-  // D2H) and has no column cache; neither does the service here.
-  config.collect_operator_stats = false;
+  // Served runs read their operator counts (charged as simulated D2H), so
+  // the direct run below collects operator stats too; it has no column
+  // cache, and neither does the service here.
   config.enable_cache = false;
   QueryService service(manager.get(), config);
   ExecutionOptions options;  // fusion = auto
   options.chunk_elems = 1024;
+  options.collect_operator_stats = true;
   for (const char* name : {"q6", "q4"}) {
     QuerySpec spec;
     spec.name = name;

@@ -62,7 +62,8 @@ Flags:
                     a second process, every device's h2d/d2h/compute
                     engine bookings on the simulated clock, one window per
                     query (validate with check_trace)
-  --profile         print the per-query phase profile as a JSON line
+  --profile         print the per-query run record (both clocks, per
+                    device, per pipeline) as a JSON line
   --metrics=PATH    after the run, dump the metrics registries to PATH as
                     Prometheus text (or JSON when PATH ends in .json)
   --explain         print the compiled plan — each primitive's kernel
@@ -496,9 +497,9 @@ void PrintExplain(const std::string& title, const CompiledPlan& plan) {
 // --explain-analyze: the measured OperatorStats tree next to the planner's
 // predictions, one row per lowered primitive in node-id order. Selectivity
 // columns apply only to the buffer-sizing kinds (FILTER_POSITION /
-// MATERIALIZE / HASH_PROBE / FUSED); cost q-errors compare share-of-total
-// (predicted sim-us vs measured kernel wall ms), so no unit calibration is
-// needed. The summary line is what tests and the docs walkthrough grep.
+// MATERIALIZE / HASH_PROBE / FUSED); q-errors are the ones the run stamped
+// (obs::OperatorStats), and cost compares share-of-total. The summary line
+// is what tests and the docs walkthrough grep.
 void PrintExplainAnalyze(const std::string& title,
                          const std::vector<obs::OperatorStats>& operators) {
   if (operators.empty()) {
@@ -530,22 +531,18 @@ void PrintExplainAnalyze(const std::string& title,
                    q_cost[32] = "-";
     std::snprintf(rows, sizeof(rows), "%.0f->%llu", op.predicted_rows_out,
                   static_cast<unsigned long long>(op.rows_out));
-    if (op.selective && op.rows_in > 0) {
-      const double q = obs::QError(op.predicted_selectivity,
-                                   op.ActualSelectivity());
+    if (op.selectivity_qerror > 0) {
       std::snprintf(sel, sizeof(sel), "%.4f->%.4f", op.predicted_selectivity,
                     op.ActualSelectivity());
-      std::snprintf(q_sel, sizeof(q_sel), "%.2f", q);
-      sel_q.Add(q);
+      std::snprintf(q_sel, sizeof(q_sel), "%.2f", op.selectivity_qerror);
+      sel_q.Add(op.selectivity_qerror);
     }
-    if (pred_total > 0 && actual_total > 0 && op.launches > 0) {
-      const double pred_share = op.predicted_cost_us / pred_total;
-      const double actual_share = op.kernel_ms / actual_total;
-      const double q = obs::QError(pred_share, actual_share);
-      std::snprintf(cost, sizeof(cost), "%4.1f->%4.1f", pred_share * 100,
-                    actual_share * 100);
-      std::snprintf(q_cost, sizeof(q_cost), "%.2f", q);
-      cost_q.Add(q);
+    if (op.cost_qerror > 0) {
+      std::snprintf(cost, sizeof(cost), "%4.1f->%4.1f",
+                    op.predicted_cost_us / pred_total * 100,
+                    op.kernel_ms / actual_total * 100);
+      std::snprintf(q_cost, sizeof(q_cost), "%.2f", op.cost_qerror);
+      cost_q.Add(op.cost_qerror);
     }
     std::printf("  %4d %3d %-20s %-30s %22s %15s %7s %13s %7s %6zu %9.3f\n",
                 op.pipeline, op.node_id, op.kind.c_str(), op.label.c_str(),
@@ -811,7 +808,7 @@ Status RunSingleQuery(const SingleQuery& q, const Catalog& catalog,
                 id.c_str(), plan.fusion.groups, kernels_json.c_str());
   }
   if (options.profile) {
-    std::printf("    profile: %s\n", exec.stats.profile.ToJson().c_str());
+    std::printf("    profile: %s\n", exec.stats.ToJson().c_str());
   }
   if (options.explain_analyze) {
     PrintExplainAnalyze(q.label, exec.stats.profile.operators);
@@ -819,30 +816,30 @@ Status RunSingleQuery(const SingleQuery& q, const Catalog& catalog,
                            exec.stats.profile.operators);
   }
   if (plan.options.model == ExecutionModelKind::kDeviceParallel) {
-    // Machine-readable split report: which device ran how many chunks, the
-    // planned split ratio per device, how many chunks each partition stole
-    // at runtime, and the host time spent merging breaker containers.
-    auto to_json = [](const auto& by_device, const char* format) {
-      std::string json;
-      for (const auto& [dev_id, value] : by_device) {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), format, dev_id, value);
-        if (!json.empty()) json += ",";
-        json += buf;
-      }
-      return json;
-    };
+    // Machine-readable split report: per partition device (by id), the
+    // chunks it ran, its planned split share and the chunks it stole at
+    // runtime, and the host time spent merging breaker containers.
+    std::string chunks, shares, stolen;
+    for (size_t i = 0; i < exec.stats.devices.size(); ++i) {
+      const DeviceRunStats& ds = exec.stats.devices[i];
+      if (ds.split_share == 0 && ds.chunks == 0) continue;
+      const char* sep = chunks.empty() ? "" : ",";
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), "%s\"%zu\":%zu", sep, i, ds.chunks);
+      chunks += buf;
+      std::snprintf(buf, sizeof(buf), "%s\"%zu\":%.4f", sep, i,
+                    ds.split_share);
+      shares += buf;
+      std::snprintf(buf, sizeof(buf), "%s\"%zu\":%zu", sep, i,
+                    ds.chunks_stolen);
+      stolen += buf;
+    }
     std::printf("    {\"query\":\"%s\",\"model\":\"device-parallel\","
-                "\"devices\":%zu,\"chunks_by_device\":{%s},"
-                "\"split_ratio\":{%s},\"chunks_stolen\":{%s},"
-                "\"rebalance\":%s,"
+                "\"devices\":%zu,\"chunks\":{%s},\"split_ratio\":{%s},"
+                "\"chunks_stolen\":{%s},\"rebalance\":%s,"
                 "\"merge_host_ms\":%.4f,\"elapsed_ms\":%.3f}\n",
-                id.c_str(), plan.options.device_set.size(),
-                to_json(exec.stats.chunks_by_device, "\"%d\":%zu").c_str(),
-                to_json(exec.stats.split_ratio_by_device, "\"%d\":%.4f")
-                    .c_str(),
-                to_json(exec.stats.chunks_stolen_by_device, "\"%d\":%zu")
-                    .c_str(),
+                id.c_str(), plan.options.device_set.size(), chunks.c_str(),
+                shares.c_str(), stolen.c_str(),
                 plan.options.split_rebalance ? "true" : "false",
                 exec.stats.merge_host_ms, sim::MsFromUs(exec.stats.elapsed_us));
   }
