@@ -4,6 +4,10 @@
 #include <cstring>
 #include <mutex>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/logging.h"
 #include "obs/trace.h"
 
@@ -11,6 +15,27 @@ namespace adamant {
 
 using sim::SimTime;
 using sim::TransferDirection;
+
+namespace {
+
+/// A device buffer is host memory here, allocated in PrepareMemory and freed
+/// in DeleteMemory, so every query allocates and frees the same tens of MiB.
+/// By default glibc hands the top of the heap back to the kernel once more
+/// than twice the largest freed mmap'd block (~8 MiB after a 4 MiB hash
+/// table) is free there, and the next query faults the same pages in again.
+/// Fixing both thresholds at the maxima glibc's own adjustment reaches
+/// (32 MiB mmap, 64 MiB trim) keeps the heap from one query to the next.
+void KeepQueryBuffersInTheHeap() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+  });
+#endif
+}
+
+}  // namespace
 
 SimulatedDevice::SimulatedDevice(std::string name, sim::DevicePerfModel model,
                                  SdkFormat native_format,
@@ -24,6 +49,7 @@ SimulatedDevice::SimulatedDevice(std::string name, sim::DevicePerfModel model,
       device_arena_(name_ + ".device_mem", model_.device_memory_bytes),
       pinned_arena_(name_ + ".pinned_mem", model_.pinned_memory_bytes) {
   ADAMANT_CHECK(ctx_ != nullptr);
+  KeepQueryBuffersInTheHeap();
 }
 
 Status SimulatedDevice::Initialize() {

@@ -374,6 +374,7 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
     // reset_device_state and collect_profile off, and the parent's
     // pipeline entry samples every partition device at the boundaries,
     // when the partition threads are joined.
+    ADAMANT_RETURN_NOT_OK(ctx.CheckCancel());
     ctx.OpenPipeline(static_cast<int>(pi));
 
     // Every partition runs its chunk sub-range concurrently — statically

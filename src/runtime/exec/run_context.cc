@@ -155,11 +155,13 @@ void RunContext::ClosePipeline() {
 }
 
 Status RunContext::BeginPipeline(const Pipeline& pipeline, size_t cap) {
-  // The pipeline's profile entry opens first, so its busy slices hold
-  // everything the pipeline books, breaker persist fills included.
+  // A token that tripped after the previous pipeline stops the run before
+  // this pipeline's profile entry opens, so only the pipeline executing when
+  // it tripped is recorded as cancelled. The entry opens before anything is
+  // booked, so its busy slices hold breaker persist fills too.
+  ADAMANT_RETURN_NOT_OK(CheckCancel());
   const int index = static_cast<int>(&pipeline - pipelines_.data());
   OpenPipeline(index);
-  ADAMANT_RETURN_NOT_OK(CheckCancel());
   const size_t total_chunks = ChunkSource(pipeline.input_rows, cap).total();
   for (int node_id : pipeline.nodes) {
     const GraphNode& node = graph_->node(node_id);

@@ -369,47 +369,60 @@ class CancelOnNthAllocation : public MemoryChargeListener {
   std::atomic<size_t> count_{0};
 };
 
+/// Runs hand-built Q3 on `manager` with the profile on and a token that
+/// trips on the run's `cancel_at`th device allocation (0: never). Returns
+/// the run's status; its record lands in `sink` and its allocation count in
+/// `allocations`.
+Status RunQ3CancelledAt(DeviceManager* manager, ExecutionOptions options,
+                        size_t cancel_at, QueryStats* sink,
+                        size_t* allocations) {
+  const auto& fixture = DeadlineFixture::Get();
+  ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
+                           plan::BuildQ3(*fixture.catalog, {}, 0));
+  CancelToken token;
+  CancelOnNthAllocation listener(&token, cancel_at);
+  options.collect_profile = true;
+  options.cancel_token = &token;
+  options.memory_listener = &listener;
+  options.stats_sink = sink;
+  QueryExecutor executor(manager);
+  Status st = executor.Run(bundle.graph.get(), options).status();
+  *allocations = listener.count();
+  return st;
+}
+
+/// A manager with two cuda_gpu devices, kernels bound.
+std::unique_ptr<DeviceManager> TwoGpus() {
+  auto manager = std::make_unique<DeviceManager>();
+  for (int i = 0; i < 2; ++i) {
+    auto device = manager->AddDriver(sim::DriverKind::kCudaGpu,
+                                     "gpu." + std::to_string(i));
+    ADAMANT_CHECK(device.ok()) << device.status().ToString();
+    ADAMANT_CHECK(BindStandardKernels(manager->device(*device)).ok());
+  }
+  return manager;
+}
+
 // A device-parallel run cancelled mid-pipeline reports what it ran: the
 // interrupted pipeline is recorded and flagged, and the run's chunk count
 // is the pipelines' and the partition devices' sum.
 TEST(ExecutorCancelTest, CancelledDeviceParallelRunReportsWhatItRan) {
-  const auto& fixture = DeadlineFixture::Get();
-  DeviceManager manager;
-  for (int i = 0; i < 2; ++i) {
-    auto device = manager.AddDriver(sim::DriverKind::kCudaGpu,
-                                    "gpu." + std::to_string(i));
-    ASSERT_TRUE(device.ok());
-    ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
-  }
-  auto run = [&](CancelToken* token, size_t cancel_at, size_t* allocations,
-                 QueryStats* sink) -> Status {
-    ADAMANT_ASSIGN_OR_RETURN(plan::PlanBundle bundle,
-                             plan::BuildQ3(*fixture.catalog, {}, 0));
-    CancelOnNthAllocation listener(token, cancel_at);
-    ExecutionOptions options;
-    options.model = ExecutionModelKind::kDeviceParallel;
-    options.device_set = {0, 1};
-    options.chunk_elems = 1024;
-    options.collect_profile = true;
-    options.cancel_token = token;
-    options.memory_listener = &listener;
-    options.stats_sink = sink;
-    QueryExecutor executor(&manager);
-    Status st = executor.Run(bundle.graph.get(), options).status();
-    *allocations = listener.count();
-    return st;
-  };
+  std::unique_ptr<DeviceManager> manager = TwoGpus();
+  ExecutionOptions options;
+  options.model = ExecutionModelKind::kDeviceParallel;
+  options.device_set = {0, 1};
+  options.chunk_elems = 1024;
 
-  CancelToken never;
   size_t allocations = 0;
   QueryStats full;
-  ASSERT_TRUE(run(&never, 0, &allocations, &full).ok());
+  ASSERT_TRUE(
+      RunQ3CancelledAt(manager.get(), options, 0, &full, &allocations).ok());
   ASSERT_GT(full.profile.pipelines.size(), 1u);  // Q3 is multi-pipeline
 
-  CancelToken token;
   QueryStats stats;
   size_t unused = 0;
-  const Status st = run(&token, allocations / 2, &unused, &stats);
+  const Status st = RunQ3CancelledAt(manager.get(), options, allocations / 2,
+                                     &stats, &unused);
   ASSERT_TRUE(st.IsCancelled()) << st.ToString();
   EXPECT_EQ(stats.profile.cancelled_cause, "user");
   // Every pipeline up to the interrupted one is recorded; only that last
@@ -432,6 +445,46 @@ TEST(ExecutorCancelTest, CancelledDeviceParallelRunReportsWhatItRan) {
   EXPECT_EQ(pipeline_chunks, stats.chunks);
   EXPECT_EQ(device_chunks, stats.chunks);
   EXPECT_GT(stats.bytes_h2d, 0u);
+}
+
+// Wherever a cancel lands (inside a chunk, between chunks, or after one
+// pipeline finished and before the next began), every model records
+// pipelines 0..k in order and flags only the last: the run stops before a
+// pipeline that had not started opens its entry.
+TEST(ExecutorCancelTest, OnlyTheInterruptedPipelineIsFlagged) {
+  std::unique_ptr<DeviceManager> manager = TwoGpus();
+  for (ExecutionModelKind model : kAllModels) {
+    SCOPED_TRACE(ExecutionModelName(model));
+    ExecutionOptions options;
+    options.model = model;
+    options.chunk_elems = 4096;
+    if (model == ExecutionModelKind::kDeviceParallel) {
+      options.device_set = {0, 1};
+    }
+    size_t allocations = 0;
+    QueryStats full;
+    ASSERT_TRUE(
+        RunQ3CancelledAt(manager.get(), options, 0, &full, &allocations).ok());
+    size_t cancelled_runs = 0;
+    for (size_t n = 1; n <= allocations; ++n) {
+      QueryStats stats;
+      size_t unused = 0;
+      const Status st =
+          RunQ3CancelledAt(manager.get(), options, n, &stats, &unused);
+      if (st.ok()) continue;  // tripped after the run's last cancel check
+      ASSERT_TRUE(st.IsCancelled()) << n << ": " << st.ToString();
+      ++cancelled_runs;
+      const std::vector<obs::PipelineProfile>& pipelines =
+          stats.profile.pipelines;
+      ASSERT_FALSE(pipelines.empty()) << "cancelled at allocation " << n;
+      for (size_t i = 0; i < pipelines.size(); ++i) {
+        EXPECT_EQ(pipelines[i].index, static_cast<int>(i));
+        EXPECT_EQ(pipelines[i].cancelled, i + 1 == pipelines.size())
+            << "cancelled at allocation " << n << ", pipeline " << i;
+      }
+    }
+    EXPECT_GT(cancelled_runs, 0u);
+  }
 }
 
 // --- WorkerPool: the tile-claim loop honors the token ------------------------

@@ -615,7 +615,15 @@ TEST(OperatorStatsTest, CollectedTreeAlignsWithGraphAndResultsBitIdentical) {
   EXPECT_TRUE(saw_selective_probe);
 
   // Finalizing stamped each operator's q-errors: selectivity where a
-  // selective operator saw rows, cost wherever an operator launched.
+  // selective operator saw rows, cost wherever an operator launched (its
+  // share of the predicted cost against its share of the kernel time).
+  double pred_total = 0;
+  double actual_total = 0;
+  for (const obs::OperatorStats& op : ops) {
+    pred_total += op.predicted_cost_us;
+    actual_total += op.kernel_ms;
+  }
+  ASSERT_GT(actual_total, 0.0);
   for (const obs::OperatorStats& op : ops) {
     SCOPED_TRACE(op.label);
     if (op.selective) {
@@ -625,7 +633,9 @@ TEST(OperatorStatsTest, CollectedTreeAlignsWithGraphAndResultsBitIdentical) {
     } else {
       EXPECT_EQ(op.selectivity_qerror, 0.0);
     }
-    EXPECT_GE(op.cost_qerror, 1.0);
+    EXPECT_DOUBLE_EQ(op.cost_qerror,
+                     obs::QError(op.predicted_cost_us / pred_total,
+                                 op.kernel_ms / actual_total));
   }
 
   // The serialized record carries the tree.
