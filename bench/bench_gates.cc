@@ -236,15 +236,13 @@ Phase RunUnloaded() {
   return Summarize(tickets, 0);
 }
 
-/// An open loop of 40 queries `interval_ms` apart. With `shed`, deadline
-/// shedding is on and every query carries `deadline_ms`; without it the
-/// queue simply builds.
+/// An open loop of 40 queries `interval_ms` apart. With `shed`, every
+/// query carries `deadline_ms`, so the service sheds what cannot meet it;
+/// without it the queue simply builds.
 Phase RunLoaded(double interval_ms, double deadline_ms, bool shed) {
   auto manager = MakeStallRig();
   ServiceConfig config;
   config.workers = 1;
-  config.slo.shed_on_admission = shed;
-  config.slo.evict_lapsed = shed;
   QueryService service(manager.get(), config);
   // Calibrates the cost predictor the way a live service does: by serving.
   for (int i = 0; i < 5; ++i) {

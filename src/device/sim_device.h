@@ -40,13 +40,10 @@ struct DeviceCallStats {
 /// driver's calibrated performance model.
 ///
 /// Thread safety: every interface call and simulation-control call locks a
-/// per-device mutex, so concurrent queries may share one device (the service
-/// layer's slot table allows this with slots_per_device > 1). Results stay
-/// exact under sharing; the *timing* accounting interleaves both queries'
-/// operations onto the same timelines, so per-query simulated stats are only
-/// meaningful when the device is leased exclusively. The stats/timeline
-/// accessors themselves are unsynchronized and are meant for exclusive
-/// leases (the default).
+/// per-device mutex, so several threads may call one device. The
+/// stats/timeline accessors are unsynchronized: they are read by the run
+/// that owns the device (the service leases each device to one query at a
+/// time), so per-query simulated stats stay exact.
 ///
 /// Concurrency model: the device has a transfer engine and a compute engine
 /// (two ResourceTimelines) plus a host cursor (`host_time_`). In synchronous

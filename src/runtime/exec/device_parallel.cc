@@ -371,9 +371,9 @@ Status RunPartitioned(RunContext& ctx, std::vector<SubRun>& subs,
                  static_cast<double>(chunks.total());
     }
     // The parent holds the run's profile: the partitions run with
-    // reset_device_state and collect_profile off, and the parent's
-    // pipeline entry samples every partition device at the boundaries,
-    // when the partition threads are joined.
+    // collect_profile off, and the parent's pipeline entry samples every
+    // partition device at the boundaries, when the partition threads are
+    // joined.
     ADAMANT_RETURN_NOT_OK(ctx.CheckCancel());
     ctx.OpenPipeline(static_cast<int>(pi));
 
@@ -572,9 +572,9 @@ Status RunDeviceParallel(RunContext& ctx) {
     sub_options.model = ExecutionModelKind::kChunked;
     sub_options.device_set.clear();
     sub_options.device_split.clear();
-    // The parent already reset/snapshots device state for the whole set,
-    // and holds the run's profile (see RunPartitioned).
-    sub_options.reset_device_state = false;
+    // The parent holds the run's profile (see RunPartitioned). The
+    // sub-run's Prepare resets its device again; nothing was booked on it
+    // since the parent's.
     sub_options.collect_profile = false;
     sub.ctx = std::make_unique<RunContext>(ctx.manager(), sub.graph.get(),
                                            sub_options);

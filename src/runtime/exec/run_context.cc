@@ -58,15 +58,13 @@ Status RunContext::Prepare(const std::vector<DeviceId>& device_override) {
 
   for (DeviceId id : used_devices_) {
     ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager_->GetDevice(id));
-    if (options_.reset_device_state) {
-      dev->ResetTimelines();
-      // A traced run keeps its engine bookings for the simulated-clock
-      // tracks FinalizeStats records.
-      dev->SetTimelineTracing(obs::TracingEnabled());
-      dev->ResetStats();
-      dev->device_arena().ResetHighWater();
-      dev->pinned_arena().ResetHighWater();
-    }
+    dev->ResetTimelines();
+    // A traced run keeps its engine bookings for the simulated-clock tracks
+    // FinalizeStats records.
+    dev->SetTimelineTracing(obs::TracingEnabled());
+    dev->ResetStats();
+    dev->device_arena().ResetHighWater();
+    dev->pinned_arena().ResetHighWater();
     dev->SetAsyncMode(traits_.async);
   }
   return Status::OK();
@@ -118,9 +116,6 @@ void RunContext::OpenPipeline(int index) {
   if (!options_.collect_profile) return;
   pipeline_start_ = std::chrono::steady_clock::now();
   pipeline_chunk_start_ = exec_.stats.chunks;
-  // Per-device busy deltas mean something only under an exclusive lease
-  // (see FinalizeStats).
-  if (!options_.reset_device_state) return;
   for (DeviceId id : used_devices_) {
     auto dev = manager_->GetDevice(id);
     if (dev.ok()) pipeline_busy_snapshot_[id] = (*dev)->busy();
@@ -789,8 +784,7 @@ Status RunContext::Launch(const GraphNode& node, SimulatedDevice* dev,
   // Terminal streaming outputs (non-breaker leaves) come back per chunk;
   // breakers are retrieved through their persist at the end of the run.
   if (graph_->IsTerminal(node.id) && !breaker) {
-    ADAMANT_RETURN_NOT_OK(
-        RetrieveStreaming(node, dev, out0, out1, base_row, n));
+    ADAMANT_RETURN_NOT_OK(RetrieveStreaming(node, out0, out1, base_row, n));
   }
   return Status::OK();
 }
@@ -816,7 +810,6 @@ Status RunContext::AllocatePersist(const GraphNode& node, size_t input_rows) {
 }
 
 Status RunContext::RetrieveStreaming(const GraphNode& node,
-                                     SimulatedDevice* dev,
                                      const Binding& out0, const Binding* out1,
                                      size_t base_row, size_t n) {
   QueryExecution::NodeOutput& output = exec_.mutable_outputs()[node.id];
@@ -830,9 +823,8 @@ Status RunContext::RetrieveStreaming(const GraphNode& node,
   QueryExecution::ChunkPart part;
   part.base_row = base_row;
   if (out0.count != kInvalidBuffer) {
-    ADAMANT_RETURN_NOT_OK(
-        dev->RetrieveData(out0.count, &part.count, sizeof(int64_t), 0)
-            .WithDevice(node.device));
+    ADAMANT_RETURN_NOT_OK(hub_.RetrieveData(node.device, out0.count,
+                                            &part.count, sizeof(int64_t)));
   } else {
     part.count = static_cast<int64_t>(n);
   }
@@ -844,16 +836,14 @@ Status RunContext::RetrieveStreaming(const GraphNode& node,
   }
   part.data.resize(bytes);
   if (bytes > 0) {
-    ADAMANT_RETURN_NOT_OK(dev->RetrieveData(out0.data, part.data.data(),
-                                            bytes, 0)
-                              .WithDevice(node.device));
+    ADAMANT_RETURN_NOT_OK(
+        hub_.RetrieveData(node.device, out0.data, part.data.data(), bytes));
   }
   if (out1 != nullptr) {
     part.data2.resize(static_cast<size_t>(part.count) * sizeof(int32_t));
     if (!part.data2.empty()) {
-      ADAMANT_RETURN_NOT_OK(dev->RetrieveData(out1->data, part.data2.data(),
-                                              part.data2.size(), 0)
-                                .WithDevice(node.device));
+      ADAMANT_RETURN_NOT_OK(hub_.RetrieveData(
+          node.device, out1->data, part.data2.data(), part.data2.size()));
     }
   }
   if (options_.collect_operator_stats) {
@@ -871,8 +861,6 @@ Status RunContext::RetrieveBreaker(const GraphNode& node) {
     return Status::Internal(node.label + ": breaker has no persist");
   }
   const Persist& persist = it->second;
-  ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev,
-                           manager_->GetDevice(persist.device));
   QueryExecution::NodeOutput& output = exec_.mutable_outputs()[node.id];
   output.kind = node.kind;
   output.num_slots = persist.num_slots;
@@ -885,9 +873,8 @@ Status RunContext::RetrieveBreaker(const GraphNode& node) {
   if (options_.collect_operator_stats) {
     op_stats_[node.id].bytes_d2h += persist.bytes;
   }
-  return dev->RetrieveData(persist.buffer, output.bytes.data(),
-                           persist.bytes, 0)
-      .WithDevice(persist.device);
+  return hub_.RetrieveData(persist.device, persist.buffer, output.bytes.data(),
+                           persist.bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -906,12 +893,9 @@ Result<std::vector<uint8_t>> RunContext::ReadPersistBytes(int node_id) {
                             " has no persist to read");
   }
   const Persist& persist = it->second;
-  ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev,
-                           manager_->GetDevice(persist.device));
   std::vector<uint8_t> bytes(persist.bytes);
-  ADAMANT_RETURN_NOT_OK(dev->RetrieveData(persist.buffer, bytes.data(),
-                                          persist.bytes, 0)
-                            .WithDevice(persist.device));
+  ADAMANT_RETURN_NOT_OK(hub_.RetrieveData(persist.device, persist.buffer,
+                                          bytes.data(), persist.bytes));
   return bytes;
 }
 
@@ -1033,12 +1017,9 @@ Result<int64_t> RunContext::BindingRows(const Binding& binding) {
   const auto key = std::make_pair(binding.device, binding.count);
   auto it = analyze_counts_.find(key);
   if (it != analyze_counts_.end()) return it->second;
-  ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev,
-                           manager_->GetDevice(binding.device));
   int64_t value = 0;
-  ADAMANT_RETURN_NOT_OK(
-      dev->RetrieveData(binding.count, &value, sizeof(int64_t), 0)
-          .WithDevice(binding.device));
+  ADAMANT_RETURN_NOT_OK(hub_.RetrieveData(binding.device, binding.count,
+                                          &value, sizeof(int64_t)));
   analyze_counts_[key] = value;
   return value;
 }
@@ -1238,9 +1219,6 @@ void RunContext::FinalizeStats() {
           CancelCauseToString(options_.cancel_token->cause());
     }
   }
-  // EXPLAIN ANALYZE export happens before the shared-device early return
-  // below: operator stats use only wall clocks and this run's own counters,
-  // so they are safe (and meaningful) under shared device leases.
   if (options_.collect_operator_stats) FinalizeOperatorStats();
   stats.bytes_h2d += hub_.bytes_host_to_device();
   stats.bytes_d2h += hub_.bytes_device_to_host();
@@ -1255,12 +1233,6 @@ void RunContext::FinalizeStats() {
     stats.devices[i].name =
         manager_->device(static_cast<DeviceId>(i))->name();
   }
-  // The timeline/counter/high-water accessors are unsynchronized and only
-  // meaningful under an exclusive device lease; when the service shares a
-  // device across queries (reset_device_state == false) a neighbour
-  // mutates them under the device's call mutex mid-read, so skip the
-  // snapshot entirely — entries keep just their names.
-  if (!options_.reset_device_state) return;
   for (DeviceId id : used_devices_) {
     // Guard like ReleaseAll: a failed run may list a device that was never
     // valid (unknown graph annotation), and FinalizeStats runs on every

@@ -86,11 +86,12 @@ class RunContext {
   /// to price its split over the pipelines it will run.
   Status Plan();
 
-  /// Plan(), then readies the run's devices (state reset when the options
-  /// ask for it, async mode per the model). `device_override` names the
-  /// devices the run will touch when they cannot be derived from the
-  /// graph's node annotations — RunDeviceParallel passes its device set so
-  /// all partition devices are reset and snapshotted.
+  /// Plan(), then readies the run's devices: resets their clocks, call
+  /// counters and memory high-water marks (the run owns its devices), and
+  /// sets async mode per the model. `device_override` names the devices the
+  /// run will touch when they cannot be derived from the graph's node
+  /// annotations — RunDeviceParallel passes its device set so all
+  /// partition devices are reset and snapshotted.
   Status Prepare(const std::vector<DeviceId>& device_override = {});
 
   /// The single-device run (Section IV): Prepare, then per pipeline
@@ -218,9 +219,8 @@ class RunContext {
                 const Binding& out0, const Binding* out1, size_t base_row,
                 size_t n);
   Status AllocatePersist(const GraphNode& node, size_t input_rows);
-  Status RetrieveStreaming(const GraphNode& node, SimulatedDevice* dev,
-                           const Binding& out0, const Binding* out1,
-                           size_t base_row, size_t n);
+  Status RetrieveStreaming(const GraphNode& node, const Binding& out0,
+                           const Binding* out1, size_t base_row, size_t n);
   Status RetrieveBreaker(const GraphNode& node);
   void FreeAll(std::vector<std::pair<DeviceId, BufferId>>* allocs);
   void ReleaseScanLeases();
@@ -244,9 +244,9 @@ class RunContext {
 
   /// The track a pipeline's events record on: its first node's device.
   int PipelineTrack(const Pipeline& pipeline) const;
-  /// Traced exclusive-lease runs: records the used devices' engine
-  /// bookings on the simulated-clock tracks, in a window of their own
-  /// after every run traced before.
+  /// Traced runs: records the used devices' engine bookings on the
+  /// simulated-clock tracks, in a window of their own after every run
+  /// traced before.
   void RecordSimulatedTimelines();
   /// Closes the open pipeline trace span and, when profiling, appends the
   /// pipeline's wall time / chunk count / per-device busy deltas to the

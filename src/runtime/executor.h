@@ -112,26 +112,14 @@ struct ExecutionOptions {
   ScanBufferCache* scan_cache = nullptr;
   /// Charged/credited for the run's device-memory allocations.
   MemoryChargeListener* memory_listener = nullptr;
-  /// When false, the executor does not reset the devices' timelines, call
-  /// stats and arena high-water marks at query start, and does not snapshot
-  /// them into QueryStats::devices at the end (the accessors are
-  /// unsynchronized; reading them while a neighbour runs would race, and
-  /// the numbers would be meaningless anyway). Set by the service layer
-  /// when several queries share one device (slots_per_device > 1), where a
-  /// mid-run reset would clobber a concurrent query's accounting.
-  bool reset_device_state = true;
   /// Fill QueryStats::profile with run_ms and one obs::PipelineProfile per
-  /// pipeline. Its per-device busy slices need the devices' timeline
-  /// accessors, so they are only collected when reset_device_state is also
-  /// true (exclusive device use).
+  /// pipeline, each with its per-device busy slices.
   bool collect_profile = false;
   /// EXPLAIN ANALYZE: collect the per-operator obs::OperatorStats tree
   /// (rows in/out, kernel wall ms by thread count, launches, bytes, cache
   /// hits, per-device slices) into QueryStats::profile.operators.
-  /// Orthogonal to collect_profile and safe under shared devices — the
-  /// collection uses only wall clocks and this run's own counters, never
-  /// the devices' unsynchronized accessors. Results stay bit-identical to
-  /// an uninstrumented run.
+  /// Orthogonal to collect_profile. Results stay bit-identical to an
+  /// uninstrumented run.
   bool collect_operator_stats = false;
   /// When set, the executor copies the run's QueryStats here on *every*
   /// exit path — including error and cancellation unwinds, where Run()
@@ -207,10 +195,7 @@ struct QueryStats {
   /// One entry per plugged device, indexed by DeviceId. Only the devices
   /// this query's graph actually used carry timing/counter data; the rest
   /// hold just their name (reading another device's live counters would
-  /// race with concurrently-running queries). With
-  /// ExecutionOptions::reset_device_state == false (shared device leases)
-  /// every entry but the device-parallel fields is name-only and
-  /// `elapsed_us` stays 0.
+  /// race with concurrently-running queries).
   std::vector<DeviceRunStats> devices;
   /// Wall-clock phase profile and EXPLAIN ANALYZE tree
   /// (ExecutionOptions::collect_profile / collect_operator_stats).

@@ -140,14 +140,22 @@ Status DataTransferHub::PlaceChunk(DeviceId device, BufferId dst,
   return Status::OK();
 }
 
+Status DataTransferHub::RetrieveData(DeviceId device, BufferId src, void* dst,
+                                     size_t bytes) {
+  ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * dev, manager_->GetDevice(device));
+  ADAMANT_RETURN_NOT_OK(
+      dev->RetrieveData(src, dst, bytes, 0).WithDevice(device));
+  bytes_d2h_ += bytes;
+  D2HBytesCounter()->Add(static_cast<double>(bytes));
+  return Status::OK();
+}
+
 Result<BufferId> DataTransferHub::Router(DeviceId src_device, BufferId src,
                                          DeviceId dst_device, size_t bytes) {
   // Same-device routing is a pure no-op: the data is already resident, so
   // neither transfer counter may be charged.
   if (src_device == dst_device) return src;
   ADAMANT_RETURN_NOT_OK(CheckCancel());
-  ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * from,
-                           manager_->GetDevice(src_device));
   ADAMANT_ASSIGN_OR_RETURN(SimulatedDevice * to,
                            manager_->GetDevice(dst_device));
   // The host is the only interconnect between plugged devices.
@@ -158,11 +166,9 @@ Result<BufferId> DataTransferHub::Router(DeviceId src_device, BufferId src,
       d2h_span.Start(static_cast<int>(src_device), "d2h:route");
       d2h_span.set_args(BytesArgs(bytes));
     }
-    ADAMANT_RETURN_NOT_OK(from->RetrieveData(src, scratch.data(), bytes, 0)
-                              .WithDevice(src_device));
+    ADAMANT_RETURN_NOT_OK(
+        RetrieveData(src_device, src, scratch.data(), bytes));
   }
-  bytes_d2h_ += bytes;
-  D2HBytesCounter()->Add(static_cast<double>(bytes));
   ADAMANT_ASSIGN_OR_RETURN(BufferId dst,
                            PrepareDeviceMemory(to, dst_device, bytes));
   ChargeAllocate(dst_device, bytes);
@@ -202,11 +208,8 @@ Result<BufferId> DataTransferHub::EnsureFormat(DeviceId device, BufferId id,
           d2h_span.Start(static_cast<int>(device), "d2h:transform");
           d2h_span.set_args(BytesArgs(bytes));
         }
-        ADAMANT_RETURN_NOT_OK(
-            dev->RetrieveData(id, scratch.data(), bytes, 0).WithDevice(device));
+        ADAMANT_RETURN_NOT_OK(RetrieveData(device, id, scratch.data(), bytes));
       }
-      bytes_d2h_ += bytes;
-      D2HBytesCounter()->Add(static_cast<double>(bytes));
       ADAMANT_RETURN_NOT_OK(dev->DeleteMemory(id).WithDevice(device));
       ChargeFree(device, bytes);
       ADAMANT_ASSIGN_OR_RETURN(BufferId fresh,

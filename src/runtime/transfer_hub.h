@@ -34,10 +34,10 @@ class DataTransferHub {
   void set_scan_cache(ScanBufferCache* cache) { scan_cache_ = cache; }
   ScanBufferCache* scan_cache() const { return scan_cache_; }
   /// Cooperative cancellation for the owning run (not owned, may be null):
-  /// H2D/D2H entry points (LoadData / LoadColumnChunk / PlaceChunk / Router)
-  /// bail with the token's status before moving bytes, so a cancelled run
-  /// stops transferring at the next chunk instead of streaming to the end.
-  /// Teardown paths (FreeBuffer*, EnsureFormat cleanup) never check it —
+  /// LoadData / LoadColumnChunk / PlaceChunk / Router bail with the token's
+  /// status before moving bytes, so a cancelled run stops transferring at
+  /// the next chunk instead of streaming to the end. RetrieveData and the
+  /// teardown paths (FreeBuffer*, EnsureFormat cleanup) never check it —
   /// unwinding must always complete.
   void set_cancel_token(CancelToken* token) { cancel_ = token; }
   CancelToken* cancel_token() const { return cancel_; }
@@ -59,6 +59,11 @@ class DataTransferHub {
   /// Places a chunk of host data into an existing device buffer.
   Status PlaceChunk(DeviceId device, BufferId dst, const void* src,
                     size_t bytes, size_t dst_offset = 0);
+
+  /// retrieve_data(): reads `bytes` of `src` on `device` back to host `dst`
+  /// and counts them as D2H. Adds no cancellation point: a run checks its
+  /// token at pipeline and chunk boundaries.
+  Status RetrieveData(DeviceId device, BufferId src, void* dst, size_t bytes);
 
   /// router(): makes the content of `src` (on `src_device`) available on
   /// `dst_device`. Cross-device movement goes through the host (retrieve +

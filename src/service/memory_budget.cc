@@ -4,23 +4,6 @@
 
 namespace adamant {
 
-bool MemoryBudget::TryReserve(size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (reserved_ + bytes > capacity_) return false;
-  reserved_ += bytes;
-  return true;
-}
-
-void MemoryBudget::Release(size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  reserved_ -= std::min(reserved_, bytes);
-}
-
-size_t MemoryBudget::reserved() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reserved_;
-}
-
 void MemoryBudget::Charge(size_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   live_ += bytes;

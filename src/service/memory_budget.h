@@ -11,16 +11,13 @@
 namespace adamant {
 
 /// Admission-control budget for one device's memory, in *nominal* bytes
-/// (see SimContext::data_scale). Two independent meters:
-///
-///  - `reserved`: the sum of footprint *estimates* of queries currently
-///    admitted onto the device. The scheduler calls TryReserve before
-///    dispatching and Release when the query finishes; a query whose
-///    estimate does not fit waits in the queue instead of OOM-failing
-///    mid-run.
-///  - `live`: the bytes the transfer hub has actually allocated, charged
-///    through the MemoryLedger listener. Pure observability — it validates
-///    the estimates and feeds ServiceStats.
+/// (see SimContext::data_scale). Admission compares a query's footprint
+/// estimate with `capacity`: the service leases each device to one query at
+/// a time, so a query whose estimate fits may run on the device, and one
+/// that fits no eligible device is rejected at Submit instead of
+/// OOM-failing mid-run. The `live` meter holds the bytes the transfer hub
+/// actually allocated, charged through the MemoryLedger listener; it
+/// validates the estimates and feeds ServiceStats.
 ///
 /// Thread-safe.
 class MemoryBudget {
@@ -29,16 +26,10 @@ class MemoryBudget {
 
   MemoryBudget(MemoryBudget&& other) noexcept
       : capacity_(other.capacity_),
-        reserved_(other.reserved_),
         live_(other.live_),
         live_high_water_(other.live_high_water_) {}
 
   size_t capacity() const { return capacity_; }
-
-  /// Reserves `bytes` if the budget admits it; false leaves it untouched.
-  bool TryReserve(size_t bytes);
-  void Release(size_t bytes);
-  size_t reserved() const;
 
   void Charge(size_t bytes);
   void Credit(size_t bytes);
@@ -48,7 +39,6 @@ class MemoryBudget {
  private:
   mutable std::mutex mu_;
   size_t capacity_;
-  size_t reserved_ = 0;
   size_t live_ = 0;
   size_t live_high_water_ = 0;
 };

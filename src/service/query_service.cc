@@ -42,7 +42,7 @@ QueryService::QueryService(DeviceManager* manager, ServiceConfig config)
       config_(config),
       start_time_(std::chrono::steady_clock::now()),
       queue_(kMaxQueue),
-      slots_(manager->num_devices(), std::max<size_t>(config.slots_per_device, 1)),
+      slots_(manager->num_devices()),
       health_(manager->num_devices(), config.health),
       jitter_rng_(kJitterSeed) {
   // All counters live in the per-service registry; the pointers below are
@@ -53,8 +53,6 @@ QueryService::QueryService(DeviceManager* manager, ServiceConfig config)
   completed_ = metrics_.GetCounter("adamant_service_completed_total");
   failed_ = metrics_.GetCounter("adamant_service_failed_total");
   rejected_ = metrics_.GetCounter("adamant_service_rejected_total");
-  budget_deferrals_ =
-      metrics_.GetCounter("adamant_service_budget_deferrals_total");
   retries_ = metrics_.GetCounter("adamant_service_retries_total");
   requeues_ = metrics_.GetCounter("adamant_service_requeues_total");
   quarantines_ = metrics_.GetCounter("adamant_service_quarantines_total");
@@ -108,12 +106,10 @@ QueryService::QueryService(DeviceManager* manager, ServiceConfig config)
   for (size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  // The watchdog doubles as the deadline evictor, so it runs whenever
-  // either duty is on. It only takes mu_ briefly per poll; with neither
-  // deadlines nor watched runs present each poll is a no-op scan.
-  if (config_.slo.watchdog_factor > 0 || config_.slo.evict_lapsed) {
-    watchdog_ = std::thread([this] { WatchdogLoop(); });
-  }
+  // The watchdog doubles as the deadline evictor, so it always runs. It
+  // only takes mu_ briefly per poll; with neither deadlines nor watched
+  // runs present each poll is a no-op scan.
+  watchdog_ = std::thread([this] { WatchdogLoop(); });
 }
 
 QueryService::~QueryService() { Stop(); }
@@ -172,26 +168,28 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
       Compile(spec, nullptr, probe_device, std::move(probe_options)));
   const size_t estimate = probe.memory_bytes;
 
-  // A lease reserves the estimate on `want` devices at once, so a query
-  // that fewer than `want` eligible budgets can hold would wait forever —
-  // reject it up front. One that merely exceeds what is free *right now*
-  // queues below.
-  size_t fitting = 0;
-  for (size_t i = 0; i < manager_->num_devices(); ++i) {
-    const auto device = static_cast<DeviceId>(i);
-    const auto& eligible = spec.eligible_devices;
-    if ((eligible.empty() || std::find(eligible.begin(), eligible.end(),
-                                       device) != eligible.end()) &&
-        ledger_->budget(device).capacity() >= estimate) {
-      ++fitting;
+  // Every lease comes from the eligible devices whose budget holds the
+  // estimate, so a query that fewer than `want` of them can hold would wait
+  // forever — reject it up front.
+  std::vector<DeviceId> fitting;
+  auto consider = [&](DeviceId device) {
+    if (ledger_->budget(device).capacity() >= estimate) {
+      fitting.push_back(device);
     }
+  };
+  if (spec.eligible_devices.empty()) {
+    for (size_t i = 0; i < manager_->num_devices(); ++i) {
+      consider(static_cast<DeviceId>(i));
+    }
+  } else {
+    for (DeviceId device : spec.eligible_devices) consider(device);
   }
 
   auto query = std::make_shared<QueuedQuery>();
   query->spec = std::move(spec);
   query->ticket = std::make_shared<QueryTicket>();
   query->ticket->name_ = query->spec.name;
-  query->estimate_bytes = estimate;
+  query->fitting_devices = std::move(fitting);
   query->submit_time = std::chrono::steady_clock::now();
   query->predicted_sim_us = probe.prices.front().cost_us;
   query->sql = std::move(probe.query);
@@ -214,13 +212,13 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
                               "\",\"reason\":\"" + reason + "\"}");
       }
     };
-    if (fitting < want) {
+    if (query->fitting_devices.size() < want) {
       reject_event("estimate_over_budget");
       return Status::OutOfMemory(
           query->spec.name + ": footprint estimate (" +
           std::to_string(estimate) + " B) fits the memory budget of " +
-          std::to_string(fitting) + " eligible device(s); the lease needs " +
-          std::to_string(want));
+          std::to_string(query->fitting_devices.size()) +
+          " eligible device(s); the lease needs " + std::to_string(want));
     }
     if (stopping_) {
       reject_event("stopping");
@@ -233,7 +231,7 @@ Result<std::shared_ptr<QueryTicket>> QueryService::Submit(QuerySpec spec) {
       return Status::OutOfMemory("admission queue is full (" +
                                  std::to_string(kMaxQueue) + ")");
     }
-    if (query->has_deadline && config_.slo.shed_on_admission) {
+    if (query->has_deadline) {
       // Shed, don't enqueue: when predicted run time plus predicted queue
       // wait already overshoots the deadline, enqueueing only burns a
       // device slot on work whose result nobody can use. Queue wait is
@@ -305,7 +303,7 @@ void QueryService::WorkerLoop() {
         if (stopping_ && queue_.empty()) return;
         const auto now = std::chrono::steady_clock::now();
         // Deadline housekeeping first: work whose deadline (or client
-        // token) already tripped must not consume the slot this worker is
+        // token) already tripped must not consume the device this worker is
         // about to lease.
         EvictLapsedLocked(now);
         if (stopping_ && queue_.empty()) return;
@@ -314,31 +312,18 @@ void QueryService::WorkerLoop() {
         // nothing is dispatchable now, the wait below wakes at it instead
         // of sleeping forever with work pending.
         auto wake = std::chrono::steady_clock::time_point::max();
-        // Pick-query-and-device atomically: first admissible query in
-        // priority/FIFO order, placed on its least-loaded eligible device,
-        // with the device budget reserved. A query blocked only by budget
-        // stays queued (budget_deferrals) until a completion frees bytes.
-        query = queue_.PopFirst([&](QueuedQuery& candidate) {
+        // Pick-query-and-device atomically: the first admissible query in
+        // priority/FIFO order, leased on free devices that can hold it.
+        query = queue_.PopFirst([&](const QueuedQuery& candidate) {
           if (candidate.not_before > now) {  // retry still backing off
             wake = std::min(wake, candidate.not_before);
             return false;
           }
-          // Candidate devices: eligible ∩ placeable (health) ∖ excluded
-          // (prior failed attempts). When the exclusions would cover every
-          // placeable device they are dropped — a retry that has tried
-          // everyone must be allowed back rather than starve.
+          // Candidate devices: those that can hold the query ∩ placeable
+          // (health), then ∖ excluded (prior failed attempts).
           candidates.clear();
-          auto placeable = [&](DeviceId d) {
-            if (!health_.Placeable(d, now)) return false;
-            candidates.push_back(d);
-            return true;
-          };
-          if (candidate.spec.eligible_devices.empty()) {
-            for (size_t i = 0; i < slots_.num_devices(); ++i) {
-              placeable(static_cast<DeviceId>(i));
-            }
-          } else {
-            for (DeviceId d : candidate.spec.eligible_devices) placeable(d);
+          for (DeviceId d : candidate.fitting_devices) {
+            if (health_.Placeable(d, now)) candidates.push_back(d);
           }
           if (candidates.empty()) return false;  // all quarantined: wait
           std::vector<DeviceId> allowed;
@@ -355,35 +340,11 @@ void QueryService::WorkerLoop() {
           // dropped (for want == 1 that is the empty case): a retry that
           // has tried everyone must be allowed back rather than starve.
           if (allowed.size() < want) allowed = candidates;
-          // The lease: a slot plus the per-device budget on `want` devices
-          // at once, or nothing. Free-slot devices are tried in
-          // least-loaded order and each whose budget also covers the
-          // estimate joins, so a query that fits only the larger of two
-          // budgets is not pinned forever to the smaller device by a
-          // slot-count tie-break. The estimate is a per-device bound (each
-          // partition holds every persist plus its own transients), so the
-          // full amount is reserved on each.
-          auto fits = [&](DeviceId d) {
-            return ledger_->budget(d).TryReserve(candidate.estimate_bytes);
-          };
-          bool had_free_slot = false;
-          std::vector<DeviceId> set =
-              slots_.PickLeastLoadedSet(allowed, want, fits, &had_free_slot);
-          if (set.size() == want) {
-            placed = std::move(set);
-            return true;
-          }
-          // A partial lease releases its reservations and the query stays
-          // queued. Blocked by budget (not slots): count the deferral once
-          // per release epoch, not once per queue scan.
-          for (DeviceId d : set) {
-            ledger_->budget(d).Release(candidate.estimate_bytes);
-          }
-          if (had_free_slot && candidate.deferral_epoch != release_epoch_) {
-            candidate.deferral_epoch = release_epoch_;
-            budget_deferrals_->Increment();
-          }
-          return false;
+          // The lease: `want` free devices at once, or nothing.
+          std::vector<DeviceId> set = slots_.PickFreeSet(allowed, want);
+          if (set.size() < want) return false;
+          placed = std::move(set);
+          return true;
         });
         if (query != nullptr) break;
         wake = std::min(wake, health_.NextProbeTime());
@@ -463,10 +424,8 @@ void QueryService::WorkerLoop() {
       active_runs_.erase(run_id);
       for (DeviceId d : placed) {
         slots_.Release(d);
-        ledger_->budget(d).Release(query->estimate_bytes);
         busy_ms_by_device_[static_cast<size_t>(d)]->Add(attempt_ms);
       }
-      ++release_epoch_;  // budget state changed: deferrals may count again
       --active_;
       if (was_cancelled) {
         cancelled_->Increment();
@@ -526,7 +485,6 @@ void QueryService::WorkerLoop() {
                       std::chrono::steady_clock::duration>(
                       std::chrono::duration<double, std::milli>(
                           BackoffMs(query->attempt)));
-        query->deferral_epoch = 0;
         queue_.Push(query);
         requeued = true;
       } else {
@@ -615,8 +573,8 @@ void QueryService::WorkerLoop() {
         }
       }
     }
-    // A finished attempt freed a slot and budget bytes: every waiting
-    // worker re-evaluates the queue (a deferred query may fit now).
+    // A finished attempt freed its devices: every waiting worker
+    // re-evaluates the queue.
     dispatch_cv_.notify_all();
     if (requeued) continue;
     idle_cv_.notify_all();
@@ -631,7 +589,6 @@ double QueryService::PredictRunMs(const QueuedQuery& query) const {
 
 void QueryService::EvictLapsedLocked(
     std::chrono::steady_clock::time_point now) {
-  if (!config_.slo.evict_lapsed) return;
   std::vector<std::shared_ptr<QueuedQuery>> lapsed =
       queue_.EvictIf([&](const QueuedQuery& q) {
         if (q.has_deadline && q.deadline <= now) return true;
@@ -773,9 +730,6 @@ Result<QueryExecution> QueryService::RunOne(
   run.cancel_token = token;
   run.scan_cache = cache_.get();
   run.memory_listener = ledger_.get();
-  // With exclusive device leases each run may reset its device's clocks and
-  // counters; with shared devices that would clobber a neighbour mid-run.
-  run.reset_device_state = config_.slots_per_device <= 1;
   // Every served query carries its phase profile and EXPLAIN ANALYZE
   // operator tree on the ticket (bit-identical results, a few clock reads
   // and count retrievals per chunk). The tree feeds the q-error histograms,
@@ -824,7 +778,6 @@ ServiceStats QueryService::GetStats() const {
     stats.completed = count(completed_);
     stats.failed = count(failed_);
     stats.rejected = count(rejected_);
-    stats.budget_deferrals = count(budget_deferrals_);
     stats.retries = count(retries_);
     stats.requeues = count(requeues_);
     stats.quarantines = count(quarantines_);
@@ -854,7 +807,6 @@ ServiceStats QueryService::GetStats() const {
       const MemoryBudget& budget =
           ledger_->budget(static_cast<DeviceId>(i));
       entry.budget_capacity = budget.capacity();
-      entry.budget_reserved = budget.reserved();
       entry.live_high_water = budget.live_high_water();
       entry.quarantined = health_.quarantined(static_cast<DeviceId>(i));
       entry.consecutive_failures =
@@ -903,7 +855,6 @@ std::string ServiceStats::ToJson() const {
   out << "\"submitted\":" << submitted << ",\"admitted\":" << admitted
       << ",\"completed\":" << completed << ",\"failed\":" << failed
       << ",\"rejected\":" << rejected
-      << ",\"budget_deferrals\":" << budget_deferrals
       << ",\"retries\":" << retries << ",\"requeues\":" << requeues
       << ",\"quarantines\":" << quarantines
       << ",\"fault_unwinds\":" << fault_unwinds << ",\"probes\":" << probes
@@ -925,7 +876,6 @@ std::string ServiceStats::ToJson() const {
         << ",\"completed\":" << entry.completed
         << ",\"busy_fraction\":" << entry.busy_fraction
         << ",\"budget_capacity\":" << entry.budget_capacity
-        << ",\"budget_reserved\":" << entry.budget_reserved
         << ",\"live_high_water\":" << entry.live_high_water
         << ",\"quarantined\":" << (entry.quarantined ? "true" : "false")
         << ",\"consecutive_failures\":" << entry.consecutive_failures << "}";

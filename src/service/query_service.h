@@ -34,7 +34,8 @@ namespace adamant {
 /// exponential-backoff deadline: 1 ms doubling per attempt, capped at
 /// 100 ms, with ±50% jitter from a seeded RNG, so same-seed runs back off
 /// identically. Exclusions are cleared when they would cover every eligible
-/// device, so a retry can return to a recovered device rather than starve.
+/// device whose budget holds the query, so a retry can return to a
+/// recovered device rather than starve.
 struct RetryPolicy {
   /// Total attempts including the first; 1 disables retry.
   size_t max_attempts = 3;
@@ -44,16 +45,11 @@ struct RetryPolicy {
 /// load shedding"). Predictions come from the service's plan::Calibration:
 /// the plan's static price rescaled by observed completions, floored at
 /// 5 ms so a cold (uncalibrated) service is permissive rather than
-/// trigger-happy.
+/// trigger-happy. A query with a deadline is always shed at Submit when
+/// predicted run time plus predicted queue wait cannot meet it, and a
+/// queued query whose deadline (or client CancelToken) has tripped is
+/// always evicted, by dispatching workers and by the watchdog thread.
 struct SloPolicy {
-  /// Shed at Submit when predicted run time plus predicted queue wait
-  /// cannot meet the query's deadline. Shedding fails fast with
-  /// DeadlineExceeded instead of enqueueing doomed work.
-  bool shed_on_admission = true;
-  /// Evict queued queries whose deadline (or client CancelToken) has
-  /// already tripped; checked by dispatching workers and by the watchdog
-  /// thread, so eviction does not depend on a worker going idle.
-  bool evict_lapsed = true;
   /// Watchdog: cancel an in-flight run once its wall time exceeds
   /// watchdog_factor × predicted run time. The cancellation is tagged with
   /// the run's primary device, so DeviceHealth treats a chronic straggler
@@ -65,12 +61,9 @@ struct SloPolicy {
 };
 
 struct ServiceConfig {
-  /// Worker threads draining the admission queue.
+  /// Worker threads draining the admission queue. Each device runs one
+  /// query at a time.
   size_t workers = 4;
-  /// Concurrent queries per device. 1 (default) leases each device
-  /// exclusively: per-query timing stays exact. >1 interleaves queries on
-  /// the shared simulated device: results stay exact, timing approximate.
-  size_t slots_per_device = 1;
   /// Per-device admission budget in nominal bytes; 0 = the device arena's
   /// capacity minus the column-cache budget, so cache residency and query
   /// working sets cannot jointly overcommit the arena.
@@ -120,12 +113,6 @@ struct ServiceStats {
   size_t completed = 0;
   size_t failed = 0;
   size_t rejected = 0;  // queue full or estimate beyond the lease's budgets
-  /// Times a query with a free device slot had to stay queued because no
-  /// eligible device's memory budget could cover its footprint estimate
-  /// yet. Counted at most once per query per release epoch (a completion
-  /// freeing budget starts a new epoch), so the counter tracks distinct
-  /// deferral events rather than queue-scan frequency.
-  size_t budget_deferrals = 0;
   /// Fault-handling counters (docs/serving.md "Fault handling").
   size_t retries = 0;       // dispatches beyond a query's first attempt
   size_t requeues = 0;      // transient failures put back on the queue
@@ -154,11 +141,9 @@ struct ServiceStats {
   struct DeviceEntry {
     std::string name;
     size_t completed = 0;
-    /// Fraction of the service's wall time this device was running a query
-    /// (can exceed 1 when slots_per_device > 1).
+    /// Fraction of the service's wall time this device was running a query.
     double busy_fraction = 0;
     size_t budget_capacity = 0;
-    size_t budget_reserved = 0;
     size_t live_high_water = 0;
     bool quarantined = false;
     size_t consecutive_failures = 0;
@@ -172,11 +157,10 @@ struct ServiceStats {
 
 /// The service layer above the runtime (ROADMAP: "production-scale
 /// serving"): owns the DeviceManager's serving policy — a bounded two-level
-/// admission queue, worker threads leasing devices through a per-device
-/// slot table with least-loaded placement, per-device memory budgets that
-/// make over-committed queries wait instead of OOM-failing, and a
-/// cross-query device column cache that lets repeated scans skip their H2D
-/// transfers.
+/// admission queue, worker threads leasing each device to one query at a
+/// time, per-device memory budgets that reject a query no eligible device
+/// can hold instead of letting it OOM-fail, and a cross-query device column
+/// cache that lets repeated scans skip their H2D transfers.
 ///
 /// The manager must come fully provisioned (drivers added, kernels bound);
 /// the service adds no devices of its own.
@@ -294,9 +278,6 @@ class QueryService {
   std::map<uint64_t, ActiveRun> active_runs_;
   uint64_t next_run_id_ = 1;
   std::condition_variable watchdog_cv_;  // wakes WatchdogLoop (stop)
-  /// Bumped (under mu_) whenever a completion releases slot + budget;
-  /// budget deferrals count at most once per query per epoch.
-  uint64_t release_epoch_ = 1;
 
   // Service metrics: one registry per service instance so concurrent
   // services in one process stay independent. The instrument pointers are
@@ -309,7 +290,6 @@ class QueryService {
   obs::Counter* completed_;
   obs::Counter* failed_;
   obs::Counter* rejected_;
-  obs::Counter* budget_deferrals_;
   obs::Counter* retries_;
   obs::Counter* requeues_;
   obs::Counter* quarantines_;

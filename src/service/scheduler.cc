@@ -30,7 +30,7 @@ void AdmissionQueue::Push(std::shared_ptr<QueuedQuery> query) {
 }
 
 std::shared_ptr<QueuedQuery> AdmissionQueue::PopFirst(
-    const std::function<bool(QueuedQuery&)>& admit) {
+    const std::function<bool(const QueuedQuery&)>& admit) {
   for (auto* level : {&high_, &normal_}) {
     for (auto it = level->begin(); it != level->end(); ++it) {
       if (admit(**it)) {
@@ -59,29 +59,12 @@ std::vector<std::shared_ptr<QueuedQuery>> AdmissionQueue::EvictIf(
   return evicted;
 }
 
-std::vector<DeviceId> DeviceSlotTable::PickLeastLoadedSet(
-    const std::vector<DeviceId>& eligible, size_t count,
-    const std::function<bool(DeviceId)>& fits, bool* had_free_slot) const {
-  std::vector<DeviceId> candidates;
-  auto consider = [&](DeviceId device) {
-    if (HasFree(device)) candidates.push_back(device);
-  };
-  if (eligible.empty()) {
-    for (size_t i = 0; i < active_.size(); ++i) {
-      consider(static_cast<DeviceId>(i));
-    }
-  } else {
-    for (DeviceId device : eligible) consider(device);
-  }
-  if (had_free_slot != nullptr) *had_free_slot = candidates.size() >= count;
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [this](DeviceId a, DeviceId b) {
-                     return active(a) < active(b);
-                   });
+std::vector<DeviceId> DeviceSlotTable::PickFreeSet(
+    const std::vector<DeviceId>& candidates, size_t count) const {
   std::vector<DeviceId> set;
   for (DeviceId device : candidates) {
     if (set.size() == count) break;
-    if (fits(device)) set.push_back(device);
+    if (!busy_[static_cast<size_t>(device)]) set.push_back(device);
   }
   std::sort(set.begin(), set.end());
   return set;

@@ -52,12 +52,11 @@ struct QuerySpec {
   std::vector<DeviceId> eligible_devices;
   /// Devices to lease together for one run. 1 (default) is the classic
   /// single-device lease. >1 requires options.model == kDeviceParallel: the
-  /// scheduler atomically leases that many devices (a slot AND the query's
-  /// footprint estimate reserved on each — the estimate is a per-device
-  /// bound under the chunk split) and the run splits its chunk range across
-  /// them. The query stays queued until that many devices qualify at once;
-  /// Submit rejects it with OutOfMemory when fewer than that many eligible
-  /// devices have a budget that can hold the estimate.
+  /// scheduler atomically leases that many free devices whose budget holds
+  /// the query's footprint estimate (a per-device bound under the chunk
+  /// split) and the run splits its chunk range across them. The query
+  /// stays queued until that many are free at once; Submit rejects it with
+  /// OutOfMemory when fewer than that many eligible budgets can hold it.
   size_t parallel_devices = 1;
 };
 
@@ -108,16 +107,16 @@ class QueryTicket {
   std::shared_ptr<const CompiledPlan> plan_;
 };
 
-/// A queued query: spec + ticket + the admission-control footprint estimate.
+/// A queued query: spec + ticket + the devices that can hold it.
 struct QueuedQuery {
   QuerySpec spec;
   std::shared_ptr<QueryTicket> ticket;
-  size_t estimate_bytes = 0;  // nominal, from EstimateDeviceMemoryBytes
+  /// The eligible devices whose budget holds the query's footprint estimate
+  /// (EstimateDeviceMemoryBytes, nominal bytes), in eligible-list order
+  /// (ascending id when any device is eligible). Every lease comes from
+  /// this list.
+  std::vector<DeviceId> fitting_devices;
   std::chrono::steady_clock::time_point submit_time;
-  /// Release epoch (see QueryService) at which this query last counted a
-  /// budget deferral, so a deferred query counts once per state change —
-  /// not once per queue scan.
-  uint64_t deferral_epoch = 0;
   /// Retry bookkeeping (see QueryService's RetryPolicy). `attempt` counts
   /// dispatches so far; after a transient failure the query is requeued
   /// with the failing device appended to `excluded_devices` and a backoff
@@ -152,10 +151,9 @@ class AdmissionQueue {
 
   /// Removes and returns the first query (priority order, FIFO within a
   /// level) for which `admit` returns true; nullptr when none qualifies.
-  /// Skipped queries keep their position (`admit` may update their
-  /// bookkeeping fields, e.g. deferral_epoch).
+  /// Skipped queries keep their position.
   std::shared_ptr<QueuedQuery> PopFirst(
-      const std::function<bool(QueuedQuery&)>& admit);
+      const std::function<bool(const QueuedQuery&)>& admit);
 
   /// Removes and returns every query for which `evict` returns true, in
   /// queue order. Used for deadline eviction: the caller completes the
@@ -170,43 +168,23 @@ class AdmissionQueue {
   std::deque<std::shared_ptr<QueuedQuery>> normal_;
 };
 
-/// Per-device lease slots: a device runs at most `slots_per_device`
-/// concurrent queries (1 = exclusive, the default — timing stays exact; >1
-/// shares the simulated device, results stay exact but per-query timing is
-/// approximate). Not internally synchronized (see AdmissionQueue).
+/// One busy flag per device: the service leases each device to one query
+/// at a time, so a run owns its device's clocks and counters. Not
+/// internally synchronized (see AdmissionQueue).
 class DeviceSlotTable {
  public:
-  DeviceSlotTable(size_t num_devices, size_t slots_per_device)
-      : slots_per_device_(slots_per_device), active_(num_devices, 0) {}
+  explicit DeviceSlotTable(size_t num_devices) : busy_(num_devices, false) {}
 
-  size_t num_devices() const { return active_.size(); }
-  size_t active(DeviceId device) const {
-    return active_[static_cast<size_t>(device)];
-  }
-  bool HasFree(DeviceId device) const {
-    return active(device) < slots_per_device_;
-  }
-  void Acquire(DeviceId device) { ++active_[static_cast<size_t>(device)]; }
-  void Release(DeviceId device) { --active_[static_cast<size_t>(device)]; }
+  void Acquire(DeviceId device) { busy_[static_cast<size_t>(device)] = true; }
+  void Release(DeviceId device) { busy_[static_cast<size_t>(device)] = false; }
 
-  /// The devices of a lease: candidates among `eligible` (empty = all)
-  /// with a free slot are tried in ascending-load order (ties keep
-  /// eligible-list order; ascending id when empty), and each one `fits`
-  /// accepts joins the set, stopping at `count`. So e.g. budget headroom,
-  /// not just slot counts, decides placement. Returns the accepted devices
-  /// sorted by id — possibly fewer than `count`, in which case the caller
-  /// must undo whatever reservations its `fits` callback made for the
-  /// partial set. `had_free_slot` (optional) reports whether at least
-  /// `count` devices had a free slot, distinguishing "slots busy" from
-  /// "slots free but too few candidates accepted".
-  std::vector<DeviceId> PickLeastLoadedSet(
-      const std::vector<DeviceId>& eligible, size_t count,
-      const std::function<bool(DeviceId)>& fits,
-      bool* had_free_slot = nullptr) const;
+  /// The first `count` free devices among `candidates`, sorted by id;
+  /// fewer when fewer are free.
+  std::vector<DeviceId> PickFreeSet(const std::vector<DeviceId>& candidates,
+                                    size_t count) const;
 
  private:
-  size_t slots_per_device_;
-  std::vector<size_t> active_;
+  std::vector<bool> busy_;
 };
 
 }  // namespace adamant

@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "device/device_manager.h"
+#include "plan/tpch_plans.h"
 #include "runtime/executor.h"
 #include "runtime/primitive_graph.h"
 #include "task/kernel_registry.h"
+#include "tpch/tpch_gen.h"
 
 namespace adamant {
 namespace {
@@ -216,6 +218,20 @@ TEST_F(ExecutorTest, CrossDevicePipelineRoutesThroughHost) {
   EXPECT_EQ(*exec->AggValue(agg), int64_t{499} * 500 / 2);
   EXPECT_GT(exec->stats.bytes_d2h, 0u)
       << "cross-device edges round-trip through the host";
+}
+
+TEST_F(ExecutorTest, ResultReadsCountAsDeviceToHostBytes) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto catalog = tpch::Generate(config);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  auto bundle = plan::BuildQ6(**catalog, {}, gpu_);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  QueryExecutor executor(&manager_);
+  auto exec = executor.Run(bundle->graph.get(), {});
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  // Q6's one result, an int64 revenue, is every byte the run reads back.
+  EXPECT_EQ(exec->stats.bytes_d2h, sizeof(int64_t));
 }
 
 TEST_F(ExecutorTest, PipelinedNotSlowerThanChunked) {

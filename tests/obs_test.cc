@@ -455,6 +455,17 @@ TEST(ProfileTest, ProfileOffByDefaultAndServiceTicketCarriesIt) {
   const obs::QueryProfile& profile = result->stats.profile;
   EXPECT_GT(profile.run_ms, 0.0);
   EXPECT_FALSE(profile.pipelines.empty());
+  // The run owned its device, so the record carries the device's numbers:
+  // the simulated clock, its calls, and every pipeline's busy slice on it.
+  EXPECT_GT(result->stats.elapsed_us, 0.0);
+  const DeviceId placed = (*ticket)->placed_device();
+  ASSERT_GE(placed, 0);
+  EXPECT_GT(result->stats.devices[static_cast<size_t>(placed)].execute_calls,
+            0u);
+  for (const obs::PipelineProfile& pipeline : profile.pipelines) {
+    ASSERT_EQ(pipeline.devices.size(), 1u) << "pipeline " << pipeline.index;
+    EXPECT_EQ(pipeline.devices[0].device, placed);
+  }
   service.Drain();
 }
 

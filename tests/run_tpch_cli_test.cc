@@ -254,10 +254,12 @@ TEST(RunTpchCli, TracedParallelKernels) {
 }
 
 TEST(RunTpchCli, TracedMultiDevice) {
-  // Unfused, so every primitive launches as its own kernel span.
+  // Unfused, so every primitive launches as its own kernel span; two chunks
+  // (--nominal-sf), so both devices run a partition.
   const std::string trace = TracePath("multidevice");
-  const std::string output =
-      RunOk("--query=6 --devices=2 --fusion=off --verify --trace=" + trace);
+  const std::string output = RunOk(
+      "--query=6 --devices=2 --nominal-sf=10 --fusion=off --verify --trace=" +
+      trace);
   EXPECT_NE(output.find("\"devices\":2"), std::string::npos) << output;
   EXPECT_NE(output.find("verification: MATCH"), std::string::npos) << output;
   CheckTrace(trace, {{"pipeline"}, {"chunk"}, {"kernel"}, {"h2d"}});
@@ -299,10 +301,21 @@ TEST(RunTpchCli, TraceCarriesEverySimulatedDeviceAndQuery) {
 // --- The CLI and service smokes and soaks ---------------------------------
 
 TEST(RunTpchCli, MultiDeviceSmoke) {
-  const std::string output = RunOk("--query=6 --devices=2");
+  // --nominal-sf gives Q6 two chunks, so both devices run a partition.
+  const std::string output = RunOk("--query=6 --devices=2 --nominal-sf=10");
   EXPECT_NE(output.find("\"model\":\"device-parallel\""), std::string::npos)
       << output;
   EXPECT_NE(output.find("\"devices\":2"), std::string::npos) << output;
+}
+
+TEST(RunTpchCli, DeviceParallelLineCountsTheDevicesThatRan) {
+  // Q6 at SF 0.01 is one chunk, so the run collapses the two-device set.
+  const std::string output =
+      RunOk("--query=6 --sf=0.01 --verify --devices=0,1 --no-rebalance");
+  EXPECT_NE(output.find("\"devices\":1,\"chunks\":{\"0\":1}"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("verification: MATCH"), std::string::npos) << output;
 }
 
 TEST(RunTpchCli, SqlSmoke) {

@@ -1,6 +1,6 @@
 // Service-layer tests: scheduler determinism against serial runs, memory
-// budgets (queue instead of OOM), the cross-query device column cache, and
-// the scheduler building blocks.
+// budgets (lease only devices that can hold a query), the cross-query
+// device column cache, and the scheduler building blocks.
 
 #include <gtest/gtest.h>
 
@@ -63,17 +63,6 @@ QuerySpec SpecFor(const Catalog* catalog, int kind) {
 
 // --- Scheduler building blocks -------------------------------------------
 
-TEST(MemoryBudgetTest, ReserveWithinCapacity) {
-  MemoryBudget budget(100);
-  EXPECT_TRUE(budget.TryReserve(60));
-  EXPECT_FALSE(budget.TryReserve(50));  // 60 + 50 > 100, untouched
-  EXPECT_EQ(budget.reserved(), 60u);
-  EXPECT_TRUE(budget.TryReserve(40));
-  budget.Release(60);
-  EXPECT_EQ(budget.reserved(), 40u);
-  EXPECT_TRUE(budget.TryReserve(60));
-}
-
 TEST(MemoryBudgetTest, LiveChargeTracksHighWater) {
   MemoryBudget budget(100);
   budget.Charge(30);
@@ -116,50 +105,19 @@ TEST(AdmissionQueueTest, PopFirstSkipsInadmissible) {
   EXPECT_EQ(queue.size(), 2u);  // a and c keep their places
 }
 
-TEST(DeviceSlotTableTest, LeastLoadedPlacement) {
-  DeviceSlotTable slots(3, 2);
-  auto pick = [&slots](const std::vector<DeviceId>& eligible) {
-    return slots.PickLeastLoadedSet(eligible, 1,
-                                    [](DeviceId) { return true; });
-  };
+TEST(DeviceSlotTableTest, PicksFirstFreeCandidatesSortedById) {
+  DeviceSlotTable slots(3);
   using Set = std::vector<DeviceId>;
-  EXPECT_EQ(pick({}), Set{0});
+  EXPECT_EQ(slots.PickFreeSet({0, 1, 2}, 1), Set{0});
+  // Candidate order decides which free devices join; the set is by id.
+  EXPECT_EQ(slots.PickFreeSet({2, 0, 1}, 2), (Set{0, 2}));
   slots.Acquire(0);
-  EXPECT_EQ(pick({}), Set{1});
-  slots.Acquire(1);
-  slots.Acquire(1);  // device 1 full
-  EXPECT_EQ(pick({1}), Set{});
-  EXPECT_EQ(pick({1, 2}), Set{2});
-  slots.Release(1);
-  EXPECT_EQ(pick({1}), Set{1});
-}
-
-TEST(DeviceSlotTableTest, PredicateFallsThroughToNextLeastLoaded) {
-  DeviceSlotTable slots(3, 1);
-  using Set = std::vector<DeviceId>;
-  // Device 0 is least loaded, but the predicate (no budget headroom, say)
-  // rejects it: placement must fall through to the next candidate instead
-  // of giving up.
-  bool had_free_slot = false;
-  EXPECT_EQ(slots.PickLeastLoadedSet(
-                {}, 1, [](DeviceId device) { return device != 0; },
-                &had_free_slot),
-            Set{1});
-  EXPECT_TRUE(had_free_slot);
-  // Every candidate rejected: no device, but free slots were seen
-  // (deferral).
-  EXPECT_EQ(slots.PickLeastLoadedSet({}, 1, [](DeviceId) { return false; },
-                                     &had_free_slot),
-            Set{});
-  EXPECT_TRUE(had_free_slot);
-  // Every device full: no device and no free slot (not a budget deferral).
-  slots.Acquire(0);
-  slots.Acquire(1);
-  slots.Acquire(2);
-  EXPECT_EQ(slots.PickLeastLoadedSet({}, 1, [](DeviceId) { return true; },
-                                     &had_free_slot),
-            Set{});
-  EXPECT_FALSE(had_free_slot);
+  EXPECT_EQ(slots.PickFreeSet({0, 1, 2}, 1), Set{1});
+  EXPECT_EQ(slots.PickFreeSet({0}, 1), Set{});
+  // Fewer free devices than the lease needs: the caller waits.
+  EXPECT_EQ(slots.PickFreeSet({0, 1}, 2), Set{1});
+  slots.Release(0);
+  EXPECT_EQ(slots.PickFreeSet({0, 1}, 2), (Set{0, 1}));
 }
 
 // --- The seeded mixed workload matches serial execution -------------------
@@ -230,7 +188,14 @@ TEST(QueryServiceTest, SeededMixedWorkloadMatchesSerial) {
   EXPECT_EQ(stats.completed, 50u);
   EXPECT_EQ(stats.failed, 0u);
   size_t by_device = 0;
-  for (const auto& device : stats.devices) by_device += device.completed;
+  for (const auto& device : stats.devices) {
+    by_device += device.completed;
+    // One query per device at a time: the live meter stays within budget.
+    EXPECT_LE(device.live_high_water, device.budget_capacity);
+    if (device.completed > 0) {
+      EXPECT_GT(device.live_high_water, 0u);
+    }
+  }
   EXPECT_EQ(by_device, 50u);
   EXPECT_FALSE(stats.ToJson().empty());
 }
@@ -376,54 +341,7 @@ TEST(QueryServiceTest, SlowQueryRetainsOperatorTreeInHistory) {
   EXPECT_EQ(service.GetStats().slow_queries, 1u);
 }
 
-// --- Memory budgets: queue, don't fail ------------------------------------
-
-TEST(QueryServiceTest, BudgetExceedingQueryQueuesInsteadOfFailing) {
-  const auto& fixture = ServiceFixture::Get();
-  DeviceManager manager;
-  auto device = manager.AddDriver(sim::DriverKind::kCudaGpu);
-  ASSERT_TRUE(device.ok());
-  ASSERT_TRUE(BindStandardKernels(manager.device(*device)).ok());
-
-  auto probe = plan::BuildQ6(*fixture.catalog, {}, 0);
-  ASSERT_TRUE(probe.ok());
-  auto estimate =
-      EstimateDeviceMemoryBytes(*probe->graph, {}, manager.data_scale());
-  ASSERT_TRUE(estimate.ok());
-  ASSERT_GT(*estimate, 0u);
-
-  // Budget fits one Q6 at a time but the device offers four slots: queries
-  // beyond the budget must wait for a completion, not OOM.
-  ServiceConfig config;
-  config.workers = 4;
-  config.slots_per_device = 4;
-  config.query_budget_bytes = *estimate + *estimate / 2;
-  QueryService service(&manager, config);
-
-  std::vector<std::shared_ptr<QueryTicket>> tickets;
-  for (int i = 0; i < 6; ++i) {
-    auto ticket = service.Submit(SpecFor(fixture.catalog.get(), 2));
-    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-    tickets.push_back(*ticket);
-  }
-  for (const auto& ticket : tickets) {
-    EXPECT_TRUE(ticket->Wait().ok()) << ticket->Wait().status().ToString();
-  }
-  service.Drain();
-
-  ServiceStats stats = service.GetStats();
-  EXPECT_EQ(stats.completed, 6u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.rejected, 0u);
-  // The reservation ceiling held: live allocations never exceeded the
-  // budget even though four slots were open.
-  EXPECT_LE(service.ledger().budget(0).live_high_water(),
-            config.query_budget_bytes);
-  // Deferrals count distinct blocked-query/epoch events, not queue scans:
-  // with 6 queries dispatching one at a time, at most sum(1..5) + the
-  // initial epoch's blocked queries can be counted.
-  EXPECT_LE(stats.budget_deferrals, 21u);
-}
+// --- Memory budgets: lease only devices that can hold the query ---------
 
 TEST(QueryServiceTest, PlacesQueryOnDeviceWithBudgetHeadroom) {
   const auto& fixture = ServiceFixture::Get();
@@ -462,6 +380,52 @@ TEST(QueryServiceTest, PlacesQueryOnDeviceWithBudgetHeadroom) {
   ServiceStats stats = service.GetStats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
+}
+
+// A retry that has tried every device that can hold its query goes back to
+// one of them, never to a device whose budget is too small. (One worker and
+// a deadline make a regression fail, not hang.)
+TEST(QueryServiceTest, RetryNeverStrandsOnADeviceThatCannotHoldIt) {
+  const auto& fixture = ServiceFixture::Get();
+  DeviceManager manager;
+  auto gpu = manager.AddDriver(sim::DriverKind::kCudaGpu);
+  auto cpu = manager.AddDriver(sim::DriverKind::kOpenMpCpu, "openmp_cpu",
+                               FaultPlan::FailNth(InterfaceCall::kExecute, 1));
+  ASSERT_TRUE(gpu.ok() && cpu.ok());
+  ASSERT_TRUE(BindStandardKernels(manager.device(*gpu)).ok());
+  ASSERT_TRUE(BindStandardKernels(manager.device(*cpu)).ok());
+
+  auto probe = plan::BuildQ6(*fixture.catalog, {}, 0);
+  ASSERT_TRUE(probe.ok());
+  auto estimate =
+      EstimateDeviceMemoryBytes(*probe->graph, {}, manager.data_scale());
+  ASSERT_TRUE(estimate.ok());
+  ASSERT_GT(*estimate, 1u);
+
+  // The GPU's budget (arena minus cache budget) is below Q6's estimate, so
+  // only the CPU can hold it; the CPU's first Execute fails.
+  const size_t gpu_arena = manager.device(*gpu)->device_arena().capacity();
+  ASSERT_GT(gpu_arena, *estimate);
+  ServiceConfig config;
+  config.workers = 1;
+  config.cache_budget_bytes = gpu_arena - *estimate / 2;
+  QueryService service(&manager, config);
+  ASSERT_LT(service.ledger().budget(*gpu).capacity(), *estimate);
+
+  QuerySpec spec = SpecFor(fixture.catalog.get(), 2);
+  spec.deadline_ms = 3000;
+  auto ticket = service.Submit(std::move(spec));
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  const Result<QueryExecution>& result = (*ticket)->Wait();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ((*ticket)->attempts(), 2u);
+  EXPECT_EQ((*ticket)->placed_device(), *cpu);
+
+  service.Drain();
+  ServiceStats stats = service.GetStats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.requeues, 1u);
+  EXPECT_EQ(stats.deadline_evictions, 0u);
 }
 
 TEST(QueryServiceTest, RejectsQueryLargerThanEveryBudget) {
@@ -572,10 +536,6 @@ TEST(QueryServiceTest, MultiDeviceLeaseRunsDeviceParallel) {
   ServiceStats stats = service.GetStats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
-  // Both leases released their budget reservations.
-  for (const auto& entry : stats.devices) {
-    EXPECT_EQ(entry.budget_reserved, 0u);
-  }
 }
 
 TEST(QueryServiceTest, MultiDeviceLeaseValidatesSpec) {
@@ -601,9 +561,10 @@ TEST(QueryServiceTest, MultiDeviceLeaseValidatesSpec) {
   EXPECT_TRUE(service.Submit(too_many).status().IsInvalidArgument());
 }
 
-// A k-device lease reserves the estimate on k devices at once, so Submit
-// rejects a query that fewer than k eligible budgets can hold: queued, it
-// would never dispatch. (The deadline makes a regression fail, not hang.)
+// A k-device lease takes k devices whose budget holds the estimate, so
+// Submit rejects a query that fewer than k eligible budgets can hold:
+// queued, it would never dispatch. (The deadline makes a regression fail,
+// not hang.)
 TEST(QueryServiceTest, MultiDeviceLeaseNeedsThatManyBudgetsToHoldIt) {
   const auto& fixture = ServiceFixture::Get();
   DeviceManager manager;
@@ -649,10 +610,6 @@ TEST(QueryServiceTest, MultiDeviceLeaseNeedsThatManyBudgetsToHoldIt) {
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.budget_deferrals, 0u);
-  for (const auto& entry : stats.devices) {
-    EXPECT_EQ(entry.budget_reserved, 0u);
-  }
 }
 
 TEST(ColumnCacheTest, EvictionSkipsPinnedEntries) {

@@ -816,13 +816,17 @@ Status RunSingleQuery(const SingleQuery& q, const Catalog& catalog,
                            exec.stats.profile.operators);
   }
   if (plan.options.model == ExecutionModelKind::kDeviceParallel) {
-    // Machine-readable split report: per partition device (by id), the
-    // chunks it ran, its planned split share and the chunks it stole at
-    // runtime, and the host time spent merging breaker containers.
+    // Machine-readable split report: how many partition devices ran (the
+    // run may collapse a set larger than its chunk count), per partition
+    // device (by id) the chunks it ran, its planned split share and the
+    // chunks it stole at runtime, and the host time spent merging breaker
+    // containers.
     std::string chunks, shares, stolen;
+    size_t partitions = 0;
     for (size_t i = 0; i < exec.stats.devices.size(); ++i) {
       const DeviceRunStats& ds = exec.stats.devices[i];
       if (ds.split_share == 0 && ds.chunks == 0) continue;
+      ++partitions;
       const char* sep = chunks.empty() ? "" : ",";
       char buf[48];
       std::snprintf(buf, sizeof(buf), "%s\"%zu\":%zu", sep, i, ds.chunks);
@@ -838,7 +842,7 @@ Status RunSingleQuery(const SingleQuery& q, const Catalog& catalog,
                 "\"devices\":%zu,\"chunks\":{%s},\"split_ratio\":{%s},"
                 "\"chunks_stolen\":{%s},\"rebalance\":%s,"
                 "\"merge_host_ms\":%.4f,\"elapsed_ms\":%.3f}\n",
-                id.c_str(), plan.options.device_set.size(), chunks.c_str(),
+                id.c_str(), partitions, chunks.c_str(),
                 shares.c_str(), stolen.c_str(),
                 plan.options.split_rebalance ? "true" : "false",
                 exec.stats.merge_host_ms, sim::MsFromUs(exec.stats.elapsed_us));
