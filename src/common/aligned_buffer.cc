@@ -27,6 +27,16 @@ AlignedBuffer& AlignedBuffer::operator=(AlignedBuffer&& other) noexcept {
   return *this;
 }
 
+AlignedBuffer AlignedBuffer::Uninitialized(size_t size) {
+  AlignedBuffer buffer;
+  if (size > 0) {
+    buffer.capacity_ = bit_util::RoundUp(size, kAlignment);
+    buffer.data_ = Allocate(buffer.capacity_);
+    buffer.size_ = size;
+  }
+  return buffer;
+}
+
 void AlignedBuffer::Resize(size_t new_size) {
   if (new_size > capacity_) {
     Reallocate(new_size);
@@ -42,12 +52,16 @@ void AlignedBuffer::Append(const void* bytes, size_t n) {
   size_ += n;
 }
 
+uint8_t* AlignedBuffer::Allocate(size_t capacity) {
+  void* fresh = std::aligned_alloc(kAlignment, capacity);
+  ADAMANT_CHECK(fresh != nullptr) << "aligned_alloc of " << capacity
+                                  << " bytes failed";
+  return static_cast<uint8_t*>(fresh);
+}
+
 void AlignedBuffer::Reallocate(size_t min_capacity) {
   const size_t new_capacity = bit_util::RoundUp(min_capacity, kAlignment);
-  void* fresh = std::aligned_alloc(kAlignment, new_capacity);
-  ADAMANT_CHECK(fresh != nullptr) << "aligned_alloc of " << new_capacity
-                                  << " bytes failed";
-  auto* bytes = static_cast<uint8_t*>(fresh);
+  uint8_t* bytes = Allocate(new_capacity);
   if (data_ != nullptr) {
     std::memcpy(bytes, data_, size_);
     std::free(data_);

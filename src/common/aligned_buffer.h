@@ -7,9 +7,12 @@
 namespace adamant {
 
 /// Owning, 64-byte-aligned, resizable byte buffer. Used as the backing store
-/// for host columns and for simulated device memory. Move-only: device
-/// buffers alias regions of these allocations, so implicit copies would be
-/// both expensive and a source of stale-alias bugs.
+/// for host columns and for simulated device memory. Host columns are built
+/// with Resize and Append, which zero every byte they expose; device memory
+/// comes from Uninitialized, which writes nothing, as a device allocator
+/// (cudaMalloc, clCreateBuffer) hands out whatever the memory held.
+/// Move-only: device buffers alias regions of these allocations, so implicit
+/// copies would be both expensive and a source of stale-alias bugs.
 class AlignedBuffer {
  public:
   static constexpr size_t kAlignment = 64;
@@ -22,6 +25,10 @@ class AlignedBuffer {
   AlignedBuffer& operator=(const AlignedBuffer&) = delete;
   AlignedBuffer(AlignedBuffer&& other) noexcept;
   AlignedBuffer& operator=(AlignedBuffer&& other) noexcept;
+
+  /// A buffer of `size` bytes whose content is unspecified: nothing is
+  /// written. Its capacity is `size` rounded up to the alignment.
+  static AlignedBuffer Uninitialized(size_t size);
 
   /// Grows or shrinks to `new_size` bytes. Existing content up to
   /// min(old, new) size is preserved; newly exposed bytes are zeroed. A
@@ -51,6 +58,8 @@ class AlignedBuffer {
   }
 
  private:
+  /// Allocates `capacity` bytes (a multiple of the alignment), unwritten.
+  static uint8_t* Allocate(size_t capacity);
   /// Moves the content to a fresh allocation of at least `min_capacity`
   /// bytes; everything past size() is zeroed.
   void Reallocate(size_t min_capacity);

@@ -8,6 +8,7 @@
 #include <malloc.h>
 #endif
 
+#include "common/bit_util.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 
@@ -25,15 +26,25 @@ namespace {
 /// table) is free there, and the next query faults the same pages in again.
 /// Fixing both thresholds at the maxima glibc's own adjustment reaches
 /// (32 MiB mmap, 64 MiB trim) keeps the heap from one query to the next.
+/// Blocks at the mmap threshold or above still map and unmap on every
+/// allocation; the device keeps those itself (TakeStorage, ReturnStorage).
 void KeepQueryBuffersInTheHeap() {
 #if defined(__GLIBC__)
   static std::once_flag once;
   std::call_once(once, [] {
-    mallopt(M_MMAP_THRESHOLD, 32 << 20);
-    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+    constexpr size_t kMmapThreshold = SimulatedDevice::kMmapThresholdBytes;
+    mallopt(M_MMAP_THRESHOLD, static_cast<int>(kMmapThreshold));
+    mallopt(M_TRIM_THRESHOLD, static_cast<int>(2 * kMmapThreshold));
   });
 #endif
 }
+
+#ifdef NDEBUG
+constexpr bool kPoisonByDefault = false;
+#else
+constexpr bool kPoisonByDefault = true;
+#endif
+std::atomic<bool> poison_fill_on{kPoisonByDefault};
 
 }  // namespace
 
@@ -50,6 +61,63 @@ SimulatedDevice::SimulatedDevice(std::string name, sim::DevicePerfModel model,
       pinned_arena_(name_ + ".pinned_mem", model_.pinned_memory_bytes) {
   ADAMANT_CHECK(ctx_ != nullptr);
   KeepQueryBuffersInTheHeap();
+}
+
+void SimulatedDevice::SetPoisonFill(bool on) {
+  poison_fill_on.store(on, std::memory_order_relaxed);
+}
+
+bool SimulatedDevice::poison_fill() {
+  return poison_fill_on.load(std::memory_order_relaxed);
+}
+
+SimulatedDevice::LargeBlocks SimulatedDevice::large_blocks() const {
+  std::lock_guard<std::mutex> lock(call_mu_);
+  return large_blocks_;
+}
+
+AlignedBuffer SimulatedDevice::TakeStorage(size_t bytes) {
+  auto best = spares_.end();
+  for (auto it = spares_.begin(); it != spares_.end(); ++it) {
+    const size_t capacity = it->capacity();
+    if (bytes <= capacity && capacity / 2 <= bytes &&
+        (best == spares_.end() || capacity < best->capacity())) {
+      best = it;
+    }
+  }
+  AlignedBuffer storage;
+  if (best != spares_.end()) {
+    storage = std::move(*best);
+    spares_.erase(best);
+    large_blocks_.spare -= storage.capacity();
+    large_blocks_.live += storage.capacity();
+  } else {
+    const size_t capacity = bit_util::RoundUp(bytes, AlignedBuffer::kAlignment);
+    if (capacity >= kMmapThresholdBytes) {
+      large_blocks_.live += capacity;
+      large_blocks_.live_high_water =
+          std::max(large_blocks_.live_high_water, large_blocks_.live);
+      // No spare serves this block: free the oldest ones until live plus
+      // spare fits the high water again, before the block is mapped.
+      while (large_blocks_.live + large_blocks_.spare >
+             large_blocks_.live_high_water) {
+        large_blocks_.spare -= spares_.front().capacity();
+        spares_.erase(spares_.begin());
+      }
+    }
+    storage = AlignedBuffer::Uninitialized(bytes);
+  }
+  if (bytes > 0 && poison_fill()) {
+    std::memset(storage.data(), kPoisonByte, bytes);
+  }
+  return storage;
+}
+
+void SimulatedDevice::ReturnStorage(AlignedBuffer storage) {
+  if (storage.capacity() < kMmapThresholdBytes) return;  // freed here
+  large_blocks_.live -= storage.capacity();
+  large_blocks_.spare += storage.capacity();
+  spares_.push_back(std::move(storage));
 }
 
 Status SimulatedDevice::Initialize() {
@@ -123,7 +191,7 @@ Result<BufferId> SimulatedDevice::PrepareMemory(size_t bytes) {
   rec.bytes = bytes;
   rec.kind = MemoryKind::kDevice;
   rec.format = native_format_;
-  rec.storage.Resize(bytes);
+  rec.storage = TakeStorage(bytes);
   records_.emplace(id, std::move(rec));
   host_time_ += model_.alloc_us + model_.host_call_us;
   return id;
@@ -139,7 +207,7 @@ Result<BufferId> SimulatedDevice::AddPinnedMemory(size_t bytes) {
   rec.bytes = bytes;
   rec.kind = MemoryKind::kPinnedHost;
   rec.format = native_format_;
-  rec.storage.Resize(bytes);
+  rec.storage = TakeStorage(bytes);
   records_.emplace(id, std::move(rec));
   host_time_ += model_.pinned_alloc_us + model_.host_call_us;
   return id;
@@ -149,7 +217,9 @@ Status SimulatedDevice::PlaceData(BufferId dst, const void* src, size_t bytes,
                                   size_t dst_offset) {
   std::lock_guard<std::mutex> lock(call_mu_);
   ++stats_.place_data;
-  if (src == nullptr) return Status::InvalidArgument("null source");
+  if (src == nullptr && bytes > 0) {
+    return Status::InvalidArgument("null source");
+  }
   ADAMANT_ASSIGN_OR_RETURN(Resolved r, Resolve(dst));
   if (dst_offset + bytes > r.record->bytes) {
     return Status::InvalidArgument(
@@ -170,7 +240,10 @@ Status SimulatedDevice::PlaceData(BufferId dst, const void* src, size_t bytes,
   MarkWrite(r, entry.end);
   if (!async_mode_) host_time_ = entry.end;
 
-  std::memcpy(r.root->storage.data() + r.offset + dst_offset, src, bytes);
+  // A zero-byte copy touches no memory, as cudaMemcpy with count 0.
+  if (bytes > 0) {
+    std::memcpy(r.root->storage.data() + r.offset + dst_offset, src, bytes);
+  }
   return Status::OK();
 }
 
@@ -178,7 +251,9 @@ Status SimulatedDevice::RetrieveData(BufferId src, void* dst, size_t bytes,
                                      size_t src_offset) {
   std::lock_guard<std::mutex> lock(call_mu_);
   ++stats_.retrieve_data;
-  if (dst == nullptr) return Status::InvalidArgument("null destination");
+  if (dst == nullptr && bytes > 0) {
+    return Status::InvalidArgument("null destination");
+  }
   ADAMANT_ASSIGN_OR_RETURN(Resolved r, Resolve(src));
   if (src_offset + bytes > r.record->bytes) {
     return Status::InvalidArgument(
@@ -198,7 +273,9 @@ Status SimulatedDevice::RetrieveData(BufferId src, void* dst, size_t bytes,
   // The host consumes the bytes, so retrieval always blocks the host.
   host_time_ = entry.end;
 
-  std::memcpy(dst, r.root->storage.data() + r.offset + src_offset, bytes);
+  if (bytes > 0) {
+    std::memcpy(dst, r.root->storage.data() + r.offset + src_offset, bytes);
+  }
   return Status::OK();
 }
 
@@ -218,10 +295,12 @@ Status SimulatedDevice::DeleteMemory(BufferId id) {
   ++stats_.delete_memory;
   ADAMANT_ASSIGN_OR_RETURN(BufferRecord * rec, FindRecord(id));
   if (rec->parent == kInvalidBuffer) {
-    // Chunk aliases never charged the arena; owners give their bytes back.
+    // Chunk aliases never charged the arena and own no storage; owners give
+    // both back.
     auto& arena = rec->kind == MemoryKind::kPinnedHost ? pinned_arena_
                                                        : device_arena_;
     arena.Free(ScaledBytes(rec->bytes));
+    ReturnStorage(std::move(rec->storage));
   }
   records_.erase(id);
   host_time_ += model_.free_us + model_.host_call_us;

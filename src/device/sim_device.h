@@ -39,6 +39,12 @@ struct DeviceCallStats {
 /// the timing side books operations onto per-resource timelines using the
 /// driver's calibrated performance model.
 ///
+/// Memory: PrepareMemory and AddPinnedMemory hand out uninitialized host
+/// storage, as cudaMalloc does; the runtime must write every byte it reads.
+/// Storage of kMmapThresholdBytes or more outlives DeleteMemory as a spare
+/// that the device's next allocation it fits reuses (large_blocks()).
+/// Neither changes what the arenas charge or what the simulated clock books.
+///
 /// Thread safety: every interface call and simulation-control call locks a
 /// per-device mutex, so several threads may call one device. The
 /// stats/timeline accessors are unsynchronized: they are read by the run
@@ -80,6 +86,32 @@ class SimulatedDevice : public Device {
   Result<BufferId> CreateChunk(BufferId parent, size_t bytes,
                                size_t offset) override;
   Status Execute(const KernelLaunch& launch) override;
+
+  /// glibc serves an allocation of this size or more with mmap and unmaps
+  /// it on free (the first device built fixes glibc's threshold at this
+  /// value), so the device keeps such blocks instead: a spare of capacity c
+  /// serves a request of b bytes when b <= c <= 2b. Smaller blocks go back
+  /// to glibc's heap, which keeps them between queries.
+  static constexpr size_t kMmapThresholdBytes = size_t{32} << 20;
+
+  /// Test seam, process-wide: while on, every block PrepareMemory and
+  /// AddPinnedMemory hand out, fresh or recycled, is filled with
+  /// kPoisonByte, so a read of memory the runtime never wrote cannot pass
+  /// for a zero. On by default in builds without NDEBUG.
+  static constexpr uint8_t kPoisonByte = 0xA5;
+  static void SetPoisonFill(bool on);
+  static bool poison_fill();
+
+  /// Host storage in blocks of kMmapThresholdBytes or more: what live
+  /// buffers own, what the device keeps as spares, and the most ever live
+  /// at once. live + spare never exceeds live_high_water: a fresh block
+  /// that no spare serves first frees the oldest spares past that bound.
+  struct LargeBlocks {
+    size_t live = 0;
+    size_t spare = 0;
+    size_t live_high_water = 0;
+  };
+  LargeBlocks large_blocks() const;
 
   // --- Driver properties ---
   SdkFormat native_format() const { return native_format_; }
@@ -224,7 +256,9 @@ class SimulatedDevice : public Device {
     size_t bytes = 0;
     MemoryKind kind = MemoryKind::kDevice;
     SdkFormat format = SdkFormat::kRaw;
-    AlignedBuffer storage;           // owning, unless this is a chunk alias
+    // Owning, unless this is a chunk alias. A recycled block's capacity
+    // may exceed `bytes`; only `bytes` of it belong to the buffer.
+    AlignedBuffer storage;
     BufferId parent = kInvalidBuffer;
     size_t parent_offset = 0;        // byte offset into the root buffer
     sim::SimTime ready_at = 0;       // completion of the last write
@@ -254,6 +288,13 @@ class SimulatedDevice : public Device {
   static sim::SimTime WriteReadyTime(const Resolved& r);
   static sim::SimTime ReadReadyTime(const Resolved& r);
 
+  /// Storage for a new buffer of `bytes`: the smallest spare that serves
+  /// it, else a fresh block. Unwritten, or poisoned (SetPoisonFill).
+  AlignedBuffer TakeStorage(size_t bytes);
+  /// Takes a deleted buffer's storage: blocks of kMmapThresholdBytes or
+  /// more become spares, smaller ones are freed.
+  void ReturnStorage(AlignedBuffer storage);
+
   /// Completion time without taking call_mu_ (callers hold the lock).
   sim::SimTime MaxCompletionLocked() const;
   /// Kernel-body time of one launch run on `threads` threads.
@@ -271,6 +312,10 @@ class SimulatedDevice : public Device {
 
   std::unordered_map<BufferId, BufferRecord> records_;
   BufferId next_id_ = 1;
+  /// Storage of deleted buffers kept for reuse, oldest first; every block
+  /// holds at least kMmapThresholdBytes.
+  std::vector<AlignedBuffer> spares_;
+  LargeBlocks large_blocks_;
 
   std::map<std::string, HostKernelFn, std::less<>> prepared_kernels_;
   std::map<std::string, HostKernelFn, std::less<>> precompiled_kernels_;

@@ -11,6 +11,7 @@
 #include "device/device_manager.h"
 #include "device/drivers.h"
 #include "device/sim_device.h"
+#include "poison_fill.h"
 #include "task/kernel_registry.h"
 
 namespace adamant {
@@ -90,6 +91,7 @@ TEST(Device, PlaceRetrieveRoundTrip) {
 }
 
 TEST(Device, PlaceRetrieveWithOffsets) {
+  PoisonFill poison;
   auto device = MakeTestDevice();
   auto buf = device->PrepareMemory(64);
   ASSERT_TRUE(buf.ok());
@@ -98,9 +100,10 @@ TEST(Device, PlaceRetrieveWithOffsets) {
   int32_t got = 0;
   ASSERT_TRUE(device->RetrieveData(*buf, &got, 4, 32).ok());
   EXPECT_EQ(got, 0xABCD);
-  // Untouched region is zero-initialized.
+  // Device memory is uninitialized, not zeroed: bytes nothing wrote read
+  // the poison pattern.
   ASSERT_TRUE(device->RetrieveData(*buf, &got, 4, 0).ok());
-  EXPECT_EQ(got, 0);
+  EXPECT_EQ(got, PoisonFill::Word());
 }
 
 TEST(Device, PlaceOverflowRejected) {
@@ -119,6 +122,16 @@ TEST(Device, NullPointersRejected) {
   ASSERT_TRUE(buf.ok());
   EXPECT_TRUE(device->PlaceData(*buf, nullptr, 4, 0).IsInvalidArgument());
   EXPECT_TRUE(device->RetrieveData(*buf, nullptr, 4, 0).IsInvalidArgument());
+}
+
+TEST(Device, ZeroByteCopiesTouchNoMemory) {
+  // As cudaMemcpy with count 0: no pointer is read, so none is required.
+  auto device = MakeTestDevice();
+  auto empty = device->PrepareMemory(0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(device->PlaceData(*empty, nullptr, 0, 0).ok());
+  EXPECT_TRUE(device->RetrieveData(*empty, nullptr, 0, 0).ok());
+  EXPECT_TRUE(device->PlaceData(99, nullptr, 0, 0).IsNotFound());
 }
 
 TEST(Device, UnknownBufferNotFound) {
@@ -168,6 +181,174 @@ TEST(Device, DataScaleInflatesArenaCharges) {
   EXPECT_EQ(device->device_arena().used(), size_t{1024} * 1000);
   // 100 KiB actual = 100 MiB nominal > 10 MiB capacity.
   EXPECT_TRUE(device->PrepareMemory(100 << 10).status().IsOutOfMemory());
+}
+
+// --- Storage recycling: blocks at glibc's mmap threshold outlive
+//     DeleteMemory as spares of their device ---
+
+constexpr size_t kBlock = SimulatedDevice::kMmapThresholdBytes;
+
+/// A device whose arenas hold several threshold-sized blocks.
+std::unique_ptr<SimulatedDevice> MakeRoomyDevice(
+    std::shared_ptr<SimContext> ctx = std::make_shared<SimContext>()) {
+  sim::DevicePerfModel model = TestModel();
+  model.device_memory_bytes = size_t{1} << 30;
+  model.pinned_memory_bytes = size_t{1} << 30;
+  auto device = std::make_unique<SimulatedDevice>("roomy", model,
+                                                  SdkFormat::kRaw, false, ctx);
+  EXPECT_TRUE(device->Initialize().ok());
+  return device;
+}
+
+BufferId Prepare(SimulatedDevice* device, size_t bytes) {
+  auto id = device->PrepareMemory(bytes);
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  return id.ok() ? *id : kInvalidBuffer;
+}
+
+void* StoragePtr(SimulatedDevice* device, BufferId id) {
+  auto ptr = device->DebugBufferPtr(id);
+  EXPECT_TRUE(ptr.ok()) << ptr.status().ToString();
+  return ptr.ok() ? *ptr : nullptr;
+}
+
+TEST(DeviceStorage, DeletedLargeBufferServesTheNextThatFits) {
+  PoisonFill poison;
+  auto device = MakeRoomyDevice();
+  BufferId first = Prepare(device.get(), kBlock);
+  void* storage = StoragePtr(device.get(), first);
+  const int32_t written = 0x1234;
+  ASSERT_TRUE(device->PlaceData(first, &written, 4, 0).ok());
+  ASSERT_TRUE(device->DeleteMemory(first).ok());
+  EXPECT_EQ(device->large_blocks().spare, kBlock);
+
+  BufferId next = Prepare(device.get(), kBlock - 4096);
+  EXPECT_EQ(StoragePtr(device.get(), next), storage);
+  EXPECT_EQ(*device->DebugBufferSize(next), kBlock - 4096);
+  EXPECT_EQ(device->large_blocks().spare, 0u);
+  EXPECT_EQ(device->large_blocks().live, kBlock);
+  // Recycled storage is poisoned again, not left with the last query's data.
+  int32_t got = 0;
+  ASSERT_TRUE(device->RetrieveData(next, &got, 4, 0).ok());
+  EXPECT_EQ(got, PoisonFill::Word());
+}
+
+TEST(DeviceStorage, RequestUnderHalfASpareLeavesIt) {
+  auto device = MakeRoomyDevice();
+  BufferId first = Prepare(device.get(), 2 * kBlock);
+  void* storage = StoragePtr(device.get(), first);
+  ASSERT_TRUE(device->DeleteMemory(first).ok());
+
+  BufferId under_half = Prepare(device.get(), kBlock - 64);
+  EXPECT_NE(StoragePtr(device.get(), under_half), storage);
+  EXPECT_EQ(device->large_blocks().spare, 2 * kBlock);
+  BufferId half = Prepare(device.get(), kBlock);
+  EXPECT_EQ(StoragePtr(device.get(), half), storage);
+  EXPECT_EQ(device->large_blocks().spare, 0u);
+}
+
+TEST(DeviceStorage, SmallBufferStorageIsNotKept) {
+  auto device = MakeRoomyDevice();
+  BufferId small = Prepare(device.get(), 1 << 20);
+  ASSERT_TRUE(device->DeleteMemory(small).ok());
+  const SimulatedDevice::LargeBlocks blocks = device->large_blocks();
+  EXPECT_EQ(blocks.spare, 0u);
+  EXPECT_EQ(blocks.live, 0u);
+  EXPECT_EQ(blocks.live_high_water, 0u);
+}
+
+TEST(DeviceStorage, LivePlusSpareStaysWithinTheLiveHighWater) {
+  auto within_bound = [](const SimulatedDevice& device) {
+    const SimulatedDevice::LargeBlocks blocks = device.large_blocks();
+    return blocks.live + blocks.spare <= blocks.live_high_water;
+  };
+  {
+    // Two blocks live together: both are kept on delete.
+    auto device = MakeRoomyDevice();
+    BufferId a = Prepare(device.get(), kBlock);
+    BufferId b = Prepare(device.get(), kBlock);
+    EXPECT_EQ(device->large_blocks().live_high_water, 2 * kBlock);
+    ASSERT_TRUE(device->DeleteMemory(a).ok());
+    EXPECT_TRUE(within_bound(*device));
+    ASSERT_TRUE(device->DeleteMemory(b).ok());
+    EXPECT_TRUE(within_bound(*device));
+    EXPECT_EQ(device->large_blocks().spare, 2 * kBlock);
+  }
+  {
+    // Never two live at once: a block the first spare cannot serve frees
+    // that spare before it is allocated, so the device never holds both,
+    // and only the newer one stays.
+    auto device = MakeRoomyDevice();
+    ASSERT_TRUE(device->DeleteMemory(Prepare(device.get(), kBlock)).ok());
+    EXPECT_EQ(device->large_blocks().spare, kBlock);
+    BufferId larger = Prepare(device.get(), kBlock + kBlock / 2);
+    EXPECT_TRUE(within_bound(*device));
+    EXPECT_EQ(device->large_blocks().spare, 0u);
+    ASSERT_TRUE(device->DeleteMemory(larger).ok());
+    EXPECT_TRUE(within_bound(*device));
+    EXPECT_EQ(device->large_blocks().spare, kBlock + kBlock / 2);
+    EXPECT_EQ(device->large_blocks().live_high_water, kBlock + kBlock / 2);
+  }
+}
+
+TEST(DeviceStorage, DeletingAChunkAliasReturnsNothing) {
+  auto device = MakeRoomyDevice();
+  BufferId parent = Prepare(device.get(), kBlock);
+  auto chunk = device->CreateChunk(parent, kBlock / 2, kBlock / 4);
+  ASSERT_TRUE(chunk.ok());
+  ASSERT_TRUE(device->DeleteMemory(*chunk).ok());
+  EXPECT_EQ(device->large_blocks().spare, 0u);
+  EXPECT_EQ(device->large_blocks().live, kBlock);
+  ASSERT_TRUE(device->DeleteMemory(parent).ok());
+  EXPECT_EQ(device->large_blocks().spare, kBlock);
+}
+
+TEST(DeviceStorage, ArenaChargesIgnoreRecycling) {
+  // The same nominal buffers twice: once as threshold-sized blocks, which
+  // recycle, and once as 1/32 of that at data scale 32, which do not.
+  // Every arena reading matches.
+  auto scaled_ctx = std::make_shared<SimContext>();
+  scaled_ctx->data_scale = 32.0;
+  auto recycling = MakeRoomyDevice();
+  auto plain = MakeRoomyDevice(scaled_ctx);
+  auto run = [](SimulatedDevice* device, size_t unit) {
+    std::vector<size_t> readings;
+    std::vector<BufferId> ids;
+    auto read = [&] {
+      for (sim::MemoryArena* arena :
+           {&device->device_arena(), &device->pinned_arena()}) {
+        readings.push_back(arena->used());
+        readings.push_back(arena->high_water());
+      }
+    };
+    auto allocate = [&](bool pinned, size_t units) {
+      auto id = pinned ? device->AddPinnedMemory(units * unit)
+                       : device->PrepareMemory(units * unit);
+      EXPECT_TRUE(id.ok());
+      ids.push_back(id.ok() ? *id : kInvalidBuffer);
+      read();
+    };
+    auto release = [&](size_t i) {
+      EXPECT_TRUE(device->DeleteMemory(ids[i]).ok());
+      read();
+    };
+    allocate(false, 1);
+    allocate(true, 1);
+    release(0);
+    allocate(false, 1);  // recycles buffer 0's block
+    release(1);
+    allocate(true, 1);  // recycles buffer 1's block
+    release(2);
+    release(3);
+    allocate(false, 2);  // no spare serves it: both are freed first
+    release(4);
+    return readings;
+  };
+  const std::vector<size_t> with = run(recycling.get(), kBlock);
+  EXPECT_GT(recycling->large_blocks().spare, 0u);
+  const std::vector<size_t> without = run(plain.get(), kBlock / 32);
+  EXPECT_EQ(plain->large_blocks().live_high_water, 0u);
+  EXPECT_EQ(with, without);
 }
 
 // --- transform_memory ---

@@ -4,23 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "adamant/adamant.h"
+#include "poison_fill.h"
 #include "task/hash_table.h"
 
 namespace adamant {
 namespace {
 
+/// `gpus` identical cuda_gpu devices: plans run on the first, and the
+/// device-parallel model splits across all of them.
 struct Rig {
   DeviceManager manager;
   DeviceId gpu = 0;
 
-  Rig() {
-    auto device = manager.AddDriver(sim::DriverKind::kCudaGpu);
-    ADAMANT_CHECK(device.ok());
-    gpu = *device;
-    ADAMANT_CHECK(BindStandardKernels(manager.device(gpu)).ok());
+  explicit Rig(int gpus = 1) {
+    for (int i = 0; i < gpus; ++i) {
+      auto device =
+          manager.AddDriver(sim::DriverKind::kCudaGpu, "gpu" + std::to_string(i));
+      ADAMANT_CHECK(device.ok());
+      ADAMANT_CHECK(BindStandardKernels(manager.device(*device)).ok());
+    }
   }
 
   Result<QueryExecution> Run(PrimitiveGraph* graph, size_t chunk,
@@ -34,12 +42,13 @@ struct Rig {
   }
 };
 
-/// filter(v < limit) -> materialize -> sum over an iota column.
+/// filter(v < limit) -> materialize -> AGG_BLOCK(op) over an iota column.
 struct SumPlan {
   PrimitiveGraph graph;
   int agg = -1;
 
-  SumPlan(DeviceId device, int32_t n, int32_t limit) {
+  SumPlan(DeviceId device, int32_t n, int32_t limit,
+          AggOp op = AggOp::kSum) {
     std::vector<int32_t> values(static_cast<size_t>(n));
     std::iota(values.begin(), values.end(), 0);
     auto col = Column::FromVector("v", values);
@@ -49,7 +58,7 @@ struct SumPlan {
     int f = graph.AddNode(PrimitiveKind::kFilterBitmap, device, fcfg);
     int m = graph.AddNode(PrimitiveKind::kMaterialize, device, {});
     NodeConfig acfg;
-    acfg.agg_op = AggOp::kSum;
+    acfg.agg_op = op;
     agg = graph.AddNode(PrimitiveKind::kAggBlock, device, acfg);
     EXPECT_TRUE(graph.ConnectScan(col, f, 0).ok());
     EXPECT_TRUE(graph.ConnectScan(col, m, 0).ok());
@@ -67,6 +76,40 @@ TEST(EdgeCases, NoRowSurvivesTheFilter) {
     auto exec = rig.Run(&plan.graph, 128, model);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
     EXPECT_EQ(*exec->AggValue(plan.agg), 0) << ExecutionModelName(model);
+  }
+}
+
+// An empty column streams one 0-row chunk, whose place_data copies 0 bytes
+// from a null pointer; every model must then return what a filter that drops
+// every row returns: the aggregate's identity. Poisoned, so a read of a
+// buffer the 0-row kernels never wrote cannot pass for that identity.
+TEST(EdgeCases, EmptyTableMatchesAFilterThatDropsEveryRow) {
+  PoisonFill poison;
+  Rig rig(/*gpus=*/2);
+  for (auto [op, identity] : std::vector<std::pair<AggOp, int64_t>>{
+           {AggOp::kSum, 0},
+           {AggOp::kCount, 0},
+           {AggOp::kMin, std::numeric_limits<int64_t>::max()},
+           {AggOp::kMax, std::numeric_limits<int64_t>::min()}}) {
+    for (auto model : {ExecutionModelKind::kOperatorAtATime,
+                       ExecutionModelKind::kChunked,
+                       ExecutionModelKind::kPipelined,
+                       ExecutionModelKind::kFourPhaseChunked,
+                       ExecutionModelKind::kFourPhasePipelined,
+                       ExecutionModelKind::kDeviceParallel}) {
+      SumPlan empty(rig.gpu, /*n=*/0, /*limit=*/0, op);
+      SumPlan dropped(rig.gpu, /*n=*/1000, /*limit=*/0, op);
+      auto got = rig.Run(&empty.graph, 128, model);
+      ASSERT_TRUE(got.ok()) << ExecutionModelName(model) << ": "
+                            << got.status().ToString();
+      auto want = rig.Run(&dropped.graph, 128, model);
+      ASSERT_TRUE(want.ok()) << ExecutionModelName(model) << ": "
+                             << want.status().ToString();
+      EXPECT_EQ(*got->AggValue(empty.agg), *want->AggValue(dropped.agg))
+          << ExecutionModelName(model) << " op " << static_cast<int>(op);
+      EXPECT_EQ(*got->AggValue(empty.agg), identity)
+          << ExecutionModelName(model) << " op " << static_cast<int>(op);
+    }
   }
 }
 
