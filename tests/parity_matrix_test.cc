@@ -33,22 +33,15 @@ Status ApplyEnvFusion(plan::PlanBundle* bundle) {
   return plan::ApplyFusion(bundle, options).status();
 }
 
-// ctest also reruns it, all but the SimulatedClockGates, with
-// ADAMANT_POISON=on (parity_matrix_poison_test, and parity_matrix_fused_test
-// together with fusion): every fresh or recycled device buffer then starts
-// filled with SimulatedDevice::kPoisonByte in every build, so a read of
-// memory that no copy or kernel wrote breaks bit identity.
-class PoisonFromEnv : public ::testing::Environment {
+// Every device buffer starts filled with SimulatedDevice::kPoisonByte in
+// every build, so a read of memory that no copy or kernel wrote breaks bit
+// identity. Poison does not move the simulated clock.
+class PoisonDeviceMemory : public ::testing::Environment {
  public:
-  void SetUp() override {
-    const char* env = std::getenv("ADAMANT_POISON");
-    if (env != nullptr && std::string(env) == "on") {
-      SimulatedDevice::SetPoisonFill(true);
-    }
-  }
+  void SetUp() override { SimulatedDevice::SetPoisonFill(true); }
 };
-::testing::Environment* const kPoisonFromEnv =
-    ::testing::AddGlobalTestEnvironment(new PoisonFromEnv);
+::testing::Environment* const kPoisonDeviceMemory =
+    ::testing::AddGlobalTestEnvironment(new PoisonDeviceMemory);
 
 struct MatrixFixture {
   std::shared_ptr<Catalog> catalog;
